@@ -160,6 +160,9 @@ def cmd_gate(args) -> int:
             graph_bounds=(args.graph_vertices, args.graph_edges),
             path_len=min(args.bound, 3) if args.n <= 2 else args.bound,
             witness_size=args.witness_size)
+    except limitlab.LimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SoundnessError as exc:
         print(f"soundness failure: {exc}", file=sys.stderr)
         return 2

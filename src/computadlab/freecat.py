@@ -718,16 +718,6 @@ def generate_terms(e: Engine, rounds: int = 1) -> list[Term]:
     return [e.build_term(t) for t in range(len(e.nodes))]
 
 
-def saturation_round(e: Engine) -> Engine:
-    e.saturation_round()
-    return e
-
-
-def saturate(e: Engine, max_rounds: int | None = None) -> Engine:
-    e.saturate(max_rounds)
-    return e
-
-
 def equal_cells(e: Engine, t1: Term, t2: Term) -> tuple[str, object]:
     """Three-valued equality of two terms of the engine's dimension.
 

@@ -458,36 +458,38 @@ def _postcompose(a: GraphMap, m: GraphMap) -> GraphMap:
                     tuple(a.emap[e] for e in m.emap))
 
 
-def graph_cospan_family(max_v: int, max_e: int, dedup: bool = True):
-    """All cospans X -> Z <- Y of graphs within the bounds, X, Y, Z ranging
-    over isomorphism-class representatives.
+def _cospan_orbits(max_v: int, max_e: int, path_len: int):
+    """Graph cospans X -> Z <- Y within the bounds, X, Y, Z ranging over
+    isomorphism-class representatives, one per orbit of Aut(Z) acting by
+    postcomposition.
 
-    With dedup, the pairs (f, g) are kept once per orbit of Aut(Z) acting by
-    postcomposition (double-coset enumeration: f is an Aut(Z)-orbit
-    representative, g a representative under the stabilizer of f). Pullback
-    comparisons are invariant under the action, so no outcome is lost."""
+    Double-coset enumeration: f is an Aut(Z)-orbit representative, g a
+    representative under the stabilizer of f. Pullback comparisons are
+    invariant under the action, so no outcome is lost. Yields
+    `(z, x, y, f, g, fibers_f, fibers_g)`, the path fibers of each leg
+    computed once per hom."""
     graphs = enumerate_graphs(max_v, max_e)
     key = lambda m: (m.vmap, m.emap)
     for z in graphs:
         auts = graph_automorphisms(z)
-        homs_in = [(x, graph_homs(x, z)) for x in graphs]
-        for x, homs_x in homs_in:
-            for f in homs_x:
-                if dedup:
-                    kf = key(f)
-                    mapped = [key(_postcompose(a, f)) for a in auts]
-                    if min(mapped) != kf:
-                        continue
-                    stab = [a for a, km in zip(auts, mapped) if km == kf][1:]
-                else:
-                    stab = []
-                for y, homs_y in homs_in:
-                    for g in homs_y:
+        side = []
+        for x in graphs:
+            homs = graph_homs(x, z)
+            side.append((x, homs, [path_fibers(x, f, path_len) for f in homs]))
+        for x, homs_x, fibs_x in side:
+            for f, fx in zip(homs_x, fibs_x):
+                kf = key(f)
+                mapped = [key(_postcompose(a, f)) for a in auts]
+                if min(mapped) != kf:
+                    continue
+                stab = [a for a, km in zip(auts, mapped) if km == kf][1:]
+                for y, homs_y, fibs_y in side:
+                    for g, fy in zip(homs_y, fibs_y):
                         if stab:
                             kg = key(g)
                             if any(key(_postcompose(a, g)) < kg for a in stab):
                                 continue
-                        yield x, y, z, f, g
+                        yield z, x, y, f, g, fx, fy
 
 
 @dataclass
@@ -521,75 +523,45 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     count identity decides `is_pullback`. The injectivity embedding itself
     is re-verified by the generic enumerating checker on every
     `generic_stride`-th cospan (0 disables the slice).
+
+    This is the only pullback-preservation sweep: the topos gate at n = 1, 2
+    runs it with `generic_stride=1`, acceptance criterion 5 with a stride.
     """
-    graphs = enumerate_graphs(max_v, max_e)
-    key = lambda m: (m.vmap, m.emap)
     cospans = 0
     pairs_total = 0
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    for z in graphs:
-        auts = graph_automorphisms(z)
-        side = []
-        for x in graphs:
-            homs = graph_homs(x, z)
-            fibs = [path_fibers(x, f, path_len) for f in homs]
-            side.append((x, homs, fibs))
-        for xi, (x, homs_x, fibs_x) in enumerate(side):
-            xn = x.nv
-            xe = x.edges
-            for fi, f in enumerate(homs_x):
-                kf = key(f)
-                mapped = [key(_postcompose(a, f)) for a in auts]
-                if min(mapped) != kf:
-                    continue
-                stab = [a for a, km in zip(auts, mapped) if km == kf][1:]
-                fx = fibs_x[fi]
-                fv, fe = f.vmap, f.emap
-                for yi, (y, homs_y, fibs_y) in enumerate(side):
-                    yn = y.nv
-                    ye = y.edges
-                    for gi, g in enumerate(homs_y):
-                        if stab:
-                            kg = key(g)
-                            if any(key(_postcompose(a, g)) < kg for a in stab):
-                                continue
-                        fy = fibs_y[gi]
-                        if len(fx) <= len(fy):
-                            expected = sum(n * fy[img] for img, n in fx.items()
-                                           if img in fy)
-                        else:
-                            expected = sum(n * fx[img] for img, n in fy.items()
-                                           if img in fx)
-                        gv, ge = g.vmap, g.emap
-                        # paths of the pullback graph, counted by DP
-                        dp = [1 if fv[i] == gv[j] else 0
-                              for i in range(xn) for j in range(yn)]
-                        pedges = [(sa * yn + sb, ta * yn + tb)
-                                  for a, (sa, ta) in enumerate(xe)
-                                  for b, (sb, tb) in enumerate(ye)
-                                  if fe[a] == ge[b]]
-                        total = sum(dp)
-                        cur = dp
-                        for _ in range(path_len):
-                            nxt = [0] * len(dp)
-                            for s, t in pedges:
-                                nxt[t] += cur[s]
-                            total += sum(nxt)
-                            cur = nxt
-                        cospans += 1
-                        pairs_total += expected
-                        if total != expected:
-                            count_failures.append(
-                                (z, x, y, f, g,
-                                 {"F_P": total, "pairs": expected}))
-                        if generic_stride and cospans % generic_stride == 0:
-                            generic_checked += 1
-                            res = check_path_cospan(x, y, f, g, path_len,
-                                                    fx, fy)
-                            if not res.pullback_ok:
-                                generic_failures.append((z, x, y, f, g, res))
+    for z, x, y, f, g, fx, fy in _cospan_orbits(max_v, max_e, path_len):
+        if len(fx) <= len(fy):
+            expected = sum(n * fy[img] for img, n in fx.items() if img in fy)
+        else:
+            expected = sum(n * fx[img] for img, n in fy.items() if img in fx)
+        fv, fe, gv, ge = f.vmap, f.emap, g.vmap, g.emap
+        yn = y.nv
+        # paths of the pullback graph, counted by DP
+        dp = [1 if fv[i] == gv[j] else 0 for i in range(x.nv) for j in range(yn)]
+        pedges = [(sa * yn + sb, ta * yn + tb)
+                  for a, (sa, ta) in enumerate(x.edges)
+                  for b, (sb, tb) in enumerate(y.edges)
+                  if fe[a] == ge[b]]
+        total = sum(dp)
+        cur = dp
+        for _ in range(path_len):
+            nxt = [0] * len(dp)
+            for s, t in pedges:
+                nxt[t] += cur[s]
+            total += sum(nxt)
+            cur = nxt
+        cospans += 1
+        pairs_total += expected
+        if total != expected:
+            count_failures.append((z, x, y, f, g, {"F_P": total, "pairs": expected}))
+        if generic_stride and cospans % generic_stride == 0:
+            generic_checked += 1
+            res = check_path_cospan(x, y, f, g, path_len, fx, fy)
+            if not res.pullback_ok:
+                generic_failures.append((z, x, y, f, g, res))
     return PathPreservationSummary(max_v, max_e, path_len, cospans,
                                    pairs_total, count_failures,
                                    generic_checked, generic_failures)
@@ -686,14 +658,37 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     return witness, experiments
 
 
+def _path_experiment(graph_bounds: tuple[int, int], path_len: int) -> dict:
+    """The free-category functor on every graph cospan within the bounds,
+    each one checked by both the path-count DP and the generic checker."""
+    if path_len < 1:
+        raise LimitError(f"path length {path_len} checks only identities; "
+                         "the gate needs path length >= 1")
+    summary = run_path_preservation(*graph_bounds, path_len, generic_stride=1)
+    if summary.cospans == 0:
+        raise LimitError(f"no graph cospans within graph bounds "
+                         f"{tuple(graph_bounds)}; a pass over zero cases is "
+                         "not evidence")
+    return {
+        "experiment": "free category (path) functor on graph cospans",
+        "cospans": summary.cospans,
+        "all_pullback": summary.all_pullback,
+        "all_weak": all(res.weak_ok for *_, res in summary.generic_failures),
+    }
+
+
 def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
                         graph_bounds: tuple[int, int] = (2, 2),
                         path_len: int = 3, witness_size: int = 2) -> GateReport:
     """The decisive finite experiments for the strict-category monad.
 
     n = 1, 2: the free category functor preserves the tested pullbacks
-    (bounded evidence for the presheaf property). n = 3: the multiset slice
-    produces a complete finite counterexample; the witness has size 2, so
+    (bounded evidence for the presheaf property). The graph cospans go
+    through `run_path_preservation`, the same sweep acceptance criterion 5
+    runs, here with the generic checker on every cospan. An empty graph family
+    or `path_len < 1` raises `LimitError`: a pass over zero cases, or over
+    identities only, is not evidence. n = 3: the multiset slice produces a
+    complete finite counterexample; the witness has size 2, so
     `witness_size` only needs to grow to demonstrate persistence."""
     binfo = {"size": bounds.size, "rounds": bounds.rounds,
              "graph_bounds": list(graph_bounds), "path_len": path_len,
@@ -701,15 +696,7 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     if n == 1:
         slice_checks = [_slice_check("P0 of the strict monad: trivial monoid",
                                      operads.MONOID_PRESENTATION)]
-        results = []
-        for x, y, z, f, g in graph_cospan_family(*graph_bounds):
-            results.append(check_path_cospan(x, y, f, g, path_len))
-        exp = {
-            "experiment": "free category (path) functor on graph cospans",
-            "cospans": len(results),
-            "all_pullback": all(r.pullback_ok for r in results),
-            "all_weak": all(r.weak_ok for r in results),
-        }
+        exp = _path_experiment(graph_bounds, path_len)
         verdict = "pass-within-bounds" if exp["all_pullback"] else "counterexample"
         return GateReport(n, verdict, _PASS_WORDING, slice_checks, [exp], None, binfo)
     if n == 2:
@@ -721,18 +708,12 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
         ]
         list_report = preserves_pullbacks_experiment(
             list_functor(path_len), set_cospans(2))
-        results = []
-        for x, y, z, f, g in graph_cospan_family(*graph_bounds):
-            results.append(check_path_cospan(x, y, f, g, path_len))
         experiments = [
             {"experiment": "list functor (first slice) on set cospans",
              "cospans": len(list_report.results),
              "all_pullback": list_report.all_pullback,
              "all_weak": list_report.all_weak},
-            {"experiment": "free category (path) functor on graph cospans",
-             "cospans": len(results),
-             "all_pullback": all(r.pullback_ok for r in results),
-             "all_weak": all(r.weak_ok for r in results)},
+            _path_experiment(graph_bounds, path_len),
         ]
         ok = all(e["all_pullback"] for e in experiments)
         verdict = "pass-within-bounds" if ok else "counterexample"

@@ -32,12 +32,6 @@ def node_count(t: Tree) -> int:
     return 1 + sum(node_count(c) for c in t.children)
 
 
-def max_width(t: Tree) -> int:
-    if not t.children:
-        return 0
-    return max(len(t.children), max(max_width(c) for c in t.children))
-
-
 def truncate_tree(t: Tree, k: int) -> Tree:
     """Delete all nodes at depth > k."""
     if k <= 0:
@@ -96,9 +90,6 @@ class DecoratedTree:
 
     shape: Tree
     labels: tuple[tuple[tuple[int, ...], str], ...]
-
-    def label(self, path: tuple[int, ...]) -> str:
-        return dict(self.labels)[path]
 
 
 def _decorations(t: Tree, x: GlobularSet, depth: int, cell: str, path):

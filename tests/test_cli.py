@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from computadlab.cli import main
 
 
@@ -96,6 +98,18 @@ def test_gate_verdicts(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "counterexample"
     assert doc["witness"]["oracle_replay_conflates"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--graph-vertices", "-1"],
+    ["--n", "2", "--graph-edges", "-1"],
+    ["--n", "1", "--bound", "0"],
+])
+def test_gate_vacuous_input_exit_one(capsys, argv):
+    code, out, err = run(capsys, "gate", *argv)
+    assert code == 1 and not out
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_gate_unsupported_dimension(capsys):

@@ -5,7 +5,7 @@ import pytest
 from computadlab.computads import build_computad, free_algebra, theta_computad
 from computadlab.freecat import (
     Bounds, Comp, DISTINCT, EQUAL, FreecatError, Gen, Id, UNKNOWN,
-    enumerate_cells, equal_cells, generate_terms, saturate, saturation_round,
+    enumerate_cells, equal_cells, generate_terms,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 
@@ -131,7 +131,7 @@ def test_saturation_round_fixed_point_when_nothing_applies():
     fa = free_algebra(theta_computad(1), Bounds(size=2))
     e = fa.engines[1]
     before = (len(e.nodes), len(e.log))
-    saturation_round(e)
+    e.saturation_round()
     assert (len(e.nodes), len(e.log)) == before
 
 

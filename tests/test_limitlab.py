@@ -5,9 +5,9 @@ import pytest
 from computadlab.freecat import Bounds
 from computadlab.limitlab import (
     CospanResult, FinSetMap, GraphData, GraphMap, LimitError, Square,
-    canonical_graph, check_cospan, check_path_cospan, compose_finset,
-    computad_topos_gate, enumerate_graphs, graph_automorphisms,
-    graph_cospan_family, graph_homs, graph_paths, graph_pullback,
+    _cospan_orbits, canonical_graph, check_cospan, check_path_cospan,
+    compose_finset, computad_topos_gate, enumerate_graphs, graph_automorphisms,
+    graph_homs, graph_paths, graph_pullback,
     identity_finset, identity_functor, is_cartesian_on, is_pullback,
     is_weak_pullback, is_weakly_cartesian_on, list_functor, make_finset_map,
     multiset_functor, naturality_square, path_fibers, path_image,
@@ -294,16 +294,28 @@ def test_run_path_preservation_small_family_all_generic():
     assert not summary.count_failures and not summary.generic_failures
 
 
-def test_family_dedup_is_sound():
-    # dedup must never change any outcome, only multiplicity
-    full = [(x, y, z, f, g) for x, y, z, f, g in graph_cospan_family(2, 1, dedup=False)]
-    deduped = [(x, y, z, f, g) for x, y, z, f, g in graph_cospan_family(2, 1, dedup=True)]
-    assert len(deduped) < len(full)
-    outcomes_full = {check_path_cospan(x, y, f, g, 2).pullback_ok
-                     for x, y, z, f, g in full}
-    outcomes_dedup = {check_path_cospan(x, y, f, g, 2).pullback_ok
-                      for x, y, z, f, g in deduped}
-    assert outcomes_full == outcomes_dedup == {True}
+def test_cospan_orbits_one_member_per_orbit():
+    # brute-force reference: every (x, y, f, g) into each z, grouped into
+    # orbits of Aut(Z) acting on both legs by postcomposition
+    def post(a, m):
+        return (tuple(a.vmap[v] for v in m.vmap), tuple(a.emap[e] for e in m.emap))
+
+    for bounds in ((2, 1), (2, 2)):
+        graphs = enumerate_graphs(*bounds)
+        orbit_of = {}
+        for z in graphs:
+            auts = graph_automorphisms(z)
+            for x, y in itertools.product(graphs, repeat=2):
+                for f, g in itertools.product(graph_homs(x, z), graph_homs(y, z)):
+                    orbit = frozenset((post(a, f), post(a, g)) for a in auts)
+                    orbit_of[(z, x, y, f, g)] = (z, x, y, orbit)
+        yielded = []
+        for z, x, y, f, g, fx, fy in _cospan_orbits(*bounds, 2):
+            yielded.append(orbit_of[(z, x, y, f, g)])
+            assert fx == path_fibers(x, f, 2) and fy == path_fibers(y, g, 2)
+            assert check_path_cospan(x, y, f, g, 2).pullback_ok
+        assert len(yielded) == len(set(yielded)) < len(orbit_of)
+        assert set(yielded) == set(orbit_of.values())
 
 
 # --- the gate ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line surface: load inputs, run engines and experiments, emit reports.
 
 Verbs: free, slice, regular, gate, trees, eval. Exit codes: 0 = ran and
-verdict delivered, 1 = input error, 2 = internal soundness failure (an
-oracle mismatch is a correctness failure, not a verdict).
+verdict delivered, 1 = input error or exhausted term budget, 2 = internal
+soundness failure (an oracle mismatch is a correctness failure, not a
+verdict). `main` turns every exit-1 and exit-2 exception into one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -13,9 +15,18 @@ import sys
 
 from . import computads as cpd
 from . import limitlab, operads, pasting
-from .freecat import Bounds, FreecatError, SoundnessError
+from .freecat import Bounds, EngineLimit, FreecatError, SoundnessError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+class InputError(Exception):
+    """An argument or input file a verb cannot run on; exits 1."""
+
+
+# Exceptions that end a verb with exit 1 and one `error: ...` line.
+_INPUT_ERRORS = (OSError, InputError, cpd.ComputadError, FreecatError,
+                 EngineLimit, limitlab.LimitError, operads.OperadError)
 
 
 def _bounds(args) -> Bounds:
@@ -23,7 +34,7 @@ def _bounds(args) -> Bounds:
 
 
 def _emit(doc: dict, args) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "seed": args.seed, **doc}
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
     if args.format == "structured":
         text = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
     else:
@@ -56,18 +67,10 @@ def _tabulate(doc, prefix="") -> list[str]:
 
 
 def cmd_free(args) -> int:
-    try:
-        with open(args.computad) as fh:
-            text = fh.read()
-        c = cpd.loads_computad(text, _bounds(args))
-    except (OSError, cpd.ComputadError, FreecatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        fa = cpd.free_algebra(c, _bounds(args))
-    except SoundnessError as exc:
-        print(f"soundness failure: {exc}", file=sys.stderr)
-        return 2
+    with open(args.computad) as fh:
+        text = fh.read()
+    c = cpd.loads_computad(text)
+    fa = cpd.free_algebra(c, _bounds(args))  # certifies the attachments
     dims = {}
     for r in range(c.dim + 1):
         rows, groups = fa.enumerate_cells(r)
@@ -92,14 +95,11 @@ def cmd_free(args) -> int:
 
 def cmd_slice(args) -> int:
     if args.k < 1:
-        print("error: slices start at k = 1", file=sys.stderr)
-        return 1
+        raise InputError("slices start at k = 1")
+    if args.generators < 0:
+        raise InputError("the number of generators must be >= 0")
     gens = [f"x{i}" for i in range(args.generators)]
-    try:
-        result = operads.slice_of_strict(args.k, gens, _bounds(args))
-    except SoundnessError as exc:
-        print(f"soundness failure: {exc}", file=sys.stderr)
-        return 2
+    result = operads.slice_of_strict(args.k, gens, _bounds(args))
     ok, expected = operads.slice_matches_oracle(result)
     oracle_name = "free-monoid" if args.k == 1 else "free-commutative-monoid"
     table = {
@@ -129,13 +129,9 @@ def cmd_slice(args) -> int:
 
 
 def cmd_regular(args) -> int:
-    try:
-        with open(args.presentation) as fh:
-            text = fh.read()
-        p = operads.parse_presentation(text, args.presentation)
-    except (OSError, operads.OperadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.presentation) as fh:
+        text = fh.read()
+    p = operads.parse_presentation(text, args.presentation)
     verdict = operads.is_strongly_regular_presentation(p)
     _emit({
         "command": "regular",
@@ -152,20 +148,12 @@ def cmd_regular(args) -> int:
 
 def cmd_gate(args) -> int:
     if args.n not in (1, 2, 3):
-        print("error: the gate supports n in {1, 2, 3}", file=sys.stderr)
-        return 1
-    try:
-        report = limitlab.computad_topos_gate(
-            args.n, _bounds(args),
-            graph_bounds=(args.graph_vertices, args.graph_edges),
-            path_len=min(args.bound, 3) if args.n <= 2 else args.bound,
-            witness_size=args.witness_size)
-    except limitlab.LimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SoundnessError as exc:
-        print(f"soundness failure: {exc}", file=sys.stderr)
-        return 2
+        raise InputError("the gate supports n in {1, 2, 3}")
+    report = limitlab.computad_topos_gate(
+        args.n, _bounds(args),
+        graph_bounds=(args.graph_vertices, args.graph_edges),
+        path_len=min(args.bound, 3) if args.n <= 2 else args.bound,
+        witness_size=args.witness_size)
     _emit({
         "command": "gate",
         "n": args.n,
@@ -180,6 +168,8 @@ def cmd_gate(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    if args.height < 0 or args.width < 0:
+        raise InputError("--height and --width must be >= 0")
     trees = pasting.enumerate_trees(args.height, args.width)
     _emit({
         "command": "trees",
@@ -220,15 +210,13 @@ def _load_collection(path: str):
 def cmd_eval(args) -> int:
     try:
         coll = _load_collection(args.collection)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise InputError(exc) from None
     xs = [s for s in args.set.split(",") if s] if args.set else []
     if isinstance(coll, operads.SymCollection):
         bad = operads.collection_violation(coll)
         if bad is not None:
-            print(f"error: {bad}", file=sys.stderr)
-            return 1
+            raise InputError(bad)
         elems = operads.eval_analytic(coll, xs, args.arity_bound)
         kind = "analytic"
     else:
@@ -254,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="saturation round cap")
     common.add_argument("--format", choices=("tabular", "structured"),
                         default="tabular")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports (sampling is seeded)")
     common.add_argument("--out", default=None, help="write the report to a file")
 
     parser = argparse.ArgumentParser(
@@ -304,10 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.bound < 0 or args.rounds < 1:
-        print("error: bounds must be positive", file=sys.stderr)
+    try:
+        if args.bound < 0 or args.rounds < 1:
+            raise InputError("bounds must be positive")
+        return args.run(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.run(args)
+    except SoundnessError as exc:
+        print(f"soundness failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 A computad of dimension n declares generator sets per dimension; each
 generator of dimension r >= 1 is attached to a parallel pair of cells of
 the free algebra on the (r-1)-truncation. Attachments are written as
-terms and certified against the congruence classes computed below, so a
-computad always carries the bounds under which its lower free algebras
-were computed.
+terms. `build_computad` and `loads_computad` only check the declarations'
+shape; `free_algebra` certifies every attachment against the congruence
+classes of the dimension below while it climbs, so checking a computad
+and building its free algebra are one walk. A computad carries no bounds:
+they belong to the `FreeAlgebra` computed from it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .freecat import (
     Bounds, Engine, Gen, Id, Level, Term,
     class_in_level, level_zero, term_dim, term_to_str,
 )
+from .globular import parse_natural
 
 
 class ComputadError(Exception):
@@ -138,7 +141,8 @@ def _resolve_attachment(levels: list[Level], decl: GeneratorDecl, r: int) -> tup
 
 def free_algebra(c: Computad, bounds: Bounds = Bounds()) -> FreeAlgebra:
     """Free strict n-category on a computad, one saturated engine per
-    dimension; attachments are validated while climbing."""
+    dimension. The only certifier of attachments: each is resolved to a
+    parallel pair of classes one dimension down, else `NonParallelAttachment`."""
     levels = [level_zero(c.names(0))]
     engines: list[Engine | None] = [None]
     for r in range(1, c.dim + 1):
@@ -153,11 +157,13 @@ def free_algebra(c: Computad, bounds: Bounds = Bounds()) -> FreeAlgebra:
     return FreeAlgebra(c, bounds, levels, engines)
 
 
-def build_computad(layers, bounds: Bounds = Bounds()) -> Computad:
-    """Validate layered generator declarations into a Computad.
+def build_computad(layers) -> Computad:
+    """Normalize layered generator declarations into a Computad.
 
     `layers[0]` is a list of names; `layers[r]` for r >= 1 is a list of
-    (name, src_term, tgt_term) triples or GeneratorDecl values.
+    (name, src_term, tgt_term) triples or GeneratorDecl values. Duplicate
+    names raise `ComputadError`; the attachments are certified by
+    `free_algebra`, not here.
     """
     norm: list[list[GeneratorDecl]] = []
     for r, layer in enumerate(layers):
@@ -177,9 +183,7 @@ def build_computad(layers, bounds: Bounds = Bounds()) -> Computad:
             if decl.name in seen:
                 raise ComputadError(f"duplicate generator name {decl.name!r}")
             seen.add(decl.name)
-    c = Computad(len(norm) - 1, norm)
-    free_algebra(c, bounds)  # raises NonParallelAttachment on bad layers
-    return c
+    return Computad(len(norm) - 1, norm)
 
 
 def theta_computad(k: int) -> Computad:
@@ -503,6 +507,7 @@ class ComputadPullbackReport:
     proj2: ComputadMap | None
     failures: list[str]
     ambiguities: list[str]
+    free: FreeAlgebra | None = None  # the certified free algebra on `computad`
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -516,7 +521,8 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     The induced attachment of a generator pair must be a free cell of the
     pullback-so-far mapping to both constituents' attachments; when no such
     class (or more than one) exists, that is recorded as a genuine failure
-    of the construction, not silently repaired.
+    of the construction, not silently repaired. The pullback computad is
+    certified by saturating its free algebra, which the report keeps.
     """
     if f.cod is not g.cod:
         raise ComputadError("pullback requires a common codomain")
@@ -577,12 +583,12 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     if failures:
         return ComputadPullbackReport(None, None, None, failures, ambiguities)
     p = Computad(n, layers)
-    free_algebra(p, bounds)  # validates the induced attachments
+    fa = free_algebra(p, bounds)
     proj1 = ComputadMap(p, f.dom, [{nm: xy[0] for nm, xy in pair_of[d].items()}
                                    for d in range(n + 1)])
     proj2 = ComputadMap(p, g.dom, [{nm: xy[1] for nm, xy in pair_of[d].items()}
                                    for d in range(n + 1)])
-    return ComputadPullbackReport(p, proj1, proj2, failures, ambiguities)
+    return ComputadPullbackReport(p, proj1, proj2, failures, ambiguities, fa)
 
 
 # --- text format ----------------------------------------------------------------
@@ -595,7 +601,10 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
 # with boundary terms in the freecat syntax. '#' starts a comment.
 
 
-def loads_computad(text: str, bounds: Bounds = Bounds()) -> Computad:
+def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
+    """Parse the text format. Only syntax, dimensions, names and duplicates
+    are checked here; `free_algebra` certifies the attachments. `bounds` is
+    unused, kept for callers that still pass it."""
     dim = None
     layers: list[list] = []
     gen_dims: dict[str, int] = {}
@@ -606,7 +615,7 @@ def loads_computad(text: str, bounds: Bounds = Bounds()) -> Computad:
         if line.startswith("dim"):
             if dim is not None:
                 raise ComputadError(f"line {lineno}: repeated dim declaration")
-            dim = int(line.split()[1])
+            dim = parse_natural(line[3:].strip(), "dim", lineno, ComputadError)
             layers = [[] for _ in range(dim + 1)]
             continue
         if dim is None:
@@ -615,7 +624,8 @@ def loads_computad(text: str, bounds: Bounds = Bounds()) -> Computad:
         parts = head.split()
         if len(parts) != 2:
             raise ComputadError(f"line {lineno}: expected '<dim> <name> [: src => tgt]'")
-        r, name = int(parts[0]), parts[1]
+        r = parse_natural(parts[0], "generator dimension", lineno, ComputadError)
+        name = parts[1]
         if r > dim:
             raise ComputadError(f"line {lineno}: generator dimension {r} above dim {dim}")
         gen_dims[name] = r
@@ -635,7 +645,7 @@ def loads_computad(text: str, bounds: Bounds = Bounds()) -> Computad:
         layers[r].append((name, s, t))
     if dim is None:
         raise ComputadError("missing dim declaration")
-    return build_computad(layers, bounds)
+    return build_computad(layers)
 
 
 def dumps_computad(c: Computad) -> str:

@@ -87,7 +87,8 @@ def term_to_str(t: Term) -> str:
 
 
 def term_from_str(s: str, gen_dims=None) -> Term:
-    """Parse the prefix syntax gen(id), id1(t), comp_k(t,u)."""
+    """Parse the prefix syntax gen(id), id1(t), comp_k(t,u). Given
+    `gen_dims` (name -> dimension), a name outside it is an error."""
     s = s.strip()
 
     def parse(i: int) -> tuple[Term, int]:
@@ -106,8 +107,11 @@ def term_from_str(s: str, gen_dims=None) -> Term:
             if depth:
                 raise FreecatError("unbalanced parentheses in gen(...)")
             name = s[j + 1 : k - 1].strip()
-            dim = gen_dims.get(name, -1) if gen_dims else -1
-            return Gen(name, dim), k
+            if gen_dims is None:
+                return Gen(name), k
+            if name not in gen_dims:
+                raise FreecatError(f"unknown generator {name!r}")
+            return Gen(name, gen_dims[name]), k
         if head == "id1":
             body, k = parse(j + 1)
             if k >= len(s) or s[k] != ")":

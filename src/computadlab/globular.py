@@ -234,6 +234,13 @@ def pullback_glob(f: GlobMap, g: GlobMap) -> tuple[GlobularSet, GlobMap, GlobMap
 # One cell per line; '#' starts a comment.
 
 
+def parse_natural(word: str, what: str, lineno: int, error: type[Exception]) -> int:
+    """A dimension field of a text format: a natural number, else `error`."""
+    if not word.isdecimal():
+        raise error(f"line {lineno}: {what} must be a natural number, got {word!r}")
+    return int(word)
+
+
 def loads_globular(text: str) -> GlobularSet:
     dim = None
     cells: list[list[str]] = []
@@ -246,7 +253,7 @@ def loads_globular(text: str) -> GlobularSet:
         if line.startswith("dim"):
             if dim is not None:
                 raise GlobularError(f"line {lineno}: repeated dim declaration")
-            dim = int(line.split()[1])
+            dim = parse_natural(line[3:].strip(), "dim", lineno, GlobularError)
             cells = [[] for _ in range(dim + 1)]
             src = [{} for _ in range(dim + 1)]
             tgt = [{} for _ in range(dim + 1)]
@@ -257,7 +264,8 @@ def loads_globular(text: str) -> GlobularSet:
         parts = head.split()
         if len(parts) != 2:
             raise GlobularError(f"line {lineno}: expected '<dim> <name> [: src -> tgt]'")
-        r, name = int(parts[0]), parts[1]
+        r = parse_natural(parts[0], "cell dimension", lineno, GlobularError)
+        name = parts[1]
         if r > dim:
             raise GlobularError(f"line {lineno}: cell dimension {r} above dim {dim}")
         cells[r].append(name)

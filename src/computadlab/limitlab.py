@@ -11,7 +11,7 @@ ships a witness that replays outside the engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import computads as cpd
 from . import operads
@@ -605,13 +605,11 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     cz = operads.k_terminal_computad(2, ["z"])
     fmap = cpd.make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}],
                                  bounds)
-    gmap = cpd.make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}],
-                                 bounds)
-    pb = cpd.pullback_computads(fmap, gmap, bounds)
+    pb = cpd.pullback_computads(fmap, fmap, bounds)
     if pb.computad is None:
         raise LimitError("scalar pullback computad could not be built: "
                          + "; ".join(pb.failures))
-    fa_p = cpd.free_algebra(pb.computad, bounds)
+    fa_p = pb.free
     fa_x = cpd.free_algebra(cx, bounds)
     ind1 = cpd.induced_class_map(fa_p, fa_x, pb.proj1, 2)
     ind2 = cpd.induced_class_map(fa_p, fa_x, pb.proj2, 2)
@@ -726,7 +724,7 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
             _slice_check("P2 of the strict monad: free commutative monoid",
                          operads.COMMUTATIVE_MONOID_PRESENTATION),
         ]
-        wbounds = Bounds(size=max(witness_size, 2), rounds=bounds.rounds)
+        wbounds = replace(bounds, size=max(witness_size, 2))
         witness, experiments = _scalar_cospan_witness(wbounds)
         return GateReport(n, "counterexample", _FAIL_WORDING, slice_checks,
                           experiments, witness, binfo)

@@ -15,12 +15,11 @@ and never claimed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import freecat
 from .computads import Computad, FreeAlgebra, GeneratorDecl, free_algebra
 from .freecat import Bounds, Gen, Id, Term
-from .pasting import Tree, height
 
 
 class OperadError(Exception):
@@ -312,29 +311,6 @@ def is_strongly_regular_presentation(p: Presentation) -> RegularityVerdict:
     return RegularityVerdict(True)
 
 
-# --- tree-indexed collections ----------------------------------------------------
-
-
-@dataclass
-class GlobularCollection:
-    """Finite sets indexed by pasting-diagram shapes within a height bound."""
-
-    height_bound: int
-    fibers: dict[Tree, list] = field(default_factory=dict)
-
-    def violation(self) -> str | None:
-        for t in self.fibers:
-            if height(t) > self.height_bound:
-                return f"tree of height {height(t)} above bound {self.height_bound}"
-        return None
-
-
-def terminal_globular_collection(trees) -> GlobularCollection:
-    trees = list(trees)
-    bound = max((height(t) for t in trees), default=0)
-    return GlobularCollection(bound, {t: ["*"] for t in trees})
-
-
 # --- slices of the strict-category monad ------------------------------------------
 
 
@@ -440,24 +416,15 @@ eq m2(x,e) = x
 @dataclass
 class SliceOracle:
     name: str
-    kind: str  # 'eval' | 'presentation' | 'collection'
+    kind: str  # 'eval' | 'presentation'
     eval_fn: object = None  # (generators, size) -> list of elements
     counts_fn: object = None  # (n_generators, size) -> dict
     presentation: Presentation | None = None
-    collection: NonSymCollection | None = None
     note: str = ""
 
 
 def known_slice_oracle(name: str) -> SliceOracle:
     """Catalog of slice data for the strict monad and its relatives."""
-    if name == "zero-slice-monoid":
-        return SliceOracle(
-            name, "eval",
-            eval_fn=lambda gens, size: [(x,) for x in gens],
-            counts_fn=lambda n, size: {1: n},
-            note="the 0-slice of the strict monad is the trivial monoid; its "
-                 "analytic functor is the identity",
-        )
     if name == "free-monoid":
         return SliceOracle(name, "eval", eval_fn=free_monoid_elements,
                            counts_fn=free_monoid_counts)
@@ -470,13 +437,6 @@ def known_slice_oracle(name: str) -> SliceOracle:
             presentation=parse_presentation(DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
                                             name),
             note="the second slice of the Gray-category monad",
-        )
-    if name == "bicategory-first-slice":
-        return SliceOracle(
-            name, "collection",
-            collection=NonSymCollection({0: ["u"], 1: ["i"], 2: ["m"]}),
-            note="one operation in arities 0, 1, 2; recorded as a pointed "
-                 "collection, the pointing taken from context",
         )
     raise OperadError(f"unknown slice oracle {name!r}")
 

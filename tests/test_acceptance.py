@@ -68,8 +68,7 @@ def test_criterion_3_eckmann_hilton():
         from computadlab.computads import build_computad
         from computadlab.freecat import Id
         c = build_computad(
-            [["p"], [], [("al", Id(pt), Id(pt)), ("be", Id(pt), Id(pt))]],
-            Bounds(size=2))
+            [["p"], [], [("al", Id(pt), Id(pt)), ("be", Id(pt), Id(pt))]])
         fa = free_algebra(c, Bounds(size=2))
         e = fa.engines[2]
         al, be = Gen("al", 2), Gen("be", 2)
@@ -171,8 +170,7 @@ def _scalar_free_algebra():
     from computadlab.freecat import Id
     pt = Gen("p", 0)
     c = build_computad(
-        [["p"], [], [("al", Id(pt), Id(pt)), ("be", Id(pt), Id(pt))]],
-        Bounds(size=2))
+        [["p"], [], [("al", Id(pt), Id(pt)), ("be", Id(pt), Id(pt))]])
     return free_algebra(c, Bounds(size=2))
 
 
@@ -204,8 +202,7 @@ def test_criterion_8_oracle_equivalences():
             edges = [(f"e{i}", rng.choice(vertices), rng.choice(vertices))
                      for i in range(rng.randint(0, 5))]
             c = build_computad(
-                [vertices, [(n, Gen(s, 0), Gen(t, 0)) for n, s, t in edges]],
-                Bounds(size=3))
+                [vertices, [(n, Gen(s, 0), Gen(t, 0)) for n, s, t in edges]])
             fa = free_algebra(c, Bounds(size=3))
             rows, _ = fa.enumerate_cells(1)
             dims = {v: 0 for v in vertices} | {n: 1 for n, _, _ in edges}

@@ -1,9 +1,12 @@
 import json
+import sys
 from importlib import resources
 
 import pytest
 
+from computadlab import cli, computads
 from computadlab.cli import main
+from computadlab.freecat import Bounds
 
 
 def data_path(name: str) -> str:
@@ -100,16 +103,79 @@ def test_gate_verdicts(capsys):
     assert doc["witness"]["oracle_replay_conflates"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ["--n", "1", "--graph-vertices", "-1"],
-    ["--n", "2", "--graph-edges", "-1"],
-    ["--n", "1", "--bound", "0"],
+NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"
+               "1 h : gen(b) => gen(c)\n2 m : gen(f) => gen(h)\n")
+
+
+# (argv, computad text written to FILE, term budget patched into cli._bounds)
+@pytest.mark.parametrize("argv, text, max_terms", [
+    # vacuous gates: a pass over zero cases is no evidence
+    pytest.param(["gate", "--n", "1", "--graph-vertices", "-1"], None, None,
+                 id="gate-no-vertices"),
+    pytest.param(["gate", "--n", "2", "--graph-edges", "-1"], None, None,
+                 id="gate-no-edges"),
+    pytest.param(["gate", "--n", "1", "--bound", "0"], None, None,
+                 id="gate-path-length-0"),
+    # numbers in computad files
+    pytest.param(["free", "FILE"], "dim x\n0 a\n", None, id="dim-not-a-number"),
+    pytest.param(["free", "FILE"], "dim\n0 a\n", None, id="dim-without-number"),
+    pytest.param(["free", "FILE"], "dim -1\n", None, id="dim-negative"),
+    pytest.param(["free", "FILE"], "dim 1\n0 a\n-1 f : gen(a) => gen(a)\n", None,
+                 id="generator-dim-negative"),
+    pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f : gen(a) => gen(q)\n", None,
+                 id="unknown-generator"),
+    # attachments, certified by free_algebra
+    pytest.param(["free", "FILE"], NONPARALLEL, None, id="non-parallel"),
+    pytest.param(["free", "FILE"], "dim 2\n0 a\n2 s : gen(a) => gen(a)\n", None,
+                 id="wrong-dimension"),
+    pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f\n", None, id="missing-boundary"),
+    pytest.param(["free", "FILE"], "dim 0\n0 a\n0 a\n", None, id="duplicate-name"),
+    # ranges on the command line
+    pytest.param(["trees", "--height", "-1", "--width", "2"], None, None,
+                 id="trees-height-negative"),
+    pytest.param(["trees", "--height", "2", "--width", "-1"], None, None,
+                 id="trees-width-negative"),
+    pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
+                 id="slice-generators-negative"),
+    # an exhausted term budget
+    pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
+    pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),
+    pytest.param(["gate", "--n", "3", "--bound", "2"], None, 20, id="budget-gate"),
 ])
-def test_gate_vacuous_input_exit_one(capsys, argv):
-    code, out, err = run(capsys, "gate", *argv)
+def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms):
+    if text is not None:
+        path = tmp_path / "input.cpd"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    if max_terms is not None:
+        monkeypatch.setattr(cli, "_bounds", lambda args: Bounds(
+            size=args.bound, rounds=args.rounds, max_terms=max_terms))
+    code, out, err = run(capsys, *argv)
     assert code == 1 and not out
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
+    calls = []
+    original = computads.free_algebra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("computadlab") and getattr(module, "free_algebra", None) is original:
+            monkeypatch.setattr(module, "free_algebra", counting)
+    paths = sorted(resources.files("computadlab").joinpath("data").glob("*.cpd"))
+    assert paths
+    for path in paths:
+        calls.clear()
+        code, _, _ = run(capsys, "free", str(path), "--bound", "4")
+        assert code == 0 and len(calls) == 1, path.name
+    calls.clear()
+    code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
+    assert code == 0 and len(calls) <= 7
 
 
 def test_gate_unsupported_dimension(capsys):
@@ -137,7 +203,7 @@ def test_structured_reports_are_deterministic(capsys, tmp_path):
     b = tmp_path / "b.json"
     for target in (a, b):
         code = main(["slice", "--k", "2", "--generators", "2", "--bound", "3",
-                     "--format", "structured", "--seed", "5",
+                     "--format", "structured",
                      "--out", str(target)])
         assert code == 0
     capsys.readouterr()

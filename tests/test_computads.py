@@ -13,10 +13,9 @@ from computadlab.computads import (
 from computadlab.freecat import Bounds, Comp, Gen, Id
 
 
-def scalar_computad(names, bounds=Bounds(size=3)):
+def scalar_computad(names):
     pt = Gen("p", 0)
-    return build_computad([["p"], [], [(n, Id(pt), Id(pt)) for n in names]],
-                          bounds)
+    return build_computad([["p"], [], [(n, Id(pt), Id(pt)) for n in names]])
 
 
 # --- construction and validation ---------------------------------------------------
@@ -35,10 +34,10 @@ def test_scalar_two_cell_valid():
 def test_nonparallel_attachment_rejected():
     f, h = Gen("f", 1), Gen("h", 1)
     with pytest.raises(NonParallelAttachment) as err:
-        build_computad(
+        free_algebra(build_computad(
             [["a", "b", "c"],
              [("f", Gen("a", 0), Gen("b", 0)), ("h", Gen("b", 0), Gen("c", 0))],
-             [("m", f, h)]])
+             [("m", f, h)]]))
     assert "m" in str(err.value)
 
 
@@ -273,8 +272,8 @@ def test_pullback_commutes_with_truncation():
 
 
 def test_induced_class_map_renames_cells():
-    cx = scalar_computad(["u", "v"], Bounds(size=2))
-    cz = scalar_computad(["w"], Bounds(size=2))
+    cx = scalar_computad(["u", "v"])
+    cz = scalar_computad(["w"])
     f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w", "v": "w"}],
                           Bounds(size=2))
     fa_x = free_algebra(cx, Bounds(size=2))
@@ -300,4 +299,4 @@ def test_loader_rejects_bad_attachments():
     with pytest.raises(ComputadError):
         loads_computad("dim 1\n0 a\n1 f : gen(a) -> gen(a)\n")  # wrong arrow
     with pytest.raises(ComputadError):
-        loads_computad("dim 2\n0 a\n2 s : gen(a) => gen(a)\n")  # wrong dim
+        free_algebra(loads_computad("dim 2\n0 a\n2 s : gen(a) => gen(a)\n"))  # wrong dim

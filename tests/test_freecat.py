@@ -37,16 +37,15 @@ def multisets(gens, size):
     return out
 
 
-def graph_computad(vertices, edges, bounds):
+def graph_computad(vertices, edges):
     layers = [list(vertices),
               [(n, Gen(s, 0), Gen(t, 0)) for n, s, t in edges]]
-    return build_computad(layers, bounds)
+    return build_computad(layers)
 
 
-def scalar_computad(names, bounds=Bounds(size=4)):
+def scalar_computad(names):
     pt = Gen("p", 0)
-    return build_computad([["p"], [], [(n, Id(pt), Id(pt)) for n in names]],
-                          bounds)
+    return build_computad([["p"], [], [(n, Id(pt), Id(pt)) for n in names]])
 
 
 def random_graph(rng, max_v=4, max_e=5):
@@ -106,8 +105,7 @@ def test_point_generates_only_identities():
 
 
 def test_two_loops_generate_paths():
-    c = graph_computad(["a", "b"], [("f", "a", "b"), ("g", "b", "a")],
-                       Bounds(size=2))
+    c = graph_computad(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
     fa = free_algebra(c, Bounds(size=2))
     rows, _ = fa.enumerate_cells(1)
     words = {decode_word(rep) for rep, _ in rows}
@@ -117,7 +115,7 @@ def test_two_loops_generate_paths():
 
 
 def test_boundary_checks_on_terms():
-    c = graph_computad(["a", "b"], [("f", "a", "b")], Bounds(size=3))
+    c = graph_computad(["a", "b"], [("f", "a", "b")])
     fa = free_algebra(c, Bounds(size=3))
     e = fa.engines[1]
     assert e.term_node(Comp(0, Gen("f", 1), Gen("f", 1))) is None  # b != a
@@ -137,8 +135,7 @@ def test_saturation_round_fixed_point_when_nothing_applies():
 
 def test_associativity_merges_in_one_round():
     c = graph_computad(["a", "b", "c", "d"],
-                       [("f", "a", "b"), ("g", "b", "c"), ("h", "c", "d")],
-                       Bounds(size=3))
+                       [("f", "a", "b"), ("g", "b", "c"), ("h", "c", "d")])
     fa = free_algebra(c, Bounds(size=3))
     e = fa.engines[1]
     f, g, h = Gen("f", 1), Gen("g", 1), Gen("h", 1)
@@ -169,7 +166,7 @@ def test_saturate_acyclic_graph_classes_are_paths():
             s = rng.randint(0, nv - 2)
             t = rng.randint(s + 1, nv - 1)
             edges.append((f"e{i}", f"v{s}", f"v{t}"))
-        c = graph_computad(vertices, edges, Bounds(size=6))
+        c = graph_computad(vertices, edges)
         fa = free_algebra(c, Bounds(size=6))
         assert fa.fixed_point
         oracle = dfs_paths(vertices, edges, 6)
@@ -250,8 +247,7 @@ def test_unknown_is_honest_for_parallel_nonscalar_squares():
     c = build_computad(
         [["a", "b"],
          [("f", Gen("a", 0), Gen("b", 0))],
-         [("u", f, f), ("v", f, f)]],
-        Bounds(size=2))
+         [("u", f, f), ("v", f, f)]])
     fa = free_algebra(c, Bounds(size=2))
     e = fa.engines[2]
     u, v = Gen("u", 2), Gen("v", 2)
@@ -261,8 +257,7 @@ def test_unknown_is_honest_for_parallel_nonscalar_squares():
 
 
 def test_word_invariant_separates_dim1():
-    c = graph_computad(["a"], [("f", "a", "a"), ("g", "a", "a")],
-                       Bounds(size=2))
+    c = graph_computad(["a"], [("f", "a", "a"), ("g", "a", "a")])
     fa = free_algebra(c, Bounds(size=2))
     e = fa.engines[1]
     f, g = Gen("f", 1), Gen("g", 1)
@@ -280,7 +275,7 @@ def test_dimension_mismatch_rejected():
 
 
 def test_enumerate_loop_lengths():
-    c = graph_computad(["a"], [("f", "a", "a")], Bounds(size=3))
+    c = graph_computad(["a"], [("f", "a", "a")])
     fa = free_algebra(c, Bounds(size=3))
     rows, groups = fa.enumerate_cells(1)
     assert len(rows) == 4
@@ -345,7 +340,7 @@ def test_dim1_completeness_random_graphs():
     rng = random.Random(20250809)
     for _ in range(20):
         vertices, edges = random_graph(rng)
-        c = graph_computad(vertices, edges, Bounds(size=3))
+        c = graph_computad(vertices, edges)
         fa = free_algebra(c, Bounds(size=3))
         rows, _ = fa.enumerate_cells(1)
         got = set()
@@ -370,7 +365,7 @@ def test_dim2_classes_match_pasting_diagram_oracle():
 
     e = Gen("e", 1)
     c = build_computad([["p"], [("e", Gen("p", 0), Gen("p", 0))],
-                        [("u", e, e), ("v", e, e)]], Bounds(size=3))
+                        [("u", e, e), ("v", e, e)]])
     fa = free_algebra(c, Bounds(size=3))
     rows, _ = fa.enumerate_cells(2)
 
@@ -390,7 +385,7 @@ def test_dim2_classes_match_pasting_diagram_oracle():
 
 
 def test_partiality_marker_reflects_size_cut():
-    c = graph_computad(["a"], [("f", "a", "a")], Bounds(size=2))
+    c = graph_computad(["a"], [("f", "a", "a")])
     fa = free_algebra(c, Bounds(size=2))
     assert fa.partial  # f.f.f exists beyond the bound
     assert "partial" in fa.partiality_marker()

@@ -230,3 +230,6 @@ def test_loader_validates():
         loads_globular("dim 1\n0 a\n1 f : a -> missing\n")
     with pytest.raises(GlobularError):
         loads_globular("0 a\n")
+    for text in ("dim x\n", "dim\n", "dim -1\n", "dim 1\n0 a\n-1 f : a -> a\n"):
+        with pytest.raises(GlobularError, match=r"^line \d+: .* must be a natural number"):
+            loads_globular(text)

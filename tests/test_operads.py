@@ -5,7 +5,7 @@ import pytest
 from computadlab.freecat import Bounds
 from computadlab.operads import (
     COMMUTATIVE_MONOID_PRESENTATION, DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
-    MONOID_PRESENTATION, GlobularCollection, NonSymCollection, OperadError,
+    MONOID_PRESENTATION, NonSymCollection, OperadError,
     Presentation, SymCollection, all_perms, collection_violation,
     eval_analytic, eval_strongly_analytic, free_sym_collection,
     is_strongly_regular_presentation, known_slice_oracle, parse_presentation,
@@ -211,18 +211,5 @@ def test_known_oracles():
     assert len(fc.eval_fn(["a", "b"], 3)) == multiset_count(2, 3) == 10
     dm = known_slice_oracle("double-monoid-shared-unit")
     assert is_strongly_regular_presentation(dm.presentation).strongly_regular
-    z = known_slice_oracle("zero-slice-monoid")
-    assert len(z.eval_fn(["a", "b", "c"], 3)) == 3
-    bi = known_slice_oracle("bicategory-first-slice")
-    assert {n: len(v) for n, v in bi.collection.sets.items()} == {0: 1, 1: 1, 2: 1}
-    assert bi.note
     with pytest.raises(OperadError):
         known_slice_oracle("nonexistent")
-
-
-def test_globular_collection_height_bound():
-    from computadlab.pasting import LEAF, Tree
-    coll = GlobularCollection(1, {LEAF: ["a"], Tree((LEAF,)): ["b"]})
-    assert coll.violation() is None
-    bad = GlobularCollection(0, {Tree((LEAF,)): ["b"]})
-    assert bad.violation() is not None

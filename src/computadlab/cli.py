@@ -187,10 +187,18 @@ def _load_collection(path: str):
     sets: dict[int, list] = {}
     actions: dict[int, dict] = {}
     symmetric = False
+    if not isinstance(doc, dict):
+        raise InputError("a collection is a JSON object keyed by arity")
     for arity, payload in doc.items():
-        n = int(arity)
+        try:
+            n = int(arity)
+        except ValueError:
+            raise InputError(f"arity {arity!r} is not a number") from None
         if isinstance(payload, list):
             sets[n] = list(payload)
+        elif not isinstance(payload, dict):
+            raise InputError(f"arity {n}: expected a list or an object with "
+                             f"'elements', got {type(payload).__name__}")
         else:
             sets[n] = list(payload["elements"])
             if "action" in payload:

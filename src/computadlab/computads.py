@@ -530,7 +530,7 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     failures: list[str] = []
     ambiguities: list[str] = []
     fa_x = free_algebra(f.dom, bounds)
-    fa_y = free_algebra(g.dom, bounds)
+    fa_y = fa_x if g.dom is f.dom else free_algebra(g.dom, bounds)
     layers: list[list[GeneratorDecl]] = []
     pair_of: list[dict[str, tuple[str, str]]] = []
     for r in range(n + 1):

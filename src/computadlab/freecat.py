@@ -17,6 +17,17 @@ layer) with an axiom step (assert every axiom instance visible on the
 materialized terms, then re-close the congruence). Rounds repeat until a
 fixed point on the materialized term set or a round cap.
 
+Axioms are matched per e-node, as in egg (Willsey et al., "egg: Fast and
+Extensible Equality Saturation", POPL 2021). Every class root owns a
+table from its canonical e-nodes (k, class of left, class of right) to
+the earliest member term of that shape. A merge folds the loser's table
+into the winner's (the winner's entries are kept) and marks stale the
+classes holding users of the moved terms; a stale table is re-keyed
+through `find` when it is next read. Associativity and interchange then
+run once per e-node of a round-start snapshot instead of once per member
+term, and a class holds far fewer e-nodes than terms. The member lists
+stay for representatives and the split check.
+
 Every effective merge is logged with a locally checkable reason, so any
 Equal verdict carries a replayable certificate. Distinct verdicts come
 only from invariants preserved by every axiom family (generator multiset,
@@ -131,7 +142,10 @@ def term_from_str(s: str, gen_dims=None) -> Term:
             return Comp(idx, left, right), k + 1
         raise FreecatError(f"unknown term head {head!r}")
 
-    t, end = parse(0)
+    try:
+        t, end = parse(0)
+    except RecursionError:
+        raise FreecatError("term nested too deeply") from None
     if end != len(s):
         raise FreecatError(f"trailing input after position {end}")
     return t
@@ -262,7 +276,12 @@ class Engine:
         self._intern: dict[tuple, int] = {}
         self._parent: list[int] = []
         self._class_terms: dict[int, list[int]] = {}
-        self._sig: dict[tuple, int] = {}
+        # root -> e-node table: (k, class of a, class of b) -> the earliest
+        # composite member with that pattern; keys of a stale root may name
+        # merged-away classes until `enodes` re-keys them
+        self._enodes: dict[int, dict[tuple[int, int, int], int]] = {}
+        self._stale: set[int] = set()
+        self._sig: dict[tuple[int, int, int], int] = {}
         self._uses: dict[int, list[int]] = {}
         self._pending: list[int] = []
         self.log: list[tuple[int, int, tuple]] = []
@@ -326,8 +345,17 @@ class Engine:
         self._parent[lose] = win
         lost_terms = self._class_terms.pop(lose)
         for t in lost_terms:
-            self._pending.extend(self._uses.get(t, ()))
+            users = self._uses.get(t)
+            if users:
+                self._pending.extend(users)
+                self._stale.update(map(self.find, users))
         self._class_terms[win].extend(lost_terms)
+        table = self._enodes[win]
+        for key, t in self._enodes.pop(lose).items():
+            table.setdefault(key, t)  # the winner's members come first
+        if lose in self._stale:
+            self._stale.discard(lose)
+            self._stale.add(win)
         return True
 
     def _process_pending(self):
@@ -336,7 +364,7 @@ class Engine:
             node = self.nodes[t]
             if node.kind != CMP:
                 continue
-            sig = ("c", node.k, self.find(node.a), self.find(node.b))
+            sig = (node.k, self.find(node.a), self.find(node.b))
             hit = self._sig.get(sig)
             if hit is None:
                 self._sig[sig] = t
@@ -356,10 +384,12 @@ class Engine:
         self._intern[key] = tid
         self._parent.append(tid)
         self._class_terms[tid] = [tid]
+        self._enodes[tid] = {}
         if node.kind == CMP:
             self._uses.setdefault(node.a, []).append(tid)
             self._uses.setdefault(node.b, []).append(tid)
-            sig = ("c", node.k, self.find(node.a), self.find(node.b))
+            sig = (node.k, self.find(node.a), self.find(node.b))
+            self._enodes[tid][sig] = tid
             hit = self._sig.get(sig)
             if hit is None:
                 self._sig[sig] = tid
@@ -445,13 +475,12 @@ class Engine:
         before = self.counters["merges"]
         live = list(range(len(self.nodes)))
         partition = [self.find(t) for t in live]
-        for tid in live:
-            node = self.nodes[tid]
-            if node.kind == CMP:
-                self._assoc_instances(tid)
-                self._interchange_instances(tid)
-            elif node.kind == IDA:
-                self._identity_functoriality(tid)
+        snapshot = [t for root in self.classes() for t in self.enodes(root).values()]
+        for tid in self.id_atoms:
+            self._identity_functoriality(tid)
+        for tid in snapshot:
+            self._assoc_instances(tid)
+            self._interchange_instances(tid)
         self._unit_instances()
         self._process_pending()
         # classes may only coarsen, never split
@@ -466,23 +495,29 @@ class Engine:
 
     def _probe(self, k: int, ta: int, tb: int) -> int | None:
         """A materialized composite with these child classes, if any."""
-        return self._sig.get(("c", k, self.find(ta), self.find(tb)))
+        return self._sig.get((k, self.find(ta), self.find(tb)))
 
     def _settled(self, tid: int, k: int, ta: int, tb: int) -> bool:
         hit = self._probe(k, ta, tb)
         return hit is not None and self.find(hit) == self.find(tid)
 
-    def _members(self, tid: int, k: int):
-        """Composites along k in tid's class, one per child-class pattern."""
-        seen: set[tuple[int, int]] = set()
-        for x in list(self._class_terms.get(self.find(tid), ())):
-            nx = self.nodes[x]
-            if nx.kind != CMP or nx.k != k:
-                continue
-            pattern = (self.find(nx.a), self.find(nx.b))
-            if pattern not in seen:
-                seen.add(pattern)
-                yield x, nx
+    def enodes(self, root: int) -> dict[tuple[int, int, int], int]:
+        """The e-node table of a class root, re-keyed through `find` first if
+        a merge since the last read moved a child class of its members."""
+        table = self._enodes[root]
+        if root in self._stale:
+            self._stale.discard(root)
+            fresh: dict[tuple[int, int, int], int] = {}
+            for t in table.values():
+                n = self.nodes[t]
+                fresh.setdefault((n.k, self.find(n.a), self.find(n.b)), t)
+            self._enodes[root] = table = fresh
+        return table
+
+    def _members(self, tid: int, k: int) -> list[tuple[int, Node]]:
+        """Composites along k in tid's class, one per e-node."""
+        return [(x, self.nodes[x])
+                for (kx, _, _), x in self.enodes(self.find(tid)).items() if kx == k]
 
     def _assoc_instances(self, tid: int):
         node = self.nodes[tid]
@@ -535,17 +570,9 @@ class Engine:
                 if t2 is not None:
                     self._merge(t1, t2, ("ax", "interchange", j, k))
 
-    def _cmp_members(self, tid: int):
-        """All composite members of tid's class, one per (k, child classes)."""
-        seen: set[tuple[int, int, int]] = set()
-        for x in list(self._class_terms.get(self.find(tid), ())):
-            nx = self.nodes[x]
-            if nx.kind != CMP:
-                continue
-            pattern = (nx.k, self.find(nx.a), self.find(nx.b))
-            if pattern not in seen:
-                seen.add(pattern)
-                yield x, nx
+    def _cmp_members(self, tid: int) -> list[tuple[int, Node]]:
+        """All composite members of tid's class, one per e-node."""
+        return [(x, self.nodes[x]) for x in self.enodes(self.find(tid)).values()]
 
     def _unit_instances(self):
         for root in sorted(self._class_terms.keys()):

@@ -224,10 +224,13 @@ def _parse_pterm(s: str, ops: dict[str, int]) -> PTerm:
                 raise OperadError(f"expected ',' or ')' at position {j} in {s!r}")
         return PTerm(head), j
 
-    t, end = parse(0)
-    if end != len(s):
-        raise OperadError(f"trailing input in term {s!r}")
-    _check_pterm(t, ops)
+    try:
+        t, end = parse(0)
+        if end != len(s):
+            raise OperadError(f"trailing input in term {s!r}")
+        _check_pterm(t, ops)
+    except RecursionError:
+        raise OperadError("term nested too deeply") from None
     return t
 
 
@@ -253,7 +256,7 @@ def parse_presentation(text: str, name: str = "") -> Presentation:
         if line.startswith("op "):
             head, _, arity = line[3:].partition(":")
             sym = head.strip()
-            if not arity.strip().isdigit():
+            if not arity.strip().isdecimal():
                 raise OperadError(f"line {lineno}: bad arity")
             ops[sym] = int(arity.strip())
         elif line.startswith("eq "):

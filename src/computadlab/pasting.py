@@ -58,7 +58,10 @@ def tree_from_str(s: str) -> Tree:
             raise GlobularError(f"expected ')' at position {i}")
         return Tree(tuple(children)), i + 1
 
-    t, end = parse(0)
+    try:
+        t, end = parse(0)
+    except RecursionError:
+        raise GlobularError("tree nested too deeply") from None
     if end != len(s):
         raise GlobularError(f"trailing input after position {end}")
     return t

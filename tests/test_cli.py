@@ -107,7 +107,7 @@ NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"
                "1 h : gen(b) => gen(c)\n2 m : gen(f) => gen(h)\n")
 
 
-# (argv, computad text written to FILE, term budget patched into cli._bounds)
+# (argv, input text written to FILE, term budget patched into cli._bounds)
 @pytest.mark.parametrize("argv, text, max_terms", [
     # vacuous gates: a pass over zero cases is no evidence
     pytest.param(["gate", "--n", "1", "--graph-vertices", "-1"], None, None,
@@ -137,6 +137,10 @@ NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"
                  id="trees-width-negative"),
     pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
                  id="slice-generators-negative"),
+    # collection files for eval
+    pytest.param(["eval", "FILE"], '["a"]', None, id="eval-not-an-object"),
+    pytest.param(["eval", "FILE"], '{"x": ["a"]}', None, id="eval-arity-not-a-number"),
+    pytest.param(["eval", "FILE"], '{"1": "a"}', None, id="eval-payload-string"),
     # an exhausted term budget
     pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
     pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),
@@ -175,7 +179,7 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
         assert code == 0 and len(calls) == 1, path.name
     calls.clear()
     code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
-    assert code == 0 and len(calls) <= 7
+    assert code == 0 and len(calls) <= 6
 
 
 def test_gate_unsupported_dimension(capsys):

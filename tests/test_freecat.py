@@ -1,13 +1,17 @@
 import random
+from importlib import resources
 
 import pytest
 
-from computadlab.computads import build_computad, free_algebra, theta_computad
+from computadlab.computads import (
+    build_computad, free_algebra, loads_computad, theta_computad,
+)
 from computadlab.freecat import (
-    Bounds, Comp, DISTINCT, EQUAL, FreecatError, Gen, Id, UNKNOWN,
+    CMP, Bounds, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id, UNKNOWN,
     enumerate_cells, equal_cells, generate_terms,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
+from computadlab.operads import k_terminal_computad
 
 # --- independent oracles ---------------------------------------------------------
 
@@ -317,6 +321,42 @@ def test_soundness_counters_stay_clean():
         assert report["word_violations"] == 0
         assert report["split_violations"] == 0
         assert report["axiom_instances"] > 0
+
+
+def assert_enode_index(e):
+    """Each class's re-keyed e-node table holds exactly the child-class
+    patterns of its composite members, each under its earliest member."""
+    for root in e.classes():
+        table = e.enodes(root)
+        first = {}
+        for t in e._class_terms[root]:
+            n = e.nodes[t]
+            if n.kind == CMP:
+                first.setdefault((n.k, e.find(n.a), e.find(n.b)), t)
+        assert table == first
+        assert all(e.find(t) == root for t in table.values())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: k_terminal_computad(2, ["x0", "x1", "x2"]),
+    lambda: loads_computad(resources.files("computadlab")
+                           .joinpath("data", "scalar2.cpd").read_text()),
+], ids=["slice-k2", "scalar2"])
+def test_enode_index_after_every_step(make, monkeypatch):
+    checked = []
+
+    def checking(step):
+        def run(self):
+            out = step(self)
+            assert_enode_index(self)
+            checked.append(self.dim)
+            return out
+        return run
+
+    for name in ("extend_composites", "saturation_round"):
+        monkeypatch.setattr(Engine, name, checking(getattr(Engine, name)))
+    fa = free_algebra(make(), Bounds(size=4))
+    assert fa.fixed_point and 2 in checked
 
 
 def test_monotonicity_partition_only_coarsens():

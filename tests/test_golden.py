@@ -1,0 +1,75 @@
+"""Golden corpus: structured reports and slice class tables, byte for byte.
+
+The files under tests/golden/ were written by the engine before its e-class
+index existed; every later engine change must reproduce them exactly. To
+write them again from the current code (only when a report is meant to
+change), run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from computadlab import operads
+from computadlab.cli import main
+from computadlab.freecat import Bounds
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = resources.files("computadlab").joinpath("data")
+
+VERBS = (
+    [["free", f"{name}.cpd", "--bound", str(b)]
+     for name in ("loop", "scalar2", "theta2") for b in range(2, 6)]
+    + [["free", "loop.cpd", "--bound", "12"]]
+    + [["slice", "--k", str(k)] for k in (1, 2, 3)]
+    + [["slice", "--k", "2", "--generators", "2", "--bound", "5"],
+       ["slice", "--k", "1", "--generators", "3", "--bound", "5"]]
+    + [["gate", "--n", str(n)] for n in (1, 2, 3)]
+    + [["gate", "--n", "3", "--bound", "2"]]
+)
+
+# (k, number of generators, size bound) -> levels[k].reps and .msets
+SLICES = [(2, 3, 4), (2, 3, 6), (3, 2, 4)]
+SLICE_TABLES = GOLDEN / "slice_tables.json"
+
+
+def golden_name(argv) -> str:
+    return "_".join(a.lstrip("-").replace(".cpd", "") for a in argv) + ".json"
+
+
+def report_bytes(argv, out: Path) -> bytes:
+    args = [str(DATA.joinpath(a)) if a.endswith(".cpd") else a for a in argv]
+    code = main(args + ["--format", "structured", "--out", str(out)])
+    assert code == 0, argv
+    return out.read_bytes()
+
+
+def slice_tables() -> dict:
+    tables = {}
+    for k, n, size in SLICES:
+        res = operads.slice_of_strict(k, [f"x{i}" for i in range(n)], Bounds(size=size))
+        lv = res.free.levels[k]
+        tables[f"k{k}_g{n}_s{size}"] = {"reps": lv.reps,
+                                        "msets": [list(m) for m in lv.msets]}
+    return tables
+
+
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: golden_name(argv)[:-5])
+def test_report_matches_golden(argv, tmp_path):
+    want = (GOLDEN / golden_name(argv)).read_bytes()
+    assert report_bytes(argv, tmp_path / "report.json") == want
+
+
+def test_slice_tables_match_golden():
+    assert slice_tables() == json.loads(SLICE_TABLES.read_text())
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for argv in VERBS:
+        report_bytes(argv, GOLDEN / golden_name(argv))
+    SLICE_TABLES.write_text(json.dumps(slice_tables(), indent=1) + "\n")

@@ -7,7 +7,8 @@ from computadlab.operads import (
     COMMUTATIVE_MONOID_PRESENTATION, DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
     MONOID_PRESENTATION, NonSymCollection, OperadError,
     Presentation, SymCollection, all_perms, collection_violation,
-    eval_analytic, eval_strongly_analytic, free_sym_collection,
+    eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
+    free_sym_collection,
     is_strongly_regular_presentation, known_slice_oracle, parse_presentation,
     regular_sym_collection, slice_matches_oracle, slice_of_strict,
     strong_analytic_bijection, trivial_sym_collection,
@@ -199,6 +200,19 @@ def test_slice_oracle_agreement_across_sizes(k, n):
 def test_slice_three_matches_commutative_oracle():
     res = slice_of_strict(3, ["a", "b"], Bounds(size=2, rounds=30))
     assert res.counts == {0: 1, 1: 2, 2: 3}
+
+
+def test_slice_three_on_three_generators_is_a_bijection():
+    gens = ["a", "b", "c"]
+    res = slice_of_strict(3, gens, Bounds(size=4))
+    msets = res.free.levels[3].msets
+    assert len(set(msets)) == len(msets)
+    assert set(msets) == set(free_commutative_monoid_elements(gens, 4))
+    assert res.fixed_point
+    report = res.free.soundness_report()
+    assert all(report[key] == 0 for key in (
+        "multiset_violations", "boundary_violations", "word_violations",
+        "split_violations", "unknown_verdicts"))
 
 
 # --- the oracle catalog ----------------------------------------------------------------

@@ -508,6 +508,7 @@ class ComputadPullbackReport:
     failures: list[str]
     ambiguities: list[str]
     free: FreeAlgebra | None = None  # the certified free algebra on `computad`
+    free_dom: FreeAlgebra | None = None  # the free algebra on `f.dom` it used
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -522,7 +523,8 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     pullback-so-far mapping to both constituents' attachments; when no such
     class (or more than one) exists, that is recorded as a genuine failure
     of the construction, not silently repaired. The pullback computad is
-    certified by saturating its free algebra, which the report keeps.
+    certified by saturating its free algebra, which the report keeps, along
+    with the free algebra on `f.dom` that the construction saturated.
     """
     if f.cod is not g.cod:
         raise ComputadError("pullback requires a common codomain")
@@ -588,7 +590,7 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
                                    for d in range(n + 1)])
     proj2 = ComputadMap(p, g.dom, [{nm: xy[1] for nm, xy in pair_of[d].items()}
                                    for d in range(n + 1)])
-    return ComputadPullbackReport(p, proj1, proj2, failures, ambiguities, fa)
+    return ComputadPullbackReport(p, proj1, proj2, failures, ambiguities, fa, fa_x)
 
 
 # --- text format ----------------------------------------------------------------

@@ -98,8 +98,9 @@ def term_to_str(t: Term) -> str:
 
 
 def term_from_str(s: str, gen_dims=None) -> Term:
-    """Parse the prefix syntax gen(id), id1(t), comp_k(t,u). Given
-    `gen_dims` (name -> dimension), a name outside it is an error."""
+    """Parse the prefix syntax gen(id), id1(t), comp_k(t,u). A negative k
+    is an error. Given `gen_dims` (name -> dimension), so is a name outside
+    it and a k at or above the dimension of the composed cells."""
     s = s.strip()
 
     def parse(i: int) -> tuple[Term, int]:
@@ -133,7 +134,12 @@ def term_from_str(s: str, gen_dims=None) -> Term:
                 idx = int(head[5:])
             except ValueError:
                 raise FreecatError(f"bad composition head {head!r}") from None
+            if idx < 0:
+                raise FreecatError(f"negative composition index in {head!r}")
             left, k = parse(j + 1)
+            if gen_dims is not None and idx >= term_dim(left):
+                raise FreecatError(f"composition index {idx} in {head!r} is not "
+                                   f"below the operands' dimension {term_dim(left)}")
             if k >= len(s) or s[k] != ",":
                 raise FreecatError(f"expected ',' at position {k}")
             right, k = parse(k + 1)

@@ -6,12 +6,19 @@ section). Bounded endofunctors of Set are run over families of cospans to
 test pullback preservation; the gate assembles the decisive experiments
 for the strict-category monad. A pass is bounded evidence only; a failure
 ships a witness that replays outside the engine.
+
+The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
+vertices of X over each vertex of Z and the edges of X over each edge of Z.
+Each cospan's pullback graph is then built once, as the product of its two
+legs' buckets, and both the path-count DP and the generic path checker read
+that one pullback; `graph_pullback` is built from the same buckets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import computads as cpd
 from . import operads
@@ -365,20 +372,56 @@ def graph_homs(x: GraphData, z: GraphData) -> list[GraphMap]:
     return out
 
 
+def _hom_buckets(x: GraphData, m: GraphMap, nv: int, ne: int) -> tuple[list, list]:
+    """A graph map x -> z sorted by its image: for each of the `nv` vertices
+    of z the vertices of x over it, for each of the `ne` edges of z the
+    edges `(a, s, t)` of x over it (edge index, source, target)."""
+    verts: list = [[] for _ in range(nv)]
+    for i, k in enumerate(m.vmap):
+        verts[k].append(i)
+    edges: list = [[] for _ in range(ne)]
+    for a, k in enumerate(m.emap):
+        s, t = x.edges[a]
+        edges[k].append((a, s, t))
+    return verts, edges
+
+
+def _bucket_pullback(yn: int, buckets_x, buckets_y) -> tuple[list, list]:
+    """The pullback of x -> z <- y as a product of the legs' buckets.
+
+    Vertices are the flat ids `i * yn + j` of the matching pairs (i, j),
+    `yn` being the number of vertices of y; edges are `(u, w, a, b)`, the
+    flat ids of their source and target and the matching edges a of x and
+    b of y. No pair that lies over different elements of z is visited."""
+    (vx, ex), (vy, ey) = buckets_x, buckets_y
+    verts = [i * yn + j for xs, ys in zip(vx, vy) for i in xs for j in ys]
+    edges = [(sa * yn + sb, ta * yn + tb, a, b)
+             for xs, ys in zip(ex, ey) for a, sa, ta in xs for b, sb, tb in ys]
+    return verts, edges
+
+
+def _flat_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData):
+    """`_bucket_pullback` of a cospan given by its two legs alone."""
+    nv = 1 + max(f.vmap + g.vmap, default=-1)
+    ne = 1 + max(f.emap + g.emap, default=-1)
+    return _bucket_pullback(y.nv, _hom_buckets(x, f, nv, ne),
+                            _hom_buckets(y, g, nv, ne))
+
+
 def graph_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData
                    ) -> tuple[GraphData, GraphMap, GraphMap]:
-    vsel = [(i, j) for i in range(x.nv) for j in range(y.nv)
-            if f.vmap[i] == g.vmap[j]]
-    vidx = {p: n for n, p in enumerate(vsel)}
-    esel = [(a, b) for a in range(len(x.edges)) for b in range(len(y.edges))
-            if f.emap[a] == g.emap[b]]
-    edges = []
-    for a, b in esel:
-        (sa, ta), (sb, tb) = x.edges[a], y.edges[b]
-        edges.append((vidx[(sa, sb)], vidx[(ta, tb)]))
-    p = GraphData(len(vsel), tuple(edges))
-    p1 = GraphMap(tuple(i for i, _ in vsel), tuple(a for a, _ in esel))
-    p2 = GraphMap(tuple(j for _, j in vsel), tuple(b for _, b in esel))
+    """The pullback graph of x -> z <- y with its two projections.
+
+    Built from the same per-hom buckets as the sweep's shared pullback,
+    then renumbered: vertices in the order of their pairs (i, j), edges in
+    the order of their pairs (a, b)."""
+    verts, pedges = _flat_pullback(f, g, x, y)
+    verts.sort()
+    pedges.sort(key=lambda e: (e[2], e[3]))
+    vidx = {v: n for n, v in enumerate(verts)}
+    p = GraphData(len(verts), tuple((vidx[u], vidx[w]) for u, w, _, _ in pedges))
+    p1 = GraphMap(tuple(v // y.nv for v in verts), tuple(e[2] for e in pedges))
+    p2 = GraphMap(tuple(v % y.nv for v in verts), tuple(e[3] for e in pedges))
     return p, p1, p2
 
 
@@ -411,27 +454,60 @@ def path_image(m: GraphMap, path):
 def path_fibers(x: GraphData, f: GraphMap, max_len: int) -> dict:
     fibers: dict = {}
     for path in graph_paths(x, max_len):
-        fibers[path_image(f, path)] = fibers.get(path_image(f, path), 0) + 1
+        img = path_image(f, path)
+        fibers[img] = fibers.get(img, 0) + 1
     return fibers
 
 
+def _matching_pairs(fx: dict, fy: dict) -> int:
+    """Pairs of paths of x and y with the same image: sum over the images."""
+    if len(fx) > len(fy):
+        fx, fy = fy, fx
+    return sum(n * fy[img] for img, n in fx.items() if img in fy)
+
+
 def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
-                      max_len: int, fibers_x=None, fibers_y=None) -> CospanResult:
+                      max_len: int, fibers_x=None, fibers_y=None,
+                      pullback=None) -> CospanResult:
     """Does the bounded free-category functor turn this graph cospan's
-    pullback square into a pullback of path sets?"""
-    p, p1, p2 = graph_pullback(f, g, x, y)
+    pullback square into a pullback of path sets?
+
+    `pullback` is the cospan's pullback as `_bucket_pullback` builds it
+    (flat vertex ids `i * |Y| + j`, edges `(u, w, a, b)`); the sweep passes
+    the one it already built for its path-count DP, and without it the
+    checker builds its own from the legs' buckets. Every path of the
+    pullback is enumerated, and both of its projections are extended edge
+    by edge along with it. Two paths with the same pair of projections are
+    a `conflated` pair; fewer distinct pairs than the legs' matching pairs
+    (counted from the path fibers) fail surjectivity, and a `missing`
+    matching pair is then searched for by brute force."""
     fx = fibers_x if fibers_x is not None else path_fibers(x, f, max_len)
     fy = fibers_y if fibers_y is not None else path_fibers(y, g, max_len)
-    expected = sum(n * fy.get(img, 0) for img, n in fx.items())
+    expected = _matching_pairs(fx, fy)
+    verts, pedges = pullback if pullback is not None else _flat_pullback(f, g, x, y)
+    yn = y.nv
+    out_of: dict = {}
+    for n, (u, w, a, b) in enumerate(pedges):
+        out_of.setdefault(u, []).append((n, w, a, b))
     seen: dict = {}
     conflated = None
     total = 0
-    for path in graph_paths(p, max_len):
-        total += 1
-        key = (path_image(p1, path), path_image(p2, path))
-        other = seen.setdefault(key, path)
-        if other != path and conflated is None:
-            conflated = (other, path, key)
+    # (end vertex, path of P, its projection to x, its projection to y)
+    frontier = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
+    for depth in range(max_len + 1):
+        nxt = []
+        for at, path, px, py in frontier:
+            total += 1
+            key = (px, py)
+            other = seen.setdefault(key, path)
+            # by identity: a vertex or edge listed twice makes a second path
+            if other is not path and conflated is None:
+                conflated = (other, path, key)
+            if depth < max_len:
+                for n, w, a, b in out_of.get(at, ()):
+                    nxt.append((w, (path[0], path[1] + (n,)),
+                                (px[0], px[1] + (a,)), (py[0], py[1] + (b,))))
+        frontier = nxt
     ok_surj = len(seen) == expected
     missing = None
     if not ok_surj:
@@ -444,7 +520,7 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
             if missing:
                 break
     return CospanResult(
-        label=f"graph cospan |P|={p.nv}v/{len(p.edges)}e",
+        label=f"graph cospan |P|={len(verts)}v/{len(pedges)}e",
         pullback_ok=conflated is None and ok_surj,
         weak_ok=ok_surj,
         conflated=conflated,
@@ -453,9 +529,15 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     )
 
 
-def _postcompose(a: GraphMap, m: GraphMap) -> GraphMap:
-    return GraphMap(tuple(a.vmap[v] for v in m.vmap),
-                    tuple(a.emap[e] for e in m.emap))
+def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
+    return (tuple(a.vmap[v] for v in m.vmap), tuple(a.emap[e] for e in m.emap))
+
+
+class _Leg(NamedTuple):
+    """What the sweep precomputes once per graph map x -> z."""
+
+    buckets: tuple  # the vertices and edges of x over each of z's (_hom_buckets)
+    fibers: dict  # path image in z -> number of paths of x over it
 
 
 def _cospan_orbits(max_v: int, max_e: int, path_len: int):
@@ -466,30 +548,32 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
     Double-coset enumeration: f is an Aut(Z)-orbit representative, g a
     representative under the stabilizer of f. Pullback comparisons are
     invariant under the action, so no outcome is lost. Yields
-    `(z, x, y, f, g, fibers_f, fibers_g)`, the path fibers of each leg
-    computed once per hom."""
+    `(z, x, y, f, g, leg_f, leg_g)`. Once per hom into Z it computes the
+    hom's `_Leg` (its vertex and edge buckets over Z and its path fibers)
+    and the keys of its postcompositions with every automorphism of Z."""
     graphs = enumerate_graphs(max_v, max_e)
-    key = lambda m: (m.vmap, m.emap)
     for z in graphs:
         auts = graph_automorphisms(z)
         side = []
         for x in graphs:
             homs = graph_homs(x, z)
-            side.append((x, homs, [path_fibers(x, f, path_len) for f in homs]))
-        for x, homs_x, fibs_x in side:
-            for f, fx in zip(homs_x, fibs_x):
-                kf = key(f)
-                mapped = [key(_postcompose(a, f)) for a in auts]
+            legs = [_Leg(_hom_buckets(x, m, z.nv, len(z.edges)),
+                        path_fibers(x, m, path_len)) for m in homs]
+            keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
+            side.append((x, homs, legs, keys))
+        for x, homs_x, legs_x, keys_x in side:
+            for f, leg_f, mapped in zip(homs_x, legs_x, keys_x):
+                kf = (f.vmap, f.emap)
                 if min(mapped) != kf:
                     continue
-                stab = [a for a, km in zip(auts, mapped) if km == kf][1:]
-                for y, homs_y, fibs_y in side:
-                    for g, fy in zip(homs_y, fibs_y):
+                stab = [n for n, km in enumerate(mapped) if km == kf][1:]
+                for y, homs_y, legs_y, keys_y in side:
+                    for g, leg_g, keys_g in zip(homs_y, legs_y, keys_y):
                         if stab:
-                            kg = key(g)
-                            if any(key(_postcompose(a, g)) < kg for a in stab):
+                            kg = (g.vmap, g.emap)
+                            if any(keys_g[n] < kg for n in stab):
                                 continue
-                        yield z, x, y, f, g, fx, fy
+                        yield z, x, y, f, g, leg_f, leg_g
 
 
 @dataclass
@@ -515,14 +599,15 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     """Exhaustively test the bounded free-category functor on every graph
     cospan within the bounds (one representative per cospan orbit).
 
-    Per cospan, the cells of F(pullback) are counted by dynamic programming
-    on the pullback graph and compared with the matching-pair count from
-    the two legs' path fibers, computed independently. A path of the
-    pullback graph is a componentwise pair of paths, so it is determined by
-    its two projections; the comparison map is therefore injective and the
-    count identity decides `is_pullback`. The injectivity embedding itself
-    is re-verified by the generic enumerating checker on every
-    `generic_stride`-th cospan (0 disables the slice).
+    Per cospan, the pullback graph is built once, as the product of the two
+    legs' vertex and edge buckets over Z. Its cells are counted by dynamic
+    programming and compared with the matching-pair count from the two
+    legs' path fibers, computed independently. A path of the pullback graph
+    is a componentwise pair of paths, so it is determined by its two
+    projections; the comparison map is therefore injective and the count
+    identity decides `is_pullback`. The injectivity embedding itself is
+    re-verified by the generic enumerating checker, which reads the same
+    pullback, on every `generic_stride`-th cospan (0 disables the slice).
 
     This is the only pullback-preservation sweep: the topos gate at n = 1, 2
     runs it with `generic_stride=1`, acceptance criterion 5 with a stride.
@@ -532,34 +617,33 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    for z, x, y, f, g, fx, fy in _cospan_orbits(max_v, max_e, path_len):
-        if len(fx) <= len(fy):
-            expected = sum(n * fy[img] for img, n in fx.items() if img in fy)
-        else:
-            expected = sum(n * fx[img] for img, n in fy.items() if img in fx)
-        fv, fe, gv, ge = f.vmap, f.emap, g.vmap, g.emap
-        yn = y.nv
+    for z, x, y, f, g, leg_f, leg_g in _cospan_orbits(max_v, max_e, path_len):
+        expected = _matching_pairs(leg_f.fibers, leg_g.fibers)
+        pullback = _bucket_pullback(y.nv, leg_f.buckets, leg_g.buckets)
+        verts, pedges = pullback
         # paths of the pullback graph, counted by DP
-        dp = [1 if fv[i] == gv[j] else 0 for i in range(x.nv) for j in range(yn)]
-        pedges = [(sa * yn + sb, ta * yn + tb)
-                  for a, (sa, ta) in enumerate(x.edges)
-                  for b, (sb, tb) in enumerate(y.edges)
-                  if fe[a] == ge[b]]
-        total = sum(dp)
-        cur = dp
-        for _ in range(path_len):
-            nxt = [0] * len(dp)
-            for s, t in pedges:
-                nxt[t] += cur[s]
-            total += sum(nxt)
-            cur = nxt
+        total = len(verts)
+        if pedges:
+            cur = [0] * (x.nv * y.nv)
+            for v in verts:
+                cur[v] = 1
+            for _ in range(path_len):
+                nxt = [0] * len(cur)
+                for u, w, _a, _b in pedges:
+                    nxt[w] += cur[u]
+                level = sum(nxt)
+                if not level:
+                    break
+                total += level
+                cur = nxt
         cospans += 1
         pairs_total += expected
         if total != expected:
             count_failures.append((z, x, y, f, g, {"F_P": total, "pairs": expected}))
         if generic_stride and cospans % generic_stride == 0:
             generic_checked += 1
-            res = check_path_cospan(x, y, f, g, path_len, fx, fy)
+            res = check_path_cospan(x, y, f, g, path_len, leg_f.fibers,
+                                    leg_g.fibers, pullback)
             if not res.pullback_ok:
                 generic_failures.append((z, x, y, f, g, res))
     return PathPreservationSummary(max_v, max_e, path_len, cospans,
@@ -609,8 +693,7 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     if pb.computad is None:
         raise LimitError("scalar pullback computad could not be built: "
                          + "; ".join(pb.failures))
-    fa_p = pb.free
-    fa_x = cpd.free_algebra(cx, bounds)
+    fa_p, fa_x = pb.free, pb.free_dom
     ind1 = cpd.induced_class_map(fa_p, fa_x, pb.proj1, 2)
     ind2 = cpd.induced_class_map(fa_p, fa_x, pb.proj2, 2)
     lv = fa_p.levels[2]

@@ -107,6 +107,11 @@ NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"
                "1 h : gen(b) => gen(c)\n2 m : gen(f) => gen(h)\n")
 
 
+# a 2-cell whose source composes two 1-cells along comp_{}
+COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
+              "2 s : comp_{}(gen(f),gen(f)) => gen(f)\n")
+
+
 # (argv, input text written to FILE, term budget patched into cli._bounds)
 @pytest.mark.parametrize("argv, text, max_terms", [
     # vacuous gates: a pass over zero cases is no evidence
@@ -124,6 +129,10 @@ NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"
                  id="generator-dim-negative"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f : gen(a) => gen(q)\n", None,
                  id="unknown-generator"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format(-1), None,
+                 id="comp-index-negative"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format(7), None,
+                 id="comp-index-too-large"),
     # attachments, certified by free_algebra
     pytest.param(["free", "FILE"], NONPARALLEL, None, id="non-parallel"),
     pytest.param(["free", "FILE"], "dim 2\n0 a\n2 s : gen(a) => gen(a)\n", None,
@@ -160,6 +169,18 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
     assert "Traceback" not in err
 
 
+def test_comp_index_errors_name_the_index(capsys, tmp_path):
+    path = tmp_path / "input.cpd"
+    for index, phrase in ((-1, "negative composition index"),
+                          (7, "composition index 7")):
+        path.write_text(COMP_INDEX.format(index))
+        code, _, err = run(capsys, "free", str(path))
+        assert code == 1 and err.startswith("error: line 4: ") and phrase in err
+    path.write_text(COMP_INDEX.format(0))
+    code, _, _ = run(capsys, "free", str(path), "--bound", "2")
+    assert code == 0
+
+
 def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
     calls = []
     original = computads.free_algebra
@@ -179,7 +200,7 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
         assert code == 0 and len(calls) == 1, path.name
     calls.clear()
     code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
-    assert code == 0 and len(calls) <= 6
+    assert code == 0 and len(calls) <= 5
 
 
 def test_gate_unsupported_dimension(capsys):
@@ -220,9 +241,12 @@ def test_reports_deterministic_across_processes(tmp_path):
     import subprocess
     import sys
 
+    # the child imports the same computadlab as this process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         for argv in (["free", data_path("scalar2.cpd"), "--bound", "2"],
                      ["gate", "--n", "3", "--bound", "2"],
                      ["trees", "--height", "2", "--width", "2"]):

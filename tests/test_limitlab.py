@@ -5,7 +5,7 @@ import pytest
 from computadlab.freecat import Bounds
 from computadlab.limitlab import (
     CospanResult, FinSetMap, GraphData, GraphMap, LimitError, Square,
-    _cospan_orbits, canonical_graph, check_cospan, check_path_cospan,
+    _bucket_pullback, _cospan_orbits, _flat_pullback, canonical_graph, check_cospan, check_path_cospan,
     compose_finset, computad_topos_gate, enumerate_graphs, graph_automorphisms,
     graph_homs, graph_paths, graph_pullback,
     identity_finset, identity_functor, is_cartesian_on, is_pullback,
@@ -310,12 +310,65 @@ def test_cospan_orbits_one_member_per_orbit():
                     orbit = frozenset((post(a, f), post(a, g)) for a in auts)
                     orbit_of[(z, x, y, f, g)] = (z, x, y, orbit)
         yielded = []
-        for z, x, y, f, g, fx, fy in _cospan_orbits(*bounds, 2):
+        for z, x, y, f, g, leg_f, leg_g in _cospan_orbits(*bounds, 2):
             yielded.append(orbit_of[(z, x, y, f, g)])
-            assert fx == path_fibers(x, f, 2) and fy == path_fibers(y, g, 2)
+            assert leg_f.fibers == path_fibers(x, f, 2)
+            assert leg_g.fibers == path_fibers(y, g, 2)
             assert check_path_cospan(x, y, f, g, 2).pullback_ok
         assert len(yielded) == len(set(yielded)) < len(orbit_of)
         assert set(yielded) == set(orbit_of.values())
+
+
+def test_shared_pullback_matches_brute_force():
+    checked = 0
+    for z, x, y, f, g, leg_f, leg_g in _cospan_orbits(2, 2, 2):
+        verts, edges = _bucket_pullback(y.nv, leg_f.buckets, leg_g.buckets)
+        vpairs = [divmod(v, y.nv) for v in verts]
+        assert len(vpairs) == len(set(vpairs))
+        assert set(vpairs) == {(i, j) for i in range(x.nv) for j in range(y.nv)
+                               if f.vmap[i] == g.vmap[j]}
+        epairs = [(a, b) for _, _, a, b in edges]
+        assert len(epairs) == len(set(epairs))
+        assert set(epairs) == {(a, b) for a in range(len(x.edges))
+                               for b in range(len(y.edges)) if f.emap[a] == g.emap[b]}
+        for u, w, a, b in edges:
+            (sa, ta), (sb, tb) = x.edges[a], y.edges[b]
+            assert (u, w) == (sa * y.nv + sb, ta * y.nv + tb)
+        # graph_pullback renumbers the same pullback in pair order
+        p, p1, p2 = graph_pullback(f, g, x, y)
+        assert list(zip(p1.vmap, p2.vmap)) == sorted(vpairs)
+        assert list(zip(p1.emap, p2.emap)) == sorted(epairs)
+        vidx = {pair: n for n, pair in enumerate(sorted(vpairs))}
+        assert p.edges == tuple(
+            (vidx[(x.edges[a][0], y.edges[b][0])], vidx[(x.edges[a][1], y.edges[b][1])])
+            for a, b in sorted(epairs))
+        checked += 1
+    assert checked > 4000
+
+
+def _parallel_cospan():
+    z = GraphData(2, ((0, 1),))
+    x = GraphData(2, ((0, 1), (0, 1)))
+    f = graph_homs(x, z)[0]
+    return x, f, _flat_pullback(f, f, x, x)
+
+
+def test_check_path_cospan_supplied_pullback_missing_edge():
+    x, f, (verts, edges) = _parallel_cospan()
+    assert check_path_cospan(x, x, f, f, 3, pullback=(verts, edges)).pullback_ok
+    u, w, a, b = edges[-1]
+    res = check_path_cospan(x, x, f, f, 3, pullback=(verts, edges[:-1]))
+    assert not res.weak_ok and not res.pullback_ok and res.conflated is None
+    assert res.missing == ((0, (a,)), (0, (b,)))
+
+
+def test_check_path_cospan_supplied_pullback_duplicate_edge():
+    x, f, (verts, edges) = _parallel_cospan()
+    res = check_path_cospan(x, x, f, f, 3, pullback=(verts, edges + edges[:1]))
+    assert res.weak_ok and not res.pullback_ok and res.missing is None
+    first, second, key = res.conflated
+    _, _, a, b = edges[0]
+    assert first != second and key == ((0, (a,)), (0, (b,)))
 
 
 # --- the gate ----------------------------------------------------------------------

@@ -28,8 +28,14 @@ run once per e-node of a round-start snapshot instead of once per member
 term, and a class holds far fewer e-nodes than terms. The member lists
 stay for representatives and the split check.
 
-Every effective merge is logged with a locally checkable reason, so any
-Equal verdict carries a replayable certificate. Distinct verdicts come
+Every effective merge also adds one edge, labelled with the merged pair
+and a locally checkable reason, to a proof forest over the terms
+(proof-producing congruence closure: Nieuwenhuis and Oliveras, RTA 2005;
+Flatt et al., "Small Proofs from Congruence Closure", FMCAD 2022). The
+forest's trees are the classes, so two equal terms are joined by exactly
+one forest path. Their certificate is the edges of that path, each
+congruence edge preceded by the explanations of its child equalities, so
+an Equal verdict carries its proof and nothing else. Distinct verdicts come
 only from invariants preserved by every axiom family (generator multiset,
 boundary classes, and at dimension 1 the generator word). Everything else
 is reported Unknown.
@@ -290,7 +296,10 @@ class Engine:
         self._sig: dict[tuple[int, int, int], int] = {}
         self._uses: dict[int, list[int]] = {}
         self._pending: list[int] = []
-        self.log: list[tuple[int, int, tuple]] = []
+        # proof forest: each term's parent, and the label (u, v, reason) of
+        # the merge that made the edge to it (None at a tree's root)
+        self._proof: list[int] = []
+        self._why: list[tuple | None] = []
         self.round = 0
         self.fixed_point = False
         self.partial_lower = False  # a boundary composite was out of bounds below
@@ -321,7 +330,7 @@ class Engine:
                 )
             )
 
-    # union-find with a chronological merge log -----------------------------
+    # union-find with a proof forest ----------------------------------------
 
     def find(self, t: int) -> int:
         p = self._parent
@@ -345,8 +354,14 @@ class Engine:
         if self.dim == 1 and nu.word != nv.word:
             self.counters["word_violations"] += 1
             raise SoundnessError("merge would mix generator words at dimension 1")
-        self.log.append((u, v, reason))
         self.counters["merges"] += 1
+        # hang the smaller proof tree, re-rooted at its merged term, under
+        # the other merged term; proof trees and classes have the same members
+        low, high = (u, v) if (len(self._class_terms[ru])
+                               <= len(self._class_terms[rv])) else (v, u)
+        self._reroot(low)
+        self._proof[low] = high
+        self._why[low] = (u, v, reason)
         win, lose = (ru, rv) if ru < rv else (rv, ru)  # deterministic root
         self._parent[lose] = win
         lost_terms = self._class_terms.pop(lose)
@@ -363,6 +378,35 @@ class Engine:
             self._stale.discard(lose)
             self._stale.add(win)
         return True
+
+    def _reroot(self, t: int):
+        """Reverse the proof-forest edges from t up to its root, so that t
+        becomes the root; every edge keeps its label."""
+        parent, why = self._proof, self._why
+        below, label = t, None
+        while True:
+            up, up_label = parent[t], why[t]
+            parent[t], why[t] = below, label
+            if up == t:
+                return
+            below, label, t = t, up_label, up
+
+    def _proof_path(self, u: int, v: int) -> list[int]:
+        """The terms holding the proof-forest edges on the path from u to v,
+        in path order. Raises FreecatError when u and v are not equal."""
+        parent = self._proof
+        up = [u]
+        while parent[up[-1]] != up[-1]:
+            up.append(parent[up[-1]])
+        depth = {t: i for i, t in enumerate(up)}
+        down = []
+        t = v
+        while t not in depth:
+            if parent[t] == t:
+                raise FreecatError(f"terms {u} and {v} are not equal")
+            down.append(t)
+            t = parent[t]
+        return up[:depth[t]] + down[::-1]
 
     def _process_pending(self):
         while self._pending:
@@ -389,6 +433,8 @@ class Engine:
         self.nodes.append(node)
         self._intern[key] = tid
         self._parent.append(tid)
+        self._proof.append(tid)
+        self._why.append(None)
         self._class_terms[tid] = [tid]
         self._enodes[tid] = {}
         if node.kind == CMP:
@@ -615,10 +661,10 @@ class Engine:
         """
         cap = self.bounds.rounds if max_rounds is None else max_rounds
         while self.round < cap:
-            n_terms, n_log = len(self.nodes), len(self.log)
+            n_terms, n_merges = len(self.nodes), self.counters["merges"]
             self.extend_composites()
             self.saturation_round()
-            if len(self.nodes) == n_terms and len(self.log) == n_log:
+            if len(self.nodes) == n_terms and self.counters["merges"] == n_merges:
                 self.fixed_point = True
                 break
         return self.fixed_point
@@ -792,10 +838,13 @@ def enumerate_cells(e: Engine, size_bound: int | None = None):
 
 @dataclass
 class Certificate:
-    """A chronological prefix of the merge log plus the pair it connects.
+    """A proof that two terms are equal, plus the pair it connects.
 
-    Verification replays the log against a fresh union-find, checking each
-    step's reason locally; it never consults the engine's own equivalence.
+    The steps are proof-forest edges `(u, v, reason)`: those on the forest
+    path between `left` and `right`, and, before each congruence edge, the
+    edges explaining its child equalities, each edge once. Verification
+    replays them against a fresh union-find, checking each step's reason
+    locally; it never consults the engine's own equivalence.
     """
 
     left: int
@@ -804,7 +853,31 @@ class Certificate:
 
 
 def certificate(e: Engine, u: int, v: int) -> Certificate:
-    return Certificate(u, v, list(e.log))
+    """Explain the equality of two terms from the engine's proof forest.
+
+    Steps come in replay order: the child equalities of a congruence edge
+    are explained before the edge itself. Raises FreecatError when u and v
+    are not equal."""
+    steps: list[tuple[int, int, tuple]] = []
+    done: set[int] = set()  # terms whose forest edge is already a step
+    todo: list = [(u, v)]  # pairs to explain, and terms whose edge to emit
+    while todo:
+        item = todo.pop()
+        if isinstance(item, int):
+            if item not in done:
+                done.add(item)
+                steps.append(e._why[item])
+            continue
+        for t in reversed(e._proof_path(*item)):
+            if t in done:
+                continue
+            todo.append(t)
+            a, b, reason = e._why[t]
+            if reason[0] == "cong":
+                na, nb = e.nodes[a], e.nodes[b]
+                todo.append((na.b, nb.b))
+                todo.append((na.a, nb.a))
+    return Certificate(u, v, steps)
 
 
 def _replay_find(parent: dict[int, int], t: int) -> int:
@@ -872,19 +945,50 @@ def _axiom_step_ok(e: Engine, u: int, v: int, reason: tuple) -> bool:
     return False
 
 
+# the integer arguments each axiom family's reason carries after its name
+_AXIOM_ARITY = {"assoc": 1, "unit_l": 1, "unit_r": 1, "interchange": 2, "idfun": 1}
+
+
+def _well_formed(e: Engine, step) -> bool:
+    """A step names two interned terms and a `("cong",)` or `("ax", …)` reason."""
+    if not (isinstance(step, tuple) and len(step) == 3):
+        return False
+    u, v, reason = step
+    if not (_is_term(e, u) and _is_term(e, v) and isinstance(reason, tuple) and reason):
+        return False
+    if reason == ("cong",):
+        return True
+    return (len(reason) >= 2 and reason[0] == "ax" and isinstance(reason[1], str)
+            and _AXIOM_ARITY.get(reason[1]) == len(reason) - 2
+            and all(isinstance(x, int) for x in reason[2:]))
+
+
+def _is_term(e: Engine, t) -> bool:
+    return isinstance(t, int) and 0 <= t < len(e.nodes)
+
+
 def verify_certificate(e: Engine, cert: Certificate) -> bool:
-    """Replay a certificate step by step against a fresh union-find."""
+    """Replay a certificate step by step against a fresh union-find.
+
+    Each step must be well formed and locally valid: an axiom step is an
+    instance of its axiom, and a congruence step joins two composites whose
+    children the steps before it have already joined. Finally `left` and
+    `right` must be joined. Anything else, malformed input included, gives
+    False; this never raises."""
+    if not (_is_term(e, cert.left) and _is_term(e, cert.right)):
+        return False
     parent: dict[int, int] = {}
-    for u, v, reason in cert.steps:
+    for step in cert.steps:
+        if not _well_formed(e, step):
+            return False
+        u, v, reason = step
         if reason[0] == "cong":
             nu, nv = e.nodes[u], e.nodes[v]
             ok = (nu.kind == CMP and nv.kind == CMP and nu.k == nv.k
                   and _replay_find(parent, nu.a) == _replay_find(parent, nv.a)
                   and _replay_find(parent, nu.b) == _replay_find(parent, nv.b))
-        elif reason[0] == "ax":
-            ok = _axiom_step_ok(e, u, v, reason)
         else:
-            ok = False
+            ok = _axiom_step_ok(e, u, v, reason)
         if not ok:
             return False
         ru, rv = _replay_find(parent, u), _replay_find(parent, v)
@@ -894,28 +998,9 @@ def verify_certificate(e: Engine, cert: Certificate) -> bool:
 
 
 def explain_path(e: Engine, u: int, v: int) -> list[str]:
-    """Human-readable chain of merge edges connecting two terms."""
-    adj: dict[int, list[tuple[int, tuple]]] = {}
-    for a, b, reason in e.log:
-        adj.setdefault(a, []).append((b, reason))
-        adj.setdefault(b, []).append((a, reason))
-    prev: dict[int, tuple[int, tuple]] = {u: (u, ())}
-    queue = [u]
-    while queue:
-        cur = queue.pop(0)
-        if cur == v:
-            break
-        for nxt, reason in adj.get(cur, ()):
-            if nxt not in prev:
-                prev[nxt] = (cur, reason)
-                queue.append(nxt)
-    if v not in prev:
+    """The steps of `certificate(e, u, v)`, one `lhs == rhs [reason]` line
+    each; empty when the two terms are not equal."""
+    if e.find(u) != e.find(v):
         return []
-    path = []
-    cur = v
-    while cur != u:
-        parent, reason = prev[cur]
-        path.append(f"{e.term_str(parent)}  ==  {e.term_str(cur)}   [{':'.join(map(str, reason))}]")
-        cur = parent
-    path.reverse()
-    return path
+    return [f"{e.term_str(a)}  ==  {e.term_str(b)}   [{':'.join(map(str, reason))}]"
+            for a, b, reason in certificate(e, u, v).steps]

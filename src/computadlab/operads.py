@@ -444,11 +444,29 @@ def known_slice_oracle(name: str) -> SliceOracle:
     raise OperadError(f"unknown slice oracle {name!r}")
 
 
+def _top_generators(t: Term) -> tuple[str, ...]:
+    """The top-dimensional generator occurrences of a term, left to right;
+    an identity contributes none."""
+    if isinstance(t, Gen):
+        return (t.name,)
+    if isinstance(t, Id):
+        return ()
+    return _top_generators(t.left) + _top_generators(t.right)
+
+
 def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int]]:
-    """Compare a computed slice against the catalog oracle for its k."""
-    oracle = known_slice_oracle("free-monoid" if result.k == 1
-                                else "free-commutative-monoid")
-    expected = oracle.counts_fn(len(result.generators), result.free.bounds.size)
-    sizes = set(result.counts) | set(expected)
-    ok = all(result.counts.get(s, 0) == expected.get(s, 0) for s in sizes)
-    return ok, expected
+    """Compare a computed slice against the catalog oracle for its k.
+
+    Each class representative maps to its generator word (k = 1) or its
+    sorted generator multiset (k >= 2). The slice matches when this map is a
+    bijection onto the oracle's elements within the size bound: its image is
+    exactly those elements and no two classes share one. Also returns the
+    oracle's number of elements of each size."""
+    first = result.k == 1
+    oracle = known_slice_oracle("free-monoid" if first else "free-commutative-monoid")
+    size = result.free.bounds.size
+    image = [word if first else tuple(sorted(word, key=repr))
+             for word in map(_top_generators, result.free.levels[result.k].rep_terms)]
+    ok = (len(set(image)) == len(image)
+          and set(image) == set(oracle.eval_fn(result.generators, size)))
+    return ok, oracle.counts_fn(len(result.generators), size)

@@ -7,11 +7,16 @@ from computadlab.computads import (
     build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    CMP, Bounds, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id, UNKNOWN,
-    enumerate_cells, equal_cells, generate_terms,
+    CMP, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id,
+    UNKNOWN, certificate, enumerate_cells, equal_cells, generate_terms,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
+
+
+def scalar2():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "scalar2.cpd").read_text())
 
 # --- independent oracles ---------------------------------------------------------
 
@@ -132,9 +137,9 @@ def test_boundary_checks_on_terms():
 def test_saturation_round_fixed_point_when_nothing_applies():
     fa = free_algebra(theta_computad(1), Bounds(size=2))
     e = fa.engines[1]
-    before = (len(e.nodes), len(e.log))
+    before = (len(e.nodes), e.counters["merges"])
     e.saturation_round()
-    assert (len(e.nodes), len(e.log)) == before
+    assert (len(e.nodes), e.counters["merges"]) == before
 
 
 def test_associativity_merges_in_one_round():
@@ -243,6 +248,94 @@ def test_certificate_tampering_is_caught():
     assert not verify_certificate(e, cert)
 
 
+def eckmann_hilton_certificate(size):
+    """The dimension-2 engine of scalar2.cpd and its certificate for
+    comp_0(alpha,beta) = comp_1(beta,alpha)."""
+    e = free_algebra(scalar2(), Bounds(size=size)).engines[2]
+    al, be = Gen("alpha", 2), Gen("beta", 2)
+    verdict, cert = equal_cells(e, Comp(0, al, be), Comp(1, be, al))
+    assert verdict == EQUAL and verify_certificate(e, cert)
+    return e, cert
+
+
+def test_eckmann_hilton_certificate_size_does_not_grow():
+    lengths = [len(eckmann_hilton_certificate(size)[1].steps) for size in (2, 3, 4, 5)]
+    assert len(set(lengths)) == 1 and 0 < lengths[0] <= 10
+
+
+@pytest.mark.parametrize("make,size", [
+    (scalar2, 4),
+    (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 5),
+], ids=["scalar2-size4", "slice-k1-g3-size5"])
+def test_certificates_hold_exactly_their_proof(make, size, monkeypatch):
+    recorded = {}
+    merge = Engine._merge
+
+    def recording(self, u, v, reason):
+        if merge(self, u, v, reason):
+            recorded.setdefault(self, set()).add((u, v, reason))
+            return True
+        return False
+
+    monkeypatch.setattr(Engine, "_merge", recording)
+    fa = free_algebra(make(), Bounds(size=size))
+    e = fa.engines[fa.dim]
+    members = {}
+    for t in range(len(e.nodes)):
+        members.setdefault(e.find(t), []).append(t)
+    multi = [terms for terms in members.values() if len(terms) > 1]
+    rng = random.Random(6)
+    for _ in range(500):
+        u, v = rng.sample(rng.choice(multi), 2)
+        steps = certificate(e, u, v).steps
+        assert steps and verify_certificate(e, Certificate(u, v, steps))
+        assert len(set(steps)) == len(steps)
+        assert set(steps) <= recorded[e]
+        for i, step in enumerate(steps):
+            # the steps form a forest, so each one is needed, and a
+            # congruence step needs the steps explaining its children first
+            assert not verify_certificate(e, Certificate(u, v, steps[:i] + steps[i + 1:]))
+            if step[2] == ("cong",):
+                moved = [step] + steps[:i] + steps[i + 1:]
+                assert not verify_certificate(e, Certificate(u, v, moved))
+
+
+def _replace_step(steps, pick, change):
+    i = next(i for i, step in enumerate(steps) if pick(step))
+    return steps[:i] + [change(steps[i])] + steps[i + 1:]
+
+
+MALFORMED = {
+    "id-past-the-end": lambda c, n: (c.left, c.right, c.steps + [(n, 0, ("cong",))]),
+    "id-negative-alias": lambda c, n: (c.left, c.right, _replace_step(
+        c.steps, lambda s: True, lambda s: (s[0] - n, s[1], s[2]))),
+    "id-not-an-int": lambda c, n: (c.left, c.right, c.steps + [("0", 1, ("cong",))]),
+    "left-past-the-end": lambda c, n: (n, c.right, c.steps),
+    "right-negative-alias": lambda c, n: (c.left, c.right - n, c.steps),
+    "both-ends-negative": lambda c, n: (-1, -1, []),
+    "step-not-a-triple": lambda c, n: (c.left, c.right, c.steps + [(0, 1)]),
+    "reason-empty": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ())]),
+    "reason-not-a-tuple": lambda c, n: (c.left, c.right, c.steps + [(0, 1, "cong")]),
+    "reason-unknown-head": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ("rw",))]),
+    "cong-with-argument": lambda c, n: (c.left, c.right, _replace_step(
+        c.steps, lambda s: s[2] == ("cong",), lambda s: (s[0], s[1], ("cong", 0)))),
+    "ax-without-family": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ("ax",))]),
+    "ax-unknown-family": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ("ax", "comm", 0))]),
+    "ax-without-index": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ("ax", "assoc"))]),
+    "interchange-one-index": lambda c, n: (c.left, c.right,
+                                           c.steps + [(0, 1, ("ax", "interchange", 0))]),
+    "ax-index-not-an-int": lambda c, n: (c.left, c.right, _replace_step(
+        c.steps, lambda s: s[2][0] == "ax", lambda s: (s[0], s[1], s[2][:2] + ("0",)))),
+}
+
+
+@pytest.mark.parametrize("tamper", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_certificate_is_rejected_without_raising(tamper):
+    e, cert = eckmann_hilton_certificate(2)
+    left, right, steps = tamper(cert, len(e.nodes))
+    assert verify_certificate(e, Certificate(left, right, steps)) is False
+
+
 def test_unknown_is_honest_for_parallel_nonscalar_squares():
     # two 2-cells on a genuine arrow: no room for Eckmann-Hilton, so the
     # vertical composites in the two orders stay apart and the engine
@@ -339,8 +432,7 @@ def assert_enode_index(e):
 
 @pytest.mark.parametrize("make", [
     lambda: k_terminal_computad(2, ["x0", "x1", "x2"]),
-    lambda: loads_computad(resources.files("computadlab")
-                           .joinpath("data", "scalar2.cpd").read_text()),
+    scalar2,
 ], ids=["slice-k2", "scalar2"])
 def test_enode_index_after_every_step(make, monkeypatch):
     checked = []

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from computadlab.freecat import Bounds
+from computadlab.freecat import Bounds, Gen, Id
 from computadlab.operads import (
     COMMUTATIVE_MONOID_PRESENTATION, DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
     MONOID_PRESENTATION, NonSymCollection, OperadError,
@@ -179,6 +179,31 @@ def test_second_slice_is_free_commutative_monoid():
     ok, _ = slice_matches_oracle(res)
     assert ok
     assert res.unknown_verdicts == 0 and res.fixed_point
+
+
+@pytest.mark.parametrize("k,keep,lose", [
+    (1, ("a", "b"), ("b", "a")),
+    (2, ("a", "a"), ("a", "b")),
+], ids=["k1-word", "k2-multiset"])
+def test_slice_oracle_rejects_two_classes_on_one_element(k, keep, lose):
+    res = slice_of_strict(k, ["a", "b"], Bounds(size=2))
+    assert slice_matches_oracle(res)[0]
+    lv = res.free.levels[k]
+    # one class takes another's representative: the counts by size stay right,
+    # but two classes now share an element and `lose` has no class
+    elems = [tuple(sorted(g.name for g in _leaves(t))) if k > 1
+             else tuple(g.name for g in _leaves(t)) for t in lv.rep_terms]
+    lv.rep_terms[elems.index(lose)] = lv.rep_terms[elems.index(keep)]
+    ok, expected = slice_matches_oracle(res)
+    assert not ok and expected == res.counts
+
+
+def _leaves(t):
+    if isinstance(t, Gen):
+        return [t]
+    if isinstance(t, Id):
+        return []
+    return _leaves(t.left) + _leaves(t.right)
 
 
 def test_slice_on_empty_set_is_the_unit():

@@ -296,9 +296,9 @@ class Engine:
         self._sig: dict[tuple[int, int, int], int] = {}
         self._uses: dict[int, list[int]] = {}
         self._pending: list[int] = []
-        # proof forest: each term's parent, and the label (u, v, reason) of
-        # the merge that made the edge to it (None at a tree's root)
-        self._proof: list[int] = []
+        # proof forest: each term's edge to its parent, as the label
+        # (u, v, reason) of the merge that made it; the parent is the end of
+        # the label that is not the term itself, and a tree's root has None
         self._why: list[tuple | None] = []
         self.round = 0
         self.fixed_point = False
@@ -357,10 +357,8 @@ class Engine:
         self.counters["merges"] += 1
         # hang the smaller proof tree, re-rooted at its merged term, under
         # the other merged term; proof trees and classes have the same members
-        low, high = (u, v) if (len(self._class_terms[ru])
-                               <= len(self._class_terms[rv])) else (v, u)
+        low = u if len(self._class_terms[ru]) <= len(self._class_terms[rv]) else v
         self._reroot(low)
-        self._proof[low] = high
         self._why[low] = (u, v, reason)
         win, lose = (ru, rv) if ru < rv else (rv, ru)  # deterministic root
         self._parent[lose] = win
@@ -379,33 +377,35 @@ class Engine:
             self._stale.add(win)
         return True
 
+    def _proof_parent(self, t: int) -> int | None:
+        label = self._why[t]
+        if label is None:
+            return None
+        return label[1] if label[0] == t else label[0]
+
     def _reroot(self, t: int):
         """Reverse the proof-forest edges from t up to its root, so that t
         becomes the root; every edge keeps its label."""
-        parent, why = self._proof, self._why
-        below, label = t, None
-        while True:
-            up, up_label = parent[t], why[t]
-            parent[t], why[t] = below, label
-            if up == t:
-                return
-            below, label, t = t, up_label, up
+        why = self._why
+        label, why[t] = why[t], None
+        while label is not None:
+            t = label[1] if label[0] == t else label[0]
+            label, why[t] = why[t], label
 
     def _proof_path(self, u: int, v: int) -> list[int]:
         """The terms holding the proof-forest edges on the path from u to v,
         in path order. Raises FreecatError when u and v are not equal."""
-        parent = self._proof
         up = [u]
-        while parent[up[-1]] != up[-1]:
-            up.append(parent[up[-1]])
+        while (t := self._proof_parent(up[-1])) is not None:
+            up.append(t)
         depth = {t: i for i, t in enumerate(up)}
         down = []
         t = v
         while t not in depth:
-            if parent[t] == t:
-                raise FreecatError(f"terms {u} and {v} are not equal")
             down.append(t)
-            t = parent[t]
+            t = self._proof_parent(t)
+            if t is None:
+                raise FreecatError(f"terms {u} and {v} are not equal")
         return up[:depth[t]] + down[::-1]
 
     def _process_pending(self):
@@ -433,7 +433,6 @@ class Engine:
         self.nodes.append(node)
         self._intern[key] = tid
         self._parent.append(tid)
-        self._proof.append(tid)
         self._why.append(None)
         self._class_terms[tid] = [tid]
         self._enodes[tid] = {}

@@ -19,7 +19,6 @@ from .freecat import (
     Bounds, Engine, Gen, Id, Level, Term,
     class_in_level, level_zero, term_dim, term_to_str,
 )
-from .globular import parse_natural
 
 
 class ComputadError(Exception):
@@ -83,12 +82,12 @@ class FreeAlgebra:
             return (freecat.EQUAL, None) if c1 == c2 else (freecat.DISTINCT, "0-cells")
         return freecat.equal_cells(self.engines[r], t1, t2)
 
-    def enumerate_cells(self, r: int, size_bound: int | None = None):
+    def enumerate_cells(self, r: int):
         if r == 0:
             lv = self.levels[0]
             rows = [(rep, mset) for rep, mset in zip(lv.reps, lv.msets)]
             return rows, {mset: 1 for _, mset in rows}
-        return freecat.enumerate_cells(self.engines[r], size_bound)
+        return freecat.enumerate_cells(self.engines[r])
 
     @property
     def fixed_point(self) -> bool:
@@ -104,16 +103,7 @@ class FreeAlgebra:
         return f"partial up to size {self.bounds.size}" if self.partial else "complete at this size"
 
     def soundness_report(self) -> dict[str, int]:
-        keys = ["axiom_instances", "merges", "multiset_violations",
-                "boundary_violations", "word_violations", "split_violations",
-                "unknown_verdicts"]
-        out = {k: 0 for k in keys}
-        for e in self.engines[1:]:
-            if e is None:
-                continue
-            for k in keys:
-                out[k] += e.counters[k]
-        return out
+        return {k: sum(e.counters[k] for e in self.engines[1:]) for k in freecat.COUNTERS}
 
 
 def _resolve_attachment(levels: list[Level], decl: GeneratorDecl, r: int) -> tuple[int, int]:
@@ -139,22 +129,26 @@ def _resolve_attachment(levels: list[Level], decl: GeneratorDecl, r: int) -> tup
     return s, t
 
 
+def _climb(fa: FreeAlgebra, layer: list[GeneratorDecl]) -> None:
+    """Saturate one more dimension of `fa`, generated by `layer` over the
+    levels already frozen. Levels below depend only on generators below, so
+    the algebra of a truncation is an exact prefix of the whole one."""
+    r = len(fa.levels)
+    gens = [(decl.name, *_resolve_attachment(fa.levels, decl, r)) for decl in layer]
+    engine = Engine(r, fa.levels, gens, fa.bounds)
+    engine.saturate()
+    fa.levels.append(engine.freeze())
+    fa.engines.append(engine)
+
+
 def free_algebra(c: Computad, bounds: Bounds = Bounds()) -> FreeAlgebra:
     """Free strict n-category on a computad, one saturated engine per
     dimension. The only certifier of attachments: each is resolved to a
     parallel pair of classes one dimension down, else `NonParallelAttachment`."""
-    levels = [level_zero(c.names(0))]
-    engines: list[Engine | None] = [None]
-    for r in range(1, c.dim + 1):
-        gens = []
-        for decl in c.layers[r]:
-            s, t = _resolve_attachment(levels, decl, r)
-            gens.append((decl.name, s, t))
-        engine = Engine(r, levels, gens, bounds)
-        engine.saturate()
-        levels.append(engine.freeze())
-        engines.append(engine)
-    return FreeAlgebra(c, bounds, levels, engines)
+    fa = FreeAlgebra(c, bounds, [level_zero(c.names(0))], [None])
+    for layer in c.layers[1:]:
+        _climb(fa, layer)
+    return fa
 
 
 def build_computad(layers) -> Computad:
@@ -245,10 +239,6 @@ def make_computad_map(dom: Computad, cod: Computad, gen_maps,
     if bad is not None:
         raise ComputadError(bad)
     return m
-
-
-def identity_computad_map(c: Computad) -> ComputadMap:
-    return ComputadMap(c, c, [{n: n for n in c.names(r)} for r in range(c.dim + 1)])
 
 
 def induced_class_map(fa_dom: FreeAlgebra, fa_cod: FreeAlgebra,
@@ -522,9 +512,11 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     The induced attachment of a generator pair must be a free cell of the
     pullback-so-far mapping to both constituents' attachments; when no such
     class (or more than one) exists, that is recorded as a genuine failure
-    of the construction, not silently repaired. The pullback computad is
-    certified by saturating its free algebra, which the report keeps, along
-    with the free algebra on `f.dom` that the construction saturated.
+    of the construction, not silently repaired. The pullback's free algebra
+    is one climb: each new layer is saturated once, on top of the levels
+    that resolved its attachments, and the last step certifies the pullback
+    computad. The report keeps that algebra, along with the free algebra on
+    `f.dom` that the construction saturated.
     """
     if f.cod is not g.cod:
         raise ComputadError("pullback requires a common codomain")
@@ -534,7 +526,8 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     fa_x = free_algebra(f.dom, bounds)
     fa_y = fa_x if g.dom is f.dom else free_algebra(g.dom, bounds)
     layers: list[list[GeneratorDecl]] = []
-    pair_of: list[dict[str, tuple[str, str]]] = []
+    p = Computad(n, layers)  # gains a layer on each pass of the loop
+    proj1, proj2 = ComputadMap(p, f.dom, []), ComputadMap(p, g.dom, [])
     for r in range(n + 1):
         level_pairs = [
             (x, y)
@@ -543,53 +536,47 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
             if f.gen_maps[r][x] == g.gen_maps[r][y]
         ]
         if r == 0:
-            layers.append([GeneratorDecl(_pair_name(x, y)) for x, y in level_pairs])
-            pair_of.append({_pair_name(x, y): (x, y) for x, y in level_pairs})
-            continue
-        prefix = Computad(r - 1, [list(layer) for layer in layers])
-        fa_p = free_algebra(prefix, bounds)
-        px = ComputadMap(prefix, f.dom.truncate(r - 1),
-                         [{nm: xy[0] for nm, xy in pair_of[d].items()} for d in range(r)])
-        py = ComputadMap(prefix, g.dom.truncate(r - 1),
-                         [{nm: xy[1] for nm, xy in pair_of[d].items()} for d in range(r)])
-        ind_x = induced_class_map(fa_p, fa_x, px, r - 1)
-        ind_y = induced_class_map(fa_p, fa_y, py, r - 1)
-        decls = []
-        names = {}
-        for x, y in level_pairs:
-            dx = next(d for d in f.dom.layers[r] if d.name == x)
-            dy = next(d for d in g.dom.layers[r] if d.name == y)
-            sides = []
-            bad = False
-            for tx, ty in ((dx.src, dy.src), (dx.tgt, dy.tgt)):
-                want_x = fa_x.class_of_term(tx)
-                want_y = fa_y.class_of_term(ty)
-                hits = [c for c in range(fa_p.levels[r - 1].n_classes)
-                        if ind_x[c] == want_x and ind_y[c] == want_y]
-                if not hits:
-                    failures.append(
-                        f"dim {r}: no induced attachment for ({x},{y})")
-                    bad = True
-                    break
-                if len(hits) > 1:
-                    ambiguities.append(
-                        f"dim {r}: {len(hits)} candidate attachments for ({x},{y})")
-                sides.append(fa_p.levels[r - 1].rep_terms[hits[0]])
-            if bad:
-                continue
-            nm = _pair_name(x, y)
-            decls.append(GeneratorDecl(nm, sides[0], sides[1]))
-            names[nm] = (x, y)
+            kept = level_pairs
+            decls = [GeneratorDecl(_pair_name(x, y)) for x, y in kept]
+            fa = FreeAlgebra(p, bounds, [level_zero([d.name for d in decls])], [None])
+        else:
+            if r >= 2:
+                _climb(fa, layers[r - 1])
+            lv = fa.levels[r - 1]
+            ind_x = induced_class_map(fa, fa_x, proj1, r - 1)
+            ind_y = induced_class_map(fa, fa_y, proj2, r - 1)
+            decls = []
+            kept = []
+            for x, y in level_pairs:
+                dx = next(d for d in f.dom.layers[r] if d.name == x)
+                dy = next(d for d in g.dom.layers[r] if d.name == y)
+                sides = []
+                bad = False
+                for tx, ty in ((dx.src, dy.src), (dx.tgt, dy.tgt)):
+                    want_x = fa_x.class_of_term(tx)
+                    want_y = fa_y.class_of_term(ty)
+                    hits = [c for c in range(lv.n_classes)
+                            if ind_x[c] == want_x and ind_y[c] == want_y]
+                    if not hits:
+                        failures.append(
+                            f"dim {r}: no induced attachment for ({x},{y})")
+                        bad = True
+                        break
+                    if len(hits) > 1:
+                        ambiguities.append(
+                            f"dim {r}: {len(hits)} candidate attachments for ({x},{y})")
+                    sides.append(lv.rep_terms[hits[0]])
+                if bad:
+                    continue
+                decls.append(GeneratorDecl(_pair_name(x, y), sides[0], sides[1]))
+                kept.append((x, y))
         layers.append(decls)
-        pair_of.append(names)
+        proj1.gen_maps.append({_pair_name(x, y): x for x, y in kept})
+        proj2.gen_maps.append({_pair_name(x, y): y for x, y in kept})
     if failures:
         return ComputadPullbackReport(None, None, None, failures, ambiguities)
-    p = Computad(n, layers)
-    fa = free_algebra(p, bounds)
-    proj1 = ComputadMap(p, f.dom, [{nm: xy[0] for nm, xy in pair_of[d].items()}
-                                   for d in range(n + 1)])
-    proj2 = ComputadMap(p, g.dom, [{nm: xy[1] for nm, xy in pair_of[d].items()}
-                                   for d in range(n + 1)])
+    if n >= 1:
+        _climb(fa, layers[n])
     return ComputadPullbackReport(p, proj1, proj2, failures, ambiguities, fa, fa_x)
 
 
@@ -601,6 +588,13 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
 #
 # One generator per line: '<dim> <name>' or '<dim> <name> : <src> => <tgt>'
 # with boundary terms in the freecat syntax. '#' starts a comment.
+
+
+def _parse_natural(word: str, what: str, lineno: int) -> int:
+    """A dimension field of the text format: a natural number, else an error."""
+    if not word.isdecimal():
+        raise ComputadError(f"line {lineno}: {what} must be a natural number, got {word!r}")
+    return int(word)
 
 
 def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
@@ -617,7 +611,7 @@ def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
         if line.startswith("dim"):
             if dim is not None:
                 raise ComputadError(f"line {lineno}: repeated dim declaration")
-            dim = parse_natural(line[3:].strip(), "dim", lineno, ComputadError)
+            dim = _parse_natural(line[3:].strip(), "dim", lineno)
             layers = [[] for _ in range(dim + 1)]
             continue
         if dim is None:
@@ -626,7 +620,7 @@ def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
         parts = head.split()
         if len(parts) != 2:
             raise ComputadError(f"line {lineno}: expected '<dim> <name> [: src => tgt]'")
-        r = parse_natural(parts[0], "generator dimension", lineno, ComputadError)
+        r = _parse_natural(parts[0], "generator dimension", lineno)
         name = parts[1]
         if r > dim:
             raise ComputadError(f"line {lineno}: generator dimension {r} above dim {dim}")

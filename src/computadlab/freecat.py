@@ -258,6 +258,11 @@ EQUAL = "equal"
 DISTINCT = "distinct"
 UNKNOWN = "unknown"
 
+# what every engine counts; `FreeAlgebra.soundness_report` sums them
+COUNTERS = ("axiom_instances", "merges", "multiset_violations",
+            "boundary_violations", "word_violations", "split_violations",
+            "unknown_verdicts")
+
 
 @dataclass
 class Node:
@@ -304,15 +309,7 @@ class Engine:
         self.fixed_point = False
         self.partial_lower = False  # a boundary composite was out of bounds below
         self.saw_size_cut = False  # some composite exceeded the size bound
-        self.counters = {
-            "axiom_instances": 0,
-            "merges": 0,
-            "multiset_violations": 0,
-            "boundary_violations": 0,
-            "word_violations": 0,
-            "split_violations": 0,
-            "unknown_verdicts": 0,
-        }
+        self.counters = dict.fromkeys(COUNTERS, 0)
         self.gen_atoms: dict[str, int] = {}
         for name, s, t in generators:
             self.gen_atoms[name] = self._add(
@@ -652,14 +649,13 @@ class Engine:
             if t2 is not None:
                 self._merge(tid, t2, ("ax", "idfun", k))
 
-    def saturate(self, max_rounds: int | None = None) -> bool:
+    def saturate(self) -> bool:
         """Alternate generation and axiom rounds until nothing changes.
 
         Returns True when a fixed point on the materialized terms was
         reached within the round cap.
         """
-        cap = self.bounds.rounds if max_rounds is None else max_rounds
-        while self.round < cap:
+        while self.round < self.bounds.rounds:
             n_terms, n_merges = len(self.nodes), self.counters["merges"]
             self.extend_composites()
             self.saturation_round()
@@ -756,7 +752,6 @@ class Engine:
                            self.term_str(reps[r], memo)),
         )
         canon = {r: i for i, r in enumerate(order)}
-        self.canon = canon
         lv = Level(
             dim=self.dim,
             reps=[self.term_str(reps[r], memo) for r in order],
@@ -783,21 +778,8 @@ class Engine:
         below.idmap = [canon[self.find(t)] for t in self.id_atoms]
         return lv
 
-    def class_of(self, tid: int) -> int | None:
-        """Canonical class index of an interned term, after freeze."""
-        return getattr(self, "canon", {}).get(self.find(tid))
-
 
 # --- module-level operations ----------------------------------------------------
-
-
-def generate_terms(e: Engine, rounds: int = 1) -> list[Term]:
-    """Apply the free-composites layer `rounds` times and return all
-    materialized terms (identities are kept as atoms on lower classes)."""
-    for _ in range(rounds):
-        if e.extend_composites() == 0:
-            break
-    return [e.build_term(t) for t in range(len(e.nodes))]
 
 
 def equal_cells(e: Engine, t1: Term, t2: Term) -> tuple[str, object]:
@@ -814,15 +796,14 @@ def equal_cells(e: Engine, t1: Term, t2: Term) -> tuple[str, object]:
     return e.verdict(e.term_node(t1), e.term_node(t2))
 
 
-def enumerate_cells(e: Engine, size_bound: int | None = None):
+def enumerate_cells(e: Engine):
     """One representative per congruence class within the size bound, with
     counts grouped by generator multiset."""
-    bound = e.bounds.size if size_bound is None else size_bound
     memo: dict[int, str] = {}
     rows = []
     for root in e.classes():
         node = e.nodes[root]
-        if len(node.mset) > bound:
+        if len(node.mset) > e.bounds.size:
             continue
         rows.append((e.term_str(e.representative(root), memo), node.mset))
     rows.sort(key=lambda r: (len(r[1]), r[1], r[0]))
@@ -995,11 +976,3 @@ def verify_certificate(e: Engine, cert: Certificate) -> bool:
             parent[max(ru, rv)] = min(ru, rv)
     return _replay_find(parent, cert.left) == _replay_find(parent, cert.right)
 
-
-def explain_path(e: Engine, u: int, v: int) -> list[str]:
-    """The steps of `certificate(e, u, v)`, one `lhs == rhs [reason]` line
-    each; empty when the two terms are not equal."""
-    if e.find(u) != e.find(v):
-        return []
-    return [f"{e.term_str(a)}  ==  {e.term_str(b)}   [{':'.join(map(str, reason))}]"
-            for a, b, reason in certificate(e, u, v).steps]

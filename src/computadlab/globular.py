@@ -30,9 +30,6 @@ class GlobularSet:
         while len(self.tgt) <= self.dim:
             self.tgt.append({})
 
-    def n_cells(self, r: int) -> int:
-        return len(self.cells[r])
-
 
 @dataclass(frozen=True)
 class ParallelPair:
@@ -114,16 +111,6 @@ def truncate(g: GlobularSet, k: int) -> GlobularSet:
     )
 
 
-def include_skeleton(g: GlobularSet, n: int) -> GlobularSet:
-    """View g as an n-globular set with empty cell sets above dim(g)."""
-    if n < g.dim:
-        raise GlobularError(f"cannot include dim {g.dim} into lower dim {n}")
-    cells = [list(level) for level in g.cells] + [[] for _ in range(n - g.dim)]
-    src = [dict(d) for d in g.src] + [{} for _ in range(n - g.dim)]
-    tgt = [dict(d) for d in g.tgt] + [{} for _ in range(n - g.dim)]
-    return GlobularSet(n, cells, src, tgt)
-
-
 def parallel_pairs(g: GlobularSet, r: int) -> set[ParallelPair]:
     """All pairs of r-cells with equal sources and targets, diagonal included.
 
@@ -178,19 +165,6 @@ def make_map(dom: GlobularSet, cod: GlobularSet, comp) -> GlobMap:
     return m
 
 
-def identity_map(g: GlobularSet) -> GlobMap:
-    return GlobMap(g, g, [{x: x for x in level} for level in g.cells])
-
-
-def compose_maps(m2: GlobMap, m1: GlobMap) -> GlobMap:
-    """m2 after m1."""
-    comp = [
-        {x: m2.comp[r][m1.comp[r][x]] for x in m1.dom.cells[r]}
-        for r in range(m1.dom.dim + 1)
-    ]
-    return GlobMap(m1.dom, m2.cod, comp)
-
-
 def _pair(x: str, y: str) -> str:
     return f"({x}|{y})"
 
@@ -221,73 +195,3 @@ def pullback_glob(f: GlobMap, g: GlobMap) -> tuple[GlobularSet, GlobMap, GlobMap
     proj1 = GlobMap(p, f.dom, [{_pair(x, y): x for x, y in pairs[r]} for r in range(n + 1)])
     proj2 = GlobMap(p, g.dom, [{_pair(x, y): y for x, y in pairs[r]} for r in range(n + 1)])
     return p, proj1, proj2
-
-
-# --- text format ------------------------------------------------------------
-#
-#   dim 2
-#   0 a
-#   0 b
-#   1 f : a -> b
-#   2 m : f -> f
-#
-# One cell per line; '#' starts a comment.
-
-
-def parse_natural(word: str, what: str, lineno: int, error: type[Exception]) -> int:
-    """A dimension field of a text format: a natural number, else `error`."""
-    if not word.isdecimal():
-        raise error(f"line {lineno}: {what} must be a natural number, got {word!r}")
-    return int(word)
-
-
-def loads_globular(text: str) -> GlobularSet:
-    dim = None
-    cells: list[list[str]] = []
-    src: list[dict[str, str]] = []
-    tgt: list[dict[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dim"):
-            if dim is not None:
-                raise GlobularError(f"line {lineno}: repeated dim declaration")
-            dim = parse_natural(line[3:].strip(), "dim", lineno, GlobularError)
-            cells = [[] for _ in range(dim + 1)]
-            src = [{} for _ in range(dim + 1)]
-            tgt = [{} for _ in range(dim + 1)]
-            continue
-        if dim is None:
-            raise GlobularError(f"line {lineno}: missing dim declaration")
-        head, _, rest = line.partition(":")
-        parts = head.split()
-        if len(parts) != 2:
-            raise GlobularError(f"line {lineno}: expected '<dim> <name> [: src -> tgt]'")
-        r = parse_natural(parts[0], "cell dimension", lineno, GlobularError)
-        name = parts[1]
-        if r > dim:
-            raise GlobularError(f"line {lineno}: cell dimension {r} above dim {dim}")
-        cells[r].append(name)
-        if r >= 1:
-            if "->" not in rest:
-                raise GlobularError(f"line {lineno}: cell of dim {r} needs 'src -> tgt'")
-            s, t = (part.strip() for part in rest.split("->", 1))
-            src[r][name] = s
-            tgt[r][name] = t
-        elif rest.strip():
-            raise GlobularError(f"line {lineno}: 0-cells take no boundary")
-    if dim is None:
-        raise GlobularError("missing dim declaration")
-    return _checked(GlobularSet(dim, cells, src, tgt))
-
-
-def dumps_globular(g: GlobularSet) -> str:
-    lines = [f"dim {g.dim}"]
-    for r in range(g.dim + 1):
-        for x in g.cells[r]:
-            if r == 0:
-                lines.append(f"0 {x}")
-            else:
-                lines.append(f"{r} {x} : {g.src[r][x]} -> {g.tgt[r][x]}")
-    return "\n".join(lines) + "\n"

@@ -58,10 +58,6 @@ def identity_finset(xs) -> FinSetMap:
     return FinSetMap(xs, xs, {x: x for x in xs})
 
 
-def compose_finset(m2: FinSetMap, m1: FinSetMap) -> FinSetMap:
-    return FinSetMap(m1.dom, m2.cod, {x: m2.assign[m1.assign[x]] for x in m1.dom})
-
-
 @dataclass
 class Square:
     """A commuting square: f . p = g . q, with p: W -> X, q: W -> Y,
@@ -175,23 +171,6 @@ def multiset_functor(max_size: int) -> FunctorOnSets:
     return FunctorOnSets("multiset", on_set, on_map, f"size <= {max_size}")
 
 
-def functor_violation(F: FunctorOnSets, sample_sets) -> str | None:
-    """Spot-check functoriality on identities and one composable pair."""
-    for xs in sample_sets:
-        fid = F.on_map(identity_finset(xs))
-        if any(fid.assign[v] != v for v in fid.dom):
-            return f"{F.name}: identity law fails on {xs!r}"
-    xs = tuple(sample_sets[-1])
-    if xs:
-        m1 = make_finset_map(xs, xs, {x: xs[0] for x in xs})
-        m2 = make_finset_map(xs, xs[:1], {x: xs[0] for x in xs})
-        lhs = F.on_map(compose_finset(m2, m1))
-        rhs = compose_finset(F.on_map(m2), F.on_map(m1))
-        if lhs.assign != rhs.assign:
-            return f"{F.name}: composition law fails"
-    return None
-
-
 # --- cartesian and weakly cartesian transformations ------------------------------
 
 
@@ -233,7 +212,6 @@ class ExperimentReport:
     results: list[CospanResult]
     all_pullback: bool
     all_weak: bool
-    truncated: bool = False
 
 
 def check_cospan(F: FunctorOnSets, f: FinSetMap, g: FinSetMap,
@@ -265,12 +243,8 @@ def check_cospan(F: FunctorOnSets, f: FinSetMap, g: FinSetMap,
     )
 
 
-def preserves_pullbacks_experiment(F: FunctorOnSets, cospans,
-                                   labels=None) -> ExperimentReport:
-    results = []
-    for i, (f, g) in enumerate(cospans):
-        label = labels[i] if labels else ""
-        results.append(check_cospan(F, f, g, label))
+def preserves_pullbacks_experiment(F: FunctorOnSets, cospans) -> ExperimentReport:
+    results = [check_cospan(F, f, g) for f, g in cospans]
     return ExperimentReport(
         functor=F.name,
         bound_note=F.bound_note,

@@ -373,23 +373,12 @@ def free_monoid_elements(generators, size: int) -> list[tuple]:
     return out
 
 
-def free_monoid_counts(n_generators: int, size: int) -> dict[int, int]:
-    return {s: n_generators**s for s in range(size + 1)}
-
-
 def free_commutative_monoid_elements(generators, size: int) -> list[tuple]:
     gens = sorted(generators, key=repr)
     out = []
     for n in range(size + 1):
         out.extend(itertools.combinations_with_replacement(gens, n))
     return out
-
-
-def free_commutative_monoid_counts(n_generators: int, size: int) -> dict[int, int]:
-    counts = {}
-    for s in range(size + 1):
-        counts[s] = len(list(itertools.combinations_with_replacement(range(n_generators), s)))
-    return counts
 
 
 MONOID_PRESENTATION = """\
@@ -421,7 +410,6 @@ class SliceOracle:
     name: str
     kind: str  # 'eval' | 'presentation'
     eval_fn: object = None  # (generators, size) -> list of elements
-    counts_fn: object = None  # (n_generators, size) -> dict
     presentation: Presentation | None = None
     note: str = ""
 
@@ -429,11 +417,9 @@ class SliceOracle:
 def known_slice_oracle(name: str) -> SliceOracle:
     """Catalog of slice data for the strict monad and its relatives."""
     if name == "free-monoid":
-        return SliceOracle(name, "eval", eval_fn=free_monoid_elements,
-                           counts_fn=free_monoid_counts)
+        return SliceOracle(name, "eval", eval_fn=free_monoid_elements)
     if name == "free-commutative-monoid":
-        return SliceOracle(name, "eval", eval_fn=free_commutative_monoid_elements,
-                           counts_fn=free_commutative_monoid_counts)
+        return SliceOracle(name, "eval", eval_fn=free_commutative_monoid_elements)
     if name == "double-monoid-shared-unit":
         return SliceOracle(
             name, "presentation",
@@ -461,12 +447,15 @@ def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int]]:
     sorted generator multiset (k >= 2). The slice matches when this map is a
     bijection onto the oracle's elements within the size bound: its image is
     exactly those elements and no two classes share one. Also returns the
-    oracle's number of elements of each size."""
+    number of the oracle's elements of each size 0..bound."""
     first = result.k == 1
     oracle = known_slice_oracle("free-monoid" if first else "free-commutative-monoid")
     size = result.free.bounds.size
+    elements = oracle.eval_fn(result.generators, size)
     image = [word if first else tuple(sorted(word, key=repr))
              for word in map(_top_generators, result.free.levels[result.k].rep_terms)]
-    ok = (len(set(image)) == len(image)
-          and set(image) == set(oracle.eval_fn(result.generators, size)))
-    return ok, oracle.counts_fn(len(result.generators), size)
+    ok = len(set(image)) == len(image) and set(image) == set(elements)
+    counts = dict.fromkeys(range(size + 1), 0)
+    for element in elements:
+        counts[len(element)] += 1
+    return ok, counts

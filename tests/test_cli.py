@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from computadlab import cli, computads
+from computadlab import cli, computads, freecat
 from computadlab.cli import main
 from computadlab.freecat import Bounds
 
@@ -70,6 +70,8 @@ def test_slice_no_generators(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "MATCH"
     assert doc["counts_by_size"]["0"] == {"classes": 1, "oracle": 1, "match": True}
+    for size in ("1", "2"):
+        assert doc["counts_by_size"][size] == {"classes": 0, "oracle": 0, "match": True}
 
 
 def test_regular_catalog(capsys):
@@ -182,25 +184,26 @@ def test_comp_index_errors_name_the_index(capsys, tmp_path):
 
 
 def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
-    calls = []
-    original = computads.free_algebra
+    saturated = []
+    original = freecat.Engine.saturate
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(self):
+        saturated.append(self.dim)
+        return original(self)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("computadlab") and getattr(module, "free_algebra", None) is original:
-            monkeypatch.setattr(module, "free_algebra", counting)
+    monkeypatch.setattr(freecat.Engine, "saturate", counting)
     paths = sorted(resources.files("computadlab").joinpath("data").glob("*.cpd"))
     assert paths
     for path in paths:
-        calls.clear()
+        saturated.clear()
         code, _, _ = run(capsys, "free", str(path), "--bound", "4")
-        assert code == 0 and len(calls) == 1, path.name
-    calls.clear()
+        dim = computads.loads_computad(path.read_text()).dim
+        assert code == 0 and len(saturated) == dim, path.name
+    saturated.clear()
     code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
-    assert code == 0 and len(calls) <= 5
+    # two engines each: the codomain {z} in the map check, the domain {a, b},
+    # and the pullback, whose algebra climbs one dimension at a time
+    assert code == 0 and len(saturated) == 6
 
 
 def test_gate_unsupported_dimension(capsys):

@@ -5,7 +5,7 @@ import pytest
 from computadlab.computads import (
     Computad, ComputadError, GeneratorDecl, NonParallelAttachment,
     algebra_violation, build_computad, computad_of_algebra, discrete_algebra,
-    dumps_computad, free_algebra, identity_computad_map, induced_class_map,
+    dumps_computad, free_algebra, induced_class_map,
     loads_computad, make_algebra, make_computad_map, map_violation,
     monoid_algebra, pullback_computads, t_functor, terminal_algebra,
     theta_computad,
@@ -220,7 +220,8 @@ def test_t_functor_dim0_all_pairs():
 
 def test_identity_map_validates():
     c = scalar_computad(["u", "v"])
-    assert map_violation(identity_computad_map(c)) is None
+    identity = [{n: n for n in c.names(r)} for r in range(c.dim + 1)]
+    assert map_violation(make_computad_map(c, c, identity)) is None
 
 
 def test_map_boundary_naturality_enforced():
@@ -235,7 +236,7 @@ def test_map_boundary_naturality_enforced():
 
 def test_pullback_of_identities_is_diagonal():
     c = scalar_computad(["u", "v"])
-    i = identity_computad_map(c)
+    i = make_computad_map(c, c, [{n: n for n in c.names(r)} for r in range(c.dim + 1)])
     rep = pullback_computads(i, i, Bounds(size=3))
     assert not rep.failures
     assert len(rep.computad.names(2)) == 2  # (u|u) and (v|v)
@@ -269,6 +270,45 @@ def test_pullback_commutes_with_truncation():
     ft = make_computad_map(cx.truncate(1), cz.truncate(1), [{"p": "p"}, {}])
     rep_t = pullback_computads(ft, ft, Bounds(size=3))
     assert dumps_computad(rep.computad.truncate(1)) == dumps_computad(rep_t.computad)
+
+
+def _arrows_over_loop():
+    """Two parallel arrows with a 2-cell between them, sent onto one loop
+    with one 2-cell: a pullback with cells in every dimension."""
+    a, b, o = Gen("a", 0), Gen("b", 0), Gen("o", 0)
+    cx = build_computad([["a", "b"], [("f", a, b), ("g", a, b)],
+                         [("alpha", Gen("f", 1), Gen("g", 1))]])
+    cz = build_computad([["o"], [("e", o, o)], [("m", Gen("e", 1), Gen("e", 1))]])
+    f = make_computad_map(cx, cz, [{"a": "o", "b": "o"}, {"f": "e", "g": "e"},
+                                   {"alpha": "m"}])
+    return f, f
+
+
+def _pullback_cases():
+    uv, w = scalar_computad(["u", "v"]), scalar_computad(["w"])
+    u, w2 = scalar_computad(["u"]), scalar_computad(["w", "w2"])
+    ident = make_computad_map(uv, uv, [{"p": "p"}, {}, {"u": "u", "v": "v"}])
+    onto = make_computad_map(uv, w, [{"p": "p"}, {}, {"u": "w", "v": "w"}])
+    return {
+        "identities": (ident, ident),
+        "scalars": (onto, onto),
+        "empty-fiber": (make_computad_map(u, w2, [{"p": "p"}, {}, {"u": "w"}]),
+                        make_computad_map(u, w2, [{"p": "p"}, {}, {"u": "w2"}])),
+        "arrows": _arrows_over_loop(),
+    }
+
+
+@pytest.mark.parametrize("case", ["identities", "scalars", "empty-fiber", "arrows"])
+def test_pullback_algebra_climb_matches_fresh_saturation(case):
+    f, g = _pullback_cases()[case]
+    rep = pullback_computads(f, g, Bounds(size=3))
+    assert not rep.failures
+    fresh = free_algebra(rep.computad, Bounds(size=3))
+    assert len(rep.free.levels) == len(fresh.levels) == rep.computad.dim + 1
+    for climbed, ref in zip(rep.free.levels, fresh.levels):
+        for table in ("reps", "msets", "src", "tgt", "comp", "decomps",
+                      "gen_class", "idmap"):
+            assert getattr(climbed, table) == getattr(ref, table), table
 
 
 def test_induced_class_map_renames_cells():

@@ -8,7 +8,7 @@ from computadlab.computads import (
 )
 from computadlab.freecat import (
     CMP, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id,
-    UNKNOWN, certificate, enumerate_cells, equal_cells, generate_terms,
+    UNKNOWN, certificate, enumerate_cells, equal_cells,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
@@ -213,16 +213,6 @@ def test_equal_cells_eckmann_hilton_certified():
         assert cert.steps
 
 
-def test_explain_path_renders_merge_chain():
-    from computadlab.freecat import explain_path
-    fa = free_algebra(scalar_computad(["al", "be"]), Bounds(size=2))
-    e = fa.engines[2]
-    u = e.term_node(Comp(0, Gen("al", 2), Gen("be", 2)))
-    v = e.term_node(Comp(1, Gen("al", 2), Gen("be", 2)))
-    path = explain_path(e, u, v)
-    assert path and all("==" in step for step in path)
-
-
 def test_term_budget_guard():
     from computadlab.freecat import Engine, EngineLimit, level_zero
     lv = level_zero(["p"])
@@ -390,15 +380,6 @@ def test_enumerate_no_generators():
     for r in range(4):
         rows, _ = fa.enumerate_cells(r)
         assert len(rows) == 1
-
-
-def test_generate_terms_is_closed_within_rounds():
-    from computadlab.freecat import Engine
-    fa1 = free_algebra(theta_computad(1), Bounds(size=3))
-    e = Engine(2, fa1.levels, [("al", 0, 0), ("be", 0, 0)], Bounds(size=3))
-    terms = generate_terms(e, rounds=2)
-    assert any(isinstance(t, Comp) for t in terms)
-    assert all(term_dim(t) == 2 for t in terms)
 
 
 # --- soundness and monotonicity ----------------------------------------------------

@@ -4,8 +4,7 @@ import pytest
 
 from computadlab.globular import (
     GlobularError, GlobularSet, ParallelPair,
-    compose_maps, dumps_globular, find_violation, identity_map,
-    include_skeleton, loads_globular, make_globular, make_map, map_violation,
+    find_violation, make_globular, make_map, map_violation,
     parallel_pairs, pullback_glob, terminal_globular, truncate, validate,
 )
 
@@ -83,23 +82,6 @@ def test_truncate_identity_and_drop():
         truncate(g, 3)
 
 
-def test_include_skeleton_round_trip():
-    rng = random.Random(7)
-    for _ in range(20):
-        g = random_globular(rng)
-        up = include_skeleton(g, g.dim + 2)
-        assert up.dim == g.dim + 2
-        assert all(up.cells[r] == [] for r in range(g.dim + 1, up.dim + 1))
-        back = truncate(up, g.dim)
-        assert back.cells == g.cells and back.src == g.src and back.tgt == g.tgt
-
-
-def test_include_skeleton_dim0():
-    g = make_globular(0, [["a"]])
-    up = include_skeleton(g, 2)
-    assert [len(level) for level in up.cells] == [1, 0, 0]
-
-
 def test_parallel_pairs_dim0_all_pairs():
     g = make_globular(0, [["a", "b"]])
     assert len(parallel_pairs(g, 0)) == 4
@@ -143,7 +125,7 @@ def brute_pullback_counts(f, g):
 
 def test_pullback_identity_diagonal():
     g = two_cell_example()
-    i = identity_map(g)
+    i = make_map(g, g, [{x: x for x in level} for level in g.cells])
     p, p1, p2 = pullback_glob(i, i)
     assert [len(level) for level in p.cells] == [2, 2, 1]
     assert map_violation(p1) is None and map_violation(p2) is None
@@ -212,24 +194,3 @@ def test_map_validation_rejects_boundary_break():
         make_map(truncate(g, 1), h, [swapped, {"f": "f", "g": "f"}])
 
 
-def test_compose_maps():
-    g = two_cell_example()
-    i = identity_map(g)
-    assert compose_maps(i, i).comp == i.comp
-
-
-def test_text_format_round_trip():
-    g = two_cell_example()
-    text = dumps_globular(g)
-    h = loads_globular(text)
-    assert h.cells == g.cells and h.src == g.src and h.tgt == g.tgt
-
-
-def test_loader_validates():
-    with pytest.raises(GlobularError):
-        loads_globular("dim 1\n0 a\n1 f : a -> missing\n")
-    with pytest.raises(GlobularError):
-        loads_globular("0 a\n")
-    for text in ("dim x\n", "dim\n", "dim -1\n", "dim 1\n0 a\n-1 f : a -> a\n"):
-        with pytest.raises(GlobularError, match=r"^line \d+: .* must be a natural number"):
-            loads_globular(text)

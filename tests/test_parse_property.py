@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from computadlab.computads import ComputadError, loads_computad
 from computadlab.freecat import FreecatError, term_from_str
-from computadlab.globular import GlobularError, loads_globular
+from computadlab.globular import GlobularError
 from computadlab.operads import OperadError, parse_presentation
 from computadlab.pasting import tree_from_str
 
@@ -14,7 +14,6 @@ PARSERS = [
     (term_from_str, FreecatError),
     (parse_presentation, OperadError),
     (loads_computad, ComputadError),
-    (loads_globular, GlobularError),
     (tree_from_str, GlobularError),
 ]
 

@@ -216,6 +216,8 @@ def _load_collection(path: str):
 
 
 def cmd_eval(args) -> int:
+    if args.arity_bound < 0:
+        raise InputError("--arity-bound must be >= 0")
     try:
         coll = _load_collection(args.collection)
     except (json.JSONDecodeError, KeyError) as exc:

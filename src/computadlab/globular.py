@@ -132,9 +132,6 @@ class GlobMap:
     cod: GlobularSet
     comp: list[dict[str, str]]  # per dimension
 
-    def of(self, r: int, x: str) -> str:
-        return self.comp[r][x]
-
 
 def map_violation(m: GlobMap) -> str | None:
     if m.dom.dim != m.cod.dim:

@@ -8,16 +8,28 @@ for the strict-category monad. A pass is bounded evidence only; a failure
 ships a witness that replays outside the engine.
 
 The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
-vertices of X over each vertex of Z and the edges of X over each edge of Z.
-Each cospan's pullback graph is then built once, as the product of its two
-legs' buckets, and both the path-count DP and the generic path checker read
-that one pullback; `graph_pullback` is built from the same buckets.
+vertices of X over each vertex of Z and the edges of X over each edge of Z,
+with the bucket sizes and the map's path fibers as a dense vector indexed
+by the paths of Z. Per cospan, the matching-pair count is the dot product of
+the two legs' fiber vectors, the pullback's vertex count the dot product of
+their bucket sizes, and the pullback's edges are built once, as the product
+of the legs' edge buckets; the path-count DP and the generic path checker
+read those edges, and `graph_pullback` is built from the same buckets. The
+cospans are dealt out in interleaved shares, one per CPU, each share but
+the caller's in a forked child, and the shares' summaries are merged in
+cospan order, so the result does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, replace
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import computads as cpd
@@ -37,9 +49,6 @@ class FinSetMap:
     dom: tuple
     cod: tuple
     assign: dict
-
-    def of(self, x):
-        return self.assign[x]
 
 
 def make_finset_map(dom, cod, assign) -> FinSetMap:
@@ -195,7 +204,7 @@ def is_weakly_cartesian_on(F, G, component, maps) -> bool:
 # --- pullback-preservation experiments --------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CospanResult:
     label: str
     pullback_ok: bool
@@ -360,18 +369,26 @@ def _hom_buckets(x: GraphData, m: GraphMap, nv: int, ne: int) -> tuple[list, lis
     return verts, edges
 
 
-def _bucket_pullback(yn: int, buckets_x, buckets_y) -> tuple[list, list]:
-    """The pullback of x -> z <- y as a product of the legs' buckets.
+def _pullback_vertices(yn: int, vx, vy) -> list:
+    """The flat ids `i * yn + j` of the matching vertex pairs (i, j), from
+    the legs' vertex buckets; `yn` is the number of vertices of y."""
+    return [i * yn + j for xs, ys in zip(vx, vy) for i in xs for j in ys]
 
-    Vertices are the flat ids `i * yn + j` of the matching pairs (i, j),
-    `yn` being the number of vertices of y; edges are `(u, w, a, b)`, the
-    flat ids of their source and target and the matching edges a of x and
-    b of y. No pair that lies over different elements of z is visited."""
+
+def _pullback_edges(yn: int, ex, ey) -> list:
+    """The matching edge pairs as `(u, w, a, b)`, the flat ids of their
+    source and target and the edges a of x and b of y, from the legs' edge
+    buckets."""
+    return [(sa * yn + sb, ta * yn + tb, a, b)
+            for xs, ys in zip(ex, ey) for a, sa, ta in xs for b, sb, tb in ys]
+
+
+def _bucket_pullback(yn: int, buckets_x, buckets_y) -> tuple[list, list]:
+    """The pullback of x -> z <- y as a product of the legs' buckets: its
+    `_pullback_vertices` and its `_pullback_edges`. No pair that lies over
+    different elements of z is visited."""
     (vx, ex), (vy, ey) = buckets_x, buckets_y
-    verts = [i * yn + j for xs, ys in zip(vx, vy) for i in xs for j in ys]
-    edges = [(sa * yn + sb, ta * yn + tb, a, b)
-             for xs, ys in zip(ex, ey) for a, sa, ta in xs for b, sb, tb in ys]
-    return verts, edges
+    return _pullback_vertices(yn, vx, vy), _pullback_edges(yn, ex, ey)
 
 
 def _flat_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData):
@@ -441,54 +458,51 @@ def _matching_pairs(fx: dict, fy: dict) -> int:
 
 
 def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
-                      max_len: int, fibers_x=None, fibers_y=None,
-                      pullback=None) -> CospanResult:
+                      max_len: int, pullback=None, expected=None) -> CospanResult:
     """Does the bounded free-category functor turn this graph cospan's
     pullback square into a pullback of path sets?
 
     `pullback` is the cospan's pullback as `_bucket_pullback` builds it
-    (flat vertex ids `i * |Y| + j`, edges `(u, w, a, b)`); the sweep passes
-    the one it already built for its path-count DP, and without it the
-    checker builds its own from the legs' buckets. Every path of the
-    pullback is enumerated, and both of its projections are extended edge
-    by edge along with it. Two paths with the same pair of projections are
-    a `conflated` pair; fewer distinct pairs than the legs' matching pairs
-    (counted from the path fibers) fail surjectivity, and a `missing`
-    matching pair is then searched for by brute force."""
-    fx = fibers_x if fibers_x is not None else path_fibers(x, f, max_len)
-    fy = fibers_y if fibers_y is not None else path_fibers(y, g, max_len)
-    expected = _matching_pairs(fx, fy)
+    (flat vertex ids `i * |Y| + j`, edges `(u, w, a, b)`), and `expected`
+    the number of matching pairs of paths of x and y; the sweep passes
+    both, and without them the checker builds the pullback from the legs'
+    buckets and counts the pairs from the path fibers. Every path of the
+    pullback is enumerated with the flat key `(start, a1, b1, ..., ak, bk)`
+    of its pair of projections; keys of different lengths never collide,
+    so two paths with one key are a `conflated` pair, found again in the
+    enumeration order of `_first_conflation`. Fewer distinct keys than
+    `expected` fail surjectivity, and a `missing` matching pair is then
+    searched for by brute force."""
+    if expected is None:
+        expected = _matching_pairs(path_fibers(x, f, max_len),
+                                   path_fibers(y, g, max_len))
     verts, pedges = pullback if pullback is not None else _flat_pullback(f, g, x, y)
     yn = y.nv
     out_of: dict = {}
-    for n, (u, w, a, b) in enumerate(pedges):
-        out_of.setdefault(u, []).append((n, w, a, b))
-    seen: dict = {}
+    for u, w, a, b in pedges:
+        out_of.setdefault(u, []).append((w, a, b))
+    # (end vertex, key) for each path of the pullback, one length at a time
+    level = [(v, (v,)) for v in verts]
+    seen = {key for _, key in level}
+    total = len(level)
+    for _ in range(max_len):
+        level = [(w, key + (a, b)) for at, key in level
+                 for w, a, b in out_of.get(at, ())]
+        if not level:
+            break
+        total += len(level)
+        seen.update(map(itemgetter(1), level))
     conflated = None
-    total = 0
-    # (end vertex, path of P, its projection to x, its projection to y)
-    frontier = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
-    for depth in range(max_len + 1):
-        nxt = []
-        for at, path, px, py in frontier:
-            total += 1
-            key = (px, py)
-            other = seen.setdefault(key, path)
-            # by identity: a vertex or edge listed twice makes a second path
-            if other is not path and conflated is None:
-                conflated = (other, path, key)
-            if depth < max_len:
-                for n, w, a, b in out_of.get(at, ()):
-                    nxt.append((w, (path[0], path[1] + (n,)),
-                                (px[0], px[1] + (a,)), (py[0], py[1] + (b,))))
-        frontier = nxt
+    if len(seen) < total:
+        conflated = _first_conflation(verts, pedges, yn, max_len)
     ok_surj = len(seen) == expected
     missing = None
     if not ok_surj:
+        pairs = {((k[0] // yn, k[1::2]), (k[0] % yn, k[2::2])) for k in seen}
         for px_ in graph_paths(x, max_len):
             for py_ in graph_paths(y, max_len):
                 if (path_image(f, px_) == path_image(g, py_)
-                        and (px_, py_) not in seen):
+                        and (px_, py_) not in pairs):
                     missing = (px_, py_)
                     break
             if missing:
@@ -503,6 +517,32 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     )
 
 
+def _first_conflation(verts, pedges, yn: int, max_len: int) -> tuple:
+    """The first two paths of the pullback, in enumeration order, with the
+    same pair of projections: `(first, second, (px, py))`, a path being
+    `(start, pullback edge indices)` and a projection `(start, edges)`."""
+    out_of: dict = {}
+    for n, (u, w, a, b) in enumerate(pedges):
+        out_of.setdefault(u, []).append((n, w, a, b))
+    seen: dict = {}
+    # (end vertex, path of P, its projection to x, its projection to y)
+    frontier = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
+    for depth in range(max_len + 1):
+        nxt = []
+        for at, path, px, py in frontier:
+            key = (px, py)
+            other = seen.setdefault(key, path)
+            # by identity: a vertex or edge listed twice makes a second path
+            if other is not path:
+                return other, path, key
+            if depth < max_len:
+                for n, w, a, b in out_of.get(at, ()):
+                    nxt.append((w, (path[0], path[1] + (n,)),
+                                (px[0], px[1] + (a,)), (py[0], py[1] + (b,))))
+        frontier = nxt
+    raise LimitError("no two paths of the pullback share their projections")
+
+
 def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
     return (tuple(a.vmap[v] for v in m.vmap), tuple(a.emap[e] for e in m.emap))
 
@@ -510,29 +550,50 @@ def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
 class _Leg(NamedTuple):
     """What the sweep precomputes once per graph map x -> z."""
 
-    buckets: tuple  # the vertices and edges of x over each of z's (_hom_buckets)
-    fibers: dict  # path image in z -> number of paths of x over it
+    verts: list  # per vertex of z, the vertices of x over it (_hom_buckets)
+    edges: list  # per edge of z, the edges (a, s, t) of x over it
+    sizes: list  # per vertex of z, the number of vertices of x over it
+    fibers: list  # per path of z, the number of paths of x over it
 
 
-def _cospan_orbits(max_v: int, max_e: int, path_len: int):
+def _leg(x: GraphData, m: GraphMap, z: GraphData, zpaths: list,
+         path_len: int) -> _Leg:
+    """The leg of m: x -> z. Its `fibers` are dense, indexed by the paths of
+    z in `zpaths` order, and end at the last nonzero entry: a dot product
+    of two legs' fibers stops at the shorter one."""
+    verts, edges = _hom_buckets(x, m, z.nv, len(z.edges))
+    counts = path_fibers(x, m, path_len)
+    fibers = [counts.get(p, 0) for p in zpaths]
+    while fibers and not fibers[-1]:
+        fibers.pop()
+    return _Leg(verts, edges, list(map(len, verts)), fibers)
+
+
+def _cospan_orbits(max_v: int, max_e: int, path_len: int, share: int,
+                   shares: int):
     """Graph cospans X -> Z <- Y within the bounds, X, Y, Z ranging over
     isomorphism-class representatives, one per orbit of Aut(Z) acting by
     postcomposition.
 
     Double-coset enumeration: f is an Aut(Z)-orbit representative, g a
     representative under the stabilizer of f. Pullback comparisons are
-    invariant under the action, so no outcome is lost. Yields
-    `(z, x, y, f, g, leg_f, leg_g)`. Once per hom into Z it computes the
-    hom's `_Leg` (its vertex and edge buckets over Z and its path fibers)
-    and the keys of its postcompositions with every automorphism of Z."""
+    invariant under the action, so no outcome is lost. The cospans are
+    numbered from 1 in this order, and only those numbered c with
+    `c % shares == share` are yielded, as `(c, z, x, y, f, g, leg_f,
+    leg_g)`; the others are counted past without being built. Once per Z
+    the paths of Z are listed, and once per hom into Z its `_Leg` (its
+    vertex and edge buckets over Z, the bucket sizes and its dense path
+    fibers) and the keys of its postcompositions with every automorphism
+    of Z are computed."""
     graphs = enumerate_graphs(max_v, max_e)
+    c = 0  # the number of the last cospan counted
     for z in graphs:
         auts = graph_automorphisms(z)
+        zpaths = graph_paths(z, path_len)
         side = []
         for x in graphs:
             homs = graph_homs(x, z)
-            legs = [_Leg(_hom_buckets(x, m, z.nv, len(z.edges)),
-                        path_fibers(x, m, path_len)) for m in homs]
+            legs = [_leg(x, m, z, zpaths, path_len) for m in homs]
             keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
             side.append((x, homs, legs, keys))
         for x, homs_x, legs_x, keys_x in side:
@@ -542,12 +603,15 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
                     continue
                 stab = [n for n, km in enumerate(mapped) if km == kf][1:]
                 for y, homs_y, legs_y, keys_y in side:
-                    for g, leg_g, keys_g in zip(homs_y, legs_y, keys_y):
-                        if stab:
-                            kg = (g.vmap, g.emap)
-                            if any(keys_g[n] < kg for n in stab):
-                                continue
-                        yield z, x, y, f, g, leg_f, leg_g
+                    # the positions in homs_y of the representatives g
+                    reps = range(len(homs_y)) if not stab else [
+                        n for n, (g, keys_g) in enumerate(zip(homs_y, keys_y))
+                        if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
+                    # the cospan at position p of reps is number c + 1 + p
+                    for p in range((share - c - 1) % shares, len(reps), shares):
+                        n = reps[p]
+                        yield c + 1 + p, z, x, y, f, homs_y[n], leg_f, legs_y[n]
+                    c += len(reps)
 
 
 @dataclass
@@ -568,39 +632,26 @@ class PathPreservationSummary:
         return not self.count_failures and not self.generic_failures
 
 
-def run_path_preservation(max_v: int, max_e: int, path_len: int,
-                          generic_stride: int = 0) -> PathPreservationSummary:
-    """Exhaustively test the bounded free-category functor on every graph
-    cospan within the bounds (one representative per cospan orbit).
-
-    Per cospan, the pullback graph is built once, as the product of the two
-    legs' vertex and edge buckets over Z. Its cells are counted by dynamic
-    programming and compared with the matching-pair count from the two
-    legs' path fibers, computed independently. A path of the pullback graph
-    is a componentwise pair of paths, so it is determined by its two
-    projections; the comparison map is therefore injective and the count
-    identity decides `is_pullback`. The injectivity embedding itself is
-    re-verified by the generic enumerating checker, which reads the same
-    pullback, on every `generic_stride`-th cospan (0 disables the slice).
-
-    This is the only pullback-preservation sweep: the topos gate at n = 1, 2
-    runs it with `generic_stride=1`, acceptance criterion 5 with a stride.
-    """
+def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
+                 share: int, shares: int) -> PathPreservationSummary:
+    """`run_path_preservation` on the cospans of one share; each failure is
+    listed as `(c, failure)`, c being the cospan's number."""
     cospans = 0
     pairs_total = 0
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    for z, x, y, f, g, leg_f, leg_g in _cospan_orbits(max_v, max_e, path_len):
-        expected = _matching_pairs(leg_f.fibers, leg_g.fibers)
-        pullback = _bucket_pullback(y.nv, leg_f.buckets, leg_g.buckets)
-        verts, pedges = pullback
-        # paths of the pullback graph, counted by DP
-        total = len(verts)
+    for c, z, x, y, f, g, leg_f, leg_g in _cospan_orbits(
+            max_v, max_e, path_len, share, shares):
+        expected = sum(map(mul, leg_f.fibers, leg_g.fibers))
+        yn = y.nv
+        pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
+        # paths of the pullback graph, counted by DP: the vertices from the
+        # bucket sizes, then one pass over the edges per length; every edge
+        # starts at a pullback vertex, so the first pass may read all ones
+        total = sum(map(mul, leg_f.sizes, leg_g.sizes))
         if pedges:
-            cur = [0] * (x.nv * y.nv)
-            for v in verts:
-                cur[v] = 1
+            cur = [1] * (x.nv * yn)
             for _ in range(path_len):
                 nxt = [0] * len(cur)
                 for u, w, _a, _b in pedges:
@@ -613,16 +664,134 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
         cospans += 1
         pairs_total += expected
         if total != expected:
-            count_failures.append((z, x, y, f, g, {"F_P": total, "pairs": expected}))
-        if generic_stride and cospans % generic_stride == 0:
+            count_failures.append(
+                (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
+        if generic_stride and c % generic_stride == 0:
             generic_checked += 1
-            res = check_path_cospan(x, y, f, g, path_len, leg_f.fibers,
-                                    leg_g.fibers, pullback)
+            verts = _pullback_vertices(yn, leg_f.verts, leg_g.verts)
+            res = check_path_cospan(x, y, f, g, path_len, (verts, pedges),
+                                    expected)
             if not res.pullback_ok:
-                generic_failures.append((z, x, y, f, g, res))
+                generic_failures.append((c, (z, x, y, f, g, res)))
     return PathPreservationSummary(max_v, max_e, path_len, cospans,
                                    pairs_total, count_failures,
                                    generic_checked, generic_failures)
+
+
+def _share_count() -> int:
+    """One share per CPU this process may run on. One share where the
+    platform cannot tell (it has no `os.sched_getaffinity`), and while
+    other threads run: a forked child holds only the calling thread, and
+    any lock another thread held stays locked in it."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_share(run_share, share: int) -> tuple[int, int]:
+    """`run_share(share)` in a forked child, which pickles `(True, result)`
+    or `(False, exception)` into a pipe and exits; returns the child's pid
+    and the read end of the pipe."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # the child never returns into the caller's code; an outcome it cannot
+    # pickle ends it with status 1, which the parent reports
+    status = 1
+    try:
+        os.close(read)
+        try:
+            outcome = (True, run_share(share))
+        except BaseException as exc:  # handed to the parent, which raises it
+            outcome = (False, exc)
+        with open(write, "wb") as fh:
+            fh.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_shares(run_share, shares: int) -> list:
+    """`run_share(k)` for every share k: share 0 in the caller, each other
+    one in a forked child. A child that raises or dies raises here, and
+    every child is reaped, killed first when the caller's share fails."""
+    children: list = []  # (pid, read end of its pipe)
+    outputs: list = []
+    try:
+        for share in range(1, shares):
+            children.append(_fork_share(run_share, share))
+        parts = [run_share(0)]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                outputs.append(fh.read())
+    finally:
+        statuses = []
+        for pid, read in children:
+            os.close(read)
+            if len(outputs) < len(children):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for share, (data, status) in enumerate(zip(outputs, statuses), 1):
+        if status or not data:
+            raise LimitError(f"sweep share {share} ended with status {status} "
+                             "before it reported")
+        ok, payload = pickle.loads(data)
+        if not ok:
+            raise payload
+        parts.append(payload)
+    return parts
+
+
+def run_path_preservation(max_v: int, max_e: int, path_len: int,
+                          generic_stride: int = 0) -> PathPreservationSummary:
+    """Exhaustively test the bounded free-category functor on every graph
+    cospan within the bounds (one representative per cospan orbit).
+
+    Per cospan, the pullback graph's edges are built once, as the product
+    of the two legs' edge buckets over Z, and its vertices are counted from
+    the legs' bucket sizes. Its cells are counted by dynamic programming
+    and compared with the matching-pair count, the dot product of the two
+    legs' dense path fibers (a vector indexed by the paths of Z), computed
+    independently. A path of the pullback graph is a componentwise pair of
+    paths, so it is determined by its two projections; the comparison map
+    is therefore injective and the count identity decides `is_pullback`.
+    The injectivity embedding itself is re-verified by the generic
+    enumerating checker, which reads the same pullback edges, on every
+    cospan whose number c (from 1, in orbit order) has
+    `c % generic_stride == 0` (0 disables the slice).
+
+    The cospans are dealt out in shares, one per CPU this process may run
+    on: cospan c belongs to share `c % shares`. Share 0 runs in the caller,
+    every other share in a forked child. The merge sums the counts and
+    orders the failures by c, so the summary is identical to the one a
+    single share gives; with one CPU the single share runs in the caller.
+
+    This is the only pullback-preservation sweep: the topos gate at n = 1, 2
+    runs it with `generic_stride=1`, acceptance criterion 5 with a stride.
+    """
+    shares = _share_count()
+    parts = _in_shares(functools.partial(
+        _sweep_share, max_v, max_e, path_len, generic_stride, shares=shares),
+        shares)
+    return PathPreservationSummary(
+        max_v, max_e, path_len, sum(p.cospans for p in parts),
+        sum(p.matching_pairs for p in parts),
+        _by_number(p.count_failures for p in parts),
+        sum(p.generic_checked for p in parts),
+        _by_number(p.generic_failures for p in parts))
+
+
+def _by_number(tagged_lists) -> list:
+    """The failures of every share, `(c, failure)` each, ordered by c."""
+    tagged = sorted(itertools.chain.from_iterable(tagged_lists), key=itemgetter(0))
+    return [failure for _, failure in tagged]
 
 
 # --- the topos gate ----------------------------------------------------------------
@@ -719,11 +888,11 @@ def _path_experiment(graph_bounds: tuple[int, int], path_len: int) -> dict:
     if path_len < 1:
         raise LimitError(f"path length {path_len} checks only identities; "
                          "the gate needs path length >= 1")
+    if min(graph_bounds) < 1:
+        raise LimitError(f"graph bounds {tuple(graph_bounds)} admit no edge, "
+                         "so every path is an identity; the gate needs at "
+                         "least 1 vertex and 1 edge")
     summary = run_path_preservation(*graph_bounds, path_len, generic_stride=1)
-    if summary.cospans == 0:
-        raise LimitError(f"no graph cospans within graph bounds "
-                         f"{tuple(graph_bounds)}; a pass over zero cases is "
-                         "not evidence")
     return {
         "experiment": "free category (path) functor on graph cospans",
         "cospans": summary.cospans,
@@ -740,9 +909,9 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     n = 1, 2: the free category functor preserves the tested pullbacks
     (bounded evidence for the presheaf property). The graph cospans go
     through `run_path_preservation`, the same sweep acceptance criterion 5
-    runs, here with the generic checker on every cospan. An empty graph family
-    or `path_len < 1` raises `LimitError`: a pass over zero cases, or over
-    identities only, is not evidence. n = 3: the multiset slice produces a
+    runs, here with the generic checker on every cospan. Graph bounds below
+    1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`: a pass over
+    zero cases, or over identities only, is not evidence. n = 3: the multiset slice produces a
     complete finite counterexample; the witness has size 2, so
     `witness_size` only needs to grow to demonstrate persistence."""
     binfo = {"size": bounds.size, "rounds": bounds.rounds,

@@ -123,6 +123,10 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  id="gate-no-edges"),
     pytest.param(["gate", "--n", "1", "--bound", "0"], None, None,
                  id="gate-path-length-0"),
+    pytest.param(["gate", "--n", "1", "--graph-vertices", "0", "--graph-edges", "0"],
+                 None, None, id="gate-empty-graph-only"),
+    pytest.param(["gate", "--n", "2", "--graph-edges", "0"], None, None,
+                 id="gate-identities-only"),
     # numbers in computad files
     pytest.param(["free", "FILE"], "dim x\n0 a\n", None, id="dim-not-a-number"),
     pytest.param(["free", "FILE"], "dim\n0 a\n", None, id="dim-without-number"),
@@ -152,6 +156,8 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["eval", "FILE"], '["a"]', None, id="eval-not-an-object"),
     pytest.param(["eval", "FILE"], '{"x": ["a"]}', None, id="eval-arity-not-a-number"),
     pytest.param(["eval", "FILE"], '{"1": "a"}', None, id="eval-payload-string"),
+    pytest.param(["eval", "FILE", "--arity-bound", "-1"], '{"1": ["a"]}', None,
+                 id="eval-arity-bound-negative"),
     # an exhausted term budget
     pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
     pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),

@@ -1,7 +1,10 @@
 import itertools
+import os
+from operator import mul
 
 import pytest
 
+from computadlab import limitlab
 from computadlab.freecat import Bounds
 from computadlab.limitlab import (
     CospanResult, FinSetMap, GraphData, GraphMap, LimitError, Square,
@@ -304,10 +307,18 @@ def test_cospan_orbits_one_member_per_orbit():
                     orbit = frozenset((post(a, f), post(a, g)) for a in auts)
                     orbit_of[(z, x, y, f, g)] = (z, x, y, orbit)
         yielded = []
-        for z, x, y, f, g, leg_f, leg_g in _cospan_orbits(*bounds, 2):
+        for c, z, x, y, f, g, leg_f, leg_g in _cospan_orbits(*bounds, 2, 0, 1):
             yielded.append(orbit_of[(z, x, y, f, g)])
-            assert leg_f.fibers == path_fibers(x, f, 2)
-            assert leg_g.fibers == path_fibers(y, g, 2)
+            assert c == len(yielded)
+            zpaths = graph_paths(z, 2)
+            for leg, dom, m in ((leg_f, x, f), (leg_g, y, g)):
+                # the dense vector ends at its last nonzero entry
+                assert len(leg.fibers) <= len(zpaths)
+                assert not leg.fibers or leg.fibers[-1]
+                fibers = path_fibers(dom, m, 2)
+                for n, p in enumerate(zpaths):
+                    assert (leg.fibers[n] if n < len(leg.fibers) else 0) == fibers.get(p, 0)
+                assert sum(leg.fibers) == sum(fibers.values())
             assert check_path_cospan(x, y, f, g, 2).pullback_ok
         assert len(yielded) == len(set(yielded)) < len(orbit_of)
         assert set(yielded) == set(orbit_of.values())
@@ -315,8 +326,10 @@ def test_cospan_orbits_one_member_per_orbit():
 
 def test_shared_pullback_matches_brute_force():
     checked = 0
-    for z, x, y, f, g, leg_f, leg_g in _cospan_orbits(2, 2, 2):
-        verts, edges = _bucket_pullback(y.nv, leg_f.buckets, leg_g.buckets)
+    for _, z, x, y, f, g, leg_f, leg_g in _cospan_orbits(2, 2, 2, 0, 1):
+        verts, edges = _bucket_pullback(y.nv, (leg_f.verts, leg_f.edges),
+                                        (leg_g.verts, leg_g.edges))
+        assert len(verts) == sum(map(mul, leg_f.sizes, leg_g.sizes))
         vpairs = [divmod(v, y.nv) for v in verts]
         assert len(vpairs) == len(set(vpairs))
         assert set(vpairs) == {(i, j) for i in range(x.nv) for j in range(y.nv)
@@ -363,6 +376,112 @@ def test_check_path_cospan_supplied_pullback_duplicate_edge():
     first, second, key = res.conflated
     _, _, a, b = edges[0]
     assert first != second and key == ((0, (a,)), (0, (b,)))
+
+
+def _summary_fields(s):
+    return (s.max_v, s.max_e, s.path_len, s.cospans, s.matching_pairs,
+            s.count_failures, s.generic_checked, s.generic_failures)
+
+
+@pytest.mark.parametrize("bounds, stride", [((2, 2, 3), 1), ((2, 2, 2), 7)])
+def test_one_cpu_gives_the_same_summary(monkeypatch, bounds, stride):
+    default = run_path_preservation(*bounds, generic_stride=stride)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    single = run_path_preservation(*bounds, generic_stride=stride)
+    assert _summary_fields(single) == _summary_fields(default)
+    assert single.generic_checked == single.cospans // stride
+
+
+def _patch_checker(monkeypatch, act):
+    """check_path_cospan runs `act(x, y, f, g, result)` after each check."""
+    original = limitlab.check_path_cospan
+
+    def checker(x, y, f, g, *args):
+        res = original(x, y, f, g, *args)
+        act(x, y, f, g, res)
+        return res
+
+    monkeypatch.setattr(limitlab, "check_path_cospan", checker)
+
+
+def _count_forks(monkeypatch) -> list:
+    """The pids of the children forked from now on."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _all_reaped(pids) -> bool:
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+def test_generic_failures_in_cospan_order(monkeypatch):
+    def chosen(x, y, f, g):
+        return x.nv == 2 and len(y.edges) == 2
+
+    def fail_chosen(x, y, f, g, res):
+        if chosen(x, y, f, g):
+            res.pullback_ok = False
+
+    _patch_checker(monkeypatch, fail_chosen)
+    expected = [(z, x, y, f, g)
+                for c, z, x, y, f, g, _, _ in limitlab._cospan_orbits(2, 2, 2, 0, 1)
+                if c % 3 == 0 and chosen(x, y, f, g)]
+    assert len(expected) > 20
+    failures = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        forks = _count_forks(monkeypatch)
+        summary = run_path_preservation(2, 2, 2, generic_stride=3)
+        assert len(forks) == len(cpus) - 1
+        assert [tuple(entry[:5]) for entry in summary.generic_failures] == expected
+        failures[len(cpus)] = summary.generic_failures
+    assert failures[1] == failures[2]
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_failing_share_raises_and_children_are_reaped(monkeypatch, where):
+    caller = os.getpid()
+
+    def boom(x, y, f, g, res):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise ValueError(f"boom in the {where}")
+
+    _patch_checker(monkeypatch, boom)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ValueError, match=f"boom in the {where}"):
+        run_path_preservation(2, 1, 2, generic_stride=1)
+    assert len(forks) == 1 and _all_reaped(forks)
+
+
+def test_dead_child_share_raises(monkeypatch):
+    caller = os.getpid()
+
+    def die(x, y, f, g, res):
+        if os.getpid() != caller:
+            os._exit(3)
+
+    _patch_checker(monkeypatch, die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(LimitError, match="status 3"):
+        run_path_preservation(2, 1, 2, generic_stride=1)
+    assert len(forks) == 1 and _all_reaped(forks)
 
 
 # --- the gate ----------------------------------------------------------------------

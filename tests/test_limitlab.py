@@ -378,17 +378,12 @@ def test_check_path_cospan_supplied_pullback_duplicate_edge():
     assert first != second and key == ((0, (a,)), (0, (b,)))
 
 
-def _summary_fields(s):
-    return (s.max_v, s.max_e, s.path_len, s.cospans, s.matching_pairs,
-            s.count_failures, s.generic_checked, s.generic_failures)
-
-
 @pytest.mark.parametrize("bounds, stride", [((2, 2, 3), 1), ((2, 2, 2), 7)])
 def test_one_cpu_gives_the_same_summary(monkeypatch, bounds, stride):
     default = run_path_preservation(*bounds, generic_stride=stride)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     single = run_path_preservation(*bounds, generic_stride=stride)
-    assert _summary_fields(single) == _summary_fields(default)
+    assert single == default  # every field of the dataclass
     assert single.generic_checked == single.cospans // stride
 
 
@@ -419,14 +414,12 @@ def _count_forks(monkeypatch) -> list:
     return pids
 
 
-def _all_reaped(pids) -> bool:
-    for pid in pids:
-        try:
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            continue
-        return False
-    return True
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_generic_failures_in_cospan_order(monkeypatch):
@@ -466,7 +459,7 @@ def test_failing_share_raises_and_children_are_reaped(monkeypatch, where):
     forks = _count_forks(monkeypatch)
     with pytest.raises(ValueError, match=f"boom in the {where}"):
         run_path_preservation(2, 1, 2, generic_stride=1)
-    assert len(forks) == 1 and _all_reaped(forks)
+    assert len(forks) == 1 and _reaped(forks[0])
 
 
 def test_dead_child_share_raises(monkeypatch):
@@ -481,7 +474,7 @@ def test_dead_child_share_raises(monkeypatch):
     forks = _count_forks(monkeypatch)
     with pytest.raises(LimitError, match="status 3"):
         run_path_preservation(2, 1, 2, generic_stride=1)
-    assert len(forks) == 1 and _all_reaped(forks)
+    assert len(forks) == 1 and _reaped(forks[0])
 
 
 # --- the gate ----------------------------------------------------------------------

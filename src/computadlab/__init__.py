@@ -2,7 +2,7 @@
 
 from .freecat import (
     Bounds, Comp, Gen, Id, Term,
-    equal_cells, enumerate_cells, verify_certificate,
+    equal_cells, verify_certificate,
 )
 from .globular import GlobularSet, GlobMap, ParallelPair, parallel_pairs, pullback_glob
 from .pasting import Tree, enumerate_trees, height, pasting_cells, truncate_tree

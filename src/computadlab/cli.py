@@ -301,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.bound < 0 or args.rounds < 1:
-            raise InputError("bounds must be positive")
+        _bounds(args)  # every verb rejects out-of-range --bound and --rounds
         return args.run(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,11 +83,17 @@ class FreeAlgebra:
         return freecat.equal_cells(self.engines[r], t1, t2)
 
     def enumerate_cells(self, r: int):
-        if r == 0:
-            lv = self.levels[0]
-            rows = [(rep, mset) for rep, mset in zip(lv.reps, lv.msets)]
-            return rows, {mset: 1 for _, mset in rows}
-        return freecat.enumerate_cells(self.engines[r])
+        """One (representative, multiset) row per r-class, read from the
+        frozen level in its order, with counts grouped by multiset. Above
+        dimension 0, classes beyond the size bound (generators at size 0)
+        are left out."""
+        lv = self.levels[r]
+        rows = [(rep, mset) for rep, mset in zip(lv.reps, lv.msets)
+                if r == 0 or len(mset) <= self.bounds.size]
+        groups: dict[tuple[str, ...], int] = {}
+        for _, mset in rows:
+            groups[mset] = groups.get(mset, 0) + 1
+        return rows, groups
 
     @property
     def fixed_point(self) -> bool:

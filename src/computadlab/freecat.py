@@ -15,7 +15,10 @@ Saturation alternates a generation step (compose every pair of known
 classes within the size bound - one application of the free-composites
 layer) with an axiom step (assert every axiom instance visible on the
 materialized terms, then re-close the congruence). Rounds repeat until a
-fixed point on the materialized term set or a round cap.
+fixed point on the materialized term set or a round cap. Generation is
+size-graded: the round's class roots are grouped by generator count once,
+and each left root is paired only with the right roots that fit the size
+left over, so pairs beyond the bound are never visited.
 
 Axioms are matched per e-node, as in egg (Willsey et al., "egg: Fast and
 Extensible Equality Saturation", POPL 2021). Every class root owns a
@@ -25,8 +28,10 @@ into the winner's (the winner's entries are kept) and marks stale the
 classes holding users of the moved terms; a stale table is re-keyed
 through `find` when it is next read. Associativity and interchange then
 run once per e-node of a round-start snapshot instead of once per member
-term, and a class holds far fewer e-nodes than terms. The member lists
-stay for representatives and the split check.
+term, and a class holds far fewer e-nodes than terms. Each instance first
+looks its two sides up in the signature table; one already settled is
+skipped before any term is built. The member lists stay for
+representatives and the split check.
 
 Every effective merge also adds one edge, labelled with the merged pair
 and a locally checkable reason, to a proof forest over the terms
@@ -249,7 +254,9 @@ class Bounds:
 
     def __post_init__(self):
         if self.size < 0 or self.rounds < 1 or self.max_terms < 1:
-            raise FreecatError("bounds must be positive")
+            raise FreecatError(
+                f"bounds need size >= 0, rounds >= 1 and max_terms >= 1 (got size "
+                f"{self.size}, rounds {self.rounds}, max_terms {self.max_terms})")
 
 
 GEN, IDA, CMP = 0, 1, 2
@@ -499,20 +506,30 @@ class Engine:
 
     def extend_composites(self) -> int:
         """One application of the free-composites layer: compose every pair
-        of current classes along every index, within the size bound."""
+        of current classes along every index, within the size bound.
+
+        Generation is size-graded: the round's roots are grouped by multiset
+        size once, and each left root visits only the right roots that fit
+        the size left over, in increasing id order. A composite is built
+        only when no term has its signature yet, so generation merges
+        nothing and every root stays a root until the loop ends."""
         before = len(self.nodes)
-        roots = sorted(self._class_terms.keys())
-        for ra in roots:
-            na = self.nodes[ra]
-            for rb in roots:
-                nb = self.nodes[rb]
-                if not na.mset and not nb.mset:
-                    continue  # composites of pure identities add no class
-                if len(na.mset) + len(nb.mset) > self.bounds.size:
-                    self.saw_size_cut = True
-                    continue
+        nodes, sig, size = self.nodes, self._sig, self.bounds.size
+        roots = self.classes()
+        sizes = [len(nodes[r].mset) for r in roots]
+        top = max(sizes, default=0)
+        if 2 * top > size:
+            self.saw_size_cut = True  # some pair of roots is too big to compose
+        # fits[m]: the roots of multiset size at most m, in increasing id order
+        fits = [[r for r, n in zip(roots, sizes) if n <= m] for m in range(top + 1)]
+        nonempty = [r for r in fits[min(size, top)] if nodes[r].mset]
+        for ra, n in zip(roots, sizes):
+            if n > size:
+                continue
+            # composites of pure identities add no class
+            for rb in fits[min(size - n, top)] if n else nonempty:
                 for k in range(self.dim):
-                    if self._probe(k, ra, rb) is None:
+                    if (k, ra, rb) not in sig:
                         self.make_comp(k, ra, rb)
         self._process_pending()
         return len(self.nodes) - before
@@ -541,12 +558,10 @@ class Engine:
         self.round += 1
         return self.counters["merges"] - before
 
-    def _probe(self, k: int, ta: int, tb: int) -> int | None:
-        """A materialized composite with these child classes, if any."""
-        return self._sig.get((k, self.find(ta), self.find(tb)))
-
     def _settled(self, tid: int, k: int, ta: int, tb: int) -> bool:
-        hit = self._probe(k, ta, tb)
+        """A composite comp_k of the classes of ta and tb is materialized in
+        tid's class."""
+        hit = self._sig.get((k, self.find(ta), self.find(tb)))
         return hit is not None and self.find(hit) == self.find(tid)
 
     def enodes(self, root: int) -> dict[tuple[int, int, int], int]:
@@ -562,65 +577,75 @@ class Engine:
             self._enodes[root] = table = fresh
         return table
 
-    def _members(self, tid: int, k: int) -> list[tuple[int, Node]]:
-        """Composites along k in tid's class, one per e-node."""
-        return [(x, self.nodes[x])
-                for (kx, _, _), x in self.enodes(self.find(tid)).items() if kx == k]
-
     def _assoc_instances(self, tid: int):
-        node = self.nodes[tid]
-        k = node.k
-        for x, nx in self._members(node.a, k):
-            self.counters["axiom_instances"] += 1
-            inner = self._probe(k, nx.b, node.b)
-            if inner is not None and self._settled(tid, k, nx.a, inner):
-                continue
-            t1 = self.make_comp(k, x, node.b)
-            inner = self.make_comp(k, nx.b, node.b)
-            if t1 is None or inner is None:
-                continue
-            t2 = self.make_comp(k, nx.a, inner)
-            if t2 is not None:
-                self._merge(t1, t2, ("ax", "assoc", k))
-        for y, ny in self._members(node.b, k):
-            self.counters["axiom_instances"] += 1
-            inner = self._probe(k, node.a, ny.a)
-            if inner is not None and self._settled(tid, k, inner, ny.b):
-                continue
-            t1 = self.make_comp(k, node.a, y)
-            inner = self.make_comp(k, node.a, ny.a)
-            if t1 is None or inner is None:
-                continue
-            t2 = self.make_comp(k, inner, ny.b)
-            if t2 is not None:
-                self._merge(t2, t1, ("ax", "assoc", k))
+        """comp_k(comp_k(x1, x2), y) = comp_k(x1, comp_k(x2, y)) for each
+        e-node comp_k(x1, x2) of tid's left class, then the mirror image for
+        each e-node of its right class. An instance whose two sides already
+        share tid's class is skipped before anything is built."""
+        nodes, sig, find, make = self.nodes, self._sig, self.find, self.make_comp
+        node = nodes[tid]
+        k, a, b = node.k, node.a, node.b
+        members = [x for (kx, _, _), x in self.enodes(find(a)).items() if kx == k]
+        self.counters["axiom_instances"] += len(members)
+        for x in members:
+            nx = nodes[x]
+            inner = sig.get((k, find(nx.b), find(b)))
+            if inner is not None:
+                hit = sig.get((k, find(nx.a), find(inner)))
+                if hit is not None and find(hit) == find(tid):
+                    continue
+            t1 = make(k, x, b)
+            inner = make(k, nx.b, b)
+            if t1 is not None and inner is not None:
+                t2 = make(k, nx.a, inner)
+                if t2 is not None:
+                    self._merge(t1, t2, ("ax", "assoc", k))
+        members = [y for (ky, _, _), y in self.enodes(find(b)).items() if ky == k]
+        self.counters["axiom_instances"] += len(members)
+        for y in members:
+            ny = nodes[y]
+            inner = sig.get((k, find(a), find(ny.a)))
+            if inner is not None:
+                hit = sig.get((k, find(inner), find(ny.b)))
+                if hit is not None and find(hit) == find(tid):
+                    continue
+            t1 = make(k, a, y)
+            inner = make(k, a, ny.a)
+            if t1 is not None and inner is not None:
+                t2 = make(k, inner, ny.b)
+                if t2 is not None:
+                    self._merge(t2, t1, ("ax", "assoc", k))
 
     def _interchange_instances(self, tid: int):
-        node = self.nodes[tid]
-        j = node.k
-        for x, nx in self._cmp_members(node.a):
-            if nx.k == j:
+        """comp_j(comp_k(x1, x2), comp_k(y1, y2)) =
+        comp_k(comp_j(x1, y1), comp_j(x2, y2)), with j tid's index, for each
+        e-node along some k != j of tid's left class and each e-node along
+        the same k of its right class. An instance whose two sides already
+        share tid's class is skipped before anything is built."""
+        nodes, sig, find, make = self.nodes, self._sig, self.find, self.make_comp
+        node = nodes[tid]
+        j, a, b = node.k, node.a, node.b
+        for (k, _, _), x in list(self.enodes(find(a)).items()):
+            if k == j:
                 continue
-            k = nx.k
-            for y, ny in self._members(node.b, k):
-                self.counters["axiom_instances"] += 1
-                left = self._probe(j, nx.a, ny.a)
-                right = self._probe(j, nx.b, ny.b)
-                if (left is not None and right is not None
-                        and self._settled(tid, k, left, right)):
-                    continue
-                t1 = self.make_comp(j, x, y)
-                left = self.make_comp(j, nx.a, ny.a)
-                right = self.make_comp(j, nx.b, ny.b)
-                if t1 is None or left is None or right is None:
-                    continue
-                t2 = self.make_comp(k, left, right)
-                if t2 is not None:
-                    self._merge(t1, t2, ("ax", "interchange", j, k))
-
-    def _cmp_members(self, tid: int) -> list[tuple[int, Node]]:
-        """All composite members of tid's class, one per e-node."""
-        return [(x, self.nodes[x]) for x in self.enodes(self.find(tid)).values()]
+            nx = nodes[x]
+            members = [y for (ky, _, _), y in self.enodes(find(b)).items() if ky == k]
+            self.counters["axiom_instances"] += len(members)
+            for y in members:
+                ny = nodes[y]
+                left = sig.get((j, find(nx.a), find(ny.a)))
+                right = sig.get((j, find(nx.b), find(ny.b)))
+                if left is not None and right is not None:
+                    hit = sig.get((k, find(left), find(right)))
+                    if hit is not None and find(hit) == find(tid):
+                        continue
+                t1 = make(j, x, y)
+                left = make(j, nx.a, ny.a)
+                right = make(j, nx.b, ny.b)
+                if t1 is not None and left is not None and right is not None:
+                    t2 = make(k, left, right)
+                    if t2 is not None:
+                        self._merge(t1, t2, ("ax", "interchange", j, k))
 
     def _unit_instances(self):
         for root in sorted(self._class_terms.keys()):
@@ -794,23 +819,6 @@ def equal_cells(e: Engine, t1: Term, t2: Term) -> tuple[str, object]:
     if d1 != e.dim:
         raise FreecatError(f"terms of dimension {d1} in a dimension-{e.dim} engine")
     return e.verdict(e.term_node(t1), e.term_node(t2))
-
-
-def enumerate_cells(e: Engine):
-    """One representative per congruence class within the size bound, with
-    counts grouped by generator multiset."""
-    memo: dict[int, str] = {}
-    rows = []
-    for root in e.classes():
-        node = e.nodes[root]
-        if len(node.mset) > e.bounds.size:
-            continue
-        rows.append((e.term_str(e.representative(root), memo), node.mset))
-    rows.sort(key=lambda r: (len(r[1]), r[1], r[0]))
-    groups: dict[tuple[str, ...], int] = {}
-    for _, mset in rows:
-        groups[mset] = groups.get(mset, 0) + 1
-    return rows, groups
 
 
 # --- certificates -------------------------------------------------------------

@@ -152,6 +152,10 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  id="trees-width-negative"),
     pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
                  id="slice-generators-negative"),
+    pytest.param(["free", "FILE", "--bound", "-1"], "dim 0\n0 a\n", None,
+                 id="free-bound-negative"),
+    pytest.param(["slice", "--k", "1", "--rounds", "0"], None, None,
+                 id="slice-rounds-zero"),
     # collection files for eval
     pytest.param(["eval", "FILE"], '["a"]', None, id="eval-not-an-object"),
     pytest.param(["eval", "FILE"], '{"x": ["a"]}', None, id="eval-arity-not-a-number"),
@@ -175,6 +179,13 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
     assert code == 1 and not out
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_bounds_error_states_the_limits(capsys):
+    for flag, value in (("--bound", "-1"), ("--rounds", "0")):
+        code, _, err = run(capsys, "trees", "--height", "1", "--width", "1", flag, value)
+        assert code == 1
+        assert "size >= 0, rounds >= 1 and max_terms >= 1" in err
 
 
 def test_comp_index_errors_name_the_index(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from importlib import resources
 
@@ -8,7 +9,7 @@ from computadlab.computads import (
 )
 from computadlab.freecat import (
     CMP, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id,
-    UNKNOWN, certificate, enumerate_cells, equal_cells,
+    UNKNOWN, certificate, equal_cells,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
@@ -430,6 +431,41 @@ def test_enode_index_after_every_step(make, monkeypatch):
         monkeypatch.setattr(Engine, name, checking(getattr(Engine, name)))
     fa = free_algebra(make(), Bounds(size=4))
     assert fa.fixed_point and 2 in checked
+
+
+def engine_work(e):
+    """What an engine did: terms, classes, merges, axiom instances, rounds,
+    the size-cut flag, and a digest of its proof forest and term DAG."""
+    nodes = [(n.kind, n.k, n.a, n.b, n.name, n.lower, n.mset, n.word, n.src, n.tgt)
+             for n in e.nodes]
+    digest = hashlib.sha256(repr((e._why, nodes)).encode()).hexdigest()
+    return (len(e.nodes), len(e.classes()), e.counters["merges"],
+            e.counters["axiom_instances"], e.round, e.saw_size_cut, digest)
+
+
+# the dimension-1 engine under a single 0-cell and no 1-generators
+IDENTITY_ONLY = (2, 1, 1, 6, 2, False,
+                 "82719f025f2cea2274d3492d1212597e1d37d8f2246d052349f6f2bfc77d4e46")
+
+
+@pytest.mark.parametrize("make,size,work", [
+    (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6, [
+        (12512, 1093, 11419, 87062, 4, True,
+         "99ae0e005dfc2b12abc1d9c8b7a0bb61213269b703b5d0dfe17a3a0d0db4827a")]),
+    (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6, [
+        IDENTITY_ONLY,
+        (10740, 84, 10656, 118608, 4, True,
+         "af9c8f670a0272b58363b43cfb38997be1a03a499ab1e57333072544f5108fca")]),
+    (scalar2, 5, [
+        IDENTITY_ONLY,
+        (1989, 21, 1968, 12674, 4, True,
+         "4e2d5c7cedfd7db92d4995400d43a8d9ec72da7b7c2c298c0a685ec79d862f5b")]),
+], ids=["slice-k1-g3-size6", "slice-k2-g3-size6", "scalar2-size5"])
+def test_engine_work_is_pinned(make, size, work):
+    """Speed-ups to generation and matching must build the same terms in
+    the same order, with the same merges and proof-forest labels."""
+    fa = free_algebra(make(), Bounds(size=size))
+    assert [engine_work(e) for e in fa.engines[1:]] == work
 
 
 def test_monotonicity_partition_only_coarsens():

@@ -788,7 +788,6 @@ class Engine:
             decomps=[[] for _ in order],
             gen_class={name: canon[self.find(t)] for name, t in self.gen_atoms.items()},
         )
-        decomp_sets: list[set[tuple[int, int, int]]] = [set() for _ in order]
         for tid, node in enumerate(self.nodes):
             if node.kind != CMP:
                 continue
@@ -797,8 +796,11 @@ class Engine:
             old = lv.comp.setdefault(key, val)
             if old != val:
                 raise SoundnessError("composition table is not single-valued")
-            decomp_sets[val].add(key)
-        lv.decomps = [sorted(s) for s in decomp_sets]
+        # the table is single-valued, so each key decomposes exactly one class
+        for key, val in lv.comp.items():
+            lv.decomps[val].append(key)
+        for keys in lv.decomps:
+            keys.sort()
         below = self.levels[self.dim - 1]
         below.idmap = [canon[self.find(t)] for t in self.id_atoms]
         return lv

@@ -538,8 +538,7 @@ class Engine:
         """Assert every axiom instance visible on current terms, re-close the
         congruence, and advance the round counter."""
         before = self.counters["merges"]
-        live = list(range(len(self.nodes)))
-        partition = [self.find(t) for t in live]
+        partition = [self.find(t) for t in range(len(self.nodes))]
         snapshot = [t for root in self.classes() for t in self.enodes(root).values()]
         for tid in self.id_atoms:
             self._identity_functoriality(tid)
@@ -550,7 +549,7 @@ class Engine:
         self._process_pending()
         # classes may only coarsen, never split
         seen: dict[int, int] = {}
-        for tid, old_root in zip(live, partition):
+        for tid, old_root in enumerate(partition):
             now = self.find(tid)
             if seen.setdefault(old_root, now) != now:
                 self.counters["split_violations"] += 1
@@ -623,14 +622,24 @@ class Engine:
         the same k of its right class. An instance whose two sides already
         share tid's class is skipped before anything is built."""
         nodes, sig, find, make = self.nodes, self._sig, self.find, self.make_comp
+        counters = self.counters
         node = nodes[tid]
         j, a, b = node.k, node.a, node.b
+        # the right class's e-nodes by index, grouped again only after a
+        # merge: nothing else changes a class's e-nodes
+        by_index: dict[int, list[int]] = {}
+        grouped_at = -1  # the merge count when by_index was built
         for (k, _, _), x in list(self.enodes(find(a)).items()):
             if k == j:
                 continue
+            if grouped_at != counters["merges"]:
+                grouped_at = counters["merges"]
+                by_index = {}
+                for (ky, _, _), y in self.enodes(find(b)).items():
+                    by_index.setdefault(ky, []).append(y)
             nx = nodes[x]
-            members = [y for (ky, _, _), y in self.enodes(find(b)).items() if ky == k]
-            self.counters["axiom_instances"] += len(members)
+            members = by_index.get(k, ())
+            counters["axiom_instances"] += len(members)
             for y in members:
                 ny = nodes[y]
                 left = sig.get((j, find(nx.a), find(ny.a)))

@@ -13,11 +13,13 @@ with the bucket sizes and the map's path fibers as a dense vector indexed
 by the paths of Z. Per cospan, the matching-pair count is the dot product of
 the two legs' fiber vectors, the pullback's vertex count the dot product of
 their bucket sizes, and the pullback's edges are built once, as the product
-of the legs' edge buckets; the path-count DP and the generic path checker
-read those edges, and `graph_pullback` is built from the same buckets. The
-cospans are dealt out in interleaved shares, one per CPU, each share but
-the caller's in a forked child, and the shares' summaries are merged in
-cospan order, so the result does not depend on the number of CPUs.
+of the legs' edge buckets. The path-count DP reads those edges on an
+unchecked cospan and the generic path checker on a checked one, whose paths
+it enumerates and counts once; `graph_pullback` is built from the same
+buckets. The cospans are dealt out in interleaved shares, one per CPU, each
+share but the caller's in a forked child, and the shares' summaries are
+merged in cospan order, so the result does not depend on the number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -467,9 +469,10 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     the number of matching pairs of paths of x and y; the sweep passes
     both, and without them the checker builds the pullback from the legs'
     buckets and counts the pairs from the path fibers. Every path of the
-    pullback is enumerated with the flat key `(start, a1, b1, ..., ak, bk)`
-    of its pair of projections; keys of different lengths never collide,
-    so two paths with one key are a `conflated` pair, found again in the
+    pullback is enumerated once by `_path_keys`, keyed by its pair of
+    projections; the number of paths it finds is `sizes["paths_P"]`, which
+    the sweep takes as the cospan's path count instead of counting again.
+    Two paths with one key are a `conflated` pair, found again in the
     enumeration order of `_first_conflation`. Fewer distinct keys than
     `expected` fail surjectivity, and a `missing` matching pair is then
     searched for by brute force."""
@@ -477,36 +480,12 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
         expected = _matching_pairs(path_fibers(x, f, max_len),
                                    path_fibers(y, g, max_len))
     verts, pedges = pullback if pullback is not None else _flat_pullback(f, g, x, y)
-    yn = y.nv
-    out_of: dict = {}
-    for u, w, a, b in pedges:
-        out_of.setdefault(u, []).append((w, a, b))
-    # (end vertex, key) for each path of the pullback, one length at a time
-    level = [(v, (v,)) for v in verts]
-    seen = {key for _, key in level}
-    total = len(level)
-    for _ in range(max_len):
-        level = [(w, key + (a, b)) for at, key in level
-                 for w, a, b in out_of.get(at, ())]
-        if not level:
-            break
-        total += len(level)
-        seen.update(map(itemgetter(1), level))
+    total, seen = _path_keys(verts, pedges, max_len)
     conflated = None
     if len(seen) < total:
-        conflated = _first_conflation(verts, pedges, yn, max_len)
+        conflated = _first_conflation(verts, pedges, y.nv, max_len)
     ok_surj = len(seen) == expected
-    missing = None
-    if not ok_surj:
-        pairs = {((k[0] // yn, k[1::2]), (k[0] % yn, k[2::2])) for k in seen}
-        for px_ in graph_paths(x, max_len):
-            for py_ in graph_paths(y, max_len):
-                if (path_image(f, px_) == path_image(g, py_)
-                        and (px_, py_) not in pairs):
-                    missing = (px_, py_)
-                    break
-            if missing:
-                break
+    missing = None if ok_surj else _first_missing(x, y, f, g, max_len, seen)
     return CospanResult(
         label=f"graph cospan |P|={len(verts)}v/{len(pedges)}e",
         pullback_ok=conflated is None and ok_surj,
@@ -515,6 +494,51 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
         missing=missing,
         sizes={"paths_P": total, "pairs": expected},
     )
+
+
+def _path_keys(verts, pedges, max_len: int) -> tuple[int, set]:
+    """The number of paths of length <= max_len of the pullback with
+    vertices `verts` and edges `pedges`, and the set of their flat keys.
+    A path of length 0 is keyed by its vertex id, a longer one by
+    `(start, a1, b1, ..., ak, bk)`, its start and the edges of its two
+    projections. An int never equals a tuple, and tuples of different
+    lengths never do, so two paths share a key only if they share their
+    projections."""
+    total = len(verts)
+    seen = set(verts)
+    if not pedges or not max_len:
+        return total, seen
+    out_of: dict = {}
+    for u, w, a, b in pedges:
+        out_of.setdefault(u, []).append((w, a, b))
+    # (end vertex, key) for each path of length >= 1, one length at a time
+    level = [(w, (v, a, b)) for v in verts if v in out_of
+             for w, a, b in out_of[v]]
+    length = 1
+    while level:
+        total += len(level)
+        seen.update(map(itemgetter(1), level))
+        if length == max_len:
+            break
+        length += 1
+        level = [(w, key + (a, b)) for at, key in level if at in out_of
+                 for w, a, b in out_of[at]]
+    return total, seen
+
+
+def _first_missing(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
+                   max_len: int, seen: set) -> tuple | None:
+    """The first matching pair of paths of x and y, by brute force, whose
+    flat key (as `_path_keys` writes it) is not in `seen`."""
+    yn = y.nv
+    pairs = {((k // yn, ()), (k % yn, ())) if isinstance(k, int)
+             else ((k[0] // yn, k[1::2]), (k[0] % yn, k[2::2])) for k in seen}
+    for px_ in graph_paths(x, max_len):
+        for py_ in graph_paths(y, max_len):
+            if (path_image(f, px_) == path_image(g, py_)
+                    and (px_, py_) not in pairs):
+                return px_, py_
+    return None
 
 
 def _first_conflation(verts, pedges, yn: int, max_len: int) -> tuple:
@@ -646,33 +670,38 @@ def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
         expected = sum(map(mul, leg_f.fibers, leg_g.fibers))
         yn = y.nv
         pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
-        # paths of the pullback graph, counted by DP: the vertices from the
-        # bucket sizes, then one pass over the edges per length; every edge
-        # starts at a pullback vertex, so the first pass may read all ones
-        total = sum(map(mul, leg_f.sizes, leg_g.sizes))
-        if pedges:
-            cur = [1] * (x.nv * yn)
-            for _ in range(path_len):
-                nxt = [0] * len(cur)
-                for u, w, _a, _b in pedges:
-                    nxt[w] += cur[u]
-                level = sum(nxt)
-                if not level:
-                    break
-                total += level
-                cur = nxt
-        cospans += 1
-        pairs_total += expected
-        if total != expected:
-            count_failures.append(
-                (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
         if generic_stride and c % generic_stride == 0:
+            # the checker enumerates every path of the pullback; its count
+            # stands in for the DP's
             generic_checked += 1
             verts = _pullback_vertices(yn, leg_f.verts, leg_g.verts)
             res = check_path_cospan(x, y, f, g, path_len, (verts, pedges),
                                     expected)
             if not res.pullback_ok:
                 generic_failures.append((c, (z, x, y, f, g, res)))
+            total = res.sizes["paths_P"]
+        else:
+            # paths of the pullback graph, counted by DP: the vertices from
+            # the bucket sizes, then one pass over the edges per length;
+            # every edge starts at a pullback vertex, so the first pass may
+            # read all ones
+            total = sum(map(mul, leg_f.sizes, leg_g.sizes))
+            if pedges:
+                cur = [1] * (x.nv * yn)
+                for _ in range(path_len):
+                    nxt = [0] * len(cur)
+                    for u, w, _a, _b in pedges:
+                        nxt[w] += cur[u]
+                    level = sum(nxt)
+                    if not level:
+                        break
+                    total += level
+                    cur = nxt
+        cospans += 1
+        pairs_total += expected
+        if total != expected:
+            count_failures.append(
+                (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
     return PathPreservationSummary(max_v, max_e, path_len, cospans,
                                    pairs_total, count_failures,
                                    generic_checked, generic_failures)
@@ -755,9 +784,8 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     cospan within the bounds (one representative per cospan orbit).
 
     Per cospan, the pullback graph's edges are built once, as the product
-    of the two legs' edge buckets over Z, and its vertices are counted from
-    the legs' bucket sizes. Its cells are counted by dynamic programming
-    and compared with the matching-pair count, the dot product of the two
+    of the two legs' edge buckets over Z. Its cells are counted and
+    compared with the matching-pair count, the dot product of the two
     legs' dense path fibers (a vector indexed by the paths of Z), computed
     independently. A path of the pullback graph is a componentwise pair of
     paths, so it is determined by its two projections; the comparison map
@@ -765,7 +793,11 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     The injectivity embedding itself is re-verified by the generic
     enumerating checker, which reads the same pullback edges, on every
     cospan whose number c (from 1, in orbit order) has
-    `c % generic_stride == 0` (0 disables the slice).
+    `c % generic_stride == 0` (0 disables the slice). On such a checked
+    cospan the cells are counted by the checker's enumeration
+    (`sizes["paths_P"]`); on every other cospan by dynamic programming,
+    the vertices from the legs' bucket sizes and then one pass over the
+    edges per length. Either count goes into `count_failures` the same way.
 
     The cospans are dealt out in shares, one per CPU this process may run
     on: cospan c belongs to share `c % shares`. Share 0 runs in the caller,

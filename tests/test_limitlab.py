@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 from operator import mul
 
 import pytest
@@ -376,6 +377,130 @@ def test_check_path_cospan_supplied_pullback_duplicate_edge():
     first, second, key = res.conflated
     _, _, a, b = edges[0]
     assert first != second and key == ((0, (a,)), (0, (b,)))
+
+
+def _reference_check(x, y, f, g, max_len, pullback=None, expected=None):
+    """`check_path_cospan` written plainly, as the reference: every path of
+    the pullback as `(end vertex, key)`, the key `(start, a1, b1, ...)` a
+    tuple at every length, the identities `(v,)` included."""
+    if expected is None:
+        expected = limitlab._matching_pairs(path_fibers(x, f, max_len),
+                                            path_fibers(y, g, max_len))
+    verts, pedges = pullback if pullback is not None else _flat_pullback(f, g, x, y)
+    yn = y.nv
+    out_of = {}
+    for u, w, a, b in pedges:
+        out_of.setdefault(u, []).append((w, a, b))
+    level = [(v, (v,)) for v in verts]
+    seen = {key for _, key in level}
+    total = len(level)
+    for _ in range(max_len):
+        level = [(w, key + (a, b)) for at, key in level
+                 for w, a, b in out_of.get(at, ())]
+        total += len(level)
+        seen.update(key for _, key in level)
+    conflated = None
+    if len(seen) < total:
+        conflated = limitlab._first_conflation(verts, pedges, yn, max_len)
+    missing = None
+    if len(seen) != expected:
+        pairs = {((k[0] // yn, k[1::2]), (k[0] % yn, k[2::2])) for k in seen}
+        missing = next(((px, py) for px in graph_paths(x, max_len)
+                        for py in graph_paths(y, max_len)
+                        if path_image(f, px) == path_image(g, py)
+                        and (px, py) not in pairs), None)
+    return CospanResult(
+        label=f"graph cospan |P|={len(verts)}v/{len(pedges)}e",
+        pullback_ok=conflated is None and len(seen) == expected,
+        weak_ok=len(seen) == expected,
+        conflated=conflated,
+        missing=missing,
+        sizes={"paths_P": total, "pairs": expected},
+    )
+
+
+def _corrupt(rng, kind, x, y, verts, pedges):
+    """A copy of the pullback `(verts, pedges)` with one corruption, or
+    None when this pullback has nothing to corrupt that way."""
+    verts, pedges = list(verts), list(pedges)
+    if kind == "duplicate vertex" and verts:
+        verts.insert(rng.randrange(len(verts) + 1), rng.choice(verts))
+    elif kind == "duplicate edge" and pedges:
+        pedges.insert(rng.randrange(len(pedges) + 1), rng.choice(pedges))
+    elif kind == "drop edge" and pedges:
+        del pedges[rng.randrange(len(pedges))]
+    elif kind == "edge from outside" and pedges:
+        outside = [v for v in range(x.nv * y.nv) if v not in verts]
+        if not outside:
+            return None
+        _, w, a, b = rng.choice(pedges)
+        pedges.insert(rng.randrange(len(pedges) + 1), (rng.choice(outside), w, a, b))
+    elif kind == "relabel edge" and pedges:
+        n = rng.randrange(len(pedges))
+        u, w, a, b = pedges[n]
+        others_a = [e for e in range(len(x.edges)) if e != a]
+        others_b = [e for e in range(len(y.edges)) if e != b]
+        if not others_a and not others_b:
+            return None
+        if others_a and (not others_b or rng.random() < 0.5):
+            pedges[n] = (u, w, rng.choice(others_a), b)
+        else:
+            pedges[n] = (u, w, a, rng.choice(others_b))
+    else:
+        return None
+    return verts, pedges
+
+
+@pytest.mark.parametrize("path_len", [1, 3])
+def test_checker_matches_reference_on_corrupted_pullbacks(path_len):
+    rng = random.Random(20261018 + path_len)
+    kinds = ("duplicate vertex", "duplicate edge", "drop edge",
+             "edge from outside", "relabel edge")
+    compared = dict.fromkeys(kinds, 0)
+    failed = dict.fromkeys(kinds, False)
+    for _, _, x, y, f, g, leg_f, leg_g in _cospan_orbits(2, 2, path_len, 0, 1):
+        if rng.random() > 0.15:
+            continue
+        expected = sum(map(mul, leg_f.fibers, leg_g.fibers))
+        pullback = _flat_pullback(f, g, x, y)
+        for kind in kinds:
+            corrupted = _corrupt(rng, kind, x, y, *pullback)
+            if corrupted is None:
+                continue
+            for given in (expected, None):
+                res = check_path_cospan(x, y, f, g, path_len, corrupted, given)
+                ref = _reference_check(x, y, f, g, path_len, corrupted, given)
+                assert res == ref, (kind, x, y, f, g, corrupted)
+                failed[kind] |= not res.pullback_ok
+            compared[kind] += 1
+    assert min(compared.values()) > 50, compared
+    # an edge from outside the pullback lies on no path; the others break some
+    assert failed == {kind: kind != "edge from outside" for kind in kinds}
+
+
+def test_count_failures_caught_on_checked_cospans(monkeypatch):
+    plain = {stride: run_path_preservation(2, 2, 3, generic_stride=stride)
+             for stride in (0, 1)}
+    assert plain[0].cospans == plain[1].cospans
+    assert plain[0].matching_pairs == plain[1].matching_pairs
+    assert plain[0].count_failures == plain[1].count_failures == []
+    original = limitlab._pullback_edges
+
+    def drop_one(yn, ex, ey):
+        edges = original(yn, ex, ey)
+        return edges[:-1] if len(edges) == 2 else edges
+
+    monkeypatch.setattr(limitlab, "_pullback_edges", drop_one)
+    broken = {stride: run_path_preservation(2, 2, 3, generic_stride=stride)
+              for stride in (0, 1)}
+    # the DP counts every cospan at stride 0, the checker every one at 1
+    assert broken[0].count_failures == broken[1].count_failures
+    assert len(broken[0].count_failures) > 20
+    for *_, counts in broken[0].count_failures:
+        assert set(counts) == {"F_P", "pairs"} and counts["F_P"] < counts["pairs"]
+    assert not broken[0].generic_failures
+    assert ([tuple(entry[:5]) for entry in broken[1].generic_failures]
+            == [tuple(entry[:5]) for entry in broken[1].count_failures])
 
 
 @pytest.mark.parametrize("bounds, stride", [((2, 2, 3), 1), ((2, 2, 2), 7)])

@@ -89,8 +89,6 @@ def test_noncommuting_square_rejected():
 
 
 def test_pullback_implies_weak_on_random_squares():
-    import random
-
     rng = random.Random(13)
     for _ in range(25):
         nz = rng.randint(1, 3)

@@ -4,11 +4,11 @@ from .freecat import (
     Bounds, Comp, Gen, Id, Term,
     equal_cells, verify_certificate,
 )
-from .globular import GlobularSet, GlobMap, ParallelPair, parallel_pairs, pullback_glob
+from .globular import GlobularSet
 from .pasting import Tree, enumerate_trees, height, pasting_cells, truncate_tree
 from .computads import (
-    Algebra, Computad, ComputadMap, build_computad, computad_of_algebra,
-    free_algebra, pullback_computads, t_functor, theta_computad,
+    Computad, ComputadMap, build_computad, free_algebra, pullback_computads,
+    theta_computad,
 )
 from .operads import (
     NonSymCollection, Presentation, SymCollection,

@@ -25,8 +25,8 @@ class InputError(Exception):
 
 
 # Exceptions that end a verb with exit 1 and one `error: ...` line.
-_INPUT_ERRORS = (OSError, InputError, cpd.ComputadError, FreecatError,
-                 EngineLimit, limitlab.LimitError, operads.OperadError)
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, InputError, cpd.ComputadError,
+                 FreecatError, EngineLimit, limitlab.LimitError, operads.OperadError)
 
 
 def _bounds(args) -> Bounds:
@@ -181,6 +181,15 @@ def cmd_trees(args) -> int:
     return 0
 
 
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], where obj must be a JSON object and obj[key] a `kind`."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputError(f"{where}: expected an object with key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise InputError(f"{where}: {key!r} is not a {kind.__name__}")
+    return obj[key]
+
+
 def _load_collection(path: str):
     with open(path) as fh:
         doc = json.load(fh)
@@ -193,22 +202,28 @@ def _load_collection(path: str):
         try:
             n = int(arity)
         except ValueError:
-            raise InputError(f"arity {arity!r} is not a number") from None
+            n = -1
+        if n < 0:
+            raise InputError(f"arity {arity!r} is not a natural number")
         if isinstance(payload, list):
             sets[n] = list(payload)
-        elif not isinstance(payload, dict):
-            raise InputError(f"arity {n}: expected a list or an object with "
-                             f"'elements', got {type(payload).__name__}")
-        else:
-            sets[n] = list(payload["elements"])
-            if "action" in payload:
-                symmetric = True
-                actions[n] = {tuple(entry["perm"]): dict(entry["map"])
-                              for entry in payload["action"]}
+            continue
+        sets[n] = list(_field(payload, "elements", list, f"arity {n}"))
+        if "action" in payload:
+            symmetric = True
+            actions[n] = {}
+            for entry in _field(payload, "action", list, f"arity {n}"):
+                perm = tuple(_field(entry, "perm", list, f"arity {n} action"))
+                if perm not in operads.all_perms(n):
+                    raise InputError(f"arity {n}: {list(perm)} is not a permutation")
+                actions[n][perm] = dict(_field(entry, "map", dict, f"arity {n} action"))
     if not symmetric:
         return operads.NonSymCollection(sets)
     full = {}
     for n, elems in sets.items():
+        if any(isinstance(e, (list, dict)) for e in elems):
+            raise InputError(f"arity {n}: elements of a symmetric collection "
+                             f"must be strings, numbers, booleans or null")
         tables = {p: {e: e for e in elems} for p in operads.all_perms(n)}
         tables.update(actions.get(n, {}))
         full[n] = tables
@@ -218,11 +233,10 @@ def _load_collection(path: str):
 def cmd_eval(args) -> int:
     if args.arity_bound < 0:
         raise InputError("--arity-bound must be >= 0")
-    try:
-        coll = _load_collection(args.collection)
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise InputError(exc) from None
+    coll = _load_collection(args.collection)
     xs = [s for s in args.set.split(",") if s] if args.set else []
+    if len(set(xs)) < len(xs):
+        raise InputError(f"--set {args.set!r} names an element twice")
     if isinstance(coll, operads.SymCollection):
         bad = operads.collection_violation(coll)
         if bad is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import freecat
 from .freecat import (
-    Bounds, Engine, Gen, Id, Level, Term,
+    Bounds, Engine, Level, Term,
     class_in_level, level_zero, term_dim, term_to_str,
 )
 
@@ -256,241 +256,6 @@ def induced_class_map(fa_dom: FreeAlgebra, fa_cod: FreeAlgebra,
     for t in fa_dom.levels[r].rep_terms:
         out.append(fa_cod.class_of_term(freecat.rename_gens(t, table)))
     return out
-
-
-# --- parallel pairs of free cells: the functor T -------------------------------
-
-
-@dataclass
-class ParallelPairsResult:
-    pairs: list[tuple[int, int]]
-    reps: list[str]
-    partial: bool
-    marker: str
-
-
-def t_functor(c: Computad, bounds: Bounds = Bounds()) -> ParallelPairsResult:
-    """Parallel pairs of top-dimensional cells of the free algebra on c."""
-    fa = free_algebra(c, bounds)
-    lv = fa.levels[c.dim]
-    pairs = []
-    for x in range(lv.n_classes):
-        for y in range(lv.n_classes):
-            if c.dim == 0 or (lv.src[x] == lv.src[y] and lv.tgt[x] == lv.tgt[y]):
-                pairs.append((x, y))
-    return ParallelPairsResult(pairs, list(lv.reps), fa.partial, fa.partiality_marker())
-
-
-# --- finite algebras and the computad of an algebra ----------------------------
-
-
-@dataclass
-class Algebra:
-    """A finite strict n-category with fully tabulated structure."""
-
-    dim: int
-    cells: list[list[str]]
-    src: list[dict[str, str]]
-    tgt: list[dict[str, str]]
-    ident: list[dict[str, str]]  # ident[d]: d-cell -> (d+1)-cell, d < dim
-    comp: dict[tuple[int, int], dict[tuple[str, str], str]]  # (d, k) -> table
-
-    def compose(self, d: int, k: int, a: str, b: str) -> str:
-        return self.comp[(d, k)][(a, b)]
-
-    def truncate(self, k: int) -> "Algebra":
-        return Algebra(
-            k,
-            [list(level) for level in self.cells[: k + 1]],
-            [dict(x) for x in self.src[: k + 1]],
-            [dict(x) for x in self.tgt[: k + 1]],
-            [dict(x) for x in self.ident[:k]],
-            {dk: dict(tb) for dk, tb in self.comp.items() if dk[0] <= k},
-        )
-
-
-def _bdy(g: Algebra, x: str, d: int, k: int, side: str) -> str:
-    maps = g.src if side == "s" else g.tgt
-    while d > k:
-        x = maps[d][x]
-        d -= 1
-    return x
-
-
-def algebra_violation(g: Algebra) -> str | None:
-    """Exhaustively check the strict-category axioms on the tables."""
-    for r in range(1, g.dim + 1):
-        for x in g.cells[r]:
-            if x not in g.src[r] or x not in g.tgt[r]:
-                return f"dim {r}: boundary undefined on {x!r}"
-    for r in range(2, g.dim + 1):
-        for x in g.cells[r]:
-            s, t = g.src[r][x], g.tgt[r][x]
-            if g.src[r - 1][s] != g.src[r - 1][t] or g.tgt[r - 1][s] != g.tgt[r - 1][t]:
-                return f"dim {r}: globularity fails on {x!r}"
-    for d in range(g.dim):
-        for x in g.cells[d]:
-            i = g.ident[d].get(x)
-            if i is None:
-                return f"dim {d}: identity undefined on {x!r}"
-            if g.src[d + 1][i] != x or g.tgt[d + 1][i] != x:
-                return f"dim {d}: identity of {x!r} has wrong boundary"
-    for d in range(1, g.dim + 1):
-        for k in range(d):
-            table = g.comp.get((d, k))
-            if table is None:
-                return f"missing composition table ({d},{k})"
-            for a in g.cells[d]:
-                for b in g.cells[d]:
-                    composable = _bdy(g, a, d, k, "t") == _bdy(g, b, d, k, "s")
-                    if composable != ((a, b) in table):
-                        return f"comp ({d},{k}): domain wrong at ({a!r},{b!r})"
-            for (a, b), c in table.items():
-                if c not in g.cells[d]:
-                    return f"comp ({d},{k}): value {c!r} is not a {d}-cell"
-                if k == d - 1:
-                    if g.src[d][c] != g.src[d][a] or g.tgt[d][c] != g.tgt[d][b]:
-                        return f"comp ({d},{k}): boundary of {a!r}*{b!r} is wrong"
-                else:
-                    es = g.comp[(d - 1, k)][(g.src[d][a], g.src[d][b])]
-                    et = g.comp[(d - 1, k)][(g.tgt[d][a], g.tgt[d][b])]
-                    if g.src[d][c] != es or g.tgt[d][c] != et:
-                        return f"comp ({d},{k}): boundary of {a!r}*{b!r} is wrong"
-            # units
-            for a in g.cells[d]:
-                ls = _bdy(g, a, d, k, "s")
-                lt = _bdy(g, a, d, k, "t")
-                pl, pr = ls, lt
-                for dd in range(k, d):
-                    pl = g.ident[dd][pl]
-                    pr = g.ident[dd][pr]
-                if table[(pl, a)] != a or table[(a, pr)] != a:
-                    return f"comp ({d},{k}): unit law fails on {a!r}"
-            # associativity
-            for a in g.cells[d]:
-                for b in g.cells[d]:
-                    if (a, b) not in table:
-                        continue
-                    for c in g.cells[d]:
-                        if (b, c) not in table:
-                            continue
-                        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                            return f"comp ({d},{k}): associativity fails"
-    for d in range(2, g.dim + 1):
-        for k in range(d):
-            for j in range(k):
-                tj, tk = g.comp[(d, j)], g.comp[(d, k)]
-                for a, b in tk:
-                    for c, e in tk:
-                        if (a, c) in tj and (b, e) in tj:
-                            lhs = tj.get((tk[(a, b)], tk[(c, e)]))
-                            rhs = tk.get((tj[(a, c)], tj[(b, e)]))
-                            if lhs is None or lhs != rhs:
-                                return f"interchange ({j},{k}) fails in dim {d}"
-    for d in range(1, g.dim):
-        for k in range(d):
-            for (a, b), c in g.comp[(d, k)].items():
-                if g.comp[(d + 1, k)][(g.ident[d][a], g.ident[d][b])] != g.ident[d][c]:
-                    return f"identities are not functorial over comp ({d},{k})"
-    return None
-
-
-def make_algebra(dim, cells, src, tgt, ident, comp) -> Algebra:
-    g = Algebra(dim, [list(x) for x in cells], [dict(x) for x in src],
-                [dict(x) for x in tgt], [dict(x) for x in ident],
-                {dk: dict(tb) for dk, tb in comp.items()})
-    bad = algebra_violation(g)
-    if bad is not None:
-        raise ComputadError(bad)
-    return g
-
-
-def discrete_algebra(names: list[str]) -> Algebra:
-    return Algebra(0, [list(names)], [{}], [{}], [], {})
-
-
-def terminal_algebra(n: int) -> Algebra:
-    cells = [[f"*{r}"] for r in range(n + 1)]
-    src = [{} if r == 0 else {f"*{r}": f"*{r - 1}"} for r in range(n + 1)]
-    tgt = [dict(d) for d in src]
-    ident = [{f"*{r}": f"*{r + 1}"} for r in range(n)]
-    comp = {(d, k): {(f"*{d}", f"*{d}"): f"*{d}"} for d in range(1, n + 1) for k in range(d)}
-    return Algebra(n, cells, src, tgt, ident, comp)
-
-
-def monoid_algebra(elements: list[str], mult: dict[tuple[str, str], str],
-                   unit: str) -> Algebra:
-    """A monoid viewed as a one-object category."""
-    cells = [["*"], list(elements)]
-    src = [{}, {m: "*" for m in elements}]
-    tgt = [{}, {m: "*" for m in elements}]
-    ident = [{"*": unit}]
-    comp = {(1, 0): dict(mult)}
-    g = make_algebra(1, cells, src, tgt, ident, comp)
-    return g
-
-
-@dataclass
-class WResult:
-    """A computad presenting an algebra, with the counit and evaluation data."""
-
-    computad: Computad
-    algebra: Algebra
-    counit: list[dict[str, str]]  # generator name -> algebra cell
-    evals: list[dict[int, str]]  # free-algebra class -> algebra cell
-    free: FreeAlgebra | None
-    partial: bool
-
-
-def _eval_term(t: Term, g: Algebra, counit: list[dict[str, str]]) -> str:
-    d = term_dim(t)
-    if isinstance(t, Gen):
-        return counit[d][t.name]
-    if isinstance(t, Id):
-        return g.ident[d - 1][_eval_term(t.body, g, counit)]
-    return g.compose(d, t.k, _eval_term(t.left, g, counit),
-                     _eval_term(t.right, g, counit))
-
-
-def computad_of_algebra(g: Algebra, bounds: Bounds = Bounds()) -> WResult:
-    """The computad whose n-generators are triples (x, a, y): a parallel pair
-    of free cells on the recursively built lower computad, plus an algebra
-    cell whose boundary evaluates to them. The counit sends a triple to its
-    middle component; lower dimensions evaluate by folding the tables."""
-    bad = algebra_violation(g)
-    if bad is not None:
-        raise ComputadError(bad)
-    if g.dim == 0:
-        c = Computad(0, [[GeneratorDecl(x) for x in g.cells[0]]])
-        counit = [{x: x for x in g.cells[0]}]
-        evals = [{i: x for i, x in enumerate(g.cells[0])}]
-        return WResult(c, g, counit, evals, None, False)
-    n = g.dim
-    lower = computad_of_algebra(g.truncate(n - 1), bounds)
-    fa = free_algebra(lower.computad, bounds)
-    counit = [dict(d) for d in lower.counit]
-    evals = []
-    for r in range(n):
-        lv = fa.levels[r]
-        evals.append({cls: _eval_term(lv.rep_terms[cls], g, counit)
-                      for cls in range(lv.n_classes)})
-    lv = fa.levels[n - 1]
-    gens = []
-    names = {}
-    for x in range(lv.n_classes):
-        for y in range(lv.n_classes):
-            if n >= 2 and (lv.src[x] != lv.src[y] or lv.tgt[x] != lv.tgt[y]):
-                continue
-            for a in g.cells[n]:
-                if g.src[n][a] != evals[n - 1][x] or g.tgt[n][a] != evals[n - 1][y]:
-                    continue
-                name = f"w{n}_{len(gens)}"
-                gens.append(GeneratorDecl(name, lv.rep_terms[x], lv.rep_terms[y]))
-                names[name] = a
-    counit.append(names)
-    layers = [list(layer) for layer in lower.computad.layers] + [gens]
-    c = Computad(n, layers)
-    return WResult(c, g, counit, evals, fa, fa.partial)
 
 
 # --- pullbacks of computads -----------------------------------------------------

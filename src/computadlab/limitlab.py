@@ -64,11 +64,6 @@ def make_finset_map(dom, cod, assign) -> FinSetMap:
     return FinSetMap(dom, cod, table)
 
 
-def identity_finset(xs) -> FinSetMap:
-    xs = tuple(xs)
-    return FinSetMap(xs, xs, {x: x for x in xs})
-
-
 @dataclass
 class Square:
     """A commuting square: f . p = g . q, with p: W -> X, q: W -> Y,
@@ -144,10 +139,6 @@ class FunctorOnSets:
     bound_note: str = ""
 
 
-def identity_functor() -> FunctorOnSets:
-    return FunctorOnSets("identity", lambda xs: tuple(xs), lambda m: m)
-
-
 def list_functor(max_len: int) -> FunctorOnSets:
     """Words of length <= max_len: the free-monoid functor, truncated."""
 
@@ -180,27 +171,6 @@ def multiset_functor(max_size: int) -> FunctorOnSets:
         return FinSetMap(on_set(m.dom), on_set(m.cod), table)
 
     return FunctorOnSets("multiset", on_set, on_map, f"size <= {max_size}")
-
-
-# --- cartesian and weakly cartesian transformations ------------------------------
-
-
-def naturality_square(F: FunctorOnSets, G: FunctorOnSets, component,
-                      m: FinSetMap) -> Square:
-    """The naturality square of a transformation F -> G at a map m.
-
-    `component(xs)` must return the FinSetMap F(xs) -> G(xs)."""
-    return Square(p=F.on_map(m), q=component(m.dom),
-                  f=component(m.cod), g=G.on_map(m))
-
-
-def is_cartesian_on(F, G, component, maps) -> bool:
-    return all(is_pullback(naturality_square(F, G, component, m)) for m in maps)
-
-
-def is_weakly_cartesian_on(F, G, component, maps) -> bool:
-    return all(is_weak_pullback(naturality_square(F, G, component, m))[0]
-               for m in maps)
 
 
 # --- pullback-preservation experiments --------------------------------------------

@@ -162,6 +162,23 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["eval", "FILE"], '{"1": "a"}', None, id="eval-payload-string"),
     pytest.param(["eval", "FILE", "--arity-bound", "-1"], '{"1": ["a"]}', None,
                  id="eval-arity-bound-negative"),
+    pytest.param(["eval", "FILE"], '{"-1": ["a"]}', None, id="eval-arity-negative"),
+    pytest.param(["eval", "FILE"], '{"2": {"elements": 5}}', None,
+                 id="eval-elements-not-a-list"),
+    pytest.param(["eval", "FILE"], '{"1": {"elements": ["a"], "action": 3}}', None,
+                 id="eval-action-not-a-list"),
+    pytest.param(["eval", "FILE"], '{"1": {"elements": ["a"], "action": [5]}}', None,
+                 id="eval-action-entry-not-an-object"),
+    pytest.param(["eval", "FILE"],
+                 '{"1": {"elements": ["a"], "action": [{"perm": 5, "map": {}}]}}',
+                 None, id="eval-perm-not-a-list"),
+    pytest.param(["eval", "FILE"],
+                 '{"1": {"elements": ["a"], "action": [{"perm": [0], "map": [1]}]}}',
+                 None, id="eval-map-not-an-object"),
+    pytest.param(["eval", "FILE"], '{"1": {"elements": [["a"]], "action": []}}', None,
+                 id="eval-unhashable-element"),
+    pytest.param(["eval", data_path("bicategory_slice1.json"), "--set", "a,a"], None,
+                 None, id="eval-set-repeated"),
     # an exhausted term budget
     pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
     pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),
@@ -233,6 +250,16 @@ def test_trees(capsys):
                        "--format", "structured")
     doc = json.loads(out)
     assert code == 0 and doc["count"] == 13
+
+
+def test_eval_names_a_missing_key(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    for text, key in (('{"1": {"action": []}}', "elements"),
+                      ('{"1": {"elements": ["a"], "action": [{"map": {}}]}}', "perm"),
+                      ('{"1": {"elements": ["a"], "action": [{"perm": [0]}]}}', "map")):
+        path.write_text(text)
+        code, _, err = run(capsys, "eval", str(path))
+        assert code == 1 and f"expected an object with key {key!r}" in err
 
 
 def test_eval_collection(capsys):

@@ -4,10 +4,8 @@ import pytest
 
 from computadlab.computads import (
     Computad, ComputadError, GeneratorDecl, NonParallelAttachment,
-    algebra_violation, build_computad, computad_of_algebra, discrete_algebra,
-    dumps_computad, free_algebra, induced_class_map,
-    loads_computad, make_algebra, make_computad_map, map_violation,
-    monoid_algebra, pullback_computads, t_functor, terminal_algebra,
+    build_computad, dumps_computad, free_algebra, induced_class_map,
+    loads_computad, make_computad_map, map_violation, pullback_computads,
     theta_computad,
 )
 from computadlab.freecat import Bounds, Comp, Gen, Id
@@ -85,134 +83,13 @@ def test_free_algebra_scalar_multisets():
     assert sorted(m for _, m in rows) == sorted(expected)
 
 
-# --- algebras ----------------------------------------------------------------------
-
-
-def cyclic_monoid(n):
-    elems = [f"z{i}" for i in range(n)]
-    mult = {(f"z{i}", f"z{j}"): f"z{(i + j) % n}" for i in range(n) for j in range(n)}
-    return monoid_algebra(elems, mult, "z0")
-
-
-def test_algebra_validation_catches_broken_associativity():
-    g = cyclic_monoid(3)
-    g.comp[(1, 0)][("z1", "z1")] = "z0"  # 1+1 = 0 breaks associativity
-    assert algebra_violation(g) is not None
-
-
-def test_algebra_validation_accepts_terminal():
-    for n in range(4):
-        assert algebra_violation(terminal_algebra(n)) is None
-
-
-# --- the computad of an algebra ------------------------------------------------------
-
-
-def test_w_of_discrete_is_the_set():
-    w = computad_of_algebra(discrete_algebra(["x", "y", "z"]))
-    assert w.computad.dim == 0
-    assert w.computad.names(0) == ["x", "y", "z"]
-    assert w.counit[0] == {"x": "x", "y": "y", "z": "z"}
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_w_of_monoid_matches_triple_formula(n):
-    g = cyclic_monoid(n)
-    w = computad_of_algebra(g, Bounds(size=3))
-    # brute force over the defining formula: 0-cells evaluate to themselves,
-    # so the 1-generators are triples (*, m, *) - one per monoid element
-    assert len(w.computad.names(1)) == n
-    assert sorted(w.counit[1].values()) == sorted(g.cells[1])
-    for decl in w.computad.layers[1]:
-        a = w.counit[1][decl.name]
-        assert g.src[1][a] == "*" and g.tgt[1][a] == "*"
-
-
-def test_w_of_terminal_two_category_counts():
-    bounds = Bounds(size=2)
-    w = computad_of_algebra(terminal_algebra(2), bounds)
-    # the free category below has cells 1, f, f.f: all pairs are parallel
-    fa_low = w.free
-    n1 = fa_low.levels[1].n_classes
-    assert n1 == 3
-    # independent enumeration of the triple set
-    lv = fa_low.levels[1]
-    expected = sum(
-        1 for x in range(n1) for y in range(n1)
-        if lv.src[x] == lv.src[y] and lv.tgt[x] == lv.tgt[y])
-    assert len(w.computad.names(2)) == expected == n1 * n1
-
-
-def test_counit_boundaries_match_evaluations():
-    g = terminal_algebra(2)
-    w = computad_of_algebra(g, Bounds(size=2))
-    fa = w.free
-    for decl in w.computad.layers[2]:
-        a = w.counit[2][decl.name]
-        sx = fa.class_of_term(decl.src)
-        tx = fa.class_of_term(decl.tgt)
-        assert g.src[2][a] == w.evals[1][sx]
-        assert g.tgt[2][a] == w.evals[1][tx]
-
-
-def scalar_two_algebra(n):
-    """A commutative cyclic monoid as the 2-cells of a one-object,
-    one-arrow 2-category (interchange needs the commutativity)."""
-    elems = [f"z{i}" for i in range(n)]
-    mult = {(f"z{i}", f"z{j}"): f"z{(i + j) % n}"
-            for i in range(n) for j in range(n)}
-    return make_algebra(
-        2,
-        [["*"], ["i"], elems],
-        [{}, {"i": "*"}, {z: "i" for z in elems}],
-        [{}, {"i": "*"}, {z: "i" for z in elems}],
-        [{"*": "i"}, {"i": "z0"}],
-        {(1, 0): {("i", "i"): "i"}, (2, 0): mult, (2, 1): dict(mult)},
-    )
-
-
-def test_w_of_scalar_two_algebra_matches_triple_formula():
-    bounds = Bounds(size=2)
-    g = scalar_two_algebra(2)
-    w = computad_of_algebra(g, bounds)
-    # the single 1-generator below presents the identity arrow, so the free
-    # category has cells g^0..g^2, all evaluating to the arrow itself; the
-    # triple formula then admits every pair of them against every 2-cell
-    n1 = w.free.levels[1].n_classes
-    assert n1 == 3
-    assert len(w.computad.names(2)) == n1 * n1 * 2
-    for decl in w.computad.layers[2]:
-        a = w.counit[2][decl.name]
-        assert g.src[2][a] == w.evals[1][w.free.class_of_term(decl.src)]
-
-
-# --- theta and the parallel-pairs functor ---------------------------------------------
+# --- theta ---------------------------------------------------------------------------
 
 
 def test_theta_shapes():
     assert theta_computad(0).dim == 0
     t2 = theta_computad(2)
     assert [len(t2.layers[r]) for r in range(3)] == [1, 0, 0]
-
-
-def test_t_functor_on_theta_is_diagonal():
-    res = t_functor(theta_computad(1), Bounds(size=3))
-    assert res.pairs == [(0, 0)]
-
-
-def test_t_functor_on_parallel_edges():
-    c = build_computad(
-        [["a", "b"], [("f", Gen("a", 0), Gen("b", 0)),
-                      ("g", Gen("a", 0), Gen("b", 0))]])
-    res = t_functor(c, Bounds(size=3))
-    # identities at a and b pair with themselves; f and g pair all four ways
-    assert len(res.pairs) == 6
-
-
-def test_t_functor_dim0_all_pairs():
-    c = build_computad([["a", "b", "c"]])
-    res = t_functor(c)
-    assert len(res.pairs) == 9
 
 
 # --- computad maps and pullbacks -------------------------------------------------------

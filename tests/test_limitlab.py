@@ -12,18 +12,17 @@ from computadlab.limitlab import (
     _bucket_pullback, _cospan_orbits, _flat_pullback, canonical_graph, check_cospan, check_path_cospan,
     computad_topos_gate, enumerate_graphs, graph_automorphisms,
     graph_homs, graph_paths, graph_pullback,
-    identity_finset, identity_functor, is_cartesian_on, is_pullback,
-    is_weak_pullback, is_weakly_cartesian_on, list_functor, make_finset_map,
-    multiset_functor, naturality_square, path_fibers, path_image,
+    is_pullback, is_weak_pullback, list_functor, make_finset_map,
+    multiset_functor, path_fibers, path_image,
     preserves_pullbacks_experiment, pullback_sets, run_path_preservation,
-    set_cospans, square_violation,
+    set_cospans,
 )
 
 # --- pullbacks of finite sets -----------------------------------------------------
 
 
 def test_pullback_of_identities_is_diagonal():
-    i = identity_finset(("a", "b"))
+    i = make_finset_map(("a", "b"), ("a", "b"), {"a": "a", "b": "b"})
     elems, _, _ = pullback_sets(i, i)
     assert set(elems) == {("a", "a"), ("b", "b")}
 
@@ -83,7 +82,8 @@ def test_weak_but_not_pullback_with_junk():
 def test_noncommuting_square_rejected():
     f = make_finset_map(("a",), ("0", "1"), {"a": "0"})
     g = make_finset_map(("a",), ("0", "1"), {"a": "1"})
-    s = Square(identity_finset(("a",)), identity_finset(("a",)), f, g)
+    i = make_finset_map(("a",), ("a",), {"a": "a"})
+    s = Square(i, i, f, g)
     with pytest.raises(LimitError):
         is_pullback(s)
 
@@ -165,56 +165,6 @@ def test_multiset_functor_fails_with_reported_witness():
     assert (fp1.assign[left], fp2.assign[left]) == image
     assert (fp1.assign[right], fp2.assign[right]) == image
     assert left != right
-
-
-def test_identity_functor_passes():
-    report = preserves_pullbacks_experiment(identity_functor(), set_cospans(2))
-    assert report.all_pullback
-
-
-# --- cartesian transformation predicates ---------------------------------------------
-
-
-def _sample_maps():
-    maps = []
-    for a, b in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        dom = tuple(range(a))
-        cod = tuple(range(b))
-        for img in itertools.product(cod, repeat=a):
-            maps.append(make_finset_map(dom, cod, dict(zip(dom, img))))
-    return maps
-
-
-def test_singleton_inclusion_is_cartesian():
-    Id_, L = identity_functor(), list_functor(2)
-
-    def unit(xs):
-        return make_finset_map(tuple(xs), L.on_set(xs), lambda x: (x,))
-
-    maps = _sample_maps()
-    assert is_cartesian_on(Id_, L, unit, maps)
-    assert is_weakly_cartesian_on(Id_, L, unit, maps)
-
-
-def test_collapse_to_point_is_not_cartesian():
-    Id_ = identity_functor()
-    const = identity_functor()
-    const = type(const)("const", lambda xs: ("*",),
-                        lambda m: make_finset_map(("*",), ("*",), {"*": "*"}))
-
-    def bang(xs):
-        return make_finset_map(tuple(xs), ("*",), lambda _: "*")
-
-    merge = make_finset_map((0, 1), (0,), {0: 0, 1: 0})
-    sq = naturality_square(Id_, const, bang, merge)
-    assert square_violation(sq) is None
-    assert not is_pullback(sq)
-    ok, _ = is_weak_pullback(sq)
-    assert ok  # surjective components keep it weakly cartesian
-    empty_to_point = make_finset_map((), (0,), {})
-    sq2 = naturality_square(Id_, const, bang, empty_to_point)
-    ok2, _ = is_weak_pullback(sq2)
-    assert not ok2
 
 
 # --- graphs ------------------------------------------------------------------------

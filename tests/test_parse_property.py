@@ -1,9 +1,17 @@
-"""Every text parser raises only its declared error type, whatever the input."""
+"""Every text parser raises only its declared error type, whatever the input,
+and `eval` turns every malformed collection file into one `error:` line."""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from computadlab.cli import main
 from computadlab.computads import ComputadError, loads_computad
 from computadlab.freecat import FreecatError, term_from_str
 from computadlab.globular import GlobularError
@@ -41,3 +49,50 @@ def test_parsers_raise_only_declared_errors(parse, error, text):
         parse(text)
     except error:
         pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+
+
+def right_or_wrong(right):
+    """A field of the shape a collection expects, or any JSON value."""
+    return st.one_of(right, json_values)
+
+
+elements = st.lists(right_or_wrong(st.sampled_from(["a", "b", "c"])), max_size=3)
+action_entries = st.fixed_dictionaries({}, optional={
+    "perm": right_or_wrong(st.permutations([0, 1])),
+    "map": right_or_wrong(st.dictionaries(st.sampled_from(["a", "b"]),
+                                          st.sampled_from(["a", "b"]))),
+})
+payloads = st.one_of(
+    elements,
+    st.fixed_dictionaries({}, optional={
+        "elements": right_or_wrong(elements),
+        "action": right_or_wrong(st.lists(right_or_wrong(action_entries), max_size=2)),
+    }),
+    json_values,
+)
+collections = st.dictionaries(st.sampled_from(["-1", "0", "2", "x"]), payloads,
+                              max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=st.one_of(json_values, collections))
+def test_eval_rejects_malformed_collections_in_one_line(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "collection.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["eval", path, "--set", "a,b"])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert not lines
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")

@@ -13,12 +13,12 @@ from .computads import (
 from .operads import (
     NonSymCollection, Presentation, SymCollection,
     eval_analytic, eval_strongly_analytic, is_strongly_regular_presentation,
-    known_slice_oracle, slice_of_strict,
+    slice_matches_oracle, slice_of_strict,
 )
 from .limitlab import (
     FinSetMap, FunctorOnSets, Square,
-    computad_topos_gate, is_pullback, is_weak_pullback,
-    preserves_pullbacks_experiment, pullback_sets, run_path_preservation,
+    check_cospan, computad_topos_gate, is_pullback, is_weak_pullback,
+    pullback_sets, run_path_preservation,
 )
 
 __version__ = "0.1.0"

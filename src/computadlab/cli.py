@@ -25,8 +25,9 @@ class InputError(Exception):
 
 
 # Exceptions that end a verb with exit 1 and one `error: ...` line.
-_INPUT_ERRORS = (OSError, json.JSONDecodeError, InputError, cpd.ComputadError,
-                 FreecatError, EngineLimit, limitlab.LimitError, operads.OperadError)
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError,
+                 cpd.ComputadError, FreecatError, EngineLimit, limitlab.LimitError,
+                 operads.OperadError)
 
 
 def _bounds(args) -> Bounds:
@@ -73,7 +74,7 @@ def cmd_free(args) -> int:
     fa = cpd.free_algebra(c, _bounds(args))  # certifies the attachments
     dims = {}
     for r in range(c.dim + 1):
-        rows, groups = fa.enumerate_cells(r)
+        rows = fa.enumerate_cells(r)
         dims[str(r)] = {
             "classes": len(rows),
             "table": [{"representative": rep, "size": len(m),
@@ -94,14 +95,11 @@ def cmd_free(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    if args.k < 1:
-        raise InputError("slices start at k = 1")
     if args.generators < 0:
         raise InputError("the number of generators must be >= 0")
     gens = [f"x{i}" for i in range(args.generators)]
     result = operads.slice_of_strict(args.k, gens, _bounds(args))
-    ok, expected = operads.slice_matches_oracle(result)
-    oracle_name = "free-monoid" if args.k == 1 else "free-commutative-monoid"
+    ok, expected, oracle_name = operads.slice_matches_oracle(result)
     table = {
         str(s): {"classes": result.counts.get(s, 0),
                  "oracle": expected.get(s, 0),
@@ -131,7 +129,7 @@ def cmd_slice(args) -> int:
 def cmd_regular(args) -> int:
     with open(args.presentation) as fh:
         text = fh.read()
-    p = operads.parse_presentation(text, args.presentation)
+    p = operads.parse_presentation(text)
     verdict = operads.is_strongly_regular_presentation(p)
     _emit({
         "command": "regular",
@@ -147,8 +145,6 @@ def cmd_regular(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    if args.n not in (1, 2, 3):
-        raise InputError("the gate supports n in {1, 2, 3}")
     report = limitlab.computad_topos_gate(
         args.n, _bounds(args),
         graph_bounds=(args.graph_vertices, args.graph_edges),
@@ -192,7 +188,10 @@ def _field(obj, key: str, kind: type, where: str):
 
 def _load_collection(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise InputError("the collection file is nested too deeply") from None
     sets: dict[int, list] = {}
     actions: dict[int, dict] = {}
     symmetric = False
@@ -214,7 +213,9 @@ def _load_collection(path: str):
             actions[n] = {}
             for entry in _field(payload, "action", list, f"arity {n}"):
                 perm = tuple(_field(entry, "perm", list, f"arity {n} action"))
-                if perm not in operads.all_perms(n):
+                # only numbers can equal 0..n-1, and only they sort together
+                if not (all(isinstance(i, (int, float)) for i in perm)
+                        and sorted(perm) == list(range(n))):
                     raise InputError(f"arity {n}: {list(perm)} is not a permutation")
                 actions[n][perm] = dict(_field(entry, "map", dict, f"arity {n} action"))
     if not symmetric:
@@ -238,9 +239,6 @@ def cmd_eval(args) -> int:
     if len(set(xs)) < len(xs):
         raise InputError(f"--set {args.set!r} names an element twice")
     if isinstance(coll, operads.SymCollection):
-        bad = operads.collection_violation(coll)
-        if bad is not None:
-            raise InputError(bad)
         elems = operads.eval_analytic(coll, xs, args.arity_bound)
         kind = "analytic"
     else:

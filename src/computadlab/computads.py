@@ -28,8 +28,6 @@ class ComputadError(Exception):
 class NonParallelAttachment(ComputadError):
     def __init__(self, generator: str, reason: str):
         super().__init__(f"generator {generator!r}: {reason}")
-        self.generator = generator
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -43,9 +41,6 @@ class GeneratorDecl:
 class Computad:
     dim: int
     layers: list[list[GeneratorDecl]]
-
-    def generators(self, r: int) -> list[GeneratorDecl]:
-        return self.layers[r]
 
     def names(self, r: int) -> list[str]:
         return [g.name for g in self.layers[r]]
@@ -75,25 +70,13 @@ class FreeAlgebra:
     def class_of_term(self, t: Term) -> int | None:
         return class_in_level(self.levels, t, term_dim(t))
 
-    def equal_cells(self, t1: Term, t2: Term):
-        r = term_dim(t1)
-        if r == 0:
-            c1, c2 = self.class_of_term(t1), self.class_of_term(t2)
-            return (freecat.EQUAL, None) if c1 == c2 else (freecat.DISTINCT, "0-cells")
-        return freecat.equal_cells(self.engines[r], t1, t2)
-
-    def enumerate_cells(self, r: int):
+    def enumerate_cells(self, r: int) -> list[tuple[str, tuple[str, ...]]]:
         """One (representative, multiset) row per r-class, read from the
-        frozen level in its order, with counts grouped by multiset. Above
-        dimension 0, classes beyond the size bound (generators at size 0)
-        are left out."""
+        frozen level in its order. Above dimension 0, classes beyond the
+        size bound (generators at size 0) are left out."""
         lv = self.levels[r]
-        rows = [(rep, mset) for rep, mset in zip(lv.reps, lv.msets)
+        return [(rep, mset) for rep, mset in zip(lv.reps, lv.msets)
                 if r == 0 or len(mset) <= self.bounds.size]
-        groups: dict[tuple[str, ...], int] = {}
-        for _, mset in rows:
-            groups[mset] = groups.get(mset, 0) + 1
-        return rows, groups
 
     @property
     def fixed_point(self) -> bool:
@@ -281,13 +264,14 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     """Dimensionwise pullback on generator sets with induced attachments.
 
     The induced attachment of a generator pair must be a free cell of the
-    pullback-so-far mapping to both constituents' attachments; when no such
-    class (or more than one) exists, that is recorded as a genuine failure
-    of the construction, not silently repaired. The pullback's free algebra
-    is one climb: each new layer is saturated once, on top of the levels
-    that resolved its attachments, and the last step certifies the pullback
-    computad. The report keeps that algebra, along with the free algebra on
-    `f.dom` that the construction saturated.
+    pullback-so-far mapping to both constituents' attachments. When no such
+    class exists, that is recorded in `failures` as a genuine failure of the
+    construction, not silently repaired; when more than one does, the first
+    in class order is taken and the pair is listed in `ambiguities`. The
+    pullback's free algebra is one climb: each new layer is saturated once,
+    on top of the levels that resolved its attachments, and the last step
+    certifies the pullback computad. The report keeps that algebra, along
+    with the free algebra on `f.dom` that the construction saturated.
     """
     if f.cod is not g.cod:
         raise ComputadError("pullback requires a common codomain")

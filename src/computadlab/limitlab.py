@@ -30,7 +30,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -133,10 +133,8 @@ def is_weak_pullback(s: Square) -> tuple[bool, dict | None]:
 
 @dataclass
 class FunctorOnSets:
-    name: str
     on_set: object  # tuple -> tuple
     on_map: object  # FinSetMap -> FinSetMap
-    bound_note: str = ""
 
 
 def list_functor(max_len: int) -> FunctorOnSets:
@@ -152,7 +150,7 @@ def list_functor(max_len: int) -> FunctorOnSets:
         return FinSetMap(on_set(m.dom), on_set(m.cod),
                          {w: tuple(m.assign[x] for x in w) for w in on_set(m.dom)})
 
-    return FunctorOnSets("list", on_set, on_map, f"length <= {max_len}")
+    return FunctorOnSets(on_set, on_map)
 
 
 def multiset_functor(max_size: int) -> FunctorOnSets:
@@ -170,7 +168,7 @@ def multiset_functor(max_size: int) -> FunctorOnSets:
                  for w in on_set(m.dom)}
         return FinSetMap(on_set(m.dom), on_set(m.cod), table)
 
-    return FunctorOnSets("multiset", on_set, on_map, f"size <= {max_size}")
+    return FunctorOnSets(on_set, on_map)
 
 
 # --- pullback-preservation experiments --------------------------------------------
@@ -178,27 +176,16 @@ def multiset_functor(max_size: int) -> FunctorOnSets:
 
 @dataclass(slots=True)
 class CospanResult:
-    label: str
     pullback_ok: bool
     weak_ok: bool
     conflated: tuple | None = None  # two F(P)-elements with one image
     missing: tuple | None = None  # an unreached pullback element
-    sizes: dict = field(default_factory=dict)
+    paths: int | None = None  # a graph cospan's number of pullback paths
 
 
-@dataclass
-class ExperimentReport:
-    functor: str
-    bound_note: str
-    results: list[CospanResult]
-    all_pullback: bool
-    all_weak: bool
-
-
-def check_cospan(F: FunctorOnSets, f: FinSetMap, g: FinSetMap,
-                 label: str = "") -> CospanResult:
+def check_cospan(F: FunctorOnSets, f: FinSetMap, g: FinSetMap) -> CospanResult:
     """Compare F(pullback) with the pullback of the F-images."""
-    elems, p1, p2 = pullback_sets(f, g)
+    _, p1, p2 = pullback_sets(f, g)
     sq = Square(F.on_map(p1), F.on_map(p2), F.on_map(f), F.on_map(g))
     cmp = _comparison(sq)
     target, _, _ = pullback_sets(sq.f, sq.g)
@@ -214,25 +201,8 @@ def check_cospan(F: FunctorOnSets, f: FinSetMap, g: FinSetMap,
         if t not in hit:
             missing = t
             break
-    return CospanResult(
-        label=label or f"|X|={len(f.dom)} |Y|={len(g.dom)} |Z|={len(f.cod)}",
-        pullback_ok=conflated is None and missing is None,
-        weak_ok=missing is None,
-        conflated=conflated,
-        missing=missing,
-        sizes={"P": len(elems), "FP": len(sq.p.dom), "target": len(target)},
-    )
-
-
-def preserves_pullbacks_experiment(F: FunctorOnSets, cospans) -> ExperimentReport:
-    results = [check_cospan(F, f, g) for f, g in cospans]
-    return ExperimentReport(
-        functor=F.name,
-        bound_note=F.bound_note,
-        results=results,
-        all_pullback=all(r.pullback_ok for r in results),
-        all_weak=all(r.weak_ok for r in results),
-    )
+    return CospanResult(conflated is None and missing is None, missing is None,
+                        conflated, missing)
 
 
 def set_cospans(max_size: int):
@@ -355,20 +325,15 @@ def _pullback_edges(yn: int, ex, ey) -> list:
             for xs, ys in zip(ex, ey) for a, sa, ta in xs for b, sb, tb in ys]
 
 
-def _bucket_pullback(yn: int, buckets_x, buckets_y) -> tuple[list, list]:
-    """The pullback of x -> z <- y as a product of the legs' buckets: its
-    `_pullback_vertices` and its `_pullback_edges`. No pair that lies over
-    different elements of z is visited."""
-    (vx, ex), (vy, ey) = buckets_x, buckets_y
-    return _pullback_vertices(yn, vx, vy), _pullback_edges(yn, ex, ey)
-
-
 def _flat_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData):
-    """`_bucket_pullback` of a cospan given by its two legs alone."""
+    """The pullback of x -> z <- y, given by its two legs, as a product of
+    their buckets: its `_pullback_vertices` and its `_pullback_edges`. No
+    pair that lies over different elements of z is visited."""
     nv = 1 + max(f.vmap + g.vmap, default=-1)
     ne = 1 + max(f.emap + g.emap, default=-1)
-    return _bucket_pullback(y.nv, _hom_buckets(x, f, nv, ne),
-                            _hom_buckets(y, g, nv, ne))
+    vx, ex = _hom_buckets(x, f, nv, ne)
+    vy, ey = _hom_buckets(y, g, nv, ne)
+    return _pullback_vertices(y.nv, vx, vy), _pullback_edges(y.nv, ex, ey)
 
 
 def graph_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData
@@ -434,13 +399,13 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     """Does the bounded free-category functor turn this graph cospan's
     pullback square into a pullback of path sets?
 
-    `pullback` is the cospan's pullback as `_bucket_pullback` builds it
+    `pullback` is the cospan's pullback as `_flat_pullback` builds it
     (flat vertex ids `i * |Y| + j`, edges `(u, w, a, b)`), and `expected`
     the number of matching pairs of paths of x and y; the sweep passes
     both, and without them the checker builds the pullback from the legs'
     buckets and counts the pairs from the path fibers. Every path of the
     pullback is enumerated once by `_path_keys`, keyed by its pair of
-    projections; the number of paths it finds is `sizes["paths_P"]`, which
+    projections; the number of paths it finds is `paths`, which
     the sweep takes as the cospan's path count instead of counting again.
     Two paths with one key are a `conflated` pair, found again in the
     enumeration order of `_first_conflation`. Fewer distinct keys than
@@ -456,14 +421,8 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
         conflated = _first_conflation(verts, pedges, y.nv, max_len)
     ok_surj = len(seen) == expected
     missing = None if ok_surj else _first_missing(x, y, f, g, max_len, seen)
-    return CospanResult(
-        label=f"graph cospan |P|={len(verts)}v/{len(pedges)}e",
-        pullback_ok=conflated is None and ok_surj,
-        weak_ok=ok_surj,
-        conflated=conflated,
-        missing=missing,
-        sizes={"paths_P": total, "pairs": expected},
-    )
+    return CospanResult(conflated is None and ok_surj, ok_surj, conflated,
+                        missing, total)
 
 
 def _path_keys(verts, pedges, max_len: int) -> tuple[int, set]:
@@ -649,7 +608,7 @@ def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
                                     expected)
             if not res.pullback_ok:
                 generic_failures.append((c, (z, x, y, f, g, res)))
-            total = res.sizes["paths_P"]
+            total = res.paths
         else:
             # paths of the pullback graph, counted by DP: the vertices from
             # the bucket sizes, then one pass over the edges per length;
@@ -765,7 +724,7 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     cospan whose number c (from 1, in orbit order) has
     `c % generic_stride == 0` (0 disables the slice). On such a checked
     cospan the cells are counted by the checker's enumeration
-    (`sizes["paths_P"]`); on every other cospan by dynamic programming,
+    (`paths`); on every other cospan by dynamic programming,
     the vertices from the legs' bucket sizes and then one pass over the
     edges per length. Either count goes into `count_failures` the same way.
 
@@ -818,7 +777,7 @@ _FAIL_WORDING = ("the exhibited square is not a pullback; the witness is a "
 
 def _slice_check(label: str, text: str) -> dict:
     verdict = operads.is_strongly_regular_presentation(
-        operads.parse_presentation(text, label))
+        operads.parse_presentation(text))
     return {
         "slice": label,
         "strongly_regular": verdict.strongly_regular,
@@ -864,7 +823,7 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     # independent replay through the multiset functor on plain sets
     F = multiset_functor(bounds.size)
     f = make_finset_map(("a", "b"), ("z",), lambda _: "z")
-    res = check_cospan(F, f, f, "multiset oracle replay")
+    res = check_cospan(F, f, f)
     oracle = {
         "functor": "multiset",
         "is_pullback": res.pullback_ok,
@@ -886,7 +845,8 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
 
 def _path_experiment(graph_bounds: tuple[int, int], path_len: int) -> dict:
     """The free-category functor on every graph cospan within the bounds,
-    each one checked by both the path-count DP and the generic checker."""
+    each one checked by the generic checker, whose path count stands in for
+    the path-count DP's."""
     if path_len < 1:
         raise LimitError(f"path length {path_len} checks only identities; "
                          "the gate needs path length >= 1")
@@ -932,13 +892,13 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
             _slice_check("P1 of the strict monad: free monoid",
                          operads.MONOID_PRESENTATION),
         ]
-        list_report = preserves_pullbacks_experiment(
-            list_functor(path_len), set_cospans(2))
+        F = list_functor(path_len)
+        results = [check_cospan(F, f, g) for f, g in set_cospans(2)]
         experiments = [
             {"experiment": "list functor (first slice) on set cospans",
-             "cospans": len(list_report.results),
-             "all_pullback": list_report.all_pullback,
-             "all_weak": list_report.all_weak},
+             "cospans": len(results),
+             "all_pullback": all(r.pullback_ok for r in results),
+             "all_weak": all(r.weak_ok for r in results)},
             _path_experiment(graph_bounds, path_len),
         ]
         ok = all(e["all_pullback"] for e in experiments)

@@ -5,7 +5,7 @@ symmetric-group actions; its analytic functor sends X to the orbits of
 A[n] x X^n under the diagonal action. Dropping the action gives the
 strongly analytic case. `slice_of_strict` computes the slice operads of
 the strict-category monad by running the free-algebra engine on a
-k-terminal computad, and the known oracles cross-check it.
+k-terminal computad, and the free (commutative) monoid cross-checks it.
 
 Strong regularity is decided for a *presentation*; the property of a
 theory (existence of some strongly regular presentation) is out of reach
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import freecat
 from .computads import Computad, FreeAlgebra, GeneratorDecl, free_algebra
 from .freecat import Bounds, Gen, Id, Term
 
@@ -82,7 +81,15 @@ class SymCollection:
 
 
 def collection_violation(a: SymCollection) -> str | None:
-    """Exhaustively check the left-action laws at every arity."""
+    """Check the left-action laws at every arity: each permutation acts by a
+    map on the set, the identity trivially, and p.q as p after q.
+
+    Composition is checked only for p an adjacent transposition, which is
+    enough: these generate Sigma_n, and if the law holds for p' and for a
+    transposition t, it holds for t.p', since act(t.p'.q) = act(t) act(p'.q)
+    = act(t) act(p') act(q) = act(t.p') act(q). The identity satisfies it
+    by the identity law, so by induction on the length of p as a word in
+    the transpositions, every p does."""
     for n, elems in a.sets.items():
         perms = all_perms(n)
         tables = a.action.get(n)
@@ -97,11 +104,12 @@ def collection_violation(a: SymCollection) -> str | None:
         for e in elems:
             if ident[e] != e:
                 return f"arity {n}: identity permutation acts nontrivially"
-        for p in perms:
+        for i in range(n - 1):
+            t = perm_identity(i) + (i + 1, i) + tuple(range(i + 2, n))
             for q in perms:
-                pq = perm_compose(p, q)
+                tq, tab_t, tab_q = tables[perm_compose(t, q)], tables[t], tables[q]
                 for e in elems:
-                    if tables[pq][e] != tables[p][tables[q][e]]:
+                    if tq[e] != tab_t[tab_q[e]]:
                         return f"arity {n}: action not compatible with composition"
     return None
 
@@ -197,7 +205,6 @@ class PTerm:
 class Presentation:
     ops: dict[str, int]  # symbol -> arity
     equations: list[tuple[PTerm, PTerm]]
-    name: str = ""
 
 
 def _parse_pterm(s: str, ops: dict[str, int]) -> PTerm:
@@ -245,7 +252,7 @@ def _check_pterm(t: PTerm, ops: dict[str, int]):
         _check_pterm(a, ops)
 
 
-def parse_presentation(text: str, name: str = "") -> Presentation:
+def parse_presentation(text: str) -> Presentation:
     """Parse lines 'op m : 2' and 'eq m(x,y) = m(y,x)'."""
     ops: dict[str, int] = {}
     equations = []
@@ -266,7 +273,7 @@ def parse_presentation(text: str, name: str = "") -> Presentation:
             equations.append((_parse_pterm(lhs, ops), _parse_pterm(rhs, ops)))
         else:
             raise OperadError(f"line {lineno}: expected 'op' or 'eq'")
-    return Presentation(ops, equations, name)
+    return Presentation(ops, equations)
 
 
 def variable_sequence(t: PTerm, ops: dict[str, int]) -> list[str]:
@@ -285,9 +292,6 @@ class RegularityVerdict:
     equation_index: int | None = None
     violation: str | None = None  # 'repetition' | 'deletion' | 'permutation'
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.strongly_regular
 
 
 def is_strongly_regular_presentation(p: Presentation) -> RegularityVerdict:
@@ -322,7 +326,6 @@ class SliceResult:
     k: int
     generators: list[str]
     counts: dict[int, int]  # cell size -> number of classes
-    by_multiset: dict[tuple[str, ...], int]
     free: FreeAlgebra
     fixed_point: bool
     unknown_verdicts: int
@@ -347,16 +350,14 @@ def k_terminal_computad(k: int, generators) -> Computad:
 def slice_of_strict(k: int, generators, bounds: Bounds = Bounds()) -> SliceResult:
     c = k_terminal_computad(k, generators)
     fa = free_algebra(c, bounds)
-    rows, groups = fa.enumerate_cells(k)
     counts: dict[int, int] = {}
-    for _, mset in rows:
+    for _, mset in fa.enumerate_cells(k):
         counts[len(mset)] = counts.get(len(mset), 0) + 1
     report = fa.soundness_report()
     return SliceResult(
         k=k,
         generators=[str(x) for x in generators],
         counts=counts,
-        by_multiset=groups,
         free=fa,
         fixed_point=fa.fixed_point,
         unknown_verdicts=report["unknown_verdicts"],
@@ -405,31 +406,6 @@ eq m2(x,e) = x
 """
 
 
-@dataclass
-class SliceOracle:
-    name: str
-    kind: str  # 'eval' | 'presentation'
-    eval_fn: object = None  # (generators, size) -> list of elements
-    presentation: Presentation | None = None
-    note: str = ""
-
-
-def known_slice_oracle(name: str) -> SliceOracle:
-    """Catalog of slice data for the strict monad and its relatives."""
-    if name == "free-monoid":
-        return SliceOracle(name, "eval", eval_fn=free_monoid_elements)
-    if name == "free-commutative-monoid":
-        return SliceOracle(name, "eval", eval_fn=free_commutative_monoid_elements)
-    if name == "double-monoid-shared-unit":
-        return SliceOracle(
-            name, "presentation",
-            presentation=parse_presentation(DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
-                                            name),
-            note="the second slice of the Gray-category monad",
-        )
-    raise OperadError(f"unknown slice oracle {name!r}")
-
-
 def _top_generators(t: Term) -> tuple[str, ...]:
     """The top-dimensional generator occurrences of a term, left to right;
     an identity contributes none."""
@@ -440,22 +416,25 @@ def _top_generators(t: Term) -> tuple[str, ...]:
     return _top_generators(t.left) + _top_generators(t.right)
 
 
-def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int]]:
-    """Compare a computed slice against the catalog oracle for its k.
+def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int], str]:
+    """Compare a computed slice against the oracle for its k: the free
+    monoid for k = 1, the free commutative monoid for k >= 2.
 
     Each class representative maps to its generator word (k = 1) or its
     sorted generator multiset (k >= 2). The slice matches when this map is a
     bijection onto the oracle's elements within the size bound: its image is
     exactly those elements and no two classes share one. Also returns the
-    number of the oracle's elements of each size 0..bound."""
+    number of the oracle's elements of each size 0..bound, and the oracle's
+    name."""
     first = result.k == 1
-    oracle = known_slice_oracle("free-monoid" if first else "free-commutative-monoid")
+    name, oracle = (("free-monoid", free_monoid_elements) if first else
+                    ("free-commutative-monoid", free_commutative_monoid_elements))
     size = result.free.bounds.size
-    elements = oracle.eval_fn(result.generators, size)
+    elements = oracle(result.generators, size)
     image = [word if first else tuple(sorted(word, key=repr))
              for word in map(_top_generators, result.free.levels[result.k].rep_terms)]
     ok = len(set(image)) == len(image) and set(image) == set(elements)
     counts = dict.fromkeys(range(size + 1), 0)
     for element in elements:
         counts[len(element)] += 1
-    return ok, counts
+    return ok, counts, name

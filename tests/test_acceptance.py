@@ -204,7 +204,7 @@ def test_criterion_8_oracle_equivalences():
             c = build_computad(
                 [vertices, [(n, Gen(s, 0), Gen(t, 0)) for n, s, t in edges]])
             fa = free_algebra(c, Bounds(size=3))
-            rows, _ = fa.enumerate_cells(1)
+            rows = fa.enumerate_cells(1)
             dims = {v: 0 for v in vertices} | {n: 1 for n, _, _ in edges}
             got = set()
             for rep, _ in rows:

@@ -156,6 +156,14 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  id="free-bound-negative"),
     pytest.param(["slice", "--k", "1", "--rounds", "0"], None, None,
                  id="slice-rounds-zero"),
+    pytest.param(["slice", "--k", "0"], None, None, id="slice-k-zero"),
+    pytest.param(["gate", "--n", "0"], None, None, id="gate-n-zero"),
+    # files that are not UTF-8 text, or nest beyond the recursion limit
+    pytest.param(["free", "FILE"], b"\xff\xfe", None, id="free-undecodable"),
+    pytest.param(["regular", "FILE"], b"\xff\xfe", None, id="regular-undecodable"),
+    pytest.param(["eval", "FILE"], b"\xff\xfe", None, id="eval-undecodable"),
+    pytest.param(["eval", "FILE"], "[" * 100_000 + "]" * 100_000, None,
+                 id="eval-nested-too-deeply"),
     # collection files for eval
     pytest.param(["eval", "FILE"], '["a"]', None, id="eval-not-an-object"),
     pytest.param(["eval", "FILE"], '{"x": ["a"]}', None, id="eval-arity-not-a-number"),
@@ -187,7 +195,10 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
 def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms):
     if text is not None:
         path = tmp_path / "input.cpd"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         argv = [str(path) if a == "FILE" else a for a in argv]
     if max_terms is not None:
         monkeypatch.setattr(cli, "_bounds", lambda args: Bounds(
@@ -260,6 +271,16 @@ def test_eval_names_a_missing_key(capsys, tmp_path):
         path.write_text(text)
         code, _, err = run(capsys, "eval", str(path))
         assert code == 1 and f"expected an object with key {key!r}" in err
+
+
+def test_eval_checks_a_large_arity_through_generators(capsys, tmp_path):
+    # the composition law at arity 7 is checked on 6 x 5,040 pairs of
+    # permutations, not on all 5,040 x 5,040
+    path = tmp_path / "input.json"
+    path.write_text('{"7": {"elements": ["a"], "action": []}}')
+    code, out, _ = run(capsys, "eval", str(path), "--set", "a",
+                       "--arity-bound", "1", "--format", "structured")
+    assert code == 0 and json.loads(out)["count"] == 0
 
 
 def test_eval_collection(capsys):

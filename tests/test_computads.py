@@ -77,7 +77,7 @@ def test_free_algebra_theta_collapses():
 
 def test_free_algebra_scalar_multisets():
     fa = free_algebra(scalar_computad(["u", "v"]), Bounds(size=3))
-    rows, _ = fa.enumerate_cells(2)
+    rows = fa.enumerate_cells(2)
     expected = list(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(["u", "v"], n) for n in range(4)))
     assert sorted(m for _, m in rows) == sorted(expected)

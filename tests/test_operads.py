@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +11,7 @@ from computadlab.operads import (
     Presentation, SymCollection, all_perms, collection_violation,
     eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
     free_sym_collection,
-    is_strongly_regular_presentation, known_slice_oracle, parse_presentation,
+    is_strongly_regular_presentation, parse_presentation,
     regular_sym_collection, slice_matches_oracle, slice_of_strict,
     strong_analytic_bijection, trivial_sym_collection,
 )
@@ -36,17 +38,6 @@ def _place(p, v):
     for i, x in enumerate(v):
         out[p[i]] = x
     return tuple(out)
-
-
-def multiset_count(n_elems, max_size):
-    total = 0
-    for s in range(max_size + 1):
-        total += len(list(itertools.combinations_with_replacement(range(n_elems), s)))
-    return total
-
-
-def list_count(n_elems, max_size):
-    return sum(n_elems**s for s in range(max_size + 1))
 
 
 # --- analytic evaluation --------------------------------------------------------
@@ -86,6 +77,80 @@ def test_collection_violation_catches_broken_action():
     a.action[2][(1, 0)]["m"] = "w"  # transposition no longer an involution map pair
     a.action[2][(1, 0)]["w"] = "w"
     assert collection_violation(a) is not None
+
+
+def _all_pairs_violation(a: SymCollection) -> str | None:
+    """The reference for `collection_violation`: the same laws, composition
+    checked on every pair of permutations."""
+    for n, elems in a.sets.items():
+        perms = all_perms(n)
+        tables = a.action.get(n)
+        if tables is None or set(tables) != set(perms):
+            return f"arity {n}: action tables missing"
+        for p in perms:
+            for e in elems:
+                if e not in tables[p] or tables[p][e] not in elems:
+                    return f"arity {n}: action of {p} not a map on the set"
+        for e in elems:
+            if tables[tuple(range(n))][e] != e:
+                return f"arity {n}: identity permutation acts nontrivially"
+        for p in perms:
+            for q in perms:
+                pq = tuple(p[q[i]] for i in range(n))
+                for e in elems:
+                    if tables[pq][e] != tables[p][tables[q][e]]:
+                        return f"arity {n}: action not compatible with composition"
+    return None
+
+
+def _sign(p) -> int:
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2
+
+
+def _random_action(rng: random.Random, n: int) -> SymCollection:
+    """Tables of a Sigma_n-action on a few orbits of words over {a, b},
+    twisted by the sign on a second copy, then broken in one of six ways
+    (or not at all)."""
+    perms = all_perms(n)
+    words = {tuple(rng.choice("ab") for _ in range(n)) for _ in range(rng.randint(1, 2))}
+    orbit = sorted({_place(p, w) for w in words for p in perms})
+    twisted = rng.random() < 0.5
+    elems = [(w, b) for w in orbit for b in ((0, 1) if twisted else (0,))]
+    tables = {p: {(w, b): (_place(p, w), (b + _sign(p)) % 2 if twisted else b)
+                  for w, b in elems} for p in perms}
+    others = [p for p in perms if p != tuple(range(n))]
+    kind = rng.randrange(7)
+    if kind == 1 and others:  # one entry moved to another element
+        tables[rng.choice(others)][rng.choice(elems)] = rng.choice(elems)
+    elif kind == 2 and len(others) > 1:  # one permutation acts as another
+        p, q = rng.sample(others, 2)
+        tables[p] = dict(tables[q])
+    elif kind == 3:  # the identity moves an element
+        tables[tuple(range(n))][rng.choice(elems)] = rng.choice(elems)
+    elif kind == 4:  # an image outside the set
+        tables[rng.choice(perms)][rng.choice(elems)] = ("z", 0)
+    elif kind == 5 and others:  # a permutation without a table
+        del tables[rng.choice(others)]
+    elif kind == 6 and others and twisted:  # one permutation loses its twist
+        p = rng.choice(others)
+        tables[p] = {(w, b): (_place(p, w), b) for w, b in elems}
+    return SymCollection({n: elems}, {n: tables})
+
+
+LAWS = ("tables missing", "not a map", "identity", "composition")
+
+
+def test_generator_check_agrees_with_all_pairs():
+    rng = random.Random(12)
+    verdicts = Counter()
+    for _ in range(3000):
+        a = _random_action(rng, rng.randint(0, 4))
+        verdict = collection_violation(a)
+        assert verdict == _all_pairs_violation(a), a
+        verdicts[verdict and next(law for law in LAWS if law in verdict)] += 1
+    # every outcome occurs often enough to be compared
+    assert set(verdicts) == {None, *LAWS}, verdicts
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_free_symmetric_agrees_with_strongly_analytic():
@@ -168,16 +233,16 @@ def test_parser_rejects_bad_input():
 def test_first_slice_is_free_monoid():
     res = slice_of_strict(1, ["a", "b"], Bounds(size=3))
     assert res.counts == {0: 1, 1: 2, 2: 4, 3: 8}
-    ok, expected = slice_matches_oracle(res)
-    assert ok and expected == res.counts
+    ok, expected, name = slice_matches_oracle(res)
+    assert ok and expected == res.counts and name == "free-monoid"
     assert res.unknown_verdicts == 0 and res.fixed_point
 
 
 def test_second_slice_is_free_commutative_monoid():
     res = slice_of_strict(2, ["a", "b"], Bounds(size=3))
     assert res.counts == {0: 1, 1: 2, 2: 3, 3: 4}
-    ok, _ = slice_matches_oracle(res)
-    assert ok
+    ok, _, name = slice_matches_oracle(res)
+    assert ok and name == "free-commutative-monoid"
     assert res.unknown_verdicts == 0 and res.fixed_point
 
 
@@ -194,7 +259,7 @@ def test_slice_oracle_rejects_two_classes_on_one_element(k, keep, lose):
     elems = [tuple(sorted(g.name for g in _leaves(t))) if k > 1
              else tuple(g.name for g in _leaves(t)) for t in lv.rep_terms]
     lv.rep_terms[elems.index(lose)] = lv.rep_terms[elems.index(keep)]
-    ok, expected = slice_matches_oracle(res)
+    ok, expected, _ = slice_matches_oracle(res)
     assert not ok and expected == res.counts
 
 
@@ -238,17 +303,3 @@ def test_slice_three_on_three_generators_is_a_bijection():
     assert all(report[key] == 0 for key in (
         "multiset_violations", "boundary_violations", "word_violations",
         "split_violations", "unknown_verdicts"))
-
-
-# --- the oracle catalog ----------------------------------------------------------------
-
-
-def test_known_oracles():
-    fm = known_slice_oracle("free-monoid")
-    assert len(fm.eval_fn(["a", "b"], 3)) == list_count(2, 3) == 15
-    fc = known_slice_oracle("free-commutative-monoid")
-    assert len(fc.eval_fn(["a", "b"], 3)) == multiset_count(2, 3) == 10
-    dm = known_slice_oracle("double-monoid-shared-unit")
-    assert is_strongly_regular_presentation(dm.presentation).strongly_regular
-    with pytest.raises(OperadError):
-        known_slice_oracle("nonexistent")

@@ -1,10 +1,14 @@
 """Every top-level function and class in the package is used by the package.
 
-A definition counts as used when another part of `src/computadlab` names it,
-as a bare name or as an attribute, outside the definition itself. Re-exports
-in `__init__.py` do not count. A definition that only tests, benchmarks or
-planned work reach needs an entry in KEPT that says why it stays; an entry
-must go once the package uses the name, or once the name is gone.
+A definition counts as used when package code names it outside the
+definition itself: as a bare name in its own module, as an attribute of a
+name that a module binds to its module (`cpd.free_algebra` after
+`from . import computads as cpd`), or in a `from .module import name`. An
+attribute that merely shares the name (`args.height`) does not count, and
+neither do re-exports in `__init__.py`. A definition that only tests,
+benchmarks or planned work reach needs an entry in KEPT that says why it
+stays; an entry must go once the package uses the name, or once the name is
+gone.
 """
 
 import ast
@@ -20,6 +24,7 @@ CONNECTED_LIMITS = ("the equalizer experiments for connected limits (ROADMAP) "
                     "may reuse it; delete it if they do not")
 
 KEPT = {
+    "pasting.height": PASTING_NORMAL_FORM,
     "pasting.node_count": PASTING_NORMAL_FORM,
     "pasting.truncate_tree": PASTING_NORMAL_FORM,
     "pasting.tree_from_str": PASTING_NORMAL_FORM,
@@ -34,6 +39,8 @@ KEPT = {
     "freecat.verify_certificate": ("acceptance criteria 3 and 7 and the "
                                    "benchmark's query oracle replay certificates "
                                    "with it"),
+    "freecat.equal_cells": ("acceptance criteria 3 and 7 and the benchmark's "
+                            "query workload decide equalities with it"),
     "limitlab.is_pullback": CONNECTED_LIMITS,
     "limitlab.is_weak_pullback": CONNECTED_LIMITS,
     "limitlab.graph_pullback": CONNECTED_LIMITS,
@@ -45,28 +52,45 @@ def _modules() -> dict[str, ast.Module]:
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
-def _named(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
+def _module_aliases(tree: ast.Module, modules) -> dict[str, str]:
+    """The names that `tree` binds to a package module: alias -> module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for alias in node.names:
+                if alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+    return aliases
+
+
+def _uses(module: str, stmt: ast.stmt, aliases: dict[str, str]) -> set[str]:
+    """The `module.name` definitions that one top-level statement names."""
+    out = set()
+    for sub in ast.walk(stmt):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+            out.add(f"{module}.{sub.id}")
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in aliases):
+            out.add(f"{aliases[sub.value.id]}.{sub.attr}")
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
+            out.update(f"{sub.module}.{alias.name}" for alias in sub.names)
+    return out
 
 
 def _unreferenced() -> list[str]:
     modules = _modules()
-    named = [(stmt, _named(stmt)) for tree in modules.values() for stmt in tree.body]
+    aliases = {module: _module_aliases(tree, modules) for module, tree in modules.items()}
+    used = [(stmt, _uses(module, stmt, aliases[module]))
+            for module, tree in modules.items() for stmt in tree.body]
     out = []
     for module, tree in modules.items():
         for defn in tree.body:
             if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
-            if not any(defn.name in names
-                       for stmt, names in named if stmt is not defn):
-                out.append(f"{module}.{defn.name}")
+            name = f"{module}.{defn.name}"
+            if not any(name in names for stmt, names in used if stmt is not defn):
+                out.append(name)
     return out
 
 
@@ -78,3 +102,17 @@ def test_every_definition_is_used_or_kept():
 def test_kept_names_are_still_unreferenced():
     stale = sorted(set(KEPT) - set(_unreferenced()))
     assert not stale, f"used by the package now, or gone; drop from KEPT: {stale}"
+
+
+def test_an_attribute_of_the_same_name_is_not_a_use(monkeypatch):
+    modules = _modules()
+    monkeypatch.setitem(globals(), "_modules", lambda: modules)
+    # `cli` reads `args.bound`, which is no use of a top-level `bound`
+    modules["pasting"].body += ast.parse("def bound():\n    return 0\n").body
+    assert "pasting.bound" in _unreferenced()
+    # named through its module, or imported from it, the function is used
+    cli = list(modules["cli"].body)
+    for caller in ("from . import pasting as pst\npst.bound()\n",
+                   "from .pasting import bound\n"):
+        modules["cli"].body = cli + ast.parse(caller).body
+        assert "pasting.bound" not in _unreferenced()

@@ -6,9 +6,13 @@ write them again from the current code (only when a report is meant to
 change), run
 
     PYTHONPATH=src python tests/test_golden.py
+
+Every verb runs from the data directory with bare file names, so a report
+that names its input file names it the same way in any checkout.
 """
 
 import json
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +34,10 @@ VERBS = (
        ["slice", "--k", "1", "--generators", "3", "--bound", "5"]]
     + [["gate", "--n", str(n)] for n in (1, 2, 3)]
     + [["gate", "--n", "3", "--bound", "2"]]
+    + [["regular", name] for name in ("monoid.thy", "commutative_monoid.thy",
+                                      "gray_slice2.thy")]
+    + [["trees", "--height", "2", "--width", "4"],
+       ["eval", "bicategory_slice1.json", "--set", "a,b,c"]]
 )
 
 # (k, number of generators, size bound) -> levels[k].reps and .msets
@@ -38,12 +46,17 @@ SLICE_TABLES = GOLDEN / "slice_tables.json"
 
 
 def golden_name(argv) -> str:
-    return "_".join(a.lstrip("-").replace(".cpd", "") for a in argv) + ".json"
+    return "_".join(a.lstrip("-").split(".")[0].replace(",", "-")
+                    for a in argv) + ".json"
 
 
 def report_bytes(argv, out: Path) -> bytes:
-    args = [str(DATA.joinpath(a)) if a.endswith(".cpd") else a for a in argv]
-    code = main(args + ["--format", "structured", "--out", str(out)])
+    cwd = os.getcwd()
+    os.chdir(DATA)
+    try:
+        code = main(argv + ["--format", "structured", "--out", str(out.resolve())])
+    finally:
+        os.chdir(cwd)
     assert code == 0, argv
     return out.read_bytes()
 

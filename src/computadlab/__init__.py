@@ -16,7 +16,7 @@ from .operads import (
     slice_matches_oracle, slice_of_strict,
 )
 from .limitlab import (
-    FinSetMap, FunctorOnSets, Square,
+    FinSetMap, Square,
     check_cospan, computad_topos_gate, is_pullback, is_weak_pullback,
     pullback_sets, run_path_preservation,
 )

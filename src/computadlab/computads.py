@@ -7,7 +7,9 @@ terms. `build_computad` and `loads_computad` only check the declarations'
 shape; `free_algebra` certifies every attachment against the congruence
 classes of the dimension below while it climbs, so checking a computad
 and building its free algebra are one walk. A computad carries no bounds:
-they belong to the `FreeAlgebra` computed from it.
+they belong to the `FreeAlgebra` computed from it. The pullback of two
+computad maps is built dimension by dimension on that same walk, or refused
+with a `ComputadError` that names the generator pair it could not attach.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class Computad:
     def names(self, r: int) -> list[str]:
         return [g.name for g in self.layers[r]]
 
-    def truncate(self, k: int) -> "Computad":
-        if k > self.dim:
-            raise ComputadError(f"cannot truncate dim {self.dim} to {k}")
-        return Computad(k, [list(layer) for layer in self.layers[: k + 1]])
-
 
 @dataclass
 class FreeAlgebra:
@@ -63,9 +60,6 @@ class FreeAlgebra:
     @property
     def dim(self) -> int:
         return self.computad.dim
-
-    def class_count(self, r: int) -> int:
-        return self.levels[r].n_classes
 
     def class_of_term(self, t: Term) -> int | None:
         return class_in_level(self.levels, t, term_dim(t))
@@ -246,13 +240,11 @@ def induced_class_map(fa_dom: FreeAlgebra, fa_cod: FreeAlgebra,
 
 @dataclass
 class ComputadPullbackReport:
-    computad: Computad | None
-    proj1: ComputadMap | None
-    proj2: ComputadMap | None
-    failures: list[str]
-    ambiguities: list[str]
-    free: FreeAlgebra | None = None  # the certified free algebra on `computad`
-    free_dom: FreeAlgebra | None = None  # the free algebra on `f.dom` it used
+    computad: Computad
+    proj1: ComputadMap
+    proj2: ComputadMap
+    free: FreeAlgebra  # the certified free algebra on `computad`
+    free_dom: FreeAlgebra  # the free algebra on `f.dom` it used
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -263,76 +255,55 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
                        bounds: Bounds = Bounds()) -> ComputadPullbackReport:
     """Dimensionwise pullback on generator sets with induced attachments.
 
-    The induced attachment of a generator pair must be a free cell of the
-    pullback-so-far mapping to both constituents' attachments. When no such
-    class exists, that is recorded in `failures` as a genuine failure of the
-    construction, not silently repaired; when more than one does, the first
-    in class order is taken and the pair is listed in `ambiguities`. The
-    pullback's free algebra is one climb: each new layer is saturated once,
-    on top of the levels that resolved its attachments, and the last step
-    certifies the pullback computad. The report keeps that algebra, along
-    with the free algebra on `f.dom` that the construction saturated.
+    The induced attachment of a generator pair is a free cell of the
+    pullback-so-far that maps to both constituents' attachments; of several,
+    the first in class order is taken. When no such class exists the
+    construction fails, and `ComputadError` names the pair. The pullback's
+    free algebra is one climb: each new layer is saturated once, on top of
+    the levels that resolved its attachments, and the last step certifies
+    the pullback computad. The report keeps that algebra, along with the
+    free algebra on `f.dom` that the construction saturated.
     """
     if f.cod is not g.cod:
         raise ComputadError("pullback requires a common codomain")
     n = f.dom.dim
-    failures: list[str] = []
-    ambiguities: list[str] = []
     fa_x = free_algebra(f.dom, bounds)
     fa_y = fa_x if g.dom is f.dom else free_algebra(g.dom, bounds)
     layers: list[list[GeneratorDecl]] = []
     p = Computad(n, layers)  # gains a layer on each pass of the loop
     proj1, proj2 = ComputadMap(p, f.dom, []), ComputadMap(p, g.dom, [])
     for r in range(n + 1):
-        level_pairs = [
-            (x, y)
-            for x in f.dom.names(r)
-            for y in g.dom.names(r)
-            if f.gen_maps[r][x] == g.gen_maps[r][y]
-        ]
+        pairs = [(dx, dy) for dx in f.dom.layers[r] for dy in g.dom.layers[r]
+                 if f.gen_maps[r][dx.name] == g.gen_maps[r][dy.name]]
+        names = [_pair_name(dx.name, dy.name) for dx, dy in pairs]
         if r == 0:
-            kept = level_pairs
-            decls = [GeneratorDecl(_pair_name(x, y)) for x, y in kept]
-            fa = FreeAlgebra(p, bounds, [level_zero([d.name for d in decls])], [None])
+            decls = [GeneratorDecl(name) for name in names]
+            fa = FreeAlgebra(p, bounds, [level_zero(names)], [None])
         else:
             if r >= 2:
                 _climb(fa, layers[r - 1])
             lv = fa.levels[r - 1]
-            ind_x = induced_class_map(fa, fa_x, proj1, r - 1)
-            ind_y = induced_class_map(fa, fa_y, proj2, r - 1)
+            # (image in X, image in Y) -> the first class over that pair
+            over: dict = {}
+            for c, key in enumerate(zip(induced_class_map(fa, fa_x, proj1, r - 1),
+                                        induced_class_map(fa, fa_y, proj2, r - 1))):
+                over.setdefault(key, c)
             decls = []
-            kept = []
-            for x, y in level_pairs:
-                dx = next(d for d in f.dom.layers[r] if d.name == x)
-                dy = next(d for d in g.dom.layers[r] if d.name == y)
+            for name, (dx, dy) in zip(names, pairs):
                 sides = []
-                bad = False
                 for tx, ty in ((dx.src, dy.src), (dx.tgt, dy.tgt)):
-                    want_x = fa_x.class_of_term(tx)
-                    want_y = fa_y.class_of_term(ty)
-                    hits = [c for c in range(lv.n_classes)
-                            if ind_x[c] == want_x and ind_y[c] == want_y]
-                    if not hits:
-                        failures.append(
-                            f"dim {r}: no induced attachment for ({x},{y})")
-                        bad = True
-                        break
-                    if len(hits) > 1:
-                        ambiguities.append(
-                            f"dim {r}: {len(hits)} candidate attachments for ({x},{y})")
-                    sides.append(lv.rep_terms[hits[0]])
-                if bad:
-                    continue
-                decls.append(GeneratorDecl(_pair_name(x, y), sides[0], sides[1]))
-                kept.append((x, y))
+                    c = over.get((fa_x.class_of_term(tx), fa_y.class_of_term(ty)))
+                    if c is None:
+                        raise ComputadError(f"dim {r}: no induced attachment for "
+                                            f"({dx.name},{dy.name})")
+                    sides.append(lv.rep_terms[c])
+                decls.append(GeneratorDecl(name, *sides))
         layers.append(decls)
-        proj1.gen_maps.append({_pair_name(x, y): x for x, y in kept})
-        proj2.gen_maps.append({_pair_name(x, y): y for x, y in kept})
-    if failures:
-        return ComputadPullbackReport(None, None, None, failures, ambiguities)
+        proj1.gen_maps.append({name: dx.name for name, (dx, _) in zip(names, pairs)})
+        proj2.gen_maps.append({name: dy.name for name, (_, dy) in zip(names, pairs)})
     if n >= 1:
         _climb(fa, layers[n])
-    return ComputadPullbackReport(p, proj1, proj2, failures, ambiguities, fa, fa_x)
+    return ComputadPullbackReport(p, proj1, proj2, fa, fa_x)
 
 
 # --- text format ----------------------------------------------------------------

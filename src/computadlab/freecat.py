@@ -726,19 +726,6 @@ class Engine:
             return Id(self.levels[self.dim - 1].rep_terms[node.lower])
         return Comp(node.k, self.build_term(node.a), self.build_term(node.b))
 
-    def representative(self, root: int) -> int:
-        """The class member with the shortest (then lexicographically least)
-        serialization; deterministic across runs."""
-        memo: dict[int, str] = {}
-        best = None
-        best_tid = -1
-        for t in self._class_terms[self.find(root)]:
-            s = self.term_str(t, memo)
-            key = (len(s), s)
-            if best is None or key < best:
-                best, best_tid = key, t
-        return best_tid
-
     def term_node(self, t: Term) -> int | None:
         """Intern a term of this engine's dimension; None when out of bounds."""
         if isinstance(t, Gen):
@@ -776,10 +763,19 @@ class Engine:
         return UNKNOWN, None
 
     def freeze(self) -> Level:
-        """Snapshot classes into a Level and fill the identity table below."""
+        """Snapshot classes into a Level and fill the identity table below.
+
+        A class is represented by its first member with the shortest, then
+        lexicographically least, serialization; deterministic across runs.
+        One memo serves every class, so a shared subterm is written once."""
         roots = self.classes()
-        reps = {r: self.representative(r) for r in roots}
         memo: dict[int, str] = {}
+
+        def size_then_text(t: int) -> tuple[int, str]:
+            s = self.term_str(t, memo)
+            return len(s), s
+
+        reps = {r: min(self._class_terms[r], key=size_then_text) for r in roots}
         order = sorted(
             roots,
             key=lambda r: (len(self.nodes[r].mset), self.nodes[r].mset,

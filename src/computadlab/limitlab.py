@@ -2,10 +2,11 @@
 
 Squares of finite set maps are tested for being pullbacks (comparison map
 bijective) or weak pullbacks (comparison map surjective, with a chosen
-section). Bounded endofunctors of Set are run over families of cospans to
-test pullback preservation; the gate assembles the decisive experiments
-for the strict-category monad. A pass is bounded evidence only; a failure
-ships a witness that replays outside the engine.
+section). A bounded endofunctor of Set is its action on finite set maps,
+F(X) being the domain of F applied to a map out of X; such functors are run
+over families of cospans to test pullback preservation. The gate assembles
+the decisive experiments for the strict-category monad. A pass is bounded
+evidence only; a failure ships a witness that replays outside the engine.
 
 The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
 vertices of X over each vertex of Z and the edges of X over each edge of Z,
@@ -13,13 +14,14 @@ with the bucket sizes and the map's path fibers as a dense vector indexed
 by the paths of Z. Per cospan, the matching-pair count is the dot product of
 the two legs' fiber vectors, the pullback's vertex count the dot product of
 their bucket sizes, and the pullback's edges are built once, as the product
-of the legs' edge buckets. The path-count DP reads those edges on an
-unchecked cospan and the generic path checker on a checked one, whose paths
-it enumerates and counts once; `graph_pullback` is built from the same
-buckets. The cospans are dealt out in interleaved shares, one per CPU, each
-share but the caller's in a forked child, and the shares' summaries are
-merged in cospan order, so the result does not depend on the number of
-CPUs.
+of the legs' edge buckets. These are the only producers of a cospan's
+pullback and matching-pair count: the path-count DP reads the edges on an
+unchecked cospan, and the generic path checker checks the pullback and the
+count it is handed on a checked one, whose paths it enumerates and counts
+once; `graph_pullback` is built from the same buckets. The cospans are
+dealt out in interleaved shares, one per CPU, each share but the caller's
+in a forked child, and the shares' summaries are merged in cospan order,
+so the result does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -131,44 +133,29 @@ def is_weak_pullback(s: Square) -> tuple[bool, dict | None]:
 # --- bounded endofunctors of Set ------------------------------------------------
 
 
-@dataclass
-class FunctorOnSets:
-    on_set: object  # tuple -> tuple
-    on_map: object  # FinSetMap -> FinSetMap
-
-
-def list_functor(max_len: int) -> FunctorOnSets:
-    """Words of length <= max_len: the free-monoid functor, truncated."""
-
-    def on_set(xs):
-        out = []
-        for n in range(max_len + 1):
-            out.extend(itertools.product(tuple(xs), repeat=n))
-        return tuple(out)
+def list_functor(max_len: int):
+    """Words of length <= max_len: the free-monoid functor, truncated, as
+    its action on maps."""
 
     def on_map(m: FinSetMap) -> FinSetMap:
-        return FinSetMap(on_set(m.dom), on_set(m.cod),
-                         {w: tuple(m.assign[x] for x in w) for w in on_set(m.dom)})
+        dom = tuple(operads.free_monoid_elements(m.dom, max_len))
+        cod = tuple(operads.free_monoid_elements(m.cod, max_len))
+        return FinSetMap(dom, cod, {w: tuple(m.assign[x] for x in w) for w in dom})
 
-    return FunctorOnSets(on_set, on_map)
+    return on_map
 
 
-def multiset_functor(max_size: int) -> FunctorOnSets:
-    """Multisets of size <= max_size: the free-commutative-monoid functor."""
-
-    def on_set(xs):
-        out = []
-        for n in range(max_size + 1):
-            out.extend(itertools.combinations_with_replacement(
-                sorted(tuple(xs), key=repr), n))
-        return tuple(out)
+def multiset_functor(max_size: int):
+    """Multisets of size <= max_size: the free-commutative-monoid functor,
+    as its action on maps."""
 
     def on_map(m: FinSetMap) -> FinSetMap:
-        table = {w: tuple(sorted((m.assign[x] for x in w), key=repr))
-                 for w in on_set(m.dom)}
-        return FinSetMap(on_set(m.dom), on_set(m.cod), table)
+        dom = tuple(operads.free_commutative_monoid_elements(m.dom, max_size))
+        cod = tuple(operads.free_commutative_monoid_elements(m.cod, max_size))
+        table = {w: tuple(sorted((m.assign[x] for x in w), key=repr)) for w in dom}
+        return FinSetMap(dom, cod, table)
 
-    return FunctorOnSets(on_set, on_map)
+    return on_map
 
 
 # --- pullback-preservation experiments --------------------------------------------
@@ -183,10 +170,11 @@ class CospanResult:
     paths: int | None = None  # a graph cospan's number of pullback paths
 
 
-def check_cospan(F: FunctorOnSets, f: FinSetMap, g: FinSetMap) -> CospanResult:
-    """Compare F(pullback) with the pullback of the F-images."""
+def check_cospan(F, f: FinSetMap, g: FinSetMap) -> CospanResult:
+    """Compare F(pullback) with the pullback of the F-images, F being a
+    functor's action on maps."""
     _, p1, p2 = pullback_sets(f, g)
-    sq = Square(F.on_map(p1), F.on_map(p2), F.on_map(f), F.on_map(g))
+    sq = Square(F(p1), F(p2), F(f), F(g))
     cmp = _comparison(sq)
     target, _, _ = pullback_sets(sq.f, sq.g)
     conflated = None
@@ -387,34 +375,23 @@ def path_fibers(x: GraphData, f: GraphMap, max_len: int) -> dict:
     return fibers
 
 
-def _matching_pairs(fx: dict, fy: dict) -> int:
-    """Pairs of paths of x and y with the same image: sum over the images."""
-    if len(fx) > len(fy):
-        fx, fy = fy, fx
-    return sum(n * fy[img] for img, n in fx.items() if img in fy)
-
-
 def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
-                      max_len: int, pullback=None, expected=None) -> CospanResult:
+                      max_len: int, pullback, expected: int) -> CospanResult:
     """Does the bounded free-category functor turn this graph cospan's
     pullback square into a pullback of path sets?
 
-    `pullback` is the cospan's pullback as `_flat_pullback` builds it
-    (flat vertex ids `i * |Y| + j`, edges `(u, w, a, b)`), and `expected`
-    the number of matching pairs of paths of x and y; the sweep passes
-    both, and without them the checker builds the pullback from the legs'
-    buckets and counts the pairs from the path fibers. Every path of the
+    The checker checks what it is handed. `pullback` is the cospan's
+    pullback as `_flat_pullback` builds it (flat vertex ids `i * |Y| + j`,
+    edges `(u, w, a, b)`), and `expected` the number of matching pairs of
+    paths of x and y; the sweep builds both from its legs. Every path of the
     pullback is enumerated once by `_path_keys`, keyed by its pair of
-    projections; the number of paths it finds is `paths`, which
-    the sweep takes as the cospan's path count instead of counting again.
-    Two paths with one key are a `conflated` pair, found again in the
-    enumeration order of `_first_conflation`. Fewer distinct keys than
-    `expected` fail surjectivity, and a `missing` matching pair is then
-    searched for by brute force."""
-    if expected is None:
-        expected = _matching_pairs(path_fibers(x, f, max_len),
-                                   path_fibers(y, g, max_len))
-    verts, pedges = pullback if pullback is not None else _flat_pullback(f, g, x, y)
+    projections; the number of paths it finds is `paths`, which the sweep
+    takes as the cospan's path count instead of counting again. Two paths
+    with one key are a `conflated` pair, found again in the enumeration
+    order of `_first_conflation`. Fewer distinct keys than `expected` fail
+    surjectivity, and a `missing` matching pair is then searched for by
+    brute force."""
+    verts, pedges = pullback
     total, seen = _path_keys(verts, pedges, max_len)
     conflated = None
     if len(seen) < total:
@@ -571,9 +548,6 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int, share: int,
 class PathPreservationSummary:
     """Outcome of the exhaustive free-category pullback-preservation run."""
 
-    max_v: int
-    max_e: int
-    path_len: int
     cospans: int
     matching_pairs: int
     count_failures: list
@@ -631,8 +605,7 @@ def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
         if total != expected:
             count_failures.append(
                 (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
-    return PathPreservationSummary(max_v, max_e, path_len, cospans,
-                                   pairs_total, count_failures,
+    return PathPreservationSummary(cospans, pairs_total, count_failures,
                                    generic_checked, generic_failures)
 
 
@@ -742,8 +715,7 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
         _sweep_share, max_v, max_e, path_len, generic_stride, shares=shares),
         shares)
     return PathPreservationSummary(
-        max_v, max_e, path_len, sum(p.cospans for p in parts),
-        sum(p.matching_pairs for p in parts),
+        sum(p.cospans for p in parts), sum(p.matching_pairs for p in parts),
         _by_number(p.count_failures for p in parts),
         sum(p.generic_checked for p in parts),
         _by_number(p.generic_failures for p in parts))
@@ -760,7 +732,6 @@ def _by_number(tagged_lists) -> list:
 
 @dataclass
 class GateReport:
-    n: int
     verdict: str  # 'pass-within-bounds' | 'counterexample'
     wording: str
     slice_checks: list[dict]
@@ -794,9 +765,6 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     fmap = cpd.make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}],
                                  bounds)
     pb = cpd.pullback_computads(fmap, fmap, bounds)
-    if pb.computad is None:
-        raise LimitError("scalar pullback computad could not be built: "
-                         + "; ".join(pb.failures))
     fa_p, fa_x = pb.free, pb.free_dom
     ind1 = cpd.induced_class_map(fa_p, fa_x, pb.proj1, 2)
     ind2 = cpd.induced_class_map(fa_p, fa_x, pb.proj2, 2)
@@ -879,31 +847,24 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     binfo = {"size": bounds.size, "rounds": bounds.rounds,
              "graph_bounds": list(graph_bounds), "path_len": path_len,
              "witness_size": witness_size}
-    if n == 1:
+    if n in (1, 2):
         slice_checks = [_slice_check("P0 of the strict monad: trivial monoid",
                                      operads.MONOID_PRESENTATION)]
-        exp = _path_experiment(graph_bounds, path_len)
-        verdict = "pass-within-bounds" if exp["all_pullback"] else "counterexample"
-        return GateReport(n, verdict, _PASS_WORDING, slice_checks, [exp], None, binfo)
-    if n == 2:
-        slice_checks = [
-            _slice_check("P0 of the strict monad: trivial monoid",
-                         operads.MONOID_PRESENTATION),
-            _slice_check("P1 of the strict monad: free monoid",
-                         operads.MONOID_PRESENTATION),
-        ]
-        F = list_functor(path_len)
-        results = [check_cospan(F, f, g) for f, g in set_cospans(2)]
-        experiments = [
-            {"experiment": "list functor (first slice) on set cospans",
-             "cospans": len(results),
-             "all_pullback": all(r.pullback_ok for r in results),
-             "all_weak": all(r.weak_ok for r in results)},
-            _path_experiment(graph_bounds, path_len),
-        ]
+        experiments = []
+        if n == 2:
+            slice_checks.append(_slice_check("P1 of the strict monad: free monoid",
+                                             operads.MONOID_PRESENTATION))
+            F = list_functor(path_len)
+            results = [check_cospan(F, f, g) for f, g in set_cospans(2)]
+            experiments.append(
+                {"experiment": "list functor (first slice) on set cospans",
+                 "cospans": len(results),
+                 "all_pullback": all(r.pullback_ok for r in results),
+                 "all_weak": all(r.weak_ok for r in results)})
+        experiments.append(_path_experiment(graph_bounds, path_len))
         ok = all(e["all_pullback"] for e in experiments)
         verdict = "pass-within-bounds" if ok else "counterexample"
-        return GateReport(n, verdict, _PASS_WORDING, slice_checks, experiments,
+        return GateReport(verdict, _PASS_WORDING, slice_checks, experiments,
                           None, binfo)
     if n == 3:
         slice_checks = [
@@ -914,6 +875,6 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
         ]
         wbounds = replace(bounds, size=max(witness_size, 2))
         witness, experiments = _scalar_cospan_witness(wbounds)
-        return GateReport(n, "counterexample", _FAIL_WORDING, slice_checks,
+        return GateReport("counterexample", _FAIL_WORDING, slice_checks,
                           experiments, witness, binfo)
     raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")

@@ -168,12 +168,8 @@ def eval_analytic(a: SymCollection, x, arity_bound: int) -> list:
         perms = all_perms(n)
         for e in a.sets[n]:
             for v in itertools.product(x, repeat=n):
-                orbit = sorted(
-                    (repr((a.act(n, p, e), act_on_tuple(p, v))),
-                     (a.act(n, p, e), act_on_tuple(p, v)))
-                    for p in perms
-                )
-                rep = (n,) + orbit[0][1]
+                images = ((a.act(n, p, e), act_on_tuple(p, v)) for p in perms)
+                rep = (n,) + min((repr(img), img) for img in images)[1]
                 if rep not in seen:
                     seen.add(rep)
                     out.append(rep)

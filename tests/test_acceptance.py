@@ -45,7 +45,7 @@ def test_criterion_1_theta_collapse():
     def run():
         for k in range(5):
             fa = free_algebra(theta_computad(k), Bounds(size=3))
-            assert [fa.class_count(r) for r in range(k + 1)] == [1] * (k + 1)
+            assert [fa.levels[r].n_classes for r in range(k + 1)] == [1] * (k + 1)
             assert fa.fixed_point
     _report(1, "theta collapse k=0..4", 1.0, run)
 
@@ -138,7 +138,7 @@ def test_criterion_6_topos_gate_negative(capsys):
         assert not res.pullback_ok and res.weak_ok
         left, right, image = res.conflated
         _, p1, p2 = pullback_sets(f, f)
-        fp = (F.on_map(p1), F.on_map(p2))
+        fp = (F(p1), F(p2))
         assert (fp[0].assign[left], fp[1].assign[left]) == image
         assert (fp[0].assign[right], fp[1].assign[right]) == image
     _report(6, "multiset counterexample via the gate at n=3", 1.0, run)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from computadlab import computads
 from computadlab.computads import (
     Computad, ComputadError, GeneratorDecl, NonParallelAttachment,
     build_computad, dumps_computad, free_algebra, induced_class_map,
@@ -44,17 +45,6 @@ def test_duplicate_names_rejected():
         build_computad([["a", "a"]])
 
 
-def test_truncate_round_trip():
-    c = scalar_computad(["u", "v"])
-    t = c.truncate(1)
-    assert t.dim == 1 and t.names(0) == ["p"]
-    rebuilt = build_computad(
-        [[d.name for d in t.layers[0]]] +
-        [[(d.name, d.src, d.tgt) for d in t.layers[r]] for r in range(1, 2)] +
-        [[(d.name, d.src, d.tgt) for d in c.layers[2]]])
-    assert dumps_computad(rebuilt) == dumps_computad(c)
-
-
 # --- free algebras -----------------------------------------------------------------
 
 
@@ -64,14 +54,14 @@ def test_free_algebra_graph_is_path_category():
                       ("g", Gen("a", 0), Gen("b", 0))]])
     fa = free_algebra(c, Bounds(size=3))
     # two vertices, two parallel edges, nothing composable
-    assert fa.class_count(0) == 2
-    assert fa.class_count(1) == 4
+    assert fa.levels[0].n_classes == 2
+    assert fa.levels[1].n_classes == 4
 
 
 def test_free_algebra_theta_collapses():
     for k in range(5):
         fa = free_algebra(theta_computad(k), Bounds(size=3))
-        assert [fa.class_count(r) for r in range(k + 1)] == [1] * (k + 1)
+        assert [fa.levels[r].n_classes for r in range(k + 1)] == [1] * (k + 1)
         assert fa.fixed_point
 
 
@@ -115,7 +105,6 @@ def test_pullback_of_identities_is_diagonal():
     c = scalar_computad(["u", "v"])
     i = make_computad_map(c, c, [{n: n for n in c.names(r)} for r in range(c.dim + 1)])
     rep = pullback_computads(i, i, Bounds(size=3))
-    assert not rep.failures
     assert len(rep.computad.names(2)) == 2  # (u|u) and (v|v)
     assert len(rep.computad.names(0)) == 1
 
@@ -125,7 +114,6 @@ def test_pullback_of_scalars_is_generator_product():
     cz = scalar_computad(["w"])
     f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w", "v": "w"}])
     rep = pullback_computads(f, f, Bounds(size=3))
-    assert not rep.failures
     assert sorted(rep.computad.names(2)) == ["(u|u)", "(u|v)", "(v|u)", "(v|v)"]
 
 
@@ -135,7 +123,6 @@ def test_pullback_with_empty_fiber():
     f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w"}])
     g = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w2"}])
     rep = pullback_computads(f, g, Bounds(size=3))
-    assert not rep.failures
     assert rep.computad.names(2) == []
 
 
@@ -144,9 +131,23 @@ def test_pullback_commutes_with_truncation():
     cz = scalar_computad(["w"])
     f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w", "v": "w"}])
     rep = pullback_computads(f, f, Bounds(size=3))
-    ft = make_computad_map(cx.truncate(1), cz.truncate(1), [{"p": "p"}, {}])
+    # the 1-truncations of cx and cz are both the one point p
+    point = build_computad([["p"], []])
+    ft = make_computad_map(point, point, [{"p": "p"}, {}])
     rep_t = pullback_computads(ft, ft, Bounds(size=3))
-    assert dumps_computad(rep.computad.truncate(1)) == dumps_computad(rep_t.computad)
+    assert (dumps_computad(Computad(1, rep.computad.layers[:2]))
+            == dumps_computad(rep_t.computad))
+
+
+def test_pullback_without_an_induced_attachment_is_refused(monkeypatch):
+    # no class of the pullback-so-far lies over any pair of cells
+    monkeypatch.setattr(computads, "induced_class_map",
+                        lambda fa_dom, fa_cod, m, r: [None] * fa_dom.levels[r].n_classes)
+    cx = scalar_computad(["u"])
+    cz = scalar_computad(["w"])
+    f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w"}])
+    with pytest.raises(ComputadError, match=r"dim 2: no induced attachment for \(u,u\)"):
+        pullback_computads(f, f, Bounds(size=3))
 
 
 def _arrows_over_loop():
@@ -179,7 +180,6 @@ def _pullback_cases():
 def test_pullback_algebra_climb_matches_fresh_saturation(case):
     f, g = _pullback_cases()[case]
     rep = pullback_computads(f, g, Bounds(size=3))
-    assert not rep.failures
     fresh = free_algebra(rep.computad, Bounds(size=3))
     assert len(rep.free.levels) == len(fresh.levels) == rep.computad.dim + 1
     for climbed, ref in zip(rep.free.levels, fresh.levels):

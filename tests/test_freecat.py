@@ -109,7 +109,7 @@ def test_term_syntax_rejects_garbage():
 def test_point_generates_only_identities():
     fa = free_algebra(theta_computad(2), Bounds(size=3))
     for r in (1, 2):
-        assert fa.class_count(r) == 1
+        assert fa.levels[r].n_classes == 1
         rows = fa.enumerate_cells(r)
         assert rows[0][1] == ()  # no generator occurrences anywhere
 
@@ -121,7 +121,7 @@ def test_two_loops_generate_paths():
     words = {decode_word(rep) for rep, _ in rows}
     assert words == {(), ("f",), ("g",), ("f", "g"), ("g", "f")}
     # two identity classes share the empty word but have different endpoints
-    assert fa.class_count(1) == 6
+    assert fa.levels[1].n_classes == 6
 
 
 def test_boundary_checks_on_terms():
@@ -180,7 +180,7 @@ def test_saturate_acyclic_graph_classes_are_paths():
         fa = free_algebra(c, Bounds(size=6))
         assert fa.fixed_point
         oracle = dfs_paths(vertices, edges, 6)
-        assert fa.class_count(1) == len(oracle)
+        assert fa.levels[1].n_classes == len(oracle)
 
 
 def test_scalar_classes_are_multisets():

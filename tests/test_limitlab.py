@@ -142,10 +142,10 @@ def test_list_preservation_matches_zip_oracle():
     # lists of pairs correspond to pairs of equal-length lists with equal image
     F = list_functor(3)
     f = make_finset_map(("a", "b"), ("*",), lambda _: "*")
-    elems, _, _ = pullback_sets(f, f)
-    lists_of_pairs = F.on_set(elems)
+    _, p1, _ = pullback_sets(f, f)
+    lists_of_pairs = F(p1).dom
     pairs_of_lists = [
-        (u, v) for u in F.on_set(f.dom) for v in F.on_set(f.dom)
+        (u, v) for u in F(f).dom for v in F(f).dom
         if len(u) == len(v)
     ]
     assert len(lists_of_pairs) == len(pairs_of_lists)
@@ -162,7 +162,7 @@ def test_multiset_functor_fails_with_reported_witness():
     assert {left, right} == {(("a", "a"), ("b", "b")), (("a", "b"), ("b", "a"))}
     # replay the witness by hand through the functor maps
     _, p1, p2 = pullback_sets(f, f)
-    fp1, fp2 = F.on_map(p1), F.on_map(p2)
+    fp1, fp2 = F(p1), F(p2)
     assert (fp1.assign[left], fp2.assign[left]) == image
     assert (fp1.assign[right], fp2.assign[right]) == image
     assert left != right
@@ -218,11 +218,19 @@ def test_graph_paths_loop():
     assert len(graph_paths(loop, 3)) == 4
 
 
+def _matching_pairs(x, y, f, g, max_len) -> int:
+    """Pairs of paths of x and y with the same image, from the path fibers:
+    the `expected` count a direct caller of `check_path_cospan` hands it."""
+    fx, fy = path_fibers(x, f, max_len), path_fibers(y, g, max_len)
+    return sum(n * fy.get(img, 0) for img, n in fx.items())
+
+
 def test_check_path_cospan_parallel_edges():
     z = GraphData(2, ((0, 1),))
     x = GraphData(2, ((0, 1), (0, 1)))
     f = graph_homs(x, z)[0]
-    res = check_path_cospan(x, x, f, f, 3)
+    res = check_path_cospan(x, x, f, f, 3, _flat_pullback(f, f, x, x),
+                            _matching_pairs(x, x, f, f, 3))
     assert res.pullback_ok
 
 
@@ -269,7 +277,8 @@ def test_cospan_orbits_one_member_per_orbit():
                 for n, p in enumerate(zpaths):
                     assert (leg.fibers[n] if n < len(leg.fibers) else 0) == fibers.get(p, 0)
                 assert sum(leg.fibers) == sum(fibers.values())
-            assert check_path_cospan(x, y, f, g, 2).pullback_ok
+            assert check_path_cospan(x, y, f, g, 2, _flat_pullback(f, g, x, y),
+                                     _matching_pairs(x, y, f, g, 2)).pullback_ok
         assert len(yielded) == len(set(yielded)) < len(orbit_of)
         assert set(yielded) == set(orbit_of.values())
 
@@ -312,30 +321,29 @@ def _parallel_cospan():
 
 def test_check_path_cospan_supplied_pullback_missing_edge():
     x, f, (verts, edges) = _parallel_cospan()
-    assert check_path_cospan(x, x, f, f, 3, pullback=(verts, edges)).pullback_ok
+    pairs = _matching_pairs(x, x, f, f, 3)
+    assert check_path_cospan(x, x, f, f, 3, (verts, edges), pairs).pullback_ok
     u, w, a, b = edges[-1]
-    res = check_path_cospan(x, x, f, f, 3, pullback=(verts, edges[:-1]))
+    res = check_path_cospan(x, x, f, f, 3, (verts, edges[:-1]), pairs)
     assert not res.weak_ok and not res.pullback_ok and res.conflated is None
     assert res.missing == ((0, (a,)), (0, (b,)))
 
 
 def test_check_path_cospan_supplied_pullback_duplicate_edge():
     x, f, (verts, edges) = _parallel_cospan()
-    res = check_path_cospan(x, x, f, f, 3, pullback=(verts, edges + edges[:1]))
+    res = check_path_cospan(x, x, f, f, 3, (verts, edges + edges[:1]),
+                            _matching_pairs(x, x, f, f, 3))
     assert res.weak_ok and not res.pullback_ok and res.missing is None
     first, second, key = res.conflated
     _, _, a, b = edges[0]
     assert first != second and key == ((0, (a,)), (0, (b,)))
 
 
-def _reference_check(x, y, f, g, max_len, pullback=None, expected=None):
+def _reference_check(x, y, f, g, max_len, pullback, expected):
     """`check_path_cospan` written plainly, as the reference: every path of
     the pullback as `(end vertex, key)`, the key `(start, a1, b1, ...)` a
     tuple at every length, the identities `(v,)` included."""
-    if expected is None:
-        expected = limitlab._matching_pairs(path_fibers(x, f, max_len),
-                                            path_fibers(y, g, max_len))
-    verts, pedges = pullback if pullback is not None else _flat_pullback(f, g, x, y)
+    verts, pedges = pullback
     yn = y.nv
     out_of = {}
     for u, w, a, b in pedges:
@@ -415,11 +423,10 @@ def test_checker_matches_reference_on_corrupted_pullbacks(path_len):
             corrupted = _corrupt(rng, kind, x, y, *pullback)
             if corrupted is None:
                 continue
-            for given in (expected, None):
-                res = check_path_cospan(x, y, f, g, path_len, corrupted, given)
-                ref = _reference_check(x, y, f, g, path_len, corrupted, given)
-                assert res == ref, (kind, x, y, f, g, corrupted)
-                failed[kind] |= not res.pullback_ok
+            res = check_path_cospan(x, y, f, g, path_len, corrupted, expected)
+            ref = _reference_check(x, y, f, g, path_len, corrupted, expected)
+            assert res == ref, (kind, x, y, f, g, corrupted)
+            failed[kind] |= not res.pullback_ok
             compared[kind] += 1
     assert min(compared.values()) > 50, compared
     # an edge from outside the pullback lies on no path; the others break some

@@ -1,14 +1,17 @@
-"""Every top-level function and class in the package is used by the package.
+"""Every top-level function and class in the package, and every member of
+its classes, is used by the package.
 
 A definition counts as used when package code names it outside the
 definition itself: as a bare name in its own module, as an attribute of a
 name that a module binds to its module (`cpd.free_algebra` after
 `from . import computads as cpd`), or in a `from .module import name`. An
 attribute that merely shares the name (`args.height`) does not count, and
-neither do re-exports in `__init__.py`. A definition that only tests,
-benchmarks or planned work reach needs an entry in KEPT that says why it
-stays; an entry must go once the package uses the name, or once the name is
-gone.
+neither do re-exports in `__init__.py`. A member of a class (a dataclass or
+NamedTuple field, a method or a property; dunder methods aside) counts as
+used when package code loads an attribute of that name from anything. A
+definition or member that only tests, benchmarks or planned work reach needs
+an entry in KEPT that says why it stays; an entry must go once the package
+uses the name, or once the name is gone.
 """
 
 import ast
@@ -44,6 +47,11 @@ KEPT = {
     "limitlab.is_pullback": CONNECTED_LIMITS,
     "limitlab.is_weak_pullback": CONNECTED_LIMITS,
     "limitlab.graph_pullback": CONNECTED_LIMITS,
+    "limitlab.CospanResult.missing": ("the witness a failing checked cospan "
+                                      "ships in `generic_failures`: a matching "
+                                      "pair of paths the pullback does not reach"),
+    "pasting.DecoratedTree.shape": PASTING_NORMAL_FORM,
+    "pasting.DecoratedTree.labels": PASTING_NORMAL_FORM,
 }
 
 
@@ -77,6 +85,26 @@ def _uses(module: str, stmt: ast.stmt, aliases: dict[str, str]) -> set[str]:
     return out
 
 
+def _members(cls: ast.ClassDef):
+    """The annotated fields, methods and properties of a class body."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id
+        elif (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (stmt.name.startswith("__") and stmt.name.endswith("__"))):
+            yield stmt.name
+
+
+def _unread_members(modules) -> list[str]:
+    """The `module.Class.member` members whose name no attribute load reads."""
+    loaded = {node.attr for tree in modules.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{defn.name}.{member}"
+            for module, tree in modules.items() for defn in tree.body
+            if isinstance(defn, ast.ClassDef)
+            for member in _members(defn) if member not in loaded]
+
+
 def _unreferenced() -> list[str]:
     modules = _modules()
     aliases = {module: _module_aliases(tree, modules) for module, tree in modules.items()}
@@ -91,7 +119,7 @@ def _unreferenced() -> list[str]:
             name = f"{module}.{defn.name}"
             if not any(name in names for stmt, names in used if stmt is not defn):
                 out.append(name)
-    return out
+    return out + _unread_members(modules)
 
 
 def test_every_definition_is_used_or_kept():
@@ -116,3 +144,28 @@ def test_an_attribute_of_the_same_name_is_not_a_use(monkeypatch):
                    "from .pasting import bound\n"):
         modules["cli"].body = cli + ast.parse(caller).body
         assert "pasting.bound" not in _unreferenced()
+
+
+def test_a_member_is_used_only_when_an_attribute_load_reads_it(monkeypatch):
+    modules = _modules()
+    monkeypatch.setitem(globals(), "_modules", lambda: modules)
+    planted = [f"pasting.Planted.{m}" for m in ("field", "method", "prop")]
+    modules["pasting"].body += ast.parse(
+        "class Planted(NamedTuple):\n"
+        "    field: int\n"
+        "    def method(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        return 0\n").body
+    assert set(planted) <= set(_unreferenced())
+    # a store, or a bare name, reads no member
+    cli = list(modules["cli"].body)
+    modules["cli"].body = cli + ast.parse(
+        "def touch(p, field, method, prop):\n"
+        "    p.field = p.method = p.prop = (field, method, prop)\n").body
+    assert set(planted) <= set(_unreferenced())
+    modules["cli"].body = cli + ast.parse(
+        "def read(p):\n"
+        "    return p.field, p.method(), p.prop\n").body
+    assert not set(planted) & set(_unreferenced())

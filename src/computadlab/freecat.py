@@ -10,7 +10,11 @@ closes the r-dimensional terms under the strict-category axioms:
   * middle-four interchange for distinct composition indices,
   * functoriality of identities over lower composites.
 
-Terms are interned in a DAG; equality is a union-find congruence closure.
+Terms are interned in a DAG; equality is a congruence closure kept as an
+exact list of each term's class root, beside the member list of each class
+(Nieuwenhuis and Oliveras, "Fast congruence closure and extensions", Inf.
+Comput. 205, 2007). A root is the least term id of its class, and a merge
+relabels every member of the losing class, so `find` is one list read.
 Saturation alternates a generation step (compose every pair of known
 classes within the size bound - one application of the free-composites
 layer) with an axiom step (assert every axiom instance visible on the
@@ -26,12 +30,12 @@ table from its canonical e-nodes (k, class of left, class of right) to
 the earliest member term of that shape. A merge folds the loser's table
 into the winner's (the winner's entries are kept) and marks stale the
 classes holding users of the moved terms; a stale table is re-keyed
-through `find` when it is next read. Associativity and interchange then
-run once per e-node of a round-start snapshot instead of once per member
-term, and a class holds far fewer e-nodes than terms. Each instance first
-looks its two sides up in the signature table; one already settled is
+through the root list when it is next read. Associativity and interchange
+then run once per e-node of a round-start snapshot instead of once per
+member term, and a class holds far fewer e-nodes than terms. Each instance
+first looks its two sides up in the signature table; one already settled is
 skipped before any term is built. The member lists stay for
-representatives and the split check.
+representatives and for relabelling the root list on a merge.
 
 Every effective merge also adds one edge, labelled with the merged pair
 and a locally checkable reason, to a proof forest over the terms
@@ -298,7 +302,9 @@ class Engine:
         self.bounds = bounds
         self.nodes: list[Node] = []
         self._intern: dict[tuple, int] = {}
-        self._parent: list[int] = []
+        # each term's class root, the least term id of its class; a merge
+        # relabels every member of the losing class
+        self._root: list[int] = []
         self._class_terms: dict[int, list[int]] = {}
         # root -> e-node table: (k, class of a, class of b) -> the earliest
         # composite member with that pattern; keys of a stale root may name
@@ -334,17 +340,17 @@ class Engine:
                 )
             )
 
-    # union-find with a proof forest ----------------------------------------
+    # class roots and member lists, with a proof forest ----------------------
+    # Equality is kept as an exact class-root list beside the class member
+    # lists, not as a union-find forest. `verify_certificate` still replays
+    # against a fresh union-find of its own.
 
     def find(self, t: int) -> int:
-        p = self._parent
-        while p[t] != t:
-            p[t] = p[p[t]]
-            t = p[t]
-        return t
+        return self._root[t]
 
     def _merge(self, u: int, v: int, reason: tuple) -> bool:
-        ru, rv = self.find(u), self.find(v)
+        root = self._root
+        ru, rv = root[u], root[v]
         if ru == rv:
             return False
         nu, nv = self.nodes[ru], self.nodes[rv]
@@ -364,14 +370,14 @@ class Engine:
         low = u if len(self._class_terms[ru]) <= len(self._class_terms[rv]) else v
         self._reroot(low)
         self._why[low] = (u, v, reason)
-        win, lose = (ru, rv) if ru < rv else (rv, ru)  # deterministic root
-        self._parent[lose] = win
+        win, lose = (ru, rv) if ru < rv else (rv, ru)  # the least id stays root
         lost_terms = self._class_terms.pop(lose)
         for t in lost_terms:
+            root[t] = win
             users = self._uses.get(t)
             if users:
                 self._pending.extend(users)
-                self._stale.update(map(self.find, users))
+                self._stale.update([root[x] for x in users])
         self._class_terms[win].extend(lost_terms)
         table = self._enodes[win]
         for key, t in self._enodes.pop(lose).items():
@@ -413,16 +419,17 @@ class Engine:
         return up[:depth[t]] + down[::-1]
 
     def _process_pending(self):
+        root = self._root
         while self._pending:
             t = self._pending.pop()
             node = self.nodes[t]
             if node.kind != CMP:
                 continue
-            sig = (node.k, self.find(node.a), self.find(node.b))
+            sig = (node.k, root[node.a], root[node.b])
             hit = self._sig.get(sig)
             if hit is None:
                 self._sig[sig] = t
-            elif self.find(hit) != self.find(t):
+            elif root[hit] != root[t]:
                 self._merge(t, hit, ("cong",))
 
     # term construction ------------------------------------------------------
@@ -436,19 +443,20 @@ class Engine:
         tid = len(self.nodes)
         self.nodes.append(node)
         self._intern[key] = tid
-        self._parent.append(tid)
+        root = self._root
+        root.append(tid)
         self._why.append(None)
         self._class_terms[tid] = [tid]
         self._enodes[tid] = {}
         if node.kind == CMP:
             self._uses.setdefault(node.a, []).append(tid)
             self._uses.setdefault(node.b, []).append(tid)
-            sig = (node.k, self.find(node.a), self.find(node.b))
+            sig = (node.k, root[node.a], root[node.b])
             self._enodes[tid][sig] = tid
             hit = self._sig.get(sig)
             if hit is None:
                 self._sig[sig] = tid
-            elif self.find(hit) != self.find(tid):
+            elif root[hit] != tid:  # a new term is its own root
                 self._merge(tid, hit, ("cong",))
         return tid
 
@@ -538,8 +546,9 @@ class Engine:
         """Assert every axiom instance visible on current terms, re-close the
         congruence, and advance the round counter."""
         before = self.counters["merges"]
-        partition = [self.find(t) for t in range(len(self.nodes))]
-        snapshot = [t for root in self.classes() for t in self.enodes(root).values()]
+        root = self._root
+        partition = list(root)
+        snapshot = [t for r in self.classes() for t in self.enodes(r).values()]
         for tid in self.id_atoms:
             self._identity_functoriality(tid)
         for tid in snapshot:
@@ -549,8 +558,7 @@ class Engine:
         self._process_pending()
         # classes may only coarsen, never split
         seen: dict[int, int] = {}
-        for tid, old_root in enumerate(partition):
-            now = self.find(tid)
+        for old_root, now in zip(partition, root):
             if seen.setdefault(old_root, now) != now:
                 self.counters["split_violations"] += 1
                 raise SoundnessError("saturation split a congruence class")
@@ -560,19 +568,22 @@ class Engine:
     def _settled(self, tid: int, k: int, ta: int, tb: int) -> bool:
         """A composite comp_k of the classes of ta and tb is materialized in
         tid's class."""
-        hit = self._sig.get((k, self.find(ta), self.find(tb)))
-        return hit is not None and self.find(hit) == self.find(tid)
+        root = self._root
+        hit = self._sig.get((k, root[ta], root[tb]))
+        return hit is not None and root[hit] == root[tid]
 
     def enodes(self, root: int) -> dict[tuple[int, int, int], int]:
-        """The e-node table of a class root, re-keyed through `find` first if
-        a merge since the last read moved a child class of its members."""
+        """The e-node table of a class root, re-keyed through the root list
+        first if a merge since the last read moved a child class of its
+        members."""
         table = self._enodes[root]
         if root in self._stale:
             self._stale.discard(root)
+            roots = self._root
             fresh: dict[tuple[int, int, int], int] = {}
             for t in table.values():
                 n = self.nodes[t]
-                fresh.setdefault((n.k, self.find(n.a), self.find(n.b)), t)
+                fresh.setdefault((n.k, roots[n.a], roots[n.b]), t)
             self._enodes[root] = table = fresh
         return table
 
@@ -581,17 +592,17 @@ class Engine:
         e-node comp_k(x1, x2) of tid's left class, then the mirror image for
         each e-node of its right class. An instance whose two sides already
         share tid's class is skipped before anything is built."""
-        nodes, sig, find, make = self.nodes, self._sig, self.find, self.make_comp
+        nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
         node = nodes[tid]
         k, a, b = node.k, node.a, node.b
-        members = [x for (kx, _, _), x in self.enodes(find(a)).items() if kx == k]
+        members = [x for (kx, _, _), x in self.enodes(root[a]).items() if kx == k]
         self.counters["axiom_instances"] += len(members)
         for x in members:
             nx = nodes[x]
-            inner = sig.get((k, find(nx.b), find(b)))
+            inner = sig.get((k, root[nx.b], root[b]))
             if inner is not None:
-                hit = sig.get((k, find(nx.a), find(inner)))
-                if hit is not None and find(hit) == find(tid):
+                hit = sig.get((k, root[nx.a], root[inner]))
+                if hit is not None and root[hit] == root[tid]:
                     continue
             t1 = make(k, x, b)
             inner = make(k, nx.b, b)
@@ -599,14 +610,14 @@ class Engine:
                 t2 = make(k, nx.a, inner)
                 if t2 is not None:
                     self._merge(t1, t2, ("ax", "assoc", k))
-        members = [y for (ky, _, _), y in self.enodes(find(b)).items() if ky == k]
+        members = [y for (ky, _, _), y in self.enodes(root[b]).items() if ky == k]
         self.counters["axiom_instances"] += len(members)
         for y in members:
             ny = nodes[y]
-            inner = sig.get((k, find(a), find(ny.a)))
+            inner = sig.get((k, root[a], root[ny.a]))
             if inner is not None:
-                hit = sig.get((k, find(inner), find(ny.b)))
-                if hit is not None and find(hit) == find(tid):
+                hit = sig.get((k, root[inner], root[ny.b]))
+                if hit is not None and root[hit] == root[tid]:
                     continue
             t1 = make(k, a, y)
             inner = make(k, a, ny.a)
@@ -621,7 +632,7 @@ class Engine:
         e-node along some k != j of tid's left class and each e-node along
         the same k of its right class. An instance whose two sides already
         share tid's class is skipped before anything is built."""
-        nodes, sig, find, make = self.nodes, self._sig, self.find, self.make_comp
+        nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
         counters = self.counters
         node = nodes[tid]
         j, a, b = node.k, node.a, node.b
@@ -629,24 +640,24 @@ class Engine:
         # merge: nothing else changes a class's e-nodes
         by_index: dict[int, list[int]] = {}
         grouped_at = -1  # the merge count when by_index was built
-        for (k, _, _), x in list(self.enodes(find(a)).items()):
+        for (k, _, _), x in list(self.enodes(root[a]).items()):
             if k == j:
                 continue
             if grouped_at != counters["merges"]:
                 grouped_at = counters["merges"]
                 by_index = {}
-                for (ky, _, _), y in self.enodes(find(b)).items():
+                for (ky, _, _), y in self.enodes(root[b]).items():
                     by_index.setdefault(ky, []).append(y)
             nx = nodes[x]
             members = by_index.get(k, ())
             counters["axiom_instances"] += len(members)
             for y in members:
                 ny = nodes[y]
-                left = sig.get((j, find(nx.a), find(ny.a)))
-                right = sig.get((j, find(nx.b), find(ny.b)))
+                left = sig.get((j, root[nx.a], root[ny.a]))
+                right = sig.get((j, root[nx.b], root[ny.b]))
                 if left is not None and right is not None:
-                    hit = sig.get((k, find(left), find(right)))
-                    if hit is not None and find(hit) == find(tid):
+                    hit = sig.get((k, root[left], root[right]))
+                    if hit is not None and root[hit] == root[tid]:
                         continue
                 t1 = make(j, x, y)
                 left = make(j, nx.a, ny.a)
@@ -767,37 +778,51 @@ class Engine:
 
         A class is represented by its first member with the shortest, then
         lexicographically least, serialization; deterministic across runs.
-        One memo serves every class, so a shared subterm is written once."""
+        Serialization lengths come from the children's in one pass over the
+        terms, so only each class's shortest members are written out. One
+        memo serves every class, so a shared subterm is written once."""
         roots = self.classes()
         memo: dict[int, str] = {}
+        below = self.levels[self.dim - 1]
+        length: list[int] = []
+        for node in self.nodes:
+            if node.kind == GEN:
+                length.append(len(node.name) + 5)  # gen(...)
+            elif node.kind == IDA:
+                length.append(len(below.reps[node.lower]) + 5)  # id1(...)
+            else:  # comp_k(...,...)
+                length.append(len(str(node.k)) + 8 + length[node.a] + length[node.b])
 
-        def size_then_text(t: int) -> tuple[int, str]:
-            s = self.term_str(t, memo)
-            return len(s), s
+        def text(t: int) -> str:
+            return self.term_str(t, memo)
 
-        reps = {r: min(self._class_terms[r], key=size_then_text) for r in roots}
+        reps = {}
+        for r in roots:
+            members = self._class_terms[r]
+            least = min(length[t] for t in members)
+            reps[r] = min((t for t in members if length[t] == least), key=text)
         order = sorted(
             roots,
-            key=lambda r: (len(self.nodes[r].mset), self.nodes[r].mset,
-                           self.term_str(reps[r], memo)),
+            key=lambda r: (len(self.nodes[r].mset), self.nodes[r].mset, text(reps[r])),
         )
         canon = {r: i for i, r in enumerate(order)}
+        root = self._root
         lv = Level(
             dim=self.dim,
-            reps=[self.term_str(reps[r], memo) for r in order],
+            reps=[text(reps[r]) for r in order],
             rep_terms=[self.build_term(reps[r]) for r in order],
             msets=[self.nodes[r].mset for r in order],
             src=[self.nodes[r].src for r in order],
             tgt=[self.nodes[r].tgt for r in order],
             comp={},
             decomps=[[] for _ in order],
-            gen_class={name: canon[self.find(t)] for name, t in self.gen_atoms.items()},
+            gen_class={name: canon[root[t]] for name, t in self.gen_atoms.items()},
         )
         for tid, node in enumerate(self.nodes):
             if node.kind != CMP:
                 continue
-            key = (node.k, canon[self.find(node.a)], canon[self.find(node.b)])
-            val = canon[self.find(tid)]
+            key = (node.k, canon[root[node.a]], canon[root[node.b]])
+            val = canon[root[tid]]
             old = lv.comp.setdefault(key, val)
             if old != val:
                 raise SoundnessError("composition table is not single-valued")
@@ -806,8 +831,7 @@ class Engine:
             lv.decomps[val].append(key)
         for keys in lv.decomps:
             keys.sort()
-        below = self.levels[self.dim - 1]
-        below.idmap = [canon[self.find(t)] for t in self.id_atoms]
+        below.idmap = [canon[root[t]] for t in self.id_atoms]
         return lv
 
 

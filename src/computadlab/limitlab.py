@@ -811,10 +811,45 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     return witness, experiments
 
 
-def _path_experiment(graph_bounds: tuple[int, int], path_len: int) -> dict:
+def _jsonable(x):
+    """Tuples as lists, all the way down, for a JSON report."""
+    return [_jsonable(y) for y in x] if isinstance(x, (tuple, list)) else x
+
+
+def _set_witness(experiment: str, f: FinSetMap, g: FinSetMap,
+                 res: CospanResult) -> dict:
+    """A failing set cospan {0..a-1} -> {0..c-1} <- {0..b-1}: the legs as
+    lists of images, and the functor's conflated pair or missing element."""
+    return {"experiment": experiment, "z": len(f.cod),
+            "f": [f.assign[v] for v in f.dom], "g": [g.assign[v] for v in g.dom],
+            "conflated": _jsonable(res.conflated), "missing": _jsonable(res.missing)}
+
+
+def _graph_witness(experiment: str, summary: PathPreservationSummary) -> dict:
+    """The first cospan the checker failed, in a sweep that checked every
+    cospan: the graphs z, x and y, the legs f and g as vertex and edge
+    maps, its path count F_P against the matching pairs when those differ,
+    and the checker's conflated pair or missing matching pair."""
+    first = summary.generic_failures[0]
+    z, x, y, f, g, res = first
+    witness = {"experiment": experiment}
+    witness.update((name, {"vertices": gr.nv, "edges": _jsonable(gr.edges)})
+                   for name, gr in (("z", z), ("x", x), ("y", y)))
+    witness.update((name, {"vertices": list(m.vmap), "edges": list(m.emap)})
+                   for name, m in (("f", f), ("g", g)))
+    witness.update(next((counts for *cospan, counts in summary.count_failures
+                         if tuple(cospan) == first[:5]), {}))
+    witness.update(conflated=_jsonable(res.conflated), missing=_jsonable(res.missing))
+    return witness
+
+
+def _path_experiment(graph_bounds: tuple[int, int],
+                     path_len: int) -> tuple[dict, dict | None]:
     """The free-category functor on every graph cospan within the bounds,
     each one checked by the generic checker, whose path count stands in for
-    the path-count DP's."""
+    the path-count DP's; with the witness of the first failing cospan, if
+    any. Every cospan is checked, so every cospan whose count fails is
+    among the checker's failures too."""
     if path_len < 1:
         raise LimitError(f"path length {path_len} checks only identities; "
                          "the gate needs path length >= 1")
@@ -823,12 +858,13 @@ def _path_experiment(graph_bounds: tuple[int, int], path_len: int) -> dict:
                          "so every path is an identity; the gate needs at "
                          "least 1 vertex and 1 edge")
     summary = run_path_preservation(*graph_bounds, path_len, generic_stride=1)
+    name = "free category (path) functor on graph cospans"
     return {
-        "experiment": "free category (path) functor on graph cospans",
+        "experiment": name,
         "cospans": summary.cospans,
         "all_pullback": summary.all_pullback,
         "all_weak": all(res.weak_ok for *_, res in summary.generic_failures),
-    }
+    }, _graph_witness(name, summary) if summary.generic_failures else None
 
 
 def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
@@ -837,7 +873,9 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     """The decisive finite experiments for the strict-category monad.
 
     n = 1, 2: the free category functor preserves the tested pullbacks
-    (bounded evidence for the presheaf property). The graph cospans go
+    (bounded evidence for the presheaf property); should a tested square
+    fail, the verdict is a counterexample whose witness is the first
+    failure of the first failing experiment. The graph cospans go
     through `run_path_preservation`, the same sweep acceptance criterion 5
     runs, here with the generic checker on every cospan. Graph bounds below
     1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`: a pass over
@@ -851,21 +889,31 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
         slice_checks = [_slice_check("P0 of the strict monad: trivial monoid",
                                      operads.MONOID_PRESENTATION)]
         experiments = []
+        witnesses = []  # each experiment's first failure, or None
         if n == 2:
             slice_checks.append(_slice_check("P1 of the strict monad: free monoid",
                                              operads.MONOID_PRESENTATION))
             F = list_functor(path_len)
-            results = [check_cospan(F, f, g) for f, g in set_cospans(2)]
+            name = "list functor (first slice) on set cospans"
+            cospans = set_cospans(2)
+            results = [check_cospan(F, f, g) for f, g in cospans]
             experiments.append(
-                {"experiment": "list functor (first slice) on set cospans",
+                {"experiment": name,
                  "cospans": len(results),
                  "all_pullback": all(r.pullback_ok for r in results),
                  "all_weak": all(r.weak_ok for r in results)})
-        experiments.append(_path_experiment(graph_bounds, path_len))
-        ok = all(e["all_pullback"] for e in experiments)
-        verdict = "pass-within-bounds" if ok else "counterexample"
-        return GateReport(verdict, _PASS_WORDING, slice_checks, experiments,
-                          None, binfo)
+            witnesses.append(next((_set_witness(name, f, g, r)
+                                   for (f, g), r in zip(cospans, results)
+                                   if not r.pullback_ok), None))
+        experiment, witness = _path_experiment(graph_bounds, path_len)
+        experiments.append(experiment)
+        witnesses.append(witness)
+        witness = next((w for w in witnesses if w is not None), None)
+        if witness is None:
+            return GateReport("pass-within-bounds", _PASS_WORDING, slice_checks,
+                              experiments, None, binfo)
+        return GateReport("counterexample", _FAIL_WORDING, slice_checks,
+                          experiments, witness, binfo)
     if n == 3:
         slice_checks = [
             _slice_check("P1 of the strict monad: free monoid",

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from importlib import resources
 
@@ -411,6 +412,16 @@ def assert_enode_index(e):
         assert all(e.find(t) == root for t in table.values())
 
 
+def assert_root_list(e):
+    """The member lists partition the terms, and every member of class r
+    has r as its root, r being the least term id of the class."""
+    members = sorted(t for ts in e._class_terms.values() for t in ts)
+    assert members == list(range(len(e.nodes)))
+    for root, ts in e._class_terms.items():
+        assert root == min(ts)
+        assert all(e.find(t) == root for t in ts)
+
+
 @pytest.mark.parametrize("make", [
     lambda: k_terminal_computad(2, ["x0", "x1", "x2"]),
     scalar2,
@@ -422,6 +433,7 @@ def test_enode_index_after_every_step(make, monkeypatch):
         def run(self):
             out = step(self)
             assert_enode_index(self)
+            assert_root_list(self)
             checked.append(self.dim)
             return out
         return run
@@ -430,6 +442,43 @@ def test_enode_index_after_every_step(make, monkeypatch):
         monkeypatch.setattr(Engine, name, checking(getattr(Engine, name)))
     fa = free_algebra(make(), Bounds(size=4))
     assert fa.fixed_point and 2 in checked
+
+
+def random_bracketing(rng, word, dim, unit):
+    """A term of dimension dim composing the generators of word in order,
+    with random composition indices and, now and then, a unit."""
+    if len(word) == 1:
+        t = Gen(word[0], dim)
+    else:
+        cut = rng.randint(1, len(word) - 1)
+        t = Comp(rng.randrange(dim), random_bracketing(rng, word[:cut], dim, unit),
+                 random_bracketing(rng, word[cut:], dim, unit))
+    return Comp(dim - 1, unit, t) if rng.random() < 0.2 else t
+
+
+def test_root_list_exact_after_queries_on_a_reloaded_algebra():
+    """Queries on an unpickled algebra intern new terms and may merge
+    classes; the root list stays exact after each one."""
+    rng = random.Random(11)
+    cases = [(free_algebra(scalar2(), Bounds(size=4)), ["alpha", "beta"],
+              Id(Id(Gen("p", 0)))),
+             (free_algebra(k_terminal_computad(1, ["x0", "x1", "x2"]), Bounds(size=5)),
+              ["x0", "x1", "x2"], Id(Gen("o", 0)))]
+    for fa, gens, unit in cases:
+        fa = pickle.loads(pickle.dumps(fa, pickle.HIGHEST_PROTOCOL))
+        e = fa.engines[fa.dim]
+        assert_root_list(e)
+        before = len(e.nodes)
+        for _ in range(60):
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
+            t1 = random_bracketing(rng, word, fa.dim, unit)
+            t2 = random_bracketing(rng, word, fa.dim, unit)
+            assert fa.class_of_term(t1) is not None
+            assert fa.class_of_term(t1) == fa.class_of_term(t2)
+            verdict, cert = equal_cells(e, t1, t2)
+            assert verdict == EQUAL and verify_certificate(e, cert)
+            assert_root_list(e)
+        assert len(e.nodes) > before
 
 
 def engine_work(e):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 from operator import mul
@@ -571,6 +572,59 @@ def test_gate_two_passes():
     report = computad_topos_gate(2, Bounds(size=3))
     assert report.verdict == "pass-within-bounds"
     assert all(e["all_pullback"] for e in report.experiments)
+
+
+LOOP = GraphData(1, ((0, 0),))
+ON_LOOP = GraphMap((0,), (0,))
+LOOP_COSPAN = {"z": {"vertices": 1, "edges": [[0, 0]]},
+               "x": {"vertices": 1, "edges": [[0, 0]]},
+               "y": {"vertices": 1, "edges": [[0, 0]]},
+               "f": {"vertices": [0], "edges": [0]},
+               "g": {"vertices": [0], "edges": [0]}}
+
+
+@pytest.mark.parametrize("fault", ["checker", "pullback edges"])
+def test_gate_one_failure_says_so_with_a_witness(monkeypatch, fault):
+    if fault == "checker":
+        def fail_loops(x, y, f, g, res):
+            if x == y == LOOP and f == g == ON_LOOP:
+                res.pullback_ok = False
+                res.conflated = ((0, (0,)), (0, (0,)), ((0, (0,)), (0, (0,))))
+
+        _patch_checker(monkeypatch, fail_loops)
+        found = {"conflated": [[0, [0]], [0, [0]], [[0, [0]], [0, [0]]]],
+                 "missing": None}
+    else:
+        # the loop over the loop is the only pullback edge within (1, 1)
+        monkeypatch.setattr(limitlab, "_pullback_edges", lambda yn, ex, ey: [])
+        found = {"F_P": 1, "pairs": 2, "conflated": None,
+                 "missing": [[0, [0]], [0, [0]]]}
+    report = computad_topos_gate(1, graph_bounds=(1, 1), path_len=1)
+    assert report.verdict == "counterexample"
+    assert report.wording == limitlab._FAIL_WORDING
+    assert not report.experiments[0]["all_pullback"]
+    assert report.witness == {
+        "experiment": "free category (path) functor on graph cospans",
+        **LOOP_COSPAN, **found}
+    assert json.loads(json.dumps(report.witness)) == report.witness
+
+
+def test_gate_two_failure_names_the_set_cospan(monkeypatch):
+    original = limitlab.check_cospan
+
+    def fail_pairs(F, f, g):
+        res = original(F, f, g)
+        if len(f.dom) == len(g.dom) == len(f.cod) == 2:
+            res.pullback_ok, res.missing = False, ((0, 1),)
+        return res
+
+    monkeypatch.setattr(limitlab, "check_cospan", fail_pairs)
+    report = computad_topos_gate(2, graph_bounds=(1, 1), path_len=1)
+    assert report.verdict == "counterexample"
+    assert [e["all_pullback"] for e in report.experiments] == [False, True]
+    assert report.witness == {
+        "experiment": "list functor (first slice) on set cospans",
+        "z": 2, "f": [0, 0], "g": [0, 0], "conflated": None, "missing": [[0, 1]]}
 
 
 def test_gate_three_counterexample_with_replay():

@@ -47,9 +47,6 @@ KEPT = {
     "limitlab.is_pullback": CONNECTED_LIMITS,
     "limitlab.is_weak_pullback": CONNECTED_LIMITS,
     "limitlab.graph_pullback": CONNECTED_LIMITS,
-    "limitlab.CospanResult.missing": ("the witness a failing checked cospan "
-                                      "ships in `generic_failures`: a matching "
-                                      "pair of paths the pullback does not reach"),
     "pasting.DecoratedTree.shape": PASTING_NORMAL_FORM,
     "pasting.DecoratedTree.labels": PASTING_NORMAL_FORM,
 }

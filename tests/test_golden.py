@@ -41,7 +41,7 @@ VERBS = (
 )
 
 # (k, number of generators, size bound) -> levels[k].reps and .msets
-SLICES = [(2, 3, 4), (2, 3, 6), (3, 2, 4)]
+SLICES = [(2, 3, 4), (2, 3, 6), (3, 2, 4), (1, 3, 6), (3, 3, 4), (1, 2, 7)]
 SLICE_TABLES = GOLDEN / "slice_tables.json"
 
 

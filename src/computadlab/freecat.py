@@ -34,8 +34,12 @@ through the root list when it is next read. Associativity and interchange
 then run once per e-node of a round-start snapshot instead of once per
 member term, and a class holds far fewer e-nodes than terms. Each instance
 first looks its two sides up in the signature table; one already settled is
-skipped before any term is built. The member lists stay for
-representatives and for relabelling the root list on a merge.
+skipped before any term is built. An instance's left side comp(p, q), with p
+and q e-nodes of the matched e-node's child classes, is in the matched
+class by congruence already, so it is never built: the matched e-node is
+merged with the literal right side, and the reason names the pattern
+(p, q). The member lists stay for representatives and for relabelling the
+root list on a merge.
 
 Every effective merge also adds one edge, labelled with the merged pair
 and a locally checkable reason, to a proof forest over the terms
@@ -43,11 +47,12 @@ and a locally checkable reason, to a proof forest over the terms
 Flatt et al., "Small Proofs from Congruence Closure", FMCAD 2022). The
 forest's trees are the classes, so two equal terms are joined by exactly
 one forest path. Their certificate is the edges of that path, each
-congruence edge preceded by the explanations of its child equalities, so
-an Equal verdict carries its proof and nothing else. Distinct verdicts come
-only from invariants preserved by every axiom family (generator multiset,
-boundary classes, and at dimension 1 the generator word). Everything else
-is reported Unknown.
+congruence edge preceded by the explanations of its child equalities and
+each assoc or interchange edge by the explanations of its pattern side's
+children against the pattern's p and q, so an Equal verdict carries its
+proof and nothing else. Distinct verdicts come only from invariants
+preserved by every axiom family (generator multiset, boundary classes, and
+at dimension 1 the generator word). Everything else is reported Unknown.
 """
 
 from __future__ import annotations
@@ -591,7 +596,8 @@ class Engine:
         """comp_k(comp_k(x1, x2), y) = comp_k(x1, comp_k(x2, y)) for each
         e-node comp_k(x1, x2) of tid's left class, then the mirror image for
         each e-node of its right class. An instance whose two sides already
-        share tid's class is skipped before anything is built."""
+        share tid's class is skipped before anything is built; otherwise
+        tid stands for the left side and is merged with the right side."""
         nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
         node = nodes[tid]
         k, a, b = node.k, node.a, node.b
@@ -604,12 +610,11 @@ class Engine:
                 hit = sig.get((k, root[nx.a], root[inner]))
                 if hit is not None and root[hit] == root[tid]:
                     continue
-            t1 = make(k, x, b)
             inner = make(k, nx.b, b)
-            if t1 is not None and inner is not None:
+            if inner is not None:
                 t2 = make(k, nx.a, inner)
                 if t2 is not None:
-                    self._merge(t1, t2, ("ax", "assoc", k))
+                    self._merge(tid, t2, ("ax", "assoc", k, x, b))
         members = [y for (ky, _, _), y in self.enodes(root[b]).items() if ky == k]
         self.counters["axiom_instances"] += len(members)
         for y in members:
@@ -619,19 +624,19 @@ class Engine:
                 hit = sig.get((k, root[inner], root[ny.b]))
                 if hit is not None and root[hit] == root[tid]:
                     continue
-            t1 = make(k, a, y)
             inner = make(k, a, ny.a)
-            if t1 is not None and inner is not None:
+            if inner is not None:
                 t2 = make(k, inner, ny.b)
                 if t2 is not None:
-                    self._merge(t2, t1, ("ax", "assoc", k))
+                    self._merge(tid, t2, ("ax", "assoc", k, a, y))
 
     def _interchange_instances(self, tid: int):
         """comp_j(comp_k(x1, x2), comp_k(y1, y2)) =
         comp_k(comp_j(x1, y1), comp_j(x2, y2)), with j tid's index, for each
         e-node along some k != j of tid's left class and each e-node along
         the same k of its right class. An instance whose two sides already
-        share tid's class is skipped before anything is built."""
+        share tid's class is skipped before anything is built; otherwise
+        tid stands for the left side and is merged with the right side."""
         nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
         counters = self.counters
         node = nodes[tid]
@@ -659,13 +664,12 @@ class Engine:
                     hit = sig.get((k, root[left], root[right]))
                     if hit is not None and root[hit] == root[tid]:
                         continue
-                t1 = make(j, x, y)
                 left = make(j, nx.a, ny.a)
                 right = make(j, nx.b, ny.b)
-                if t1 is not None and left is not None and right is not None:
+                if left is not None and right is not None:
                     t2 = make(k, left, right)
                     if t2 is not None:
-                        self._merge(t1, t2, ("ax", "interchange", j, k))
+                        self._merge(tid, t2, ("ax", "interchange", j, k, x, y))
 
     def _unit_instances(self):
         for root in sorted(self._class_terms.keys()):
@@ -861,9 +865,13 @@ class Certificate:
 
     The steps are proof-forest edges `(u, v, reason)`: those on the forest
     path between `left` and `right`, and, before each congruence edge, the
-    edges explaining its child equalities, each edge once. Verification
-    replays them against a fresh union-find, checking each step's reason
-    locally; it never consults the engine's own equivalence.
+    edges explaining its child equalities, each edge once. An assoc or
+    interchange reason ends with its matched pattern (p, q): u is
+    comp(p, q) up to congruence, v the axiom's other side on comp(p, q)
+    literally, and the edges joining u's children to p and q come first.
+    Verification replays the steps against a fresh union-find, checking
+    each step's reason locally; it never consults the engine's own
+    equivalence.
     """
 
     left: int
@@ -874,9 +882,10 @@ class Certificate:
 def certificate(e: Engine, u: int, v: int) -> Certificate:
     """Explain the equality of two terms from the engine's proof forest.
 
-    Steps come in replay order: the child equalities of a congruence edge
-    are explained before the edge itself. Raises FreecatError when u and v
-    are not equal."""
+    Steps come in replay order: the child equalities of a congruence edge,
+    and those joining an assoc or interchange edge's pattern side to its
+    pattern, are explained before the edge itself. Raises FreecatError
+    when u and v are not equal."""
     steps: list[tuple[int, int, tuple]] = []
     done: set[int] = set()  # terms whose forest edge is already a step
     todo: list = [(u, v)]  # pairs to explain, and terms whose edge to emit
@@ -896,6 +905,10 @@ def certificate(e: Engine, u: int, v: int) -> Certificate:
                 na, nb = e.nodes[a], e.nodes[b]
                 todo.append((na.b, nb.b))
                 todo.append((na.a, nb.a))
+            elif reason[1] in _MATCHED:
+                na, (p, q) = e.nodes[a], reason[-2:]
+                todo.append((na.b, q))
+                todo.append((na.a, p))
     return Certificate(u, v, steps)
 
 
@@ -906,23 +919,43 @@ def _replay_find(parent: dict[int, int], t: int) -> int:
     return t
 
 
+def _matched_step_ok(e: Engine, parent: dict[int, int], u: int, v: int,
+                     reason: tuple) -> bool:
+    """An assoc or interchange step: u is comp(p, q) up to the child
+    equalities already replayed, and v is the literal other side of the
+    axiom on comp(p, q)."""
+    nodes = e.nodes
+    kind, (p, q) = reason[1], reason[-2:]
+    j = reason[2]  # the pattern's composition index
+    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
+    if not (nu.kind == CMP and nu.k == j and nv.kind == CMP
+            and _replay_find(parent, nu.a) == _replay_find(parent, p)
+            and _replay_find(parent, nu.b) == _replay_find(parent, q)):
+        return False
+    if kind == "assoc":
+        if nv.k != j:
+            return False
+        nl, nr = nodes[nv.a], nodes[nv.b]
+        # comp(comp(p1, p2), q) = comp(p1, comp(p2, q))
+        if (np.kind == CMP and np.k == j and nv.a == np.a and nr.kind == CMP
+                and nr.k == j and nr.a == np.b and nr.b == q):
+            return True
+        # comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)
+        return (nq.kind == CMP and nq.k == j and nv.b == nq.b and nl.kind == CMP
+                and nl.k == j and nl.a == p and nl.b == nq.a)
+    # comp_j(comp_k(p1, p2), comp_k(q1, q2))
+    #   = comp_k(comp_j(p1, q1), comp_j(p2, q2)), j != k
+    k = reason[3]
+    nl, nr = nodes[nv.a], nodes[nv.b]
+    return (k != j and nv.k == k and np.kind == CMP and nq.kind == CMP
+            and np.k == k and nq.k == k and nl.kind == CMP and nr.kind == CMP
+            and nl.k == j and nr.k == j and nl.a == np.a and nl.b == nq.a
+            and nr.a == np.b and nr.b == nq.b)
+
+
 def _axiom_step_ok(e: Engine, u: int, v: int, reason: tuple) -> bool:
     nodes = e.nodes
     kind = reason[1]
-    if kind == "assoc":
-        k = reason[2]
-        for s, t in ((u, v), (v, u)):
-            ns, nt = nodes[s], nodes[t]
-            if ns.kind != CMP or nt.kind != CMP or ns.k != k or nt.k != k:
-                continue
-            nx = nodes[ns.a]
-            if nx.kind != CMP or nx.k != k:
-                continue
-            ninner = nodes[nt.b]
-            if (ninner.kind == CMP and ninner.k == k and nt.a == nx.a
-                    and ninner.a == nx.b and ninner.b == ns.b):
-                return True
-        return False
     if kind in ("unit_l", "unit_r"):
         k = reason[2]
         nu = nodes[u]
@@ -941,17 +974,6 @@ def _axiom_step_ok(e: Engine, u: int, v: int, reason: tuple) -> bool:
         else:
             expect = e._pad_to_top(e._descend_tgt(nb.tgt, d, k), k)
         return np.lower == expect
-    if kind == "interchange":
-        j, k = reason[2], reason[3]
-        nu, nv = nodes[u], nodes[v]
-        if nu.kind != CMP or nv.kind != CMP or nu.k != j or nv.k != k:
-            return False
-        nx, ny = nodes[nu.a], nodes[nu.b]
-        nl, nr = nodes[nv.a], nodes[nv.b]
-        return (nx.kind == CMP and ny.kind == CMP and nl.kind == CMP
-                and nr.kind == CMP and nx.k == k and ny.k == k
-                and nl.k == j and nr.k == j and nl.a == nx.a and nl.b == ny.a
-                and nr.a == nx.b and nr.b == ny.b)
     if kind == "idfun":
         k = reason[2]
         nu, nv = nodes[u], nodes[v]
@@ -964,8 +986,10 @@ def _axiom_step_ok(e: Engine, u: int, v: int, reason: tuple) -> bool:
     return False
 
 
-# the integer arguments each axiom family's reason carries after its name
-_AXIOM_ARITY = {"assoc": 1, "unit_l": 1, "unit_r": 1, "interchange": 2, "idfun": 1}
+# the integer arguments each axiom family's reason carries after its name;
+# an assoc or interchange reason ends with its matched pattern's two terms
+_AXIOM_ARITY = {"assoc": 3, "unit_l": 1, "unit_r": 1, "interchange": 4, "idfun": 1}
+_MATCHED = ("assoc", "interchange")
 
 
 def _well_formed(e: Engine, step) -> bool:
@@ -979,7 +1003,8 @@ def _well_formed(e: Engine, step) -> bool:
         return True
     return (len(reason) >= 2 and reason[0] == "ax" and isinstance(reason[1], str)
             and _AXIOM_ARITY.get(reason[1]) == len(reason) - 2
-            and all(isinstance(x, int) for x in reason[2:]))
+            and all(isinstance(x, int) for x in reason[2:])
+            and (reason[1] not in _MATCHED or all(_is_term(e, t) for t in reason[-2:])))
 
 
 def _is_term(e: Engine, t) -> bool:
@@ -990,8 +1015,10 @@ def verify_certificate(e: Engine, cert: Certificate) -> bool:
     """Replay a certificate step by step against a fresh union-find.
 
     Each step must be well formed and locally valid: an axiom step is an
-    instance of its axiom, and a congruence step joins two composites whose
-    children the steps before it have already joined. Finally `left` and
+    instance of its axiom, with an assoc or interchange step's pattern side
+    joined to its pattern by the steps before it, and a congruence step
+    joins two composites whose children the steps before it have already
+    joined. Finally `left` and
     `right` must be joined. Anything else, malformed input included, gives
     False; this never raises."""
     if not (_is_term(e, cert.left) and _is_term(e, cert.right)):
@@ -1006,6 +1033,8 @@ def verify_certificate(e: Engine, cert: Certificate) -> bool:
             ok = (nu.kind == CMP and nv.kind == CMP and nu.k == nv.k
                   and _replay_find(parent, nu.a) == _replay_find(parent, nv.a)
                   and _replay_find(parent, nu.b) == _replay_find(parent, nv.b))
+        elif reason[1] in _MATCHED:
+            ok = _matched_step_ok(e, parent, u, v, reason)
         else:
             ok = _axiom_step_ok(e, u, v, reason)
         if not ok:

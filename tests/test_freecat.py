@@ -235,7 +235,7 @@ def test_certificate_tampering_is_caught():
     # claim an axiom step between two inequivalent terms
     u = e.term_node(al)
     v = e.term_node(be)
-    cert.steps.append((u, v, ("ax", "assoc", 0)))
+    cert.steps.append((u, v, ("ax", "assoc", 0, u, v)))
     cert.left, cert.right = u, v
     assert not verify_certificate(e, cert)
 
@@ -255,10 +255,19 @@ def test_eckmann_hilton_certificate_size_does_not_grow():
     assert len(set(lengths)) == 1 and 0 < lengths[0] <= 10
 
 
+def matched_elsewhere(e, step):
+    """An assoc or interchange step whose pattern is not the literal
+    children of its pattern side, so replay must join them first."""
+    u, _, reason = step
+    return (reason[0] == "ax" and reason[1] in ("assoc", "interchange")
+            and (e.nodes[u].a, e.nodes[u].b) != reason[-2:])
+
+
 @pytest.mark.parametrize("make,size", [
     (scalar2, 4),
     (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 5),
-], ids=["scalar2-size4", "slice-k1-g3-size5"])
+    (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
+], ids=["scalar2-size4", "slice-k1-g3-size5", "slice-k2-g3-size4"])
 def test_certificates_hold_exactly_their_proof(make, size, monkeypatch):
     recorded = {}
     merge = Engine._merge
@@ -285,11 +294,30 @@ def test_certificates_hold_exactly_their_proof(make, size, monkeypatch):
         assert set(steps) <= recorded[e]
         for i, step in enumerate(steps):
             # the steps form a forest, so each one is needed, and a
-            # congruence step needs the steps explaining its children first
+            # congruence step, like an axiom step matched up to congruence,
+            # needs the steps explaining its children first
             assert not verify_certificate(e, Certificate(u, v, steps[:i] + steps[i + 1:]))
-            if step[2] == ("cong",):
+            if step[2] == ("cong",) or matched_elsewhere(e, step):
                 moved = [step] + steps[:i] + steps[i + 1:]
                 assert not verify_certificate(e, Certificate(u, v, moved))
+
+
+@pytest.mark.parametrize("make,size", [
+    (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
+    (scalar2, 5),
+], ids=["slice-k2-g3-size4", "scalar2-size5"])
+def test_every_forest_edge_replays(make, size):
+    """The certificate between the two ends of each proof-forest edge
+    verifies, whatever the edge's reason."""
+    fa = free_algebra(make(), Bounds(size=size))
+    e = fa.engines[fa.dim]
+    edges = [label for label in e._why if label is not None]
+    assert len(edges) == e.counters["merges"]
+    assert {reason[:2] for _, _, reason in edges} >= {
+        ("cong",), ("ax", "assoc"), ("ax", "interchange")}
+    for u, v, reason in edges:
+        cert = certificate(e, u, v)
+        assert (u, v, reason) in cert.steps and verify_certificate(e, cert)
 
 
 def _replace_step(steps, pick, change):
@@ -317,7 +345,16 @@ MALFORMED = {
     "interchange-one-index": lambda c, n: (c.left, c.right,
                                            c.steps + [(0, 1, ("ax", "interchange", 0))]),
     "ax-index-not-an-int": lambda c, n: (c.left, c.right, _replace_step(
-        c.steps, lambda s: s[2][0] == "ax", lambda s: (s[0], s[1], s[2][:2] + ("0",)))),
+        c.steps, lambda s: s[2][0] == "ax", lambda s: (s[0], s[1], s[2][:-1] + ("0",)))),
+    "assoc-pattern-past-the-end": lambda c, n: (c.left, c.right,
+                                                c.steps + [(0, 1, ("ax", "assoc", 0, n, 0))]),
+    "interchange-pattern-negative-alias": lambda c, n: (c.left, c.right, _replace_step(
+        c.steps, lambda s: s[2][:2] == ("ax", "interchange"),
+        lambda s: (s[0], s[1], s[2][:4] + (s[2][4] - n, s[2][5])))),
+    "assoc-old-shape": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ("ax", "assoc", 0))]),
+    "interchange-old-shape": lambda c, n: (c.left, c.right, _replace_step(
+        c.steps, lambda s: s[2][:2] == ("ax", "interchange"),
+        lambda s: (s[0], s[1], s[2][:4]))),
 }
 
 
@@ -498,16 +535,16 @@ IDENTITY_ONLY = (2, 1, 1, 6, 2, False,
 
 @pytest.mark.parametrize("make,size,work", [
     (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6, [
-        (12512, 1093, 11419, 87062, 4, True,
-         "99ae0e005dfc2b12abc1d9c8b7a0bb61213269b703b5d0dfe17a3a0d0db4827a")]),
+        (8408, 1093, 7315, 87062, 4, True,
+         "e4c8394d305ce91ef9135b61af4cddb0a225a8ccd20055213d6236c4668c2e31")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6, [
         IDENTITY_ONLY,
-        (10740, 84, 10656, 118608, 4, True,
-         "af9c8f670a0272b58363b43cfb38997be1a03a499ab1e57333072544f5108fca")]),
+        (4153, 84, 4069, 116840, 4, True,
+         "88ddeebe81b296e250c3bf172337310491b42f9cdef6f69178f16e52218c4535")]),
     (scalar2, 5, [
         IDENTITY_ONLY,
-        (1989, 21, 1968, 12674, 4, True,
-         "4e2d5c7cedfd7db92d4995400d43a8d9ec72da7b7c2c298c0a685ec79d862f5b")]),
+        (660, 21, 639, 12310, 4, True,
+         "46ef5a51143aef0915502cbe2da016ea2a0cc64746b86a345193a042ac2a1bcd")]),
 ], ids=["slice-k1-g3-size6", "slice-k2-g3-size6", "scalar2-size5"])
 def test_engine_work_is_pinned(make, size, work):
     """Speed-ups to generation and matching must build the same terms in

@@ -932,21 +932,18 @@ def _matched_step_ok(e: Engine, parent: dict[int, int], u: int, v: int,
             and _replay_find(parent, nu.a) == _replay_find(parent, p)
             and _replay_find(parent, nu.b) == _replay_find(parent, q)):
         return False
+    nl, nr = nodes[nv.a], nodes[nv.b]
     if kind == "assoc":
-        if nv.k != j:
-            return False
-        nl, nr = nodes[nv.a], nodes[nv.b]
-        # comp(comp(p1, p2), q) = comp(p1, comp(p2, q))
-        if (np.kind == CMP and np.k == j and nv.a == np.a and nr.kind == CMP
-                and nr.k == j and nr.a == np.b and nr.b == q):
-            return True
+        # comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), or the mirror
         # comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)
-        return (nq.kind == CMP and nq.k == j and nv.b == nq.b and nl.kind == CMP
-                and nl.k == j and nl.a == p and nl.b == nq.a)
+        return nv.k == j and (
+            (np.kind == CMP and np.k == j and nv.a == np.a and nr.kind == CMP
+             and nr.k == j and nr.a == np.b and nr.b == q)
+            or (nq.kind == CMP and nq.k == j and nv.b == nq.b and nl.kind == CMP
+                and nl.k == j and nl.a == p and nl.b == nq.a))
     # comp_j(comp_k(p1, p2), comp_k(q1, q2))
     #   = comp_k(comp_j(p1, q1), comp_j(p2, q2)), j != k
     k = reason[3]
-    nl, nr = nodes[nv.a], nodes[nv.b]
     return (k != j and nv.k == k and np.kind == CMP and nq.kind == CMP
             and np.k == k and nq.k == k and nl.kind == CMP and nr.kind == CMP
             and nl.k == j and nr.k == j and nl.a == np.a and nl.b == nq.a
@@ -1018,9 +1015,8 @@ def verify_certificate(e: Engine, cert: Certificate) -> bool:
     instance of its axiom, with an assoc or interchange step's pattern side
     joined to its pattern by the steps before it, and a congruence step
     joins two composites whose children the steps before it have already
-    joined. Finally `left` and
-    `right` must be joined. Anything else, malformed input included, gives
-    False; this never raises."""
+    joined. Finally `left` and `right` must be joined. Anything else,
+    malformed input included, gives False; this never raises."""
     if not (_is_term(e, cert.left) and _is_term(e, cert.right)):
         return False
     parent: dict[int, int] = {}

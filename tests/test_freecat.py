@@ -240,6 +240,20 @@ def test_certificate_tampering_is_caught():
     assert not verify_certificate(e, cert)
 
 
+def test_interchange_step_needs_two_indices():
+    # comp_0(comp_0(a,b), comp_0(c,d)) = comp_0(comp_0(a,c), comp_0(b,d))
+    # has the literal shape of an interchange step with j = k, but it is
+    # not a law: the two sides spell different words
+    e = free_algebra(k_terminal_computad(1, ["x0", "x1"]), Bounds(size=4)).engines[1]
+    x0, x1 = Gen("x0", 1), Gen("x1", 1)
+    p, q = e.term_node(Comp(0, x0, x0)), e.term_node(Comp(0, x1, x1))
+    u = e.term_node(Comp(0, Comp(0, x0, x0), Comp(0, x1, x1)))
+    v = e.term_node(Comp(0, Comp(0, x0, x1), Comp(0, x0, x1)))
+    assert e.verdict(u, v)[0] == DISTINCT
+    step = (u, v, ("ax", "interchange", 0, 0, p, q))
+    assert not verify_certificate(e, Certificate(u, v, [step]))
+
+
 def eckmann_hilton_certificate(size):
     """The dimension-2 engine of scalar2.cpd and its certificate for
     comp_0(alpha,beta) = comp_1(beta,alpha)."""

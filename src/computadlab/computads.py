@@ -315,12 +315,20 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
 # One generator per line: '<dim> <name>' or '<dim> <name> : <src> => <tgt>'
 # with boundary terms in the freecat syntax. '#' starts a comment.
 
+# the largest `dim` a file may declare, since every layer up to `dim` is built
+# and climbed: `free` on a file with one 0-generator takes 0.4 s at `dim 64`
+# and 0.9 s at `dim 100` (2-core VM, Python 3.11)
+MAX_DIM = 64
+
 
 def _parse_natural(word: str, what: str, lineno: int) -> int:
     """A dimension field of the text format: a natural number, else an error."""
     if not word.isdecimal():
         raise ComputadError(f"line {lineno}: {what} must be a natural number, got {word!r}")
-    return int(word)
+    try:
+        return int(word)
+    except ValueError:  # more digits than int() converts
+        raise ComputadError(f"line {lineno}: {what} has too many digits") from None
 
 
 def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
@@ -338,6 +346,9 @@ def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
             if dim is not None:
                 raise ComputadError(f"line {lineno}: repeated dim declaration")
             dim = _parse_natural(line[3:].strip(), "dim", lineno)
+            if dim > MAX_DIM:
+                raise ComputadError(
+                    f"line {lineno}: dim {dim} above the largest supported dim {MAX_DIM}")
             layers = [[] for _ in range(dim + 1)]
             continue
         if dim is None:

@@ -46,18 +46,25 @@ and a locally checkable reason, to a proof forest over the terms
 (proof-producing congruence closure: Nieuwenhuis and Oliveras, RTA 2005;
 Flatt et al., "Small Proofs from Congruence Closure", FMCAD 2022). The
 forest's trees are the classes, so two equal terms are joined by exactly
-one forest path. Their certificate is the edges of that path, each
-congruence edge preceded by the explanations of its child equalities and
-each assoc or interchange edge by the explanations of its pattern side's
-children against the pattern's p and q, so an Equal verdict carries its
-proof and nothing else. Distinct verdicts come only from invariants
-preserved by every axiom family (generator multiset, boundary classes, and
-at dimension 1 the generator word). Everything else is reported Unknown.
+one forest path. One table, `_STEPS`, says what each step means: for
+congruence and for each axiom family, the integers its reason carries,
+whether the last two are a matched pattern (p, q), and a local check. A
+step rests on the equalities of u's children to v's children (congruence)
+or to p and q (assoc, interchange), and on nothing else (units, idfun).
+A certificate is the edges of the forest path, each preceded by the
+explanations of the equalities it rests on, so an Equal verdict carries
+its proof and nothing else; `verify_certificate` replays every step along
+one path: well formed, its row's check, its premises already joined.
+Distinct verdicts come only from invariants preserved by every axiom
+family (generator multiset, boundary classes, and at dimension 1 the
+generator word). Everything else is reported Unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 
 class FreecatError(Exception):
@@ -477,14 +484,18 @@ class Engine:
             d -= 1
         return cls
 
-    def _pad_to_top(self, cls: int, k: int) -> int:
-        # iterated identity on a k-class, expressed as a (dim-1)-class
-        for d in range(k, self.dim - 1):
-            idmap = self.levels[d].idmap
+    def _unit_pad(self, t: int, k: int, left: bool) -> int:
+        """The identity atom that is a unit for term t along comp_k: the
+        iterated identity on t's k-source on the left, on its k-target on
+        the right. Reads only the nodes, the frozen levels and the atoms."""
+        node, d = self.nodes[t], self.dim - 1
+        cls = self._descend_src(node.src, d, k) if left else self._descend_tgt(node.tgt, d, k)
+        for r in range(k, d):
+            idmap = self.levels[r].idmap
             if idmap is None:
-                raise FreecatError(f"identity table above dimension {d} not frozen")
+                raise FreecatError(f"identity table above dimension {r} not frozen")
             cls = idmap[cls]
-        return cls
+        return self.id_atoms[cls]
 
     def make_comp(self, k: int, ta: int, tb: int) -> int | None:
         """Intern comp_k(ta, tb); None if unbounded or not composable."""
@@ -673,20 +684,15 @@ class Engine:
 
     def _unit_instances(self):
         for root in sorted(self._class_terms.keys()):
-            node = self.nodes[root]
-            d = self.dim - 1
             for k in range(self.dim):
                 self.counters["axiom_instances"] += 2
-                pad_s = self._pad_to_top(self._descend_src(node.src, d, k), k)
-                if not self._settled(root, k, self.id_atoms[pad_s], root):
-                    t1 = self.make_comp(k, self.id_atoms[pad_s], root)
-                    if t1 is not None:
-                        self._merge(t1, root, ("ax", "unit_l", k))
-                pad_t = self._pad_to_top(self._descend_tgt(node.tgt, d, k), k)
-                if not self._settled(root, k, root, self.id_atoms[pad_t]):
-                    t2 = self.make_comp(k, root, self.id_atoms[pad_t])
-                    if t2 is not None:
-                        self._merge(t2, root, ("ax", "unit_r", k))
+                for family, left in (("unit_l", True), ("unit_r", False)):
+                    pad = self._unit_pad(root, k, left)
+                    a, b = (pad, root) if left else (root, pad)
+                    if not self._settled(root, k, a, b):
+                        t = self.make_comp(k, a, b)
+                        if t is not None:
+                            self._merge(t, root, ("ax", family, k))
 
     def _identity_functoriality(self, tid: int):
         node = self.nodes[tid]
@@ -864,14 +870,13 @@ class Certificate:
     """A proof that two terms are equal, plus the pair it connects.
 
     The steps are proof-forest edges `(u, v, reason)`: those on the forest
-    path between `left` and `right`, and, before each congruence edge, the
-    edges explaining its child equalities, each edge once. An assoc or
-    interchange reason ends with its matched pattern (p, q): u is
-    comp(p, q) up to congruence, v the axiom's other side on comp(p, q)
-    literally, and the edges joining u's children to p and q come first.
-    Verification replays the steps against a fresh union-find, checking
-    each step's reason locally; it never consults the engine's own
-    equivalence.
+    path between `left` and `right`, and before each edge the edges
+    explaining the equalities it rests on (`_premises`), each edge once. A
+    reason names a row of `_STEPS`: `("cong",)`, or `("ax", family, ...)`
+    with that row's integers, an assoc or interchange reason ending with
+    its matched pattern (p, q). Verification replays the steps against a
+    fresh union-find, checking each step's reason locally; it never
+    consults the engine's own equivalence.
     """
 
     left: int
@@ -882,10 +887,9 @@ class Certificate:
 def certificate(e: Engine, u: int, v: int) -> Certificate:
     """Explain the equality of two terms from the engine's proof forest.
 
-    Steps come in replay order: the child equalities of a congruence edge,
-    and those joining an assoc or interchange edge's pattern side to its
-    pattern, are explained before the edge itself. Raises FreecatError
-    when u and v are not equal."""
+    Steps come in replay order: the equalities an edge rests on are
+    explained before the edge itself. Raises FreecatError when u and v are
+    not equal."""
     steps: list[tuple[int, int, tuple]] = []
     done: set[int] = set()  # terms whose forest edge is already a step
     todo: list = [(u, v)]  # pairs to explain, and terms whose edge to emit
@@ -897,19 +901,119 @@ def certificate(e: Engine, u: int, v: int) -> Certificate:
                 steps.append(e._why[item])
             continue
         for t in reversed(e._proof_path(*item)):
-            if t in done:
-                continue
-            todo.append(t)
-            a, b, reason = e._why[t]
-            if reason[0] == "cong":
-                na, nb = e.nodes[a], e.nodes[b]
-                todo.append((na.b, nb.b))
-                todo.append((na.a, nb.a))
-            elif reason[1] in _MATCHED:
-                na, (p, q) = e.nodes[a], reason[-2:]
-                todo.append((na.b, q))
-                todo.append((na.a, p))
+            if t not in done:
+                todo.append(t)
+                a, b, reason = e._why[t]
+                todo.extend(reversed(_premises(e, a, b, *_family(reason))))
     return Certificate(u, v, steps)
+
+
+# --- the proof steps ------------------------------------------------------------
+# A step (u, v, reason) is a local check of its row in `_STEPS` plus the
+# equalities it rests on (Flatt et al., FMCAD 2022). Each check reads only
+# the engine's nodes, frozen levels and identity atoms.
+
+
+def _along(n: Node, k: int) -> bool:
+    return n.kind == CMP and n.k == k
+
+
+def _cong_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+    """Two composites along one index; their children are the premises."""
+    nu = e.nodes[u]
+    return nu.kind == CMP and _along(e.nodes[v], nu.k)
+
+
+def _assoc_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+    """u is a composite along k and v the literal other side on comp(p, q)
+    of comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), or of the mirror
+    comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)."""
+    k, p, q = args
+    nodes = e.nodes
+    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
+    if not (_along(nu, k) and _along(nv, k)):
+        return False
+    nl, nr = nodes[nv.a], nodes[nv.b]
+    return ((_along(np, k) and nv.a == np.a and _along(nr, k)
+             and nr.a == np.b and nr.b == q)
+            or (_along(nq, k) and nv.b == nq.b and _along(nl, k)
+                and nl.a == p and nl.b == nq.a))
+
+
+def _interchange_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+    """u is a composite along j and v the literal other side on comp(p, q)
+    of comp_j(comp_k(p1, p2), comp_k(q1, q2))
+    = comp_k(comp_j(p1, q1), comp_j(p2, q2)), with j != k."""
+    j, k, p, q = args
+    nodes = e.nodes
+    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
+    if not (j != k and _along(nu, j) and _along(nv, k)):
+        return False
+    nl, nr = nodes[nv.a], nodes[nv.b]
+    return (_along(np, k) and _along(nq, k) and _along(nl, j) and _along(nr, j)
+            and nl.a == np.a and nl.b == nq.a and nr.a == np.b and nr.b == nq.b)
+
+
+def _unit_ok(e: Engine, u: int, v: int, args: tuple, left: bool) -> bool:
+    """u is comp_k(pad, v) on the left or comp_k(v, pad) on the right, pad
+    the identity atom `Engine._unit_pad` gives v on that side."""
+    (k,) = args
+    nu = e.nodes[u]
+    pad, body = (nu.a, nu.b) if left else (nu.b, nu.a)
+    return _along(nu, k) and body == v and pad == e._unit_pad(v, k, left)
+
+
+def _idfun_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+    """u is id(c) and v is comp_k(id a, id b), where comp_k(a, b) = c one
+    dimension down."""
+    (k,) = args
+    nodes = e.nodes
+    nu, nv = nodes[u], nodes[v]
+    if not (nu.kind == IDA and _along(nv, k)):
+        return False
+    na, nb = nodes[nv.a], nodes[nv.b]
+    return (na.kind == IDA and nb.kind == IDA
+            and e.levels[e.dim - 1].comp.get((k, na.lower, nb.lower)) == nu.lower)
+
+
+class _StepRow(NamedTuple):
+    arity: int  # the integers a reason carries after its family name
+    matched: bool  # the last two of them are a matched pattern (p, q)
+    check: Callable[[Engine, int, int, tuple], bool]
+
+
+# every family a proof step may name: congruence and the axioms
+_STEPS = {
+    "cong": _StepRow(0, False, _cong_ok),
+    "assoc": _StepRow(3, True, _assoc_ok),
+    "unit_l": _StepRow(1, False, partial(_unit_ok, left=True)),
+    "unit_r": _StepRow(1, False, partial(_unit_ok, left=False)),
+    "interchange": _StepRow(4, True, _interchange_ok),
+    "idfun": _StepRow(1, False, _idfun_ok),
+}
+
+
+def _family(reason: tuple) -> tuple:
+    """The family a reason names and the integers after the name. Only
+    `("cong", ...)` names the congruence row and only `("ax", family, ...)`
+    an axiom row; any other shape names no family (None)."""
+    if reason[0] == "cong":
+        return "cong", reason[1:]
+    if reason[0] == "ax" and len(reason) > 1 and reason[1] != "cong":
+        return reason[1], reason[2:]
+    return None, ()
+
+
+def _premises(e: Engine, u: int, v: int, name: str, args: tuple) -> tuple:
+    """The equalities a step of family `name` rests on: u's children against
+    v's for a congruence step, against the matched pattern (p, q) for an
+    assoc or interchange step, and none for any other step."""
+    nu, nv = e.nodes[u], e.nodes[v]
+    if name == "cong":
+        return (nu.a, nv.a), (nu.b, nv.b)
+    if _STEPS[name].matched:
+        return (nu.a, args[-2]), (nu.b, args[-1])
+    return ()
 
 
 def _replay_find(parent: dict[int, int], t: int) -> int:
@@ -919,89 +1023,22 @@ def _replay_find(parent: dict[int, int], t: int) -> int:
     return t
 
 
-def _matched_step_ok(e: Engine, parent: dict[int, int], u: int, v: int,
-                     reason: tuple) -> bool:
-    """An assoc or interchange step: u is comp(p, q) up to the child
-    equalities already replayed, and v is the literal other side of the
-    axiom on comp(p, q)."""
-    nodes = e.nodes
-    kind, (p, q) = reason[1], reason[-2:]
-    j = reason[2]  # the pattern's composition index
-    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
-    if not (nu.kind == CMP and nu.k == j and nv.kind == CMP
-            and _replay_find(parent, nu.a) == _replay_find(parent, p)
-            and _replay_find(parent, nu.b) == _replay_find(parent, q)):
-        return False
-    nl, nr = nodes[nv.a], nodes[nv.b]
-    if kind == "assoc":
-        # comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), or the mirror
-        # comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)
-        return nv.k == j and (
-            (np.kind == CMP and np.k == j and nv.a == np.a and nr.kind == CMP
-             and nr.k == j and nr.a == np.b and nr.b == q)
-            or (nq.kind == CMP and nq.k == j and nv.b == nq.b and nl.kind == CMP
-                and nl.k == j and nl.a == p and nl.b == nq.a))
-    # comp_j(comp_k(p1, p2), comp_k(q1, q2))
-    #   = comp_k(comp_j(p1, q1), comp_j(p2, q2)), j != k
-    k = reason[3]
-    return (k != j and nv.k == k and np.kind == CMP and nq.kind == CMP
-            and np.k == k and nq.k == k and nl.kind == CMP and nr.kind == CMP
-            and nl.k == j and nr.k == j and nl.a == np.a and nl.b == nq.a
-            and nr.a == np.b and nr.b == nq.b)
-
-
-def _axiom_step_ok(e: Engine, u: int, v: int, reason: tuple) -> bool:
-    nodes = e.nodes
-    kind = reason[1]
-    if kind in ("unit_l", "unit_r"):
-        k = reason[2]
-        nu = nodes[u]
-        if nu.kind != CMP or nu.k != k:
-            return False
-        pad, body = (nu.a, nu.b) if kind == "unit_l" else (nu.b, nu.a)
-        if body != v:
-            return False
-        np = nodes[pad]
-        if np.kind != IDA:
-            return False
-        nb = nodes[v]
-        d = e.dim - 1
-        if kind == "unit_l":
-            expect = e._pad_to_top(e._descend_src(nb.src, d, k), k)
-        else:
-            expect = e._pad_to_top(e._descend_tgt(nb.tgt, d, k), k)
-        return np.lower == expect
-    if kind == "idfun":
-        k = reason[2]
-        nu, nv = nodes[u], nodes[v]
-        if nu.kind != IDA or nv.kind != CMP or nv.k != k:
-            return False
-        na, nb = nodes[nv.a], nodes[nv.b]
-        if na.kind != IDA or nb.kind != IDA:
-            return False
-        return e.levels[e.dim - 1].comp.get((k, na.lower, nb.lower)) == nu.lower
-    return False
-
-
-# the integer arguments each axiom family's reason carries after its name;
-# an assoc or interchange reason ends with its matched pattern's two terms
-_AXIOM_ARITY = {"assoc": 3, "unit_l": 1, "unit_r": 1, "interchange": 4, "idfun": 1}
-_MATCHED = ("assoc", "interchange")
-
-
-def _well_formed(e: Engine, step) -> bool:
-    """A step names two interned terms and a `("cong",)` or `("ax", …)` reason."""
+def _parse(e: Engine, step) -> tuple | None:
+    """A well-formed step as (u, v, family, integers): it names two interned
+    terms and a reason of some row of `_STEPS`, with that row's number of
+    integers, a matched pattern's being interned terms. None otherwise."""
     if not (isinstance(step, tuple) and len(step) == 3):
-        return False
+        return None
     u, v, reason = step
     if not (_is_term(e, u) and _is_term(e, v) and isinstance(reason, tuple) and reason):
-        return False
-    if reason == ("cong",):
-        return True
-    return (len(reason) >= 2 and reason[0] == "ax" and isinstance(reason[1], str)
-            and _AXIOM_ARITY.get(reason[1]) == len(reason) - 2
-            and all(isinstance(x, int) for x in reason[2:])
-            and (reason[1] not in _MATCHED or all(_is_term(e, t) for t in reason[-2:])))
+        return None
+    name, args = _family(reason)
+    row = _STEPS.get(name) if isinstance(name, str) else None
+    if (row is None or len(args) != row.arity
+            or not all(isinstance(x, int) for x in args)
+            or row.matched and not all(_is_term(e, t) for t in args[-2:])):
+        return None
+    return u, v, name, args
 
 
 def _is_term(e: Engine, t) -> bool:
@@ -1011,32 +1048,25 @@ def _is_term(e: Engine, t) -> bool:
 def verify_certificate(e: Engine, cert: Certificate) -> bool:
     """Replay a certificate step by step against a fresh union-find.
 
-    Each step must be well formed and locally valid: an axiom step is an
-    instance of its axiom, with an assoc or interchange step's pattern side
-    joined to its pattern by the steps before it, and a congruence step
-    joins two composites whose children the steps before it have already
-    joined. Finally `left` and `right` must be joined. Anything else,
-    malformed input included, gives False; this never raises."""
+    Every step takes one path: it must be well formed, pass its row's local
+    check, and rest only on equalities (`_premises`) that the steps before
+    it have already joined. Finally `left` and `right` must be joined.
+    Anything else, malformed input included, gives False; this never
+    raises."""
     if not (_is_term(e, cert.left) and _is_term(e, cert.right)):
         return False
     parent: dict[int, int] = {}
     for step in cert.steps:
-        if not _well_formed(e, step):
+        parsed = _parse(e, step)
+        if parsed is None:
             return False
-        u, v, reason = step
-        if reason[0] == "cong":
-            nu, nv = e.nodes[u], e.nodes[v]
-            ok = (nu.kind == CMP and nv.kind == CMP and nu.k == nv.k
-                  and _replay_find(parent, nu.a) == _replay_find(parent, nv.a)
-                  and _replay_find(parent, nu.b) == _replay_find(parent, nv.b))
-        elif reason[1] in _MATCHED:
-            ok = _matched_step_ok(e, parent, u, v, reason)
-        else:
-            ok = _axiom_step_ok(e, u, v, reason)
-        if not ok:
+        u, v, name, args = parsed
+        if not _STEPS[name].check(e, u, v, args):
             return False
+        for x, y in _premises(e, u, v, name, args):
+            if _replay_find(parent, x) != _replay_find(parent, y):
+                return False
         ru, rv = _replay_find(parent, u), _replay_find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
     return _replay_find(parent, cert.left) == _replay_find(parent, cert.right)
-

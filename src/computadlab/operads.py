@@ -261,7 +261,10 @@ def parse_presentation(text: str) -> Presentation:
             sym = head.strip()
             if not arity.strip().isdecimal():
                 raise OperadError(f"line {lineno}: bad arity")
-            ops[sym] = int(arity.strip())
+            try:
+                ops[sym] = int(arity.strip())
+            except ValueError:  # more digits than int() converts
+                raise OperadError(f"line {lineno}: arity has too many digits") from None
         elif line.startswith("eq "):
             lhs, sep, rhs = line[3:].partition("=")
             if not sep:
@@ -387,20 +390,6 @@ eq m(x,e) = x
 """
 
 COMMUTATIVE_MONOID_PRESENTATION = MONOID_PRESENTATION + "eq m(x,y) = m(y,x)\n"
-
-DOUBLE_MONOID_SHARED_UNIT_PRESENTATION = """\
-# two independent monoid structures with a common unit
-op m1 : 2
-op m2 : 2
-op e : 0
-eq m1(m1(x,y),z) = m1(x,m1(y,z))
-eq m2(m2(x,y),z) = m2(x,m2(y,z))
-eq m1(e,x) = x
-eq m1(x,e) = x
-eq m2(e,x) = x
-eq m2(x,e) = x
-"""
-
 
 def _top_generators(t: Term) -> tuple[str, ...]:
     """The top-dimensional generator occurrences of a term, left to right;

@@ -6,6 +6,7 @@ per criterion, with elapsed times.
 
 import json
 import time
+from importlib import resources
 
 from computadlab.cli import main as cli_main
 from computadlab.computads import free_algebra, theta_computad
@@ -17,9 +18,8 @@ from computadlab.limitlab import (
     run_path_preservation,
 )
 from computadlab.operads import (
-    COMMUTATIVE_MONOID_PRESENTATION, DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
-    MONOID_PRESENTATION, NonSymCollection, eval_analytic,
-    eval_strongly_analytic, free_sym_collection,
+    COMMUTATIVE_MONOID_PRESENTATION, MONOID_PRESENTATION, NonSymCollection,
+    eval_analytic, eval_strongly_analytic, free_sym_collection,
     is_strongly_regular_presentation, parse_presentation, slice_of_strict,
     strong_analytic_bijection,
 )
@@ -97,7 +97,8 @@ def test_criterion_4_strong_regularity_catalog():
         assert commutative.violation == "permutation"
         assert commutative.detail
         double = is_strongly_regular_presentation(
-            parse_presentation(DOUBLE_MONOID_SHARED_UNIT_PRESENTATION))
+            parse_presentation(resources.files("computadlab")
+                               .joinpath("data", "gray_slice2.thy").read_text()))
         assert double.strongly_regular
     _report(4, "strong-regularity catalog", None, run)
 

@@ -131,6 +131,12 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["free", "FILE"], "dim x\n0 a\n", None, id="dim-not-a-number"),
     pytest.param(["free", "FILE"], "dim\n0 a\n", None, id="dim-without-number"),
     pytest.param(["free", "FILE"], "dim -1\n", None, id="dim-negative"),
+    pytest.param(["free", "FILE"], f"dim {computads.MAX_DIM + 1}\n0 a\n", None,
+                 id="dim-above-max"),
+    pytest.param(["free", "FILE"], "dim " + "9" * 5000 + "\n", None,
+                 id="dim-too-many-digits"),
+    pytest.param(["regular", "FILE"], "op m : " + "9" * 5000 + "\n", None,
+                 id="arity-too-many-digits"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n-1 f : gen(a) => gen(a)\n", None,
                  id="generator-dim-negative"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f : gen(a) => gen(q)\n", None,

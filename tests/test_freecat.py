@@ -10,7 +10,7 @@ from computadlab.computads import (
 )
 from computadlab.freecat import (
     CMP, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id,
-    UNKNOWN, certificate, equal_cells,
+    UNKNOWN, _STEPS, _family, certificate, equal_cells,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
@@ -322,13 +322,13 @@ def test_certificates_hold_exactly_their_proof(make, size, monkeypatch):
 ], ids=["slice-k2-g3-size4", "scalar2-size5"])
 def test_every_forest_edge_replays(make, size):
     """The certificate between the two ends of each proof-forest edge
-    verifies, whatever the edge's reason."""
+    verifies, whatever the edge's reason, and every row of the step table
+    has edges here."""
     fa = free_algebra(make(), Bounds(size=size))
     e = fa.engines[fa.dim]
     edges = [label for label in e._why if label is not None]
     assert len(edges) == e.counters["merges"]
-    assert {reason[:2] for _, _, reason in edges} >= {
-        ("cong",), ("ax", "assoc"), ("ax", "interchange")}
+    assert {_family(reason)[0] for _, _, reason in edges} == set(_STEPS)
     for u, v, reason in edges:
         cert = certificate(e, u, v)
         assert (u, v, reason) in cert.steps and verify_certificate(e, cert)
@@ -337,6 +337,12 @@ def test_every_forest_edge_replays(make, size):
 def _replace_step(steps, pick, change):
     i = next(i for i, step in enumerate(steps) if pick(step))
     return steps[:i] + [change(steps[i])] + steps[i + 1:]
+
+
+def _relabel(name, reason):
+    """Give the first step of family `name` the reason `reason(old reason)`."""
+    return lambda c, n: (c.left, c.right, _replace_step(
+        c.steps, lambda s: s[2][:2] == ("ax", name), lambda s: (s[0], s[1], reason(s[2]))))
 
 
 MALFORMED = {
@@ -369,6 +375,17 @@ MALFORMED = {
     "interchange-old-shape": lambda c, n: (c.left, c.right, _replace_step(
         c.steps, lambda s: s[2][:2] == ("ax", "interchange"),
         lambda s: (s[0], s[1], s[2][:4]))),
+    "ax-cong": lambda c, n: (c.left, c.right, c.steps + [(0, 1, ("ax", "cong"))]),
+    # terms 0 and 1 are the generators alpha and beta
+    "cong-between-generators": lambda c, n: (0, 1, [(0, 1, ("cong",))]),
+    # a real step under another family's name: that family's check must
+    # refuse it (the first unit_l step is comp_1(id1(id1(gen(p))),gen(alpha))
+    # = gen(alpha), whose body is no identity atom)
+    "unit-l-relabelled-unit-r": _relabel("unit_l", lambda r: ("ax", "unit_r") + r[2:]),
+    "unit-r-relabelled-unit-l": _relabel("unit_r", lambda r: ("ax", "unit_l") + r[2:]),
+    "unit-l-relabelled-idfun": _relabel("unit_l", lambda r: ("ax", "idfun") + r[2:]),
+    "interchange-relabelled-assoc": _relabel(
+        "interchange", lambda r: ("ax", "assoc", r[2]) + r[4:]),
 }
 
 

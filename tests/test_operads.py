@@ -1,14 +1,14 @@
 import itertools
 import random
 from collections import Counter
+from importlib import resources
 
 import pytest
 
 from computadlab.freecat import Bounds, Gen, Id
 from computadlab.operads import (
-    COMMUTATIVE_MONOID_PRESENTATION, DOUBLE_MONOID_SHARED_UNIT_PRESENTATION,
-    MONOID_PRESENTATION, NonSymCollection, OperadError,
-    Presentation, SymCollection, all_perms, collection_violation,
+    COMMUTATIVE_MONOID_PRESENTATION, MONOID_PRESENTATION, NonSymCollection,
+    OperadError, Presentation, SymCollection, all_perms, collection_violation,
     eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
     free_sym_collection,
     is_strongly_regular_presentation, parse_presentation,
@@ -192,7 +192,8 @@ def test_commutative_monoid_fails_with_permutation():
 
 
 def test_double_monoid_shared_unit_is_strongly_regular():
-    p = parse_presentation(DOUBLE_MONOID_SHARED_UNIT_PRESENTATION)
+    p = parse_presentation(resources.files("computadlab")
+                           .joinpath("data", "gray_slice2.thy").read_text())
     assert is_strongly_regular_presentation(p).strongly_regular
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from computadlab.cli import main
-from computadlab.computads import ComputadError, loads_computad
+from computadlab.computads import MAX_DIM, ComputadError, loads_computad
 from computadlab.freecat import FreecatError, term_from_str
 from computadlab.globular import GlobularError
 from computadlab.operads import OperadError, parse_presentation
@@ -25,9 +25,9 @@ PARSERS = [
     (tree_from_str, GlobularError),
 ]
 
-# Pieces of every grammar above. Each number ends in a space, so no run of
-# digits is longer than one: a huge `dim` would allocate that many layers.
-TOKENS = ["dim ", "op ", "eq ", "0 ", "1 ", "2 ", "²", "-", "a", "f", "m", "x",
+# Pieces of every grammar above. Digits join into numbers of many digits:
+# `loads_computad` refuses a `dim` above `MAX_DIM` before it builds a layer.
+TOKENS = ["dim ", "op ", "eq ", "0", "1", "2", "9", "²", "-", "a", "f", "m", "x",
           " ", "\n", "#", ":", "=", "=>", "->", ",", "(", ")", "gen(",
           "id1(", "comp_0(", "comp_1(", "comp_"]
 
@@ -39,6 +39,7 @@ texts = st.one_of(st.text(max_size=60),
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(text=texts)
 @example(text="op m : ²")
+@example(text=f"dim {MAX_DIM + 1}\n0 a\n")
 @example(text="(" * 3000 + ")" * 3000)
 @example(text="id1(" * 3000 + "gen(a)" + ")" * 3000)
 @example(text="dim 1\n0 a\n1 f : " + "id1(" * 3000 + "gen(a)" + ")" * 3000

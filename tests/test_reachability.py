@@ -1,5 +1,5 @@
-"""Every top-level function and class in the package, and every member of
-its classes, is used by the package.
+"""Every top-level function, class and assigned name (a constant) in the
+package, and every member of its classes, is used by the package.
 
 A definition counts as used when package code names it outside the
 definition itself: as a bare name in its own module, as an attribute of a
@@ -102,6 +102,18 @@ def _unread_members(modules) -> list[str]:
             for member in _members(defn) if member not in loaded]
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    return []
+
+
 def _unreferenced() -> list[str]:
     modules = _modules()
     aliases = {module: _module_aliases(tree, modules) for module, tree in modules.items()}
@@ -110,12 +122,9 @@ def _unreferenced() -> list[str]:
     out = []
     for module, tree in modules.items():
         for defn in tree.body:
-            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            name = f"{module}.{defn.name}"
-            if not any(name in names for stmt, names in used if stmt is not defn):
-                out.append(name)
+            for name in (f"{module}.{n}" for n in _defined(defn)):
+                if not any(name in names for stmt, names in used if stmt is not defn):
+                    out.append(name)
     return out + _unread_members(modules)
 
 
@@ -141,6 +150,22 @@ def test_an_attribute_of_the_same_name_is_not_a_use(monkeypatch):
                    "from .pasting import bound\n"):
         modules["cli"].body = cli + ast.parse(caller).body
         assert "pasting.bound" not in _unreferenced()
+
+
+def test_a_constant_is_used_only_when_package_code_names_it(monkeypatch):
+    modules = _modules()
+    monkeypatch.setitem(globals(), "_modules", lambda: modules)
+    planted = {"pasting.PLANTED", "pasting.LOW", "pasting.HIGH", "pasting.TYPED"}
+    modules["pasting"].body += ast.parse(
+        "PLANTED = 1\nLOW, HIGH = 0, 2\nTYPED: int = 3\n").body
+    assert planted <= set(_unreferenced())
+    # `args.PLANTED` is no use; named through its module, the constant is used
+    cli = list(modules["cli"].body)
+    for caller, used in (("def read(args):\n    return args.PLANTED\n", False),
+                         ("from . import pasting as pst\n"
+                          "def read():\n    return pst.PLANTED\n", True)):
+        modules["cli"].body = cli + ast.parse(caller).body
+        assert ("pasting.PLANTED" not in _unreferenced()) is used
 
 
 def test_a_member_is_used_only_when_an_attribute_load_reads_it(monkeypatch):

@@ -213,13 +213,17 @@ def _load_collection(path: str):
             actions[n] = {}
             for entry in _field(payload, "action", list, f"arity {n}"):
                 perm = tuple(_field(entry, "perm", list, f"arity {n} action"))
-                # only numbers can equal 0..n-1, and only they sort together
+                # only numbers can equal 0..n-1, and only they sort together;
+                # the length goes first, so a huge n never builds range(n)
                 if not (all(isinstance(i, (int, float)) for i in perm)
-                        and sorted(perm) == list(range(n))):
+                        and len(perm) == n and sorted(perm) == list(range(n))):
                     raise InputError(f"arity {n}: {list(perm)} is not a permutation")
                 actions[n][perm] = dict(_field(entry, "map", dict, f"arity {n} action"))
     if not symmetric:
         return operads.NonSymCollection(sets)
+    if max(sets) > operads.MAX_ARITY:
+        raise InputError(f"arity {max(sets)} above the largest symmetric arity "
+                         f"{operads.MAX_ARITY}")
     full = {}
     for n, elems in sets.items():
         if any(isinstance(e, (list, dict)) for e in elems):

@@ -217,6 +217,8 @@ class Level:
 
 def level_zero(names: list[str]) -> Level:
     """The dimension-0 layer of a free algebra: just the 0-generators."""
+    if len(set(names)) < len(names):
+        raise FreecatError("a generator is named twice in dimension 0")
     return Level(
         dim=0,
         reps=[f"gen({n})" for n in names],
@@ -313,7 +315,8 @@ class Engine:
         self.levels = levels
         self.bounds = bounds
         self.nodes: list[Node] = []
-        self._intern: dict[tuple, int] = {}
+        # composites by their literal children: (k, a, b) -> term
+        self._intern: dict[tuple[int, int, int], int] = {}
         # each term's class root, the least term id of its class; a merge
         # relabels every member of the losing class
         self._root: list[int] = []
@@ -324,7 +327,9 @@ class Engine:
         self._enodes: dict[int, dict[tuple[int, int, int], int]] = {}
         self._stale: set[int] = set()
         self._sig: dict[tuple[int, int, int], int] = {}
-        self._uses: dict[int, list[int]] = {}
+        self._uses: dict[int, list[int]] = {}  # term -> the composites on it
+        # composites whose child classes a merge moved, to re-check by
+        # congruence at the end of the round
         self._pending: list[int] = []
         # proof forest: each term's edge to its parent, as the label
         # (u, v, reason) of the merge that made it; the parent is the end of
@@ -337,20 +342,16 @@ class Engine:
         self.counters = dict.fromkeys(COUNTERS, 0)
         self.gen_atoms: dict[str, int] = {}
         for name, s, t in generators:
+            if name in self.gen_atoms:
+                raise FreecatError(f"generator {name!r} is named twice in dimension {dim}")
             self.gen_atoms[name] = self._add(
                 Node(GEN, name=name, mset=(name,),
-                     word=(name,) if dim == 1 else None, src=s, tgt=t),
-                ("g", name),
-            )
+                     word=(name,) if dim == 1 else None, src=s, tgt=t))
         self.id_atoms: list[int] = []
         for c in range(levels[dim - 1].n_classes):
             self.id_atoms.append(
-                self._add(
-                    Node(IDA, lower=c, mset=(),
-                         word=() if dim == 1 else None, src=c, tgt=c),
-                    ("i", c),
-                )
-            )
+                self._add(Node(IDA, lower=c, mset=(),
+                               word=() if dim == 1 else None, src=c, tgt=c)))
 
     # class roots and member lists, with a proof forest ----------------------
     # Equality is kept as an exact class-root list beside the class member
@@ -430,31 +431,35 @@ class Engine:
                 raise FreecatError(f"terms {u} and {v} are not equal")
         return up[:depth[t]] + down[::-1]
 
+    def _congruence(self, t: int, sig: tuple[int, int, int]):
+        """Register composite t as the term of its signature sig, (k, class
+        of left, class of right), or merge it by congruence with the term
+        already registered there."""
+        hit = self._sig.get(sig)
+        if hit is None:
+            self._sig[sig] = t
+        elif self._root[hit] != self._root[t]:
+            self._merge(t, hit, ("cong",))
+
     def _process_pending(self):
-        root = self._root
+        """Re-check by congruence every composite whose child classes a merge
+        moved, until no merge moves one again."""
+        nodes, root = self.nodes, self._root
         while self._pending:
             t = self._pending.pop()
-            node = self.nodes[t]
-            if node.kind != CMP:
-                continue
-            sig = (node.k, root[node.a], root[node.b])
-            hit = self._sig.get(sig)
-            if hit is None:
-                self._sig[sig] = t
-            elif root[hit] != root[t]:
-                self._merge(t, hit, ("cong",))
+            n = nodes[t]
+            self._congruence(t, (n.k, root[n.a], root[n.b]))
 
     # term construction ------------------------------------------------------
 
-    def _add(self, node: Node, key: tuple) -> int:
-        tid = self._intern.get(key)
-        if tid is not None:
-            return tid
+    def _add(self, node: Node) -> int:
+        """Append a term as its own class. A composite is also entered in its
+        class's e-node table and checked by congruence; a merge there always
+        loses the new term, which has no users yet, so it queues nothing."""
         if len(self.nodes) >= self.bounds.max_terms:
             raise EngineLimit(f"term budget {self.bounds.max_terms} exhausted")
         tid = len(self.nodes)
         self.nodes.append(node)
-        self._intern[key] = tid
         root = self._root
         root.append(tid)
         self._why.append(None)
@@ -465,11 +470,7 @@ class Engine:
             self._uses.setdefault(node.b, []).append(tid)
             sig = (node.k, root[node.a], root[node.b])
             self._enodes[tid][sig] = tid
-            hit = self._sig.get(sig)
-            if hit is None:
-                self._sig[sig] = tid
-            elif root[hit] != tid:  # a new term is its own root
-                self._merge(tid, hit, ("cong",))
+            self._congruence(tid, sig)
         return tid
 
     def _descend_src(self, cls: int, d: int, k: int) -> int:
@@ -501,7 +502,7 @@ class Engine:
         """Intern comp_k(ta, tb); None if unbounded or not composable."""
         if not 0 <= k < self.dim:
             raise FreecatError(f"composition index {k} out of range")
-        key = ("c", k, ta, tb)
+        key = (k, ta, tb)
         hit = self._intern.get(key)
         if hit is not None:
             return hit
@@ -523,12 +524,13 @@ class Engine:
                 self.partial_lower = True
                 return None
         word = na.word + nb.word if self.dim == 1 else None
-        return self._add(Node(CMP, k=k, a=ta, b=tb, mset=mset, word=word,
-                              src=src, tgt=tgt), key)
+        self._intern[key] = tid = self._add(
+            Node(CMP, k=k, a=ta, b=tb, mset=mset, word=word, src=src, tgt=tgt))
+        return tid
 
     # free-algebra rounds ----------------------------------------------------
 
-    def extend_composites(self) -> int:
+    def extend_composites(self):
         """One application of the free-composites layer: compose every pair
         of current classes along every index, within the size bound.
 
@@ -537,7 +539,6 @@ class Engine:
         the size left over, in increasing id order. A composite is built
         only when no term has its signature yet, so generation merges
         nothing and every root stays a root until the loop ends."""
-        before = len(self.nodes)
         nodes, sig, size = self.nodes, self._sig, self.bounds.size
         roots = self.classes()
         sizes = [len(nodes[r].mset) for r in roots]
@@ -555,13 +556,10 @@ class Engine:
                 for k in range(self.dim):
                     if (k, ra, rb) not in sig:
                         self.make_comp(k, ra, rb)
-        self._process_pending()
-        return len(self.nodes) - before
 
-    def saturation_round(self) -> int:
+    def saturation_round(self):
         """Assert every axiom instance visible on current terms, re-close the
         congruence, and advance the round counter."""
-        before = self.counters["merges"]
         root = self._root
         partition = list(root)
         snapshot = [t for r in self.classes() for t in self.enodes(r).values()]
@@ -579,7 +577,6 @@ class Engine:
                 self.counters["split_violations"] += 1
                 raise SoundnessError("saturation split a congruence class")
         self.round += 1
-        return self.counters["merges"] - before
 
     def _settled(self, tid: int, k: int, ta: int, tb: int) -> bool:
         """A composite comp_k of the classes of ta and tb is materialized in
@@ -608,7 +605,12 @@ class Engine:
         e-node comp_k(x1, x2) of tid's left class, then the mirror image for
         each e-node of its right class. An instance whose two sides already
         share tid's class is skipped before anything is built; otherwise
-        tid stands for the left side and is merged with the right side."""
+        tid stands for the left side and is merged with the right side.
+
+        The mirrored loop saves rounds and terms, though the first loop alone
+        reaches the same classes: without it the k=1, 3-generator, size-6
+        slice takes 5 rounds instead of 4 and 9,137 terms instead of 8,408,
+        for the same 1,093 classes."""
         nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
         node = nodes[tid]
         k, a, b = node.k, node.a, node.b
@@ -652,15 +654,14 @@ class Engine:
         counters = self.counters
         node = nodes[tid]
         j, a, b = node.k, node.a, node.b
-        # the right class's e-nodes by index, grouped again only after a
-        # merge: nothing else changes a class's e-nodes
-        by_index: dict[int, list[int]] = {}
-        grouped_at = -1  # the merge count when by_index was built
+        # the right class's e-nodes by index, grouped once and only when some
+        # left e-node has another index (never at dimension 1); what a merge
+        # in this loop adds to the right class is matched next round
+        by_index: dict[int, list[int]] | None = None
         for (k, _, _), x in list(self.enodes(root[a]).items()):
             if k == j:
                 continue
-            if grouped_at != counters["merges"]:
-                grouped_at = counters["merges"]
+            if by_index is None:
                 by_index = {}
                 for (ky, _, _), y in self.enodes(root[b]).items():
                     by_index.setdefault(ky, []).append(y)
@@ -761,10 +762,7 @@ class Engine:
             b = self.term_node(t.right)
             if a is None or b is None:
                 return None
-            tid = self.make_comp(t.k, a, b)
-            if tid is not None:
-                self._process_pending()
-            return tid
+            return self.make_comp(t.k, a, b)
         raise FreecatError(f"not a term: {t!r}")
 
     def verdict(self, ta: int | None, tb: int | None) -> tuple[str, object]:

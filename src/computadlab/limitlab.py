@@ -202,16 +202,11 @@ def set_cospans(max_size: int):
         for a in range(max_size + 1):
             x = tuple(range(a))
             fs = [make_finset_map(x, z, dict(zip(x, img)))
-                  for img in itertools.product(z, repeat=a)] if c or not a else []
+                  for img in itertools.product(z, repeat=a)]
             for b in range(max_size + 1):
                 y = tuple(range(b))
                 gs = [make_finset_map(y, z, dict(zip(y, img)))
-                      for img in itertools.product(z, repeat=b)] if c or not b else []
-                if not c:
-                    if a or b:
-                        continue
-                    fs = [make_finset_map((), (), {})]
-                    gs = [make_finset_map((), (), {})]
+                      for img in itertools.product(z, repeat=b)]
                 for f in fs:
                     for g in gs:
                         out.append((f, g))

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from computadlab import cli, computads, freecat
+from computadlab import cli, computads, freecat, operads
 from computadlab.cli import main
 from computadlab.freecat import Bounds
 
@@ -191,6 +191,9 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  None, id="eval-map-not-an-object"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": [["a"]], "action": []}}', None,
                  id="eval-unhashable-element"),
+    pytest.param(["eval", "FILE"],
+                 f'{{"{operads.MAX_ARITY + 1}": {{"elements": ["a"], "action": []}}}}', None,
+                 id="eval-symmetric-arity-above-max"),
     pytest.param(["eval", data_path("bicategory_slice1.json"), "--set", "a,a"], None,
                  None, id="eval-set-repeated"),
     # an exhausted term budget

@@ -6,14 +6,14 @@ from importlib import resources
 import pytest
 
 from computadlab.computads import (
-    build_computad, free_algebra, loads_computad, theta_computad,
+    Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
     CMP, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id,
-    UNKNOWN, _STEPS, _family, certificate, equal_cells,
+    UNKNOWN, _STEPS, _family, certificate, equal_cells, level_zero,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
-from computadlab.operads import k_terminal_computad
+from computadlab.operads import k_terminal_computad, slice_of_strict
 
 
 def scalar2():
@@ -153,6 +153,41 @@ def test_associativity_merges_in_one_round():
     left = e.term_node(Comp(0, Comp(0, f, g), h))
     right = e.term_node(Comp(0, f, Comp(0, g, h)))
     assert e.find(left) == e.find(right)
+
+
+def test_pending_users_merge_by_congruence():
+    """An axiom merge moves the users of the losing class; `_process_pending`
+    merges each with the user of the same shape on the winning class, by a
+    congruence step that rests on the axiom step."""
+    e = Engine(1, [level_zero(["o"])], [(n, 0, 0) for n in "abc"], Bounds(size=4))
+    a, b, c = (e.gen_atoms[n] for n in "abc")
+    left = e.make_comp(0, e.make_comp(0, a, b), c)
+    right = e.make_comp(0, a, e.make_comp(0, b, c))
+    # two users on each side, so that a pass that stops after one user fails
+    users = [(e.make_comp(0, left, x), e.make_comp(0, right, x)) for x in (a, b)]
+    e._assoc_instances(left)
+    assert e.find(left) == e.find(right) == left  # the later class lost
+    assert all(e.find(u) != e.find(v) for u, v in users)
+    e._process_pending()
+    for u, v in users:
+        assert e.find(u) == e.find(v)
+        cert = certificate(e, u, v)
+        assert verify_certificate(e, cert)
+        assert [reason[:2] for _, _, reason in cert.steps] == [("ax", "assoc"), ("cong",)]
+
+
+def test_a_repeated_generator_name_is_refused():
+    """A name given twice would make one atom, and a slice that counts too
+    few cells would still match its oracle."""
+    with pytest.raises(FreecatError, match="named twice"):
+        slice_of_strict(1, ["x", "x"], Bounds(size=2))
+    a, b = Gen("a", 0), Gen("b", 0)
+    c = Computad(1, [[GeneratorDecl("a"), GeneratorDecl("b")],
+                     [GeneratorDecl("f", a, b), GeneratorDecl("f", b, a)]])
+    with pytest.raises(FreecatError, match="named twice"):
+        free_algebra(c)
+    with pytest.raises(FreecatError, match="named twice"):
+        free_algebra(Computad(0, [[GeneratorDecl("a"), GeneratorDecl("a")]]))
 
 
 def test_eckmann_hilton_within_two_rounds():
@@ -559,27 +594,41 @@ def engine_work(e):
             e.counters["axiom_instances"], e.round, e.saw_size_cut, digest)
 
 
-# the dimension-1 engine under a single 0-cell and no 1-generators
+# the dimension-1 and dimension-2 engines under a single 0-cell and no
+# generators above it
 IDENTITY_ONLY = (2, 1, 1, 6, 2, False,
                  "82719f025f2cea2274d3492d1212597e1d37d8f2246d052349f6f2bfc77d4e46")
+IDENTITY_ONLY_2 = (3, 1, 2, 16, 2, False,
+                   "6e6d5bf80d0fdf93d05846b51e08e5cc084d4afb55e1f85a62e4593c2b2f67a6")
 
 
 @pytest.mark.parametrize("make,size,work", [
     (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6, [
         (8408, 1093, 7315, 87062, 4, True,
          "e4c8394d305ce91ef9135b61af4cddb0a225a8ccd20055213d6236c4668c2e31")]),
+    (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4, [
+        IDENTITY_ONLY,
+        (1735, 35, 1700, 23995, 3, True,
+         "2237b850db76129aab1595ba58f6e829eb30599ab820b69f61457c333f97e2c1")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6, [
         IDENTITY_ONLY,
         (4153, 84, 4069, 116840, 4, True,
          "88ddeebe81b296e250c3bf172337310491b42f9cdef6f69178f16e52218c4535")]),
+    (lambda: k_terminal_computad(3, ["x0", "x1"]), 4, [
+        IDENTITY_ONLY,
+        IDENTITY_ONLY_2,
+        (1120, 15, 1105, 22064, 3, True,
+         "967878c1e4f051f0e10cc6c8e1062e099a4c849590be9af5584c68f3361848fc")]),
     (scalar2, 5, [
         IDENTITY_ONLY,
         (660, 21, 639, 12310, 4, True,
          "46ef5a51143aef0915502cbe2da016ea2a0cc64746b86a345193a042ac2a1bcd")]),
-], ids=["slice-k1-g3-size6", "slice-k2-g3-size6", "scalar2-size5"])
+], ids=["slice-k1-g3-size6", "slice-k2-g3-size4", "slice-k2-g3-size6", "slice-k3-g2-size4",
+        "scalar2-size5"])
 def test_engine_work_is_pinned(make, size, work):
     """Speed-ups to generation and matching must build the same terms in
-    the same order, with the same merges and proof-forest labels."""
+    the same order, with the same merges and proof-forest labels. The rows
+    cover every slice the `engine` benchmark times."""
     fa = free_algebra(make(), Bounds(size=size))
     assert [engine_work(e) for e in fa.engines[1:]] == work
 

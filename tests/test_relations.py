@@ -6,6 +6,9 @@ without an oracle.
   `fixed_point`, and each renamed representative resolves to a class of the
   renamed algebra, one class each.
 * The histograms of a disjoint union are the sums of its parts'.
+* `equal_cells` is symmetric, and every `equal` verdict's certificate
+  verifies. The pairs are, in each dimension, each class root with the last
+  term of its member list, and each class root with the next one.
 
 Limits: these relations catch faults that depend on generator names, on the
 order of declarations or of terms, or on other components of the computad,
@@ -29,7 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from computadlab.computads import build_computad, free_algebra
-from computadlab.freecat import Bounds, Comp, Gen, Id, rename_gens
+from computadlab.freecat import (
+    EQUAL, Bounds, Comp, Gen, Id, equal_cells, rename_gens, verify_certificate,
+)
 
 
 def saturate(layers):
@@ -70,6 +75,21 @@ def histogram(fa):
     return Counter((r, len(mset)) for r, lv in enumerate(fa.levels) for mset in lv.msets)
 
 
+def assert_verdicts_symmetric_and_certified(fa):
+    for e in fa.engines[1:]:
+        roots = e.classes()
+        pairs = [(r, e._class_terms[r][-1]) for r in roots]
+        pairs += list(zip(roots, roots[1:]))
+        for u, v in pairs:
+            t, s = e.build_term(u), e.build_term(v)
+            (kind, why), (back, why_back) = equal_cells(e, t, s), equal_cells(e, s, t)
+            assert kind == back
+            if kind == EQUAL:
+                assert verify_certificate(e, why) and verify_certificate(e, why_back)
+            else:
+                assert why == why_back
+
+
 def rename_layers(layers, names, orders):
     out = [[names[n] for n in (layers[0][i] for i in orders[0])]]
     for r in range(1, len(layers)):
@@ -101,6 +121,7 @@ def test_renaming_and_reordering_keep_the_classes(case):
         assert None not in image and sorted(image) == list(range(lv.n_classes))
         for mset, c in zip(lv.msets, image):
             assert tuple(sorted(names[n] for n in mset)) == fb.levels[r].msets[c]
+    assert_verdicts_symmetric_and_certified(fa)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

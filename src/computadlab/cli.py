@@ -166,6 +166,9 @@ def cmd_gate(args) -> int:
 def cmd_trees(args) -> int:
     if args.height < 0 or args.width < 0:
         raise InputError("--height and --width must be >= 0")
+    if pasting.tree_count(args.height, args.width) > pasting.MAX_TREES:
+        raise InputError(f"--height {args.height} --width {args.width} asks for more "
+                         f"than {pasting.MAX_TREES:,} trees")
     trees = pasting.enumerate_trees(args.height, args.width)
     _emit({
         "command": "trees",
@@ -229,7 +232,9 @@ def _load_collection(path: str):
         if any(isinstance(e, (list, dict)) for e in elems):
             raise InputError(f"arity {n}: elements of a symmetric collection "
                              f"must be strings, numbers, booleans or null")
-        tables = {p: {e: e for e in elems} for p in operads.all_perms(n)}
+        # the action is only read, so every unlisted permutation shares one
+        # identity table
+        tables = dict.fromkeys(operads.all_perms(n), {e: e for e in elems})
         tables.update(actions.get(n, {}))
         full[n] = tables
     return operads.SymCollection(sets, full)

@@ -67,10 +67,11 @@ class NonSymCollection:
 
 
 # the largest arity a symmetric collection may have, since it carries an
-# action table for each of the n! permutations of each arity: `eval` on one
-# element takes 0.25 s and 20 MB at arity 7 and 1.2 s and 39 MB at arity 8
-# (2-core VM, Python 3.11, process start included), and each further arity
-# multiplies the cost by about n
+# action table for each of the n! permutations of each arity, and the laws
+# are checked on each: `eval` on one element takes 0.26 s and 20 MB at arity
+# 7 and 1.0 s and 32 MB at arity 8, where the unlisted permutations share
+# one identity table (2-core VM, Python 3.11, process start included), and
+# each further arity multiplies the cost by about n
 MAX_ARITY = 8
 
 

@@ -67,6 +67,33 @@ def tree_from_str(s: str) -> Tree:
     return t
 
 
+# the most trees `trees` builds; --height 3 --width 3 has 621,436
+MAX_TREES = 1_000_000
+
+
+def tree_count(max_height: int, max_width: int) -> int:
+    """How many trees `enumerate_trees(max_height, max_width)` returns, by
+    N_h = sum of N_(h-1)^n over n <= max_width, with N_0 = 1. The count
+    saturates at MAX_TREES + 1, so any bounds cost only a few steps."""
+    over = MAX_TREES + 1
+    if max_height == 0 or max_width == 0:
+        return 1
+    if max_width == 1:  # paths of up to max_height edges
+        return min(max_height + 1, over)
+    count = min(max_width + 1, over)  # N_1: a root with up to max_width leaves
+    for _ in range(max_height - 1):
+        if count == over:
+            break
+        total, term = 0, 1  # terms grow by a factor N_(h-1) >= 3
+        for _ in range(max_width + 1):
+            total += term
+            term *= count
+            if total >= over:
+                break
+        count = min(total, over)
+    return count
+
+
 def enumerate_trees(max_height: int, max_width: int) -> list[Tree]:
     """All plane trees of height <= max_height with each node's child count
     <= max_width, each exactly once, in canonical (serialization) order."""

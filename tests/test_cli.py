@@ -156,6 +156,8 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  id="trees-height-negative"),
     pytest.param(["trees", "--height", "2", "--width", "-1"], None, None,
                  id="trees-width-negative"),
+    pytest.param(["trees", "--height", "3", "--width", "4"], None, None,
+                 id="trees-above-max"),
     pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
                  id="slice-generators-negative"),
     pytest.param(["free", "FILE", "--bound", "-1"], "dim 0\n0 a\n", None,

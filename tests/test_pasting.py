@@ -2,7 +2,7 @@ import pytest
 
 from computadlab.globular import GlobularError, make_globular, terminal_globular
 from computadlab.pasting import (
-    LEAF, Tree, enumerate_trees, height, node_count,
+    LEAF, MAX_TREES, Tree, enumerate_trees, height, node_count, tree_count,
     pasting_cells, tree_from_str, tree_to_str, truncate_tree,
 )
 
@@ -85,6 +85,17 @@ def test_enumerate_trees_against_node_count_oracle():
         other = oracle_trees(h, w)
         assert sorted(map(tree_to_str, mine)) == sorted(map(tree_to_str, other))
     assert len(enumerate_trees(2, 2)) == len(oracle_trees(2, 2)) == 13
+
+
+def test_tree_count_follows_the_enumeration_and_saturates():
+    for h in range(4):
+        for w in range(4 if h < 3 else 3):
+            assert tree_count(h, w) == len(enumerate_trees(h, w))
+    assert tree_count(3, 3) == 621_436 <= MAX_TREES
+    # N_3 at width 4 is about 3.7e11; bounds of any size stay a few steps
+    for h, w in [(3, 4), (2, 2000), (1, 10**9), (10**9, 1), (10**9, 10**9)]:
+        assert tree_count(h, w) == MAX_TREES + 1
+    assert tree_count(10**9, 0) == tree_count(0, 10**9) == 1
 
 
 def test_enumerate_trees_no_duplicates_and_truncation_closed():

@@ -18,10 +18,14 @@ of the legs' edge buckets. These are the only producers of a cospan's
 pullback and matching-pair count: the path-count DP reads the edges on an
 unchecked cospan, and the generic path checker checks the pullback and the
 count it is handed on a checked one, whose paths it enumerates and counts
-once; `graph_pullback` is built from the same buckets. The cospans are
-dealt out in interleaved shares, one per CPU, each share but the caller's
-in a forked child, and the shares' summaries are merged in cospan order,
-so the result does not depend on the number of CPUs.
+once; `graph_pullback` is built from the same buckets. Many checked
+cospans share their pullback: the checker runs once per distinct
+(pullback, matching-pair count) in each share of a sweep, and every other
+checked cospan with that pair reuses its passing verdict and path count. A
+failing verdict is never reused. The cospans come in groups that share Z,
+X, f and Y, and are dealt out in interleaved shares, one per CPU, each
+share but the caller's in a forked child; the shares' summaries are merged
+in cospan order, so the result does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -362,9 +366,11 @@ def path_image(m: GraphMap, path):
     return m.vmap[start], tuple(m.emap[e] for e in es)
 
 
-def path_fibers(x: GraphData, f: GraphMap, max_len: int) -> dict:
+def path_fibers(paths: list, f: GraphMap) -> dict:
+    """The number of `paths` over each image path, `paths` being the paths
+    of f's domain as `graph_paths` lists them."""
     fibers: dict = {}
-    for path in graph_paths(x, max_len):
+    for path in paths:
         img = path_image(f, path)
         fibers[img] = fibers.get(img, 0) + 1
     return fibers
@@ -378,14 +384,20 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     The checker checks what it is handed. `pullback` is the cospan's
     pullback as `_flat_pullback` builds it (flat vertex ids `i * |Y| + j`,
     edges `(u, w, a, b)`), and `expected` the number of matching pairs of
-    paths of x and y; the sweep builds both from its legs. Every path of the
-    pullback is enumerated once by `_path_keys`, keyed by its pair of
-    projections; the number of paths it finds is `paths`, which the sweep
-    takes as the cospan's path count instead of counting again. Two paths
-    with one key are a `conflated` pair, found again in the enumeration
-    order of `_first_conflation`. Fewer distinct keys than `expected` fail
-    surjectivity, and a `missing` matching pair is then searched for by
-    brute force."""
+    paths of x and y; the sweep builds both from its legs. A passing
+    result depends only on `pullback`, `expected` and `max_len`, since x,
+    y, f and g are read only to find a failure's witness; so a sweep runs
+    the checker once per distinct (pullback, matching-pair count) in each
+    share, and every other checked cospan with that pair reuses the
+    passing verdict.
+
+    Every path of the pullback is enumerated once by `_path_keys`, keyed
+    by its pair of projections; the number of paths it finds is `paths`,
+    which the sweep takes as the cospan's path count instead of counting
+    again. Two paths with one key are a `conflated` pair, found again in
+    the enumeration order of `_first_conflation`. Fewer distinct keys than
+    `expected` fail surjectivity, and a `missing` matching pair is then
+    searched for by brute force."""
     verts, pedges = pullback
     total, seen = _path_keys(verts, pedges, max_len)
     conflated = None
@@ -481,13 +493,13 @@ class _Leg(NamedTuple):
     fibers: list  # per path of z, the number of paths of x over it
 
 
-def _leg(x: GraphData, m: GraphMap, z: GraphData, zpaths: list,
-         path_len: int) -> _Leg:
-    """The leg of m: x -> z. Its `fibers` are dense, indexed by the paths of
-    z in `zpaths` order, and end at the last nonzero entry: a dot product
-    of two legs' fibers stops at the shorter one."""
+def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData, zpaths: list) -> _Leg:
+    """The leg of m: x -> z, `xpaths` being the paths of x. Its `fibers`
+    are dense, indexed by the paths of z in `zpaths` order, and end at the
+    last nonzero entry: a dot product of two legs' fibers stops at the
+    shorter one."""
     verts, edges = _hom_buckets(x, m, z.nv, len(z.edges))
-    counts = path_fibers(x, m, path_len)
+    counts = path_fibers(xpaths, m)
     fibers = [counts.get(p, 0) for p in zpaths]
     while fibers and not fibers[-1]:
         fibers.pop()
@@ -498,44 +510,57 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int, share: int,
                    shares: int):
     """Graph cospans X -> Z <- Y within the bounds, X, Y, Z ranging over
     isomorphism-class representatives, one per orbit of Aut(Z) acting by
-    postcomposition.
+    postcomposition, in groups that share Z, X, f and Y.
 
     Double-coset enumeration: f is an Aut(Z)-orbit representative, g a
     representative under the stabilizer of f. Pullback comparisons are
     invariant under the action, so no outcome is lost. The cospans are
     numbered from 1 in this order, and only those numbered c with
-    `c % shares == share` are yielded, as `(c, z, x, y, f, g, leg_f,
-    leg_g)`; the others are counted past without being built. Once per Z
-    the paths of Z are listed, and once per hom into Z its `_Leg` (its
-    vertex and edge buckets over Z, the bucket sizes and its dense path
-    fibers) and the keys of its postcompositions with every automorphism
-    of Z are computed."""
+    `c % shares == share` are yielded; the others are counted past without
+    being built. Each (Z, X, f, Y) with a cospan in the share is yielded
+    once, as `(z, x, y, f, leg_f, members)`, `members` listing the share's
+    cospans of the group as `(c, g, leg_g)` in order.
+
+    The paths of each graph are listed once. Once per Z its paths are
+    listed, and once per hom into Z its `_Leg` (its vertex and edge buckets
+    over Z, the bucket sizes and its dense path fibers) and the keys of its
+    postcompositions with every automorphism of Z are computed. Within one
+    Z, the representatives g depend on f only through its stabilizer, so
+    they are computed once per (stabilizer, Y)."""
     graphs = enumerate_graphs(max_v, max_e)
+    paths = [graph_paths(x, path_len) for x in graphs]
     c = 0  # the number of the last cospan counted
-    for z in graphs:
+    for z, zpaths in zip(graphs, paths):
         auts = graph_automorphisms(z)
-        zpaths = graph_paths(z, path_len)
         side = []
-        for x in graphs:
+        for x, xpaths in zip(graphs, paths):
             homs = graph_homs(x, z)
-            legs = [_leg(x, m, z, zpaths, path_len) for m in homs]
+            legs = [_leg(x, xpaths, m, z, zpaths) for m in homs]
             keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
             side.append((x, homs, legs, keys))
+        reps_of: dict = {}  # (stabilizer, position of Y) -> representatives
         for x, homs_x, legs_x, keys_x in side:
             for f, leg_f, mapped in zip(homs_x, legs_x, keys_x):
                 kf = (f.vmap, f.emap)
                 if min(mapped) != kf:
                     continue
-                stab = [n for n, km in enumerate(mapped) if km == kf][1:]
-                for y, homs_y, legs_y, keys_y in side:
+                stab = tuple(n for n, km in enumerate(mapped) if km == kf)[1:]
+                for ny, (y, homs_y, legs_y, keys_y) in enumerate(side):
                     # the positions in homs_y of the representatives g
-                    reps = range(len(homs_y)) if not stab else [
-                        n for n, (g, keys_g) in enumerate(zip(homs_y, keys_y))
-                        if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
+                    if not stab:
+                        reps = range(len(homs_y))
+                    elif (stab, ny) in reps_of:
+                        reps = reps_of[stab, ny]
+                    else:
+                        reps = reps_of[stab, ny] = [
+                            n for n, (g, keys_g) in enumerate(zip(homs_y, keys_y))
+                            if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
                     # the cospan at position p of reps is number c + 1 + p
-                    for p in range((share - c - 1) % shares, len(reps), shares):
-                        n = reps[p]
-                        yield c + 1 + p, z, x, y, f, homs_y[n], leg_f, legs_y[n]
+                    first = (share - c - 1) % shares
+                    if first < len(reps):
+                        yield z, x, y, f, leg_f, [
+                            (c + 1 + p, homs_y[reps[p]], legs_y[reps[p]])
+                            for p in range(first, len(reps), shares)]
                     c += len(reps)
 
 
@@ -557,49 +582,65 @@ class PathPreservationSummary:
 def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
                  share: int, shares: int) -> PathPreservationSummary:
     """`run_path_preservation` on the cospans of one share; each failure is
-    listed as `(c, failure)`, c being the cospan's number."""
+    listed as `(c, failure)`, c being the cospan's number.
+
+    A checked cospan whose pullback and matching-pair count have already
+    passed the checker in this share reuses that verdict and its path
+    count. This is sound because a passing result depends only on the
+    pullback, `expected` and `path_len`: the checker reads x, y, f, g and
+    `y.nv` only in `_first_missing` and `_first_conflation`, and those run
+    only on a failure. A failing result is never reused, so every failing
+    cospan gets its own checker call and its own witness."""
     cospans = 0
     pairs_total = 0
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    for c, z, x, y, f, g, leg_f, leg_g in _cospan_orbits(
+    passed: dict = {}  # (expected, vertices, edges) -> paths, of each pass
+    for z, x, y, f, leg_f, members in _cospan_orbits(
             max_v, max_e, path_len, share, shares):
-        expected = sum(map(mul, leg_f.fibers, leg_g.fibers))
         yn = y.nv
-        pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
-        if generic_stride and c % generic_stride == 0:
-            # the checker enumerates every path of the pullback; its count
-            # stands in for the DP's
-            generic_checked += 1
-            verts = _pullback_vertices(yn, leg_f.verts, leg_g.verts)
-            res = check_path_cospan(x, y, f, g, path_len, (verts, pedges),
-                                    expected)
-            if not res.pullback_ok:
-                generic_failures.append((c, (z, x, y, f, g, res)))
-            total = res.paths
-        else:
-            # paths of the pullback graph, counted by DP: the vertices from
-            # the bucket sizes, then one pass over the edges per length;
-            # every edge starts at a pullback vertex, so the first pass may
-            # read all ones
-            total = sum(map(mul, leg_f.sizes, leg_g.sizes))
-            if pedges:
-                cur = [1] * (x.nv * yn)
-                for _ in range(path_len):
-                    nxt = [0] * len(cur)
-                    for u, w, _a, _b in pedges:
-                        nxt[w] += cur[u]
-                    level = sum(nxt)
-                    if not level:
-                        break
-                    total += level
-                    cur = nxt
-        cospans += 1
-        pairs_total += expected
-        if total != expected:
-            count_failures.append(
-                (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
+        verts_f, edges_f, sizes_f, fibers_f = leg_f
+        for c, g, leg_g in members:
+            expected = sum(map(mul, fibers_f, leg_g.fibers))
+            pedges = _pullback_edges(yn, edges_f, leg_g.edges)
+            if generic_stride and c % generic_stride == 0:
+                # the checker enumerates every path of the pullback; its
+                # count stands in for the DP's
+                generic_checked += 1
+                verts = _pullback_vertices(yn, verts_f, leg_g.verts)
+                key = (expected, tuple(verts), tuple(pedges))
+                total = passed.get(key)
+                if total is None:
+                    res = check_path_cospan(x, y, f, g, path_len,
+                                            (verts, pedges), expected)
+                    if res.pullback_ok:
+                        passed[key] = res.paths
+                    else:
+                        generic_failures.append((c, (z, x, y, f, g, res)))
+                    total = res.paths
+            else:
+                # paths of the pullback graph, counted by DP: the vertices
+                # from the bucket sizes, then one pass over the edges per
+                # length; every edge starts at a pullback vertex, so the
+                # first pass may read all ones
+                total = sum(map(mul, sizes_f, leg_g.sizes))
+                if pedges:
+                    cur = [1] * (x.nv * yn)
+                    for _ in range(path_len):
+                        nxt = [0] * len(cur)
+                        for u, w, _a, _b in pedges:
+                            nxt[w] += cur[u]
+                        level = sum(nxt)
+                        if not level:
+                            break
+                        total += level
+                        cur = nxt
+            cospans += 1
+            pairs_total += expected
+            if total != expected:
+                count_failures.append(
+                    (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
     return PathPreservationSummary(cospans, pairs_total, count_failures,
                                    generic_checked, generic_failures)
 
@@ -695,6 +736,11 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     (`paths`); on every other cospan by dynamic programming,
     the vertices from the legs' bucket sizes and then one pass over the
     edges per length. Either count goes into `count_failures` the same way.
+    The checker runs once per distinct (pullback, matching-pair count) in
+    each share; every other checked cospan with that pair reuses the
+    passing verdict and its path count, while every failing cospan gets a
+    checker call and a witness of its own. The reused verdicts live only
+    for one share of one call.
 
     The cospans are dealt out in shares, one per CPU this process may run
     on: cospan c belongs to share `c % shares`. Share 0 runs in the caller,

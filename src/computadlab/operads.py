@@ -37,6 +37,14 @@ def perm_compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s[t[i]] for i in range(len(s)))
 
 
+def transpose_values(q: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """t.q for the adjacent transposition t of i and i + 1: q with the
+    values i and i + 1 swapped."""
+    out = list(q)
+    out[q.index(i)], out[q.index(i + 1)] = i + 1, i
+    return tuple(out)
+
+
 def perm_inverse(s: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(s)
     for i, v in enumerate(s):
@@ -114,9 +122,9 @@ def collection_violation(a: SymCollection) -> str | None:
             if ident[e] != e:
                 return f"arity {n}: identity permutation acts nontrivially"
         for i in range(n - 1):
-            t = perm_identity(i) + (i + 1, i) + tuple(range(i + 2, n))
+            tab_t = tables[perm_identity(i) + (i + 1, i) + tuple(range(i + 2, n))]
             for q in perms:
-                tq, tab_t, tab_q = tables[perm_compose(t, q)], tables[t], tables[q]
+                tq, tab_q = tables[transpose_values(q, i)], tables[q]
                 for e in elems:
                     if tq[e] != tab_t[tab_q[e]]:
                         return f"arity {n}: action not compatible with composition"

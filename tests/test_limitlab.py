@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import itertools
 import json
 import os
 import random
+import tracemalloc
 from operator import mul
 
 import pytest
@@ -222,7 +225,8 @@ def test_graph_paths_loop():
 def _matching_pairs(x, y, f, g, max_len) -> int:
     """Pairs of paths of x and y with the same image, from the path fibers:
     the `expected` count a direct caller of `check_path_cospan` hands it."""
-    fx, fy = path_fibers(x, f, max_len), path_fibers(y, g, max_len)
+    fx = path_fibers(graph_paths(x, max_len), f)
+    fy = path_fibers(graph_paths(y, max_len), g)
     return sum(n * fy.get(img, 0) for img, n in fx.items())
 
 
@@ -239,7 +243,7 @@ def test_path_fibers_consistency():
     g = GraphData(2, ((0, 1), (1, 0)))
     z = GraphData(1, ((0, 0),))
     f = graph_homs(g, z)[0]
-    fibers = path_fibers(g, f, 3)
+    fibers = path_fibers(graph_paths(g, 3), f)
     assert sum(fibers.values()) == len(graph_paths(g, 3))
 
 
@@ -248,6 +252,15 @@ def test_run_path_preservation_small_family_all_generic():
     assert summary.all_pullback
     assert summary.generic_checked == summary.cospans > 4000
     assert not summary.count_failures and not summary.generic_failures
+
+
+def _cospans(max_v, max_e, path_len, share=0, shares=1):
+    """The groups of `_cospan_orbits` flattened, one cospan at a time:
+    `(c, z, x, y, f, g, leg_f, leg_g)`."""
+    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len,
+                                                     share, shares):
+        for c, g, leg_g in members:
+            yield c, z, x, y, f, g, leg_f, leg_g
 
 
 def test_cospan_orbits_one_member_per_orbit():
@@ -266,7 +279,7 @@ def test_cospan_orbits_one_member_per_orbit():
                     orbit = frozenset((post(a, f), post(a, g)) for a in auts)
                     orbit_of[(z, x, y, f, g)] = (z, x, y, orbit)
         yielded = []
-        for c, z, x, y, f, g, leg_f, leg_g in _cospan_orbits(*bounds, 2, 0, 1):
+        for c, z, x, y, f, g, leg_f, leg_g in _cospans(*bounds, 2):
             yielded.append(orbit_of[(z, x, y, f, g)])
             assert c == len(yielded)
             zpaths = graph_paths(z, 2)
@@ -274,7 +287,7 @@ def test_cospan_orbits_one_member_per_orbit():
                 # the dense vector ends at its last nonzero entry
                 assert len(leg.fibers) <= len(zpaths)
                 assert not leg.fibers or leg.fibers[-1]
-                fibers = path_fibers(dom, m, 2)
+                fibers = path_fibers(graph_paths(dom, 2), m)
                 for n, p in enumerate(zpaths):
                     assert (leg.fibers[n] if n < len(leg.fibers) else 0) == fibers.get(p, 0)
                 assert sum(leg.fibers) == sum(fibers.values())
@@ -286,7 +299,7 @@ def test_cospan_orbits_one_member_per_orbit():
 
 def test_shared_pullback_matches_brute_force():
     checked = 0
-    for _, z, x, y, f, g, leg_f, leg_g in _cospan_orbits(2, 2, 2, 0, 1):
+    for _, z, x, y, f, g, leg_f, leg_g in _cospans(2, 2, 2):
         verts = limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts)
         edges = limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges)
         assert len(verts) == sum(map(mul, leg_f.sizes, leg_g.sizes))
@@ -415,7 +428,7 @@ def test_checker_matches_reference_on_corrupted_pullbacks(path_len):
              "edge from outside", "relabel edge")
     compared = dict.fromkeys(kinds, 0)
     failed = dict.fromkeys(kinds, False)
-    for _, _, x, y, f, g, leg_f, leg_g in _cospan_orbits(2, 2, path_len, 0, 1):
+    for _, _, x, y, f, g, leg_f, leg_g in _cospans(2, 2, path_len):
         if rng.random() > 0.15:
             continue
         expected = sum(map(mul, leg_f.fibers, leg_g.fibers))
@@ -503,28 +516,153 @@ def _reaped(pid) -> bool:
     return False
 
 
-def test_generic_failures_in_cospan_order(monkeypatch):
-    def chosen(x, y, f, g):
-        return x.nv == 2 and len(y.edges) == 2
+def _fail_pullbacks(monkeypatch, chosen) -> list:
+    """check_path_cospan fails every pullback `(verts, pedges)` for which
+    `chosen(verts, pedges)` holds; returns the list, filled as the checker
+    runs in this process, of the pullbacks it was called on."""
+    original = limitlab.check_path_cospan
+    calls = []
 
-    def fail_chosen(x, y, f, g, res):
-        if chosen(x, y, f, g):
+    def checker(x, y, f, g, max_len, pullback, expected):
+        res = original(x, y, f, g, max_len, pullback, expected)
+        calls.append(pullback)
+        if chosen(*pullback):
             res.pullback_ok = False
+        return res
 
-    _patch_checker(monkeypatch, fail_chosen)
-    expected = [(z, x, y, f, g)
-                for c, z, x, y, f, g, _, _ in limitlab._cospan_orbits(2, 2, 2, 0, 1)
-                if c % 3 == 0 and chosen(x, y, f, g)]
-    assert len(expected) > 20
+    monkeypatch.setattr(limitlab, "check_path_cospan", checker)
+    return calls
+
+
+def _checked_pullbacks(bounds, stride):
+    """`((z, x, y, f, g), (verts, pedges))` for every cospan numbered a
+    multiple of `stride`, in cospan order, its pullback built by the two
+    producers from the legs."""
+    for c, z, x, y, f, g, leg_f, leg_g in _cospans(*bounds):
+        if c % stride == 0:
+            yield (z, x, y, f, g), (
+                limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
+                limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges))
+
+
+def _failures_on_one_and_two_cpus(monkeypatch, bounds, stride, expected):
+    """Each CPU count lists as generic failures exactly the cospans
+    `expected`, in that order, with the same results."""
     failures = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         forks = _count_forks(monkeypatch)
-        summary = run_path_preservation(2, 2, 2, generic_stride=3)
+        summary = run_path_preservation(*bounds, generic_stride=stride)
         assert len(forks) == len(cpus) - 1
         assert [tuple(entry[:5]) for entry in summary.generic_failures] == expected
         failures[len(cpus)] = summary.generic_failures
     assert failures[1] == failures[2]
+
+
+def test_generic_failures_in_cospan_order(monkeypatch):
+    def chosen(verts, pedges):
+        return len(verts) == 2 and len(pedges) == 2
+
+    _fail_pullbacks(monkeypatch, chosen)
+    expected = [cospan for cospan, pullback in _checked_pullbacks((2, 2, 2), 3)
+                if chosen(*pullback)]
+    assert len(expected) > 20
+    _failures_on_one_and_two_cpus(monkeypatch, (2, 2, 2), 3, expected)
+
+
+def test_every_cospan_of_a_failing_pullback_is_listed(monkeypatch):
+    """A failing verdict is never reused: every checked cospan whose
+    pullback fails gets its own checker call and its own entry."""
+    checked = list(_checked_pullbacks((2, 2, 2), 1))
+    counts: dict = {}
+    for _, (verts, pedges) in checked:
+        if pedges:
+            key = (tuple(verts), tuple(pedges))
+            counts[key] = counts.get(key, 0) + 1
+    target = max(counts, key=counts.get)  # the most frequent, first on ties
+
+    def chosen(verts, pedges):
+        return (tuple(verts), tuple(pedges)) == target
+
+    _fail_pullbacks(monkeypatch, chosen)
+    expected = [cospan for cospan, pullback in checked if chosen(*pullback)]
+    assert len(expected) == counts[target] > 10
+    _failures_on_one_and_two_cpus(monkeypatch, (2, 2, 2), 1, expected)
+
+
+def _reference_sweep(max_v, max_e, path_len, stride):
+    """`run_path_preservation` without verdict reuse or shares: the checker
+    on every cospan, its count compared with the matching pairs from the
+    path fibers, and only each `stride`-th cospan's verdict kept."""
+    cospans = pairs = checked = 0
+    count_failures, generic_failures = [], []
+    for c, z, x, y, f, g, _, _ in _cospans(max_v, max_e, path_len):
+        expected = _matching_pairs(x, y, f, g, path_len)
+        res = check_path_cospan(x, y, f, g, path_len, _flat_pullback(f, g, x, y),
+                                expected)
+        cospans += 1
+        pairs += expected
+        if c % stride == 0:
+            checked += 1
+            if not res.pullback_ok:
+                generic_failures.append((z, x, y, f, g, res))
+        if res.paths != expected:
+            count_failures.append((z, x, y, f, g, {"F_P": res.paths, "pairs": expected}))
+    return limitlab.PathPreservationSummary(cospans, pairs, count_failures,
+                                            checked, generic_failures)
+
+
+@pytest.mark.parametrize("fault", [None, "drop edge"])
+@pytest.mark.parametrize("bounds, stride", [((2, 2, 3), 1), ((2, 2, 2), 3)])
+def test_reused_verdicts_match_a_checker_call_per_cospan(monkeypatch, bounds,
+                                                         stride, fault):
+    if fault:
+        # a pullback with two edges loses one, so some cospans fail
+        original = limitlab._pullback_edges
+
+        def drop_one(yn, ex, ey):
+            edges = original(yn, ex, ey)
+            return edges[:-1] if len(edges) == 2 else edges
+
+        monkeypatch.setattr(limitlab, "_pullback_edges", drop_one)
+    reference = _reference_sweep(*bounds, stride)
+    summary = run_path_preservation(*bounds, generic_stride=stride)
+    for field in dataclasses.fields(summary):
+        assert getattr(summary, field.name) == getattr(reference, field.name), field.name
+    assert bool(summary.generic_failures) == bool(fault)
+
+
+def test_checker_runs_once_per_distinct_pullback_and_count(monkeypatch):
+    calls = _fail_pullbacks(monkeypatch, lambda verts, pedges: False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    summary = run_path_preservation(2, 2, 3, generic_stride=1)
+    distinct = {(sum(map(mul, leg_f.fibers, leg_g.fibers)),
+                 tuple(limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts)),
+                 tuple(limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges)))
+                for _, _, x, y, f, g, leg_f, leg_g in _cospans(2, 2, 3)}
+    assert len(calls) == len(distinct) == 390
+    assert summary.generic_checked == summary.cospans == 4171
+
+
+def test_verdict_reuse_memory_is_bounded():
+    """The traced peak of a one-share sweep at (3, 2, 3), every cospan
+    checked: 0.71 MiB without verdict reuse and 2.23 MiB with it, the
+    reused verdicts keyed by 4,826 distinct pullbacks. The bound sits about
+    12% above the latter, so a key or a stored value that grows fails."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        summary = limitlab._sweep_share(3, 2, 3, 1, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert summary.generic_checked == summary.cospans == 115_989
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("where", ["child", "caller"])

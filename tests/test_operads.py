@@ -11,9 +11,9 @@ from computadlab.operads import (
     OperadError, Presentation, SymCollection, all_perms, collection_violation,
     eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
     free_sym_collection,
-    is_strongly_regular_presentation, parse_presentation,
+    is_strongly_regular_presentation, parse_presentation, perm_compose,
     regular_sym_collection, slice_matches_oracle, slice_of_strict,
-    strong_analytic_bijection, trivial_sym_collection,
+    strong_analytic_bijection, transpose_values, trivial_sym_collection,
 )
 
 # --- independent oracles -------------------------------------------------------
@@ -151,6 +151,15 @@ def test_generator_check_agrees_with_all_pairs():
     # every outcome occurs often enough to be compared
     assert set(verdicts) == {None, *LAWS}, verdicts
     assert min(verdicts.values()) > 100, verdicts
+
+
+def test_transposing_values_is_composing_with_the_transposition():
+    for n in range(2, 7):
+        perms = all_perms(n)
+        for i in range(n - 1):
+            t = tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+            for q in perms:
+                assert transpose_values(q, i) == perm_compose(t, q)
 
 
 def test_free_symmetric_agrees_with_strongly_analytic():

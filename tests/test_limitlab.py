@@ -254,11 +254,10 @@ def test_run_path_preservation_small_family_all_generic():
     assert not summary.count_failures and not summary.generic_failures
 
 
-def _cospans(max_v, max_e, path_len, share=0, shares=1):
-    """The groups of `_cospan_orbits` flattened, one cospan at a time:
-    `(c, z, x, y, f, g, leg_f, leg_g)`."""
-    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len,
-                                                     share, shares):
+def _cospans(max_v, max_e, path_len):
+    """The groups of `_cospan_orbits` in one share, flattened one cospan at
+    a time: `(c, z, x, y, f, g, leg_f, leg_g)`."""
+    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len, 0, 1):
         for c, g, leg_g in members:
             yield c, z, x, y, f, g, leg_f, leg_g
 

@@ -11,21 +11,26 @@ evidence only; a failure ships a witness that replays outside the engine.
 The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
 vertices of X over each vertex of Z and the edges of X over each edge of Z,
 with the bucket sizes and the map's path fibers as a dense vector indexed
-by the paths of Z. Per cospan, the matching-pair count is the dot product of
-the two legs' fiber vectors, the pullback's vertex count the dot product of
-their bucket sizes, and the pullback's edges are built once, as the product
-of the legs' edge buckets. These are the only producers of a cospan's
-pullback and matching-pair count: the path-count DP reads the edges on an
-unchecked cospan, and the generic path checker checks the pullback and the
-count it is handed on a checked one, whose paths it enumerates and counts
-once; `graph_pullback` is built from the same buckets. Many checked
-cospans share their pullback: the checker runs once per distinct
-(pullback, matching-pair count) in each share of a sweep, and every other
-checked cospan with that pair reuses its passing verdict and path count. A
-failing verdict is never reused. The cospans come in groups that share Z,
-X, f and Y, and are dealt out in interleaved shares, one per CPU, each
-share but the caller's in a forked child; the shares' summaries are merged
-in cospan order, so the result does not depend on the number of CPUs.
+by the paths of Z, and the bits that name a pullback (`_Leg`). Per cospan,
+the matching-pair count is the dot product of the two legs' fiber vectors,
+and the pullback's code the dot product of their bit vectors: one integer
+that fixes the pullback's vertex pairs and its edge pairs with their
+endpoints. The pullback itself is built only for a cospan that no earlier
+cospan of its share settles (below): its vertices from the legs' vertex
+buckets, its edges as the product of their edge buckets. These are the only producers
+of a cospan's pullback and matching-pair count: the path-count DP reads
+the edges on an unchecked cospan, and the generic path checker checks the
+pullback and the count it is handed on a checked one, whose paths it
+enumerates and counts once; `graph_pullback` is built from the same
+buckets. The checker runs once per distinct (matching-pair count, code) in
+each share of a sweep, and every other checked cospan with that pair
+reuses its passing verdict and path count; a failing verdict is never
+reused. The DP runs once per distinct code in each share, and every other
+unchecked cospan with that code reuses its count. The cospans come in
+groups that share Z, X, f and Y, and are dealt out in interleaved shares,
+one per CPU, each share but the caller's in a forked child; the shares'
+summaries are merged in cospan order, so the result does not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -386,9 +391,11 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     edges `(u, w, a, b)`), and `expected` the number of matching pairs of
     paths of x and y; the sweep builds both from its legs. A passing
     result depends only on `pullback`, `expected` and `max_len`, since x,
-    y, f and g are read only to find a failure's witness; so a sweep runs
-    the checker once per distinct (pullback, matching-pair count) in each
-    share, and every other checked cospan with that pair reuses the
+    y, f and g are read only to find a failure's witness, and it is
+    invariant under an injective relabeling of the pullback's vertices. So
+    a sweep runs the checker once per distinct (matching-pair count,
+    pullback code) in each share, the code naming the pullback up to such
+    a relabeling, and every other checked cospan with that pair reuses the
     passing verdict.
 
     Every path of the pullback is enumerated once by `_path_keys`, keyed
@@ -485,25 +492,45 @@ def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
 
 
 class _Leg(NamedTuple):
-    """What the sweep precomputes once per graph map x -> z."""
+    """What the sweep precomputes once per graph map x -> z.
+
+    `rows` and `cols` are the leg's bits in the pullback code, indexed by
+    the vertices and then the edges of z, `rows` as the left leg f and
+    `cols` as the right leg g; the code of a cospan is the dot product of
+    f's rows and g's cols. With V = max_v, E = max_e and S = V * V * E, a
+    vertex pair (i, j) is bit `i * V + j`, and an edge pair (a, b) is bit
+    `V * V + code(a) * S + code(b)`, where `code(e) = (s * V + t) * E + e`
+    for an edge e: s -> t. Two pairs over different elements of z never
+    share a bit, so no product carries: the code is exactly the set of the
+    pullback's vertex pairs and of its edge pairs with their endpoints."""
 
     verts: list  # per vertex of z, the vertices of x over it (_hom_buckets)
     edges: list  # per edge of z, the edges (a, s, t) of x over it
     sizes: list  # per vertex of z, the number of vertices of x over it
     fibers: list  # per path of z, the number of paths of x over it
+    rows: list  # per vertex, then edge, of z: its bits as the left leg
+    cols: list  # per vertex, then edge, of z: its bits as the right leg
 
 
-def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData, zpaths: list) -> _Leg:
-    """The leg of m: x -> z, `xpaths` being the paths of x. Its `fibers`
-    are dense, indexed by the paths of z in `zpaths` order, and end at the
-    last nonzero entry: a dot product of two legs' fibers stops at the
-    shorter one."""
+def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData, zpaths: list,
+         max_v: int, max_e: int) -> _Leg:
+    """The leg of m: x -> z, `xpaths` being the paths of x, within the
+    bounds `max_v` and `max_e` that lay out its pullback-code bits. Its
+    `fibers` are dense, indexed by the paths of z in `zpaths` order, and
+    end at the last nonzero entry: a dot product of two legs' fibers stops
+    at the shorter one."""
     verts, edges = _hom_buckets(x, m, z.nv, len(z.edges))
     counts = path_fibers(xpaths, m)
     fibers = [counts.get(p, 0) for p in zpaths]
     while fibers and not fibers[-1]:
         fibers.pop()
-    return _Leg(verts, edges, list(map(len, verts)), fibers)
+    square, span = max_v * max_v, max_v * max_v * max_e
+    codes = [[(s * max_v + t) * max_e + a for a, s, t in es] for es in edges]
+    rows = ([sum(1 << (i * max_v) for i in vs) for vs in verts]
+            + [sum(1 << (square + k * span) for k in ks) for ks in codes])
+    cols = ([sum(1 << j for j in vs) for vs in verts]
+            + [sum(1 << k for k in ks) for ks in codes])
+    return _Leg(verts, edges, list(map(len, verts)), fibers, rows, cols)
 
 
 def _cospan_orbits(max_v: int, max_e: int, path_len: int, share: int,
@@ -535,7 +562,7 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int, share: int,
         side = []
         for x, xpaths in zip(graphs, paths):
             homs = graph_homs(x, z)
-            legs = [_leg(x, xpaths, m, z, zpaths) for m in homs]
+            legs = [_leg(x, xpaths, m, z, zpaths, max_v, max_e) for m in homs]
             keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
             side.append((x, homs, legs, keys))
         reps_of: dict = {}  # (stabilizer, position of Y) -> representatives
@@ -584,58 +611,75 @@ def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
     """`run_path_preservation` on the cospans of one share; each failure is
     listed as `(c, failure)`, c being the cospan's number.
 
-    A checked cospan whose pullback and matching-pair count have already
-    passed the checker in this share reuses that verdict and its path
-    count. This is sound because a passing result depends only on the
-    pullback, `expected` and `path_len`: the checker reads x, y, f, g and
-    `y.nv` only in `_first_missing` and `_first_conflation`, and those run
-    only on a failure. A failing result is never reused, so every failing
-    cospan gets its own checker call and its own witness."""
+    Each cospan's pullback is named by one integer, its code: the dot
+    product of f's `rows` and g's `cols` (see `_Leg`). The code fixes the
+    pullback's vertex pairs and its edge pairs with their endpoints, so it
+    names the flat pullback up to the injective relabeling (i, j) ->
+    i * |Y| + j. The checker's passing verdict and its path count are
+    invariant under such a relabeling, and so is the DP's count. Hence:
+
+    - a checked cospan whose (matching-pair count, code) has already
+      passed the checker in this share reuses that verdict and its path
+      count. The checker reads x, y, f, g and `y.nv` only in
+      `_first_missing` and `_first_conflation`, which run only on a
+      failure, and a failing result is never reused: every failing cospan
+      gets its own checker call and its own witness;
+    - an unchecked cospan whose code has already been counted in this
+      share reuses the DP's count.
+
+    `expected` is still one dot product per cospan, of that cospan's own
+    path fibers, independent of the DP and of the code. Both reuse dicts
+    live for this share of this call only."""
     cospans = 0
     pairs_total = 0
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    passed: dict = {}  # (expected, vertices, edges) -> paths, of each pass
+    passed: dict = {}  # (expected, code) -> paths, of each passing check
+    counted: dict = {}  # code -> paths, of each DP count
     for z, x, y, f, leg_f, members in _cospan_orbits(
             max_v, max_e, path_len, share, shares):
         yn = y.nv
-        verts_f, edges_f, sizes_f, fibers_f = leg_f
+        fibers_f, rows_f = leg_f.fibers, leg_f.rows
         for c, g, leg_g in members:
             expected = sum(map(mul, fibers_f, leg_g.fibers))
-            pedges = _pullback_edges(yn, edges_f, leg_g.edges)
+            code = sum(map(mul, rows_f, leg_g.cols))
             if generic_stride and c % generic_stride == 0:
                 # the checker enumerates every path of the pullback; its
                 # count stands in for the DP's
                 generic_checked += 1
-                verts = _pullback_vertices(yn, verts_f, leg_g.verts)
-                key = (expected, tuple(verts), tuple(pedges))
-                total = passed.get(key)
+                total = passed.get((expected, code))
                 if total is None:
-                    res = check_path_cospan(x, y, f, g, path_len,
-                                            (verts, pedges), expected)
+                    res = check_path_cospan(
+                        x, y, f, g, path_len,
+                        (_pullback_vertices(yn, leg_f.verts, leg_g.verts),
+                         _pullback_edges(yn, leg_f.edges, leg_g.edges)), expected)
                     if res.pullback_ok:
-                        passed[key] = res.paths
+                        passed[expected, code] = res.paths
                     else:
                         generic_failures.append((c, (z, x, y, f, g, res)))
                     total = res.paths
             else:
-                # paths of the pullback graph, counted by DP: the vertices
-                # from the bucket sizes, then one pass over the edges per
-                # length; every edge starts at a pullback vertex, so the
-                # first pass may read all ones
-                total = sum(map(mul, sizes_f, leg_g.sizes))
-                if pedges:
-                    cur = [1] * (x.nv * yn)
-                    for _ in range(path_len):
-                        nxt = [0] * len(cur)
-                        for u, w, _a, _b in pedges:
-                            nxt[w] += cur[u]
-                        level = sum(nxt)
-                        if not level:
-                            break
-                        total += level
-                        cur = nxt
+                total = counted.get(code)
+                if total is None:
+                    # paths of the pullback graph, counted by DP: the
+                    # vertices from the bucket sizes, then one pass over
+                    # the edges per length; every edge starts at a pullback
+                    # vertex, so the first pass may read all ones
+                    pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
+                    total = sum(map(mul, leg_f.sizes, leg_g.sizes))
+                    if pedges:
+                        cur = [1] * (x.nv * yn)
+                        for _ in range(path_len):
+                            nxt = [0] * len(cur)
+                            for u, w, _a, _b in pedges:
+                                nxt[w] += cur[u]
+                            level = sum(nxt)
+                            if not level:
+                                break
+                            total += level
+                            cur = nxt
+                    counted[code] = total
             cospans += 1
             pairs_total += expected
             if total != expected:
@@ -736,11 +780,15 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     (`paths`); on every other cospan by dynamic programming,
     the vertices from the legs' bucket sizes and then one pass over the
     edges per length. Either count goes into `count_failures` the same way.
-    The checker runs once per distinct (pullback, matching-pair count) in
-    each share; every other checked cospan with that pair reuses the
-    passing verdict and its path count, while every failing cospan gets a
-    checker call and a witness of its own. The reused verdicts live only
-    for one share of one call.
+    Each pullback is named by an integer code, exact up to relabeling its
+    vertices, which counts and verdicts do not see (`_sweep_share`). The
+    checker runs once per distinct (matching-pair count, code) in each
+    share; every other checked cospan with that pair reuses the passing
+    verdict and its path count, while every failing cospan gets a checker
+    call and a witness of its own. The DP runs once per distinct code in
+    each share, and every other unchecked cospan with that code reuses its
+    count. The matching-pair count stays one dot product per cospan. The
+    reused verdicts and counts live only for one share of one call.
 
     The cospans are dealt out in shares, one per CPU this process may run
     on: cospan c belongs to share `c % shares`. Share 0 runs in the caller,

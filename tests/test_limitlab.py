@@ -5,7 +5,7 @@ import json
 import os
 import random
 import tracemalloc
-from operator import mul
+from operator import itemgetter, mul
 
 import pytest
 
@@ -446,19 +446,29 @@ def test_checker_matches_reference_on_corrupted_pullbacks(path_len):
     assert failed == {kind: kind != "edge from outside" for kind in kinds}
 
 
+def _drop_one_of_two_edges(monkeypatch):
+    """A pullback with two edges loses the one with the larger pair (a, b).
+    Which edge goes is a function of the pullback's edge pairs, not of the
+    order the producer lists them in, so every cospan with one pullback
+    loses the same edge."""
+    original = limitlab._pullback_edges
+
+    def drop_one(yn, ex, ey):
+        edges = original(yn, ex, ey)
+        if len(edges) == 2:
+            edges.remove(max(edges, key=itemgetter(2, 3)))
+        return edges
+
+    monkeypatch.setattr(limitlab, "_pullback_edges", drop_one)
+
+
 def test_count_failures_caught_on_checked_cospans(monkeypatch):
     plain = {stride: run_path_preservation(2, 2, 3, generic_stride=stride)
              for stride in (0, 1)}
     assert plain[0].cospans == plain[1].cospans
     assert plain[0].matching_pairs == plain[1].matching_pairs
     assert plain[0].count_failures == plain[1].count_failures == []
-    original = limitlab._pullback_edges
-
-    def drop_one(yn, ex, ey):
-        edges = original(yn, ex, ey)
-        return edges[:-1] if len(edges) == 2 else edges
-
-    monkeypatch.setattr(limitlab, "_pullback_edges", drop_one)
+    _drop_one_of_two_edges(monkeypatch)
     broken = {stride: run_path_preservation(2, 2, 3, generic_stride=stride)
               for stride in (0, 1)}
     # the DP counts every cospan at stride 0, the checker every one at 1
@@ -515,17 +525,27 @@ def _reaped(pid) -> bool:
     return False
 
 
+def _invariant_pullback(x, y, verts, pedges):
+    """The pullback `(verts, pedges)` of x -> z <- y, as the two producers
+    build it, with its flat vertex ids undone: its vertex pairs (i, j) and
+    its edge pairs with their endpoints, `(a, x.edges[a], b, y.edges[b])`.
+    Any injective relabeling of the flat ids gives the same form."""
+    return (frozenset(divmod(v, y.nv) for v in verts),
+            frozenset((a, x.edges[a], b, y.edges[b]) for _, _, a, b in pedges))
+
+
 def _fail_pullbacks(monkeypatch, chosen) -> list:
-    """check_path_cospan fails every pullback `(verts, pedges)` for which
-    `chosen(verts, pedges)` holds; returns the list, filled as the checker
-    runs in this process, of the pullbacks it was called on."""
+    """check_path_cospan fails every pullback `(verts, pedges)` of x and y
+    for which `chosen(x, y, verts, pedges)` holds; returns the list, filled
+    as the checker runs in this process, of `(x, y, expected, pullback)`
+    for each call."""
     original = limitlab.check_path_cospan
     calls = []
 
     def checker(x, y, f, g, max_len, pullback, expected):
         res = original(x, y, f, g, max_len, pullback, expected)
-        calls.append(pullback)
-        if chosen(*pullback):
+        calls.append((x, y, expected, pullback))
+        if chosen(x, y, *pullback):
             res.pullback_ok = False
         return res
 
@@ -559,12 +579,12 @@ def _failures_on_one_and_two_cpus(monkeypatch, bounds, stride, expected):
 
 
 def test_generic_failures_in_cospan_order(monkeypatch):
-    def chosen(verts, pedges):
+    def chosen(x, y, verts, pedges):
         return len(verts) == 2 and len(pedges) == 2
 
     _fail_pullbacks(monkeypatch, chosen)
     expected = [cospan for cospan, pullback in _checked_pullbacks((2, 2, 2), 3)
-                if chosen(*pullback)]
+                if chosen(cospan[1], cospan[2], *pullback)]
     assert len(expected) > 20
     _failures_on_one_and_two_cpus(monkeypatch, (2, 2, 2), 3, expected)
 
@@ -574,17 +594,18 @@ def test_every_cospan_of_a_failing_pullback_is_listed(monkeypatch):
     pullback fails gets its own checker call and its own entry."""
     checked = list(_checked_pullbacks((2, 2, 2), 1))
     counts: dict = {}
-    for _, (verts, pedges) in checked:
+    for (_, x, y, _, _), (verts, pedges) in checked:
         if pedges:
-            key = (tuple(verts), tuple(pedges))
+            key = _invariant_pullback(x, y, verts, pedges)
             counts[key] = counts.get(key, 0) + 1
     target = max(counts, key=counts.get)  # the most frequent, first on ties
 
-    def chosen(verts, pedges):
-        return (tuple(verts), tuple(pedges)) == target
+    def chosen(x, y, verts, pedges):
+        return _invariant_pullback(x, y, verts, pedges) == target
 
     _fail_pullbacks(monkeypatch, chosen)
-    expected = [cospan for cospan, pullback in checked if chosen(*pullback)]
+    expected = [cospan for cospan, pullback in checked
+                if chosen(cospan[1], cospan[2], *pullback)]
     assert len(expected) == counts[target] > 10
     _failures_on_one_and_two_cpus(monkeypatch, (2, 2, 2), 1, expected)
 
@@ -616,14 +637,7 @@ def _reference_sweep(max_v, max_e, path_len, stride):
 def test_reused_verdicts_match_a_checker_call_per_cospan(monkeypatch, bounds,
                                                          stride, fault):
     if fault:
-        # a pullback with two edges loses one, so some cospans fail
-        original = limitlab._pullback_edges
-
-        def drop_one(yn, ex, ey):
-            edges = original(yn, ex, ey)
-            return edges[:-1] if len(edges) == 2 else edges
-
-        monkeypatch.setattr(limitlab, "_pullback_edges", drop_one)
+        _drop_one_of_two_edges(monkeypatch)  # so some cospans fail
     reference = _reference_sweep(*bounds, stride)
     summary = run_path_preservation(*bounds, generic_stride=stride)
     for field in dataclasses.fields(summary):
@@ -632,22 +646,81 @@ def test_reused_verdicts_match_a_checker_call_per_cospan(monkeypatch, bounds,
 
 
 def test_checker_runs_once_per_distinct_pullback_and_count(monkeypatch):
-    calls = _fail_pullbacks(monkeypatch, lambda verts, pedges: False)
+    calls = _fail_pullbacks(monkeypatch, lambda x, y, verts, pedges: False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     summary = run_path_preservation(2, 2, 3, generic_stride=1)
-    distinct = {(sum(map(mul, leg_f.fibers, leg_g.fibers)),
-                 tuple(limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts)),
-                 tuple(limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges)))
+    distinct = {(_matching_pairs(x, y, f, g, 3), _invariant_pullback(
+                    x, y, limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
+                    limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges)))
                 for _, _, x, y, f, g, leg_f, leg_g in _cospans(2, 2, 3)}
-    assert len(calls) == len(distinct) == 390
+    assert len(calls) == len(distinct) == 363
+    # and each of them once
+    assert len({(expected, _invariant_pullback(x, y, *pullback))
+                for x, y, expected, pullback in calls}) == 363
     assert summary.generic_checked == summary.cospans == 4171
 
 
-def test_verdict_reuse_memory_is_bounded():
-    """The traced peak of a one-share sweep at (3, 2, 3), every cospan
-    checked: 0.71 MiB without verdict reuse and 2.23 MiB with it, the
-    reused verdicts keyed by 4,826 distinct pullbacks. The bound sits about
-    12% above the latter, so a key or a stored value that grows fails."""
+@pytest.mark.parametrize("bounds", [(2, 2, 3), (2, 3, 2)])
+def test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree(bounds):
+    owner: dict = {}  # code -> invariant pullback
+    code_of: dict = {}  # invariant pullback -> code
+    cospans = 0
+    for _, _, x, y, f, g, leg_f, leg_g in _cospans(*bounds):
+        code = sum(map(mul, leg_f.rows, leg_g.cols))
+        form = _invariant_pullback(x, y, *_flat_pullback(f, g, x, y))
+        assert owner.setdefault(code, form) == form
+        assert code_of.setdefault(form, code) == code
+        cospans += 1
+    assert len(owner) == len(code_of) < cospans // 10
+
+
+def _reference_dp_sweep(max_v, max_e, path_len):
+    """`run_path_preservation` at `generic_stride=0` without count reuse
+    or shares: on every cospan, the paths of its own pullback counted by a
+    DP over its own edges, and compared with the matching pairs from the
+    path fibers."""
+    cospans = pairs = 0
+    count_failures = []
+    fibers = {}  # (graph, map) -> its path fibers, as _matching_pairs has them
+
+    def fibers_of(x, f):
+        if (x, f) not in fibers:
+            fibers[x, f] = path_fibers(graph_paths(x, path_len), f)
+        return fibers[x, f]
+
+    for _, z, x, y, f, g, _, _ in _cospans(max_v, max_e, path_len):
+        fy = fibers_of(y, g)
+        expected = sum(n * fy.get(img, 0) for img, n in fibers_of(x, f).items())
+        verts, pedges = _flat_pullback(f, g, x, y)
+        ends = dict.fromkeys(verts, 1)  # paths of the current length, by end
+        total = len(verts)
+        for _ in range(path_len):
+            nxt: dict = {}
+            for u, w, _, _ in pedges:
+                nxt[w] = nxt.get(w, 0) + ends.get(u, 0)
+            ends = nxt
+            total += sum(ends.values())
+        cospans += 1
+        pairs += expected
+        if total != expected:
+            count_failures.append((z, x, y, f, g, {"F_P": total, "pairs": expected}))
+    return limitlab.PathPreservationSummary(cospans, pairs, count_failures, 0, [])
+
+
+@pytest.mark.parametrize("bounds, fault", [((2, 2, 3), None), ((2, 2, 3), "drop edge"),
+                                           ((2, 3, 2), "drop edge")])
+def test_reused_counts_match_a_dp_per_cospan(monkeypatch, bounds, fault):
+    if fault:
+        _drop_one_of_two_edges(monkeypatch)  # so some counts fail
+    reference = _reference_dp_sweep(*bounds)
+    summary = run_path_preservation(*bounds, generic_stride=0)
+    for field in dataclasses.fields(summary):
+        assert getattr(summary, field.name) == getattr(reference, field.name), field.name
+    assert bool(summary.count_failures) == bool(fault)
+
+
+def _traced_sweep_share(*bounds_and_stride):
+    """A one-share sweep and the peak of the memory it traced, in bytes."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -655,13 +728,34 @@ def test_verdict_reuse_memory_is_bounded():
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        summary = limitlab._sweep_share(3, 2, 3, 1, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        summary = limitlab._sweep_share(*bounds_and_stride, 0, 1)
+        return summary, tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
+
+
+def test_verdict_reuse_memory_is_bounded():
+    """The traced peak of a one-share sweep at (3, 2, 3), every cospan
+    checked, on Python 3.11: 0.71 MiB without verdict reuse, 2.23 MiB with
+    the reused verdicts keyed by 4,826 distinct flat pullbacks, and 1.21
+    MiB keyed by 3,712 (matching-pair count, pullback code) pairs. It takes
+    about 4.6 s traced. The bound sits about 12% above the last, so a key
+    or a stored value that grows fails."""
+    summary, peak = _traced_sweep_share(3, 2, 3, 1)
     assert summary.generic_checked == summary.cospans == 115_989
-    assert peak < 2.5 * 2**20
+    assert peak < 1.36 * 2**20
+
+
+def test_count_reuse_memory_is_bounded():
+    """The traced peak of a one-share sweep at (2, 3, 3) with stride 25,
+    where the DP counts 123,846 of the 129,006 cospans, on Python 3.11:
+    2.26 MiB without reused counts and 2.42 MiB with them, keyed by
+    pullback codes. It takes about 6.2 s traced. The bound sits about 12%
+    above the latter, so a DP key that grows fails."""
+    summary, peak = _traced_sweep_share(2, 3, 3, 25)
+    assert summary.cospans == 129_006 and summary.generic_checked == 5_160
+    assert peak < 2.71 * 2**20
 
 
 @pytest.mark.parametrize("where", ["child", "caller"])

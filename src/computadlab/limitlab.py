@@ -17,12 +17,12 @@ and the pullback's code the dot product of their bit vectors: one integer
 that fixes the pullback's vertex pairs and its edge pairs with their
 endpoints. The pullback itself is built only for a cospan that no earlier
 cospan of its share settles (below): its vertices from the legs' vertex
-buckets, its edges as the product of their edge buckets. These are the only producers
-of a cospan's pullback and matching-pair count: the path-count DP reads
-the edges on an unchecked cospan, and the generic path checker checks the
-pullback and the count it is handed on a checked one, whose paths it
-enumerates and counts once; `graph_pullback` is built from the same
-buckets. The checker runs once per distinct (matching-pair count, code) in
+buckets, its edges as the product of their edge buckets. These are the
+only producers of a cospan's pullback and matching-pair count: the
+path-count DP reads the edges on an unchecked cospan, and the generic path
+checker checks the pullback and the count it is handed on a checked one,
+whose paths it enumerates and counts once; `graph_pullback` is built from
+the same buckets. The checker runs once per distinct (matching-pair count, code) in
 each share of a sweep, and every other checked cospan with that pair
 reuses its passing verdict and path count; a failing verdict is never
 reused. The DP runs once per distinct code in each share, and every other

@@ -16,31 +16,24 @@ the matching-pair count is the dot product of the two legs' fiber vectors,
 and the pullback's code the dot product of their bit vectors: one integer
 that fixes the pullback's vertex pairs and its edge pairs with their
 endpoints. The pullback itself is built only for a cospan that no earlier
-cospan of its share settles (below): its vertices from the legs' vertex
+cospan of the sweep settles (below): its vertices from the legs' vertex
 buckets, its edges as the product of their edge buckets. These are the
 only producers of a cospan's pullback and matching-pair count: the
 path-count DP reads the edges on an unchecked cospan, and the generic path
 checker checks the pullback and the count it is handed on a checked one,
 whose paths it enumerates and counts once; `graph_pullback` is built from
-the same buckets. The checker runs once per distinct (matching-pair count, code) in
-each share of a sweep, and every other checked cospan with that pair
+the same buckets. The checker runs once per distinct (matching-pair
+count, code) in a sweep, and every other checked cospan with that pair
 reuses its passing verdict and path count; a failing verdict is never
-reused. The DP runs once per distinct code in each share, and every other
+reused. The DP runs once per distinct code in a sweep, and every other
 unchecked cospan with that code reuses its count. The cospans come in
-groups that share Z, X, f and Y, and are dealt out in interleaved shares,
-one per CPU, each share but the caller's in a forked child; the shares'
-summaries are merged in cospan order, so the result does not depend on the
-number of CPUs.
+groups that share Z, X, f and Y, and the sweep runs them in the calling
+process, in cospan order.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, replace
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -394,9 +387,9 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     y, f and g are read only to find a failure's witness, and it is
     invariant under an injective relabeling of the pullback's vertices. So
     a sweep runs the checker once per distinct (matching-pair count,
-    pullback code) in each share, the code naming the pullback up to such
-    a relabeling, and every other checked cospan with that pair reuses the
-    passing verdict.
+    pullback code), the code naming the pullback up to such a relabeling,
+    and every other checked cospan with that pair reuses the passing
+    verdict.
 
     Every path of the pullback is enumerated once by `_path_keys`, keyed
     by its pair of projections; the number of paths it finds is `paths`,
@@ -533,62 +526,54 @@ def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData, zpaths: list,
     return _Leg(verts, edges, list(map(len, verts)), fibers, rows, cols)
 
 
-def _cospan_orbits(max_v: int, max_e: int, path_len: int, share: int,
-                   shares: int):
+def _cospan_orbits(max_v: int, max_e: int, path_len: int):
     """Graph cospans X -> Z <- Y within the bounds, X, Y, Z ranging over
     isomorphism-class representatives, one per orbit of Aut(Z) acting by
     postcomposition, in groups that share Z, X, f and Y.
 
     Double-coset enumeration: f is an Aut(Z)-orbit representative, g a
     representative under the stabilizer of f. Pullback comparisons are
-    invariant under the action, so no outcome is lost. The cospans are
-    numbered from 1 in this order, and only those numbered c with
-    `c % shares == share` are yielded; the others are counted past without
-    being built. Each (Z, X, f, Y) with a cospan in the share is yielded
-    once, as `(z, x, y, f, leg_f, members)`, `members` listing the share's
-    cospans of the group as `(c, g, leg_g)` in order.
+    invariant under the action, so no outcome is lost. Each (Z, X, f, Y)
+    with a cospan is yielded once, as `(z, x, y, f, leg_f, members)`,
+    `members` listing its cospans as `(g, leg_g)` in order; numbered from 1
+    in this order, they are the sweep's cospans c.
 
     The paths of each graph are listed once. Once per Z its paths are
     listed, and once per hom into Z its `_Leg` (its vertex and edge buckets
     over Z, the bucket sizes and its dense path fibers) and the keys of its
     postcompositions with every automorphism of Z are computed. Within one
     Z, the representatives g depend on f only through its stabilizer, so
-    they are computed once per (stabilizer, Y)."""
+    each (stabilizer, Y) filters Y's `(g, leg_g)` list once, and every
+    group yields a list that is shared, not copied: a trivial stabilizer
+    yields Y's whole list."""
     graphs = enumerate_graphs(max_v, max_e)
     paths = [graph_paths(x, path_len) for x in graphs]
-    c = 0  # the number of the last cospan counted
     for z, zpaths in zip(graphs, paths):
         auts = graph_automorphisms(z)
-        side = []
+        side = []  # per X: its (hom, leg) pairs into z, and their keys
         for x, xpaths in zip(graphs, paths):
             homs = graph_homs(x, z)
-            legs = [_leg(x, xpaths, m, z, zpaths, max_v, max_e) for m in homs]
             keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
-            side.append((x, homs, legs, keys))
-        reps_of: dict = {}  # (stabilizer, position of Y) -> representatives
-        for x, homs_x, legs_x, keys_x in side:
-            for f, leg_f, mapped in zip(homs_x, legs_x, keys_x):
+            side.append((x, [(m, _leg(x, xpaths, m, z, zpaths, max_v, max_e))
+                             for m in homs], keys))
+        reps_of: dict = {}  # (stabilizer, position of Y) -> its members
+        for x, members_x, keys_x in side:
+            for (f, leg_f), mapped in zip(members_x, keys_x):
                 kf = (f.vmap, f.emap)
                 if min(mapped) != kf:
                     continue
                 stab = tuple(n for n, km in enumerate(mapped) if km == kf)[1:]
-                for ny, (y, homs_y, legs_y, keys_y) in enumerate(side):
-                    # the positions in homs_y of the representatives g
+                for ny, (y, members_y, keys_y) in enumerate(side):
                     if not stab:
-                        reps = range(len(homs_y))
+                        members = members_y
                     elif (stab, ny) in reps_of:
-                        reps = reps_of[stab, ny]
+                        members = reps_of[stab, ny]
                     else:
-                        reps = reps_of[stab, ny] = [
-                            n for n, (g, keys_g) in enumerate(zip(homs_y, keys_y))
+                        members = reps_of[stab, ny] = [
+                            (g, leg_g) for (g, leg_g), keys_g in zip(members_y, keys_y)
                             if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
-                    # the cospan at position p of reps is number c + 1 + p
-                    first = (share - c - 1) % shares
-                    if first < len(reps):
-                        yield z, x, y, f, leg_f, [
-                            (c + 1 + p, homs_y[reps[p]], legs_y[reps[p]])
-                            for p in range(first, len(reps), shares)]
-                    c += len(reps)
+                    if members:
+                        yield z, x, y, f, leg_f, members
 
 
 @dataclass
@@ -604,160 +589,6 @@ class PathPreservationSummary:
     @property
     def all_pullback(self) -> bool:
         return not self.count_failures and not self.generic_failures
-
-
-def _sweep_share(max_v: int, max_e: int, path_len: int, generic_stride: int,
-                 share: int, shares: int) -> PathPreservationSummary:
-    """`run_path_preservation` on the cospans of one share; each failure is
-    listed as `(c, failure)`, c being the cospan's number.
-
-    Each cospan's pullback is named by one integer, its code: the dot
-    product of f's `rows` and g's `cols` (see `_Leg`). The code fixes the
-    pullback's vertex pairs and its edge pairs with their endpoints, so it
-    names the flat pullback up to the injective relabeling (i, j) ->
-    i * |Y| + j. The checker's passing verdict and its path count are
-    invariant under such a relabeling, and so is the DP's count. Hence:
-
-    - a checked cospan whose (matching-pair count, code) has already
-      passed the checker in this share reuses that verdict and its path
-      count. The checker reads x, y, f, g and `y.nv` only in
-      `_first_missing` and `_first_conflation`, which run only on a
-      failure, and a failing result is never reused: every failing cospan
-      gets its own checker call and its own witness;
-    - an unchecked cospan whose code has already been counted in this
-      share reuses the DP's count.
-
-    `expected` is still one dot product per cospan, of that cospan's own
-    path fibers, independent of the DP and of the code. Both reuse dicts
-    live for this share of this call only."""
-    cospans = 0
-    pairs_total = 0
-    count_failures: list = []
-    generic_checked = 0
-    generic_failures: list = []
-    passed: dict = {}  # (expected, code) -> paths, of each passing check
-    counted: dict = {}  # code -> paths, of each DP count
-    for z, x, y, f, leg_f, members in _cospan_orbits(
-            max_v, max_e, path_len, share, shares):
-        yn = y.nv
-        fibers_f, rows_f = leg_f.fibers, leg_f.rows
-        for c, g, leg_g in members:
-            expected = sum(map(mul, fibers_f, leg_g.fibers))
-            code = sum(map(mul, rows_f, leg_g.cols))
-            if generic_stride and c % generic_stride == 0:
-                # the checker enumerates every path of the pullback; its
-                # count stands in for the DP's
-                generic_checked += 1
-                total = passed.get((expected, code))
-                if total is None:
-                    res = check_path_cospan(
-                        x, y, f, g, path_len,
-                        (_pullback_vertices(yn, leg_f.verts, leg_g.verts),
-                         _pullback_edges(yn, leg_f.edges, leg_g.edges)), expected)
-                    if res.pullback_ok:
-                        passed[expected, code] = res.paths
-                    else:
-                        generic_failures.append((c, (z, x, y, f, g, res)))
-                    total = res.paths
-            else:
-                total = counted.get(code)
-                if total is None:
-                    # paths of the pullback graph, counted by DP: the
-                    # vertices from the bucket sizes, then one pass over
-                    # the edges per length; every edge starts at a pullback
-                    # vertex, so the first pass may read all ones
-                    pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
-                    total = sum(map(mul, leg_f.sizes, leg_g.sizes))
-                    if pedges:
-                        cur = [1] * (x.nv * yn)
-                        for _ in range(path_len):
-                            nxt = [0] * len(cur)
-                            for u, w, _a, _b in pedges:
-                                nxt[w] += cur[u]
-                            level = sum(nxt)
-                            if not level:
-                                break
-                            total += level
-                            cur = nxt
-                    counted[code] = total
-            cospans += 1
-            pairs_total += expected
-            if total != expected:
-                count_failures.append(
-                    (c, (z, x, y, f, g, {"F_P": total, "pairs": expected})))
-    return PathPreservationSummary(cospans, pairs_total, count_failures,
-                                   generic_checked, generic_failures)
-
-
-def _share_count() -> int:
-    """One share per CPU this process may run on. One share where the
-    platform cannot tell (it has no `os.sched_getaffinity`), and while
-    other threads run: a forked child holds only the calling thread, and
-    any lock another thread held stays locked in it."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork_share(run_share, share: int) -> tuple[int, int]:
-    """`run_share(share)` in a forked child, which pickles `(True, result)`
-    or `(False, exception)` into a pipe and exits; returns the child's pid
-    and the read end of the pipe."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    # the child never returns into the caller's code; an outcome it cannot
-    # pickle ends it with status 1, which the parent reports
-    status = 1
-    try:
-        os.close(read)
-        try:
-            outcome = (True, run_share(share))
-        except BaseException as exc:  # handed to the parent, which raises it
-            outcome = (False, exc)
-        with open(write, "wb") as fh:
-            fh.write(pickle.dumps(outcome))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _in_shares(run_share, shares: int) -> list:
-    """`run_share(k)` for every share k: share 0 in the caller, each other
-    one in a forked child. A child that raises or dies raises here, and
-    every child is reaped, killed first when the caller's share fails."""
-    children: list = []  # (pid, read end of its pipe)
-    outputs: list = []
-    try:
-        for share in range(1, shares):
-            children.append(_fork_share(run_share, share))
-        parts = [run_share(0)]
-        for _, read in children:
-            with open(read, "rb", closefd=False) as fh:
-                outputs.append(fh.read())
-    finally:
-        statuses = []
-        for pid, read in children:
-            os.close(read)
-            if len(outputs) < len(children):
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for share, (data, status) in enumerate(zip(outputs, statuses), 1):
-        if status or not data:
-            raise LimitError(f"sweep share {share} ended with status {status} "
-                             "before it reported")
-        ok, payload = pickle.loads(data)
-        if not ok:
-            raise payload
-        parts.append(payload)
-    return parts
 
 
 def run_path_preservation(max_v: int, max_e: int, path_len: int,
@@ -780,40 +611,87 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     (`paths`); on every other cospan by dynamic programming,
     the vertices from the legs' bucket sizes and then one pass over the
     edges per length. Either count goes into `count_failures` the same way.
-    Each pullback is named by an integer code, exact up to relabeling its
-    vertices, which counts and verdicts do not see (`_sweep_share`). The
-    checker runs once per distinct (matching-pair count, code) in each
-    share; every other checked cospan with that pair reuses the passing
-    verdict and its path count, while every failing cospan gets a checker
-    call and a witness of its own. The DP runs once per distinct code in
-    each share, and every other unchecked cospan with that code reuses its
-    count. The matching-pair count stays one dot product per cospan. The
-    reused verdicts and counts live only for one share of one call.
 
-    The cospans are dealt out in shares, one per CPU this process may run
-    on: cospan c belongs to share `c % shares`. Share 0 runs in the caller,
-    every other share in a forked child. The merge sums the counts and
-    orders the failures by c, so the summary is identical to the one a
-    single share gives; with one CPU the single share runs in the caller.
+    Each cospan's pullback is named by one integer, its code: the dot
+    product of f's `rows` and g's `cols` (see `_Leg`). The code fixes the
+    pullback's vertex pairs and its edge pairs with their endpoints, so it
+    names the flat pullback up to the injective relabeling (i, j) ->
+    i * |Y| + j. The checker's passing verdict and its path count are
+    invariant under such a relabeling, and so is the DP's count. Hence:
+
+    - a checked cospan whose (matching-pair count, code) has already
+      passed the checker reuses that verdict and its path count. The
+      checker reads x, y, f, g and `y.nv` only in `_first_missing` and
+      `_first_conflation`, which run only on a failure, and a failing
+      result is never reused: every failing cospan gets its own checker
+      call and its own witness;
+    - an unchecked cospan whose code has already been counted reuses the
+      DP's count.
+
+    The matching-pair count stays one dot product per cospan, of that
+    cospan's own path fibers, independent of the DP and of the code. Both
+    reuse dicts live for one call only. The sweep runs in the caller, one
+    cospan after another, so the failures are listed in cospan order.
 
     This is the only pullback-preservation sweep: the topos gate at n = 1, 2
     runs it with `generic_stride=1`, acceptance criterion 5 with a stride.
     """
-    shares = _share_count()
-    parts = _in_shares(functools.partial(
-        _sweep_share, max_v, max_e, path_len, generic_stride, shares=shares),
-        shares)
-    return PathPreservationSummary(
-        sum(p.cospans for p in parts), sum(p.matching_pairs for p in parts),
-        _by_number(p.count_failures for p in parts),
-        sum(p.generic_checked for p in parts),
-        _by_number(p.generic_failures for p in parts))
-
-
-def _by_number(tagged_lists) -> list:
-    """The failures of every share, `(c, failure)` each, ordered by c."""
-    tagged = sorted(itertools.chain.from_iterable(tagged_lists), key=itemgetter(0))
-    return [failure for _, failure in tagged]
+    cospans = 0
+    pairs_total = 0
+    count_failures: list = []
+    generic_checked = 0
+    generic_failures: list = []
+    passed: dict = {}  # (expected, code) -> paths, of each passing check
+    counted: dict = {}  # code -> paths, of each DP count
+    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len):
+        yn = y.nv
+        fibers_f, rows_f = leg_f.fibers, leg_f.rows
+        for c, (g, leg_g) in enumerate(members, cospans + 1):
+            expected = sum(map(mul, fibers_f, leg_g.fibers))
+            code = sum(map(mul, rows_f, leg_g.cols))
+            if generic_stride and c % generic_stride == 0:
+                # the checker enumerates every path of the pullback; its
+                # count stands in for the DP's
+                generic_checked += 1
+                total = passed.get((expected, code))
+                if total is None:
+                    res = check_path_cospan(
+                        x, y, f, g, path_len,
+                        (_pullback_vertices(yn, leg_f.verts, leg_g.verts),
+                         _pullback_edges(yn, leg_f.edges, leg_g.edges)), expected)
+                    if res.pullback_ok:
+                        passed[expected, code] = res.paths
+                    else:
+                        generic_failures.append((z, x, y, f, g, res))
+                    total = res.paths
+            else:
+                total = counted.get(code)
+                if total is None:
+                    # paths of the pullback graph, counted by DP: the
+                    # vertices from the bucket sizes, then one pass over
+                    # the edges per length; every edge starts at a pullback
+                    # vertex, so the first pass may read all ones
+                    pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
+                    total = sum(map(mul, leg_f.sizes, leg_g.sizes))
+                    if pedges:
+                        cur = [1] * (x.nv * yn)
+                        for _ in range(path_len):
+                            nxt = [0] * len(cur)
+                            for u, w, _a, _b in pedges:
+                                nxt[w] += cur[u]
+                            level = sum(nxt)
+                            if not level:
+                                break
+                            total += level
+                            cur = nxt
+                    counted[code] = total
+            pairs_total += expected
+            if total != expected:
+                count_failures.append(
+                    (z, x, y, f, g, {"F_P": total, "pairs": expected}))
+        cospans += len(members)
+    return PathPreservationSummary(cospans, pairs_total, count_failures,
+                                   generic_checked, generic_failures)
 
 
 # --- the topos gate ----------------------------------------------------------------

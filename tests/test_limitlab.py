@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import itertools
 import json
-import os
 import random
 import tracemalloc
 from operator import itemgetter, mul
@@ -255,10 +254,12 @@ def test_run_path_preservation_small_family_all_generic():
 
 
 def _cospans(max_v, max_e, path_len):
-    """The groups of `_cospan_orbits` in one share, flattened one cospan at
-    a time: `(c, z, x, y, f, g, leg_f, leg_g)`."""
-    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len, 0, 1):
-        for c, g, leg_g in members:
+    """The groups of `_cospan_orbits`, flattened one cospan at a time and
+    numbered from 1: `(c, z, x, y, f, g, leg_f, leg_g)`."""
+    c = 0
+    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len):
+        for g, leg_g in members:
+            c += 1
             yield c, z, x, y, f, g, leg_f, leg_g
 
 
@@ -481,15 +482,6 @@ def test_count_failures_caught_on_checked_cospans(monkeypatch):
             == [tuple(entry[:5]) for entry in broken[1].count_failures])
 
 
-@pytest.mark.parametrize("bounds, stride", [((2, 2, 3), 1), ((2, 2, 2), 7)])
-def test_one_cpu_gives_the_same_summary(monkeypatch, bounds, stride):
-    default = run_path_preservation(*bounds, generic_stride=stride)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    single = run_path_preservation(*bounds, generic_stride=stride)
-    assert single == default  # every field of the dataclass
-    assert single.generic_checked == single.cospans // stride
-
-
 def _patch_checker(monkeypatch, act):
     """check_path_cospan runs `act(x, y, f, g, result)` after each check."""
     original = limitlab.check_path_cospan
@@ -500,29 +492,6 @@ def _patch_checker(monkeypatch, act):
         return res
 
     monkeypatch.setattr(limitlab, "check_path_cospan", checker)
-
-
-def _count_forks(monkeypatch) -> list:
-    """The pids of the children forked from now on."""
-    pids = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
-
-
-def _reaped(pid) -> bool:
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def _invariant_pullback(x, y, verts, pedges):
@@ -564,18 +533,11 @@ def _checked_pullbacks(bounds, stride):
                 limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges))
 
 
-def _failures_on_one_and_two_cpus(monkeypatch, bounds, stride, expected):
-    """Each CPU count lists as generic failures exactly the cospans
-    `expected`, in that order, with the same results."""
-    failures = {}
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        forks = _count_forks(monkeypatch)
-        summary = run_path_preservation(*bounds, generic_stride=stride)
-        assert len(forks) == len(cpus) - 1
-        assert [tuple(entry[:5]) for entry in summary.generic_failures] == expected
-        failures[len(cpus)] = summary.generic_failures
-    assert failures[1] == failures[2]
+def _assert_generic_failures(bounds, stride, expected):
+    """The sweep lists as generic failures exactly the cospans `expected`,
+    in that order."""
+    summary = run_path_preservation(*bounds, generic_stride=stride)
+    assert [tuple(entry[:5]) for entry in summary.generic_failures] == expected
 
 
 def test_generic_failures_in_cospan_order(monkeypatch):
@@ -586,7 +548,7 @@ def test_generic_failures_in_cospan_order(monkeypatch):
     expected = [cospan for cospan, pullback in _checked_pullbacks((2, 2, 2), 3)
                 if chosen(cospan[1], cospan[2], *pullback)]
     assert len(expected) > 20
-    _failures_on_one_and_two_cpus(monkeypatch, (2, 2, 2), 3, expected)
+    _assert_generic_failures((2, 2, 2), 3, expected)
 
 
 def test_every_cospan_of_a_failing_pullback_is_listed(monkeypatch):
@@ -607,13 +569,13 @@ def test_every_cospan_of_a_failing_pullback_is_listed(monkeypatch):
     expected = [cospan for cospan, pullback in checked
                 if chosen(cospan[1], cospan[2], *pullback)]
     assert len(expected) == counts[target] > 10
-    _failures_on_one_and_two_cpus(monkeypatch, (2, 2, 2), 1, expected)
+    _assert_generic_failures((2, 2, 2), 1, expected)
 
 
 def _reference_sweep(max_v, max_e, path_len, stride):
-    """`run_path_preservation` without verdict reuse or shares: the checker
-    on every cospan, its count compared with the matching pairs from the
-    path fibers, and only each `stride`-th cospan's verdict kept."""
+    """`run_path_preservation` without verdict reuse: the checker on every
+    cospan, its count compared with the matching pairs from the path
+    fibers, and only each `stride`-th cospan's verdict kept."""
     cospans = pairs = checked = 0
     count_failures, generic_failures = [], []
     for c, z, x, y, f, g, _, _ in _cospans(max_v, max_e, path_len):
@@ -647,7 +609,6 @@ def test_reused_verdicts_match_a_checker_call_per_cospan(monkeypatch, bounds,
 
 def test_checker_runs_once_per_distinct_pullback_and_count(monkeypatch):
     calls = _fail_pullbacks(monkeypatch, lambda x, y, verts, pedges: False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     summary = run_path_preservation(2, 2, 3, generic_stride=1)
     distinct = {(_matching_pairs(x, y, f, g, 3), _invariant_pullback(
                     x, y, limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
@@ -675,10 +636,9 @@ def test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree(bounds):
 
 
 def _reference_dp_sweep(max_v, max_e, path_len):
-    """`run_path_preservation` at `generic_stride=0` without count reuse
-    or shares: on every cospan, the paths of its own pullback counted by a
-    DP over its own edges, and compared with the matching pairs from the
-    path fibers."""
+    """`run_path_preservation` at `generic_stride=0` without count reuse:
+    on every cospan, the paths of its own pullback counted by a DP over its
+    own edges, and compared with the matching pairs from the path fibers."""
     cospans = pairs = 0
     count_failures = []
     fibers = {}  # (graph, map) -> its path fibers, as _matching_pairs has them
@@ -719,8 +679,8 @@ def test_reused_counts_match_a_dp_per_cospan(monkeypatch, bounds, fault):
     assert bool(summary.count_failures) == bool(fault)
 
 
-def _traced_sweep_share(*bounds_and_stride):
-    """A one-share sweep and the peak of the memory it traced, in bytes."""
+def _traced_sweep(max_v, max_e, path_len, stride):
+    """A sweep and the peak of the memory it traced, in bytes."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -728,7 +688,7 @@ def _traced_sweep_share(*bounds_and_stride):
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        summary = limitlab._sweep_share(*bounds_and_stride, 0, 1)
+        summary = run_path_preservation(max_v, max_e, path_len, generic_stride=stride)
         return summary, tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -736,57 +696,28 @@ def _traced_sweep_share(*bounds_and_stride):
 
 
 def test_verdict_reuse_memory_is_bounded():
-    """The traced peak of a one-share sweep at (3, 2, 3), every cospan
-    checked, on Python 3.11: 0.71 MiB without verdict reuse, 2.23 MiB with
-    the reused verdicts keyed by 4,826 distinct flat pullbacks, and 1.21
-    MiB keyed by 3,712 (matching-pair count, pullback code) pairs. It takes
-    about 4.6 s traced. The bound sits about 12% above the last, so a key
-    or a stored value that grows fails."""
-    summary, peak = _traced_sweep_share(3, 2, 3, 1)
+    """The traced peak of a sweep at (3, 2, 3), every cospan checked, on
+    Python 3.11: 0.71 MiB without verdict reuse, 2.23 MiB with the reused
+    verdicts keyed by 4,826 distinct flat pullbacks, and 1.21 MiB keyed by
+    3,712 (matching-pair count, pullback code) pairs. Run in one process,
+    with each Y's `(g, leg_g)` pairs listed once per Z, it reads 1.30 MiB.
+    It takes about 2.9 s traced. The bound sits about 12% above 1.21 MiB,
+    so a key or a stored value that grows fails."""
+    summary, peak = _traced_sweep(3, 2, 3, 1)
     assert summary.generic_checked == summary.cospans == 115_989
     assert peak < 1.36 * 2**20
 
 
 def test_count_reuse_memory_is_bounded():
-    """The traced peak of a one-share sweep at (2, 3, 3) with stride 25,
-    where the DP counts 123,846 of the 129,006 cospans, on Python 3.11:
-    2.26 MiB without reused counts and 2.42 MiB with them, keyed by
-    pullback codes. It takes about 6.2 s traced. The bound sits about 12%
-    above the latter, so a DP key that grows fails."""
-    summary, peak = _traced_sweep_share(2, 3, 3, 25)
+    """The traced peak of a sweep at (2, 3, 3) with stride 25, where the
+    DP counts 123,846 of the 129,006 cospans, on Python 3.11: 2.26 MiB
+    without reused counts and 2.42 MiB with them, keyed by pullback codes.
+    Run in one process, with each Y's `(g, leg_g)` pairs listed once per
+    Z, it reads 2.44 MiB. It takes about 4.1 s traced. The bound sits about
+    12% above 2.42 MiB, so a DP key that grows fails."""
+    summary, peak = _traced_sweep(2, 3, 3, 25)
     assert summary.cospans == 129_006 and summary.generic_checked == 5_160
     assert peak < 2.71 * 2**20
-
-
-@pytest.mark.parametrize("where", ["child", "caller"])
-def test_failing_share_raises_and_children_are_reaped(monkeypatch, where):
-    caller = os.getpid()
-
-    def boom(x, y, f, g, res):
-        if (os.getpid() == caller) == (where == "caller"):
-            raise ValueError(f"boom in the {where}")
-
-    _patch_checker(monkeypatch, boom)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = _count_forks(monkeypatch)
-    with pytest.raises(ValueError, match=f"boom in the {where}"):
-        run_path_preservation(2, 1, 2, generic_stride=1)
-    assert len(forks) == 1 and _reaped(forks[0])
-
-
-def test_dead_child_share_raises(monkeypatch):
-    caller = os.getpid()
-
-    def die(x, y, f, g, res):
-        if os.getpid() != caller:
-            os._exit(3)
-
-    _patch_checker(monkeypatch, die)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = _count_forks(monkeypatch)
-    with pytest.raises(LimitError, match="status 3"):
-        run_path_preservation(2, 1, 2, generic_stride=1)
-    assert len(forks) == 1 and _reaped(forks[0])
 
 
 # --- the gate ----------------------------------------------------------------------

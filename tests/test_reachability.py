@@ -47,6 +47,12 @@ KEPT = {
     "limitlab.is_pullback": CONNECTED_LIMITS,
     "limitlab.is_weak_pullback": CONNECTED_LIMITS,
     "limitlab.graph_pullback": CONNECTED_LIMITS,
+    "limitlab.PathPreservationSummary.matching_pairs": (
+        "the sweep's total of matching pairs of paths, which the tests "
+        "compare across strides and against a reference sweep"),
+    "limitlab.PathPreservationSummary.generic_checked": (
+        "acceptance criterion 5 and the benchmark's sweep check read how "
+        "many cospans the checker saw"),
     "pasting.DecoratedTree.shape": PASTING_NORMAL_FORM,
     "pasting.DecoratedTree.labels": PASTING_NORMAL_FORM,
 }

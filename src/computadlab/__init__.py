@@ -17,8 +17,8 @@ from .operads import (
 )
 from .limitlab import (
     FinSetMap, Square,
-    check_cospan, computad_topos_gate, is_pullback, is_weak_pullback,
-    pullback_sets, run_path_preservation,
+    check_cospan, check_square, computad_topos_gate, pullback_sets,
+    run_path_preservation,
 )
 
 __version__ = "0.1.0"

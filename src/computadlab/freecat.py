@@ -208,14 +208,12 @@ def rename_gens(t: Term, names: dict[str, str]) -> Term:
 class Level:
     """One dimension of a computed free algebra, frozen for reuse above."""
 
-    dim: int
     reps: list[str]
     rep_terms: list[Term]
     msets: list[tuple[str, ...]]
     src: list[int]  # class -> class one dimension down ([] at dim 0)
     tgt: list[int]
     comp: dict[tuple[int, int, int], int]  # (k, a, b) -> class, partial
-    decomps: list[list[tuple[int, int, int]]]
     gen_class: dict[str, int]
     idmap: list[int] | None = None  # filled when the next engine freezes
 
@@ -229,14 +227,12 @@ def level_zero(names: list[str]) -> Level:
     if len(set(names)) < len(names):
         raise FreecatError("a generator is named twice in dimension 0")
     return Level(
-        dim=0,
         reps=[f"gen({n})" for n in names],
         rep_terms=[Gen(n, 0) for n in names],
         msets=[(n,) for n in names],
         src=[],
         tgt=[],
         comp={},
-        decomps=[[] for _ in names],
         gen_class={n: i for i, n in enumerate(names)},
     )
 
@@ -378,17 +374,11 @@ class Engine:
         ru, rv = root[u], root[v]
         if ru == rv:
             return False
-        nu, nv = self.nodes[ru], self.nodes[rv]
-        if nu.mset != nv.mset:
-            self.counters["multiset_violations"] += 1
-            raise SoundnessError(
-                f"merge would mix generator multisets {nu.mset} and {nv.mset}")
-        if nu.src != nv.src or nu.tgt != nv.tgt:
-            self.counters["boundary_violations"] += 1
-            raise SoundnessError("merge would mix boundary classes")
-        if self.dim == 1 and nu.word != nv.word:
-            self.counters["word_violations"] += 1
-            raise SoundnessError("merge would mix generator words at dimension 1")
+        split = self._invariant_split(self.nodes[ru], self.nodes[rv])
+        if split is not None:
+            counter, reason = split
+            self.counters[counter] += 1
+            raise SoundnessError(f"merge would mix two terms whose {reason}")
         self.counters["merges"] += 1
         # hang the smaller proof tree, re-rooted at its merged term, under
         # the other merged term; proof trees and classes have the same members
@@ -411,6 +401,19 @@ class Engine:
             self._stale.discard(lose)
             self._stale.add(win)
         return True
+
+    def _invariant_split(self, na: Node, nb: Node) -> tuple[str, str] | None:
+        """The first invariant that tells two terms apart, as its soundness
+        counter and the reason: the generator multiset, the boundary classes,
+        and at dimension 1 the generator word. None when all of them agree.
+        Every axiom keeps all three, so no merge may mix them."""
+        if na.mset != nb.mset:
+            return "multiset_violations", "generator multisets differ"
+        if na.src != nb.src or na.tgt != nb.tgt:
+            return "boundary_violations", "boundary classes differ"
+        if self.dim == 1 and na.word != nb.word:
+            return "word_violations", "generator words differ"
+        return None
 
     def _proof_parent(self, t: int) -> int | None:
         label = self._why[t]
@@ -582,8 +585,7 @@ class Engine:
         root = self._root
         partition = list(root)
         snapshot = [t for r in self.classes() for t in self.enodes(r).values()]
-        for tid in self.id_atoms:
-            self._identity_functoriality(tid)
+        self._identity_functoriality()
         for tid in snapshot:
             self._assoc_instances(tid)
             self._interchange_instances(tid)
@@ -714,15 +716,18 @@ class Engine:
                         if t is not None:
                             self._merge(t, root, ("ax", family, k))
 
-    def _identity_functoriality(self, tid: int):
-        node = self.nodes[tid]
-        for (k, a, b) in self.levels[self.dim - 1].decomps[node.lower]:
+    def _identity_functoriality(self):
+        """id1(c) = comp_k(id1(a), id1(b)) for each entry (k, a, b) -> c of
+        the composition table below, sorted by (c, (k, a, b))."""
+        ids = self.id_atoms
+        below = self.levels[self.dim - 1].comp
+        for c, (k, a, b) in sorted((c, key) for key, c in below.items()):
             self.counters["axiom_instances"] += 1
-            if self._settled(tid, k, self.id_atoms[a], self.id_atoms[b]):
+            if self._settled(ids[c], k, ids[a], ids[b]):
                 continue
-            t2 = self.make_comp(k, self.id_atoms[a], self.id_atoms[b])
+            t2 = self.make_comp(k, ids[a], ids[b])
             if t2 is not None:
-                self._merge(tid, t2, ("ax", "idfun", k))
+                self._merge(ids[c], t2, ("ax", "idfun", k))
 
     def saturate(self) -> bool:
         """Alternate generation and axiom rounds until nothing changes.
@@ -797,12 +802,9 @@ class Engine:
         na = self.nodes[ta] if ta is not None else None
         nb = self.nodes[tb] if tb is not None else None
         if na is not None and nb is not None:
-            if na.mset != nb.mset:
-                return DISTINCT, "generator multisets differ"
-            if na.src != nb.src or na.tgt != nb.tgt:
-                return DISTINCT, "boundary classes differ"
-            if self.dim == 1 and na.word != nb.word:
-                return DISTINCT, "generator words differ"
+            split = self._invariant_split(na, nb)
+            if split is not None:
+                return DISTINCT, split[1]
         self.counters["unknown_verdicts"] += 1
         return UNKNOWN, None
 
@@ -843,14 +845,12 @@ class Engine:
         root = self._root
         trees: dict[int, Term] = {}
         lv = Level(
-            dim=self.dim,
             reps=[text[r] for r in order],
             rep_terms=[self.build_term(reps[r], trees) for r in order],
             msets=[self.nodes[r].mset for r in order],
             src=[self.nodes[r].src for r in order],
             tgt=[self.nodes[r].tgt for r in order],
             comp={},
-            decomps=[[] for _ in order],
             gen_class={name: canon[root[t]] for name, t in self.gen_atoms.items()},
         )
         for tid, node in enumerate(self.nodes):
@@ -861,11 +861,6 @@ class Engine:
             old = lv.comp.setdefault(key, val)
             if old != val:
                 raise SoundnessError("composition table is not single-valued")
-        # the table is single-valued, so each key decomposes exactly one class
-        for key, val in lv.comp.items():
-            lv.decomps[val].append(key)
-        for keys in lv.decomps:
-            keys.sort()
         below.idmap = [canon[root[t]] for t in self.id_atoms]
         return lv
 

@@ -1,12 +1,14 @@
 """Finite (weak) pullback machinery and the presheaf-topos gate experiments.
 
-Squares of finite set maps are tested for being pullbacks (comparison map
-bijective) or weak pullbacks (comparison map surjective, with a chosen
-section). A bounded endofunctor of Set is its action on finite set maps,
-F(X) being the domain of F applied to a map out of X; such functors are run
-over families of cospans to test pullback preservation. The gate assembles
-the decisive experiments for the strict-category monad. A pass is bounded
-evidence only; a failure ships a witness that replays outside the engine.
+A commuting square of finite set maps is a pullback when its comparison
+map to the pullback of its cospan is bijective, and a weak pullback when
+that map is surjective; `check_square` is the one check that decides both,
+naming a conflated pair or a missing element. A bounded endofunctor of Set
+is its action on finite set maps, F(X) being the domain of F applied to a
+map out of X; such functors are run over families of cospans to test
+pullback preservation. The gate assembles the decisive experiments for the
+strict-category monad. A pass is bounded evidence only; a failure ships a
+witness that replays outside the engine.
 
 The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
 vertices of X over each vertex of Z and the edges of X over each edge of Z,
@@ -21,14 +23,13 @@ buckets, its edges as the product of their edge buckets. These are the
 only producers of a cospan's pullback and matching-pair count: the
 path-count DP reads the edges on an unchecked cospan, and the generic path
 checker checks the pullback and the count it is handed on a checked one,
-whose paths it enumerates and counts once; `graph_pullback` is built from
-the same buckets. The checker runs once per distinct (matching-pair
-count, code) in a sweep, and every other checked cospan with that pair
-reuses its passing verdict and path count; a failing verdict is never
-reused. The DP runs once per distinct code in a sweep, and every other
-unchecked cospan with that code reuses its count. The cospans come in
-groups that share Z, X, f and Y, and the sweep runs them in the calling
-process, in cospan order.
+whose paths it enumerates and counts once. The checker runs once per
+distinct (matching-pair count, code) in a sweep, and every other checked
+cospan with that pair reuses its passing verdict and path count; a failing
+verdict is never reused. The DP runs once per distinct code in a sweep,
+and every other unchecked cospan with that code reuses its count. The
+cospans come in groups that share Z, X, f and Y, and the sweep runs them
+in the calling process, in cospan order.
 """
 
 from __future__ import annotations
@@ -103,35 +104,6 @@ def pullback_sets(f: FinSetMap, g: FinSetMap):
     return elems, p1, p2
 
 
-def _comparison(s: Square) -> dict:
-    return {w: (s.p.assign[w], s.q.assign[w]) for w in s.p.dom}
-
-
-def is_pullback(s: Square) -> bool:
-    """True iff the canonical map to the pullback of the cospan is bijective."""
-    bad = square_violation(s)
-    if bad is not None:
-        raise LimitError(bad)
-    elems, _, _ = pullback_sets(s.f, s.g)
-    cmp = _comparison(s)
-    return len(cmp) == len(set(cmp.values())) and set(cmp.values()) == set(elems)
-
-
-def is_weak_pullback(s: Square) -> tuple[bool, dict | None]:
-    """True iff the canonical map is surjective; returns a chosen section."""
-    bad = square_violation(s)
-    if bad is not None:
-        raise LimitError(bad)
-    elems, _, _ = pullback_sets(s.f, s.g)
-    cmp = _comparison(s)
-    section: dict = {}
-    for w in sorted(s.p.dom, key=repr):
-        section.setdefault(cmp[w], w)
-    if set(section) != set(elems):
-        return False, None
-    return True, section
-
-
 # --- bounded endofunctors of Set ------------------------------------------------
 
 
@@ -172,27 +144,43 @@ class CospanResult:
     paths: int | None = None  # a graph cospan's number of pullback paths
 
 
-def check_cospan(F, f: FinSetMap, g: FinSetMap) -> CospanResult:
-    """Compare F(pullback) with the pullback of the F-images, F being a
-    functor's action on maps."""
-    _, p1, p2 = pullback_sets(f, g)
-    sq = Square(F(p1), F(p2), F(f), F(g))
-    cmp = _comparison(sq)
-    target, _, _ = pullback_sets(sq.f, sq.g)
-    conflated = None
+def _first_collision(pairs) -> tuple | None:
+    """The first two elements of `pairs`, an iterable of `(element, image)`,
+    with one image: `(first, second, image)`, or None. Elements are told
+    apart by identity, so an element listed twice as two objects collides
+    with itself."""
     seen: dict = {}
-    for w in sq.p.dom:
-        other = seen.setdefault(cmp[w], w)
-        if other != w and conflated is None:
-            conflated = (other, w, cmp[w])
-    missing = None
-    hit = set(cmp.values())
-    for t in target:
-        if t not in hit:
-            missing = t
-            break
+    for elem, image in pairs:
+        other = seen.setdefault(image, elem)
+        if other is not elem:
+            return other, elem, image
+    return None
+
+
+def check_square(s: Square) -> CospanResult:
+    """Is the commuting square s a pullback (comparison map W -> X x_Z Y
+    bijective) or a weak pullback (surjective)? Names the first two
+    elements of W with one image as `conflated`, and the first pullback
+    element that no element of W reaches as `missing`. A square that
+    `square_violation` rejects raises `LimitError`."""
+    bad = square_violation(s)
+    if bad is not None:
+        raise LimitError(bad)
+    images = [(s.p.assign[w], s.q.assign[w]) for w in s.p.dom]
+    conflated = _first_collision(zip(s.p.dom, images))
+    hit = set(images)
+    target, _, _ = pullback_sets(s.f, s.g)
+    missing = next((t for t in target if t not in hit), None)
     return CospanResult(conflated is None and missing is None, missing is None,
                         conflated, missing)
+
+
+def check_cospan(F, f: FinSetMap, g: FinSetMap) -> CospanResult:
+    """Compare F(pullback) with the pullback of the F-images, F being a
+    functor's action on maps: `check_square` on the F-image of the
+    pullback square of f and g."""
+    _, p1, p2 = pullback_sets(f, g)
+    return check_square(Square(F(p1), F(p2), F(f), F(g)))
 
 
 def set_cospans(max_size: int):
@@ -310,34 +298,6 @@ def _pullback_edges(yn: int, ex, ey) -> list:
             for xs, ys in zip(ex, ey) for a, sa, ta in xs for b, sb, tb in ys]
 
 
-def _flat_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData):
-    """The pullback of x -> z <- y, given by its two legs, as a product of
-    their buckets: its `_pullback_vertices` and its `_pullback_edges`. No
-    pair that lies over different elements of z is visited."""
-    nv = 1 + max(f.vmap + g.vmap, default=-1)
-    ne = 1 + max(f.emap + g.emap, default=-1)
-    vx, ex = _hom_buckets(x, f, nv, ne)
-    vy, ey = _hom_buckets(y, g, nv, ne)
-    return _pullback_vertices(y.nv, vx, vy), _pullback_edges(y.nv, ex, ey)
-
-
-def graph_pullback(f: GraphMap, g: GraphMap, x: GraphData, y: GraphData
-                   ) -> tuple[GraphData, GraphMap, GraphMap]:
-    """The pullback graph of x -> z <- y with its two projections.
-
-    Built from the same per-hom buckets as the sweep's shared pullback,
-    then renumbered: vertices in the order of their pairs (i, j), edges in
-    the order of their pairs (a, b)."""
-    verts, pedges = _flat_pullback(f, g, x, y)
-    verts.sort()
-    pedges.sort(key=lambda e: (e[2], e[3]))
-    vidx = {v: n for n, v in enumerate(verts)}
-    p = GraphData(len(verts), tuple((vidx[u], vidx[w]) for u, w, _, _ in pedges))
-    p1 = GraphMap(tuple(v // y.nv for v in verts), tuple(e[2] for e in pedges))
-    p2 = GraphMap(tuple(v % y.nv for v in verts), tuple(e[3] for e in pedges))
-    return p, p1, p2
-
-
 def graph_paths(g: GraphData, max_len: int) -> list[tuple[int, tuple[int, ...]]]:
     """Composable edge sequences with their start vertex, length <= max_len.
 
@@ -380,8 +340,8 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     pullback square into a pullback of path sets?
 
     The checker checks what it is handed. `pullback` is the cospan's
-    pullback as `_flat_pullback` builds it (flat vertex ids `i * |Y| + j`,
-    edges `(u, w, a, b)`), and `expected` the number of matching pairs of
+    pullback as `_pullback_vertices` and `_pullback_edges` build it (flat
+    vertex ids `i * |Y| + j`, edges `(u, w, a, b)`), and `expected` the number of matching pairs of
     paths of x and y; the sweep builds both from its legs. A passing
     result depends only on `pullback`, `expected` and `max_len`, since x,
     y, f and g are read only to find a failure's witness, and it is
@@ -457,27 +417,27 @@ def _first_missing(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
 def _first_conflation(verts, pedges, yn: int, max_len: int) -> tuple:
     """The first two paths of the pullback, in enumeration order, with the
     same pair of projections: `(first, second, (px, py))`, a path being
-    `(start, pullback edge indices)` and a projection `(start, edges)`."""
+    `(start, pullback edge indices)` and a projection `(start, edges)`.
+    A vertex or edge listed twice makes a second path object, which
+    `_first_collision` tells apart by identity."""
     out_of: dict = {}
     for n, (u, w, a, b) in enumerate(pedges):
         out_of.setdefault(u, []).append((n, w, a, b))
-    seen: dict = {}
-    # (end vertex, path of P, its projection to x, its projection to y)
-    frontier = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
-    for depth in range(max_len + 1):
-        nxt = []
-        for at, path, px, py in frontier:
-            key = (px, py)
-            other = seen.setdefault(key, path)
-            # by identity: a vertex or edge listed twice makes a second path
-            if other is not path:
-                return other, path, key
-            if depth < max_len:
-                for n, w, a, b in out_of.get(at, ()):
-                    nxt.append((w, (path[0], path[1] + (n,)),
-                                (px[0], px[1] + (a,)), (py[0], py[1] + (b,))))
-        frontier = nxt
-    raise LimitError("no two paths of the pullback share their projections")
+
+    def paths():
+        # (end vertex, path of P, its projection to x, its projection to y)
+        level = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
+        for _ in range(max_len + 1):
+            for _, path, px, py in level:
+                yield path, (px, py)
+            level = [(w, (path[0], path[1] + (n,)), (px[0], px[1] + (a,)),
+                      (py[0], py[1] + (b,)))
+                     for at, path, px, py in level for n, w, a, b in out_of.get(at, ())]
+
+    found = _first_collision(paths())
+    if found is None:
+        raise LimitError("no two paths of the pullback share their projections")
+    return found
 
 
 def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
@@ -602,7 +562,7 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     legs' dense path fibers (a vector indexed by the paths of Z), computed
     independently. A path of the pullback graph is a componentwise pair of
     paths, so it is determined by its two projections; the comparison map
-    is therefore injective and the count identity decides `is_pullback`.
+    is therefore injective and the count identity decides the pullback.
     The injectivity embedding itself is re-verified by the generic
     enumerating checker, which reads the same pullback edges, on every
     cospan whose number c (from 1, in orbit order) has
@@ -736,13 +696,8 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     ind1 = cpd.induced_class_map(fa_p, fa_x, pb.proj1, 2)
     ind2 = cpd.induced_class_map(fa_p, fa_x, pb.proj2, 2)
     lv = fa_p.levels[2]
-    images: dict = {}
-    conflated = None
-    for cls in range(lv.n_classes):
-        key = (ind1[cls], ind2[cls])
-        other = images.setdefault(key, cls)
-        if other != cls and conflated is None:
-            conflated = (other, cls, key)
+    conflated = _first_collision((cls, (ind1[cls], ind2[cls]))
+                                 for cls in range(lv.n_classes))
     if conflated is None:
         raise LimitError("expected a conflated pair in the scalar cospan")
     a, b, key = conflated

@@ -262,6 +262,34 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
     assert code == 0 and len(saturated) == 6
 
 
+def test_a_soundness_failure_exits_two_with_one_line(capsys, monkeypatch):
+    original = freecat.Engine.saturation_round
+
+    def planted(self):
+        if len(self.gen_atoms) == 2:  # the 2-cells alpha and beta
+            self._merge(*self.gen_atoms.values(), ("planted",))
+        return original(self)
+
+    monkeypatch.setattr(freecat.Engine, "saturation_round", planted)
+    code, out, err = run(capsys, "free", data_path("scalar2.cpd"))
+    assert code == 2 and not out
+    assert err.splitlines() == [
+        "soundness failure: merge would mix two terms whose generator multisets differ"]
+
+
+def test_an_oracle_mismatch_exits_two_with_one_line(capsys, monkeypatch):
+    original = operads.free_monoid_elements
+    # the oracle gains a word of size 1 that no class of the slice has
+    monkeypatch.setattr(operads, "free_monoid_elements",
+                        lambda gens, size: [*original(gens, size), ("x9",)])
+    code, out, err = run(capsys, "slice", "--k", "1", "--generators", "2",
+                         "--bound", "2", "--format", "structured")
+    doc = json.loads(out)
+    assert code == 2 and doc["verdict"] == "MISMATCH"
+    assert doc["counts_by_size"]["1"] == {"classes": 2, "oracle": 3, "match": False}
+    assert err.splitlines() == ["oracle mismatch: slice computation disagrees with the oracle"]
+
+
 def test_gate_unsupported_dimension(capsys):
     code, _, err = run(capsys, "gate", "--n", "5")
     assert code == 1 and err

@@ -11,8 +11,8 @@ from computadlab.computads import (
     Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    CMP, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen, Id,
-    UNKNOWN, _STEPS, _family, certificate, equal_cells, level_zero,
+    CMP, COUNTERS, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen,
+    Id, SoundnessError, UNKNOWN, _STEPS, _family, certificate, equal_cells, level_zero,
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
@@ -501,6 +501,34 @@ def test_soundness_counters_stay_clean():
         assert report["word_violations"] == 0
         assert report["split_violations"] == 0
         assert report["axiom_instances"] > 0
+
+
+def _planted_pair(counter: str):
+    """An engine and two of its terms that only the invariant counted by
+    `counter` tells apart: two loops f and g, the identities on two
+    points, and comp_0(f,g) against comp_0(g,f)."""
+    if counter == "boundary_violations":
+        e = Engine(1, [level_zero(["a", "b"])], [], Bounds(size=2))
+        return e, *e.id_atoms
+    e = Engine(1, [level_zero(["o"])], [("f", 0, 0), ("g", 0, 0)], Bounds(size=2))
+    f, g = e.gen_atoms["f"], e.gen_atoms["g"]
+    if counter == "multiset_violations":
+        return e, f, g
+    return e, e.make_comp(0, f, g), e.make_comp(0, g, f)
+
+
+@pytest.mark.parametrize("counter", ["multiset_violations", "boundary_violations",
+                                     "word_violations"])
+def test_a_planted_bad_merge_raises_its_own_guard(counter):
+    """Each invariant that `_merge` guards refuses a merge that breaks it
+    alone, counts it once, and names the reason `verdict` gives."""
+    e, u, v = _planted_pair(counter)
+    verdict, reason = e.verdict(u, v)
+    assert verdict == DISTINCT
+    with pytest.raises(SoundnessError, match=reason):
+        e._merge(u, v, ("planted",))
+    assert e.counters == {**dict.fromkeys(COUNTERS, 0), counter: 1}
+    assert e.find(u) != e.find(v)
 
 
 def assert_enode_index(e):

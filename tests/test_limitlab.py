@@ -12,10 +12,9 @@ from computadlab import limitlab
 from computadlab.freecat import Bounds
 from computadlab.limitlab import (
     CospanResult, FinSetMap, GraphData, GraphMap, LimitError, Square,
-    _cospan_orbits, _flat_pullback, canonical_graph, check_cospan, check_path_cospan,
+    _cospan_orbits, canonical_graph, check_cospan, check_path_cospan, check_square,
     computad_topos_gate, enumerate_graphs, graph_automorphisms,
-    graph_homs, graph_paths, graph_pullback,
-    is_pullback, is_weak_pullback, list_functor, make_finset_map,
+    graph_homs, graph_paths, list_functor, make_finset_map,
     multiset_functor, path_fibers, path_image,
     pullback_sets, run_path_preservation,
     set_cospans,
@@ -51,10 +50,7 @@ def _pullback_square(f, g):
 
 def test_is_pullback_on_constructed_square():
     f = make_finset_map(("a", "b"), ("*",), lambda _: "*")
-    s = _pullback_square(f, f)
-    assert is_pullback(s)
-    ok, section = is_weak_pullback(s)
-    assert ok and len(section) == 4
+    assert check_square(_pullback_square(f, f)) == CospanResult(True, True)
 
 
 def test_is_pullback_fails_on_proper_subset():
@@ -63,9 +59,9 @@ def test_is_pullback_fails_on_proper_subset():
     sub = elems[:-1]
     s = Square(FinSetMap(sub, f.dom, {e: e[0] for e in sub}),
                FinSetMap(sub, f.dom, {e: e[1] for e in sub}), f, f)
-    assert not is_pullback(s)
-    ok, _ = is_weak_pullback(s)
-    assert not ok
+    res = check_square(s)
+    assert not res.pullback_ok and not res.weak_ok and res.conflated is None
+    assert res.missing == elems[-1]
 
 
 def test_weak_but_not_pullback_with_junk():
@@ -76,10 +72,10 @@ def test_weak_but_not_pullback_with_junk():
     assign2 = {e: e[1] for e in elems} | {("extra", "extra"): "a"}
     s = Square(FinSetMap(fat, f.dom, assign1), FinSetMap(fat, f.dom, assign2),
                f, f)
-    ok, section = is_weak_pullback(s)
-    assert ok and not is_pullback(s)
-    # the section picks one preimage per pullback element
-    assert set(section.keys()) == set(elems)
+    res = check_square(s)
+    assert res.weak_ok and not res.pullback_ok and res.missing is None
+    # the junk element lands on the first pullback element
+    assert res.conflated == (("a", "a"), ("extra", "extra"), ("a", "a"))
 
 
 def test_noncommuting_square_rejected():
@@ -87,11 +83,15 @@ def test_noncommuting_square_rejected():
     g = make_finset_map(("a",), ("0", "1"), {"a": "1"})
     i = make_finset_map(("a",), ("a",), {"a": "a"})
     s = Square(i, i, f, g)
-    with pytest.raises(LimitError):
-        is_pullback(s)
+    with pytest.raises(LimitError, match="does not commute"):
+        check_square(s)
 
 
 def test_pullback_implies_weak_on_random_squares():
+    """The pullback square passes; a square through a random map h from W
+    to the pullback is a pullback iff h is bijective, and a weak one iff
+    h is surjective, with the first repeated and the first missed element
+    of h as its witnesses."""
     rng = random.Random(13)
     for _ in range(25):
         nz = rng.randint(1, 3)
@@ -100,13 +100,19 @@ def test_pullback_implies_weak_on_random_squares():
         y = tuple(range(rng.randint(0, 3)))
         f = make_finset_map(x, z, {i: rng.randrange(nz) for i in x})
         g = make_finset_map(y, z, {j: rng.randrange(nz) for j in y})
-        s = _pullback_square(f, g)
-        assert is_pullback(s)
-        ok, section = is_weak_pullback(s)
-        assert ok
-        cmp = {w: (s.p.assign[w], s.q.assign[w]) for w in s.p.dom}
-        for elem, w in section.items():
-            assert cmp[w] == elem
+        assert check_square(_pullback_square(f, g)) == CospanResult(True, True)
+        elems, _, _ = pullback_sets(f, g)
+        h = [rng.choice(elems) for _ in range(rng.randint(0, 4))] if elems else []
+        w = tuple(range(len(h)))
+        res = check_square(Square(FinSetMap(w, x, {n: e[0] for n, e in enumerate(h)}),
+                                  FinSetMap(w, y, {n: e[1] for n, e in enumerate(h)}),
+                                  f, g))
+        repeat = next((n for n in w if h[n] in h[:n]), None)
+        assert res.conflated == (None if repeat is None else
+                                 (h.index(h[repeat]), repeat, h[repeat]))
+        assert res.missing == next((e for e in elems if e not in h), None)
+        assert res.weak_ok == (set(h) == set(elems))
+        assert res.pullback_ok == (res.weak_ok and len(set(h)) == len(h))
 
 
 def test_pullback_universal_property_exhaustive():
@@ -208,17 +214,21 @@ def test_graph_automorphisms():
     assert len(graph_automorphisms(parallel)) == 2  # swaps the parallel edges
 
 
-def test_graph_pullback_matches_brute_force():
-    z = GraphData(1, ((0, 0),))
-    x = GraphData(1, ((0, 0), (0, 0)))
-    f = graph_homs(x, z)[0]
-    p, p1, p2 = graph_pullback(f, f, x, x)
-    assert p.nv == 1 and len(p.edges) == 4
-
-
 def test_graph_paths_loop():
     loop = GraphData(1, ((0, 0),))
     assert len(graph_paths(loop, 3)) == 4
+
+
+def _flat_pullback(f, g, x, y):
+    """The pullback of x -> z <- y, given by its two legs, as the sweep
+    builds it: the `_pullback_vertices` and `_pullback_edges` of the legs'
+    buckets over z."""
+    nv = 1 + max(f.vmap + g.vmap, default=-1)
+    ne = 1 + max(f.emap + g.emap, default=-1)
+    vx, ex = limitlab._hom_buckets(x, f, nv, ne)
+    vy, ey = limitlab._hom_buckets(y, g, nv, ne)
+    return (limitlab._pullback_vertices(y.nv, vx, vy),
+            limitlab._pullback_edges(y.nv, ex, ey))
 
 
 def _matching_pairs(x, y, f, g, max_len) -> int:
@@ -314,14 +324,6 @@ def test_shared_pullback_matches_brute_force():
         for u, w, a, b in edges:
             (sa, ta), (sb, tb) = x.edges[a], y.edges[b]
             assert (u, w) == (sa * y.nv + sb, ta * y.nv + tb)
-        # graph_pullback renumbers the same pullback in pair order
-        p, p1, p2 = graph_pullback(f, g, x, y)
-        assert list(zip(p1.vmap, p2.vmap)) == sorted(vpairs)
-        assert list(zip(p1.emap, p2.emap)) == sorted(epairs)
-        vidx = {pair: n for n, pair in enumerate(sorted(vpairs))}
-        assert p.edges == tuple(
-            (vidx[(x.edges[a][0], y.edges[b][0])], vidx[(x.edges[a][1], y.edges[b][1])])
-            for a, b in sorted(epairs))
         checked += 1
     assert checked > 4000
 

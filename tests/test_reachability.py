@@ -23,8 +23,6 @@ PASTING_NORMAL_FORM = ("the pasting-diagram normal form for globular computads "
                        "(ROADMAP) builds on it")
 SLICE_COLLECTIONS = ("the slices computed as symmetric collections (ROADMAP) "
                      "are checked against it")
-CONNECTED_LIMITS = ("the equalizer experiments for connected limits (ROADMAP) "
-                    "may reuse it; delete it if they do not")
 
 KEPT = {
     "pasting.height": PASTING_NORMAL_FORM,
@@ -44,9 +42,6 @@ KEPT = {
                                    "with it"),
     "freecat.equal_cells": ("acceptance criteria 3 and 7 and the benchmark's "
                             "query workload decide equalities with it"),
-    "limitlab.is_pullback": CONNECTED_LIMITS,
-    "limitlab.is_weak_pullback": CONNECTED_LIMITS,
-    "limitlab.graph_pullback": CONNECTED_LIMITS,
     "limitlab.PathPreservationSummary.matching_pairs": (
         "the sweep's total of matching pairs of paths, which the tests "
         "compare across strides and against a reference sweep"),

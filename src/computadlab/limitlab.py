@@ -12,31 +12,42 @@ witness that replays outside the engine.
 
 The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
 vertices of X over each vertex of Z and the edges of X over each edge of Z,
-with the bucket sizes and the map's path fibers as a dense vector indexed
-by the paths of Z, and the bits that name a pullback (`_Leg`). Per cospan,
-the matching-pair count is the dot product of the two legs' fiber vectors,
-and the pullback's code the dot product of their bit vectors: one integer
-that fixes the pullback's vertex pairs and its edge pairs with their
-endpoints. The pullback itself is built only for a cospan that no earlier
-cospan of the sweep settles (below): its vertices from the legs' vertex
-buckets, its edges as the product of their edge buckets. These are the
-only producers of a cospan's pullback and matching-pair count: the
-path-count DP reads the edges on an unchecked cospan, and the generic path
-checker checks the pullback and the count it is handed on a checked one,
-whose paths it enumerates and counts once. The checker runs once per
-distinct (matching-pair count, code) in a sweep, and every other checked
-cospan with that pair reuses its passing verdict and path count; a failing
-verdict is never reused. The DP runs once per distinct code in a sweep,
-and every other unchecked cospan with that code reuses its count. The
-cospans come in groups that share Z, X, f and Y, and the sweep runs them
+with the index among the paths of Z of each path's image (`_Leg`). The
+cospans of one representative f, over every Y, form a row, whose right legs
+g depend only on Z and the stabilizer of f; each such pair packs its row's
+legs once (`_Row`), a column of 32-bit lanes per path of Z holding each g's
+fiber over it, and a column of code lanes per vertex or edge of Z holding
+each g's bits of the pullback code. For one f, the sum of the fiber columns
+over f's paths holds in lane j the matching-pair count of the cospan (f, g_j),
+the dot product of the two legs' path fibers, and the sum of the code
+columns, each shifted by f's bit, holds in lane j its pullback's code: one
+integer that fixes the pullback's vertex pairs and its edge pairs with their
+endpoints. No lane carries into the next, since `_lane_widths` sizes the
+lanes from the bounds and refuses bounds whose counts could overflow. The
+pullback itself is built only for a cospan that no earlier cospan of the
+sweep settles (below): its vertices from the legs' vertex buckets, its edges
+as the product of their edge buckets. These are the only producers of a
+cospan's pullback and matching-pair count: the path-count DP reads the edges
+on an unchecked cospan, and the generic path checker checks the pullback and
+the count it is handed on a checked one, whose paths it enumerates and counts
+once. The checker runs once per distinct (matching-pair count, code) in a
+sweep, and every other checked cospan with that pair reuses its passing
+verdict and path count; a failing verdict is never reused. The DP runs once
+per distinct code in a sweep, and every other unchecked cospan with that code
+reuses its count. A row whose every cospan is settled by reuse costs a few
+operations on big integers and one lookup per cospan; the sweep runs the rows
 in the calling process, in cospan order.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import itemgetter, mul
+from operator import itemgetter, ne
+from struct import iter_unpack
 from typing import NamedTuple
 
 from . import computads as cpd
@@ -444,96 +455,173 @@ def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
     return (tuple(a.vmap[v] for v in m.vmap), tuple(a.emap[e] for e in m.emap))
 
 
+# A fiber lane holds one matching-pair count. `_FIBER_TYPE` is an unsigned
+# array type of that width, looked up by its itemsize, which C leaves open.
+_FIBER_BITS = 32
+_FIBER_TYPE = next(t for t in "IL" if array(t).itemsize * 8 == _FIBER_BITS)
+
+
+def _lane_widths(max_v: int, max_e: int, path_len: int,
+                 fiber_bits: int = _FIBER_BITS) -> tuple[int, int]:
+    """The widths in bytes of a fiber lane and of a code lane of the sweep
+    within these bounds.
+
+    A graph within the bounds has at most `max_v + max_e + ... +
+    max_e ** path_len` paths, reached by `max_e` loops at one vertex, so
+    a matching-pair count, at most the product of two legs' path counts,
+    stays below that bound squared. `LimitError` when the square does not
+    fit `fiber_bits`. A code sets bits below `V * V + S * S` (see `_Leg`)."""
+    most = max_v + sum(max_e ** k for k in range(1, path_len + 1)) if max_v else 0
+    if most * most >> fiber_bits:
+        raise LimitError(f"graph bounds ({max_v}, {max_e}) at path length "
+                         f"{path_len} allow {most} paths in one graph, so up to "
+                         f"{most * most} matching pairs, which do not fit in "
+                         f"{fiber_bits} bits")
+    span = max_v * max_v * max_e
+    return fiber_bits // 8, (max_v * max_v + span * span + 7) // 8 or 1
+
+
 class _Leg(NamedTuple):
     """What the sweep precomputes once per graph map x -> z.
 
-    `rows` and `cols` are the leg's bits in the pullback code, indexed by
-    the vertices and then the edges of z, `rows` as the left leg f and
-    `cols` as the right leg g; the code of a cospan is the dot product of
-    f's rows and g's cols. With V = max_v, E = max_e and S = V * V * E, a
-    vertex pair (i, j) is bit `i * V + j`, and an edge pair (a, b) is bit
-    `V * V + code(a) * S + code(b)`, where `code(e) = (s * V + t) * E + e`
-    for an edge e: s -> t. Two pairs over different elements of z never
-    share a bit, so no product carries: the code is exactly the set of the
-    pullback's vertex pairs and of its edge pairs with their endpoints."""
+    `fibers` lists, for each path of x, the index of its image among the
+    paths of z, so a path of z appears once per path of x over it; summing
+    any per-path-of-z values over `fibers` weighs each by the fiber.
+
+    A cospan's pullback code is laid out from the buckets. With V = max_v,
+    E = max_e and S = V * V * E, a vertex pair (i, j) is bit `i * V + j`,
+    and an edge pair (a, b) is bit `V * V + code(a) * S + code(b)`, where
+    `code(e) = (s * V + t) * E + e` for an edge e: s -> t. As the right
+    leg g, a vertex k of z contributes the bits `1 << j` of the vertices j
+    over k, and an edge k the bits `1 << code(b)` of the edges b over k;
+    as the left leg f, a vertex i over k shifts that contribution by
+    `i * V`, and an edge a over k by `V * V + code(a) * S`. Two pairs over
+    different elements of z never share a bit, so the code is exactly the
+    set of the pullback's vertex pairs and of its edge pairs with their
+    endpoints, below bit `V * V + S * S`."""
 
     verts: list  # per vertex of z, the vertices of x over it (_hom_buckets)
     edges: list  # per edge of z, the edges (a, s, t) of x over it
-    sizes: list  # per vertex of z, the number of vertices of x over it
-    fibers: list  # per path of z, the number of paths of x over it
-    rows: list  # per vertex, then edge, of z: its bits as the left leg
-    cols: list  # per vertex, then edge, of z: its bits as the right leg
+    fibers: list  # per path of x, the index of its image among z's paths
 
 
-def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData, zpaths: list,
-         max_v: int, max_e: int) -> _Leg:
-    """The leg of m: x -> z, `xpaths` being the paths of x, within the
-    bounds `max_v` and `max_e` that lay out its pullback-code bits. Its
-    `fibers` are dense, indexed by the paths of z in `zpaths` order, and
-    end at the last nonzero entry: a dot product of two legs' fibers stops
-    at the shorter one."""
+def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData,
+         zindex: dict) -> _Leg:
+    """The leg of m: x -> z, `xpaths` being the paths of x and `zindex`
+    the index of each path of z."""
     verts, edges = _hom_buckets(x, m, z.nv, len(z.edges))
-    counts = path_fibers(xpaths, m)
-    fibers = [counts.get(p, 0) for p in zpaths]
-    while fibers and not fibers[-1]:
-        fibers.pop()
+    fibers: list = []
+    for img, n in path_fibers(xpaths, m).items():
+        fibers += [zindex[img]] * n
+    return _Leg(verts, edges, fibers)
+
+
+class _Row(NamedTuple):
+    """The right legs of one row of cospans, packed into lanes.
+
+    `groups` lists `(y, members)` in cospan order, `members` being the
+    `(g, leg_g)` of y; lane j is the j-th g of the row. Each path p of z
+    has a fiber column, an int whose 32-bit lane j holds g_j's fiber over
+    p. Each vertex, then edge, of z has a code column, whose lane j holds
+    g_j's code bits (see `_Leg`)."""
+
+    groups: list
+    fibers: list  # per path of z, its fiber column
+    codes: list  # per vertex, then edge, of z, its code column
+
+
+def _pack_row(groups: list, npaths: int, fiber_bytes: int, code_bytes: int,
+              max_v: int, max_e: int) -> _Row:
+    """The `_Row` of the legs in `groups`, among `npaths` paths of z."""
+    legs = [leg for _, members in groups for _, leg in members]
+    n = len(legs)
+    counts = array(_FIBER_TYPE, bytes(fiber_bytes * n * npaths))
+    for j, leg in enumerate(legs):
+        for p in leg.fibers:
+            counts[p * n + j] += 1
+    order = sys.byteorder
+    fibers = [int.from_bytes(counts[p * n:(p + 1) * n].tobytes(), order)
+              for p in range(npaths)]
+    bits = [[sum(1 << j for j in vs) for vs in leg.verts]
+            + [sum(1 << ((s * max_v + t) * max_e + b) for b, s, t in es)
+               for es in leg.edges] for leg in legs]
+    codes = [int.from_bytes(b"".join(c.to_bytes(code_bytes, order) for c in column),
+                            order) for column in zip(*bits)]
+    return _Row(groups, fibers, codes)
+
+
+def _row_lanes(leg_f: _Leg, row: _Row, max_v: int, max_e: int,
+               lane_bytes: tuple[int, int]) -> tuple[list, list]:
+    """The matching-pair count and the pullback code of each cospan of f's
+    row, `lane_bytes` being the lane widths. Lane j of the sum of the
+    fiber columns over f's `fibers` is the dot product of f's and g_j's
+    path fibers; lane j of the sum of the code columns, each shifted by
+    f's bit for a vertex or edge over it (see `_Leg`), is g_j's code with
+    f. A lane's terms are nonnegative and their sum fits the lane
+    (`_lane_widths`), so no lane carries into the next."""
+    fiber_bytes, code_bytes = lane_bytes
+    order = sys.byteorder
+    n = sum(len(members) for _, members in row.groups)
+    counts = sum(map(row.fibers.__getitem__, leg_f.fibers))
+    counts = array(_FIBER_TYPE, counts.to_bytes(fiber_bytes * n, order)).tolist()
     square, span = max_v * max_v, max_v * max_v * max_e
-    codes = [[(s * max_v + t) * max_e + a for a, s, t in es] for es in edges]
-    rows = ([sum(1 << (i * max_v) for i in vs) for vs in verts]
-            + [sum(1 << (square + k * span) for k in ks) for ks in codes])
-    cols = ([sum(1 << j for j in vs) for vs in verts]
-            + [sum(1 << k for k in ks) for ks in codes])
-    return _Leg(verts, edges, list(map(len, verts)), fibers, rows, cols)
+    nv = len(leg_f.verts)
+    codes = (sum(row.codes[k] << (i * max_v)
+                 for k, vs in enumerate(leg_f.verts) for i in vs)
+             + sum(row.codes[nv + k] << (square + ((s * max_v + t) * max_e + a) * span)
+                   for k, es in enumerate(leg_f.edges) for a, s, t in es))
+    raw = codes.to_bytes(code_bytes * n, order)
+    lanes = map(itemgetter(0), iter_unpack(f"{code_bytes}s", raw))
+    return counts, list(map(int.from_bytes, lanes, itertools.repeat(order)))
 
 
 def _cospan_orbits(max_v: int, max_e: int, path_len: int):
     """Graph cospans X -> Z <- Y within the bounds, X, Y, Z ranging over
     isomorphism-class representatives, one per orbit of Aut(Z) acting by
-    postcomposition, in groups that share Z, X, f and Y.
+    postcomposition, in one row per Z and representative f.
 
     Double-coset enumeration: f is an Aut(Z)-orbit representative, g a
     representative under the stabilizer of f. Pullback comparisons are
-    invariant under the action, so no outcome is lost. Each (Z, X, f, Y)
-    with a cospan is yielded once, as `(z, x, y, f, leg_f, members)`,
-    `members` listing its cospans as `(g, leg_g)` in order; numbered from 1
-    in this order, they are the sweep's cospans c.
+    invariant under the action, so no outcome is lost. Each (Z, X, f) is
+    yielded once, as `(z, x, f, leg_f, row)`, `row` a `_Row` holding every
+    cospan of f over every Y in order; numbered from 1 in this order, they
+    are the sweep's cospans c.
 
     The paths of each graph are listed once. Once per Z its paths are
-    listed, and once per hom into Z its `_Leg` (its vertex and edge buckets
-    over Z, the bucket sizes and its dense path fibers) and the keys of its
+    listed, and once per hom into Z its `_Leg` and the keys of its
     postcompositions with every automorphism of Z are computed. Within one
     Z, the representatives g depend on f only through its stabilizer, so
-    each (stabilizer, Y) filters Y's `(g, leg_g)` list once, and every
-    group yields a list that is shared, not copied: a trivial stabilizer
-    yields Y's whole list."""
+    each stabilizer packs its row once and every f with that stabilizer
+    shares it; a trivial stabilizer's row lists each Y's whole
+    `(g, leg_g)` list."""
+    lane_bytes = _lane_widths(max_v, max_e, path_len)
     graphs = enumerate_graphs(max_v, max_e)
     paths = [graph_paths(x, path_len) for x in graphs]
     for z, zpaths in zip(graphs, paths):
+        zindex = {p: n for n, p in enumerate(zpaths)}
         auts = graph_automorphisms(z)
         side = []  # per X: its (hom, leg) pairs into z, and their keys
         for x, xpaths in zip(graphs, paths):
             homs = graph_homs(x, z)
             keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
-            side.append((x, [(m, _leg(x, xpaths, m, z, zpaths, max_v, max_e))
-                             for m in homs], keys))
-        reps_of: dict = {}  # (stabilizer, position of Y) -> its members
+            side.append((x, [(m, _leg(x, xpaths, m, z, zindex)) for m in homs], keys))
+        rows: dict = {}  # stabilizer -> its row
         for x, members_x, keys_x in side:
             for (f, leg_f), mapped in zip(members_x, keys_x):
                 kf = (f.vmap, f.emap)
                 if min(mapped) != kf:
                     continue
                 stab = tuple(n for n, km in enumerate(mapped) if km == kf)[1:]
-                for ny, (y, members_y, keys_y) in enumerate(side):
-                    if not stab:
-                        members = members_y
-                    elif (stab, ny) in reps_of:
-                        members = reps_of[stab, ny]
-                    else:
-                        members = reps_of[stab, ny] = [
-                            (g, leg_g) for (g, leg_g), keys_g in zip(members_y, keys_y)
-                            if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
-                    if members:
-                        yield z, x, y, f, leg_f, members
+                row = rows.get(stab)
+                if row is None:
+                    groups = [(y, [(g, leg_g) for (g, leg_g), keys_g in zip(members_y, keys_y)
+                                   if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
+                               if stab else members_y)
+                              for y, members_y, keys_y in side]
+                    row = rows[stab] = _pack_row(
+                        [(y, members) for y, members in groups if members],
+                        len(zpaths), *lane_bytes, max_v, max_e)
+                yield z, x, f, leg_f, row
 
 
 @dataclass
@@ -556,102 +644,127 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     """Exhaustively test the bounded free-category functor on every graph
     cospan within the bounds (one representative per cospan orbit).
 
-    Per cospan, the pullback graph's edges are built once, as the product
-    of the two legs' edge buckets over Z. Its cells are counted and
-    compared with the matching-pair count, the dot product of the two
-    legs' dense path fibers (a vector indexed by the paths of Z), computed
-    independently. A path of the pullback graph is a componentwise pair of
-    paths, so it is determined by its two projections; the comparison map
-    is therefore injective and the count identity decides the pullback.
-    The injectivity embedding itself is re-verified by the generic
-    enumerating checker, which reads the same pullback edges, on every
-    cospan whose number c (from 1, in orbit order) has
-    `c % generic_stride == 0` (0 disables the slice). On such a checked
-    cospan the cells are counted by the checker's enumeration
-    (`paths`); on every other cospan by dynamic programming,
-    the vertices from the legs' bucket sizes and then one pass over the
-    edges per length. Either count goes into `count_failures` the same way.
+    Each cospan's pullback graph has its cells counted and compared with
+    the matching-pair count, the dot product of the two legs' path fibers,
+    computed independently. A path of the pullback graph is a componentwise
+    pair of paths, so it is determined by its two projections; the
+    comparison map is therefore injective and the count identity decides
+    the pullback. The injectivity embedding itself is re-verified by the
+    generic enumerating checker on every cospan whose number c (from 1, in
+    orbit order) has `c % generic_stride == 0` (0 disables the slice). On
+    such a checked cospan the cells are counted by the checker's
+    enumeration (`paths`); on every other cospan by dynamic programming,
+    the vertices from the legs' vertex buckets and then one pass over the
+    pullback's edges, the product of the legs' edge buckets, per length.
+    Either count goes into `count_failures` the same way.
 
-    Each cospan's pullback is named by one integer, its code: the dot
-    product of f's `rows` and g's `cols` (see `_Leg`). The code fixes the
-    pullback's vertex pairs and its edge pairs with their endpoints, so it
-    names the flat pullback up to the injective relabeling (i, j) ->
-    i * |Y| + j. The checker's passing verdict and its path count are
-    invariant under such a relabeling, and so is the DP's count. Hence:
+    Each cospan's pullback is named by one integer, its code (see `_Leg`).
+    The code fixes the pullback's vertex pairs and its edge pairs with
+    their endpoints, so it names the flat pullback up to the injective
+    relabeling (i, j) -> i * |Y| + j. The checker's passing verdict and its
+    path count are invariant under such a relabeling, and so is the DP's
+    count. Hence:
 
     - a checked cospan whose (matching-pair count, code) has already
-      passed the checker reuses that verdict and its path count. The
-      checker reads x, y, f, g and `y.nv` only in `_first_missing` and
-      `_first_conflation`, which run only on a failure, and a failing
-      result is never reused: every failing cospan gets its own checker
-      call and its own witness;
+      passed the checker reuses that verdict and its path count, keyed by
+      `code << 32 | count`, one-to-one since `_lane_widths` keeps a count
+      below 2**32. The checker reads x, y, f, g and `y.nv` only in
+      `_first_missing` and `_first_conflation`, which run only on a
+      failure, and a failing result is never reused: every failing cospan
+      gets its own checker call and its own witness;
     - an unchecked cospan whose code has already been counted reuses the
       DP's count.
 
-    The matching-pair count stays one dot product per cospan, of that
-    cospan's own path fibers, independent of the DP and of the code. Both
-    reuse dicts live for one call only. The sweep runs in the caller, one
-    cospan after another, so the failures are listed in cospan order.
+    The sweep takes one row of cospans, every cospan of one f, at a time,
+    and `_row_lanes` gives the counts and codes of the whole row at once,
+    a count still the dot product of that cospan's own path fibers,
+    independent of the DP and of the code. A row whose every cospan finds
+    its count reused and equal to its matching-pair count is settled
+    without further work. Any other row is walked a cospan at a time,
+    reading the reuse dicts again, so a cospan reuses what an earlier one
+    of its row found. Both dicts live for one call only. The sweep runs in
+    the caller, in cospan order, so the failures are listed in cospan
+    order. Bounds whose matching-pair counts could overflow a lane raise
+    `LimitError`.
 
     This is the only pullback-preservation sweep: the topos gate at n = 1, 2
     runs it with `generic_stride=1`, acceptance criterion 5 with a stride.
     """
+    lane_bytes = _lane_widths(max_v, max_e, path_len)
+    stride = generic_stride
     cospans = 0
     pairs_total = 0
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    passed: dict = {}  # (expected, code) -> paths, of each passing check
+    passed: dict = {}  # code << 32 | count -> paths, of each passing check
     counted: dict = {}  # code -> paths, of each DP count
-    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len):
-        yn = y.nv
-        fibers_f, rows_f = leg_f.fibers, leg_f.rows
-        for c, (g, leg_g) in enumerate(members, cospans + 1):
-            expected = sum(map(mul, fibers_f, leg_g.fibers))
-            code = sum(map(mul, rows_f, leg_g.cols))
-            if generic_stride and c % generic_stride == 0:
-                # the checker enumerates every path of the pullback; its
-                # count stands in for the DP's
-                generic_checked += 1
-                total = passed.get((expected, code))
-                if total is None:
-                    res = check_path_cospan(
-                        x, y, f, g, path_len,
-                        (_pullback_vertices(yn, leg_f.verts, leg_g.verts),
-                         _pullback_edges(yn, leg_f.edges, leg_g.edges)), expected)
-                    if res.pullback_ok:
-                        passed[expected, code] = res.paths
-                    else:
-                        generic_failures.append((z, x, y, f, g, res))
-                    total = res.paths
-            else:
-                total = counted.get(code)
-                if total is None:
-                    # paths of the pullback graph, counted by DP: the
-                    # vertices from the bucket sizes, then one pass over
-                    # the edges per length; every edge starts at a pullback
-                    # vertex, so the first pass may read all ones
-                    pedges = _pullback_edges(yn, leg_f.edges, leg_g.edges)
-                    total = sum(map(mul, leg_f.sizes, leg_g.sizes))
-                    if pedges:
-                        cur = [1] * (x.nv * yn)
-                        for _ in range(path_len):
-                            nxt = [0] * len(cur)
-                            for u, w, _a, _b in pedges:
-                                nxt[w] += cur[u]
-                            level = sum(nxt)
-                            if not level:
-                                break
-                            total += level
-                            cur = nxt
-                    counted[code] = total
-            pairs_total += expected
-            if total != expected:
-                count_failures.append(
-                    (z, x, y, f, g, {"F_P": total, "pairs": expected}))
-        cospans += len(members)
+    for z, x, f, leg_f, row in _cospan_orbits(max_v, max_e, path_len):
+        counts, codes = _row_lanes(leg_f, row, max_v, max_e, lane_bytes)
+        n = len(counts)
+        # the lanes j of the checked cospans c = cospans + 1 + j
+        checked = slice((-cospans - 1) % stride, None, stride) if stride else slice(0)
+        totals = [None] * n if stride == 1 else list(map(counted.get, codes))
+        totals[checked] = map(passed.get, [code << 32 | count for code, count
+                                           in zip(codes[checked], counts[checked])])
+        if totals != counts:
+            # only the lanes that missed or disagree; the others stay settled
+            starts = list(itertools.accumulate(
+                (len(members) for _, members in row.groups), initial=0))
+            for j in itertools.compress(range(n), map(ne, totals, counts)):
+                k = bisect_right(starts, j) - 1
+                y, members = row.groups[k]
+                g, leg_g = members[j - starts[k]]
+                expected, code = counts[j], codes[j]
+                if stride and (cospans + 1 + j) % stride == 0:
+                    # the checker enumerates every path of the pullback;
+                    # its count stands in for the DP's
+                    total = passed.get(code << 32 | expected)
+                    if total is None:
+                        res = check_path_cospan(
+                            x, y, f, g, path_len,
+                            (_pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
+                             _pullback_edges(y.nv, leg_f.edges, leg_g.edges)),
+                            expected)
+                        if res.pullback_ok:
+                            passed[code << 32 | expected] = res.paths
+                        else:
+                            generic_failures.append((z, x, y, f, g, res))
+                        total = res.paths
+                else:
+                    total = counted.get(code)
+                    if total is None:
+                        total = counted[code] = _dp_paths(x, y, leg_f, leg_g, path_len)
+                if total != expected:
+                    count_failures.append(
+                        (z, x, y, f, g, {"F_P": total, "pairs": expected}))
+        cospans += n
+        pairs_total += sum(counts)
+        generic_checked += len(range(n)[checked])
     return PathPreservationSummary(cospans, pairs_total, count_failures,
                                    generic_checked, generic_failures)
+
+
+def _dp_paths(x: GraphData, y: GraphData, leg_f: _Leg, leg_g: _Leg,
+              path_len: int) -> int:
+    """The paths of the pullback graph, counted by DP: the vertices from
+    the legs' vertex buckets, then one pass over the edges per length;
+    every edge starts at a pullback vertex, so the first pass may read all
+    ones."""
+    pedges = _pullback_edges(y.nv, leg_f.edges, leg_g.edges)
+    total = sum(len(vx) * len(vy) for vx, vy in zip(leg_f.verts, leg_g.verts))
+    if pedges:
+        cur = [1] * (x.nv * y.nv)
+        for _ in range(path_len):
+            nxt = [0] * len(cur)
+            for u, w, _a, _b in pedges:
+                nxt[w] += cur[u]
+            level = sum(nxt)
+            if not level:
+                break
+            total += level
+            cur = nxt
+    return total
 
 
 # --- the topos gate ----------------------------------------------------------------

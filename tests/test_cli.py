@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from computadlab import cli, computads, freecat, operads
+from computadlab import cli, computads, freecat, limitlab, operads
 from computadlab.cli import main
 from computadlab.freecat import Bounds
 
@@ -288,6 +288,19 @@ def test_an_oracle_mismatch_exits_two_with_one_line(capsys, monkeypatch):
     assert code == 2 and doc["verdict"] == "MISMATCH"
     assert doc["counts_by_size"]["1"] == {"classes": 2, "oracle": 3, "match": False}
     assert err.splitlines() == ["oracle mismatch: slice computation disagrees with the oracle"]
+
+
+def test_a_fiber_lane_overflow_exits_one_with_one_line(capsys, monkeypatch):
+    # 8-bit fiber lanes: the 16 paths of two loops at path length 3 could
+    # give 256 matching pairs, which do not fit
+    original = limitlab._lane_widths
+    monkeypatch.setattr(limitlab, "_lane_widths",
+                        lambda *bounds: original(*bounds, fiber_bits=8))
+    code, out, err = run(capsys, "gate", "--n", "1", "--bound", "3")
+    assert code == 1 and not out
+    assert err.splitlines() == [
+        "error: graph bounds (2, 2) at path length 3 allow 16 paths in one "
+        "graph, so up to 256 matching pairs, which do not fit in 8 bits"]
 
 
 def test_gate_unsupported_dimension(capsys):

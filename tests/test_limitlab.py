@@ -264,13 +264,37 @@ def test_run_path_preservation_small_family_all_generic():
 
 
 def _cospans(max_v, max_e, path_len):
-    """The groups of `_cospan_orbits`, flattened one cospan at a time and
-    numbered from 1: `(c, z, x, y, f, g, leg_f, leg_g)`."""
+    """The rows of `_cospan_orbits`, flattened one cospan at a time and
+    numbered from 1: `(c, z, x, y, f, g, leg_f, leg_g, count, code)`, with
+    the matching-pair count and the pullback code read from the row's
+    lanes as the sweep reads them."""
+    lane_bytes = limitlab._lane_widths(max_v, max_e, path_len)
     c = 0
-    for z, x, y, f, leg_f, members in _cospan_orbits(max_v, max_e, path_len):
-        for g, leg_g in members:
+    for z, x, f, leg_f, row in _cospan_orbits(max_v, max_e, path_len):
+        counts, codes = limitlab._row_lanes(leg_f, row, max_v, max_e, lane_bytes)
+        lanes = [(y, g, leg_g) for y, members in row.groups for g, leg_g in members]
+        assert len(lanes) == len(counts) == len(codes)
+        for (y, g, leg_g), count, code in zip(lanes, counts, codes):
             c += 1
-            yield c, z, x, y, f, g, leg_f, leg_g
+            yield c, z, x, y, f, g, leg_f, leg_g, count, code
+
+
+def _reference_code(z, x, y, f, g, max_v, max_e):
+    """The pullback code of x -> z <- y as a dot product: f's bits as the
+    left leg (`rows`) against g's as the right leg (`cols`), per vertex,
+    then edge, of z, laid out from `_hom_buckets`."""
+    square, span = max_v * max_v, max_v * max_v * max_e
+
+    def bits(dom, m, left):
+        verts, edges = limitlab._hom_buckets(dom, m, z.nv, len(z.edges))
+        codes = [[(s * max_v + t) * max_e + a for a, s, t in es] for es in edges]
+        if left:
+            return ([sum(1 << (i * max_v) for i in vs) for vs in verts]
+                    + [sum(1 << (square + k * span) for k in ks) for ks in codes])
+        return ([sum(1 << j for j in vs) for vs in verts]
+                + [sum(1 << k for k in ks) for ks in codes])
+
+    return sum(map(mul, bits(x, f, True), bits(y, g, False)))
 
 
 def test_cospan_orbits_one_member_per_orbit():
@@ -289,30 +313,46 @@ def test_cospan_orbits_one_member_per_orbit():
                     orbit = frozenset((post(a, f), post(a, g)) for a in auts)
                     orbit_of[(z, x, y, f, g)] = (z, x, y, orbit)
         yielded = []
-        for c, z, x, y, f, g, leg_f, leg_g in _cospans(*bounds, 2):
+        for c, z, x, y, f, g, _, _, count, code in _cospans(*bounds, 2):
             yielded.append(orbit_of[(z, x, y, f, g)])
             assert c == len(yielded)
-            zpaths = graph_paths(z, 2)
-            for leg, dom, m in ((leg_f, x, f), (leg_g, y, g)):
-                # the dense vector ends at its last nonzero entry
-                assert len(leg.fibers) <= len(zpaths)
-                assert not leg.fibers or leg.fibers[-1]
-                fibers = path_fibers(graph_paths(dom, 2), m)
-                for n, p in enumerate(zpaths):
-                    assert (leg.fibers[n] if n < len(leg.fibers) else 0) == fibers.get(p, 0)
-                assert sum(leg.fibers) == sum(fibers.values())
+            # each lane against values built here: the dot product of two
+            # path-fiber dicts, and the rows . cols code
+            assert count == _matching_pairs(x, y, f, g, 2)
+            assert code == _reference_code(z, x, y, f, g, *bounds)
             assert check_path_cospan(x, y, f, g, 2, _flat_pullback(f, g, x, y),
-                                     _matching_pairs(x, y, f, g, 2)).pullback_ok
+                                     count).pullback_ok
         assert len(yielded) == len(set(yielded)) < len(orbit_of)
         assert set(yielded) == set(orbit_of.values())
 
 
+def test_lane_widths_guard_the_fiber_lane():
+    # the largest path count within the bounds is max_v + max_e + ... +
+    # max_e ** path_len, reached by max_e loops at one vertex
+    for v, e, length in ((1, 1, 3), (2, 2, 3), (3, 2, 2), (2, 3, 1)):
+        most = max(len(graph_paths(gr, length)) for gr in enumerate_graphs(v, e))
+        assert most == v + sum(e ** k for k in range(1, length + 1))
+    # a count fits an 8-bit lane while 15 * 15 < 2**8, and 16 * 16 does not
+    assert limitlab._lane_widths(1, 1, 14, fiber_bits=8) == (1, 1)
+    with pytest.raises(LimitError, match="16 paths"):
+        limitlab._lane_widths(1, 1, 15, fiber_bits=8)
+    # the real lane: 60,880 paths fit 32 bits, and 65,641 overflow them
+    assert limitlab._lane_widths(1, 39, 3)[0] == 4
+    with pytest.raises(LimitError, match="65641 paths"):
+        limitlab._lane_widths(1, 40, 3)
+    # a code sets bits below V * V + S * S, S = V * V * E, whole bytes
+    assert limitlab._lane_widths(3, 3, 3) == (4, 93)  # 9 + 27 ** 2 = 738 bits
+    assert limitlab._lane_widths(3, 2, 3) == (4, 42)  # 9 + 18 ** 2 = 333 bits
+    assert limitlab._lane_widths(0, 0, 3) == (4, 1)
+
+
 def test_shared_pullback_matches_brute_force():
     checked = 0
-    for _, z, x, y, f, g, leg_f, leg_g in _cospans(2, 2, 2):
+    for _, z, x, y, f, g, leg_f, leg_g, _, _ in _cospans(2, 2, 2):
         verts = limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts)
         edges = limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges)
-        assert len(verts) == sum(map(mul, leg_f.sizes, leg_g.sizes))
+        assert len(verts) == sum(len(vx) * len(vy)
+                                 for vx, vy in zip(leg_f.verts, leg_g.verts))
         vpairs = [divmod(v, y.nv) for v in verts]
         assert len(vpairs) == len(set(vpairs))
         assert set(vpairs) == {(i, j) for i in range(x.nv) for j in range(y.nv)
@@ -430,10 +470,9 @@ def test_checker_matches_reference_on_corrupted_pullbacks(path_len):
              "edge from outside", "relabel edge")
     compared = dict.fromkeys(kinds, 0)
     failed = dict.fromkeys(kinds, False)
-    for _, _, x, y, f, g, leg_f, leg_g in _cospans(2, 2, path_len):
+    for _, _, x, y, f, g, _, _, expected, _ in _cospans(2, 2, path_len):
         if rng.random() > 0.15:
             continue
-        expected = sum(map(mul, leg_f.fibers, leg_g.fibers))
         pullback = _flat_pullback(f, g, x, y)
         for kind in kinds:
             corrupted = _corrupt(rng, kind, x, y, *pullback)
@@ -528,7 +567,7 @@ def _checked_pullbacks(bounds, stride):
     """`((z, x, y, f, g), (verts, pedges))` for every cospan numbered a
     multiple of `stride`, in cospan order, its pullback built by the two
     producers from the legs."""
-    for c, z, x, y, f, g, leg_f, leg_g in _cospans(*bounds):
+    for c, z, x, y, f, g, leg_f, leg_g, _, _ in _cospans(*bounds):
         if c % stride == 0:
             yield (z, x, y, f, g), (
                 limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
@@ -580,7 +619,7 @@ def _reference_sweep(max_v, max_e, path_len, stride):
     fibers, and only each `stride`-th cospan's verdict kept."""
     cospans = pairs = checked = 0
     count_failures, generic_failures = [], []
-    for c, z, x, y, f, g, _, _ in _cospans(max_v, max_e, path_len):
+    for c, z, x, y, f, g, *_ in _cospans(max_v, max_e, path_len):
         expected = _matching_pairs(x, y, f, g, path_len)
         res = check_path_cospan(x, y, f, g, path_len, _flat_pullback(f, g, x, y),
                                 expected)
@@ -615,7 +654,7 @@ def test_checker_runs_once_per_distinct_pullback_and_count(monkeypatch):
     distinct = {(_matching_pairs(x, y, f, g, 3), _invariant_pullback(
                     x, y, limitlab._pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
                     limitlab._pullback_edges(y.nv, leg_f.edges, leg_g.edges)))
-                for _, _, x, y, f, g, leg_f, leg_g in _cospans(2, 2, 3)}
+                for _, _, x, y, f, g, leg_f, leg_g, _, _ in _cospans(2, 2, 3)}
     assert len(calls) == len(distinct) == 363
     # and each of them once
     assert len({(expected, _invariant_pullback(x, y, *pullback))
@@ -628,8 +667,7 @@ def test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree(bounds):
     owner: dict = {}  # code -> invariant pullback
     code_of: dict = {}  # invariant pullback -> code
     cospans = 0
-    for _, _, x, y, f, g, leg_f, leg_g in _cospans(*bounds):
-        code = sum(map(mul, leg_f.rows, leg_g.cols))
+    for _, _, x, y, f, g, _, _, _, code in _cospans(*bounds):
         form = _invariant_pullback(x, y, *_flat_pullback(f, g, x, y))
         assert owner.setdefault(code, form) == form
         assert code_of.setdefault(form, code) == code
@@ -650,7 +688,7 @@ def _reference_dp_sweep(max_v, max_e, path_len):
             fibers[x, f] = path_fibers(graph_paths(x, path_len), f)
         return fibers[x, f]
 
-    for _, z, x, y, f, g, _, _ in _cospans(max_v, max_e, path_len):
+    for _, z, x, y, f, g, *_ in _cospans(max_v, max_e, path_len):
         fy = fibers_of(y, g)
         expected = sum(n * fy.get(img, 0) for img, n in fibers_of(x, f).items())
         verts, pedges = _flat_pullback(f, g, x, y)
@@ -702,9 +740,12 @@ def test_verdict_reuse_memory_is_bounded():
     Python 3.11: 0.71 MiB without verdict reuse, 2.23 MiB with the reused
     verdicts keyed by 4,826 distinct flat pullbacks, and 1.21 MiB keyed by
     3,712 (matching-pair count, pullback code) pairs. Run in one process,
-    with each Y's `(g, leg_g)` pairs listed once per Z, it reads 1.30 MiB.
-    It takes about 2.9 s traced. The bound sits about 12% above 1.21 MiB,
-    so a key or a stored value that grows fails."""
+    with each Y's `(g, leg_g)` pairs listed once per Z, it read 1.30 MiB.
+    With packed rows and one int per verdict key it reads 1.318, 1.263
+    and 1.261 MiB on Python 3.10, 3.11 and 3.12 (1.346, 1.303 and 1.297
+    before), and takes 0.9 to 2.3 s traced, the most on 3.12. The bound
+    sits about 12% above 1.21 MiB, so a key or a stored value that grows
+    fails."""
     summary, peak = _traced_sweep(3, 2, 3, 1)
     assert summary.generic_checked == summary.cospans == 115_989
     assert peak < 1.36 * 2**20
@@ -715,8 +756,10 @@ def test_count_reuse_memory_is_bounded():
     DP counts 123,846 of the 129,006 cospans, on Python 3.11: 2.26 MiB
     without reused counts and 2.42 MiB with them, keyed by pullback codes.
     Run in one process, with each Y's `(g, leg_g)` pairs listed once per
-    Z, it reads 2.44 MiB. It takes about 4.1 s traced. The bound sits about
-    12% above 2.42 MiB, so a DP key that grows fails."""
+    Z, it read 2.44 MiB. With packed rows it reads 2.461, 2.426 and 2.423
+    MiB on Python 3.10, 3.11 and 3.12 (2.462, 2.438 and 2.428 before), and
+    takes 1.4 to 3.0 s traced, the most on 3.12. The bound sits about 12%
+    above 2.42 MiB, so a DP key that grows fails."""
     summary, peak = _traced_sweep(2, 3, 3, 25)
     assert summary.cospans == 129_006 and summary.generic_checked == 5_160
     assert peak < 2.71 * 2**20

@@ -38,8 +38,8 @@ skipped before any term is built. An instance's left side comp(p, q), with p
 and q e-nodes of the matched e-node's child classes, is in the matched
 class by congruence already, so it is never built: the matched e-node is
 merged with the literal right side, and the reason names the pattern
-(p, q). The member lists stay for representatives and for relabelling the
-root list on a merge.
+(p, q). The member lists stay for relabelling the root list on a merge,
+and `freeze` walks them to extract each class's least term.
 
 Immutable term data is hash-consed (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006): an engine keeps one tuple per
@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
 
@@ -749,35 +750,6 @@ class Engine:
     def classes(self) -> list[int]:
         return sorted(self._class_terms.keys())
 
-    def term_str(self, tid: int, _memo=None) -> str:
-        memo = _memo if _memo is not None else {}
-        if tid in memo:
-            return memo[tid]
-        node = self.nodes[tid]
-        if node.kind == GEN:
-            s = f"gen({node.name})"
-        elif node.kind == IDA:
-            s = f"id1({self.levels[self.dim - 1].reps[node.lower]})"
-        else:
-            s = (f"comp_{node.k}({self.term_str(node.a, memo)},"
-                 f"{self.term_str(node.b, memo)})")
-        memo[tid] = s
-        return s
-
-    def build_term(self, tid: int, _memo=None) -> Term:
-        memo = _memo if _memo is not None else {}
-        if tid in memo:
-            return memo[tid]
-        node = self.nodes[tid]
-        if node.kind == GEN:
-            t = Gen(node.name, self.dim)
-        elif node.kind == IDA:
-            t = Id(self.levels[self.dim - 1].rep_terms[node.lower])
-        else:
-            t = Comp(node.k, self.build_term(node.a, memo), self.build_term(node.b, memo))
-        memo[tid] = t
-        return t
-
     def term_node(self, t: Term) -> int | None:
         """Intern a term of this engine's dimension; None when out of bounds."""
         if isinstance(t, Gen):
@@ -811,49 +783,70 @@ class Engine:
     def freeze(self) -> Level:
         """Snapshot classes into a Level and fill the identity table below.
 
-        A class is represented by its first member with the shortest, then
-        lexicographically least, serialization; deterministic across runs.
-        Serialization lengths come from the children's in one pass over the
-        terms, so only each class's shortest members are written out, through
-        a memo that lives only while its class is read. The representatives'
-        trees are built through one memo, so they share their subterms."""
-        roots = self.classes()
+        A class is represented by its least term in `(length, string)` order
+        among those the composition table derives: its generator or identity
+        atom, and comp_k(x, y) for each composite on classes A and B with x
+        in A and y in B. This is e-graph extraction with an additive cost
+        (egg, POPL 2021), settled by Knuth's generalization of Dijkstra's
+        algorithm ("A generalization of Dijkstra's algorithm", IPL 6, 1977):
+        classes settle in that order, and a settled class offers each
+        composite on its members, once both child classes are settled, as
+        the candidate comp_k(rep A,rep B) for the composite's class. A
+        composite is longer than either child and monotone in each, so the
+        first candidate a class settles with is its least term, whatever
+        order the engine built terms in. Each tree is built from its
+        children's trees, so a level's trees share their subterms."""
+        nodes, root, uses = self.nodes, self._root, self._uses
         below = self.levels[self.dim - 1]
-        length: list[int] = []
-        for node in self.nodes:
-            if node.kind == GEN:
-                length.append(len(node.name) + 5)  # gen(...)
-            elif node.kind == IDA:
-                length.append(len(below.reps[node.lower]) + 5)  # id1(...)
-            else:  # comp_k(...,...)
-                length.append(len(str(node.k)) + 8 + length[node.a] + length[node.b])
+        # a candidate is (length, text, class, k, class A, class B); an
+        # atom's has k = -1 and its own term in place of class A
+        best: dict[int, tuple] = {}  # class -> its least candidate so far
+        heap: list[tuple] = []
 
-        reps: dict[int, int] = {}
+        def offer(cand: tuple):
+            c = cand[2]
+            if c not in best or cand < best[c]:
+                best[c] = cand
+                heappush(heap, cand)
+
+        for t in [*self.gen_atoms.values(), *self.id_atoms]:
+            node = nodes[t]
+            s = f"gen({node.name})" if node.kind == GEN else f"id1({below.reps[node.lower]})"
+            offer((len(s), s, root[t], -1, t, -1))
         text: dict[int, str] = {}
-        for r in roots:
-            members = self._class_terms[r]
-            least = min(length[t] for t in members)
-            memo: dict[int, str] = {}
-            rep = min((t for t in members if length[t] == least),
-                      key=lambda t: self.term_str(t, memo))
-            reps[r], text[r] = rep, memo[rep]
-        order = sorted(
-            roots,
-            key=lambda r: (len(self.nodes[r].mset), self.nodes[r].mset, text[r]),
-        )
-        canon = {r: i for i, r in enumerate(order)}
-        root = self._root
         trees: dict[int, Term] = {}
+        while heap:
+            cand = heappop(heap)
+            _, rep, c, k, a, b = cand
+            if best[c] is not cand:
+                continue  # a better candidate for c came after it
+            text[c] = rep
+            if k >= 0:
+                trees[c] = Comp(k, trees[a], trees[b])
+            elif nodes[a].kind == GEN:
+                trees[c] = Gen(nodes[a].name, self.dim)
+            else:
+                trees[c] = Id(below.rep_terms[nodes[a].lower])
+            for t in self._class_terms[c]:
+                for u in uses.get(t, ()):
+                    n = nodes[u]
+                    ra, rb, ru = root[n.a], root[n.b], root[u]
+                    if ra in text and rb in text and ru not in text:
+                        s = f"comp_{n.k}({text[ra]},{text[rb]})"
+                        offer((len(s), s, ru, n.k, ra, rb))
+        order = sorted(self.classes(),
+                       key=lambda r: (len(nodes[r].mset), nodes[r].mset, text[r]))
+        canon = {r: i for i, r in enumerate(order)}
         lv = Level(
             reps=[text[r] for r in order],
-            rep_terms=[self.build_term(reps[r], trees) for r in order],
-            msets=[self.nodes[r].mset for r in order],
-            src=[self.nodes[r].src for r in order],
-            tgt=[self.nodes[r].tgt for r in order],
+            rep_terms=[trees[r] for r in order],
+            msets=[nodes[r].mset for r in order],
+            src=[nodes[r].src for r in order],
+            tgt=[nodes[r].tgt for r in order],
             comp={},
             gen_class={name: canon[root[t]] for name, t in self.gen_atoms.items()},
         )
-        for tid, node in enumerate(self.nodes):
+        for tid, node in enumerate(nodes):
             if node.kind != CMP:
                 continue
             key = (node.k, canon[root[node.a]], canon[root[node.b]])

@@ -1,9 +1,10 @@
 """Golden corpus: structured reports and slice class tables, byte for byte.
 
 The files under tests/golden/ were written by the engine before its e-class
-index existed; every later engine change must reproduce them exactly. To
-write them again from the current code (only when a report is meant to
-change), run
+index existed, and their representatives once more when `freeze` began
+extracting each class's least term; every later engine change must
+reproduce them exactly. To write them again from the current code (only
+when a report is meant to change), run
 
     PYTHONPATH=src python tests/test_golden.py
 

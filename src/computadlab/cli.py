@@ -148,8 +148,7 @@ def cmd_gate(args) -> int:
     report = limitlab.computad_topos_gate(
         args.n, _bounds(args),
         graph_bounds=(args.graph_vertices, args.graph_edges),
-        path_len=min(args.bound, 3) if args.n <= 2 else args.bound,
-        witness_size=args.witness_size)
+        path_len=min(args.bound, 3) if args.n <= 2 else args.bound)
     _emit({
         "command": "gate",
         "n": args.n,
@@ -301,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--graph-vertices", type=int, default=2)
     p.add_argument("--graph-edges", type=int, default=2)
-    p.add_argument("--witness-size", type=int, default=2,
-                   help="cell size bound for the n=3 witness engine")
     p.set_defaults(run=cmd_gate)
 
     p = sub.add_parser("trees", parents=[common], help="enumerate pasting shapes")

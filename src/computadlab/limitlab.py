@@ -904,7 +904,7 @@ def _path_experiment(graph_bounds: tuple[int, int],
 
 def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
                         graph_bounds: tuple[int, int] = (2, 2),
-                        path_len: int = 3, witness_size: int = 2) -> GateReport:
+                        path_len: int = 3) -> GateReport:
     """The decisive finite experiments for the strict-category monad.
 
     n = 1, 2: the free category functor preserves the tested pullbacks
@@ -915,11 +915,10 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     runs, here with the generic checker on every cospan. Graph bounds below
     1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`: a pass over
     zero cases, or over identities only, is not evidence. n = 3: the multiset slice produces a
-    complete finite counterexample; the witness has size 2, so
-    `witness_size` only needs to grow to demonstrate persistence."""
+    complete finite counterexample; the witness has size 2, so its engine
+    runs at `max(bounds.size, 2)`, and a larger size shows that it persists."""
     binfo = {"size": bounds.size, "rounds": bounds.rounds,
-             "graph_bounds": list(graph_bounds), "path_len": path_len,
-             "witness_size": witness_size}
+             "graph_bounds": list(graph_bounds), "path_len": path_len}
     if n in (1, 2):
         slice_checks = [_slice_check("P0 of the strict monad: trivial monoid",
                                      operads.MONOID_PRESENTATION)]
@@ -956,8 +955,8 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
             _slice_check("P2 of the strict monad: free commutative monoid",
                          operads.COMMUTATIVE_MONOID_PRESENTATION),
         ]
-        wbounds = replace(bounds, size=max(witness_size, 2))
-        witness, experiments = _scalar_cospan_witness(wbounds)
+        witness, experiments = _scalar_cospan_witness(
+            replace(bounds, size=max(bounds.size, 2)))
         return GateReport("counterexample", _FAIL_WORDING, slice_checks,
                           experiments, witness, binfo)
     raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")

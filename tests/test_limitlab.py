@@ -847,7 +847,7 @@ def test_gate_three_counterexample_with_replay():
 
 
 def test_gate_three_failure_persists_at_larger_bounds():
-    report = computad_topos_gate(3, Bounds(size=3), witness_size=3)
+    report = computad_topos_gate(3, Bounds(size=3))
     assert report.verdict == "counterexample"
     assert report.witness["oracle_replay_conflates"]
 

@@ -224,9 +224,11 @@ class Level:
 
 
 def level_zero(names: list[str]) -> Level:
-    """The dimension-0 layer of a free algebra: just the 0-generators."""
+    """The dimension-0 layer of a free algebra: just the 0-generators, in
+    the order every level sorts its classes by, here their names."""
     if len(set(names)) < len(names):
         raise FreecatError("a generator is named twice in dimension 0")
+    names = sorted(names)
     return Level(
         reps=[f"gen({n})" for n in names],
         rep_terms=[Gen(n, 0) for n in names],

@@ -765,6 +765,45 @@ def test_dim2_classes_match_pasting_diagram_oracle():
     assert len(rows) == len(diagrams) == closed_form == 176
 
 
+def loop():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "loop.cpd").read_text())
+
+
+def composites(leaves, indices, size):
+    """Every composite of at most `size` leaves, along every index."""
+    by_count = [[], list(leaves)]
+    for n in range(2, size + 1):
+        by_count.append([Comp(k, left, right) for i in range(1, n)
+                         for left in by_count[i] for right in by_count[n - i]
+                         for k in indices])
+    return [t for ts in by_count for t in ts]
+
+
+@pytest.mark.parametrize("make,size", [
+    (loop, 5),
+    (scalar2, 4),
+    (lambda: k_terminal_computad(1, ["x0", "x1"]), 5),
+], ids=["loop-size5", "scalar2-size4", "slice-k1-g2-size5"])
+def test_each_representative_is_its_class_least_term(make, size):
+    """Every term with at most `size` generator leaves, and each identity
+    atom alone, resolved by `class_of_term`: each class's representative is
+    the least (length, string) of the terms that resolve to it, and it
+    prints its own tree."""
+    fa = free_algebra(make(), Bounds(size=size))
+    order = lambda s: (len(s), s)
+    for d, lv in enumerate(fa.levels):
+        assert lv.reps == [term_to_str(t) for t in lv.rep_terms]
+        gens = [Gen(name, d) for name in fa.computad.names(d)]
+        atoms = [Id(t) for t in fa.levels[d - 1].rep_terms] if d else []
+        least: dict[int, str] = {}
+        for t in composites(gens, range(d), size) + atoms:
+            c = fa.class_of_term(t)
+            if c is not None:
+                least[c] = min(least.get(c, term_to_str(t)), term_to_str(t), key=order)
+        assert [least.get(c) for c in range(lv.n_classes)] == lv.reps, d
+
+
 def test_partiality_marker_reflects_size_cut():
     c = graph_computad(["a"], [("f", "a", "a")])
     fa = free_algebra(c, Bounds(size=2))

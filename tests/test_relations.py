@@ -5,6 +5,11 @@ without an oracle.
   dimension keeps the class histogram per dimension and size and
   `fixed_point`, and each renamed representative resolves to a class of the
   renamed algebra, one class each.
+* Reordering the declarations within each dimension, with no renaming,
+  gives the same frozen levels: representatives, multisets, boundaries,
+  composition and identity tables and generator classes. It is checked on
+  random computads and on every declaration order of the benchmark's
+  slices and of `scalar2.cpd`.
 * The histograms of a disjoint union are the sums of its parts'.
 * `equal_cells` is symmetric, and every `equal` verdict's certificate
   verifies. The pairs are, in each dimension, each class root with the last
@@ -26,15 +31,19 @@ interchange matching that skips the first e-node of a class first shows on a
 2-computad at size 3.
 """
 
+import itertools
 from collections import Counter
+from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from computadlab.computads import build_computad, free_algebra
+from computadlab.computads import Computad, build_computad, free_algebra, loads_computad
 from computadlab.freecat import (
     EQUAL, GEN, IDA, Bounds, Comp, Gen, Id, equal_cells, rename_gens, verify_certificate,
 )
+from computadlab.operads import k_terminal_computad
 
 
 def saturate(layers):
@@ -143,3 +152,49 @@ def test_disjoint_union_histograms_add(a, b):
     union = [x + y for x, y in zip(a, b)]
     fa, fb, fu = (saturate(layers) for layers in (a, b, union))
     assert histogram(fu) == histogram(fa) + histogram(fb)
+
+
+def frozen_levels(fa):
+    return [(lv.reps, lv.msets, lv.src, lv.tgt, lv.comp, lv.idmap, lv.gen_class)
+            for lv in fa.levels]
+
+
+@st.composite
+def reordered(draw):
+    layers = draw(computads())
+    same = {n if isinstance(n, str) else n[0]: n if isinstance(n, str) else n[0]
+            for layer in layers for n in layer}
+    orders = [draw(st.permutations(range(len(layer)))) for layer in layers]
+    return layers, rename_layers(layers, same, orders)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=reordered())
+def test_reordering_keeps_the_frozen_levels(case):
+    layers, other = case
+    assert frozen_levels(saturate(layers)) == frozen_levels(saturate(other))
+
+
+def scalar2():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "scalar2.cpd").read_text())
+
+
+@pytest.mark.parametrize("make,size", [
+    (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6),
+    (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
+    (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6),
+    (lambda: k_terminal_computad(3, ["x0", "x1"]), 4),
+    (scalar2, 5),
+], ids=["slice-k1-g3-size6", "slice-k2-g3-size4", "slice-k2-g3-size6", "slice-k3-g2-size4",
+        "scalar2-size5"])
+def test_every_declaration_order_gives_the_same_levels(make, size):
+    """The benchmark's slices and `scalar2.cpd`, in every order of the
+    declarations within each dimension."""
+    c = make()
+    want = frozen_levels(free_algebra(c, Bounds(size=size)))
+    for orders in itertools.product(*(itertools.permutations(range(len(layer)))
+                                      for layer in c.layers)):
+        other = Computad(c.dim, [[layer[i] for i in order]
+                                 for layer, order in zip(c.layers, orders)])
+        assert frozen_levels(free_algebra(other, Bounds(size=size))) == want, orders

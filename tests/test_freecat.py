@@ -798,9 +798,9 @@ def test_each_representative_is_its_class_least_term(make, size):
         atoms = [Id(t) for t in fa.levels[d - 1].rep_terms] if d else []
         least: dict[int, str] = {}
         for t in composites(gens, range(d), size) + atoms:
-            c = fa.class_of_term(t)
+            c, s = fa.class_of_term(t), term_to_str(t)
             if c is not None:
-                least[c] = min(least.get(c, term_to_str(t)), term_to_str(t), key=order)
+                least[c] = min(least.get(c, s), s, key=order)
         assert [least.get(c) for c in range(lv.n_classes)] == lv.reps, d
 
 

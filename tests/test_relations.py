@@ -162,10 +162,9 @@ def frozen_levels(fa):
 @st.composite
 def reordered(draw):
     layers = draw(computads())
-    same = {n if isinstance(n, str) else n[0]: n if isinstance(n, str) else n[0]
-            for layer in layers for n in layer}
+    names = [n if isinstance(n, str) else n[0] for layer in layers for n in layer]
     orders = [draw(st.permutations(range(len(layer)))) for layer in layers]
-    return layers, rename_layers(layers, same, orders)
+    return layers, rename_layers(layers, dict(zip(names, names)), orders)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

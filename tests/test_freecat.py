@@ -744,10 +744,7 @@ def test_dim2_classes_match_pasting_diagram_oracle():
     from computadlab.globular import make_globular
     from computadlab.pasting import pasting_cells
 
-    e = Gen("e", 1)
-    c = build_computad([["p"], [("e", Gen("p", 0), Gen("p", 0))],
-                        [("u", e, e), ("v", e, e)]])
-    fa = free_algebra(c, Bounds(size=3))
+    fa = free_algebra(whiskers(), Bounds(size=3))
     rows = fa.enumerate_cells(2)
 
     x = make_globular(2, [["p"], ["e"], ["u", "v"]],
@@ -780,16 +777,28 @@ def composites(leaves, indices, size):
     return [t for ts in by_count for t in ts]
 
 
-@pytest.mark.parametrize("make,size", [
-    (loop, 5),
-    (scalar2, 4),
-    (lambda: k_terminal_computad(1, ["x0", "x1"]), 5),
-], ids=["loop-size5", "scalar2-size4", "slice-k1-g2-size5"])
-def test_each_representative_is_its_class_least_term(make, size):
-    """Every term with at most `size` generator leaves, and each identity
-    atom alone, resolved by `class_of_term`: each class's representative is
-    the least (length, string) of the terms that resolve to it, and it
-    prints its own tree."""
+def whiskers():
+    """{p; e: p -> p; u, v: e => e}: 2-cells whiskered by non-trivial
+    1-cells, such as comp_0(id1(gen(e)),gen(u))."""
+    e = Gen("e", 1)
+    return build_computad([["p"], [("e", Gen("p", 0), Gen("p", 0))],
+                           [("u", e, e), ("v", e, e)]])
+
+
+@pytest.mark.parametrize("make,size,leaves", [
+    (loop, 5, 5),
+    (scalar2, 4, 4),
+    (lambda: k_terminal_computad(1, ["x0", "x1"]), 5, 5),
+    (whiskers, 2, 3),
+], ids=["loop-size5", "scalar2-size4", "slice-k1-g2-size5", "whiskers-size2"])
+def test_each_representative_is_its_class_least_term(make, size, leaves):
+    """Every term with at most `leaves` leaves, resolved by `class_of_term`
+    in the algebra at `size`: each class's representative is the least
+    (length, string) of the terms that resolve to it, and it prints its own
+    tree. The leaves are the generators, plus from dimension 2 up the
+    identity atoms, so that whiskerings such as comp_0(id1(gen(e)),gen(u))
+    are among the terms; in dimension 1 an identity atom is a term on its
+    own. Every class must be reached."""
     fa = free_algebra(make(), Bounds(size=size))
     order = lambda s: (len(s), s)
     for d, lv in enumerate(fa.levels):
@@ -797,7 +806,9 @@ def test_each_representative_is_its_class_least_term(make, size):
         gens = [Gen(name, d) for name in fa.computad.names(d)]
         atoms = [Id(t) for t in fa.levels[d - 1].rep_terms] if d else []
         least: dict[int, str] = {}
-        for t in composites(gens, range(d), size) + atoms:
+        terms = (composites(gens + atoms, range(d), leaves) if d >= 2
+                 else composites(gens, range(d), leaves) + atoms)
+        for t in terms:
             c, s = fa.class_of_term(t), term_to_str(t)
             if c is not None:
                 least[c] = min(least.get(c, s), s, key=order)

@@ -4,7 +4,6 @@ from .freecat import (
     Bounds, Comp, Gen, Id, Term,
     equal_cells, verify_certificate,
 )
-from .globular import GlobularSet
 from .pasting import Tree, enumerate_trees, height, pasting_cells, truncate_tree
 from .computads import (
     Computad, ComputadMap, build_computad, free_algebra, pullback_computads,

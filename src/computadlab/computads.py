@@ -138,17 +138,15 @@ def build_computad(layers) -> Computad:
     """Normalize layered generator declarations into a Computad.
 
     `layers[0]` is a list of names; `layers[r]` for r >= 1 is a list of
-    (name, src_term, tgt_term) triples or GeneratorDecl values. Duplicate
-    names raise `ComputadError`; the attachments are certified by
-    `free_algebra`, not here.
+    (name, src_term, tgt_term) triples. Duplicate names raise
+    `ComputadError`; the attachments are certified by `free_algebra`, not
+    here.
     """
     norm: list[list[GeneratorDecl]] = []
     for r, layer in enumerate(layers):
         out = []
         for item in layer:
-            if isinstance(item, GeneratorDecl):
-                out.append(item)
-            elif r == 0:
+            if r == 0:
                 out.append(GeneratorDecl(str(item)))
             else:
                 name, s, t = item

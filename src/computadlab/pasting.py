@@ -1,15 +1,21 @@
 """Plane rooted trees: the shapes of pasting diagrams.
 
 Trees index the cells of the free strict n-category on the terminal
-globular set; decorating a tree with cells of a globular set gives a
-pasting diagram. Enumeration is always bounded by height and width.
+globular set. A globular set is a computad whose every attachment is a
+generator; decorating a tree with the generators of such a computad gives
+a pasting diagram. Enumeration is always bounded by height and width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .globular import GlobularSet, GlobularError
+from .computads import Computad
+from .freecat import Gen
+
+
+class PastingError(Exception):
+    pass
 
 
 @dataclass(frozen=True)
@@ -48,22 +54,22 @@ def tree_from_str(s: str) -> Tree:
 
     def parse(i: int) -> tuple[Tree, int]:
         if i >= len(s) or s[i] != "(":
-            raise GlobularError(f"expected '(' at position {i}")
+            raise PastingError(f"expected '(' at position {i}")
         i += 1
         children = []
         while i < len(s) and s[i] == "(":
             child, i = parse(i)
             children.append(child)
         if i >= len(s) or s[i] != ")":
-            raise GlobularError(f"expected ')' at position {i}")
+            raise PastingError(f"expected ')' at position {i}")
         return Tree(tuple(children)), i + 1
 
     try:
         t, end = parse(0)
     except RecursionError:
-        raise GlobularError("tree nested too deeply") from None
+        raise PastingError("tree nested too deeply") from None
     if end != len(s):
-        raise GlobularError(f"trailing input after position {end}")
+        raise PastingError(f"trailing input after position {end}")
     return t
 
 
@@ -113,16 +119,35 @@ def enumerate_trees(max_height: int, max_width: int) -> list[Tree]:
 
 @dataclass(frozen=True)
 class DecoratedTree:
-    """A tree whose depth-k nodes carry k-cells of a globular set.
+    """A tree whose depth-k nodes carry k-generators of a globular computad.
 
-    `labels` maps node paths (tuples of child indices, root = ()) to cells.
+    `labels` maps node paths (tuples of child indices, root = ()) to
+    generator names.
     """
 
     shape: Tree
     labels: tuple[tuple[tuple[int, ...], str], ...]
 
 
-def _decorations(t: Tree, x: GlobularSet, depth: int, cell: str, path):
+def _globular_layers(c: Computad, n: int) -> list[list[tuple[str, str, str]]]:
+    """The r-generators of c for 1 <= r <= n, at index r, as (name, source,
+    target) names. Raises PastingError on an attachment that is not a pair
+    of (r-1)-generators; whether the pair is parallel is `free_algebra`'s
+    check, as for every computad."""
+    layers: list[list[tuple[str, str, str]]] = [[]]
+    for r in range(1, n + 1):
+        below = set(c.names(r - 1))
+        layer = []
+        for g in c.layers[r]:
+            if not all(isinstance(t, Gen) and t.name in below for t in (g.src, g.tgt)):
+                raise PastingError(
+                    f"generator {g.name!r}: attachment is not a pair of {r - 1}-generators")
+            layer.append((g.name, g.src.name, g.tgt.name))
+        layers.append(layer)
+    return layers
+
+
+def _decorations(t: Tree, layers, depth: int, cell: str, path):
     """Label assignments for the children of a node already labelled `cell`.
 
     Sibling cells compose along dimension `depth`: the first child's source
@@ -134,29 +159,31 @@ def _decorations(t: Tree, x: GlobularSet, depth: int, cell: str, path):
             yield acc
             return
         child = t.children[i]
-        for d in x.cells[depth + 1]:
-            if x.src[depth + 1][d] != prev:
+        for d, s, tgt in layers[depth + 1]:
+            if s != prev:
                 continue
-            for sub in _decorations(child, x, depth + 1, d, path + (i,)):
-                yield from extend(i + 1, x.tgt[depth + 1][d], acc + [(path + (i,), d)] + sub)
+            for sub in _decorations(child, layers, depth + 1, d, path + (i,)):
+                yield from extend(i + 1, tgt, acc + [(path + (i,), d)] + sub)
 
     return list(extend(0, cell, []))
 
 
-def pasting_cells(x: GlobularSet, n: int, max_width: int) -> list[DecoratedTree]:
-    """All pasting diagrams of dimension n in x, within the width bound.
+def pasting_cells(c: Computad, n: int, max_width: int) -> list[DecoratedTree]:
+    """All pasting diagrams of dimension n in the globular computad c,
+    within the width bound. Only the declarations are read; no engine runs.
 
     Convention (validated by the low-dimensional oracles, not fixed by the
-    tree description alone): a node at depth k carries a k-cell; the cells
-    on the children of a node compose along dimension k starting at the
-    parent's cell.
+    tree description alone): a node at depth k carries a k-generator; the
+    generators on the children of a node compose along dimension k
+    starting at the parent's generator.
     """
-    if n > x.dim:
-        raise GlobularError(f"dimension {n} above dim {x.dim}")
+    if n > c.dim:
+        raise PastingError(f"dimension {n} above dim {c.dim}")
+    layers = _globular_layers(c, n)
     out = []
     for t in enumerate_trees(n, max_width):
-        for root in x.cells[0]:
-            for sub in _decorations(t, x, 0, root, ()):
+        for root in c.names(0):
+            for sub in _decorations(t, layers, 0, root, ()):
                 labels = tuple(sorted([((), root)] + sub))
                 out.append(DecoratedTree(t, labels))
     return out

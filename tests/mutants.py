@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 LIMITLAB = "src/computadlab/limitlab.py"
 FREECAT = "src/computadlab/freecat.py"
+PASTING = "src/computadlab/pasting.py"
 
 MUTANTS = [
     Mutant("fiber column off by one lane", LIMITLAB,
@@ -85,11 +86,33 @@ MUTANTS = [
     Mutant("verifier skips a step's local check", FREECAT,
            "if not _STEPS[name].check(e, u, v, args):",
            "if False:",
-           ("tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising",)),
+           ("tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising",
+            "tests/test_freecat.py::test_certificate_tampering_is_caught")),
     Mutant("verifier skips a step's premises", FREECAT,
            "if _replay_find(parent, x) != _replay_find(parent, y):",
            "if False:",
-           ("tests/test_freecat.py::test_certificates_hold_exactly_their_proof",)),
+           ("tests/test_freecat.py::test_certificates_hold_exactly_their_proof",
+            "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
+            "[first-step-dropped]")),
+    Mutant("interchange step accepts one index twice", FREECAT,
+           "if not (j != k and _along(nu, j) and _along(nv, k)):",
+           "if not (_along(nu, j) and _along(nv, k)):",
+           ("tests/test_freecat.py::test_interchange_step_needs_two_indices",)),
+    Mutant("lane widths never refuse", LIMITLAB,
+           "if most * most >> fiber_bits:",
+           "if False:",
+           ("tests/test_limitlab.py::test_lane_widths_guard_the_fiber_lane",
+            "tests/test_cli.py::test_a_fiber_lane_overflow_exits_one_with_one_line")),
+    Mutant("decorations skip the source comparison", PASTING,
+           "if s != prev:",
+           "if False:",
+           ("tests/test_pasting.py::test_pasting_cells_respects_endpoints",
+            "tests/test_pasting.py::test_pasting_cells_match_path_oracle_dim1")),
+    Mutant("pasting accepts an attachment that is not a generator", PASTING,
+           "if not all(isinstance(t, Gen) and t.name in below for t in (g.src, g.tgt)):",
+           "if False:",
+           ("tests/test_pasting.py::test_pasting_cells_refuse_scalar2",
+            "tests/test_pasting.py::test_pasting_cells_refuse_a_two_generator_on_points")),
 ]
 
 

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import itertools
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -16,6 +18,7 @@ from computadlab.freecat import (
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
+from computadlab.pasting import pasting_cells
 
 
 def scalar2():
@@ -275,6 +278,10 @@ def test_certificate_tampering_is_caught():
     cert.steps.append((u, v, ("ax", "assoc", 0, u, v)))
     cert.left, cert.right = u, v
     assert not verify_certificate(e, cert)
+    # a congruence step whose premises hold (each side's children are al
+    # and be) but whose sides compose along different indices
+    u, v = e.term_node(Comp(0, al, be)), e.term_node(Comp(1, al, be))
+    assert not verify_certificate(e, Certificate(u, v, [(u, v, ("cong",))]))
 
 
 def test_interchange_step_needs_two_indices():
@@ -423,6 +430,9 @@ MALFORMED = {
     "unit-l-relabelled-idfun": _relabel("unit_l", lambda r: ("ax", "idfun") + r[2:]),
     "interchange-relabelled-assoc": _relabel(
         "interchange", lambda r: ("ax", "assoc", r[2]) + r[4:]),
+    # the first step is a unit_l premise of the interchange step; the steps
+    # left still join left to right, but that step's premise is unproved
+    "first-step-dropped": lambda c, n: (c.left, c.right, c.steps[1:]),
 }
 
 
@@ -736,35 +746,14 @@ def test_dim1_completeness_random_graphs():
         assert got == oracle
 
 
-def test_dim2_classes_match_pasting_diagram_oracle():
-    """Engine cells of the free 2-category on {p; e: p->p; u,v: e => e}
-    agree with the decorated-tree count: a 2-cell is a horizontal row of
-    vertical stacks of 2-cells over e-columns, so both routes (and a
-    closed form) must give the same number."""
-    from computadlab.globular import make_globular
-    from computadlab.pasting import pasting_cells
-
-    fa = free_algebra(whiskers(), Bounds(size=3))
-    rows = fa.enumerate_cells(2)
-
-    x = make_globular(2, [["p"], ["e"], ["u", "v"]],
-                      [{}, {"e": "p"}, {"u": "e", "v": "e"}],
-                      [{}, {"e": "p"}, {"u": "e", "v": "e"}])
-    diagrams = [dt for dt in pasting_cells(x, 2, 3)
-                if sum(1 for path, _ in dt.labels if len(path) == 2) <= 3]
-
-    import itertools
-    closed_form = sum(
-        2 ** sum(js)
-        for m in range(4)
-        for js in itertools.product(range(4), repeat=m)
-        if sum(js) <= 3)
-    assert len(rows) == len(diagrams) == closed_form == 176
-
-
 def loop():
     return loads_computad(resources.files("computadlab")
                           .joinpath("data", "loop.cpd").read_text())
+
+
+def theta2():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "theta2.cpd").read_text())
 
 
 def composites(leaves, indices, size):
@@ -777,12 +766,56 @@ def composites(leaves, indices, size):
     return [t for ts in by_count for t in ts]
 
 
-def whiskers():
+def whiskers(cells=("u", "v")):
     """{p; e: p -> p; u, v: e => e}: 2-cells whiskered by non-trivial
-    1-cells, such as comp_0(id1(gen(e)),gen(u))."""
+    1-cells, such as comp_0(id1(gen(e)),gen(u)). With `cells` one name,
+    the terminal 2-globular computad."""
     e = Gen("e", 1)
     return build_computad([["p"], [("e", Gen("p", 0), Gen("p", 0))],
-                           [("u", e, e), ("v", e, e)]])
+                           [(name, e, e) for name in cells]])
+
+
+def rows_of_stacks(size, labels):
+    """How many 2-cells `whiskers` has within `size`, with `labels`
+    2-generators: a horizontal row of at most `size` e-columns, each a
+    vertical stack of 2-generators, with at most `size` of them in all.
+    Two 2-generators at size 3 give 176."""
+    return sum(labels ** sum(js)
+               for m in range(size + 1)
+               for js in itertools.product(range(size + 1), repeat=m)
+               if sum(js) <= size)
+
+
+@pytest.mark.parametrize("make,size,total", [
+    *((loop, b, b + 1) for b in range(1, 6)),
+    (theta2, 3, 1),
+    (lambda: whiskers(["u"]), 3, rows_of_stacks(3, 1)),
+    (whiskers, 2, rows_of_stacks(2, 2)),
+    (whiskers, 3, rows_of_stacks(3, 2)),
+], ids=[*(f"loop-size{b}" for b in range(1, 6)),
+        "theta2-size3", "terminal2-size3", "whiskers-size2", "whiskers-size3"])
+def test_classes_match_pasting_diagram_oracle(make, size, total):
+    """One globular computad goes to the engine and to the decorated-tree
+    oracle, with width bound = size: the classes of each size and the
+    diagrams with that many top-dimensional labels are equally many, and in
+    dimension 1 each class's (start vertex, generator word) is some
+    diagram's (root label, child labels)."""
+    c = make()
+    n = c.dim
+    levels = free_algebra(c, Bounds(size=size)).levels
+    lv = levels[n]
+    classes = [cls for cls, mset in enumerate(lv.msets) if len(mset) <= size]
+    diagrams = pasting_cells(c, n, size)
+    by_size = Counter(len(lv.msets[cls]) for cls in classes)
+    by_labels = Counter(sum(len(path) == n for path, _ in dt.labels) for dt in diagrams)
+    assert by_size == {k: m for k, m in by_labels.items() if k <= size}
+    assert len(classes) == total
+    if n == 1:
+        words = {(levels[0].reps[lv.src[cls]][4:-1], decode_word(lv.reps[cls]))
+                 for cls in classes}
+        paths = {(labels[()], tuple(labels[(i,)] for i in range(len(labels) - 1)))
+                 for labels in (dict(dt.labels) for dt in diagrams)}
+        assert len(words) == len(classes) and words == paths
 
 
 @pytest.mark.parametrize("make,size,leaves", [

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from computadlab.cli import main
 from computadlab.computads import MAX_DIM, ComputadError, loads_computad
 from computadlab.freecat import FreecatError, term_from_str
-from computadlab.globular import GlobularError
 from computadlab.operads import OperadError, parse_presentation
-from computadlab.pasting import tree_from_str
+from computadlab.pasting import PastingError, tree_from_str
 
 PARSERS = [
     (term_from_str, FreecatError),
     (parse_presentation, OperadError),
     (loads_computad, ComputadError),
-    (tree_from_str, GlobularError),
+    (tree_from_str, PastingError),
 ]
 
 # Pieces of every grammar above. Digits join into numbers of many digits:

@@ -1,8 +1,11 @@
+from importlib import resources
+
 import pytest
 
-from computadlab.globular import GlobularError, make_globular, terminal_globular
+from computadlab.computads import build_computad, loads_computad
+from computadlab.freecat import Gen
 from computadlab.pasting import (
-    LEAF, MAX_TREES, Tree, enumerate_trees, height, node_count, tree_count,
+    LEAF, MAX_TREES, PastingError, Tree, enumerate_trees, height, node_count, tree_count,
     pasting_cells, tree_from_str, tree_to_str, truncate_tree,
 )
 
@@ -37,8 +40,16 @@ def oracle_trees(max_height, width):
             if height(t) <= max_height]
 
 
+def globular(points, *layers):
+    """A computad whose every attachment is a generator: `layers[r - 1]`
+    lists the r-generators as (name, source name, target name)."""
+    return build_computad([points] + [
+        [(name, Gen(s, r), Gen(t, r)) for name, s, t in layer]
+        for r, layer in enumerate(layers)])
+
+
 def loop_graph():
-    return make_globular(1, [["a"], ["f"]], [{}, {"f": "a"}], [{}, {"f": "a"}])
+    return globular(["a"], [("f", "a", "a")])
 
 
 # --- tests ---------------------------------------------------------------------
@@ -116,12 +127,12 @@ def test_serialization_round_trip():
 
 def test_serialization_rejects_bad_input():
     for bad in ["", "(", "(()", "())", "()()", "x"]:
-        with pytest.raises(GlobularError):
+        with pytest.raises(PastingError):
             tree_from_str(bad)
 
 
 def test_pasting_cells_terminal_bijects_with_trees():
-    one = terminal_globular(2)
+    one = globular(["*0"], [("*1", "*0", "*0")], [("*2", "*1", "*1")])
     for width in (1, 2, 3):
         cells = pasting_cells(one, 2, width)
         assert len(cells) == len(enumerate_trees(2, width))
@@ -134,10 +145,7 @@ def test_pasting_cells_loop_paths():
 
 
 def test_pasting_cells_respects_endpoints():
-    g = make_globular(
-        1, [["a", "b", "c"], ["f", "h"]],
-        [{}, {"f": "a", "h": "b"}], [{}, {"f": "b", "h": "c"}],
-    )
+    g = globular(["a", "b", "c"], [("f", "a", "b"), ("h", "b", "c")])
     cells = pasting_cells(g, 1, 2)
     words = set()
     for c in cells:
@@ -148,16 +156,18 @@ def test_pasting_cells_respects_endpoints():
     assert ("h", "f") not in words
 
 
-def path_count_oracle(g, max_len):
-    """Composable edge sequences by depth-first extension."""
-    paths = [(v, ()) for v in g.cells[0]]
+def path_count_oracle(vertices, edges, max_len):
+    """Composable edge sequences by depth-first extension; edges is a list
+    of (name, src, tgt)."""
+    tgt = {e: t for e, _, t in edges}
+    paths = [(v, ()) for v in vertices]
     frontier = list(paths)
     for _ in range(max_len):
         nxt = []
         for start, es in frontier:
-            at = g.tgt[1][es[-1]] if es else start
-            for e in g.cells[1]:
-                if g.src[1][e] == at:
+            at = tgt[es[-1]] if es else start
+            for e, s, _ in edges:
+                if s == at:
                     nxt.append((start, es + (e,)))
         paths.extend(nxt)
         frontier = nxt
@@ -166,17 +176,14 @@ def path_count_oracle(g, max_len):
 
 def test_pasting_cells_match_path_oracle_dim1():
     graphs = [
-        loop_graph(),
-        make_globular(1, [["a", "b"], ["f", "g"]],
-                      [{}, {"f": "a", "g": "a"}], [{}, {"f": "b", "g": "b"}]),
-        make_globular(1, [["a", "b", "c"], ["f", "h", "k"]],
-                      [{}, {"f": "a", "h": "b", "k": "b"}],
-                      [{}, {"f": "b", "h": "c", "k": "a"}]),
+        (["a"], [("f", "a", "a")]),
+        (["a", "b"], [("f", "a", "b"), ("g", "a", "b")]),
+        (["a", "b", "c"], [("f", "a", "b"), ("h", "b", "c"), ("k", "b", "a")]),
     ]
-    for g in graphs:
+    for vertices, edges in graphs:
         for width in (1, 2, 3):
-            cells = pasting_cells(g, 1, width)
-            oracle = [p for p in path_count_oracle(g, width)]
+            cells = pasting_cells(globular(vertices, edges), 1, width)
+            oracle = [p for p in path_count_oracle(vertices, edges, width)]
             assert len(cells) == len(oracle)
 
 
@@ -187,11 +194,7 @@ def test_pasting_cells_dim2_hand_count():
     # over {u, v} but chained vertically: src of the next is tgt of the
     # previous, and both 2-cells here are loops on e, so every assignment
     # works: sum over shapes of 2^(number of depth-2 nodes).
-    x = make_globular(
-        2, [["p"], ["e"], ["u", "v"]],
-        [{}, {"e": "p"}, {"u": "e", "v": "e"}],
-        [{}, {"e": "p"}, {"u": "e", "v": "e"}],
-    )
+    x = globular(["p"], [("e", "p", "p")], [("u", "e", "e"), ("v", "e", "e")])
     cells = pasting_cells(x, 2, 2)
     expected = 0
     for t in enumerate_trees(2, 2):
@@ -203,3 +206,18 @@ def test_pasting_cells_dim2_hand_count():
 def test_node_count():
     assert node_count(LEAF) == 1
     assert node_count(Tree((LEAF, Tree((LEAF,))))) == 4
+
+
+def test_pasting_cells_refuse_scalar2():
+    # alpha and beta are attached to id1(gen(p)), an identity, not a 1-generator
+    scalar2 = loads_computad(resources.files("computadlab")
+                             .joinpath("data", "scalar2.cpd").read_text())
+    with pytest.raises(PastingError, match="alpha"):
+        pasting_cells(scalar2, 2, 1)
+
+
+def test_pasting_cells_refuse_a_two_generator_on_points():
+    p = Gen("p", 0)
+    c = build_computad([["p"], [("e", p, p)], [("u", p, p)]])
+    with pytest.raises(PastingError, match="'u'"):
+        pasting_cells(c, 2, 1)

@@ -15,9 +15,11 @@ uses the name, or once the name is gone.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "computadlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "computadlab"
 
 PASTING_NORMAL_FORM = ("the pasting-diagram normal form for globular computads "
                        "(ROADMAP) builds on it")
@@ -30,9 +32,6 @@ KEPT = {
     "pasting.truncate_tree": PASTING_NORMAL_FORM,
     "pasting.tree_from_str": PASTING_NORMAL_FORM,
     "pasting.pasting_cells": PASTING_NORMAL_FORM,
-    "globular.validate": PASTING_NORMAL_FORM,
-    "globular.make_globular": PASTING_NORMAL_FORM,
-    "globular.terminal_globular": PASTING_NORMAL_FORM,
     "operads.trivial_sym_collection": SLICE_COLLECTIONS,
     "operads.regular_sym_collection": SLICE_COLLECTIONS,
     "computads.theta_computad": "acceptance criterion 1 runs it",
@@ -137,6 +136,14 @@ def test_every_definition_is_used_or_kept():
 def test_kept_names_are_still_unreferenced():
     stale = sorted(set(KEPT) - set(_unreferenced()))
     assert not stale, f"used by the package now, or gone; drop from KEPT: {stale}"
+
+
+def test_readme_module_table_lists_exactly_the_modules():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Modules", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(listed) == sorted(modules)
 
 
 def test_an_attribute_of_the_same_name_is_not_a_use(monkeypatch):

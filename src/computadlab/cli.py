@@ -1,10 +1,10 @@
 """Command-line surface: load inputs, run engines and experiments, emit reports.
 
 Verbs: free, slice, regular, gate, trees, eval. Exit codes: 0 = ran and
-verdict delivered, 1 = input error or exhausted term budget, 2 = internal
-soundness failure (an oracle mismatch is a correctness failure, not a
-verdict). `main` turns every exit-1 and exit-2 exception into one line on
-stderr.
+verdict delivered, 1 = usage error, input error or exhausted term budget,
+2 = internal soundness failure (an oracle mismatch is a correctness failure,
+not a verdict). `main` turns every exit-1 and exit-2 exception into one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -264,6 +264,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError, so they exit
+    1 with one line like every other input error; its subparsers share it."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--bound", type=int, default=4,
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="tabular")
     common.add_argument("--out", default=None, help="write the report to a file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="computadlab",
         description="workbench for computads over the strict-category monad")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -317,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _bounds(args)  # every verb rejects out-of-range --bound and --rounds
         return args.run(args)
     except _INPUT_ERRORS as exc:

@@ -55,15 +55,18 @@ and a locally checkable reason, to a proof forest over the terms
 (proof-producing congruence closure: Nieuwenhuis and Oliveras, RTA 2005;
 Flatt et al., "Small Proofs from Congruence Closure", FMCAD 2022). The
 forest's trees are the classes, so two equal terms are joined by exactly
-one forest path. One table, `_STEPS`, says what each step means: for
-congruence and for each axiom family, the integers its reason carries,
-whether the last two are a matched pattern (p, q), and a local check. A
-step rests on the equalities of u's children to v's children (congruence)
-or to p and q (assoc, interchange), and on nothing else (units, idfun).
-A certificate is the edges of the forest path, each preceded by the
-explanations of the equalities it rests on, so an Equal verdict carries
-its proof and nothing else; `verify_certificate` replays every step along
-one path: well formed, its row's check, its premises already joined.
+one forest path. A reason is the name of its family, followed by the
+matched pattern (p, q) for assoc and interchange and by nothing else:
+every composition index a check needs is read from the two terms' own
+nodes. One table, `_STEPS`, says what each step means: for congruence and
+for each axiom family, whether its reason carries a pattern, and a local
+check. A step rests on the equalities of u's children to v's children
+(congruence) or to p and q (assoc, interchange), and on nothing else
+(units, idfun). A certificate is the edges of the forest path, each
+preceded by the explanations of the equalities it rests on, so an Equal
+verdict carries its proof and nothing else; `verify_certificate` replays
+every step along one path: well formed, its row's check, its premises
+already joined.
 Distinct verdicts come only from invariants preserved by every axiom
 family (generator multiset, boundary classes, and at dimension 1 the
 generator word). Everything else is reported Unknown.
@@ -651,7 +654,7 @@ class Engine:
             if inner is not None:
                 t2 = make(k, nx.a, inner)
                 if t2 is not None:
-                    self._merge(tid, t2, ("ax", "assoc", k, x, b))
+                    self._merge(tid, t2, ("assoc", x, b))
         members = [y for (ky, _, _), y in self.enodes(root[b]).items() if ky == k]
         self.counters["axiom_instances"] += len(members)
         for y in members:
@@ -665,7 +668,7 @@ class Engine:
             if inner is not None:
                 t2 = make(k, inner, ny.b)
                 if t2 is not None:
-                    self._merge(tid, t2, ("ax", "assoc", k, a, y))
+                    self._merge(tid, t2, ("assoc", a, y))
 
     def _interchange_instances(self, tid: int):
         """comp_j(comp_k(x1, x2), comp_k(y1, y2)) =
@@ -705,7 +708,7 @@ class Engine:
                 if left is not None and right is not None:
                     t2 = make(k, left, right)
                     if t2 is not None:
-                        self._merge(tid, t2, ("ax", "interchange", j, k, x, y))
+                        self._merge(tid, t2, ("interchange", x, y))
 
     def _unit_instances(self):
         for root in sorted(self._class_terms.keys()):
@@ -717,7 +720,7 @@ class Engine:
                     if not self._settled(root, k, a, b):
                         t = self.make_comp(k, a, b)
                         if t is not None:
-                            self._merge(t, root, ("ax", family, k))
+                            self._merge(t, root, (family,))
 
     def _identity_functoriality(self):
         """id1(c) = comp_k(id1(a), id1(b)) for each entry (k, a, b) -> c of
@@ -730,7 +733,7 @@ class Engine:
                 continue
             t2 = self.make_comp(k, ids[a], ids[b])
             if t2 is not None:
-                self._merge(ids[c], t2, ("ax", "idfun", k))
+                self._merge(ids[c], t2, ("idfun",))
 
     def saturate(self) -> bool:
         """Alternate generation and axiom rounds until nothing changes.
@@ -887,11 +890,12 @@ class Certificate:
     The steps are proof-forest edges `(u, v, reason)`: those on the forest
     path between `left` and `right`, and before each edge the edges
     explaining the equalities it rests on (`_premises`), each edge once. A
-    reason names a row of `_STEPS`: `("cong",)`, or `("ax", family, ...)`
-    with that row's integers, an assoc or interchange reason ending with
-    its matched pattern (p, q). Verification replays the steps against a
-    fresh union-find, checking each step's reason locally; it never
-    consults the engine's own equivalence.
+    reason is the name of a row of `_STEPS`, followed by the matched pattern
+    (p, q) for assoc and interchange: `("cong",)`, `("assoc", p, q)`,
+    `("interchange", p, q)`, `("unit_l",)`, `("unit_r",)` or `("idfun",)`.
+    Verification replays the steps against a fresh union-find, checking
+    each step's reason locally; it never consults the engine's own
+    equivalence.
     """
 
     left: int
@@ -919,7 +923,7 @@ def certificate(e: Engine, u: int, v: int) -> Certificate:
             if t not in done:
                 todo.append(t)
                 a, b, reason = e._why[t]
-                todo.extend(reversed(_premises(e, a, b, *_family(reason))))
+                todo.extend(reversed(_premises(e, a, b, reason[0], reason[1:])))
     return Certificate(u, v, steps)
 
 
@@ -940,13 +944,14 @@ def _cong_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
 
 
 def _assoc_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """u is a composite along k and v the literal other side on comp(p, q)
-    of comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), or of the mirror
-    comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)."""
-    k, p, q = args
+    """u and v are composites along one index k, and v is the literal other
+    side on comp(p, q) of comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), or
+    of the mirror comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)."""
+    p, q = args
     nodes = e.nodes
     nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
-    if not (_along(nu, k) and _along(nv, k)):
+    k = nu.k
+    if not (nu.kind == CMP and _along(nv, k)):
         return False
     nl, nr = nodes[nv.a], nodes[nv.b]
     return ((_along(np, k) and nv.a == np.a and _along(nr, k)
@@ -956,13 +961,14 @@ def _assoc_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
 
 
 def _interchange_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """u is a composite along j and v the literal other side on comp(p, q)
-    of comp_j(comp_k(p1, p2), comp_k(q1, q2))
-    = comp_k(comp_j(p1, q1), comp_j(p2, q2)), with j != k."""
-    j, k, p, q = args
+    """u is a composite along j, v one along k != j, and v is the literal
+    other side on comp(p, q) of comp_j(comp_k(p1, p2), comp_k(q1, q2))
+    = comp_k(comp_j(p1, q1), comp_j(p2, q2))."""
+    p, q = args
     nodes = e.nodes
     nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
-    if not (j != k and _along(nu, j) and _along(nv, k)):
+    j, k = nu.k, nv.k
+    if not (j != k and nu.kind == nv.kind == CMP):
         return False
     nl, nr = nodes[nv.a], nodes[nv.b]
     return (_along(np, k) and _along(nq, k) and _along(nl, j) and _along(nr, j)
@@ -971,52 +977,38 @@ def _interchange_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
 
 def _unit_ok(e: Engine, u: int, v: int, args: tuple, left: bool) -> bool:
     """u is comp_k(pad, v) on the left or comp_k(v, pad) on the right, pad
-    the identity atom `Engine._unit_pad` gives v on that side."""
-    (k,) = args
+    the identity atom `Engine._unit_pad` gives v on that side along u's k."""
     nu = e.nodes[u]
     pad, body = (nu.a, nu.b) if left else (nu.b, nu.a)
-    return _along(nu, k) and body == v and pad == e._unit_pad(v, k, left)
+    return nu.kind == CMP and body == v and pad == e._unit_pad(v, nu.k, left)
 
 
 def _idfun_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
     """u is id(c) and v is comp_k(id a, id b), where comp_k(a, b) = c one
     dimension down."""
-    (k,) = args
     nodes = e.nodes
     nu, nv = nodes[u], nodes[v]
-    if not (nu.kind == IDA and _along(nv, k)):
+    if not (nu.kind == IDA and nv.kind == CMP):
         return False
     na, nb = nodes[nv.a], nodes[nv.b]
     return (na.kind == IDA and nb.kind == IDA
-            and e.levels[e.dim - 1].comp.get((k, na.lower, nb.lower)) == nu.lower)
+            and e.levels[e.dim - 1].comp.get((nv.k, na.lower, nb.lower)) == nu.lower)
 
 
 class _StepRow(NamedTuple):
-    arity: int  # the integers a reason carries after its family name
-    matched: bool  # the last two of them are a matched pattern (p, q)
+    matched: bool  # the reason carries a matched pattern (p, q)
     check: Callable[[Engine, int, int, tuple], bool]
 
 
 # every family a proof step may name: congruence and the axioms
 _STEPS = {
-    "cong": _StepRow(0, False, _cong_ok),
-    "assoc": _StepRow(3, True, _assoc_ok),
-    "unit_l": _StepRow(1, False, partial(_unit_ok, left=True)),
-    "unit_r": _StepRow(1, False, partial(_unit_ok, left=False)),
-    "interchange": _StepRow(4, True, _interchange_ok),
-    "idfun": _StepRow(1, False, _idfun_ok),
+    "cong": _StepRow(False, _cong_ok),
+    "assoc": _StepRow(True, _assoc_ok),
+    "unit_l": _StepRow(False, partial(_unit_ok, left=True)),
+    "unit_r": _StepRow(False, partial(_unit_ok, left=False)),
+    "interchange": _StepRow(True, _interchange_ok),
+    "idfun": _StepRow(False, _idfun_ok),
 }
-
-
-def _family(reason: tuple) -> tuple:
-    """The family a reason names and the integers after the name. Only
-    `("cong", ...)` names the congruence row and only `("ax", family, ...)`
-    an axiom row; any other shape names no family (None)."""
-    if reason[0] == "cong":
-        return "cong", reason[1:]
-    if reason[0] == "ax" and len(reason) > 1 and reason[1] != "cong":
-        return reason[1], reason[2:]
-    return None, ()
 
 
 def _premises(e: Engine, u: int, v: int, name: str, args: tuple) -> tuple:
@@ -1026,9 +1018,7 @@ def _premises(e: Engine, u: int, v: int, name: str, args: tuple) -> tuple:
     nu, nv = e.nodes[u], e.nodes[v]
     if name == "cong":
         return (nu.a, nv.a), (nu.b, nv.b)
-    if _STEPS[name].matched:
-        return (nu.a, args[-2]), (nu.b, args[-1])
-    return ()
+    return tuple(zip((nu.a, nu.b), args))
 
 
 def _replay_find(parent: dict[int, int], t: int) -> int:
@@ -1039,19 +1029,18 @@ def _replay_find(parent: dict[int, int], t: int) -> int:
 
 
 def _parse(e: Engine, step) -> tuple | None:
-    """A well-formed step as (u, v, family, integers): it names two interned
-    terms and a reason of some row of `_STEPS`, with that row's number of
-    integers, a matched pattern's being interned terms. None otherwise."""
+    """A well-formed step as (u, v, family, pattern): it names two interned
+    terms and a reason that is the name of some row of `_STEPS`, followed by
+    a matched pattern of two interned terms when that row has one and by
+    nothing otherwise. None otherwise."""
     if not (isinstance(step, tuple) and len(step) == 3):
         return None
     u, v, reason = step
     if not (_is_term(e, u) and _is_term(e, v) and isinstance(reason, tuple) and reason):
         return None
-    name, args = _family(reason)
+    name, args = reason[0], reason[1:]
     row = _STEPS.get(name) if isinstance(name, str) else None
-    if (row is None or len(args) != row.arity
-            or not all(isinstance(x, int) for x in args)
-            or row.matched and not all(_is_term(e, t) for t in args[-2:])):
+    if row is None or len(args) != 2 * row.matched or not all(_is_term(e, t) for t in args):
         return None
     return u, v, name, args
 

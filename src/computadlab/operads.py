@@ -422,19 +422,21 @@ def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int], str
     """Compare a computed slice against the oracle for its k: the free
     monoid for k = 1, the free commutative monoid for k >= 2.
 
-    Each class representative maps to its generator word (k = 1) or its
-    sorted generator multiset (k >= 2). The slice matches when this map is a
-    bijection onto the oracle's elements within the size bound: its image is
-    exactly those elements and no two classes share one. Also returns the
-    number of the oracle's elements of each size 0..bound, and the oracle's
-    name."""
+    Each class within the size bound, the rows `enumerate_cells` gives, maps
+    its representative to its generator word (k = 1) or its sorted generator
+    multiset (k >= 2). The slice matches when this map is a bijection onto
+    the oracle's elements within the size bound: its image is exactly those
+    elements and no two classes share one. Also returns the number of the
+    oracle's elements of each size 0..bound, and the oracle's name."""
     first = result.k == 1
     name, oracle = (("free-monoid", free_monoid_elements) if first else
                     ("free-commutative-monoid", free_commutative_monoid_elements))
     size = result.free.bounds.size
     elements = oracle(result.generators, size)
+    level = result.free.levels[result.k]
     image = [word if first else tuple(sorted(word, key=repr))
-             for word in map(_top_generators, result.free.levels[result.k].rep_terms)]
+             for word, mset in zip(map(_top_generators, level.rep_terms), level.msets)
+             if len(mset) <= size]
     ok = len(set(image)) == len(image) and set(image) == set(elements)
     counts = dict.fromkeys(range(size + 1), 0)
     for element in elements:

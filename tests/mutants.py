@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 LIMITLAB = "src/computadlab/limitlab.py"
 FREECAT = "src/computadlab/freecat.py"
 PASTING = "src/computadlab/pasting.py"
+OPERADS = "src/computadlab/operads.py"
+CLI = "src/computadlab/cli.py"
 
 MUTANTS = [
     Mutant("fiber column off by one lane", LIMITLAB,
@@ -95,9 +97,16 @@ MUTANTS = [
             "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
             "[first-step-dropped]")),
     Mutant("interchange step accepts one index twice", FREECAT,
-           "if not (j != k and _along(nu, j) and _along(nv, k)):",
-           "if not (_along(nu, j) and _along(nv, k)):",
+           "if not (j != k and nu.kind == nv.kind == CMP):",
+           "if not (nu.kind == nv.kind == CMP):",
            ("tests/test_freecat.py::test_interchange_step_needs_two_indices",)),
+    Mutant("premises take the matched pattern swapped", FREECAT,
+           "return tuple(zip((nu.a, nu.b), args))",
+           "return tuple(zip((nu.a, nu.b), args[::-1]))",
+           ("tests/test_freecat.py::test_every_forest_edge_replays",
+            "tests/test_freecat.py::test_certificates_hold_exactly_their_proof",
+            "tests/test_freecat.py::test_equal_cells_eckmann_hilton_certified",
+            "tests/test_freecat.py::test_eckmann_hilton_certificate_size_does_not_grow")),
     Mutant("lane widths never refuse", LIMITLAB,
            "if most * most >> fiber_bits:",
            "if False:",
@@ -113,6 +122,17 @@ MUTANTS = [
            "if False:",
            ("tests/test_pasting.py::test_pasting_cells_refuse_scalar2",
             "tests/test_pasting.py::test_pasting_cells_refuse_a_two_generator_on_points")),
+    Mutant("slice oracle reads the classes above the size bound", OPERADS,
+           "level.msets)\n             if len(mset) <= size]",
+           "level.msets)]",
+           ("tests/test_operads.py::test_slice_at_size_zero_is_the_unit",
+            "tests/test_cli.py::test_slice_at_bound_zero_matches")),
+    Mutant("usage errors fall back to argparse's own exit", CLI,
+           'raise InputError(f"{self.prog}: {message}")',
+           "super().error(message)",
+           ("tests/test_cli.py::test_malformed_input_exit_one[usage-gate-without-n]",
+            "tests/test_cli.py::test_malformed_input_exit_one[usage-unknown-verb]",
+            "tests/test_cli.py::test_malformed_input_exit_one[usage-bound-not-a-number]")),
 ]
 
 

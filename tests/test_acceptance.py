@@ -23,6 +23,7 @@ from computadlab.operads import (
     is_strongly_regular_presentation, parse_presentation, slice_of_strict,
     strong_analytic_bijection,
 )
+from oracles import dfs_paths
 
 
 def _report(number, label, limit, fn):
@@ -177,20 +178,6 @@ def _scalar_free_algebra():
 
 def test_criterion_8_oracle_equivalences():
     import random
-
-    def dfs_paths(vertices, edges, max_len):
-        out = [(v, ()) for v in vertices]
-        frontier = list(out)
-        for _ in range(max_len):
-            nxt = []
-            for start, word in frontier:
-                at = next(t for n, s, t in edges if n == word[-1]) if word else start
-                for name, s, t in edges:
-                    if s == at:
-                        nxt.append((start, word + (name,)))
-            out.extend(nxt)
-            frontier = nxt
-        return out
 
     def run():
         from computadlab.computads import build_computad

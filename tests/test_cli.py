@@ -74,6 +74,17 @@ def test_slice_no_generators(capsys):
         assert doc["counts_by_size"][size] == {"classes": 0, "oracle": 0, "match": True}
 
 
+@pytest.mark.parametrize("k,generators", [("1", "3"), ("2", "2")])
+def test_slice_at_bound_zero_matches(capsys, k, generators):
+    """Only the identity class fits size 0; the generators' classes lie
+    above the bound and are neither counted nor read by the oracle."""
+    code, out, err = run(capsys, "slice", "--k", k, "--generators", generators,
+                         "--bound", "0", "--format", "structured")
+    doc = json.loads(out)
+    assert code == 0 and not err and doc["verdict"] == "MATCH"
+    assert doc["counts_by_size"] == {"0": {"classes": 1, "oracle": 1, "match": True}}
+
+
 def test_regular_catalog(capsys):
     code, out, _ = run(capsys, "regular", data_path("monoid.thy"),
                        "--format", "structured")
@@ -198,6 +209,13 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  id="eval-symmetric-arity-above-max"),
     pytest.param(["eval", data_path("bicategory_slice1.json"), "--set", "a,a"], None,
                  None, id="eval-set-repeated"),
+    # usage errors, which argparse alone would end with exit 2 after its usage text
+    pytest.param(["gate"], None, None, id="usage-gate-without-n"),
+    pytest.param(["slice", "--k", "1", "--frob"], None, None, id="usage-unknown-flag"),
+    pytest.param(["frob"], None, None, id="usage-unknown-verb"),
+    pytest.param(["slice", "--k", "1", "--bound", "x"], None, None,
+                 id="usage-bound-not-a-number"),
+    pytest.param([], None, None, id="usage-no-verb"),
     # an exhausted term budget
     pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
     pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),
@@ -217,7 +235,13 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usage:" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "-h"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_bounds_error_states_the_limits(capsys):

@@ -286,6 +286,16 @@ def test_slice_on_empty_set_is_the_unit():
     assert res.counts == {0: 1}
 
 
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 2), (3, 2)])
+def test_slice_at_size_zero_is_the_unit(k, n):
+    """At size 0 the generators' classes lie above the bound: the oracle
+    reads only the identity class, as the counts do."""
+    res = slice_of_strict(k, [f"x{i}" for i in range(n)], Bounds(size=0))
+    assert res.counts == {0: 1}
+    ok, expected, _ = slice_matches_oracle(res)
+    assert ok and expected == {0: 1}
+
+
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 3), (2, 1), (2, 3)])
 def test_slice_oracle_agreement_across_sizes(k, n):
     size = 4

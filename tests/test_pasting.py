@@ -8,6 +8,7 @@ from computadlab.pasting import (
     LEAF, MAX_TREES, PastingError, Tree, enumerate_trees, height, node_count, tree_count,
     pasting_cells, tree_from_str, tree_to_str, truncate_tree,
 )
+from oracles import dfs_paths
 
 # --- independent oracles ------------------------------------------------------
 
@@ -156,24 +157,6 @@ def test_pasting_cells_respects_endpoints():
     assert ("h", "f") not in words
 
 
-def path_count_oracle(vertices, edges, max_len):
-    """Composable edge sequences by depth-first extension; edges is a list
-    of (name, src, tgt)."""
-    tgt = {e: t for e, _, t in edges}
-    paths = [(v, ()) for v in vertices]
-    frontier = list(paths)
-    for _ in range(max_len):
-        nxt = []
-        for start, es in frontier:
-            at = tgt[es[-1]] if es else start
-            for e, s, _ in edges:
-                if s == at:
-                    nxt.append((start, es + (e,)))
-        paths.extend(nxt)
-        frontier = nxt
-    return paths
-
-
 def test_pasting_cells_match_path_oracle_dim1():
     graphs = [
         (["a"], [("f", "a", "a")]),
@@ -183,7 +166,7 @@ def test_pasting_cells_match_path_oracle_dim1():
     for vertices, edges in graphs:
         for width in (1, 2, 3):
             cells = pasting_cells(globular(vertices, edges), 1, width)
-            oracle = [p for p in path_count_oracle(vertices, edges, width)]
+            oracle = dfs_paths(vertices, edges, width)
             assert len(cells) == len(oracle)
 
 

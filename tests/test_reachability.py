@@ -47,6 +47,8 @@ KEPT = {
     "limitlab.PathPreservationSummary.generic_checked": (
         "acceptance criterion 5 and the benchmark's sweep check read how "
         "many cospans the checker saw"),
+    "cli._Parser.error": ("argparse calls it on every usage error, so that "
+                          "error exits 1 with one line"),
     "pasting.DecoratedTree.shape": PASTING_NORMAL_FORM,
     "pasting.DecoratedTree.labels": PASTING_NORMAL_FORM,
 }

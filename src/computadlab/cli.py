@@ -68,10 +68,11 @@ def _tabulate(doc, prefix="") -> list[str]:
 
 
 def cmd_free(args) -> int:
+    bounds = _bounds(args)
     with open(args.computad) as fh:
         text = fh.read()
     c = cpd.loads_computad(text)
-    fa = cpd.free_algebra(c, _bounds(args))  # certifies the attachments
+    fa = cpd.free_algebra(c, bounds)  # certifies the attachments
     dims = {}
     for r in range(c.dim + 1):
         rows = fa.enumerate_cells(r)
@@ -95,10 +96,11 @@ def cmd_free(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    bounds = _bounds(args)
     if args.generators < 0:
         raise InputError("the number of generators must be >= 0")
     gens = [f"x{i}" for i in range(args.generators)]
-    result = operads.slice_of_strict(args.k, gens, _bounds(args))
+    result = operads.slice_of_strict(args.k, gens, bounds)
     ok, expected, oracle_name = operads.slice_matches_oracle(result)
     table = {
         str(s): {"classes": result.counts.get(s, 0),
@@ -273,49 +275,51 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=4,
-                        help="size bound (generator occurrences per cell)")
-    common.add_argument("--rounds", type=int, default=24,
-                        help="saturation round cap")
-    common.add_argument("--format", choices=("tabular", "structured"),
+    # every verb writes a report; only the engine and gate verbs read bounds
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("tabular", "structured"),
                         default="tabular")
-    common.add_argument("--out", default=None, help="write the report to a file")
+    output.add_argument("--out", default=None, help="write the report to a file")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--bound", type=int, default=4,
+                        help="size bound (generator occurrences per cell)")
+    bounds.add_argument("--rounds", type=int, default=24,
+                        help="saturation round cap")
 
     parser = _Parser(
         prog="computadlab",
         description="workbench for computads over the strict-category monad")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("free", parents=[common],
+    p = sub.add_parser("free", parents=[bounds, output],
                        help="free algebra of a computad file")
     p.add_argument("computad")
     p.set_defaults(run=cmd_free)
 
-    p = sub.add_parser("slice", parents=[common],
+    p = sub.add_parser("slice", parents=[bounds, output],
                        help="slice of the strict monad on a finite set")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--generators", type=int, default=2)
     p.set_defaults(run=cmd_slice)
 
-    p = sub.add_parser("regular", parents=[common],
+    p = sub.add_parser("regular", parents=[output],
                        help="strong-regularity check of a presentation")
     p.add_argument("presentation")
     p.set_defaults(run=cmd_regular)
 
-    p = sub.add_parser("gate", parents=[common],
+    p = sub.add_parser("gate", parents=[bounds, output],
                        help="presheaf-topos gate experiments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--graph-vertices", type=int, default=2)
     p.add_argument("--graph-edges", type=int, default=2)
     p.set_defaults(run=cmd_gate)
 
-    p = sub.add_parser("trees", parents=[common], help="enumerate pasting shapes")
+    p = sub.add_parser("trees", parents=[output], help="enumerate pasting shapes")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.set_defaults(run=cmd_trees)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[output],
                        help="evaluate an analytic functor on a set")
     p.add_argument("collection", help="JSON collection file")
     p.add_argument("--set", default="", help="comma-separated elements")
@@ -327,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _bounds(args)  # every verb rejects out-of-range --bound and --rounds
         return args.run(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

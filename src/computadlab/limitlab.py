@@ -30,13 +30,13 @@ as the product of their edge buckets. These are the only producers of a
 cospan's pullback and matching-pair count: the path-count DP reads the edges
 on an unchecked cospan, and the generic path checker checks the pullback and
 the count it is handed on a checked one, whose paths it enumerates and counts
-once. The checker runs once per distinct (matching-pair count, code) in a
-sweep, and every other checked cospan with that pair reuses its passing
-verdict and path count; a failing verdict is never reused. The DP runs once
-per distinct code in a sweep, and every other unchecked cospan with that code
-reuses its count. A row whose every cospan is settled by reuse costs a few
-operations on big integers and one lookup per cospan; the sweep runs the rows
-in the calling process, in cospan order.
+once. A passing check stores its path count under its code, and every
+later checked cospan with that code and that matching-pair count reuses it;
+a failing verdict is never reused. The DP runs once per distinct code in a
+sweep, and every other unchecked cospan with that code reuses its count. A
+row whose every cospan is settled by reuse costs a few operations on big
+integers and one lookup per cospan; the sweep runs the rows in the calling
+process, in cospan order.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import itemgetter, ne
 from struct import iter_unpack
 from typing import NamedTuple
@@ -357,9 +358,9 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     result depends only on `pullback`, `expected` and `max_len`, since x,
     y, f and g are read only to find a failure's witness, and it is
     invariant under an injective relabeling of the pullback's vertices. So
-    a sweep runs the checker once per distinct (matching-pair count,
-    pullback code), the code naming the pullback up to such a relabeling,
-    and every other checked cospan with that pair reuses the passing
+    a sweep stores a passing check's path count under its pullback code,
+    which names the pullback up to such a relabeling, and every other
+    checked cospan with that code and that count reuses the passing
     verdict.
 
     Every path of the pullback is enumerated once by `_path_keys`, keyed
@@ -665,13 +666,13 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     path count are invariant under such a relabeling, and so is the DP's
     count. Hence:
 
-    - a checked cospan whose (matching-pair count, code) has already
-      passed the checker reuses that verdict and its path count, keyed by
-      `code << 32 | count`, one-to-one since `_lane_widths` keeps a count
-      below 2**32. The checker reads x, y, f, g and `y.nv` only in
-      `_first_missing` and `_first_conflation`, which run only on a
-      failure, and a failing result is never reused: every failing cospan
-      gets its own checker call and its own witness;
+    - a passing check stores its path count, equal to its matching-pair
+      count, under its code, and a checked cospan with that code is
+      settled when its own matching-pair count equals the stored one; any
+      other gets its own checker call. The checker reads x, y, f, g and
+      `y.nv` only in `_first_missing` and `_first_conflation`, which run
+      only on a failure, and a failing result is never reused: every
+      failing cospan gets its own checker call and its own witness;
     - an unchecked cospan whose code has already been counted reuses the
       DP's count.
 
@@ -697,7 +698,7 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     count_failures: list = []
     generic_checked = 0
     generic_failures: list = []
-    passed: dict = {}  # code << 32 | count -> paths, of each passing check
+    passed: dict = {}  # code -> paths, of each passing check
     counted: dict = {}  # code -> paths, of each DP count
     for z, x, f, leg_f, row in _cospan_orbits(max_v, max_e, path_len):
         counts, codes = _row_lanes(leg_f, row, max_v, max_e, lane_bytes)
@@ -705,8 +706,7 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
         # the lanes j of the checked cospans c = cospans + 1 + j
         checked = slice((-cospans - 1) % stride, None, stride) if stride else slice(0)
         totals = [None] * n if stride == 1 else list(map(counted.get, codes))
-        totals[checked] = map(passed.get, [code << 32 | count for code, count
-                                           in zip(codes[checked], counts[checked])])
+        totals[checked] = map(passed.get, codes[checked])
         if totals != counts:
             # only the lanes that missed or disagree; the others stay settled
             starts = list(itertools.accumulate(
@@ -719,15 +719,15 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
                 if stride and (cospans + 1 + j) % stride == 0:
                     # the checker enumerates every path of the pullback;
                     # its count stands in for the DP's
-                    total = passed.get(code << 32 | expected)
-                    if total is None:
+                    total = passed.get(code)
+                    if total != expected:
                         res = check_path_cospan(
                             x, y, f, g, path_len,
                             (_pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
                              _pullback_edges(y.nv, leg_f.edges, leg_g.edges)),
                             expected)
                         if res.pullback_ok:
-                            passed[code << 32 | expected] = res.paths
+                            passed[code] = res.paths
                         else:
                             generic_failures.append((z, x, y, f, g, res))
                         total = res.paths
@@ -797,9 +797,11 @@ def _slice_check(label: str, text: str) -> dict:
     }
 
 
-def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
-    """Build the scalar 2-computad cospan {a,b} -> {*} <- {a,b}, push it
-    through the free-algebra engine, and extract the conflated pair."""
+def _scalar_cospan_experiment(bounds: Bounds) -> tuple[list[dict], dict | None]:
+    """Push the scalar 2-computad cospan {a,b} -> {*} <- {a,b} through the
+    free-algebra engine and search its pullback's classes for two with one
+    image; with the witness of the first such pair, replayed through the
+    multiset functor on plain sets, if there is one."""
     cx = operads.k_terminal_computad(2, ["a", "b"])
     cz = operads.k_terminal_computad(2, ["z"])
     fmap = cpd.make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}],
@@ -811,39 +813,33 @@ def _scalar_cospan_witness(bounds: Bounds) -> tuple[dict, list[dict]]:
     lv = fa_p.levels[2]
     conflated = _first_collision((cls, (ind1[cls], ind2[cls]))
                                  for cls in range(lv.n_classes))
+    records = [{"experiment": "engine: free 2-category on the scalar pullback computad",
+                "classes_in_F_P": lv.n_classes,
+                "pairs_in_target": len({(ind1[c], ind2[c]) for c in range(lv.n_classes)}),
+                "is_pullback": conflated is None}]
     if conflated is None:
-        raise LimitError("expected a conflated pair in the scalar cospan")
+        return records, None
     a, b, key = conflated
-    lvx = fa_x.levels[2]
-    witness = {
+    # independent replay through the multiset functor on plain sets
+    f = make_finset_map(("a", "b"), ("z",), lambda _: "z")
+    res = check_cospan(multiset_functor(bounds.size), f, f)
+    records.append(
+        {"experiment": "oracle: multiset functor on the set cospan",
+         "functor": "multiset",
+         "is_pullback": res.pullback_ok,
+         "is_weak_pullback": res.weak_ok,
+         "conflated": [list(map(list, res.conflated[:2])), list(map(list, res.conflated[2]))]
+         if res.conflated else None})
+    return records, {
         "left_class": lv.reps[a],
         "left_multiset": list(lv.msets[a]),
         "right_class": lv.reps[b],
         "right_multiset": list(lv.msets[b]),
-        "common_image": [lvx.reps[key[0]], lvx.reps[key[1]]],
+        "common_image": [fa_x.levels[2].reps[c] for c in key],
         "pullback_generators": pb.computad.names(2),
+        "oracle_replay_conflates": res.conflated is not None,
+        "oracle_replay_weak": res.weak_ok,
     }
-    # independent replay through the multiset functor on plain sets
-    F = multiset_functor(bounds.size)
-    f = make_finset_map(("a", "b"), ("z",), lambda _: "z")
-    res = check_cospan(F, f, f)
-    oracle = {
-        "functor": "multiset",
-        "is_pullback": res.pullback_ok,
-        "is_weak_pullback": res.weak_ok,
-        "conflated": [list(map(list, res.conflated[:2])), list(map(list, res.conflated[2]))]
-        if res.conflated else None,
-    }
-    witness["oracle_replay_conflates"] = res.conflated is not None
-    witness["oracle_replay_weak"] = res.weak_ok
-    experiments = [
-        {"experiment": "engine: free 2-category on the scalar pullback computad",
-         "classes_in_F_P": lv.n_classes,
-         "pairs_in_target": len({(ind1[c], ind2[c]) for c in range(lv.n_classes)}),
-         "is_pullback": False},
-        {"experiment": "oracle: multiset functor on the set cospan", **oracle},
-    ]
-    return witness, experiments
 
 
 def _jsonable(x):
@@ -878,8 +874,22 @@ def _graph_witness(experiment: str, summary: PathPreservationSummary) -> dict:
     return witness
 
 
+def _list_experiment(max_len: int) -> tuple[list[dict], dict | None]:
+    """The list functor on every set cospan of sets of size <= 2; with the
+    witness of the first failing cospan, if any."""
+    F = list_functor(max_len)
+    name = "list functor (first slice) on set cospans"
+    cospans = set_cospans(2)
+    results = [check_cospan(F, f, g) for f, g in cospans]
+    witness = next((_set_witness(name, f, g, r) for (f, g), r in zip(cospans, results)
+                    if not r.pullback_ok), None)
+    return [{"experiment": name, "cospans": len(results),
+             "all_pullback": all(r.pullback_ok for r in results),
+             "all_weak": all(r.weak_ok for r in results)}], witness
+
+
 def _path_experiment(graph_bounds: tuple[int, int],
-                     path_len: int) -> tuple[dict, dict | None]:
+                     path_len: int) -> tuple[list[dict], dict | None]:
     """The free-category functor on every graph cospan within the bounds,
     each one checked by the generic checker, whose path count stands in for
     the path-count DP's; with the witness of the first failing cospan, if
@@ -894,12 +904,12 @@ def _path_experiment(graph_bounds: tuple[int, int],
                          "least 1 vertex and 1 edge")
     summary = run_path_preservation(*graph_bounds, path_len, generic_stride=1)
     name = "free category (path) functor on graph cospans"
-    return {
+    return [{
         "experiment": name,
         "cospans": summary.cospans,
         "all_pullback": summary.all_pullback,
         "all_weak": all(res.weak_ok for *_, res in summary.generic_failures),
-    }, _graph_witness(name, summary) if summary.generic_failures else None
+    }], _graph_witness(name, summary) if summary.generic_failures else None
 
 
 def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
@@ -907,56 +917,36 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
                         path_len: int = 3) -> GateReport:
     """The decisive finite experiments for the strict-category monad.
 
-    n = 1, 2: the free category functor preserves the tested pullbacks
-    (bounded evidence for the presheaf property); should a tested square
-    fail, the verdict is a counterexample whose witness is the first
-    failure of the first failing experiment. The graph cospans go
-    through `run_path_preservation`, the same sweep acceptance criterion 5
-    runs, here with the generic checker on every cospan. Graph bounds below
-    1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`: a pass over
-    zero cases, or over identities only, is not evidence. n = 3: the multiset slice produces a
-    complete finite counterexample; the witness has size 2, so its engine
-    runs at `max(bounds.size, 2)`, and a larger size shows that it persists."""
-    binfo = {"size": bounds.size, "rounds": bounds.rounds,
-             "graph_bounds": list(graph_bounds), "path_len": path_len}
-    if n in (1, 2):
-        slice_checks = [_slice_check("P0 of the strict monad: trivial monoid",
-                                     operads.MONOID_PRESENTATION)]
-        experiments = []
-        witnesses = []  # each experiment's first failure, or None
-        if n == 2:
-            slice_checks.append(_slice_check("P1 of the strict monad: free monoid",
-                                             operads.MONOID_PRESENTATION))
-            F = list_functor(path_len)
-            name = "list functor (first slice) on set cospans"
-            cospans = set_cospans(2)
-            results = [check_cospan(F, f, g) for f, g in cospans]
-            experiments.append(
-                {"experiment": name,
-                 "cospans": len(results),
-                 "all_pullback": all(r.pullback_ok for r in results),
-                 "all_weak": all(r.weak_ok for r in results)})
-            witnesses.append(next((_set_witness(name, f, g, r)
-                                   for (f, g), r in zip(cospans, results)
-                                   if not r.pullback_ok), None))
-        experiment, witness = _path_experiment(graph_bounds, path_len)
-        experiments.append(experiment)
-        witnesses.append(witness)
-        witness = next((w for w in witnesses if w is not None), None)
-        if witness is None:
-            return GateReport("pass-within-bounds", _PASS_WORDING, slice_checks,
-                              experiments, None, binfo)
-        return GateReport("counterexample", _FAIL_WORDING, slice_checks,
-                          experiments, witness, binfo)
-    if n == 3:
-        slice_checks = [
-            _slice_check("P1 of the strict monad: free monoid",
-                         operads.MONOID_PRESENTATION),
-            _slice_check("P2 of the strict monad: free commutative monoid",
-                         operads.COMMUTATIVE_MONOID_PRESENTATION),
-        ]
-        witness, experiments = _scalar_cospan_witness(
-            replace(bounds, size=max(bounds.size, 2)))
-        return GateReport("counterexample", _FAIL_WORDING, slice_checks,
-                          experiments, witness, binfo)
-    raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
+    Each experiment returns its records and the witness of its first
+    failure, or None; the verdict is a counterexample with the first
+    witness found, and a pass within the bounds (bounded evidence for the
+    presheaf property) when there is none. n = 1, 2: the free category
+    functor on graph cospans, through `run_path_preservation`, the same
+    sweep acceptance criterion 5 runs, here with the generic checker on
+    every cospan; at n = 2 the list functor on set cospans first. Graph
+    bounds below 1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`:
+    a pass over zero cases, or over identities only, is not evidence.
+    n = 3: the engine's classes of the scalar pullback computad; the
+    expected witness has size 2, so the engine runs at `max(bounds.size,
+    2)`, and a larger size shows that it persists."""
+    p0 = ("P0 of the strict monad: trivial monoid", operads.MONOID_PRESENTATION)
+    p1 = ("P1 of the strict monad: free monoid", operads.MONOID_PRESENTATION)
+    p2 = ("P2 of the strict monad: free commutative monoid",
+          operads.COMMUTATIVE_MONOID_PRESENTATION)
+    paths = partial(_path_experiment, graph_bounds, path_len)
+    plans = {1: ([p0], [paths]),
+             2: ([p0, p1], [partial(_list_experiment, path_len), paths]),
+             3: ([p1, p2], [partial(_scalar_cospan_experiment,
+                                    replace(bounds, size=max(bounds.size, 2)))])}
+    if n not in plans:
+        raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
+    slices, builders = plans[n]
+    runs = [build() for build in builders]
+    experiments = [record for records, _ in runs for record in records]
+    witness = next((w for _, w in runs if w is not None), None)
+    verdict, wording = (("pass-within-bounds", _PASS_WORDING) if witness is None
+                        else ("counterexample", _FAIL_WORDING))
+    return GateReport(verdict, wording, [_slice_check(*s) for s in slices],
+                      experiments, witness,
+                      {"size": bounds.size, "rounds": bounds.rounds,
+                       "graph_bounds": list(graph_bounds), "path_len": path_len})

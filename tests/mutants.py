@@ -3,14 +3,14 @@
     python tests/mutants.py
 
 Each row of `MUTANTS` plants one fault: in `file`, the exact text `old`
-becomes `new`. The runner first runs every row's tests on an unchanged copy
-of `src/`, `tests/` and `pyproject.toml`, where they must pass. Then, for
-each row, it plants the fault in a fresh copy and runs each of the row's
-tests on its own with `pytest -x -q`; every one of them must fail. A row
-whose old text is missing or not unique fails the runner, and so does a
-test id that pytest cannot collect: a refactor that moves guarded code
-updates the row, or deletes it with a CHANGES.md line that says why. A row
-is never deleted or weakened to make the runner pass.
+becomes `new`. The runner first runs every row's tests on an unchanged
+copy of the files the tier-1 suite reads (`COPIED`), where they must pass.
+Then, for each row, it plants the fault in a fresh copy and runs each of
+the row's tests on its own with `pytest -x -q`; every one of them must
+fail. A row whose old text is missing or not unique fails the runner, and
+so does a test id that pytest cannot collect: a refactor that moves
+guarded code updates the row, or deletes it with a CHANGES.md line that
+says why. A row is never deleted or weakened to make the runner pass.
 
 Exits 1 when any row fails. pytest does not collect this file (it is not
 named `test_*.py`).
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", "BENCHMARK.json")
 
 
 class Mutant(NamedTuple):
@@ -133,6 +133,23 @@ MUTANTS = [
            ("tests/test_cli.py::test_malformed_input_exit_one[usage-gate-without-n]",
             "tests/test_cli.py::test_malformed_input_exit_one[usage-unknown-verb]",
             "tests/test_cli.py::test_malformed_input_exit_one[usage-bound-not-a-number]")),
+    Mutant("trees takes the bound flags it never reads", CLI,
+           'sub.add_parser("trees", parents=[output]',
+           'sub.add_parser("trees", parents=[bounds, output]',
+           ("tests/test_cli.py::test_malformed_input_exit_one[usage-trees-bound]",)),
+    Mutant("the n = 3 verdict is a constant", LIMITLAB,
+           '("pass-within-bounds", _PASS_WORDING) if witness is None',
+           '("pass-within-bounds", _PASS_WORDING) if witness is None and n != 3',
+           ("tests/test_limitlab.py::test_gate_three_verdict_is_read_from_the_engine",)),
+    Mutant("the engine record's is_pullback is a constant", LIMITLAB,
+           '"is_pullback": conflated is None',
+           '"is_pullback": False',
+           ("tests/test_limitlab.py::test_gate_three_verdict_is_read_from_the_engine",)),
+    Mutant("a checked lane reuses a passing verdict of another count", LIMITLAB,
+           "total = passed.get(code)\n                    if total != expected:",
+           "total = passed.get(code)\n                    if total is None:",
+           ("tests/test_limitlab.py::"
+            "test_a_count_unlike_its_codes_passing_count_gets_its_own_check",)),
 ]
 
 

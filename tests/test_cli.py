@@ -216,6 +216,13 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["slice", "--k", "1", "--bound", "x"], None, None,
                  id="usage-bound-not-a-number"),
     pytest.param([], None, None, id="usage-no-verb"),
+    # bound flags on a verb that reads no bounds
+    pytest.param(["trees", "--height", "2", "--width", "2", "--bound", "2"], None, None,
+                 id="usage-trees-bound"),
+    pytest.param(["regular", data_path("monoid.thy"), "--rounds", "3"], None, None,
+                 id="usage-regular-rounds"),
+    pytest.param(["eval", data_path("bicategory_slice1.json"), "--bound", "2"], None,
+                 None, id="usage-eval-bound"),
     # an exhausted term budget
     pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
     pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),
@@ -246,7 +253,7 @@ def test_help_exits_zero(capsys):
 
 def test_bounds_error_states_the_limits(capsys):
     for flag, value in (("--bound", "-1"), ("--rounds", "0")):
-        code, _, err = run(capsys, "trees", "--height", "1", "--width", "1", flag, value)
+        code, _, err = run(capsys, "slice", "--k", "1", flag, value)
         assert code == 1
         assert "size >= 0, rounds >= 1 and max_terms >= 1" in err
 

@@ -431,9 +431,56 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("tamper", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_certificate_is_rejected_without_raising(tamper):
-    e, cert = eckmann_hilton_certificate(2)
+def one_step_certificate(family):
+    """On w -> x -> y -> z with f, g, h, a certificate of one step of
+    `family`: comp_0(comp_0(f,g),h) = comp_0(f,comp_0(g,h)) in dimension 1
+    for assoc, id1(comp_0(f,g)) = comp_0(id1(f),id1(g)) in dimension 2 for
+    idfun."""
+    f, g, h = Gen("f", 1), Gen("g", 1), Gen("h", 1)
+    layers = [["w", "x", "y", "z"],
+              [("f", Gen("w", 0), Gen("x", 0)), ("g", Gen("x", 0), Gen("y", 0)),
+               ("h", Gen("y", 0), Gen("z", 0))]]
+    if family == "assoc":
+        t1, t2 = Comp(0, Comp(0, f, g), h), Comp(0, f, Comp(0, g, h))
+    else:
+        layers.append([])
+        t1, t2 = Id(Comp(0, f, g)), Comp(0, Id(f), Id(g))
+    fa = free_algebra(build_computad(layers), Bounds(size=3))
+    e = fa.engines[fa.dim]
+    verdict, cert = equal_cells(e, t1, t2)
+    assert verdict == EQUAL and verify_certificate(e, cert)
+    assert [step[2][0] for step in cert.steps] == [family]
+    return e, cert
+
+
+def _idfun_as_assoc(c, e):
+    """The one idfun step named assoc, with v's children as its pattern."""
+    [(u, v, _)] = c.steps
+    return c.left, c.right, [(u, v, ("assoc", e.nodes[v].a, e.nodes[v].b))]
+
+
+# a real assoc or idfun step under another family's name, each on the
+# one-step certificate of its own family: that family's check must refuse it
+RELABELLED = {
+    "assoc-relabelled-interchange": ("assoc", _relabel("assoc",
+                                                       lambda r: ("interchange",) + r[1:])),
+    "assoc-relabelled-unit-l": ("assoc", _relabel("assoc", lambda r: ("unit_l",))),
+    "assoc-relabelled-cong": ("assoc", _relabel("assoc", lambda r: ("cong",))),
+    "assoc-relabelled-idfun": ("assoc", _relabel("assoc", lambda r: ("idfun",))),
+    "idfun-relabelled-unit-l": ("idfun", _relabel("idfun", lambda r: ("unit_l",))),
+    "idfun-relabelled-unit-r": ("idfun", _relabel("idfun", lambda r: ("unit_r",))),
+    "idfun-relabelled-cong": ("idfun", _relabel("idfun", lambda r: ("cong",))),
+    "idfun-relabelled-assoc": ("idfun", _idfun_as_assoc),
+}
+
+
+@pytest.mark.parametrize("base, tamper", [
+    pytest.param(lambda: eckmann_hilton_certificate(2), tamper, id=name)
+    for name, tamper in MALFORMED.items()] + [
+    pytest.param(lambda family=family: one_step_certificate(family), tamper, id=name)
+    for name, (family, tamper) in RELABELLED.items()])
+def test_malformed_certificate_is_rejected_without_raising(base, tamper):
+    e, cert = base()
     left, right, steps = tamper(cert, e)
     assert verify_certificate(e, Certificate(left, right, steps)) is False
 

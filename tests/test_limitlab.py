@@ -8,7 +8,7 @@ from operator import itemgetter, mul
 
 import pytest
 
-from computadlab import limitlab
+from computadlab import computads, limitlab
 from computadlab.freecat import Bounds
 from computadlab.limitlab import (
     CospanResult, FinSetMap, GraphData, GraphMap, LimitError, Square,
@@ -523,6 +523,26 @@ def test_count_failures_caught_on_checked_cospans(monkeypatch):
             == [tuple(entry[:5]) for entry in broken[1].count_failures])
 
 
+def test_a_count_unlike_its_codes_passing_count_gets_its_own_check(monkeypatch):
+    """A checked cospan is settled by its code's passing check only when
+    its own matching-pair count equals the count that check stored. With
+    the last count of every row one too high, each such cospan gets its
+    own checker call, which fails it, so at stride 1 the count failures
+    and the checker's failures are the same cospans."""
+    original = limitlab._row_lanes
+
+    def bump_last(*args):
+        counts, codes = original(*args)
+        counts[-1] += 1
+        return counts, codes
+
+    monkeypatch.setattr(limitlab, "_row_lanes", bump_last)
+    summary = run_path_preservation(2, 2, 3, generic_stride=1)
+    assert len(summary.count_failures) > 20
+    assert ([tuple(entry[:5]) for entry in summary.generic_failures]
+            == [tuple(entry[:5]) for entry in summary.count_failures])
+
+
 def _patch_checker(monkeypatch, act):
     """check_path_cospan runs `act(x, y, f, g, result)` after each check."""
     original = limitlab.check_path_cospan
@@ -850,6 +870,20 @@ def test_gate_three_failure_persists_at_larger_bounds():
     report = computad_topos_gate(3, Bounds(size=3))
     assert report.verdict == "counterexample"
     assert report.witness["oracle_replay_conflates"]
+
+
+def test_gate_three_verdict_is_read_from_the_engine(monkeypatch):
+    # every class of the pullback is its own image, so no two share one:
+    # the engine finds no witness, and there is nothing to replay
+    monkeypatch.setattr(computads, "induced_class_map",
+                        lambda fa_dom, fa_cod, m, r: list(range(fa_dom.levels[r].n_classes)))
+    report = computad_topos_gate(3, Bounds(size=2))
+    assert report.verdict == "pass-within-bounds"
+    assert report.wording == limitlab._PASS_WORDING
+    assert report.witness is None
+    [engine] = report.experiments
+    assert engine["is_pullback"] is True
+    assert engine["classes_in_F_P"] == engine["pairs_in_target"]
 
 
 def test_gate_rejects_unsupported_dimension():

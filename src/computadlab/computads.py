@@ -74,13 +74,12 @@ class FreeAlgebra:
 
     @property
     def fixed_point(self) -> bool:
-        return all(e.fixed_point for e in self.engines[1:] if e is not None)
+        return all(e.fixed_point for e in self.engines[1:])
 
     @property
     def partial(self) -> bool:
         """True when some bound truncated the cell sets below the free algebra."""
-        return any(e.partial_lower or e.saw_size_cut
-                   for e in self.engines[1:] if e is not None)
+        return any(e.partial_lower or e.saw_size_cut for e in self.engines[1:])
 
     def partiality_marker(self) -> str:
         return f"partial up to size {self.bounds.size}" if self.partial else "complete at this size"
@@ -257,10 +256,11 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     pullback-so-far that maps to both constituents' attachments; of several,
     the first in class order is taken. When no such class exists the
     construction fails, and `ComputadError` names the pair. The pullback's
-    free algebra is one climb: each new layer is saturated once, on top of
-    the levels that resolved its attachments, and the last step certifies
-    the pullback computad. The report keeps that algebra, along with the
-    free algebra on `f.dom` that the construction saturated.
+    free algebra is one climb: each layer is saturated once, in the pass
+    that builds it, on top of the levels that resolved its attachments, and
+    the last pass certifies the pullback computad. The report keeps that
+    algebra, along with the free algebra on `f.dom` that the construction
+    saturated.
     """
     if f.cod is not g.cod:
         raise ComputadError("pullback requires a common codomain")
@@ -278,8 +278,6 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
             decls = [GeneratorDecl(name) for name in names]
             fa = FreeAlgebra(p, bounds, [level_zero(names)], [None])
         else:
-            if r >= 2:
-                _climb(fa, layers[r - 1])
             lv = fa.levels[r - 1]
             # (image in X, image in Y) -> the first class over that pair
             over: dict = {}
@@ -296,11 +294,10 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
                                             f"({dx.name},{dy.name})")
                     sides.append(lv.rep_terms[c])
                 decls.append(GeneratorDecl(name, *sides))
+            _climb(fa, decls)
         layers.append(decls)
         proj1.gen_maps.append({name: dx.name for name, (dx, _) in zip(names, pairs)})
         proj2.gen_maps.append({name: dy.name for name, (_, dy) in zip(names, pairs)})
-    if n >= 1:
-        _climb(fa, layers[n])
     return ComputadPullbackReport(p, proj1, proj2, fa, fa_x)
 
 
@@ -332,7 +329,7 @@ def _parse_natural(word: str, what: str, lineno: int) -> int:
 def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
     """Parse the text format. Only syntax, dimensions, names and duplicates
     are checked here; `free_algebra` certifies the attachments. `bounds` is
-    unused, kept for callers that still pass it."""
+    unused; it stays because the benchmark's workloads still pass it."""
     dim = None
     layers: list[list] = []
     gen_dims: dict[str, int] = {}

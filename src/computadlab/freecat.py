@@ -102,7 +102,7 @@ class Term:
 @dataclass(frozen=True)
 class Gen(Term):
     name: str
-    dim: int = -1
+    dim: int
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,11 @@ def term_to_str(t: Term) -> str:
     raise FreecatError(f"not a term: {t!r}")
 
 
-def term_from_str(s: str, gen_dims=None) -> Term:
-    """Parse the prefix syntax gen(id), id1(t), comp_k(t,u). A negative k
-    is an error. Given `gen_dims` (name -> dimension), so is a name outside
-    it and a k at or above the dimension of the composed cells."""
+def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
+    """Parse the prefix syntax gen(id), id1(t), comp_k(t,u), each generator
+    taking its dimension from `gen_dims` (name -> dimension). A name outside
+    it is an error, and so is a negative k or one at or above the dimension
+    of the composed cells."""
     s = s.strip()
 
     def parse(i: int) -> tuple[Term, int]:
@@ -159,8 +160,6 @@ def term_from_str(s: str, gen_dims=None) -> Term:
             if depth:
                 raise FreecatError("unbalanced parentheses in gen(...)")
             name = s[j + 1 : k - 1].strip()
-            if gen_dims is None:
-                return Gen(name), k
             if name not in gen_dims:
                 raise FreecatError(f"unknown generator {name!r}")
             return Gen(name, gen_dims[name]), k
@@ -177,7 +176,7 @@ def term_from_str(s: str, gen_dims=None) -> Term:
             if idx < 0:
                 raise FreecatError(f"negative composition index in {head!r}")
             left, k = parse(j + 1)
-            if gen_dims is not None and idx >= term_dim(left):
+            if idx >= term_dim(left):
                 raise FreecatError(f"composition index {idx} in {head!r} is not "
                                    f"below the operands' dimension {term_dim(left)}")
             if k >= len(s) or s[k] != ",":
@@ -208,7 +207,7 @@ def rename_gens(t: Term, names: dict[str, str]) -> Term:
 # --- frozen levels -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Level:
     """One dimension of a computed free algebra, frozen for reuse above."""
 
@@ -218,8 +217,8 @@ class Level:
     src: list[int]  # class -> class one dimension down ([] at dim 0)
     tgt: list[int]
     comp: dict[tuple[int, int, int], int]  # (k, a, b) -> class, partial
+    ids: list[int]  # class one dimension down -> its identity's class
     gen_class: dict[str, int]
-    idmap: list[int] | None = None  # filled when the next engine freezes
 
     @property
     def n_classes(self) -> int:
@@ -239,6 +238,7 @@ def level_zero(names: list[str]) -> Level:
         src=[],
         tgt=[],
         comp={},
+        ids=[],
         gen_class={n: i for i, n in enumerate(names)},
     )
 
@@ -250,19 +250,14 @@ def class_in_level(levels: list[Level], t: Term, d: int) -> int | None:
     """
     lv = levels[d]
     if isinstance(t, Gen):
-        if t.dim not in (-1, d):
+        if t.dim != d:
             raise FreecatError(f"generator {t.name} has dim {t.dim}, expected {d}")
         if t.name not in lv.gen_class:
             raise FreecatError(f"unknown generator {t.name!r} in dimension {d}")
         return lv.gen_class[t.name]
     if isinstance(t, Id):
         below = class_in_level(levels, t.body, d - 1)
-        if below is None:
-            return None
-        idmap = levels[d - 1].idmap
-        if idmap is None:
-            raise FreecatError(f"identity table for dimension {d} not frozen yet")
-        return idmap[below]
+        return None if below is None else lv.ids[below]
     if isinstance(t, Comp):
         a = class_in_level(levels, t.left, d)
         b = class_in_level(levels, t.right, d)
@@ -515,11 +510,8 @@ class Engine:
         the right. Reads only the nodes, the frozen levels and the atoms."""
         node, d = self.nodes[t], self.dim - 1
         cls = self._descend_src(node.src, d, k) if left else self._descend_tgt(node.tgt, d, k)
-        for r in range(k, d):
-            idmap = self.levels[r].idmap
-            if idmap is None:
-                raise FreecatError(f"identity table above dimension {r} not frozen")
-            cls = idmap[cls]
+        for lv in self.levels[k + 1 : d + 1]:
+            cls = lv.ids[cls]
         return self.id_atoms[cls]
 
     def make_comp(self, k: int, ta: int, tb: int) -> int | None:
@@ -786,7 +778,8 @@ class Engine:
         return UNKNOWN, None
 
     def freeze(self) -> Level:
-        """Snapshot classes into a Level and fill the identity table below.
+        """Snapshot classes into a Level, with its composition table and the
+        identity table from the level below.
 
         A class is represented by its least term in `(length, string)` order
         among those the composition table derives: its generator or identity
@@ -842,25 +835,24 @@ class Engine:
         order = sorted(self.classes(),
                        key=lambda r: (len(nodes[r].mset), nodes[r].mset, text[r]))
         canon = {r: i for i, r in enumerate(order)}
-        lv = Level(
-            reps=[text[r] for r in order],
-            rep_terms=[trees[r] for r in order],
-            msets=[nodes[r].mset for r in order],
-            src=[nodes[r].src for r in order],
-            tgt=[nodes[r].tgt for r in order],
-            comp={},
-            gen_class={name: canon[root[t]] for name, t in self.gen_atoms.items()},
-        )
+        comp: dict[tuple[int, int, int], int] = {}
         for tid, node in enumerate(nodes):
             if node.kind != CMP:
                 continue
             key = (node.k, canon[root[node.a]], canon[root[node.b]])
             val = canon[root[tid]]
-            old = lv.comp.setdefault(key, val)
-            if old != val:
+            if comp.setdefault(key, val) != val:
                 raise SoundnessError("composition table is not single-valued")
-        below.idmap = [canon[root[t]] for t in self.id_atoms]
-        return lv
+        return Level(
+            reps=[text[r] for r in order],
+            rep_terms=[trees[r] for r in order],
+            msets=[nodes[r].mset for r in order],
+            src=[nodes[r].src for r in order],
+            tgt=[nodes[r].tgt for r in order],
+            comp=comp,
+            ids=[canon[root[t]] for t in self.id_atoms],
+            gen_class={name: canon[root[t]] for name, t in self.gen_atoms.items()},
+        )
 
 
 # --- module-level operations ----------------------------------------------------

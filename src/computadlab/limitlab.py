@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter, ne
@@ -520,21 +519,20 @@ def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData,
 class _Row(NamedTuple):
     """The right legs of one row of cospans, packed into lanes.
 
-    `groups` lists `(y, members)` in cospan order, `members` being the
-    `(g, leg_g)` of y; lane j is the j-th g of the row. Each path p of z
-    has a fiber column, an int whose 32-bit lane j holds g_j's fiber over
-    p. Each vertex, then edge, of z has a code column, whose lane j holds
-    g_j's code bits (see `_Leg`)."""
+    `lanes` lists `(y, g, leg_g)` in cospan order; lane j is its j-th g.
+    Each path p of z has a fiber column, an int whose 32-bit lane j holds
+    g_j's fiber over p. Each vertex, then edge, of z has a code column,
+    whose lane j holds g_j's code bits (see `_Leg`)."""
 
-    groups: list
+    lanes: list
     fibers: list  # per path of z, its fiber column
     codes: list  # per vertex, then edge, of z, its code column
 
 
-def _pack_row(groups: list, npaths: int, fiber_bytes: int, code_bytes: int,
+def _pack_row(lanes: list, npaths: int, fiber_bytes: int, code_bytes: int,
               max_v: int, max_e: int) -> _Row:
-    """The `_Row` of the legs in `groups`, among `npaths` paths of z."""
-    legs = [leg for _, members in groups for _, leg in members]
+    """The `_Row` of the legs in `lanes`, among `npaths` paths of z."""
+    legs = [leg for _, _, leg in lanes]
     n = len(legs)
     counts = array(_FIBER_TYPE, bytes(fiber_bytes * n * npaths))
     for j, leg in enumerate(legs):
@@ -548,7 +546,7 @@ def _pack_row(groups: list, npaths: int, fiber_bytes: int, code_bytes: int,
                for es in leg.edges] for leg in legs]
     codes = [int.from_bytes(b"".join(c.to_bytes(code_bytes, order) for c in column),
                             order) for column in zip(*bits)]
-    return _Row(groups, fibers, codes)
+    return _Row(lanes, fibers, codes)
 
 
 def _row_lanes(leg_f: _Leg, row: _Row, max_v: int, max_e: int,
@@ -562,7 +560,7 @@ def _row_lanes(leg_f: _Leg, row: _Row, max_v: int, max_e: int,
     (`_lane_widths`), so no lane carries into the next."""
     fiber_bytes, code_bytes = lane_bytes
     order = sys.byteorder
-    n = sum(len(members) for _, members in row.groups)
+    n = len(row.lanes)
     counts = sum(map(row.fibers.__getitem__, leg_f.fibers))
     counts = array(_FIBER_TYPE, counts.to_bytes(fiber_bytes * n, order)).tolist()
     square, span = max_v * max_v, max_v * max_v * max_e
@@ -593,8 +591,7 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
     postcompositions with every automorphism of Z are computed. Within one
     Z, the representatives g depend on f only through its stabilizer, so
     each stabilizer packs its row once and every f with that stabilizer
-    shares it; a trivial stabilizer's row lists each Y's whole
-    `(g, leg_g)` list."""
+    shares it; a trivial stabilizer's row lists every hom g into Z."""
     lane_bytes = _lane_widths(max_v, max_e, path_len)
     graphs = enumerate_graphs(max_v, max_e)
     paths = [graph_paths(x, path_len) for x in graphs]
@@ -615,13 +612,12 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
                 stab = tuple(n for n, km in enumerate(mapped) if km == kf)[1:]
                 row = rows.get(stab)
                 if row is None:
-                    groups = [(y, [(g, leg_g) for (g, leg_g), keys_g in zip(members_y, keys_y)
-                                   if not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
-                               if stab else members_y)
-                              for y, members_y, keys_y in side]
-                    row = rows[stab] = _pack_row(
-                        [(y, members) for y, members in groups if members],
-                        len(zpaths), *lane_bytes, max_v, max_e)
+                    lanes = [(y, g, leg_g) for y, members_y, keys_y in side
+                             for (g, leg_g), keys_g in zip(members_y, keys_y)
+                             if not stab
+                             or not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
+                    row = rows[stab] = _pack_row(lanes, len(zpaths), *lane_bytes,
+                                                 max_v, max_e)
                 yield z, x, f, leg_f, row
 
 
@@ -709,12 +705,8 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
         totals[checked] = map(passed.get, codes[checked])
         if totals != counts:
             # only the lanes that missed or disagree; the others stay settled
-            starts = list(itertools.accumulate(
-                (len(members) for _, members in row.groups), initial=0))
             for j in itertools.compress(range(n), map(ne, totals, counts)):
-                k = bisect_right(starts, j) - 1
-                y, members = row.groups[k]
-                g, leg_g = members[j - starts[k]]
+                y, g, leg_g = row.lanes[j]
                 expected, code = counts[j], codes[j]
                 if stride and (cospans + 1 + j) % stride == 0:
                     # the checker enumerates every path of the pullback;

@@ -107,6 +107,22 @@ MUTANTS = [
             "tests/test_freecat.py::test_certificates_hold_exactly_their_proof",
             "tests/test_freecat.py::test_equal_cells_eckmann_hilton_certified",
             "tests/test_freecat.py::test_eckmann_hilton_certificate_size_does_not_grow")),
+    Mutant("idfun step skips its lower composite", FREECAT,
+           "return (na.kind == IDA and nb.kind == IDA\n"
+           "            and e.levels[e.dim - 1].comp.get((nv.k, na.lower, nb.lower)) == nu.lower)",
+           "return na.kind == IDA and nb.kind == IDA",
+           ("tests/test_freecat.py::test_an_idfun_step_needs_its_identities_to_compose_to_u",)),
+    Mutant("unit step accepts any body", FREECAT,
+           "return nu.kind == CMP and body == v and pad == e._unit_pad(v, nu.k, left)",
+           "return nu.kind == CMP and pad == e._unit_pad(v, nu.k, left)",
+           ("tests/test_freecat.py::test_a_unit_step_needs_v_as_its_body",)),
+    Mutant("identity table keeps engine term ids", FREECAT,
+           "ids=[canon[root[t]] for t in self.id_atoms]",
+           "ids=[root[t] for t in self.id_atoms]",
+           ("tests/test_freecat.py::test_each_level_holds_its_identity_table_when_frozen",
+            "tests/test_freecat.py::test_dim1_completeness_random_graphs",
+            "tests/test_freecat.py::"
+            "test_each_representative_is_its_class_least_term[scalar2-size4]")),
     Mutant("lane widths never refuse", LIMITLAB,
            "if most * most >> fiber_bits:",
            "if False:",

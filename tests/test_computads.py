@@ -183,7 +183,7 @@ def test_pullback_algebra_climb_matches_fresh_saturation(case):
     fresh = free_algebra(rep.computad, Bounds(size=3))
     assert len(rep.free.levels) == len(fresh.levels) == rep.computad.dim + 1
     for climbed, ref in zip(rep.free.levels, fresh.levels):
-        for table in ("reps", "msets", "src", "tgt", "comp", "gen_class", "idmap"):
+        for table in ("reps", "msets", "src", "tgt", "comp", "gen_class", "ids"):
             assert getattr(climbed, table) == getattr(ref, table), table
 
 

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from importlib import resources
 
 import pytest
@@ -43,6 +44,13 @@ def graph_computad(vertices, edges):
     return build_computad(layers)
 
 
+def path_computad(dim):
+    """w -> x -> y -> z with f, g, h, and nothing above up to `dim`."""
+    return build_computad([["w", "x", "y", "z"],
+                           [("f", Gen("w", 0), Gen("x", 0)), ("g", Gen("x", 0), Gen("y", 0)),
+                            ("h", Gen("y", 0), Gen("z", 0))]] + [[]] * (dim - 1))
+
+
 def scalar_computad(names):
     pt = Gen("p", 0)
     return build_computad([["p"], [], [(n, Id(pt), Id(pt)) for n in names]])
@@ -57,9 +65,15 @@ def random_graph(rng, max_v=4, max_e=5):
     return vertices, edges
 
 
-def decode_word(rep: str) -> tuple:
-    """Generator leaves of a dimension-1 representative, left to right."""
-    t = term_from_str(rep)
+def gen_dims(c) -> dict[str, int]:
+    """Each generator name of computad c -> its dimension."""
+    return {name: r for r in range(c.dim + 1) for name in c.names(r)}
+
+
+def decode_word(rep: str, c) -> tuple:
+    """Generator leaves of a dimension-1 representative of computad c, left
+    to right."""
+    t = term_from_str(rep, gen_dims(c))
 
     def leaves(u):
         if isinstance(u, Gen):
@@ -90,7 +104,7 @@ def test_term_syntax_round_trip():
 def test_term_syntax_rejects_garbage():
     for bad in ["gen(", "comp_x(gen(a),gen(b))", "id1(gen(a)) extra", "foo(a)"]:
         with pytest.raises(FreecatError):
-            term_from_str(bad)
+            term_from_str(bad, {"a": 0, "b": 0})
 
 
 # --- generation ------------------------------------------------------------------
@@ -108,7 +122,7 @@ def test_two_loops_generate_paths():
     c = graph_computad(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
     fa = free_algebra(c, Bounds(size=2))
     rows = fa.enumerate_cells(1)
-    words = {decode_word(rep) for rep, _ in rows}
+    words = {decode_word(rep, c) for rep, _ in rows}
     assert words == {(), ("f",), ("g",), ("f", "g"), ("g", "f")}
     # two identity classes share the empty word but have different endpoints
     assert fa.levels[1].n_classes == 6
@@ -120,6 +134,20 @@ def test_boundary_checks_on_terms():
     e = fa.engines[1]
     assert e.term_node(Comp(0, Gen("f", 1), Gen("f", 1))) is None  # b != a
     assert e.term_node(Comp(0, Id(Gen("a", 0)), Gen("f", 1))) is not None
+
+
+def test_each_level_holds_its_identity_table_when_frozen():
+    """Level d sends each class one dimension down to its identity's class,
+    whose least term here is id1 of that class's representative. A frozen
+    level takes no later write."""
+    for c in (scalar_computad(["al", "be"]), path_computad(2)):
+        levels = free_algebra(c, Bounds(size=3)).levels
+        assert levels[0].ids == []
+        for below, lv in zip(levels, levels[1:]):
+            assert [lv.reps[i] for i in lv.ids] == [f"id1({rep})" for rep in below.reps]
+            assert all(lv.msets[i] == () for i in lv.ids)
+        with pytest.raises(FrozenInstanceError):
+            levels[-1].ids = []
 
 
 # --- saturation ------------------------------------------------------------------
@@ -432,21 +460,15 @@ MALFORMED = {
 
 
 def one_step_certificate(family):
-    """On w -> x -> y -> z with f, g, h, a certificate of one step of
-    `family`: comp_0(comp_0(f,g),h) = comp_0(f,comp_0(g,h)) in dimension 1
-    for assoc, id1(comp_0(f,g)) = comp_0(id1(f),id1(g)) in dimension 2 for
-    idfun."""
+    """On `path_computad`, a certificate of one step of `family`:
+    comp_0(comp_0(f,g),h) = comp_0(f,comp_0(g,h)) in dimension 1 for assoc,
+    id1(comp_0(f,g)) = comp_0(id1(f),id1(g)) in dimension 2 for idfun."""
     f, g, h = Gen("f", 1), Gen("g", 1), Gen("h", 1)
-    layers = [["w", "x", "y", "z"],
-              [("f", Gen("w", 0), Gen("x", 0)), ("g", Gen("x", 0), Gen("y", 0)),
-               ("h", Gen("y", 0), Gen("z", 0))]]
     if family == "assoc":
-        t1, t2 = Comp(0, Comp(0, f, g), h), Comp(0, f, Comp(0, g, h))
+        dim, t1, t2 = 1, Comp(0, Comp(0, f, g), h), Comp(0, f, Comp(0, g, h))
     else:
-        layers.append([])
-        t1, t2 = Id(Comp(0, f, g)), Comp(0, Id(f), Id(g))
-    fa = free_algebra(build_computad(layers), Bounds(size=3))
-    e = fa.engines[fa.dim]
+        dim, t1, t2 = 2, Id(Comp(0, f, g)), Comp(0, Id(f), Id(g))
+    e = free_algebra(path_computad(dim), Bounds(size=3)).engines[dim]
     verdict, cert = equal_cells(e, t1, t2)
     assert verdict == EQUAL and verify_certificate(e, cert)
     assert [step[2][0] for step in cert.steps] == [family]
@@ -483,6 +505,31 @@ def test_malformed_certificate_is_rejected_without_raising(base, tamper):
     e, cert = base()
     left, right, steps = tamper(cert, e)
     assert verify_certificate(e, Certificate(left, right, steps)) is False
+
+
+def test_an_idfun_step_needs_its_identities_to_compose_to_u():
+    # id1(comp_0(f,g)) and comp_0(id1(g),id1(h)) have the shapes of an
+    # idfun step, but comp_0(g,h) is not comp_0(f,g)
+    e = free_algebra(path_computad(2), Bounds(size=3)).engines[2]
+    f, g, h = Gen("f", 1), Gen("g", 1), Gen("h", 1)
+    u = e.term_node(Id(Comp(0, f, g)))
+    good, bad = e.term_node(Comp(0, Id(f), Id(g))), e.term_node(Comp(0, Id(g), Id(h)))
+    assert e.verdict(u, bad)[0] == DISTINCT
+    assert verify_certificate(e, Certificate(u, good, [(u, good, ("idfun",))]))
+    assert not verify_certificate(e, Certificate(u, bad, [(u, bad, ("idfun",))]))
+
+
+def test_a_unit_step_needs_v_as_its_body():
+    # on one vertex p with loops f and g, comp_0(id1(p),f) pads g's source
+    # too, but its body is f, not g
+    e = free_algebra(graph_computad(["p"], [("f", "p", "p"), ("g", "p", "p")]),
+                     Bounds(size=2)).engines[1]
+    f, g = Gen("f", 1), Gen("g", 1)
+    u = e.term_node(Comp(0, Id(Gen("p", 0)), f))
+    good, bad = e.term_node(f), e.term_node(g)
+    assert e.verdict(u, bad)[0] == DISTINCT
+    assert verify_certificate(e, Certificate(u, good, [(u, good, ("unit_l",))]))
+    assert not verify_certificate(e, Certificate(u, bad, [(u, bad, ("unit_l",))]))
 
 
 def test_unknown_is_honest_for_parallel_nonscalar_squares():
@@ -778,10 +825,9 @@ def test_dim1_completeness_random_graphs():
         rows = fa.enumerate_cells(1)
         got = set()
         for rep, _ in rows:
-            word = decode_word(rep)
+            word = decode_word(rep, c)
             lv = fa.levels[1]
-            cls = fa.class_of_term(term_from_str(rep, {v: 0 for v in vertices}
-                                                 | {n: 1 for n, _, _ in edges}))
+            cls = fa.class_of_term(term_from_str(rep, gen_dims(c)))
             start = fa.levels[0].reps[lv.src[cls]][4:-1]
             got.add((start, word))
         oracle = set(dfs_paths(vertices, edges, 3))
@@ -853,7 +899,7 @@ def test_classes_match_pasting_diagram_oracle(make, size, total):
     assert by_size == {k: m for k, m in by_labels.items() if k <= size}
     assert len(classes) == total
     if n == 1:
-        words = {(levels[0].reps[lv.src[cls]][4:-1], decode_word(lv.reps[cls]))
+        words = {(levels[0].reps[lv.src[cls]][4:-1], decode_word(lv.reps[cls], c))
                  for cls in classes}
         paths = {(labels[()], tuple(labels[(i,)] for i in range(len(labels) - 1)))
                  for labels in (dict(dt.labels) for dt in diagrams)}

@@ -272,9 +272,8 @@ def _cospans(max_v, max_e, path_len):
     c = 0
     for z, x, f, leg_f, row in _cospan_orbits(max_v, max_e, path_len):
         counts, codes = limitlab._row_lanes(leg_f, row, max_v, max_e, lane_bytes)
-        lanes = [(y, g, leg_g) for y, members in row.groups for g, leg_g in members]
-        assert len(lanes) == len(counts) == len(codes)
-        for (y, g, leg_g), count, code in zip(lanes, counts, codes):
+        assert len(row.lanes) == len(counts) == len(codes)
+        for (y, g, leg_g), count, code in zip(row.lanes, counts, codes):
             c += 1
             yield c, z, x, y, f, g, leg_f, leg_g, count, code
 

@@ -11,11 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from computadlab import freecat
 from computadlab.cli import main
 from computadlab.computads import MAX_DIM, ComputadError, loads_computad
-from computadlab.freecat import FreecatError, term_from_str
+from computadlab.freecat import FreecatError
 from computadlab.operads import OperadError, parse_presentation
 from computadlab.pasting import PastingError, tree_from_str
+
+
+def term_from_str(text):
+    """The term parser, over a generator map of the grammar's names."""
+    return freecat.term_from_str(text, {"a": 0, "f": 1, "m": 1, "x": 2})
+
 
 PARSERS = [
     (term_from_str, FreecatError),

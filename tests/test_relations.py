@@ -155,7 +155,7 @@ def test_disjoint_union_histograms_add(a, b):
 
 
 def frozen_levels(fa):
-    return [(lv.reps, lv.msets, lv.src, lv.tgt, lv.comp, lv.idmap, lv.gen_class)
+    return [(lv.reps, lv.msets, lv.src, lv.tgt, lv.comp, lv.ids, lv.gen_class)
             for lv in fa.levels]
 
 

@@ -4,7 +4,7 @@ from .freecat import (
     Bounds, Comp, Gen, Id, Term,
     equal_cells, verify_certificate,
 )
-from .pasting import Tree, enumerate_trees, height, pasting_cells, truncate_tree
+from .pasting import Tree, enumerate_trees
 from .computads import (
     Computad, ComputadMap, build_computad, free_algebra, pullback_computads,
     theta_computad,

@@ -349,9 +349,15 @@ class Engine:
         self.saw_size_cut = False  # some composite exceeded the size bound
         self.counters = dict.fromkeys(COUNTERS, 0)
         self.gen_atoms: dict[str, int] = {}
+        # a name shared with a lower dimension prints as the same gen(name),
+        # so no term could be read back
+        below = {name: r for r, lv in enumerate(levels[:dim]) for name in lv.gen_class}
         for name, s, t in generators:
             if name in self.gen_atoms:
                 raise FreecatError(f"generator {name!r} is named twice in dimension {dim}")
+            if name in below:
+                raise FreecatError(f"generator {name!r} is named twice, in dimensions "
+                                   f"{below[name]} and {dim}")
             mset = self._shared((name,))
             self.gen_atoms[name] = self._add(
                 Node(GEN, name=name, mset=mset, word=mset if dim == 1 else None,

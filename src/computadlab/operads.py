@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .computads import Computad, FreeAlgebra, GeneratorDecl, free_algebra
+from .computads import MAX_DIM, Computad, FreeAlgebra, GeneratorDecl, free_algebra
 from .freecat import Bounds, Gen, Id, Term
 
 
@@ -129,20 +129,6 @@ def collection_violation(a: SymCollection) -> str | None:
                     if tq[e] != tab_t[tab_q[e]]:
                         return f"arity {n}: action not compatible with composition"
     return None
-
-
-def trivial_sym_collection(sets: dict[int, list]) -> SymCollection:
-    action = {n: {p: {e: e for e in elems} for p in all_perms(n)}
-              for n, elems in sets.items()}
-    return SymCollection({n: list(v) for n, v in sets.items()}, action)
-
-
-def regular_sym_collection(max_arity: int) -> SymCollection:
-    """A[n] = the symmetric group itself, acted on by left multiplication."""
-    sets = {n: all_perms(n) for n in range(max_arity + 1)}
-    action = {n: {p: {e: perm_compose(p, e) for e in sets[n]} for p in all_perms(n)}
-              for n in sets}
-    return SymCollection(sets, action)
 
 
 def free_sym_collection(a: NonSymCollection) -> SymCollection:
@@ -351,9 +337,12 @@ class SliceResult:
 
 def k_terminal_computad(k: int, generators) -> Computad:
     """theta_{k-1} with the given names as k-generators on the unique
-    parallel pair: the slice of the strict monad evaluated on a set."""
+    parallel pair: the slice of the strict monad evaluated on a set. Its
+    dimension is k, so k is capped as a computad file caps `dim`."""
     if k < 1:
         raise OperadError("slices start at k = 1")
+    if k > MAX_DIM:
+        raise OperadError(f"slice k = {k} above the largest supported k {MAX_DIM}")
     pad: Term = Gen("o", 0)
     for _ in range(k - 1):
         pad = Id(pad)

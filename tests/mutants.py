@@ -5,12 +5,15 @@
 Each row of `MUTANTS` plants one fault: in `file`, the exact text `old`
 becomes `new`. The runner first runs every row's tests on an unchanged
 copy of the files the tier-1 suite reads (`COPIED`), where they must pass.
-Then, for each row, it plants the fault in a fresh copy and runs each of
-the row's tests on its own with `pytest -x -q`; every one of them must
-fail. A row whose old text is missing or not unique fails the runner, and
-so does a test id that pytest cannot collect: a refactor that moves
-guarded code updates the row, or deletes it with a CHANGES.md line that
-says why. A row is never deleted or weakened to make the runner pass.
+Then, for each row, it plants the fault in a fresh copy and runs all of
+the row's tests in one `pytest -q` process, which writes a JUnit XML
+report; every one of them must fail or error there. A test id without
+parameters counts as failed when any of its parametrizations failed. A row
+whose old text is missing or not unique fails the runner, and so does a
+pytest exit code other than 0 or 1, as for a test id that pytest cannot
+collect: a refactor that moves guarded code updates the row, or deletes it
+with a CHANGES.md line that says why. A row is never deleted or weakened to
+make the runner pass.
 
 Exits 1 when any row fails. pytest does not collect this file (it is not
 named `test_*.py`).
@@ -26,6 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", "BENCHMARK.json")
@@ -41,7 +45,7 @@ class Mutant(NamedTuple):
 
 LIMITLAB = "src/computadlab/limitlab.py"
 FREECAT = "src/computadlab/freecat.py"
-PASTING = "src/computadlab/pasting.py"
+ORACLES = "tests/oracles.py"
 OPERADS = "src/computadlab/operads.py"
 CLI = "src/computadlab/cli.py"
 
@@ -123,17 +127,38 @@ MUTANTS = [
             "tests/test_freecat.py::test_dim1_completeness_random_graphs",
             "tests/test_freecat.py::"
             "test_each_representative_is_its_class_least_term[scalar2-size4]")),
+    Mutant("right unit pad reads the source along comp_1 in dimension 3", FREECAT,
+           "if left else self._descend_tgt(node.tgt, d, k)",
+           "if (left or (k == 1 and self.dim == 3)) else self._descend_tgt(node.tgt, d, k)",
+           ("tests/test_relations.py::test_duality_on_fixed_computads[three-cell3-size3]",
+            "tests/test_relations.py::test_suspension_on_fixed_computads[three-cell2-size3]")),
+    Mutant("left unit pad reads the target in dimension 3", FREECAT,
+           "cls = self._descend_src(node.src, d, k) if left else",
+           "cls = self._descend_src(node.src, d, k) if (left and self.dim != 3) else",
+           ("tests/test_relations.py::test_duality_on_fixed_computads[three-cell3-size3]",
+            "tests/test_relations.py::test_suspension_on_fixed_computads[scalar2-size4]",
+            "tests/test_relations.py::test_suspension_on_fixed_computads[whiskers-size2]")),
+    Mutant("composability reads the left source along comp_1 in dimension 3", FREECAT,
+           "if self._descend_tgt(na.tgt, d, k) != self._descend_src(nb.src, d, k):",
+           "if (self._descend_src(na.src, d, k) if (k == 1 and self.dim == 3)\n"
+           "                else self._descend_tgt(na.tgt, d, k)) != self._descend_src(nb.src, d, k):",
+           ("tests/test_relations.py::test_suspension_on_fixed_computads[chain-size2]",)),
+    Mutant("identity functoriality skips comp_1 in dimension 3", FREECAT,
+           "if self._settled(ids[c], k, ids[a], ids[b]):",
+           "if self._settled(ids[c], k, ids[a], ids[b]) or (k == 1 and self.dim == 3):",
+           ("tests/test_relations.py::test_suspension_on_fixed_computads[whiskers-size2]",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k3-g2-size4]")),
     Mutant("lane widths never refuse", LIMITLAB,
            "if most * most >> fiber_bits:",
            "if False:",
            ("tests/test_limitlab.py::test_lane_widths_guard_the_fiber_lane",
             "tests/test_cli.py::test_a_fiber_lane_overflow_exits_one_with_one_line")),
-    Mutant("decorations skip the source comparison", PASTING,
+    Mutant("decorations skip the source comparison", ORACLES,
            "if s != prev:",
            "if False:",
            ("tests/test_pasting.py::test_pasting_cells_respects_endpoints",
             "tests/test_pasting.py::test_pasting_cells_match_path_oracle_dim1")),
-    Mutant("pasting accepts an attachment that is not a generator", PASTING,
+    Mutant("pasting accepts an attachment that is not a generator", ORACLES,
            "if not all(isinstance(t, Gen) and t.name in below for t in (g.src, g.tgt)):",
            "if False:",
            ("tests/test_pasting.py::test_pasting_cells_refuse_scalar2",
@@ -179,11 +204,27 @@ def copy_tree(dest: Path):
             shutil.copy2(src, dest / name)
 
 
-def pytest(where: Path, ids) -> subprocess.CompletedProcess:
+def pytest(where: Path, ids, *flags) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *ids],
         cwd=where, env=env, capture_output=True, text=True)
+
+
+def failed_cases(report: Path) -> set[tuple[str, str]]:
+    """The (module, name) of each test case that failed or errored in a
+    JUnit XML report, the module dotted as in `tests.test_cli`."""
+    return {(case.get("classname"), case.get("name"))
+            for case in ElementTree.parse(report).getroot().iter("testcase")
+            if case.find("failure") is not None or case.find("error") is not None}
+
+
+def caught(test: str, failed: set[tuple[str, str]]) -> bool:
+    """Whether the test id `test`, or one of its parametrizations, failed."""
+    path, name = test.split("::", 1)
+    module = path.removesuffix(".py").replace("/", ".")
+    return any(m == module and (n == name or n.startswith(name + "["))
+               for m, n in failed)
 
 
 def tail(run: subprocess.CompletedProcess, lines: int = 15) -> str:
@@ -210,14 +251,12 @@ def check(m: Mutant) -> list[str]:
         bad = plant(where, m)
         if bad:
             return [bad]
-        problems = []
-        for test in m.tests:
-            run = pytest(where, [test])
-            if run.returncode == 0:
-                problems.append(f"{test} passed")
-            elif run.returncode != 1:  # not a test failure: usage, collection
-                problems.append(f"{test} exited {run.returncode}\n{tail(run)}")
-        return problems
+        report = where / "report.xml"
+        run = pytest(where, m.tests, f"--junit-xml={report}")
+        if run.returncode not in (0, 1):  # not a test failure: usage, collection
+            return [f"pytest exited {run.returncode}\n{tail(run)}"]
+        failed = failed_cases(report)
+        return [f"{test} passed" for test in m.tests if not caught(test, failed)]
 
 
 def main() -> int:

@@ -1,5 +1,15 @@
-"""Independent oracles shared by several test files. pytest does not
-collect this module (it is not named `test_*.py`)."""
+"""Independent oracles shared by several test files, and the oracles that
+only tests reach: pasting diagrams, the cells of the free strict
+n-category on a globular set, and the trivial and regular symmetric
+collections. pytest does not collect this module (it is not named
+`test_*.py`)."""
+
+from dataclasses import dataclass
+
+from computadlab.computads import Computad
+from computadlab.freecat import Gen
+from computadlab.operads import SymCollection, all_perms, perm_compose
+from computadlab.pasting import LEAF, Tree, enumerate_trees
 
 
 def dfs_paths(vertices, edges, max_len):
@@ -18,3 +28,136 @@ def dfs_paths(vertices, edges, max_len):
         paths.extend(nxt)
         frontier = nxt
     return paths
+
+
+# --- pasting diagrams -----------------------------------------------------------
+
+
+class PastingError(Exception):
+    pass
+
+
+def height(t: Tree) -> int:
+    if not t.children:
+        return 0
+    return 1 + max(height(c) for c in t.children)
+
+
+def truncate_tree(t: Tree, k: int) -> Tree:
+    """Delete all nodes at depth > k."""
+    if k <= 0:
+        return LEAF
+    return Tree(tuple(truncate_tree(c, k - 1) for c in t.children))
+
+
+def tree_from_str(s: str) -> Tree:
+    s = s.strip()
+
+    def parse(i: int) -> tuple[Tree, int]:
+        if i >= len(s) or s[i] != "(":
+            raise PastingError(f"expected '(' at position {i}")
+        i += 1
+        children = []
+        while i < len(s) and s[i] == "(":
+            child, i = parse(i)
+            children.append(child)
+        if i >= len(s) or s[i] != ")":
+            raise PastingError(f"expected ')' at position {i}")
+        return Tree(tuple(children)), i + 1
+
+    try:
+        t, end = parse(0)
+    except RecursionError:
+        raise PastingError("tree nested too deeply") from None
+    if end != len(s):
+        raise PastingError(f"trailing input after position {end}")
+    return t
+
+
+@dataclass(frozen=True)
+class DecoratedTree:
+    """A tree whose depth-k nodes carry k-generators of a globular computad.
+
+    `labels` maps node paths (tuples of child indices, root = ()) to
+    generator names.
+    """
+
+    shape: Tree
+    labels: tuple[tuple[tuple[int, ...], str], ...]
+
+
+def _globular_layers(c: Computad, n: int) -> list[list[tuple[str, str, str]]]:
+    """The r-generators of c for 1 <= r <= n, at index r, as (name, source,
+    target) names. Raises PastingError on an attachment that is not a pair
+    of (r-1)-generators; whether the pair is parallel is `free_algebra`'s
+    check, as for every computad."""
+    layers: list[list[tuple[str, str, str]]] = [[]]
+    for r in range(1, n + 1):
+        below = set(c.names(r - 1))
+        layer = []
+        for g in c.layers[r]:
+            if not all(isinstance(t, Gen) and t.name in below for t in (g.src, g.tgt)):
+                raise PastingError(
+                    f"generator {g.name!r}: attachment is not a pair of {r - 1}-generators")
+            layer.append((g.name, g.src.name, g.tgt.name))
+        layers.append(layer)
+    return layers
+
+
+def _decorations(t: Tree, layers, depth: int, cell: str, path):
+    """Label assignments for the children of a node already labelled `cell`.
+
+    Sibling cells compose along dimension `depth`: the first child's source
+    is the parent cell, and each next child starts where the previous ended.
+    """
+    # iterate children left to right, threading the running target
+    def extend(i: int, prev: str, acc):
+        if i == len(t.children):
+            yield acc
+            return
+        child = t.children[i]
+        for d, s, tgt in layers[depth + 1]:
+            if s != prev:
+                continue
+            for sub in _decorations(child, layers, depth + 1, d, path + (i,)):
+                yield from extend(i + 1, tgt, acc + [(path + (i,), d)] + sub)
+
+    return list(extend(0, cell, []))
+
+
+def pasting_cells(c: Computad, n: int, max_width: int) -> list[DecoratedTree]:
+    """All pasting diagrams of dimension n in the globular computad c,
+    within the width bound. Only the declarations are read; no engine runs.
+
+    Convention (validated by the low-dimensional oracles, not fixed by the
+    tree description alone): a node at depth k carries a k-generator; the
+    generators on the children of a node compose along dimension k
+    starting at the parent's generator.
+    """
+    if n > c.dim:
+        raise PastingError(f"dimension {n} above dim {c.dim}")
+    layers = _globular_layers(c, n)
+    out = []
+    for t in enumerate_trees(n, max_width):
+        for root in c.names(0):
+            for sub in _decorations(t, layers, 0, root, ()):
+                labels = tuple(sorted([((), root)] + sub))
+                out.append(DecoratedTree(t, labels))
+    return out
+
+
+# --- symmetric collections ------------------------------------------------------
+
+
+def trivial_sym_collection(sets: dict[int, list]) -> SymCollection:
+    action = {n: {p: {e: e for e in elems} for p in all_perms(n)}
+              for n, elems in sets.items()}
+    return SymCollection({n: list(v) for n, v in sets.items()}, action)
+
+
+def regular_sym_collection(max_arity: int) -> SymCollection:
+    """A[n] = the symmetric group itself, acted on by left multiplication."""
+    sets = {n: all_perms(n) for n in range(max_arity + 1)}
+    action = {n: {p: {e: perm_compose(p, e) for e in sets[n]} for p in all_perms(n)}
+              for n in sets}
+    return SymCollection(sets, action)

@@ -74,6 +74,14 @@ def test_slice_no_generators(capsys):
         assert doc["counts_by_size"][size] == {"classes": 0, "oracle": 0, "match": True}
 
 
+def test_slice_at_the_largest_k_runs(capsys):
+    """`--k` is capped at the largest `dim` a computad file may declare,
+    and the cap itself still runs."""
+    code, out, _ = run(capsys, "slice", "--k", str(computads.MAX_DIM),
+                       "--generators", "0", "--format", "structured")
+    assert code == 0 and json.loads(out)["verdict"] == "MATCH"
+
+
 @pytest.mark.parametrize("k,generators", [("1", "3"), ("2", "2")])
 def test_slice_at_bound_zero_matches(capsys, k, generators):
     """Only the identity class fits size 0; the generators' classes lie
@@ -176,6 +184,8 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["slice", "--k", "1", "--rounds", "0"], None, None,
                  id="slice-rounds-zero"),
     pytest.param(["slice", "--k", "0"], None, None, id="slice-k-zero"),
+    pytest.param(["slice", "--k", str(computads.MAX_DIM + 1)], None, None,
+                 id="slice-k-above-max"),
     pytest.param(["gate", "--n", "0"], None, None, id="gate-n-zero"),
     # files that are not UTF-8 text, or nest beyond the recursion limit
     pytest.param(["free", "FILE"], b"\xff\xfe", None, id="free-undecodable"),

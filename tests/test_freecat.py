@@ -19,8 +19,7 @@ from computadlab.freecat import (
     term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
-from computadlab.pasting import pasting_cells
-from oracles import dfs_paths
+from oracles import dfs_paths, pasting_cells
 
 
 def scalar2():
@@ -205,6 +204,11 @@ def test_a_repeated_generator_name_is_refused():
         free_algebra(c)
     with pytest.raises(FreecatError, match="named twice"):
         free_algebra(Computad(0, [[GeneratorDecl("a"), GeneratorDecl("a")]]))
+    # the same name in two dimensions: both print as gen(a)
+    with pytest.raises(FreecatError, match="named twice"):
+        free_algebra(Computad(1, [[GeneratorDecl("a")], [GeneratorDecl("a", a, a)]]))
+    with pytest.raises(FreecatError, match="named twice"):
+        slice_of_strict(1, ["o", "x"], Bounds(size=2))
 
 
 def test_eckmann_hilton_within_two_rounds():

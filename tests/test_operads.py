@@ -12,9 +12,10 @@ from computadlab.operads import (
     eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
     free_sym_collection,
     is_strongly_regular_presentation, parse_presentation, perm_compose,
-    regular_sym_collection, slice_matches_oracle, slice_of_strict,
-    strong_analytic_bijection, transpose_values, trivial_sym_collection,
+    slice_matches_oracle, slice_of_strict,
+    strong_analytic_bijection, transpose_values,
 )
+from oracles import regular_sym_collection, trivial_sym_collection
 
 # --- independent oracles -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from computadlab.cli import main
 from computadlab.computads import MAX_DIM, ComputadError, loads_computad
 from computadlab.freecat import FreecatError
 from computadlab.operads import OperadError, parse_presentation
-from computadlab.pasting import PastingError, tree_from_str
+from oracles import PastingError, tree_from_str
 
 
 def term_from_str(text):

@@ -4,11 +4,10 @@ import pytest
 
 from computadlab.computads import build_computad, loads_computad
 from computadlab.freecat import Gen
-from computadlab.pasting import (
-    LEAF, MAX_TREES, PastingError, Tree, enumerate_trees, height, node_count, tree_count,
-    pasting_cells, tree_from_str, tree_to_str, truncate_tree,
+from computadlab.pasting import LEAF, MAX_TREES, Tree, enumerate_trees, tree_count, tree_to_str
+from oracles import (
+    PastingError, dfs_paths, height, pasting_cells, tree_from_str, truncate_tree,
 )
-from oracles import dfs_paths
 
 # --- independent oracles ------------------------------------------------------
 
@@ -184,11 +183,6 @@ def test_pasting_cells_dim2_hand_count():
         depth2 = sum(len(c.children) for c in t.children)
         expected += 2 ** depth2
     assert len(cells) == expected
-
-
-def test_node_count():
-    assert node_count(LEAF) == 1
-    assert node_count(Tree((LEAF, Tree((LEAF,))))) == 4
 
 
 def test_pasting_cells_refuse_scalar2():

@@ -21,19 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "computadlab"
 
-PASTING_NORMAL_FORM = ("the pasting-diagram normal form for globular computads "
-                       "(ROADMAP) builds on it")
-SLICE_COLLECTIONS = ("the slices computed as symmetric collections (ROADMAP) "
-                     "are checked against it")
-
 KEPT = {
-    "pasting.height": PASTING_NORMAL_FORM,
-    "pasting.node_count": PASTING_NORMAL_FORM,
-    "pasting.truncate_tree": PASTING_NORMAL_FORM,
-    "pasting.tree_from_str": PASTING_NORMAL_FORM,
-    "pasting.pasting_cells": PASTING_NORMAL_FORM,
-    "operads.trivial_sym_collection": SLICE_COLLECTIONS,
-    "operads.regular_sym_collection": SLICE_COLLECTIONS,
     "computads.theta_computad": "acceptance criterion 1 runs it",
     "operads.strong_analytic_bijection": "acceptance criterion 8 runs it",
     "freecat.verify_certificate": ("acceptance criteria 3 and 7 and the "
@@ -49,8 +37,6 @@ KEPT = {
         "many cospans the checker saw"),
     "cli._Parser.error": ("argparse calls it on every usage error, so that "
                           "error exits 1 with one line"),
-    "pasting.DecoratedTree.shape": PASTING_NORMAL_FORM,
-    "pasting.DecoratedTree.labels": PASTING_NORMAL_FORM,
 }
 
 

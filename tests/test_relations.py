@@ -14,21 +14,41 @@ without an oracle.
 * `equal_cells` is symmetric, and every `equal` verdict's certificate
   verifies. The pairs are, in each dimension, each class root with the last
   term of its member list, and each class root with the next one.
+* Duality: for each nonempty J of {1..n}, D_J reverses the j-cells with j
+  in J, swapping the attachment of each j-generator and the arguments of
+  each comp_(j-1). F(D_J X) = D_J F(X): the duals of the representatives
+  are the classes of F(D_J X), one each, with their multisets and the
+  (swapped) duals of their boundaries.
+* Suspension: ΣX has two 0-cells, and each r-generator of X becomes an
+  (r+1)-generator, comp_k becoming comp_(k+1). F(ΣX)_(r+1) is F(X)_r plus
+  the iterated identities of the two 0-cells, boundaries included.
+  Duality and suspension hold for the strict ω-category monad (Ara and
+  Maltsiniotis, "Joint et tranches pour les ∞-catégories strictes", 2020).
+  Both run on the random computads, where suspension lifts the 2-computads
+  to dimension 3, and on fixed computads up to dimension 3 whose cells have
+  distinct sources and targets.
 
 Limits: these relations catch faults that depend on generator names, on the
 order of declarations or of terms, or on other components of the computad,
 and that change the classes of a small computad: unit instances that skip a
-class root, or generation that skips a root, or a generator by its name. They
-cannot catch an axiom that is missing or wrong everywhere: the renamed,
-reordered or disjoint copy runs the same rule and agrees with the original.
-The oracles in `test_freecat.py` and `test_operads.py` catch that. Nor do
-they see a fault that the engine repairs elsewhere: assoc matching that skips
-the first e-node of each left class changes no class, because the mirrored
-match meets the same instances. The computads have at most 2 vertices, 3
-edges and 3 2-cells, saturated at size 3 (1-computads) or 2 (2-computads),
-so a fault that shows only at larger sizes or in dimension 3 goes unseen:
-interchange matching that skips the first e-node of a class first shows on a
-2-computad at size 3.
+class root, or generation that skips a root, or a generator by its name.
+Duality and suspension also catch a fault that is one-sided, or that shows
+in one dimension only: a unit pad that reads the wrong end of a cell in
+dimension 3 changes the classes of a suspended 2-computad, or of the dual of
+a 3-computad, and not those of the original. None of them can catch an axiom
+that is missing or wrong the same way in every dimension and on both sides:
+the renamed, reordered, disjoint, dual or suspended copy runs the same rule
+and agrees with the original. The oracles in `test_freecat.py` and
+`test_operads.py` catch that. Nor do they see a fault that the engine
+repairs elsewhere: assoc matching that skips the first e-node of each left
+class changes no class, because the mirrored match meets the same
+instances, and interchange matching that skips one order of two indices in
+dimension 3 changes no class they see, only the engine's work, which
+`test_engine_work_is_pinned` pins. The random computads have at
+most 2 vertices, 3 edges and 3 2-cells, saturated at size 3 (1-computads)
+or 2 (2-computads), so a fault that shows only at larger sizes goes unseen:
+interchange matching that skips the first e-node of a class first shows on
+a 2-computad at size 3.
 """
 
 import itertools
@@ -39,7 +59,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from computadlab.computads import Computad, build_computad, free_algebra, loads_computad
+from computadlab.computads import (
+    Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
+)
 from computadlab.freecat import (
     EQUAL, GEN, IDA, Bounds, Comp, Gen, Id, equal_cells, rename_gens, verify_certificate,
 )
@@ -179,6 +201,11 @@ def scalar2():
                           .joinpath("data", "scalar2.cpd").read_text())
 
 
+def loop():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "loop.cpd").read_text())
+
+
 @pytest.mark.parametrize("make,size", [
     (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
@@ -197,3 +224,166 @@ def test_every_declaration_order_gives_the_same_levels(make, size):
         other = Computad(c.dim, [[layer[i] for i in order]
                                  for layer, order in zip(c.layers, orders)])
         assert frozen_levels(free_algebra(other, Bounds(size=size))) == want, orders
+
+
+# --- duality and suspension ----------------------------------------------------
+
+
+def dual_term(t, flip):
+    """D_J on a term, J = `flip`: comp_(j-1) takes its arguments in the
+    other order for each j in J."""
+    if isinstance(t, Gen):
+        return t
+    if isinstance(t, Id):
+        return Id(dual_term(t.body, flip))
+    left, right = dual_term(t.left, flip), dual_term(t.right, flip)
+    return Comp(t.k, right, left) if t.k + 1 in flip else Comp(t.k, left, right)
+
+
+def dual_computad(c, flip):
+    """D_J X, J = `flip`: every j-generator with j in J runs backwards, and
+    every attachment is read through D_J."""
+    layers = [list(c.layers[0])]
+    for r in range(1, c.dim + 1):
+        layer = []
+        for g in c.layers[r]:
+            src, tgt = dual_term(g.src, flip), dual_term(g.tgt, flip)
+            layer.append(GeneratorDecl(g.name, *((tgt, src) if r in flip else (src, tgt))))
+        layers.append(layer)
+    return Computad(c.dim, layers)
+
+
+BOTTOM, TOP = Gen("bottom", 0), Gen("top", 0)
+
+
+def suspend_term(t):
+    """The term one dimension up: comp_k becomes comp_(k+1)."""
+    if isinstance(t, Gen):
+        return Gen(t.name, t.dim + 1)
+    if isinstance(t, Id):
+        return Id(suspend_term(t.body))
+    return Comp(t.k + 1, suspend_term(t.left), suspend_term(t.right))
+
+
+def suspend(c):
+    """ΣX: two 0-cells, each r-generator of X an (r+1)-generator, the
+    0-generators running from `BOTTOM` to `TOP`."""
+    layers = [[GeneratorDecl(BOTTOM.name), GeneratorDecl(TOP.name)],
+              [GeneratorDecl(name, BOTTOM, TOP) for name in c.names(0)]]
+    layers += [[GeneratorDecl(g.name, suspend_term(g.src), suspend_term(g.tgt))
+                for g in layer] for layer in c.layers[1:]]
+    return Computad(c.dim + 1, layers)
+
+
+def assert_dual(fa, fd, flip):
+    """F(D_J X) = D_J F(X): the dual of each representative resolves to a
+    class of F(D_J X), one class each, with its multiset, and the boundaries
+    of each dual class are the duals of the boundaries, swapped in each
+    dimension of J."""
+    below = None
+    for r, (lv, dv) in enumerate(zip(fa.levels, fd.levels)):
+        image = [fd.class_of_term(dual_term(t, flip)) for t in lv.rep_terms]
+        assert None not in image and sorted(image) == list(range(dv.n_classes)), r
+        assert [dv.msets[c] for c in image] == lv.msets
+        if r:
+            src, tgt = (lv.tgt, lv.src) if r in flip else (lv.src, lv.tgt)
+            assert [dv.src[c] for c in image] == [below[s] for s in src], r
+            assert [dv.tgt[c] for c in image] == [below[t] for t in tgt], r
+        below = image
+
+
+def assert_suspended(fa, fs):
+    """F(ΣX)_(r+1) = F(X)_r plus the iterated identities of the two 0-cells:
+    the suspension of each representative resolves to a class, one class
+    each, with its multiset and the suspended boundaries, and the two
+    identities are the only classes it misses."""
+    points = fa.levels[0].n_classes
+    srcs, tgts = [fs.class_of_term(BOTTOM)] * points, [fs.class_of_term(TOP)] * points
+    pads = [BOTTOM, TOP]
+    image = None
+    for r, lv in enumerate(fa.levels):
+        sv = fs.levels[r + 1]
+        pads = [Id(p) for p in pads]
+        if r:
+            srcs, tgts = [image[s] for s in lv.src], [image[t] for t in lv.tgt]
+        image = [fs.class_of_term(suspend_term(t)) for t in lv.rep_terms]
+        rest = [fs.class_of_term(p) for p in pads]
+        assert None not in image + rest, r
+        assert sorted(image + rest) == list(range(sv.n_classes)), r
+        assert [sv.msets[c] for c in image] == lv.msets
+        assert [sv.src[c] for c in image] == srcs, r
+        assert [sv.tgt[c] for c in image] == tgts, r
+
+
+def flips(dim):
+    """Every nonempty J of {1..dim}."""
+    return [set(j) for n in range(1, dim + 1)
+            for j in itertools.combinations(range(1, dim + 1), n)]
+
+
+def whiskers():
+    """{p; e: p -> p; u, v: e => e}: 2-cells whiskered by a loop."""
+    e = Gen("e", 1)
+    return build_computad([["p"], [("e", Gen("p", 0), Gen("p", 0))],
+                           [("u", e, e), ("v", e, e)]])
+
+
+def three_cell(dim=3):
+    """{p, q; e, e2: p -> q; u: e => e2; m: u => u}, truncated to `dim`: its
+    1- and 2-cells have distinct sources and targets."""
+    e, e2, u = Gen("e", 1), Gen("e2", 1), Gen("u", 2)
+    layers = [["p", "q"], [("e", Gen("p", 0), Gen("q", 0)), ("e2", Gen("p", 0), Gen("q", 0))],
+              [("u", e, e2)], [("m", u, u)]]
+    return build_computad(layers[:dim + 1])
+
+
+def chain():
+    """{p, q, r; e: p -> q; f: q -> r; u: e => e; w: f => f}: 2-cells that
+    compose along comp_0 only across distinct 0-cells."""
+    e, f = Gen("e", 1), Gen("f", 1)
+    p, q, r = (Gen(n, 0) for n in "pqr")
+    return build_computad([["p", "q", "r"], [("e", p, q), ("f", q, r)],
+                           [("u", e, e), ("w", f, f)]])
+
+
+FIXED = {
+    "loop-size4": (loop, 4),
+    "scalar2-size4": (scalar2, 4),
+    "theta2-size3": (lambda: theta_computad(2), 3),
+    "slice-k1-g2-size4": (lambda: k_terminal_computad(1, ["x0", "x1"]), 4),
+    "slice-k2-g2-size3": (lambda: k_terminal_computad(2, ["x0", "x1"]), 3),
+    "slice-k3-g2-size3": (lambda: k_terminal_computad(3, ["x0", "x1"]), 3),
+    "whiskers-size2": (whiskers, 2),
+    "chain-size2": (chain, 2),
+    "three-cell2-size3": (lambda: three_cell(2), 3),
+    "three-cell3-size3": (three_cell, 3),
+}
+
+
+@pytest.mark.parametrize("case", FIXED)
+def test_duality_on_fixed_computads(case):
+    make, size = FIXED[case]
+    c = make()
+    fa = free_algebra(c, Bounds(size=size))
+    for flip in flips(c.dim):
+        assert_dual(fa, free_algebra(dual_computad(c, flip), Bounds(size=size)), flip)
+
+
+@pytest.mark.parametrize("case", [name for name, (make, _) in FIXED.items()
+                                  if make().dim <= 2])
+def test_suspension_on_fixed_computads(case):
+    make, size = FIXED[case]
+    c = make()
+    assert_suspended(free_algebra(c, Bounds(size=size)),
+                     free_algebra(suspend(c), Bounds(size=size)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(layers=computads())
+def test_duality_and_suspension_on_random_computads(layers):
+    """Suspension lifts the drawn 2-computads to dimension 3."""
+    c = build_computad(layers)
+    fa = saturate(layers)
+    for flip in flips(c.dim):
+        assert_dual(fa, free_algebra(dual_computad(c, flip), fa.bounds), flip)
+    assert_suspended(fa, free_algebra(suspend(c), fa.bounds))

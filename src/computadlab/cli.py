@@ -10,6 +10,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -102,6 +103,7 @@ def cmd_slice(args) -> int:
     gens = [f"x{i}" for i in range(args.generators)]
     result = operads.slice_of_strict(args.k, gens, bounds)
     ok, expected, oracle_name = operads.slice_matches_oracle(result)
+    unknown = result.free.soundness_report()["unknown_verdicts"]
     table = {
         str(s): {"classes": result.counts.get(s, 0),
                  "oracle": expected.get(s, 0),
@@ -117,11 +119,11 @@ def cmd_slice(args) -> int:
         "counts_by_size": table,
         "verdict": "MATCH" if ok else "MISMATCH",
         "fixed_point": result.fixed_point,
-        "unknown_verdicts": result.unknown_verdicts,
-        "partial": result.partial,
-        "marker": result.marker,
+        "unknown_verdicts": unknown,
+        "partial": result.free.partial,
+        "marker": result.free.partiality_marker(),
     }, args)
-    if not ok or result.unknown_verdicts:
+    if not ok or unknown:
         print("oracle mismatch: slice computation disagrees with the oracle",
               file=sys.stderr)
         return 2
@@ -151,16 +153,7 @@ def cmd_gate(args) -> int:
         args.n, _bounds(args),
         graph_bounds=(args.graph_vertices, args.graph_edges),
         path_len=min(args.bound, 3) if args.n <= 2 else args.bound)
-    _emit({
-        "command": "gate",
-        "n": args.n,
-        "verdict": report.verdict,
-        "wording": report.wording,
-        "bounds": report.bounds,
-        "slice_checks": report.slice_checks,
-        "experiments": report.experiments,
-        "witness": report.witness,
-    }, args)
+    _emit({"command": "gate", "n": args.n, **dataclasses.asdict(report)}, args)
     return 0
 
 

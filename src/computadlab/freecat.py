@@ -243,27 +243,74 @@ def level_zero(names: list[str]) -> Level:
     )
 
 
+def _descend_src(levels: list[Level], cls: int, d: int, k: int) -> int:
+    """The k-source of a class of dimension d >= k."""
+    while d > k:
+        cls = levels[d].src[cls]
+        d -= 1
+    return cls
+
+
+def _descend_tgt(levels: list[Level], cls: int, d: int, k: int) -> int:
+    """The k-target of a class of dimension d >= k."""
+    while d > k:
+        cls = levels[d].tgt[cls]
+        d -= 1
+    return cls
+
+
+def _comp_boundary(levels: list[Level], t: Comp, d: int, sa: int | None, ta: int | None,
+                   sb: int | None, tb: int | None) -> tuple[int | None, int | None]:
+    """The source and target classes, one dimension down, of a composite t
+    of dimension d whose left operand has the boundary classes sa and ta
+    and whose right one has sb and tb, None for a class not materialized.
+    Raises FreecatError when t's index is not below d, or when both
+    boundaries that composability reads are known and the operands do not
+    compose."""
+    k = t.k
+    if not 0 <= k < d:
+        raise FreecatError(f"composition index {k} out of range in {term_to_str(t)}")
+    if (ta is not None and sb is not None
+            and _descend_tgt(levels, ta, d - 1, k) != _descend_src(levels, sb, d - 1, k)):
+        raise FreecatError(f"the operands of {term_to_str(t)} do not compose")
+    if k == d - 1:
+        return sa, tb
+    comp = levels[d - 1].comp
+    return comp.get((k, sa, sb)), comp.get((k, ta, tb))
+
+
 def class_in_level(levels: list[Level], t: Term, d: int) -> int | None:
     """Resolve a term of dimension d to its class, using frozen tables only.
 
-    Returns None when the term was not materialized within the bounds.
+    Raises FreecatError when the term is not well formed: an unknown
+    generator, a composition index outside 0..d-1, or operands that do not
+    compose. Returns None when a cell the term needs lies beyond the bounds:
+    the term itself, or a boundary its composability is read from.
     """
+    return _resolve(levels, t, d)[0]
+
+
+def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | None, int | None]:
+    """`class_in_level` of t, with t's source and target classes one
+    dimension down (None at dimension 0, or when not materialized)."""
     lv = levels[d]
     if isinstance(t, Gen):
         if t.dim != d:
             raise FreecatError(f"generator {t.name} has dim {t.dim}, expected {d}")
         if t.name not in lv.gen_class:
             raise FreecatError(f"unknown generator {t.name!r} in dimension {d}")
-        return lv.gen_class[t.name]
+        c = lv.gen_class[t.name]
+        return (c, lv.src[c], lv.tgt[c]) if d else (c, None, None)
     if isinstance(t, Id):
         below = class_in_level(levels, t.body, d - 1)
-        return None if below is None else lv.ids[below]
+        return (None if below is None else lv.ids[below]), below, below
     if isinstance(t, Comp):
-        a = class_in_level(levels, t.left, d)
-        b = class_in_level(levels, t.right, d)
-        if a is None or b is None:
-            return None
-        return lv.comp.get((t.k, a, b))
+        a, sa, ta = _resolve(levels, t.left, d)
+        b, sb, tb = _resolve(levels, t.right, d)
+        c = lv.comp.get((t.k, a, b))  # a None child finds no entry
+        if c is not None:  # materialized, so well formed
+            return c, lv.src[c], lv.tgt[c]
+        return None, *_comp_boundary(levels, t, d, sa, ta, sb, tb)
     raise FreecatError(f"not a term: {t!r}")
 
 
@@ -290,9 +337,7 @@ DISTINCT = "distinct"
 UNKNOWN = "unknown"
 
 # what every engine counts; `FreeAlgebra.soundness_report` sums them
-COUNTERS = ("axiom_instances", "merges", "multiset_violations",
-            "boundary_violations", "word_violations", "split_violations",
-            "unknown_verdicts")
+COUNTERS = ("axiom_instances", "merges", "unknown_verdicts")
 
 
 @dataclass(slots=True)
@@ -383,9 +428,7 @@ class Engine:
             return False
         split = self._invariant_split(self.nodes[ru], self.nodes[rv])
         if split is not None:
-            counter, reason = split
-            self.counters[counter] += 1
-            raise SoundnessError(f"merge would mix two terms whose {reason}")
+            raise SoundnessError(f"merge would mix two terms whose {split}")
         self.counters["merges"] += 1
         # hang the smaller proof tree, re-rooted at its merged term, under
         # the other merged term; proof trees and classes have the same members
@@ -409,17 +452,17 @@ class Engine:
             self._stale.add(win)
         return True
 
-    def _invariant_split(self, na: Node, nb: Node) -> tuple[str, str] | None:
-        """The first invariant that tells two terms apart, as its soundness
-        counter and the reason: the generator multiset, the boundary classes,
-        and at dimension 1 the generator word. None when all of them agree.
-        Every axiom keeps all three, so no merge may mix them."""
+    def _invariant_split(self, na: Node, nb: Node) -> str | None:
+        """The first invariant that tells two terms apart, as the reason: the
+        generator multiset, the boundary classes, and at dimension 1 the
+        generator word. None when all of them agree. Every axiom keeps all
+        three, so no merge may mix them."""
         if na.mset != nb.mset:
-            return "multiset_violations", "generator multisets differ"
+            return "generator multisets differ"
         if na.src != nb.src or na.tgt != nb.tgt:
-            return "boundary_violations", "boundary classes differ"
+            return "boundary classes differ"
         if self.dim == 1 and na.word != nb.word:
-            return "word_violations", "generator words differ"
+            return "generator words differ"
         return None
 
     def _proof_parent(self, t: int) -> int | None:
@@ -498,24 +541,13 @@ class Engine:
         """The engine's one object equal to a multiset or word."""
         return self._tuples.setdefault(value, value)
 
-    def _descend_src(self, cls: int, d: int, k: int) -> int:
-        while d > k:
-            cls = self.levels[d].src[cls]
-            d -= 1
-        return cls
-
-    def _descend_tgt(self, cls: int, d: int, k: int) -> int:
-        while d > k:
-            cls = self.levels[d].tgt[cls]
-            d -= 1
-        return cls
-
     def _unit_pad(self, t: int, k: int, left: bool) -> int:
         """The identity atom that is a unit for term t along comp_k: the
         iterated identity on t's k-source on the left, on its k-target on
         the right. Reads only the nodes, the frozen levels and the atoms."""
         node, d = self.nodes[t], self.dim - 1
-        cls = self._descend_src(node.src, d, k) if left else self._descend_tgt(node.tgt, d, k)
+        cls = (_descend_src(self.levels, node.src, d, k) if left
+               else _descend_tgt(self.levels, node.tgt, d, k))
         for lv in self.levels[k + 1 : d + 1]:
             cls = lv.ids[cls]
         return self.id_atoms[cls]
@@ -530,7 +562,7 @@ class Engine:
             return hit
         na, nb = self.nodes[ta], self.nodes[tb]
         d = self.dim - 1
-        if self._descend_tgt(na.tgt, d, k) != self._descend_src(nb.src, d, k):
+        if _descend_tgt(self.levels, na.tgt, d, k) != _descend_src(self.levels, nb.src, d, k):
             return None
         mset = tuple(sorted(na.mset + nb.mset))
         if len(mset) > self.bounds.size:
@@ -599,7 +631,6 @@ class Engine:
         seen: dict[int, int] = {}
         for old_root, now in zip(partition, root):
             if seen.setdefault(old_root, now) != now:
-                self.counters["split_violations"] += 1
                 raise SoundnessError("saturation split a congruence class")
         self.round += 1
 
@@ -754,20 +785,30 @@ class Engine:
         return sorted(self._class_terms.keys())
 
     def term_node(self, t: Term) -> int | None:
-        """Intern a term of this engine's dimension; None when out of bounds."""
+        """Intern a term of this engine's dimension. Raises FreecatError and
+        returns None as `class_in_level` does."""
+        return self._intern_term(t)[0]
+
+    def _intern_term(self, t: Term) -> tuple[int | None, int | None, int | None]:
+        """`term_node` of t, with t's source and target classes one
+        dimension down (None when not materialized)."""
         if isinstance(t, Gen):
             if t.name not in self.gen_atoms:
                 raise FreecatError(f"unknown generator {t.name!r}")
-            return self.gen_atoms[t.name]
+            tid = self.gen_atoms[t.name]
+            node = self.nodes[tid]
+            return tid, node.src, node.tgt
         if isinstance(t, Id):
             below = class_in_level(self.levels, t.body, self.dim - 1)
-            return None if below is None else self.id_atoms[below]
+            return (None if below is None else self.id_atoms[below]), below, below
         if isinstance(t, Comp):
-            a = self.term_node(t.left)
-            b = self.term_node(t.right)
-            if a is None or b is None:
-                return None
-            return self.make_comp(t.k, a, b)
+            a, sa, ta = self._intern_term(t.left)
+            b, sb, tb = self._intern_term(t.right)
+            tid = None if a is None or b is None else self.make_comp(t.k, a, b)
+            if tid is not None:  # built, so well formed
+                node = self.nodes[tid]
+                return tid, node.src, node.tgt
+            return None, *_comp_boundary(self.levels, t, self.dim, sa, ta, sb, tb)
         raise FreecatError(f"not a term: {t!r}")
 
     def verdict(self, ta: int | None, tb: int | None) -> tuple[str, object]:
@@ -779,7 +820,7 @@ class Engine:
         if na is not None and nb is not None:
             split = self._invariant_split(na, nb)
             if split is not None:
-                return DISTINCT, split[1]
+                return DISTINCT, split
         self.counters["unknown_verdicts"] += 1
         return UNKNOWN, None
 

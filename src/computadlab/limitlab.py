@@ -880,6 +880,14 @@ def _list_experiment(max_len: int) -> tuple[list[dict], dict | None]:
              "all_weak": all(r.weak_ok for r in results)}], witness
 
 
+# the largest number of vertices plus edges the gate's graph bounds may
+# allow, since the cospan count grows fast in both: at path length 3, (5, 1)
+# took 6.3 s, (4, 2) 4.1 s, (3, 3) 10.9 s, (2, 4) 20.6 s and (1, 5) 9.7 s,
+# while (4, 3) had not finished after 7.5 minutes at path length 1 (2-core
+# VM, Python 3.11)
+MAX_GRAPH_SIZE = 6
+
+
 def _path_experiment(graph_bounds: tuple[int, int],
                      path_len: int) -> tuple[list[dict], dict | None]:
     """The free-category functor on every graph cospan within the bounds,
@@ -894,6 +902,9 @@ def _path_experiment(graph_bounds: tuple[int, int],
         raise LimitError(f"graph bounds {tuple(graph_bounds)} admit no edge, "
                          "so every path is an identity; the gate needs at "
                          "least 1 vertex and 1 edge")
+    if sum(graph_bounds) > MAX_GRAPH_SIZE:
+        raise LimitError(f"graph bounds {tuple(graph_bounds)} allow more than "
+                         f"{MAX_GRAPH_SIZE} vertices and edges together")
     summary = run_path_preservation(*graph_bounds, path_len, generic_stride=1)
     name = "free category (path) functor on graph cospans"
     return [{

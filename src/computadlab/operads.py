@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .computads import MAX_DIM, Computad, FreeAlgebra, GeneratorDecl, free_algebra
+from .computads import (
+    MAX_DIM, Computad, FreeAlgebra, GeneratorDecl, free_algebra, theta_computad,
+)
 from .freecat import Bounds, Gen, Id, Term
 
 
@@ -272,7 +274,10 @@ def parse_presentation(text: str) -> Presentation:
             lhs, sep, rhs = line[3:].partition("=")
             if not sep:
                 raise OperadError(f"line {lineno}: equation needs '='")
-            equations.append((_parse_pterm(lhs, ops), _parse_pterm(rhs, ops)))
+            try:
+                equations.append((_parse_pterm(lhs, ops), _parse_pterm(rhs, ops)))
+            except OperadError as exc:
+                raise OperadError(f"line {lineno}: {exc}") from None
         else:
             raise OperadError(f"line {lineno}: expected 'op' or 'eq'")
     return Presentation(ops, equations)
@@ -330,9 +335,6 @@ class SliceResult:
     counts: dict[int, int]  # cell size -> number of classes
     free: FreeAlgebra
     fixed_point: bool
-    unknown_verdicts: int
-    partial: bool
-    marker: str
 
 
 def k_terminal_computad(k: int, generators) -> Computad:
@@ -346,8 +348,7 @@ def k_terminal_computad(k: int, generators) -> Computad:
     pad: Term = Gen("o", 0)
     for _ in range(k - 1):
         pad = Id(pad)
-    layers: list[list] = [[GeneratorDecl("o")]]
-    layers.extend([] for _ in range(k - 1))
+    layers = theta_computad(k - 1).layers
     layers.append([GeneratorDecl(str(x), pad, pad) for x in generators])
     return Computad(k, layers)
 
@@ -358,16 +359,12 @@ def slice_of_strict(k: int, generators, bounds: Bounds = Bounds()) -> SliceResul
     counts: dict[int, int] = {}
     for _, mset in fa.enumerate_cells(k):
         counts[len(mset)] = counts.get(len(mset), 0) + 1
-    report = fa.soundness_report()
     return SliceResult(
         k=k,
         generators=[str(x) for x in generators],
         counts=counts,
         free=fa,
         fixed_point=fa.fixed_point,
-        unknown_verdicts=report["unknown_verdicts"],
-        partial=fa.partial,
-        marker=fa.partiality_marker(),
     )
 
 

@@ -80,6 +80,15 @@ MUTANTS = [
            "split = self._invariant_split(self.nodes[ru], self.nodes[rv])",
            "split = None",
            ("tests/test_freecat.py::test_a_planted_bad_merge_raises_its_own_guard",)),
+    Mutant("saturation round skips its split guard", FREECAT,
+           "if seen.setdefault(old_root, now) != now:",
+           "if False:",
+           ("tests/test_freecat.py::test_a_planted_split_raises_the_round_guard",)),
+    Mutant("terms skip their composability check", FREECAT,
+           "if (ta is not None and sb is not None\n",
+           "if (False and ta is not None and sb is not None\n",
+           ("tests/test_freecat.py::test_a_malformed_composite_is_an_error",
+            "tests/test_freecat.py::test_boundary_checks_on_terms")),
     Mutant("merge marks no class stale", FREECAT,
            "self._stale.update([root[x] for x in users])",
            "pass",
@@ -128,20 +137,22 @@ MUTANTS = [
             "tests/test_freecat.py::"
             "test_each_representative_is_its_class_least_term[scalar2-size4]")),
     Mutant("right unit pad reads the source along comp_1 in dimension 3", FREECAT,
-           "if left else self._descend_tgt(node.tgt, d, k)",
-           "if (left or (k == 1 and self.dim == 3)) else self._descend_tgt(node.tgt, d, k)",
+           "if left\n               else _descend_tgt(self.levels, node.tgt, d, k))",
+           "if (left or (k == 1 and self.dim == 3))\n"
+           "               else _descend_tgt(self.levels, node.tgt, d, k))",
            ("tests/test_relations.py::test_duality_on_fixed_computads[three-cell3-size3]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[three-cell2-size3]")),
     Mutant("left unit pad reads the target in dimension 3", FREECAT,
-           "cls = self._descend_src(node.src, d, k) if left else",
-           "cls = self._descend_src(node.src, d, k) if (left and self.dim != 3) else",
+           "cls = (_descend_src(self.levels, node.src, d, k) if left\n",
+           "cls = (_descend_src(self.levels, node.src, d, k) if (left and self.dim != 3)\n",
            ("tests/test_relations.py::test_duality_on_fixed_computads[three-cell3-size3]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[scalar2-size4]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[whiskers-size2]")),
     Mutant("composability reads the left source along comp_1 in dimension 3", FREECAT,
-           "if self._descend_tgt(na.tgt, d, k) != self._descend_src(nb.src, d, k):",
-           "if (self._descend_src(na.src, d, k) if (k == 1 and self.dim == 3)\n"
-           "                else self._descend_tgt(na.tgt, d, k)) != self._descend_src(nb.src, d, k):",
+           "if _descend_tgt(self.levels, na.tgt, d, k) != _descend_src(self.levels, nb.src, d, k):",
+           "if (_descend_src(self.levels, na.src, d, k) if (k == 1 and self.dim == 3)\n"
+           "                else _descend_tgt(self.levels, na.tgt, d, k))"
+           " != _descend_src(self.levels, nb.src, d, k):",
            ("tests/test_relations.py::test_suspension_on_fixed_computads[chain-size2]",)),
     Mutant("identity functoriality skips comp_1 in dimension 3", FREECAT,
            "if self._settled(ids[c], k, ids[a], ids[b]):",
@@ -178,6 +189,11 @@ MUTANTS = [
            'sub.add_parser("trees", parents=[output]',
            'sub.add_parser("trees", parents=[bounds, output]',
            ("tests/test_cli.py::test_malformed_input_exit_one[usage-trees-bound]",)),
+    Mutant("the graph-bounds cap never refuses", LIMITLAB,
+           "if sum(graph_bounds) > MAX_GRAPH_SIZE:",
+           "if False:",
+           ("tests/test_limitlab.py::"
+            "test_gate_refuses_graph_bounds_above_the_cap_before_sweeping",)),
     Mutant("the n = 3 verdict is a constant", LIMITLAB,
            '("pass-within-bounds", _PASS_WORDING) if witness is None',
            '("pass-within-bounds", _PASS_WORDING) if witness is None and n != 3',

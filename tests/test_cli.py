@@ -133,6 +133,14 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
               "2 s : comp_{}(gen(f),gen(f)) => gen(f)\n")
 
 
+# a 2-cell on a 1-cell term whose term text is {}
+TERM_TEXT = "dim 2\n0 a\n1 f : gen(a) => gen(a)\n2 s : {} => gen(f)\n"
+
+# a 2-cell on comp_0(f,f), where f: a -> b does not compose with itself
+NOT_COMPOSABLE = ("dim 2\n0 a\n0 b\n1 f : gen(a) => gen(b)\n"
+                  "2 al : comp_0(gen(f),gen(f)) => comp_0(gen(f),gen(f))\n")
+
+
 # (argv, input text written to FILE, term budget patched into cli._bounds)
 @pytest.mark.parametrize("argv, text, max_terms", [
     # vacuous gates: a pass over zero cases is no evidence
@@ -146,6 +154,13 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  None, None, id="gate-empty-graph-only"),
     pytest.param(["gate", "--n", "2", "--graph-edges", "0"], None, None,
                  id="gate-identities-only"),
+    # graph bounds above the cap, which would sweep for minutes
+    pytest.param(["gate", "--n", "1", "--graph-vertices", "4", "--graph-edges", "3"],
+                 None, None, id="gate-graph-4-3"),
+    pytest.param(["gate", "--n", "2", "--graph-vertices", "5", "--graph-edges", "2"],
+                 None, None, id="gate-graph-5-2"),
+    pytest.param(["gate", "--n", "1", "--graph-vertices", "1", "--graph-edges", "6"],
+                 None, None, id="gate-graph-1-6"),
     # numbers in computad files
     pytest.param(["free", "FILE"], "dim x\n0 a\n", None, id="dim-not-a-number"),
     pytest.param(["free", "FILE"], "dim\n0 a\n", None, id="dim-without-number"),
@@ -170,6 +185,33 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  id="wrong-dimension"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f\n", None, id="missing-boundary"),
     pytest.param(["free", "FILE"], "dim 0\n0 a\n0 a\n", None, id="duplicate-name"),
+    pytest.param(["free", "FILE"], NOT_COMPOSABLE, None, id="not-composable"),
+    # the shape of computad files
+    pytest.param(["free", "FILE"], "dim 1\n0 a\ndim 1\n", None, id="dim-repeated"),
+    pytest.param(["free", "FILE"], "0 a\ndim 0\n", None, id="generator-before-dim"),
+    pytest.param(["free", "FILE"], "# no dim\n", None, id="no-dim"),
+    pytest.param(["free", "FILE"], "dim 0\n0 a b\n", None, id="three-words"),
+    pytest.param(["free", "FILE"], "dim 0\n0 a\n1 f : gen(a) => gen(a)\n", None,
+                 id="generator-above-dim"),
+    pytest.param(["free", "FILE"], "dim 1\n0 a : gen(a) => gen(a)\n", None,
+                 id="attached-0-generator"),
+    # term syntax in computad files
+    pytest.param(["free", "FILE"], TERM_TEXT.format("id1(id1(gen(a))"), None,
+                 id="term-missing-paren"),
+    pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f) gen(f))"), None,
+                 id="term-missing-comma"),
+    pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f),gen(f)x"), None,
+                 id="term-trailing-text"),
+    # presentations for regular
+    pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y)\n", None,
+                 id="regular-no-equals"),
+    pytest.param(["regular", "FILE"], "op m : 2\nfoo\n", None, id="regular-no-keyword"),
+    pytest.param(["regular", "FILE"], "op m : 2\neq m(,y) = m(x,y)\n", None,
+                 id="regular-missing-symbol"),
+    pytest.param(["regular", "FILE"], "op m : 2\neq m(x y) = m(x,y)\n", None,
+                 id="regular-missing-comma"),
+    pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y)z = m(x,y)\n", None,
+                 id="regular-trailing-text"),
     # ranges on the command line
     pytest.param(["trees", "--height", "-1", "--width", "2"], None, None,
                  id="trees-height-negative"),
@@ -214,6 +256,9 @@ COMP_INDEX = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  None, id="eval-map-not-an-object"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": [["a"]], "action": []}}', None,
                  id="eval-unhashable-element"),
+    pytest.param(["eval", "FILE"],
+                 '{"2": {"elements": ["a"], "action": [{"perm": [0, 0], "map": {}}]}}',
+                 None, id="eval-perm-repeats-a-value"),
     pytest.param(["eval", "FILE"],
                  f'{{"{operads.MAX_ARITY + 1}": {{"elements": ["a"], "action": []}}}}', None,
                  id="eval-symmetric-arity-above-max"),
@@ -278,6 +323,14 @@ def test_comp_index_errors_name_the_index(capsys, tmp_path):
     path.write_text(COMP_INDEX.format(0))
     code, _, _ = run(capsys, "free", str(path), "--bound", "2")
     assert code == 0
+
+
+def test_regular_term_errors_name_their_line(capsys, tmp_path):
+    path = tmp_path / "input.thy"
+    for text in ("op m : 2\neq m(,y) = m(x,y)\n", "op m : 2\neq m(x) = m(x,y)\n"):
+        path.write_text(text)
+        code, _, err = run(capsys, "regular", str(path))
+        assert code == 1 and err.startswith("error: line 2: ")
 
 
 def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):

@@ -835,6 +835,20 @@ def test_gate_one_failure_says_so_with_a_witness(monkeypatch, fault):
     assert json.loads(json.dumps(report.witness)) == report.witness
 
 
+@pytest.mark.parametrize("n, graph_bounds", [(1, (4, 3)), (2, (5, 2)), (1, (1, 6))])
+def test_gate_refuses_graph_bounds_above_the_cap_before_sweeping(monkeypatch, n,
+                                                                 graph_bounds):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(limitlab, "run_path_preservation", sweep)
+    with pytest.raises(LimitError, match=f"more than {limitlab.MAX_GRAPH_SIZE} vertices"):
+        computad_topos_gate(n, graph_bounds=graph_bounds, path_len=3)
+    with pytest.raises(AssertionError, match="the sweep ran"):  # at the cap, it sweeps
+        computad_topos_gate(n, graph_bounds=(graph_bounds[0], 6 - graph_bounds[0]),
+                            path_len=3)
+
+
 def test_gate_two_failure_names_the_set_cospan(monkeypatch):
     original = limitlab.check_cospan
 

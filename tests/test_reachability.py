@@ -8,7 +8,11 @@ name that a module binds to its module (`cpd.free_algebra` after
 attribute that merely shares the name (`args.height`) does not count, and
 neither do re-exports in `__init__.py`. A member of a class (a dataclass or
 NamedTuple field, a method or a property; dunder methods aside) counts as
-used when package code loads an attribute of that name from anything. A
+used when package code loads an attribute of that name from anything. Every
+field of a class counts as used when package code passes `dataclasses.asdict`
+a name bound, in the same function, to a call of a package function whose
+return annotation is that class (`report = limitlab.computad_topos_gate(...)`,
+then `dataclasses.asdict(report)`). A
 definition or member that only tests, benchmarks or planned work reach needs
 an entry in KEPT that says why it stays; an entry must go once the package
 uses the name, or once the name is gone.
@@ -22,7 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "computadlab"
 
 KEPT = {
-    "computads.theta_computad": "acceptance criterion 1 runs it",
     "operads.strong_analytic_bijection": "acceptance criterion 8 runs it",
     "freecat.verify_certificate": ("acceptance criteria 3 and 7 and the "
                                    "benchmark's query oracle replay certificates "
@@ -80,13 +83,42 @@ def _members(cls: ast.ClassDef):
             yield stmt.name
 
 
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _serialized_classes(modules) -> set[str]:
+    """The classes whose fields `dataclasses.asdict` reads: for each
+    `asdict(x)`, the return annotation of the package function whose call
+    the same function binds to x."""
+    returns = {fn.name: fn.returns.id for tree in modules.values() for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and isinstance(fn.returns, ast.Name)}
+    out = set()
+    for fn in (fn for tree in modules.values() for defn in tree.body
+               for fn in (defn.body if isinstance(defn, ast.ClassDef) else [defn])
+               if isinstance(fn, ast.FunctionDef)):
+        bound, read = {}, []
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and isinstance(node.targets[0], ast.Name)):
+                bound[node.targets[0].id] = _callee(node.value)
+            elif (isinstance(node, ast.Call) and _callee(node) == "asdict"
+                  and node.args and isinstance(node.args[0], ast.Name)):
+                read.append(node.args[0].id)
+        out.update(returns[bound[name]] for name in read if bound.get(name) in returns)
+    return out
+
+
 def _unread_members(modules) -> list[str]:
-    """The `module.Class.member` members whose name no attribute load reads."""
+    """The `module.Class.member` members whose name no attribute load reads,
+    in classes that no `asdict` call reads whole."""
     loaded = {node.attr for tree in modules.values() for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    serialized = _serialized_classes(modules)
     return [f"{module}.{defn.name}.{member}"
             for module, tree in modules.items() for defn in tree.body
-            if isinstance(defn, ast.ClassDef)
+            if isinstance(defn, ast.ClassDef) and defn.name not in serialized
             for member in _members(defn) if member not in loaded]
 
 
@@ -187,3 +219,25 @@ def test_a_member_is_used_only_when_an_attribute_load_reads_it(monkeypatch):
         "def read(p):\n"
         "    return p.field, p.method(), p.prop\n").body
     assert not set(planted) & set(_unreferenced())
+
+
+def test_asdict_reads_the_fields_of_the_class_its_argument_was_returned_as(monkeypatch):
+    modules = _modules()
+    monkeypatch.setitem(globals(), "_modules", lambda: modules)
+    modules["pasting"].body += ast.parse(
+        "class Planted(NamedTuple):\n"
+        "    planted_field: int\n"
+        "def make() -> Planted:\n"
+        "    return Planted(0)\n").body
+    cli = list(modules["cli"].body)
+    # a value of unknown class passed to asdict reads no field
+    modules["cli"].body = cli + ast.parse(
+        "def emit(args):\n"
+        "    doc = dict(args)\n"
+        "    return pasting.make(), dataclasses.asdict(doc)\n").body
+    assert "pasting.Planted.planted_field" in _unreferenced()
+    modules["cli"].body = cli + ast.parse(
+        "def emit():\n"
+        "    report = pasting.make()\n"
+        "    return dataclasses.asdict(report)\n").body
+    assert "pasting.Planted.planted_field" not in _unreferenced()

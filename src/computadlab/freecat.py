@@ -25,21 +25,21 @@ and each left root is paired only with the right roots that fit the size
 left over, so pairs beyond the bound are never visited.
 
 Axioms are matched per e-node, as in egg (Willsey et al., "egg: Fast and
-Extensible Equality Saturation", POPL 2021). Every class root owns a
-table from its canonical e-nodes (k, class of left, class of right) to
-the earliest member term of that shape. A merge folds the loser's table
-into the winner's (the winner's entries are kept) and marks stale the
-classes holding users of the moved terms; a stale table is re-keyed
-through the root list when it is next read. Associativity and interchange
-then run once per e-node of a round-start snapshot instead of once per
-member term, and a class holds far fewer e-nodes than terms. Each instance
-first looks its two sides up in the signature table; one already settled is
-skipped before any term is built. An instance's left side comp(p, q), with p
-and q e-nodes of the matched e-node's child classes, is in the matched
-class by congruence already, so it is never built: the matched e-node is
-merged with the literal right side, and the reason names the pattern
-(p, q). The member lists stay for relabelling the root list on a merge,
-and `freeze` walks them to extract each class's least term.
+Extensible Equality Saturation", POPL 2021). Every class root owns a table
+from its canonical e-nodes (k, class of left, class of right) to the
+earliest member term of that shape. A merge folds the loser's table into the
+winner's, keeping the winner's entries, and marks stale the classes holding
+users of the moved terms; a stale table is re-keyed through the root list
+when it is next read. One matcher visits each e-node of a round-start
+snapshot once, not each of the many more member terms: associativity from
+its left-nested side, interchange on pairs of child-class e-nodes. Each
+instance first looks its two sides up in the signature table; one already
+settled is skipped before any term is built. An instance's left side
+comp(p, q), with p and q in the matched e-node's child classes, is in the
+matched class by congruence already, so it is never built: the matched
+e-node is merged with the literal right side, and the reason names the
+pattern (p, q). The member lists stay for relabelling the root list on a
+merge, and `freeze` walks them to extract each class's least term.
 
 Immutable term data is hash-consed (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006): an engine keeps one tuple per
@@ -47,7 +47,7 @@ distinct generator multiset and, at dimension 1, per generator word; a
 composite built on two class roots uses its intern key as its signature;
 and a level's representative trees share their subterms. Values are still
 compared by value, so nothing downstream can tell. Under tracemalloc the
-four benchmark slices (k/gens/size 1/3/6, 2/3/4, 2/3/6, 3/2/4) peak at
+four benchmark slices (k/gens/size 1/3/6, 2/3/4, 2/3/6, 3/2/4) peaked at
 749, 612, 612 and 654 bytes per term (1,182, 852, 860 and 880 unshared).
 
 Every effective merge also adds one edge, labelled with the merged pair
@@ -140,8 +140,8 @@ def term_to_str(t: Term) -> str:
 def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
     """Parse the prefix syntax gen(id), id1(t), comp_k(t,u), each generator
     taking its dimension from `gen_dims` (name -> dimension). A name outside
-    it is an error, and so is a negative k or one at or above the dimension
-    of the composed cells."""
+    it is an error, and so are a negative k, one at or above the dimension
+    of the composed cells, and operands of two dimensions."""
     s = s.strip()
 
     def parse(i: int) -> tuple[Term, int]:
@@ -182,6 +182,9 @@ def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
             if k >= len(s) or s[k] != ",":
                 raise FreecatError(f"expected ',' at position {k}")
             right, k = parse(k + 1)
+            if term_dim(right) != term_dim(left):
+                raise FreecatError(f"the operands of {head!r} have dimensions "
+                                   f"{term_dim(left)} and {term_dim(right)}")
             if k >= len(s) or s[k] != ")":
                 raise FreecatError(f"expected ')' at position {k}")
             return Comp(idx, left, right), k + 1
@@ -623,8 +626,7 @@ class Engine:
         snapshot = [t for r in self.classes() for t in self.enodes(r).values()]
         self._identity_functoriality()
         for tid in snapshot:
-            self._assoc_instances(tid)
-            self._interchange_instances(tid)
+            self._matched_instances(tid)
         self._unit_instances()
         self._process_pending()
         # classes may only coarsen, never split
@@ -656,82 +658,52 @@ class Engine:
             self._enodes[root] = table = fresh
         return table
 
-    def _assoc_instances(self, tid: int):
-        """comp_k(comp_k(x1, x2), y) = comp_k(x1, comp_k(x2, y)) for each
-        e-node comp_k(x1, x2) of tid's left class, then the mirror image for
-        each e-node of its right class. An instance whose two sides already
-        share tid's class is skipped before anything is built; otherwise
-        tid stands for the left side and is merged with the right side.
+    def _matched_instances(self, tid: int):
+        """Assoc and interchange on tid = comp_j(a, b), in one pass over the
+        e-nodes x of a's class. An x along j gives comp_j(comp_j(x1, x2), b) =
+        comp_j(x1, comp_j(x2, b)), pattern (x, b); an x along k != j and an
+        e-node y along k of b's class give comp_j(comp_k(x1, x2), comp_k(y1, y2))
+        = comp_k(comp_j(x1, y1), comp_j(x2, y2)), pattern (x, y).
 
-        The mirrored loop saves rounds and terms, though the first loop alone
-        reaches the same classes: without it the k=1, 3-generator, size-6
-        slice takes 5 rounds instead of 4 and 9,137 terms instead of 8,408,
-        for the same 1,093 classes."""
+        Left-nested associativity alone is complete: generation composes every
+        pair of class roots within the bound, so for each e-node comp_k(a,
+        comp_k(y1, y2)) the left-nested comp_k(comp_k(a, y1), y2), of the same
+        size, is built in a later round and matched there, its inner composite
+        exactly when a right-nested match would have built it."""
         nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
-        node = nodes[tid]
-        k, a, b = node.k, node.a, node.b
-        members = [x for (kx, _, _), x in self.enodes(root[a]).items() if kx == k]
-        self.counters["axiom_instances"] += len(members)
-        for x in members:
-            nx = nodes[x]
-            inner = sig.get((k, root[nx.b], root[b]))
-            if inner is not None:
-                hit = sig.get((k, root[nx.a], root[inner]))
-                if hit is not None and root[hit] == root[tid]:
-                    continue
-            inner = make(k, nx.b, b)
-            if inner is not None:
-                t2 = make(k, nx.a, inner)
-                if t2 is not None:
-                    self._merge(tid, t2, ("assoc", x, b))
-        members = [y for (ky, _, _), y in self.enodes(root[b]).items() if ky == k]
-        self.counters["axiom_instances"] += len(members)
-        for y in members:
-            ny = nodes[y]
-            inner = sig.get((k, root[a], root[ny.a]))
-            if inner is not None:
-                hit = sig.get((k, root[inner], root[ny.b]))
-                if hit is not None and root[hit] == root[tid]:
-                    continue
-            inner = make(k, a, ny.a)
-            if inner is not None:
-                t2 = make(k, inner, ny.b)
-                if t2 is not None:
-                    self._merge(tid, t2, ("assoc", a, y))
-
-    def _interchange_instances(self, tid: int):
-        """comp_j(comp_k(x1, x2), comp_k(y1, y2)) =
-        comp_k(comp_j(x1, y1), comp_j(x2, y2)), with j tid's index, for each
-        e-node along some k != j of tid's left class and each e-node along
-        the same k of its right class. An instance whose two sides already
-        share tid's class is skipped before anything is built; otherwise
-        tid stands for the left side and is merged with the right side."""
-        nodes, sig, root, make = self.nodes, self._sig, self._root, self.make_comp
-        counters = self.counters
         node = nodes[tid]
         j, a, b = node.k, node.a, node.b
-        # the right class's e-nodes by index, grouped once and only when some
-        # left e-node has another index (never at dimension 1); what a merge
-        # in this loop adds to the right class is matched next round
+        # b's class's e-nodes by index, grouped once when some x has another
+        # index (never at dimension 1); what a merge here adds waits a round
         by_index: dict[int, list[int]] | None = None
         for (k, _, _), x in list(self.enodes(root[a]).items()):
+            nx = nodes[x]
             if k == j:
+                self.counters["axiom_instances"] += 1
+                inner = sig.get((j, root[nx.b], root[b]))
+                hit = None if inner is None else sig.get((j, root[nx.a], root[inner]))
+                if hit is not None and root[hit] == root[tid]:
+                    continue
+                inner = make(j, nx.b, b)
+                if inner is not None:
+                    t2 = make(j, nx.a, inner)
+                    if t2 is not None:
+                        self._merge(tid, t2, ("assoc", x, b))
                 continue
             if by_index is None:
                 by_index = {}
                 for (ky, _, _), y in self.enodes(root[b]).items():
                     by_index.setdefault(ky, []).append(y)
-            nx = nodes[x]
             members = by_index.get(k, ())
-            counters["axiom_instances"] += len(members)
+            self.counters["axiom_instances"] += len(members)
             for y in members:
                 ny = nodes[y]
                 left = sig.get((j, root[nx.a], root[ny.a]))
                 right = sig.get((j, root[nx.b], root[ny.b]))
-                if left is not None and right is not None:
-                    hit = sig.get((k, root[left], root[right]))
-                    if hit is not None and root[hit] == root[tid]:
-                        continue
+                hit = (None if left is None or right is None
+                       else sig.get((k, root[left], root[right])))
+                if hit is not None and root[hit] == root[tid]:
+                    continue
                 left = make(j, nx.a, ny.a)
                 right = make(j, nx.b, ny.b)
                 if left is not None and right is not None:
@@ -793,6 +765,8 @@ class Engine:
         """`term_node` of t, with t's source and target classes one
         dimension down (None when not materialized)."""
         if isinstance(t, Gen):
+            if t.dim != self.dim:
+                raise FreecatError(f"generator {t.name} has dim {t.dim}, expected {self.dim}")
             if t.name not in self.gen_atoms:
                 raise FreecatError(f"unknown generator {t.name!r}")
             tid = self.gen_atoms[t.name]
@@ -984,19 +958,15 @@ def _cong_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
 
 def _assoc_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
     """u and v are composites along one index k, and v is the literal other
-    side on comp(p, q) of comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), or
-    of the mirror comp(p, comp(q1, q2)) = comp(comp(p, q1), q2)."""
+    side on comp(p, q) of comp(comp(p1, p2), q) = comp(p1, comp(p2, q))."""
     p, q = args
-    nodes = e.nodes
-    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
+    nu, nv, np = e.nodes[u], e.nodes[v], e.nodes[p]
     k = nu.k
     if not (nu.kind == CMP and _along(nv, k)):
         return False
-    nl, nr = nodes[nv.a], nodes[nv.b]
-    return ((_along(np, k) and nv.a == np.a and _along(nr, k)
-             and nr.a == np.b and nr.b == q)
-            or (_along(nq, k) and nv.b == nq.b and _along(nl, k)
-                and nl.a == p and nl.b == nq.a))
+    nr = e.nodes[nv.b]
+    return (_along(np, k) and nv.a == np.a and _along(nr, k)
+            and nr.a == np.b and nr.b == q)
 
 
 def _interchange_ok(e: Engine, u: int, v: int, args: tuple) -> bool:

@@ -88,7 +88,26 @@ MUTANTS = [
            "if (ta is not None and sb is not None\n",
            "if (False and ta is not None and sb is not None\n",
            ("tests/test_freecat.py::test_a_malformed_composite_is_an_error",
-            "tests/test_freecat.py::test_boundary_checks_on_terms")),
+            "tests/test_freecat.py::test_boundary_checks_on_terms",
+            "tests/test_cli.py::test_malformed_input_exit_one[not-composable]")),
+    Mutant("the parser skips the operand-dimension check", FREECAT,
+           "if term_dim(right) != term_dim(left):",
+           "if False:",
+           ("tests/test_cli.py::test_malformed_input_exit_one[operand-dimensions-differ]",)),
+    Mutant("engine terms skip the generator dimension check", FREECAT,
+           "if t.dim != self.dim:",
+           "if False:",
+           ("tests/test_freecat.py::"
+            "test_a_malformed_composite_is_an_error[right-operand-of-dim-0]",)),
+    Mutant("associativity merges only along comp_0", FREECAT,
+           'self._merge(tid, t2, ("assoc", x, b))',
+           'k == 0 and self._merge(tid, t2, ("assoc", x, b))',
+           ("tests/test_freecat.py::test_engine_work_is_pinned[slice-k3-g2-size4]",
+            "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[terminal2-size3]",
+            "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[whiskers-size3]",
+            "tests/test_relations.py::test_suspension_on_fixed_computads[loop-size4]",
+            "tests/test_relations.py::test_suspension_on_fixed_computads[slice-k1-g2-size4]",
+            "tests/test_relations.py::test_duality_and_suspension_on_random_computads")),
     Mutant("merge marks no class stale", FREECAT,
            "self._stale.update([root[x] for x in users])",
            "pass",

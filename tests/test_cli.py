@@ -141,149 +141,189 @@ NOT_COMPOSABLE = ("dim 2\n0 a\n0 b\n1 f : gen(a) => gen(b)\n"
                   "2 al : comp_0(gen(f),gen(f)) => comp_0(gen(f),gen(f))\n")
 
 
-# (argv, input text written to FILE, term budget patched into cli._bounds)
-@pytest.mark.parametrize("argv, text, max_terms", [
+# a 2-cell on comp_0(f,f) over a loop f, which needs size 2 below it
+LOOP_SQUARE = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
+               "2 al : comp_0(gen(f),gen(f)) => comp_0(gen(f),gen(f))\n")
+
+# a 2-cell on comp_0(f,a), whose operands are a 1-cell and a 0-cell
+OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
+                "2 al : comp_0(gen(f),gen(a)) => gen(f)\n")
+
+
+# (argv, input text written to FILE, term budget patched into cli._bounds,
+# a phrase the one error line must contain)
+@pytest.mark.parametrize("argv, text, max_terms, phrase", [
     # vacuous gates: a pass over zero cases is no evidence
     pytest.param(["gate", "--n", "1", "--graph-vertices", "-1"], None, None,
-                 id="gate-no-vertices"),
+                 "graph bounds (-1, 2) admit no edge", id="gate-no-vertices"),
     pytest.param(["gate", "--n", "2", "--graph-edges", "-1"], None, None,
-                 id="gate-no-edges"),
+                 "graph bounds (2, -1) admit no edge", id="gate-no-edges"),
     pytest.param(["gate", "--n", "1", "--bound", "0"], None, None,
-                 id="gate-path-length-0"),
+                 "path length 0 checks only identities", id="gate-path-length-0"),
     pytest.param(["gate", "--n", "1", "--graph-vertices", "0", "--graph-edges", "0"],
-                 None, None, id="gate-empty-graph-only"),
+                 None, None, "graph bounds (0, 0) admit no edge", id="gate-empty-graph-only"),
     pytest.param(["gate", "--n", "2", "--graph-edges", "0"], None, None,
-                 id="gate-identities-only"),
+                 "graph bounds (2, 0) admit no edge", id="gate-identities-only"),
     # graph bounds above the cap, which would sweep for minutes
     pytest.param(["gate", "--n", "1", "--graph-vertices", "4", "--graph-edges", "3"],
-                 None, None, id="gate-graph-4-3"),
+                 None, None, "graph bounds (4, 3) allow more than 6", id="gate-graph-4-3"),
     pytest.param(["gate", "--n", "2", "--graph-vertices", "5", "--graph-edges", "2"],
-                 None, None, id="gate-graph-5-2"),
+                 None, None, "graph bounds (5, 2) allow more than 6", id="gate-graph-5-2"),
     pytest.param(["gate", "--n", "1", "--graph-vertices", "1", "--graph-edges", "6"],
-                 None, None, id="gate-graph-1-6"),
+                 None, None, "graph bounds (1, 6) allow more than 6", id="gate-graph-1-6"),
     # numbers in computad files
-    pytest.param(["free", "FILE"], "dim x\n0 a\n", None, id="dim-not-a-number"),
-    pytest.param(["free", "FILE"], "dim\n0 a\n", None, id="dim-without-number"),
-    pytest.param(["free", "FILE"], "dim -1\n", None, id="dim-negative"),
+    pytest.param(["free", "FILE"], "dim x\n0 a\n", None,
+                 "line 1: dim must be a natural number, got 'x'", id="dim-not-a-number"),
+    pytest.param(["free", "FILE"], "dim\n0 a\n", None,
+                 "line 1: dim must be a natural number, got ''", id="dim-without-number"),
+    pytest.param(["free", "FILE"], "dim -1\n", None,
+                 "line 1: dim must be a natural number, got '-1'", id="dim-negative"),
     pytest.param(["free", "FILE"], f"dim {computads.MAX_DIM + 1}\n0 a\n", None,
-                 id="dim-above-max"),
+                 f"line 1: dim {computads.MAX_DIM + 1} above", id="dim-above-max"),
     pytest.param(["free", "FILE"], "dim " + "9" * 5000 + "\n", None,
-                 id="dim-too-many-digits"),
+                 "line 1: dim has too many digits", id="dim-too-many-digits"),
     pytest.param(["regular", "FILE"], "op m : " + "9" * 5000 + "\n", None,
-                 id="arity-too-many-digits"),
+                 "line 1: arity has too many digits", id="arity-too-many-digits"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n-1 f : gen(a) => gen(a)\n", None,
+                 "line 3: generator dimension must be a natural number",
                  id="generator-dim-negative"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f : gen(a) => gen(q)\n", None,
-                 id="unknown-generator"),
+                 "line 3: unknown generator 'q'", id="unknown-generator"),
     pytest.param(["free", "FILE"], COMP_INDEX.format(-1), None,
-                 id="comp-index-negative"),
+                 "line 4: negative composition index", id="comp-index-negative"),
     pytest.param(["free", "FILE"], COMP_INDEX.format(7), None,
-                 id="comp-index-too-large"),
+                 "line 4: composition index 7", id="comp-index-too-large"),
     # attachments, certified by free_algebra
-    pytest.param(["free", "FILE"], NONPARALLEL, None, id="non-parallel"),
+    pytest.param(["free", "FILE"], NONPARALLEL, None,
+                 "boundaries gen(f) and gen(h) are not parallel", id="non-parallel"),
     pytest.param(["free", "FILE"], "dim 2\n0 a\n2 s : gen(a) => gen(a)\n", None,
-                 id="wrong-dimension"),
-    pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f\n", None, id="missing-boundary"),
-    pytest.param(["free", "FILE"], "dim 0\n0 a\n0 a\n", None, id="duplicate-name"),
-    pytest.param(["free", "FILE"], NOT_COMPOSABLE, None, id="not-composable"),
+                 "source term has dimension 0, expected 1", id="wrong-dimension"),
+    pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f\n", None,
+                 "line 3: generator of dim 1 needs 'src => tgt'", id="missing-boundary"),
+    pytest.param(["free", "FILE"], "dim 0\n0 a\n0 a\n", None,
+                 "duplicate generator name 'a'", id="duplicate-name"),
+    pytest.param(["free", "FILE"], NOT_COMPOSABLE, None,
+                 "the operands of comp_0(gen(f),gen(f)) do not compose", id="not-composable"),
+    pytest.param(["free", "FILE", "--bound", "1"], LOOP_SQUARE, None,
+                 "generator 'al': boundary term not materialized within the bounds",
+                 id="attachment-beyond-the-bound"),
+    pytest.param(["free", "FILE"], OPERAND_DIMS, None,
+                 "line 4: the operands of 'comp_0' have dimensions 1 and 0",
+                 id="operand-dimensions-differ"),
     # the shape of computad files
-    pytest.param(["free", "FILE"], "dim 1\n0 a\ndim 1\n", None, id="dim-repeated"),
-    pytest.param(["free", "FILE"], "0 a\ndim 0\n", None, id="generator-before-dim"),
-    pytest.param(["free", "FILE"], "# no dim\n", None, id="no-dim"),
-    pytest.param(["free", "FILE"], "dim 0\n0 a b\n", None, id="three-words"),
+    pytest.param(["free", "FILE"], "dim 1\n0 a\ndim 1\n", None,
+                 "line 3: repeated dim declaration", id="dim-repeated"),
+    pytest.param(["free", "FILE"], "0 a\ndim 0\n", None,
+                 "line 1: missing dim declaration", id="generator-before-dim"),
+    pytest.param(["free", "FILE"], "# no dim\n", None, "missing dim declaration", id="no-dim"),
+    pytest.param(["free", "FILE"], "dim 0\n0 a b\n", None,
+                 "line 2: expected '<dim> <name>", id="three-words"),
     pytest.param(["free", "FILE"], "dim 0\n0 a\n1 f : gen(a) => gen(a)\n", None,
-                 id="generator-above-dim"),
+                 "line 3: generator dimension 1 above dim 0", id="generator-above-dim"),
     pytest.param(["free", "FILE"], "dim 1\n0 a : gen(a) => gen(a)\n", None,
-                 id="attached-0-generator"),
+                 "line 2: 0-generators take no attachment", id="attached-0-generator"),
     # term syntax in computad files
     pytest.param(["free", "FILE"], TERM_TEXT.format("id1(id1(gen(a))"), None,
-                 id="term-missing-paren"),
+                 "line 4: expected ')'", id="term-missing-paren"),
     pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f) gen(f))"), None,
-                 id="term-missing-comma"),
-    pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f),gen(f)x"), None,
-                 id="term-trailing-text"),
+                 "line 4: expected ','", id="term-missing-comma"),
+    pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f),gen(f))x"), None,
+                 "line 4: trailing input after position 21", id="term-trailing-text"),
     # presentations for regular
     pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y)\n", None,
-                 id="regular-no-equals"),
-    pytest.param(["regular", "FILE"], "op m : 2\nfoo\n", None, id="regular-no-keyword"),
+                 "line 2: equation needs '='", id="regular-no-equals"),
+    pytest.param(["regular", "FILE"], "op m : 2\nfoo\n", None,
+                 "line 2: expected 'op' or 'eq'", id="regular-no-keyword"),
     pytest.param(["regular", "FILE"], "op m : 2\neq m(,y) = m(x,y)\n", None,
-                 id="regular-missing-symbol"),
+                 "line 2: expected a symbol", id="regular-missing-symbol"),
     pytest.param(["regular", "FILE"], "op m : 2\neq m(x y) = m(x,y)\n", None,
-                 id="regular-missing-comma"),
+                 "line 2: expected ',' or ')'", id="regular-missing-comma"),
     pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y)z = m(x,y)\n", None,
-                 id="regular-trailing-text"),
+                 "line 2: trailing input", id="regular-trailing-text"),
     # ranges on the command line
     pytest.param(["trees", "--height", "-1", "--width", "2"], None, None,
-                 id="trees-height-negative"),
+                 "--height and --width must be >= 0", id="trees-height-negative"),
     pytest.param(["trees", "--height", "2", "--width", "-1"], None, None,
-                 id="trees-width-negative"),
+                 "--height and --width must be >= 0", id="trees-width-negative"),
     pytest.param(["trees", "--height", "3", "--width", "4"], None, None,
-                 id="trees-above-max"),
+                 "more than 1,000,000 trees", id="trees-above-max"),
     pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
-                 id="slice-generators-negative"),
+                 "the number of generators must be >= 0", id="slice-generators-negative"),
     pytest.param(["free", "FILE", "--bound", "-1"], "dim 0\n0 a\n", None,
-                 id="free-bound-negative"),
+                 "got size -1", id="free-bound-negative"),
     pytest.param(["slice", "--k", "1", "--rounds", "0"], None, None,
-                 id="slice-rounds-zero"),
-    pytest.param(["slice", "--k", "0"], None, None, id="slice-k-zero"),
+                 "rounds 0", id="slice-rounds-zero"),
+    pytest.param(["slice", "--k", "0"], None, None, "slices start at k = 1", id="slice-k-zero"),
     pytest.param(["slice", "--k", str(computads.MAX_DIM + 1)], None, None,
-                 id="slice-k-above-max"),
-    pytest.param(["gate", "--n", "0"], None, None, id="gate-n-zero"),
+                 f"slice k = {computads.MAX_DIM + 1} above", id="slice-k-above-max"),
+    pytest.param(["gate", "--n", "0"], None, None,
+                 "unsupported gate dimension 0", id="gate-n-zero"),
     # files that are not UTF-8 text, or nest beyond the recursion limit
-    pytest.param(["free", "FILE"], b"\xff\xfe", None, id="free-undecodable"),
-    pytest.param(["regular", "FILE"], b"\xff\xfe", None, id="regular-undecodable"),
-    pytest.param(["eval", "FILE"], b"\xff\xfe", None, id="eval-undecodable"),
+    pytest.param(["free", "FILE"], b"\xff\xfe", None,
+                 "can't decode byte 0xff", id="free-undecodable"),
+    pytest.param(["regular", "FILE"], b"\xff\xfe", None,
+                 "can't decode byte 0xff", id="regular-undecodable"),
+    pytest.param(["eval", "FILE"], b"\xff\xfe", None,
+                 "can't decode byte 0xff", id="eval-undecodable"),
     pytest.param(["eval", "FILE"], "[" * 100_000 + "]" * 100_000, None,
-                 id="eval-nested-too-deeply"),
+                 "nested too deeply", id="eval-nested-too-deeply"),
     # collection files for eval
-    pytest.param(["eval", "FILE"], '["a"]', None, id="eval-not-an-object"),
-    pytest.param(["eval", "FILE"], '{"x": ["a"]}', None, id="eval-arity-not-a-number"),
-    pytest.param(["eval", "FILE"], '{"1": "a"}', None, id="eval-payload-string"),
+    pytest.param(["eval", "FILE"], '["a"]', None,
+                 "a collection is a JSON object keyed by arity", id="eval-not-an-object"),
+    pytest.param(["eval", "FILE"], '{"x": ["a"]}', None,
+                 "arity 'x' is not a natural number", id="eval-arity-not-a-number"),
+    pytest.param(["eval", "FILE"], '{"1": "a"}', None,
+                 "arity 1: expected an object with key 'elements'", id="eval-payload-string"),
     pytest.param(["eval", "FILE", "--arity-bound", "-1"], '{"1": ["a"]}', None,
-                 id="eval-arity-bound-negative"),
-    pytest.param(["eval", "FILE"], '{"-1": ["a"]}', None, id="eval-arity-negative"),
+                 "--arity-bound must be >= 0", id="eval-arity-bound-negative"),
+    pytest.param(["eval", "FILE"], '{"-1": ["a"]}', None,
+                 "arity '-1' is not a natural number", id="eval-arity-negative"),
     pytest.param(["eval", "FILE"], '{"2": {"elements": 5}}', None,
-                 id="eval-elements-not-a-list"),
+                 "arity 2: 'elements' is not a list", id="eval-elements-not-a-list"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": ["a"], "action": 3}}', None,
-                 id="eval-action-not-a-list"),
+                 "arity 1: 'action' is not a list", id="eval-action-not-a-list"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": ["a"], "action": [5]}}', None,
-                 id="eval-action-entry-not-an-object"),
+                 "expected an object with key 'perm'", id="eval-action-entry-not-an-object"),
     pytest.param(["eval", "FILE"],
                  '{"1": {"elements": ["a"], "action": [{"perm": 5, "map": {}}]}}',
-                 None, id="eval-perm-not-a-list"),
+                 None, "'perm' is not a list", id="eval-perm-not-a-list"),
     pytest.param(["eval", "FILE"],
                  '{"1": {"elements": ["a"], "action": [{"perm": [0], "map": [1]}]}}',
-                 None, id="eval-map-not-an-object"),
+                 None, "'map' is not a dict", id="eval-map-not-an-object"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": [["a"]], "action": []}}', None,
-                 id="eval-unhashable-element"),
+                 "must be strings, numbers, booleans or null", id="eval-unhashable-element"),
     pytest.param(["eval", "FILE"],
                  '{"2": {"elements": ["a"], "action": [{"perm": [0, 0], "map": {}}]}}',
-                 None, id="eval-perm-repeats-a-value"),
+                 None, "[0, 0] is not a permutation", id="eval-perm-repeats-a-value"),
     pytest.param(["eval", "FILE"],
                  f'{{"{operads.MAX_ARITY + 1}": {{"elements": ["a"], "action": []}}}}', None,
-                 id="eval-symmetric-arity-above-max"),
+                 f"arity {operads.MAX_ARITY + 1} above", id="eval-symmetric-arity-above-max"),
     pytest.param(["eval", data_path("bicategory_slice1.json"), "--set", "a,a"], None,
-                 None, id="eval-set-repeated"),
+                 None, "names an element twice", id="eval-set-repeated"),
     # usage errors, which argparse alone would end with exit 2 after its usage text
-    pytest.param(["gate"], None, None, id="usage-gate-without-n"),
-    pytest.param(["slice", "--k", "1", "--frob"], None, None, id="usage-unknown-flag"),
-    pytest.param(["frob"], None, None, id="usage-unknown-verb"),
+    pytest.param(["gate"], None, None, "required: --n", id="usage-gate-without-n"),
+    pytest.param(["slice", "--k", "1", "--frob"], None, None,
+                 "unrecognized arguments: --frob", id="usage-unknown-flag"),
+    pytest.param(["frob"], None, None, "invalid choice: 'frob'", id="usage-unknown-verb"),
     pytest.param(["slice", "--k", "1", "--bound", "x"], None, None,
-                 id="usage-bound-not-a-number"),
-    pytest.param([], None, None, id="usage-no-verb"),
+                 "invalid int value: 'x'", id="usage-bound-not-a-number"),
+    pytest.param([], None, None, "required: verb", id="usage-no-verb"),
     # bound flags on a verb that reads no bounds
     pytest.param(["trees", "--height", "2", "--width", "2", "--bound", "2"], None, None,
-                 id="usage-trees-bound"),
+                 "unrecognized arguments: --bound 2", id="usage-trees-bound"),
     pytest.param(["regular", data_path("monoid.thy"), "--rounds", "3"], None, None,
-                 id="usage-regular-rounds"),
+                 "unrecognized arguments: --rounds 3", id="usage-regular-rounds"),
     pytest.param(["eval", data_path("bicategory_slice1.json"), "--bound", "2"], None,
-                 None, id="usage-eval-bound"),
+                 None, "unrecognized arguments: --bound 2", id="usage-eval-bound"),
     # an exhausted term budget
-    pytest.param(["free", data_path("scalar2.cpd")], None, 20, id="budget-free"),
-    pytest.param(["slice", "--k", "2"], None, 20, id="budget-slice"),
-    pytest.param(["gate", "--n", "3", "--bound", "2"], None, 20, id="budget-gate"),
+    pytest.param(["free", data_path("scalar2.cpd")], None, 20,
+                 "term budget 20 exhausted", id="budget-free"),
+    pytest.param(["slice", "--k", "2"], None, 20, "term budget 20 exhausted", id="budget-slice"),
+    pytest.param(["gate", "--n", "3", "--bound", "2"], None, 20,
+                 "term budget 20 exhausted", id="budget-gate"),
 ])
-def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms):
+def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms,
+                                  phrase):
     if text is not None:
         path = tmp_path / "input.cpd"
         if isinstance(text, bytes):
@@ -298,6 +338,7 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
     assert code == 1 and not out
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "usage:" not in err
+    assert phrase in err
 
 
 def test_help_exits_zero(capsys):

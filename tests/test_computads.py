@@ -10,6 +10,7 @@ from computadlab.computads import (
     theta_computad,
 )
 from computadlab.freecat import Bounds, Comp, Gen, Id
+from computadlab.operads import k_terminal_computad
 
 
 def scalar_computad(names):
@@ -43,6 +44,16 @@ def test_nonparallel_attachment_rejected():
 def test_duplicate_names_rejected():
     with pytest.raises(ComputadError):
         build_computad([["a", "a"]])
+
+
+def test_an_attachment_beyond_the_bound_is_refused():
+    """A 2-cell on comp_0(f,f) over a loop f needs size 2 below it."""
+    text = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
+            "2 al : comp_0(gen(f),gen(f)) => comp_0(gen(f),gen(f))\n")
+    with pytest.raises(NonParallelAttachment,
+                       match="'al': boundary term not materialized within the bounds"):
+        free_algebra(loads_computad(text), Bounds(size=1))
+    assert "al" in free_algebra(loads_computad(text), Bounds(size=2)).levels[2].gen_class
 
 
 # --- free algebras -----------------------------------------------------------------
@@ -99,6 +110,21 @@ def test_map_boundary_naturality_enforced():
         make_computad_map(c, c, [{"a": "a", "b": "b"}, {"f": "g", "g": "f"}])
     flip = make_computad_map(c, c, [{"a": "b", "b": "a"}, {"f": "g", "g": "f"}])
     assert map_violation(flip) is None
+
+
+LOOP = build_computad([["a"], [("x", Gen("a", 0), Gen("a", 0))]])
+LOOP_E = build_computad([["o"], [("e", Gen("o", 0), Gen("o", 0))]])
+
+
+@pytest.mark.parametrize("cod, gen_maps, phrase", [
+    (build_computad([["o"]]), [{"a": "o"}], "dimension mismatch"),
+    (LOOP_E, [{"a": "o"}], "missing generator maps"),
+    (LOOP_E, [{"a": "o"}, {}], "dim 1: map undefined on 'x'"),
+    (LOOP_E, [{"a": "o"}, {"x": "o"}], "dim 1: image of 'x' is not a 1-generator"),
+], ids=["dimension", "missing-dimension", "undefined", "wrong-dimension-image"])
+def test_a_malformed_computad_map_is_refused(cod, gen_maps, phrase):
+    with pytest.raises(ComputadError, match=phrase):
+        make_computad_map(LOOP, cod, gen_maps)
 
 
 def test_pullback_of_identities_is_diagonal():
@@ -209,6 +235,16 @@ def test_computad_format_round_trip():
     text = dumps_computad(c)
     c2 = loads_computad(text)
     assert dumps_computad(c2) == text
+
+
+def test_pair_names_survive_the_text_format():
+    """The gate's scalar pullback names its generators (x|y), so its text
+    nests parentheses inside gen(...)."""
+    cx, cz = k_terminal_computad(2, ["a", "b"]), k_terminal_computad(2, ["z"])
+    f = make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}])
+    text = dumps_computad(pullback_computads(f, f, Bounds(size=2)).computad)
+    assert "2 (a|b) : id1(gen((o|o))) => id1(gen((o|o)))" in text
+    assert dumps_computad(loads_computad(text)) == text
 
 
 def test_loader_rejects_bad_attachments():

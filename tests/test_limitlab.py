@@ -87,6 +87,28 @@ def test_noncommuting_square_rejected():
         check_square(s)
 
 
+@pytest.mark.parametrize("assign, phrase", [
+    ({"a": "z"}, "map undefined on 'b'"),
+    ({"a": "z", "b": "w"}, "image of 'b' is outside the codomain"),
+], ids=["undefined", "outside"])
+def test_a_finset_map_that_is_not_total_is_refused(assign, phrase):
+    with pytest.raises(LimitError, match=phrase):
+        make_finset_map(("a", "b"), ("z",), assign)
+
+
+def test_squares_of_the_wrong_shape_are_refused():
+    i = make_finset_map(("a",), ("a",), {"a": "a"})
+    j = make_finset_map(("b",), ("a",), {"b": "a"})
+    f = make_finset_map(("a",), ("z",), {"a": "z"})
+    g = make_finset_map(("c",), ("z",), {"c": "z"})
+    h = make_finset_map(("a",), ("y",), {"a": "y"})
+    for square, phrase in [(Square(i, j, f, f), "p and q have different domains"),
+                           (Square(i, i, g, f), "legs do not match the cospan"),
+                           (Square(i, i, f, h), "cospan has no common codomain")]:
+        with pytest.raises(LimitError, match=phrase):
+            check_square(square)
+
+
 def test_pullback_implies_weak_on_random_squares():
     """The pullback square passes; a square through a random map h from W
     to the pullback is a pullback iff h is bijective, and a weak one iff

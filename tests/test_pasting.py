@@ -107,6 +107,8 @@ def test_tree_count_follows_the_enumeration_and_saturates():
     for h, w in [(3, 4), (2, 2000), (1, 10**9), (10**9, 1), (10**9, 10**9)]:
         assert tree_count(h, w) == MAX_TREES + 1
     assert tree_count(10**9, 0) == tree_count(0, 10**9) == 1
+    assert tree_count(5, 1) == len(enumerate_trees(5, 1)) == 6
+    assert tree_count(10**6, 1) == tree_count(60, 2) == MAX_TREES + 1
 
 
 def test_enumerate_trees_no_duplicates_and_truncation_closed():

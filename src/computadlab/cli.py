@@ -1,10 +1,10 @@
 """Command-line surface: load inputs, run engines and experiments, emit reports.
 
 Verbs: free, slice, regular, gate, trees, eval. Exit codes: 0 = ran and
-verdict delivered, 1 = usage error, input error or exhausted term budget,
-2 = internal soundness failure (an oracle mismatch is a correctness failure,
-not a verdict). `main` turns every exit-1 and exit-2 exception into one line
-on stderr.
+verdict delivered, 1 = usage error, input error, or exhausted term budget
+or round cap, 2 = internal soundness failure (an oracle mismatch is a
+correctness failure, not a verdict). `main` turns every exit-1 and exit-2
+exception into one line on stderr.
 """
 
 from __future__ import annotations
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--bound", type=int, default=4,
                         help="size bound (generator occurrences per cell)")
     bounds.add_argument("--rounds", type=int, default=24,
-                        help="saturation round cap")
+                        help="round cap of each saturation stratum (one "
+                             "generator count); reaching it exits 1")
 
     parser = _Parser(
         prog="computadlab",

@@ -15,14 +15,16 @@ exact list of each term's class root, beside the member list of each class
 (Nieuwenhuis and Oliveras, "Fast congruence closure and extensions", Inf.
 Comput. 205, 2007). A root is the least term id of its class, and a merge
 relabels every member of the losing class, so `find` is one list read.
-Saturation alternates a generation step (compose every pair of known
-classes within the size bound - one application of the free-composites
-layer) with an axiom step (assert every axiom instance visible on the
-materialized terms, then re-close the congruence). Rounds repeat until a
-fixed point on the materialized term set or a round cap. Generation is
-size-graded: the round's class roots are grouped by generator count once,
-and each left root is paired only with the right roots that fit the size
-left over, so pairs beyond the bound are never visited.
+Saturation runs one stratum per generator count s = 0, 1, ..., size, each
+to its own fixed point. A round of stratum s alternates a generation step
+(compose every pair of class roots whose multisets add up to s - one slice
+of the free-composites layer) with an axiom step (assert every axiom
+instance visible on the materialized terms of the classes of size s, then
+re-close the congruence). A stratum's rounds repeat until one adds no term
+and no merge; one that reaches the round cap first raises EngineLimit.
+Generation is size-graded: the round's class roots are grouped by generator
+count once, and each left root is paired only with the right roots of the
+size left over, so pairs beyond the stratum are never visited.
 
 Axioms are matched per e-node, as in egg (Willsey et al., "egg: Fast and
 Extensible Equality Saturation", POPL 2021). Every class root owns a table
@@ -32,7 +34,9 @@ winner's, keeping the winner's entries, and marks stale the classes holding
 users of the moved terms; a stale table is re-keyed through the root list
 when it is next read. One matcher visits each e-node of a round-start
 snapshot once, not each of the many more member terms: associativity from
-its left-nested side, interchange on pairs of child-class e-nodes. Each
+its left-nested side, interchange on pairs of child-class e-nodes. An
+e-node whose two children both hold generators is matched only in the
+first round of its stratum that sees it (`saturate` says why). Each
 instance first looks its two sides up in the signature table; one already
 settled is skipped before any term is built. An instance's left side
 comp(p, q), with p and q in the matched e-node's child classes, is in the
@@ -47,8 +51,9 @@ distinct generator multiset and, at dimension 1, per generator word; a
 composite built on two class roots uses its intern key as its signature;
 and a level's representative trees share their subterms. Values are still
 compared by value, so nothing downstream can tell. Under tracemalloc the
-four benchmark slices (k/gens/size 1/3/6, 2/3/4, 2/3/6, 3/2/4) peaked at
-749, 612, 612 and 654 bytes per term (1,182, 852, 860 and 880 unshared).
+four benchmark slices (k/gens/size 1/3/6, 2/3/4, 2/3/6, 3/2/4) peak at
+671, 621, 554 and 646 bytes per term. Before the sharing, at the term
+counts of that time, they peaked at 1,182, 852, 860 and 880.
 
 Every effective merge also adds one edge, labelled with the merged pair
 and a locally checkable reason, to a proof forest over the terms
@@ -89,7 +94,8 @@ class SoundnessError(Exception):
 
 
 class EngineLimit(Exception):
-    """The term budget was exhausted before saturation finished."""
+    """The term budget or a stratum's round cap was exhausted before
+    saturation finished."""
 
 
 # --- term syntax -------------------------------------------------------------
@@ -323,7 +329,7 @@ def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | No
 @dataclass(frozen=True)
 class Bounds:
     size: int = 4  # max generator occurrences per cell
-    rounds: int = 24  # saturation round cap
+    rounds: int = 24  # round cap of each stratum (one generator count)
     max_terms: int = 200_000
 
     def __post_init__(self):
@@ -591,43 +597,52 @@ class Engine:
 
     # free-algebra rounds ----------------------------------------------------
 
-    def extend_composites(self):
+    def extend_composites(self, size: int | None = None):
         """One application of the free-composites layer: compose every pair
-        of current classes along every index, within the size bound.
+        of current classes along every index, within the size bound. Given
+        a stratum `size`, only the pairs whose multisets hold exactly that
+        many generators together.
 
         Generation is size-graded: the round's roots are grouped by multiset
-        size once, and each left root visits only the right roots that fit
-        the size left over, in increasing id order. A composite is built
-        only when no term has its signature yet, so generation merges
+        size once, and each left root visits only the right roots of the
+        sizes left over, each size in increasing id order. A composite is
+        built only when no term has its signature yet, so generation merges
         nothing and every root stays a root until the loop ends."""
-        nodes, sig, size = self.nodes, self._sig, self.bounds.size
+        nodes, sig, bound = self.nodes, self._sig, self.bounds.size
         roots = self.classes()
         sizes = [len(nodes[r].mset) for r in roots]
-        top = max(sizes, default=0)
-        if 2 * top > size:
+        if 2 * max(sizes, default=0) > bound:
             self.saw_size_cut = True  # some pair of roots is too big to compose
-        # fits[m]: the roots of multiset size at most m, in increasing id order
-        fits = [[r for r, n in zip(roots, sizes) if n <= m] for m in range(top + 1)]
-        nonempty = [r for r in fits[min(size, top)] if nodes[r].mset]
+        lo, hi = (0, bound) if size is None else (size, size)
+        of_size: list[list[int]] = [[] for _ in range(hi + 1)]
+        for r, n in zip(roots, sizes):
+            if n <= hi:
+                of_size[n].append(r)
         for ra, n in zip(roots, sizes):
-            if n > size:
-                continue
             # composites of pure identities add no class
-            for rb in fits[min(size - n, top)] if n else nonempty:
-                for k in range(self.dim):
-                    if (k, ra, rb) not in sig:
-                        self.make_comp(k, ra, rb)
+            for m in range(max(lo - n, 0 if n else 1), hi - n + 1):
+                for rb in of_size[m]:
+                    for k in range(self.dim):
+                        if (k, ra, rb) not in sig:
+                            self.make_comp(k, ra, rb)
 
-    def saturation_round(self):
+    def saturation_round(self, size: int | None = None, mark: int = 0) -> int:
         """Assert every axiom instance visible on current terms, re-close the
-        congruence, and advance the round counter."""
-        root = self._root
+        congruence, and advance the round counter. Given a stratum `size`,
+        only on the classes of that size, with identity functoriality only
+        at size 0, and an e-node below the watermark `mark` is matched only
+        when one of its children is a pure identity. Returns the term count
+        at the round's snapshot, the watermark of the stratum's next round."""
+        nodes, root = self.nodes, self._root
         partition = list(root)
-        snapshot = [t for r in self.classes() for t in self.enodes(r).values()]
-        self._identity_functoriality()
+        next_mark = len(nodes)
+        snapshot = [t for r in self._stratum(size) for t in self.enodes(r).values()
+                    if t >= mark or not (nodes[nodes[t].a].mset and nodes[nodes[t].b].mset)]
+        if not size:  # the full round, or stratum 0
+            self._identity_functoriality()
         for tid in snapshot:
             self._matched_instances(tid)
-        self._unit_instances()
+        self._unit_instances(size)
         self._process_pending()
         # classes may only coarsen, never split
         seen: dict[int, int] = {}
@@ -635,6 +650,16 @@ class Engine:
             if seen.setdefault(old_root, now) != now:
                 raise SoundnessError("saturation split a congruence class")
         self.round += 1
+        return next_mark
+
+    def _stratum(self, size: int | None) -> list[int]:
+        """The class roots of multiset size `size` in increasing order, or
+        every root when size is None."""
+        roots = self.classes()
+        if size is None:
+            return roots
+        nodes = self.nodes
+        return [r for r in roots if len(nodes[r].mset) == size]
 
     def _settled(self, tid: int, k: int, ta: int, tb: int) -> bool:
         """A composite comp_k of the classes of ta and tb is materialized in
@@ -711,8 +736,8 @@ class Engine:
                     if t2 is not None:
                         self._merge(tid, t2, ("interchange", x, y))
 
-    def _unit_instances(self):
-        for root in sorted(self._class_terms.keys()):
+    def _unit_instances(self, size: int | None):
+        for root in self._stratum(size):
             for k in range(self.dim):
                 self.counters["axiom_instances"] += 2
                 for family, left in (("unit_l", True), ("unit_r", False)):
@@ -736,20 +761,46 @@ class Engine:
             if t2 is not None:
                 self._merge(ids[c], t2, ("idfun",))
 
-    def saturate(self) -> bool:
-        """Alternate generation and axiom rounds until nothing changes.
+    def saturate(self):
+        """Saturate one stratum at a time, for s = 0, 1, ..., size: in
+        stratum s, generation pairs a left root of size n only with right
+        roots of size s - n, and matching and the unit instances read only
+        the classes of size s. Each stratum alternates generation and axiom
+        rounds until a round adds no term and no merge. A stratum that uses
+        up `Bounds.rounds` first raises EngineLimit; `round` counts the
+        rounds of all strata.
 
-        Returns True when a fixed point on the materialized terms was
-        reached within the round cap.
-        """
-        while self.round < self.bounds.rounds:
-            n_terms, n_merges = len(self.nodes), self.counters["merges"]
-            self.extend_composites()
-            self.saturation_round()
-            if len(self.nodes) == n_terms and self.counters["merges"] == n_merges:
-                self.fixed_point = True
-                break
-        return self.fixed_point
+        Inside a stratum, an e-node whose two children both hold generators
+        is matched only in the first round that sees it: the watermark, the
+        term count at the previous round's snapshot, picks out the e-nodes
+        built since. This is sound:
+
+          * `_merge` refuses to mix multisets, so in stratum s no class of
+            size below s changes;
+          * a smaller literal term built while matching finds its signature
+            already held by the finished stratum of its size, so it joins
+            that class at birth and adds no e-node key;
+          * so an e-node whose children both hold generators, each of them
+            fewer than s, sees fixed child classes and fixed child tables.
+            Each of its instances was settled, merged or found impossible
+            on its first match, and an instance's fate depends only on
+            classes.
+
+        An e-node with a pure identity child, a unit pad or a whisker by a
+        lower identity, has a child class of size s that may still grow, so
+        it is matched every round."""
+        for size in range(self.bounds.size + 1):
+            mark = 0
+            for _ in range(self.bounds.rounds):
+                n_terms, n_merges = len(self.nodes), self.counters["merges"]
+                self.extend_composites(size)
+                mark = self.saturation_round(size, mark)
+                if len(self.nodes) == n_terms and self.counters["merges"] == n_merges:
+                    break
+            else:
+                raise EngineLimit(f"round cap {self.bounds.rounds} reached before the "
+                                  f"fixed point of the stratum of size {size}")
+        self.fixed_point = True
 
     # queries ----------------------------------------------------------------
 

@@ -108,6 +108,35 @@ MUTANTS = [
             "tests/test_relations.py::test_suspension_on_fixed_computads[loop-size4]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[slice-k1-g2-size4]",
             "tests/test_relations.py::test_duality_and_suspension_on_random_computads")),
+    Mutant("saturation stops one stratum below the size bound", FREECAT,
+           "for size in range(self.bounds.size + 1):",
+           "for size in range(self.bounds.size):",
+           ("tests/test_relations.py::test_a_full_round_after_saturation_changes_nothing"
+            "[loop-size12]",
+            "tests/test_operads.py::test_first_slice_is_free_monoid",
+            "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[loop-size3]")),
+    Mutant("generation pairs right roots one size short", FREECAT,
+           "for m in range(max(lo - n, 0 if n else 1), hi - n + 1):",
+           "for m in range(max(lo - n, 0 if n else 1), hi - n):",
+           ("tests/test_relations.py::test_a_full_round_after_saturation_changes_nothing"
+            "[scalar2-size5]",
+            "tests/test_operads.py::test_second_slice_is_free_commutative_monoid",
+            "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[loop-size2]")),
+    Mutant("identity functoriality runs only in the full round", FREECAT,
+           "if not size:  # the full round, or stratum 0",
+           "if size is None:",
+           ("tests/test_relations.py::test_a_full_round_after_saturation_changes_nothing"
+            "[two-loops-size2]",
+            "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
+            "[idfun-relabelled-unit-l]",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k2-g3-size4]")),
+    Mutant("each stratum runs one round past its cap", FREECAT,
+           "for _ in range(self.bounds.rounds):",
+           "for _ in range(self.bounds.rounds + 1):",
+           ("tests/test_cli.py::test_malformed_input_exit_one[rounds-free]",
+            "tests/test_cli.py::test_malformed_input_exit_one[rounds-slice]",
+            "tests/test_cli.py::test_malformed_input_exit_one[rounds-gate]",
+            "tests/test_freecat.py::test_two_rounds_reach_each_stratum_fixed_point")),
     Mutant("merge marks no class stale", FREECAT,
            "self._stale.update([root[x] for x in users])",
            "pass",

@@ -321,6 +321,14 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["slice", "--k", "2"], None, 20, "term budget 20 exhausted", id="budget-slice"),
     pytest.param(["gate", "--n", "3", "--bound", "2"], None, 20,
                  "term budget 20 exhausted", id="budget-gate"),
+    # a stratum that uses up its round cap; a run stopped there would pass
+    # for a result: too few classes, an oracle mismatch, a passing gate
+    pytest.param(["free", data_path("scalar2.cpd"), "--bound", "4", "--rounds", "1"], None,
+                 None, "round cap 1 reached", id="rounds-free"),
+    pytest.param(["slice", "--k", "1", "--generators", "3", "--bound", "6", "--rounds", "1"],
+                 None, None, "round cap 1 reached", id="rounds-slice"),
+    pytest.param(["gate", "--n", "3", "--rounds", "1"], None, None,
+                 "round cap 1 reached", id="rounds-gate"),
 ])
 def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms,
                                   phrase):
@@ -400,10 +408,10 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
 def test_a_soundness_failure_exits_two_with_one_line(capsys, monkeypatch):
     original = freecat.Engine.saturation_round
 
-    def planted(self):
+    def planted(self, *args):
         if len(self.gen_atoms) == 2:  # the 2-cells alpha and beta
             self._merge(*self.gen_atoms.values(), ("planted",))
-        return original(self)
+        return original(self, *args)
 
     monkeypatch.setattr(freecat.Engine, "saturation_round", planted)
     code, out, err = run(capsys, "free", data_path("scalar2.cpd"))

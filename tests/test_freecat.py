@@ -14,9 +14,9 @@ from computadlab.computads import (
     Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    CMP, COUNTERS, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, FreecatError, Gen,
-    Id, SoundnessError, UNKNOWN, _STEPS, certificate, equal_cells, level_zero,
-    term_dim, term_from_str, term_to_str, verify_certificate,
+    CMP, COUNTERS, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
+    FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, certificate, equal_cells,
+    level_zero, term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
 from oracles import dfs_paths, pasting_cells
@@ -726,8 +726,8 @@ def test_enode_index_after_every_step(make, monkeypatch):
     checked = []
 
     def checking(step):
-        def run(self):
-            out = step(self)
+        def run(self, *args):
+            out = step(self, *args)
             assert_enode_index(self)
             assert_root_list(self)
             checked.append(self.dim)
@@ -787,35 +787,39 @@ def engine_work(e):
             e.counters["axiom_instances"], e.round, e.saw_size_cut, digest)
 
 
-# the dimension-1 and dimension-2 engines under a single 0-cell and no
-# generators above it
-IDENTITY_ONLY = (2, 1, 1, 5, 2, False,
-                 "ac439a9ecfc3f1534fb927d78a340090a1164a559e2bf6396415b907e36762b5")
-IDENTITY_ONLY_2 = (3, 1, 2, 14, 2, False,
-                   "539bc18650afa5e9cfa1b8a498aaf16f6bfb7c4b5ecb3f46aa7429a2d76e7893")
+def identity_only(size, dim=1):
+    """The work of the dimension-1 or dimension-2 engine under a single
+    0-cell and no generators above it, at `size`: stratum 0 takes two
+    rounds, one that merges its unit instances and one that confirms, and
+    every stratum above it one round that finds nothing."""
+    terms, merges, instances, digest = {
+        1: (2, 1, 5, "ac439a9ecfc3f1534fb927d78a340090a1164a559e2bf6396415b907e36762b5"),
+        2: (3, 2, 14, "539bc18650afa5e9cfa1b8a498aaf16f6bfb7c4b5ecb3f46aa7429a2d76e7893"),
+    }[dim]
+    return (terms, 1, merges, instances, size + 2, False, digest)
 
 
 @pytest.mark.parametrize("make,size,work", [
     (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6, [
-        (9137, 1093, 8044, 74297, 5, True,
-         "95dc324cc87e71318687261afbcc8d63c740bc7f620f9e9b748d4b691d1fe1d0")]),
+        (9869, 1093, 8776, 31451, 14, True,
+         "fd92905449f8d46d8004395833e465d09d564b1866780cd3c496358bbdf275b5")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4, [
-        IDENTITY_ONLY,
-        (1518, 35, 1483, 19353, 3, True,
-         "bbd006f5e7940415fed15c12a7271064497db042063606425d163c0aae011129")]),
+        identity_only(4),
+        (744, 35, 709, 5406, 10, True,
+         "794c63a97c1b73a5dbe190457e9e1778994a1ae291ff7d657d30825e91af5575")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6, [
-        IDENTITY_ONLY,
-        (4115, 84, 4031, 96898, 4, True,
-         "92c25826d8fc04b4f5f32d3d8cb74193a749ff587c40aab36af85eef889bdb43")]),
+        identity_only(6),
+        (3481, 84, 3397, 47866, 14, True,
+         "de1a8bdc8c3f94d6212bca6d4355688a9d8e39cf08aa1336c4876e59ee202b8e")]),
     (lambda: k_terminal_computad(3, ["x0", "x1"]), 4, [
-        IDENTITY_ONLY,
-        IDENTITY_ONLY_2,
-        (942, 15, 927, 19316, 3, True,
-         "94c11c40d3a5ef0674d85ee0df6ae591cb89871b49f08d72997e65537dbf5dc8")]),
+        identity_only(4),
+        identity_only(4, dim=2),
+        (361, 15, 346, 3862, 10, True,
+         "bf82887f6e05e2794bb3f8ae70074da15ac1b8c8709a2c0280686f7180937654")]),
     (scalar2, 5, [
-        IDENTITY_ONLY,
-        (649, 21, 628, 9859, 4, True,
-         "3c22b501de1cfe8370da7b6237952ea1b6bf7d1f7be0776988f8bbe7a463da79")]),
+        identity_only(5),
+        (463, 21, 442, 3704, 12, True,
+         "ff5ce78c06a65e04bd488f3acc854c217aa1fe9a5a9023ff5de8a33085426d8b")]),
 ], ids=["slice-k1-g3-size6", "slice-k2-g3-size4", "slice-k2-g3-size6", "slice-k3-g2-size4",
         "scalar2-size5"])
 def test_engine_work_is_pinned(make, size, work):
@@ -824,6 +828,21 @@ def test_engine_work_is_pinned(make, size, work):
     cover every slice the `engine` benchmark times."""
     fa = free_algebra(make(), Bounds(size=size))
     assert [engine_work(e) for e in fa.engines[1:]] == work
+
+
+@pytest.mark.parametrize("k,gens,size", [(1, 3, 6), (2, 3, 4), (2, 3, 6), (3, 2, 4)],
+                         ids=["k1-g3-size6", "k2-g3-size4", "k2-g3-size6", "k3-g2-size4"])
+def test_two_rounds_reach_each_stratum_fixed_point(k, gens, size):
+    """On the benchmark's slices every stratum needs one round that works
+    and one that confirms, so a cap of 2 rounds saturates them; a cap of 1
+    stops stratum 0 short, which is an exhausted budget, not a result."""
+    c = k_terminal_computad(k, [f"x{i}" for i in range(gens)])
+    fa = free_algebra(c, Bounds(size=size, rounds=2))
+    assert fa.fixed_point
+    assert all(e.round == 2 * (size + 1) for e in fa.engines[1:] if e.gen_atoms)
+    with pytest.raises(EngineLimit, match="round cap 1 reached before the fixed point "
+                                          "of the stratum of size 0"):
+        free_algebra(c, Bounds(size=size, rounds=1))
 
 
 def _subterms(t, seen):
@@ -838,10 +857,11 @@ def _subterms(t, seen):
 def test_engine_shares_immutable_term_data():
     """Equal multisets and dimension-1 words are one object per engine, and
     a level's representatives share their subterms. The slice's traced
-    peak was 9.47 MiB before that sharing and 6.00 MiB with it. It is
-    6.35 MiB since associativity is matched from one side only, which
-    builds 9,137 terms where matching from both sides built 8,408; the
-    bound sits about 2% above that."""
+    peak was 9.47 MiB before that sharing and 6.00 MiB with it. It rose to
+    6.35 MiB when associativity came to be matched from one side only,
+    which builds 9,137 terms where matching from both sides built 8,408.
+    Saturating one generator count at a time builds 9,869 terms and peaks
+    at 6.32 MiB; the bound sits about 3% above that."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

@@ -27,6 +27,12 @@ without an oracle.
   Both run on the random computads, where suspension lifts the 2-computads
   to dimension 3, and on fixed computads up to dimension 3 whose cells have
   distinct sources and targets.
+* A full round after saturation changes nothing. Saturation runs one
+  generator count at a time and matches an e-node on two non-identity
+  children once per stratum; one unstratified round afterwards, every pair
+  of roots composed and every e-node matched, must add no term and no
+  merge. It is checked on the benchmark's slices, on other fixed computads
+  and on the random ones.
 
 Limits: these relations catch faults that depend on generator names, on the
 order of declarations or of terms, or on other components of the computad,
@@ -387,3 +393,59 @@ def test_duality_and_suspension_on_random_computads(layers):
     for flip in flips(c.dim):
         assert_dual(fa, free_algebra(dual_computad(c, flip), fa.bounds), flip)
     assert_suspended(fa, free_algebra(suspend(c), fa.bounds))
+
+
+# --- the fixed point ---------------------------------------------------------------
+
+
+def theta2():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "theta2.cpd").read_text())
+
+
+def two_loops():
+    """{p; e, f: p -> p; u, v: id1(p) => id1(p)}: 2-cells on an identity,
+    whiskered by words in two loops."""
+    p = Gen("p", 0)
+    return build_computad([["p"], [("e", p, p), ("f", p, p)],
+                           [("u", Id(p), Id(p)), ("v", Id(p), Id(p))]])
+
+
+CONFIRMED = {
+    "slice-k1-g3-size6": (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6),
+    "slice-k2-g3-size4": (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
+    "slice-k2-g3-size6": (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6),
+    "slice-k3-g2-size4": (lambda: k_terminal_computad(3, ["x0", "x1"]), 4),
+    "slice-k1-g2-size7": (lambda: k_terminal_computad(1, ["x0", "x1"]), 7),
+    "slice-k3-g3-size4": (lambda: k_terminal_computad(3, ["x0", "x1", "x2"]), 4),
+    "scalar2-size5": (scalar2, 5),
+    "loop-size12": (loop, 12),
+    "theta2-size4": (theta2, 4),
+    "two-loops-size2": (two_loops, 2),
+}
+
+
+def assert_a_full_round_changes_nothing(fa):
+    """One unstratified round after saturation, every pair of roots
+    composed and every e-node of every class matched, adds no term and no
+    merge in any dimension: `fixed_point` holds on all the materialized
+    terms, not only on each stratum's own."""
+    for e in fa.engines[1:]:
+        before = len(e.nodes), e.counters["merges"]
+        e.extend_composites()
+        e.saturation_round()
+        assert (len(e.nodes), e.counters["merges"]) == before, e.dim
+
+
+@pytest.mark.parametrize("case", CONFIRMED)
+def test_a_full_round_after_saturation_changes_nothing(case):
+    make, size = CONFIRMED[case]
+    fa = free_algebra(make(), Bounds(size=size))
+    assert fa.fixed_point
+    assert_a_full_round_changes_nothing(fa)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(layers=computads())
+def test_a_full_round_after_saturating_a_random_computad_changes_nothing(layers):
+    assert_a_full_round_changes_nothing(saturate(layers))

@@ -26,48 +26,56 @@ Generation is size-graded: the round's class roots are grouped by generator
 count once, and each left root is paired only with the right roots of the
 size left over, so pairs beyond the stratum are never visited.
 
-Axioms are matched per e-node, as in egg (Willsey et al., "egg: Fast and
-Extensible Equality Saturation", POPL 2021). Every class root owns a table
-from its canonical e-nodes (k, class of left, class of right) to the
-earliest member term of that shape. A merge folds the loser's table into the
-winner's, keeping the winner's entries, and marks stale the classes holding
-users of the moved terms; a stale table is re-keyed through the root list
-when it is next read. One matcher visits each e-node of a round-start
-snapshot once, not each of the many more member terms: associativity from
-its left-nested side, interchange on pairs of child-class e-nodes. An
-e-node whose two children both hold generators is matched only in the
-first round of its stratum that sees it (`saturate` says why). Each
-instance first looks its two sides up in the signature table; one already
-settled is skipped before any term is built. An instance's left side
-comp(p, q), with p and q in the matched e-node's child classes, is in the
-matched class by congruence already, so it is never built: the matched
-e-node is merged with the literal right side, and the reason names the
-pattern (p, q). The member lists stay for relabelling the root list on a
-merge, and `freeze` walks them to extract each class's least term.
+Composites are hash-consed up to congruence, as in egg (Willsey et al.,
+"egg: Fast and Extensible Equality Saturation", POPL 2021): `make_comp`
+looks the canonical key (k, class of left, class of right) up in the
+signature table and returns the e-node it finds, and builds a composite
+only when there is none, so no term is ever a copy of an existing e-node
+and a query within the bounds of a saturated engine adds no term. Axioms
+are matched per e-node. Every class root owns a table from its canonical
+e-nodes to the earliest member term of that shape. A merge folds the
+loser's table into the winner's, keeping the winner's entries, and marks
+stale the classes holding users of the moved terms; a stale table is
+re-keyed through the root list when it is next read. One matcher visits
+each e-node of a round-start snapshot once, not each of the many more
+member terms: associativity from its left-nested side, interchange on pairs
+of child-class e-nodes. An e-node whose two children both hold generators
+is matched only in the first round of its stratum that sees it (`saturate`
+says why). Each instance first looks the e-nodes of its other side up in
+the signature table; one already in the matched class is skipped before
+anything is built. Otherwise the e-nodes found are reused, only the
+missing ones are built, and the matched e-node is merged with the other
+side. An instance's matched side comp(p, q), with p and q in the matched
+e-node's child classes, is never built: it is in the matched class by
+congruence already. The member lists stay for relabelling the root list on
+a merge, and `freeze` walks them to extract each class's least term.
 
-Immutable term data is hash-consed (Filliatre and Conchon, "Type-safe
+Immutable term data is shared as well (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006): an engine keeps one tuple per
-distinct generator multiset and, at dimension 1, per generator word; a
-composite built on two class roots uses its intern key as its signature;
-and a level's representative trees share their subterms. Values are still
+distinct generator multiset and, at dimension 1, per generator word, and a
+level's representative trees share their subterms. Values are still
 compared by value, so nothing downstream can tell. Under tracemalloc the
 four benchmark slices (k/gens/size 1/3/6, 2/3/4, 2/3/6, 3/2/4) peak at
-671, 621, 554 and 646 bytes per term. Before the sharing, at the term
-counts of that time, they peaked at 1,182, 852, 860 and 880.
+4.98, 0.30, 1.19 and 0.17 MiB, or 734, 742, 674 and 793 bytes per term;
+before composites were hash-consed they built 9,869, 744, 3,481 and 361
+terms where they now build 7,115, 430, 1,858 and 219, and peaked at 6.32,
+0.44, 1.84 and 0.23 MiB.
 
 Every effective merge also adds one edge, labelled with the merged pair
 and a locally checkable reason, to a proof forest over the terms
 (proof-producing congruence closure: Nieuwenhuis and Oliveras, RTA 2005;
 Flatt et al., "Small Proofs from Congruence Closure", FMCAD 2022). The
 forest's trees are the classes, so two equal terms are joined by exactly
-one forest path. A reason is the name of its family, followed by the
-matched pattern (p, q) for assoc and interchange and by nothing else:
-every composition index a check needs is read from the two terms' own
-nodes. One table, `_STEPS`, says what each step means: for congruence and
-for each axiom family, whether its reason carries a pattern, and a local
-check. A step rests on the equalities of u's children to v's children
-(congruence) or to p and q (assoc, interchange), and on nothing else
-(units, idfun). A certificate is the edges of the forest path, each
+one forest path. A reason is the name of its family followed by the
+e-nodes the step reuses: the matched pattern (p, q) and the inner e-nodes
+of the other side for assoc and interchange, the two identity atoms for
+idfun, nothing for congruence and the units. Every composition index a
+check needs is read from the nodes. One table, `_STEPS`, says for
+congruence and for each axiom family how many e-nodes its reason names
+and gives a local check; `_premises` gives the equalities of children to
+e-nodes that the step rests on, which is what lets a step cite a reused
+e-node in place of a literal term (the comment above `_STEPS` says why
+this is sound). A certificate is the edges of the forest path, each
 preceded by the explanations of the equalities it rests on, so an Equal
 verdict carries its proof and nothing else; `verify_certificate` replays
 every step along one path: well formed, its row's check, its premises
@@ -80,7 +88,6 @@ generator word). Everything else is reported Unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
@@ -377,8 +384,6 @@ class Engine:
         self.nodes: list[Node] = []
         # one object per distinct multiset or word, which many terms share
         self._tuples: dict[tuple[str, ...], tuple[str, ...]] = {}
-        # composites by their literal children: (k, a, b) -> term
-        self._intern: dict[tuple[int, int, int], int] = {}
         # each term's class root, the least term id of its class; a merge
         # relabels every member of the losing class
         self._root: list[int] = []
@@ -388,6 +393,9 @@ class Engine:
         # merged-away classes until `enodes` re-keys them
         self._enodes: dict[int, dict[tuple[int, int, int], int]] = {}
         self._stale: set[int] = set()
+        # the hashcons: canonical key (k, class of a, class of b) -> the
+        # composite registered under it; a key of merged-away classes is
+        # never looked up again, since a lookup reads current roots
         self._sig: dict[tuple[int, int, int], int] = {}
         self._uses: dict[int, list[int]] = {}  # term -> the composites on it
         # composites whose child classes a merge moved, to re-check by
@@ -505,32 +513,29 @@ class Engine:
                 raise FreecatError(f"terms {u} and {v} are not equal")
         return up[:depth[t]] + down[::-1]
 
-    def _congruence(self, t: int, sig: tuple[int, int, int]):
-        """Register composite t as the term of its signature sig, (k, class
-        of left, class of right), or merge it by congruence with the term
-        already registered there."""
-        hit = self._sig.get(sig)
-        if hit is None:
-            self._sig[sig] = t
-        elif self._root[hit] != self._root[t]:
-            self._merge(t, hit, ("cong",))
-
     def _process_pending(self):
         """Re-check by congruence every composite whose child classes a merge
-        moved, until no merge moves one again."""
-        nodes, root = self.nodes, self._root
+        moved, until no merge moves one again: a composite whose canonical
+        key another e-node holds is merged with it, and one whose key no
+        e-node holds is registered under it."""
+        nodes, root, sig = self.nodes, self._root, self._sig
         while self._pending:
             t = self._pending.pop()
             n = nodes[t]
-            self._congruence(t, (n.k, root[n.a], root[n.b]))
+            key = (n.k, root[n.a], root[n.b])
+            hit = sig.get(key)
+            if hit is None:
+                sig[key] = t
+            elif root[hit] != root[t]:
+                self._merge(t, hit, ("cong",))
 
     # term construction ------------------------------------------------------
 
     def _add(self, node: Node, sig: tuple[int, int, int] | None = None) -> int:
         """Append a term as its own class. A composite comes with its
-        signature sig and is also entered in its class's e-node table and
-        checked by congruence; a merge there always loses the new term,
-        which has no users yet, so it queues nothing."""
+        canonical key sig, which no e-node holds yet (`make_comp` builds
+        only then), and is registered under it and in its class's e-node
+        table."""
         if len(self.nodes) >= self.bounds.max_terms:
             raise EngineLimit(f"term budget {self.bounds.max_terms} exhausted")
         tid = len(self.nodes)
@@ -543,7 +548,7 @@ class Engine:
             self._uses.setdefault(node.a, []).append(tid)
             self._uses.setdefault(node.b, []).append(tid)
             self._enodes[tid][sig] = tid
-            self._congruence(tid, sig)
+            self._sig[sig] = tid
         return tid
 
     def _shared(self, value: tuple[str, ...]) -> tuple[str, ...]:
@@ -562,11 +567,15 @@ class Engine:
         return self.id_atoms[cls]
 
     def make_comp(self, k: int, ta: int, tb: int) -> int | None:
-        """Intern comp_k(ta, tb); None if unbounded or not composable."""
+        """comp_k(ta, tb) up to congruence: the e-node registered under the
+        canonical key (k, class of ta, class of tb), as in egg's hashcons
+        (Willsey et al., POPL 2021), or a new composite on ta and tb when
+        there is none. None if unbounded or not composable."""
         if not 0 <= k < self.dim:
             raise FreecatError(f"composition index {k} out of range")
-        key = (k, ta, tb)
-        hit = self._intern.get(key)
+        root = self._root
+        sig = (k, root[ta], root[tb])
+        hit = self._sig.get(sig)
         if hit is not None:
             return hit
         na, nb = self.nodes[ta], self.nodes[tb]
@@ -587,13 +596,9 @@ class Engine:
                 self.partial_lower = True
                 return None
         word = self._shared(na.word + nb.word) if self.dim == 1 else None
-        root = self._root
-        # the key is also the signature when both children are class roots
-        sig = key if root[ta] == ta and root[tb] == tb else (k, root[ta], root[tb])
-        self._intern[key] = tid = self._add(
+        return self._add(
             Node(CMP, k=k, a=ta, b=tb, mset=self._shared(mset), word=word, src=src, tgt=tgt),
             sig)
-        return tid
 
     # free-algebra rounds ----------------------------------------------------
 
@@ -661,13 +666,6 @@ class Engine:
         nodes = self.nodes
         return [r for r in roots if len(nodes[r].mset) == size]
 
-    def _settled(self, tid: int, k: int, ta: int, tb: int) -> bool:
-        """A composite comp_k of the classes of ta and tb is materialized in
-        tid's class."""
-        root = self._root
-        hit = self._sig.get((k, root[ta], root[tb]))
-        return hit is not None and root[hit] == root[tid]
-
     def enodes(self, root: int) -> dict[tuple[int, int, int], int]:
         """The e-node table of a class root, re-keyed through the root list
         first if a merge since the last read moved a child class of its
@@ -690,6 +688,13 @@ class Engine:
         e-node y along k of b's class give comp_j(comp_k(x1, x2), comp_k(y1, y2))
         = comp_k(comp_j(x1, y1), comp_j(x2, y2)), pattern (x, y).
 
+        Each instance looks the e-nodes of its other side up in the
+        signature table first, and one already in tid's class is skipped.
+        Otherwise the e-nodes found are reused, only the missing ones are
+        built by `make_comp`, and tid is merged with the other side; the
+        reason names the pattern and the inner e-nodes the other side is
+        made of.
+
         Left-nested associativity alone is complete: generation composes every
         pair of class roots within the bound, so for each e-node comp_k(a,
         comp_k(y1, y2)) the left-nested comp_k(comp_k(a, y1), y2), of the same
@@ -709,11 +714,12 @@ class Engine:
                 hit = None if inner is None else sig.get((j, root[nx.a], root[inner]))
                 if hit is not None and root[hit] == root[tid]:
                     continue
-                inner = make(j, nx.b, b)
+                if inner is None:
+                    inner = make(j, nx.b, b)
                 if inner is not None:
-                    t2 = make(j, nx.a, inner)
+                    t2 = make(j, nx.a, inner) if hit is None else hit
                     if t2 is not None:
-                        self._merge(tid, t2, ("assoc", x, b))
+                        self._merge(tid, t2, ("assoc", x, b, inner))
                 continue
             if by_index is None:
                 by_index = {}
@@ -729,12 +735,14 @@ class Engine:
                        else sig.get((k, root[left], root[right])))
                 if hit is not None and root[hit] == root[tid]:
                     continue
-                left = make(j, nx.a, ny.a)
-                right = make(j, nx.b, ny.b)
+                if left is None:
+                    left = make(j, nx.a, ny.a)
+                if right is None:
+                    right = make(j, nx.b, ny.b)
                 if left is not None and right is not None:
-                    t2 = make(k, left, right)
+                    t2 = make(k, left, right) if hit is None else hit
                     if t2 is not None:
-                        self._merge(tid, t2, ("interchange", x, y))
+                        self._merge(tid, t2, ("interchange", x, y, left, right))
 
     def _unit_instances(self, size: int | None):
         for root in self._stratum(size):
@@ -742,11 +750,9 @@ class Engine:
                 self.counters["axiom_instances"] += 2
                 for family, left in (("unit_l", True), ("unit_r", False)):
                     pad = self._unit_pad(root, k, left)
-                    a, b = (pad, root) if left else (root, pad)
-                    if not self._settled(root, k, a, b):
-                        t = self.make_comp(k, a, b)
-                        if t is not None:
-                            self._merge(t, root, (family,))
+                    t = self.make_comp(k, pad, root) if left else self.make_comp(k, root, pad)
+                    if t is not None:
+                        self._merge(t, root, (family,))
 
     def _identity_functoriality(self):
         """id1(c) = comp_k(id1(a), id1(b)) for each entry (k, a, b) -> c of
@@ -755,11 +761,9 @@ class Engine:
         below = self.levels[self.dim - 1].comp
         for c, (k, a, b) in sorted((c, key) for key, c in below.items()):
             self.counters["axiom_instances"] += 1
-            if self._settled(ids[c], k, ids[a], ids[b]):
-                continue
             t2 = self.make_comp(k, ids[a], ids[b])
             if t2 is not None:
-                self._merge(ids[c], t2, ("idfun",))
+                self._merge(ids[c], t2, ("idfun", ids[a], ids[b]))
 
     def saturate(self):
         """Saturate one stratum at a time, for s = 0, 1, ..., size: in
@@ -777,9 +781,9 @@ class Engine:
 
           * `_merge` refuses to mix multisets, so in stratum s no class of
             size below s changes;
-          * a smaller literal term built while matching finds its signature
-            already held by the finished stratum of its size, so it joins
-            that class at birth and adds no e-node key;
+          * a smaller composite that matching asks for is found by
+            `make_comp` in the finished stratum of its size, so nothing is
+            built there and no e-node key is added;
           * so an e-node whose children both hold generators, each of them
             fewer than s, sees fixed child classes and fixed child tables.
             Each of its instances was settled, merged or found impossible
@@ -808,8 +812,9 @@ class Engine:
         return sorted(self._class_terms.keys())
 
     def term_node(self, t: Term) -> int | None:
-        """Intern a term of this engine's dimension. Raises FreecatError and
-        returns None as `class_in_level` does."""
+        """Intern a term of this engine's dimension through `make_comp`, so
+        a composite that has an e-node is not built again. Raises
+        FreecatError and returns None as `class_in_level` does."""
         return self._intern_term(t)[0]
 
     def _intern_term(self, t: Term) -> tuple[int | None, int | None, int | None]:
@@ -954,9 +959,9 @@ class Certificate:
     The steps are proof-forest edges `(u, v, reason)`: those on the forest
     path between `left` and `right`, and before each edge the edges
     explaining the equalities it rests on (`_premises`), each edge once. A
-    reason is the name of a row of `_STEPS`, followed by the matched pattern
-    (p, q) for assoc and interchange: `("cong",)`, `("assoc", p, q)`,
-    `("interchange", p, q)`, `("unit_l",)`, `("unit_r",)` or `("idfun",)`.
+    reason is the name of a row of `_STEPS`, followed by the e-nodes the
+    step reuses: `("cong",)`, `("assoc", p, q, r)`, `("interchange", p, q,
+    l, r)`, `("unit_l",)`, `("unit_r",)` or `("idfun", p, q)`.
     Verification replays the steps against a fresh union-find, checking
     each step's reason locally; it never consults the engine's own
     equivalence.
@@ -993,8 +998,31 @@ def certificate(e: Engine, u: int, v: int) -> Certificate:
 
 # --- the proof steps ------------------------------------------------------------
 # A step (u, v, reason) is a local check of its row in `_STEPS` plus the
-# equalities it rests on (Flatt et al., FMCAD 2022). Each check reads only
-# the engine's nodes, frozen levels and identity atoms.
+# equalities it rests on, its premises (Flatt et al., FMCAD 2022). u is the
+# matched side and v the other side, and the reason names, after the
+# family, the e-nodes the step reuses. Checks and premises read only the
+# engine's nodes, frozen levels and identity atoms, so `verify_certificate`
+# never consults the engine's root list.
+#
+# Why a step may cite an e-node for a side: every term `make_comp(k, ta,
+# tb)` returns is a composite along k whose children equal ta and tb.
+# When it builds, they are the same terms; when it finds an e-node, they
+# are members of the same classes. So a step may cite that term in place
+# of the literal one, and its premises name the equalities it rests on:
+#
+#   family       reason                         premises
+#   cong         ("cong",)                      u.a~v.a, u.b~v.b
+#   assoc        ("assoc", p, q, r)             u.a~p, u.b~q, v.a~p.a, v.b~r,
+#                                               r.a~p.b, r.b~q
+#   interchange  ("interchange", p, q, l, r)    u.a~p, u.b~q, v.a~l, v.b~r,
+#                                               l.a~p.a, l.b~q.a,
+#                                               r.a~p.b, r.b~q.b
+#   unit_l       ("unit_l",)                    u.a~pad, u.b~v
+#   unit_r       ("unit_r",)                    u.a~v, u.b~pad
+#   idfun        ("idfun", p, q)                v.a~p, v.b~q
+#
+# with pad the identity atom `Engine._unit_pad` gives v on that side along
+# u's index. A premise whose two ends are the same term needs no step.
 
 
 def _along(n: Node, k: int) -> bool:
@@ -1002,83 +1030,96 @@ def _along(n: Node, k: int) -> bool:
 
 
 def _cong_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """Two composites along one index; their children are the premises."""
+    """Two composites along one index."""
     nu = e.nodes[u]
     return nu.kind == CMP and _along(e.nodes[v], nu.k)
 
 
 def _assoc_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """u and v are composites along one index k, and v is the literal other
-    side on comp(p, q) of comp(comp(p1, p2), q) = comp(p1, comp(p2, q))."""
-    p, q = args
-    nu, nv, np = e.nodes[u], e.nodes[v], e.nodes[p]
-    k = nu.k
-    if not (nu.kind == CMP and _along(nv, k)):
-        return False
-    nr = e.nodes[nv.b]
-    return (_along(np, k) and nv.a == np.a and _along(nr, k)
-            and nr.a == np.b and nr.b == q)
+    """comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), with u standing for
+    comp(p, q), v for comp(p1, r) and r for comp(p2, q): u, v, p and r are
+    composites along one index."""
+    p, _, r = args
+    nodes = e.nodes
+    nu = nodes[u]
+    return nu.kind == CMP and all(_along(nodes[t], nu.k) for t in (v, p, r))
 
 
 def _interchange_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """u is a composite along j, v one along k != j, and v is the literal
-    other side on comp(p, q) of comp_j(comp_k(p1, p2), comp_k(q1, q2))
-    = comp_k(comp_j(p1, q1), comp_j(p2, q2))."""
-    p, q = args
+    """comp_j(comp_k(p1, p2), comp_k(q1, q2)) = comp_k(comp_j(p1, q1),
+    comp_j(p2, q2)) for j != k, with u standing for comp_j(p, q), v for
+    comp_k(l, r), l for comp_j(p1, q1) and r for comp_j(p2, q2): u, l and r
+    are composites along j, and v, p and q along k."""
+    p, q, l, r = args
     nodes = e.nodes
-    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
+    nu, nv = nodes[u], nodes[v]
     j, k = nu.k, nv.k
     if not (j != k and nu.kind == nv.kind == CMP):
         return False
-    nl, nr = nodes[nv.a], nodes[nv.b]
-    return (_along(np, k) and _along(nq, k) and _along(nl, j) and _along(nr, j)
-            and nl.a == np.a and nl.b == nq.a and nr.a == np.b and nr.b == nq.b)
+    return (_along(nodes[l], j) and _along(nodes[r], j)
+            and _along(nodes[p], k) and _along(nodes[q], k))
 
 
-def _unit_ok(e: Engine, u: int, v: int, args: tuple, left: bool) -> bool:
-    """u is comp_k(pad, v) on the left or comp_k(v, pad) on the right, pad
-    the identity atom `Engine._unit_pad` gives v on that side along u's k."""
-    nu = e.nodes[u]
-    pad, body = (nu.a, nu.b) if left else (nu.b, nu.a)
-    return nu.kind == CMP and body == v and pad == e._unit_pad(v, nu.k, left)
+def _unit_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+    """u is a composite; its premises put the unit pad and v at its
+    children."""
+    return e.nodes[u].kind == CMP
 
 
 def _idfun_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """u is id(c) and v is comp_k(id a, id b), where comp_k(a, b) = c one
-    dimension down."""
+    """u is id(c), v is a composite along k, and p and q are identity
+    atoms id(a) and id(b) with comp_k(a, b) = c one dimension down."""
+    p, q = args
     nodes = e.nodes
-    nu, nv = nodes[u], nodes[v]
+    nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
     if not (nu.kind == IDA and nv.kind == CMP):
         return False
-    na, nb = nodes[nv.a], nodes[nv.b]
-    return (na.kind == IDA and nb.kind == IDA
-            and e.levels[e.dim - 1].comp.get((nv.k, na.lower, nb.lower)) == nu.lower)
+    return (np.kind == IDA and nq.kind == IDA
+            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower)
 
 
 class _StepRow(NamedTuple):
-    matched: bool  # the reason carries a matched pattern (p, q)
+    arity: int  # how many e-nodes the reason names after the family
     check: Callable[[Engine, int, int, tuple], bool]
 
 
 # every family a proof step may name: congruence and the axioms
 _STEPS = {
-    "cong": _StepRow(False, _cong_ok),
-    "assoc": _StepRow(True, _assoc_ok),
-    "unit_l": _StepRow(False, partial(_unit_ok, left=True)),
-    "unit_r": _StepRow(False, partial(_unit_ok, left=False)),
-    "interchange": _StepRow(True, _interchange_ok),
-    "idfun": _StepRow(False, _idfun_ok),
+    "cong": _StepRow(0, _cong_ok),
+    "assoc": _StepRow(3, _assoc_ok),
+    "unit_l": _StepRow(0, _unit_ok),
+    "unit_r": _StepRow(0, _unit_ok),
+    "interchange": _StepRow(4, _interchange_ok),
+    "idfun": _StepRow(2, _idfun_ok),
 }
 
 
 def _premises(e: Engine, u: int, v: int, name: str, args: tuple) -> tuple:
-    """The equalities a step of family `name` rests on: u's children against
-    v's for a congruence step, against the matched pattern (p, q) for an
-    assoc or interchange step, and none for any other step."""
-    nu, nv = e.nodes[u], e.nodes[v]
+    """The equalities a step of family `name` rests on, as pairs of terms,
+    by the table above. Read only once the step's check has passed, so
+    every term whose children it reads is a composite."""
+    nodes = e.nodes
+    nu, nv = nodes[u], nodes[v]
     if name == "cong":
         return (nu.a, nv.a), (nu.b, nv.b)
-    return tuple(zip((nu.a, nu.b), args))
+    if name == "idfun":
+        p, q = args
+        return (nv.a, p), (nv.b, q)
+    if name in ("unit_l", "unit_r"):
+        left = name == "unit_l"
+        pad = e._unit_pad(v, nu.k, left)
+        return ((nu.a, pad), (nu.b, v)) if left else ((nu.a, v), (nu.b, pad))
+    p, q, *sides = args
+    np = nodes[p]
+    matched = (nu.a, p), (nu.b, q)
+    if name == "assoc":
+        [r] = sides
+        nr = nodes[r]
+        return (*matched, (nv.a, np.a), (nv.b, r), (nr.a, np.b), (nr.b, q))
+    l, r = sides
+    nq, nl, nr = nodes[q], nodes[l], nodes[r]
+    return (*matched, (nv.a, l), (nv.b, r),
+            (nl.a, np.a), (nl.b, nq.a), (nr.a, np.b), (nr.b, nq.b))
 
 
 def _replay_find(parent: dict[int, int], t: int) -> int:
@@ -1091,8 +1132,7 @@ def _replay_find(parent: dict[int, int], t: int) -> int:
 def _parse(e: Engine, step) -> tuple | None:
     """A well-formed step as (u, v, family, pattern): it names two interned
     terms and a reason that is the name of some row of `_STEPS`, followed by
-    a matched pattern of two interned terms when that row has one and by
-    nothing otherwise. None otherwise."""
+    as many interned terms as that row's arity. None otherwise."""
     if not (isinstance(step, tuple) and len(step) == 3):
         return None
     u, v, reason = step
@@ -1100,7 +1140,7 @@ def _parse(e: Engine, step) -> tuple | None:
         return None
     name, args = reason[0], reason[1:]
     row = _STEPS.get(name) if isinstance(name, str) else None
-    if row is None or len(args) != 2 * row.matched or not all(_is_term(e, t) for t in args):
+    if row is None or len(args) != row.arity or not all(_is_term(e, t) for t in args):
         return None
     return u, v, name, args
 

@@ -7,7 +7,10 @@ becomes `new`. The runner first runs every row's tests on an unchanged
 copy of the files the tier-1 suite reads (`COPIED`), where they must pass.
 Then, for each row, it plants the fault in a fresh copy and runs all of
 the row's tests in one `pytest -q` process, which writes a JUnit XML
-report; every one of them must fail or error there. A test id without
+report; every one of them must fail or error there. pytest runs with
+`--assert=plain`: a failing `assert` still raises, so a test passes or
+fails as it does under tier-1, and start-up skips rewriting the asserts
+of the test modules, most of its cost. A test id without
 parameters counts as failed when any of its parametrizations failed. A row
 whose old text is missing or not unique fails the runner, and so does a
 pytest exit code other than 0 or 1, as for a test id that pytest cannot
@@ -100,8 +103,8 @@ MUTANTS = [
            ("tests/test_freecat.py::"
             "test_a_malformed_composite_is_an_error[right-operand-of-dim-0]",)),
     Mutant("associativity merges only along comp_0", FREECAT,
-           'self._merge(tid, t2, ("assoc", x, b))',
-           'k == 0 and self._merge(tid, t2, ("assoc", x, b))',
+           'self._merge(tid, t2, ("assoc", x, b, inner))',
+           'k == 0 and self._merge(tid, t2, ("assoc", x, b, inner))',
            ("tests/test_freecat.py::test_engine_work_is_pinned[slice-k3-g2-size4]",
             "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[terminal2-size3]",
             "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[whiskers-size3]",
@@ -144,8 +147,7 @@ MUTANTS = [
     Mutant("merge lets the loser's e-nodes win", FREECAT,
            "table.setdefault(key, t)  # the winner's members come first",
            "table[key] = t",
-           ("tests/test_freecat.py::test_enode_index_after_every_step",
-            "tests/test_freecat.py::test_engine_work_is_pinned")),
+           ("tests/test_freecat.py::test_a_merge_keeps_the_winners_enode_for_a_shared_key",)),
     Mutant("verifier skips a step's local check", FREECAT,
            "if not _STEPS[name].check(e, u, v, args):",
            "if False:",
@@ -162,20 +164,20 @@ MUTANTS = [
            "if not (nu.kind == nv.kind == CMP):",
            ("tests/test_freecat.py::test_interchange_step_needs_two_indices",)),
     Mutant("premises take the matched pattern swapped", FREECAT,
-           "return tuple(zip((nu.a, nu.b), args))",
-           "return tuple(zip((nu.a, nu.b), args[::-1]))",
+           "matched = (nu.a, p), (nu.b, q)",
+           "matched = (nu.a, q), (nu.b, p)",
            ("tests/test_freecat.py::test_every_forest_edge_replays",
             "tests/test_freecat.py::test_certificates_hold_exactly_their_proof",
             "tests/test_freecat.py::test_equal_cells_eckmann_hilton_certified",
             "tests/test_freecat.py::test_eckmann_hilton_certificate_size_does_not_grow")),
     Mutant("idfun step skips its lower composite", FREECAT,
-           "return (na.kind == IDA and nb.kind == IDA\n"
-           "            and e.levels[e.dim - 1].comp.get((nv.k, na.lower, nb.lower)) == nu.lower)",
-           "return na.kind == IDA and nb.kind == IDA",
+           "return (np.kind == IDA and nq.kind == IDA\n"
+           "            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower)",
+           "return np.kind == IDA and nq.kind == IDA",
            ("tests/test_freecat.py::test_an_idfun_step_needs_its_identities_to_compose_to_u",)),
     Mutant("unit step accepts any body", FREECAT,
-           "return nu.kind == CMP and body == v and pad == e._unit_pad(v, nu.k, left)",
-           "return nu.kind == CMP and pad == e._unit_pad(v, nu.k, left)",
+           "return ((nu.a, pad), (nu.b, v)) if left else ((nu.a, v), (nu.b, pad))",
+           "return ((nu.a, pad),) if left else ((nu.b, pad),)",
            ("tests/test_freecat.py::test_a_unit_step_needs_v_as_its_body",)),
     Mutant("identity table keeps engine term ids", FREECAT,
            "ids=[canon[root[t]] for t in self.id_atoms]",
@@ -203,10 +205,24 @@ MUTANTS = [
            " != _descend_src(self.levels, nb.src, d, k):",
            ("tests/test_relations.py::test_suspension_on_fixed_computads[chain-size2]",)),
     Mutant("identity functoriality skips comp_1 in dimension 3", FREECAT,
-           "if self._settled(ids[c], k, ids[a], ids[b]):",
-           "if self._settled(ids[c], k, ids[a], ids[b]) or (k == 1 and self.dim == 3):",
+           "t2 = self.make_comp(k, ids[a], ids[b])",
+           "t2 = None if k == 1 and self.dim == 3 else self.make_comp(k, ids[a], ids[b])",
            ("tests/test_relations.py::test_suspension_on_fixed_computads[whiskers-size2]",
             "tests/test_freecat.py::test_engine_work_is_pinned[slice-k3-g2-size4]")),
+    Mutant("make_comp skips its canonical lookup", FREECAT,
+           "if hit is not None:\n            return hit",
+           "if False:\n            return hit",
+           ("tests/test_freecat.py::test_engine_work_is_pinned",
+            "tests/test_freecat.py::test_root_list_exact_after_queries_on_a_reloaded_algebra")),
+    Mutant("the assoc premise r.b ~ q is dropped", FREECAT,
+           "return (*matched, (nv.a, np.a), (nv.b, r), (nr.a, np.b), (nr.b, q))",
+           "return (*matched, (nv.a, np.a), (nv.b, r), (nr.a, np.b))",
+           ("tests/test_freecat.py::test_a_forged_step_fails_verification"
+            "[assoc-r-right-child-elsewhere]",)),
+    Mutant("the stop rule ignores merges", FREECAT,
+           'if len(self.nodes) == n_terms and self.counters["merges"] == n_merges:',
+           "if len(self.nodes) == n_terms:",
+           ("tests/test_freecat.py::test_a_round_that_only_merges_does_not_end_its_stratum",)),
     Mutant("lane widths never refuse", LIMITLAB,
            "if most * most >> fiber_bits:",
            "if False:",
@@ -271,7 +287,8 @@ def copy_tree(dest: Path):
 def pytest(where: Path, ids, *flags) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *ids],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--assert=plain",
+         *flags, *ids],
         cwd=where, env=env, capture_output=True, text=True)
 
 

@@ -15,8 +15,8 @@ from computadlab.computads import (
 )
 from computadlab.freecat import (
     CMP, COUNTERS, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
-    FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, certificate, equal_cells,
-    level_zero, term_dim, term_from_str, term_to_str, verify_certificate,
+    FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, _premises, certificate,
+    equal_cells, level_zero, term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
 from oracles import dfs_paths, pasting_cells
@@ -292,7 +292,7 @@ def test_certificate_tampering_is_caught():
     # claim an axiom step between two inequivalent terms
     u = e.term_node(al)
     v = e.term_node(be)
-    cert.steps.append((u, v, ("assoc", u, v)))
+    cert.steps.append((u, v, ("assoc", u, v, v)))
     cert.left, cert.right = u, v
     assert not verify_certificate(e, cert)
     # a congruence step whose premises hold (each side's children are al
@@ -304,15 +304,16 @@ def test_certificate_tampering_is_caught():
 def test_interchange_step_needs_two_indices():
     # comp_0(comp_0(a,b), comp_0(c,d)) = comp_0(comp_0(a,c), comp_0(b,d))
     # has the literal shape of an interchange step with j = k, but it is
-    # not a law: the two sides spell different words
+    # not a law: the two sides spell different words. Every premise of the
+    # step holds, so only its check can refuse it
     e = free_algebra(k_terminal_computad(1, ["x0", "x1"]), Bounds(size=4)).engines[1]
     x0, x1 = Gen("x0", 1), Gen("x1", 1)
-    p, q = e.term_node(Comp(0, x0, x0)), e.term_node(Comp(0, x1, x1))
+    p, q, lr = _terms(e, Comp(0, x0, x0), Comp(0, x1, x1), Comp(0, x0, x1))
     u = e.term_node(Comp(0, Comp(0, x0, x0), Comp(0, x1, x1)))
     v = e.term_node(Comp(0, Comp(0, x0, x1), Comp(0, x0, x1)))
     assert e.verdict(u, v)[0] == DISTINCT
-    step = (u, v, ("interchange", p, q))
-    assert not verify_certificate(e, Certificate(u, v, [step]))
+    cert, unproved = explained(e, (u, v, ("interchange", p, q, lr, lr)))
+    assert unproved == [] and not verify_certificate(e, cert)
 
 
 def eckmann_hilton_certificate(size):
@@ -330,12 +331,11 @@ def test_eckmann_hilton_certificate_size_does_not_grow():
     assert len(set(lengths)) == 1 and 0 < lengths[0] <= 10
 
 
-def matched_elsewhere(e, step):
-    """An assoc or interchange step whose pattern is not the literal
-    children of its pattern side, so replay must join them first."""
-    u, _, reason = step
-    return (reason[0] in ("assoc", "interchange")
-            and (e.nodes[u].a, e.nodes[u].b) != reason[1:])
+def rests_on_others(e, step):
+    """A step with some premise between two different terms, so replay
+    must join them first."""
+    u, v, reason = step
+    return any(x != y for x, y in _premises(e, u, v, reason[0], reason[1:]))
 
 
 @pytest.mark.parametrize("make,size", [
@@ -368,28 +368,40 @@ def test_certificates_hold_exactly_their_proof(make, size, monkeypatch):
         assert len(set(steps)) == len(steps)
         assert set(steps) <= recorded[e]
         for i, step in enumerate(steps):
-            # the steps form a forest, so each one is needed, and a
-            # congruence step, like an axiom step matched up to congruence,
-            # needs the steps explaining its children first
+            # the steps form a forest, so each one is needed, and a step
+            # whose premises join two different terms needs the steps
+            # explaining them first
             assert not verify_certificate(e, Certificate(u, v, steps[:i] + steps[i + 1:]))
-            if step[2] == ("cong",) or matched_elsewhere(e, step):
+            if rests_on_others(e, step):
                 moved = [step] + steps[:i] + steps[i + 1:]
                 assert not verify_certificate(e, Certificate(u, v, moved))
+
+
+def congruent():
+    """{v0; e0: v0 -> v0; c0: id1(v0) => e0; c1: comp_0(e0,e0) => id1(v0)}:
+    at size 3 a merge of its top engine moves composites that then merge
+    by congruence, which no slice and no other fixed input does once
+    `make_comp` reuses e-nodes."""
+    v0, e0 = Gen("v0", 0), Gen("e0", 1)
+    return build_computad([["v0"], [("e0", v0, v0)],
+                           [("c0", Id(v0), e0), ("c1", Comp(0, e0, e0), Id(v0))]])
 
 
 @pytest.mark.parametrize("make,size", [
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
     (scalar2, 5),
-], ids=["slice-k2-g3-size4", "scalar2-size5"])
+    (congruent, 3),
+], ids=["slice-k2-g3-size4", "scalar2-size5", "congruent-size3"])
 def test_every_forest_edge_replays(make, size):
     """The certificate between the two ends of each proof-forest edge
     verifies, whatever the edge's reason, and every row of the step table
-    has edges here."""
+    has edges on the last input; the others merge nothing by congruence."""
     fa = free_algebra(make(), Bounds(size=size))
     e = fa.engines[fa.dim]
     edges = [label for label in e._why if label is not None]
     assert len(edges) == e.counters["merges"]
-    assert {reason[0] for _, _, reason in edges} == set(_STEPS)
+    expected = set(_STEPS) if make is congruent else set(_STEPS) - {"cong"}
+    assert {reason[0] for _, _, reason in edges} == expected
     for u, v, reason in edges:
         cert = certificate(e, u, v)
         assert (u, v, reason) in cert.steps and verify_certificate(e, cert)
@@ -408,11 +420,11 @@ def _relabel(name, reason):
 
 def _with_ax_tag(c, e):
     """The interchange step behind an "ax" tag, with the two indices its
-    terms already carry: ("ax", "interchange", j, k, p, q). A reason is
-    its family's name and pattern alone, so this shape is refused."""
+    terms already carry: ("ax", "interchange", j, k, p, q, l, r). A reason
+    is its family's name and e-nodes alone, so this shape is refused."""
     def old(s):
-        u, v, (name, p, q) = s
-        return u, v, ("ax", name, e.nodes[u].k, e.nodes[v].k, p, q)
+        u, v, (name, *nodes) = s
+        return u, v, ("ax", name, e.nodes[u].k, e.nodes[v].k, *nodes)
     return c.left, c.right, _replace_step(c.steps, lambda s: s[2][0] == "interchange", old)
 
 
@@ -428,28 +440,28 @@ MALFORMED = {
     "reason-empty": lambda c, e: (c.left, c.right, c.steps + [(0, 1, ())]),
     "reason-not-a-tuple": lambda c, e: (c.left, c.right, c.steps + [(0, 1, "cong")]),
     "reason-unknown-head": lambda c, e: (c.left, c.right, c.steps + [(0, 1, ("rw",))]),
-    "cong-with-argument": lambda c, e: (c.left, c.right, _replace_step(
-        c.steps, lambda s: s[2] == ("cong",), lambda s: (s[0], s[1], ("cong", 0)))),
     "unknown-family": lambda c, e: (c.left, c.right, c.steps + [(0, 1, ("comm", 0, 1))]),
     "assoc-no-pattern": lambda c, e: (c.left, c.right, c.steps + [(0, 1, ("assoc",))]),
-    "assoc-short-pattern": lambda c, e: (c.left, c.right, c.steps + [(0, 1, ("assoc", 0))]),
+    "assoc-short-pattern": lambda c, e: (c.left, c.right,
+                                         c.steps + [(0, 1, ("assoc", 0, 1))]),
     "interchange-one-term": lambda c, e: (c.left, c.right,
                                           c.steps + [(0, 1, ("interchange", 0))]),
     "interchange-no-pattern": _relabel("interchange", lambda r: r[:1]),
     "pattern-not-an-int": _relabel("interchange", lambda r: r[:-1] + ("0",)),
-    "assoc-pattern-past-the-end": lambda c, e: (c.left, c.right,
-                                                c.steps + [(0, 1, ("assoc", len(e.nodes), 0))]),
+    "assoc-pattern-past-the-end": lambda c, e: (c.left, c.right, c.steps + [
+        (0, 1, ("assoc", len(e.nodes), 0, 1))]),
     "interchange-pattern-negative-alias": lambda c, e: _relabel(
-        "interchange", lambda r: (r[0], r[1] - len(e.nodes), r[2]))(c, e),
+        "interchange", lambda r: (r[0], r[1] - len(e.nodes), *r[2:]))(c, e),
     # terms 0 and 1 are the generators alpha and beta
     "cong-between-generators": lambda c, e: (0, 1, [(0, 1, ("cong",))]),
-    # a real step under another family's name: that family's check must
-    # refuse it (the first unit_l step is comp_1(id1(id1(gen(p))),gen(alpha))
-    # = gen(alpha), whose body is no identity atom)
+    # a real step under another family's name, with as many terms as that
+    # family takes: its check or its premises must refuse it (the first
+    # unit_l step is comp_1(id1(id1(gen(p))),gen(alpha)) = gen(alpha), and
+    # as unit_r its premise would join id1(id1(gen(p))) to gen(alpha))
     "unit-l-relabelled-unit-r": _relabel("unit_l", lambda r: ("unit_r",)),
     "unit-r-relabelled-unit-l": _relabel("unit_r", lambda r: ("unit_l",)),
-    "unit-l-relabelled-idfun": _relabel("unit_l", lambda r: ("idfun",)),
-    "interchange-relabelled-assoc": _relabel("interchange", lambda r: ("assoc",) + r[1:]),
+    "unit-l-relabelled-idfun": _relabel("unit_l", lambda r: ("idfun", 0, 1)),
+    "interchange-relabelled-assoc": _relabel("interchange", lambda r: ("assoc",) + r[1:4]),
     # a real step behind an "ax" tag or with an extra pattern, refused for
     # its shape alone
     "interchange-with-ax-tag": _with_ax_tag,
@@ -482,29 +494,30 @@ def one_step_certificate(family):
 
 def _mirrored_assoc(c, e):
     """The one assoc step read from its right-nested side u = comp(p, comp(q1,
-    q2)), with u's own children as the pattern: the mirror of the form the
-    engine matches, which no engine step produces."""
+    q2)), with u's own children as the pattern and r = v's left child: the
+    mirror of the form the engine matches, which no engine step produces."""
     [(u, v, _)] = c.steps
     u, v = (u, v) if e.nodes[e.nodes[u].b].kind == CMP else (v, u)
-    return c.left, c.right, [(u, v, ("assoc", e.nodes[u].a, e.nodes[u].b))]
+    return c.left, c.right, [(u, v, ("assoc", e.nodes[u].a, e.nodes[u].b, e.nodes[v].a))]
 
 
 def _idfun_as_assoc(c, e):
-    """The one idfun step named assoc, with v's children as its pattern."""
+    """The one idfun step named assoc, with v's children and v as its
+    e-nodes."""
     [(u, v, _)] = c.steps
-    return c.left, c.right, [(u, v, ("assoc", e.nodes[v].a, e.nodes[v].b))]
+    return c.left, c.right, [(u, v, ("assoc", e.nodes[v].a, e.nodes[v].b, v))]
 
 
 # a real assoc or idfun step under another family's name, or an assoc step
 # read from its other side, each on the one-step certificate of its own
-# family: that family's check must refuse it
+# family: that family's check or premises must refuse it
 RELABELLED = {
     "assoc-mirrored": ("assoc", _mirrored_assoc),
-    "assoc-relabelled-interchange": ("assoc", _relabel("assoc",
-                                                       lambda r: ("interchange",) + r[1:])),
+    "assoc-relabelled-interchange": ("assoc", _relabel(
+        "assoc", lambda r: ("interchange",) + r[1:] + r[-1:])),
     "assoc-relabelled-unit-l": ("assoc", _relabel("assoc", lambda r: ("unit_l",))),
     "assoc-relabelled-cong": ("assoc", _relabel("assoc", lambda r: ("cong",))),
-    "assoc-relabelled-idfun": ("assoc", _relabel("assoc", lambda r: ("idfun",))),
+    "assoc-relabelled-idfun": ("assoc", _relabel("assoc", lambda r: ("idfun",) + r[1:3])),
     "idfun-relabelled-unit-l": ("idfun", _relabel("idfun", lambda r: ("unit_l",))),
     "idfun-relabelled-unit-r": ("idfun", _relabel("idfun", lambda r: ("unit_r",))),
     "idfun-relabelled-cong": ("idfun", _relabel("idfun", lambda r: ("cong",))),
@@ -512,11 +525,23 @@ RELABELLED = {
 }
 
 
+def congruence_certificate():
+    """The top engine of `congruent` at size 3 and the certificate of its
+    first `cong` edge."""
+    e = free_algebra(congruent(), Bounds(size=3)).engines[2]
+    u, v, _ = next(label for label in e._why if label is not None and label[2] == ("cong",))
+    cert = certificate(e, u, v)
+    assert verify_certificate(e, cert)
+    return e, cert
+
+
 @pytest.mark.parametrize("base, tamper", [
     pytest.param(lambda: eckmann_hilton_certificate(2), tamper, id=name)
     for name, tamper in MALFORMED.items()] + [
     pytest.param(lambda family=family: one_step_certificate(family), tamper, id=name)
-    for name, (family, tamper) in RELABELLED.items()])
+    for name, (family, tamper) in RELABELLED.items()] + [
+    pytest.param(congruence_certificate, _relabel("cong", lambda r: ("cong", 0)),
+                 id="cong-with-argument")])
 def test_malformed_certificate_is_rejected_without_raising(base, tamper):
     e, cert = base()
     left, right, steps = tamper(cert, e)
@@ -531,8 +556,95 @@ def test_an_idfun_step_needs_its_identities_to_compose_to_u():
     u = e.term_node(Id(Comp(0, f, g)))
     good, bad = e.term_node(Comp(0, Id(f), Id(g))), e.term_node(Comp(0, Id(g), Id(h)))
     assert e.verdict(u, bad)[0] == DISTINCT
-    assert verify_certificate(e, Certificate(u, good, [(u, good, ("idfun",))]))
-    assert not verify_certificate(e, Certificate(u, bad, [(u, bad, ("idfun",))]))
+    for v, verdict in ((good, True), (bad, False)):
+        step = (u, v, ("idfun", e.nodes[v].a, e.nodes[v].b))
+        assert verify_certificate(e, Certificate(u, v, [step])) is verdict
+
+
+def explained(e, step):
+    """`step` after the engine's own proofs of those of its premises that
+    hold, and the premises that do not hold."""
+    u, v, (name, *args) = step
+    steps, unproved = [], []
+    for x, y in _premises(e, u, v, name, tuple(args)):
+        if e.find(x) != e.find(y):
+            unproved.append((x, y))
+            continue
+        steps += [s for s in certificate(e, x, y).steps if s not in steps]
+    return Certificate(u, v, steps + [step]), unproved
+
+
+def _terms(e, *terms):
+    return [e.term_node(t) for t in terms]
+
+
+AL, BE = Gen("alpha", 2), Gen("beta", 2)
+
+
+def _assoc_r_along_another_index():
+    """comp_1(comp_1(a,b),a) = comp_1(a,comp_1(b,a)) on scalar2, with r =
+    comp_0(b,a) in place of comp_1(b,a): Eckmann-Hilton puts them in one
+    class, so every premise holds and only the index check refuses it."""
+    e = free_algebra(scalar2(), Bounds(size=3)).engines[2]
+    u, v, p, q, r, r0 = _terms(e, Comp(1, Comp(1, AL, BE), AL), Comp(1, AL, Comp(1, BE, AL)),
+                               Comp(1, AL, BE), AL, Comp(1, BE, AL), Comp(0, BE, AL))
+    return e, (u, v, ("assoc", p, q, r)), (u, v, ("assoc", p, q, r0)), []
+
+
+def _assoc_r_right_child_elsewhere():
+    """(x0 x1) x2 = x0 (x1 x2), forged into (x0 x1) x2 = x0 (x1 x0) with r =
+    x1 x0: every premise but r.b ~ q holds."""
+    e = free_algebra(k_terminal_computad(1, ["x0", "x1", "x2"]), Bounds(size=3)).engines[1]
+    x0, x1, x2 = (Gen(n, 1) for n in ("x0", "x1", "x2"))
+    u, v, p, q, r, v0, r0 = _terms(e, Comp(0, Comp(0, x0, x1), x2), Comp(0, x0, Comp(0, x1, x2)),
+                                   Comp(0, x0, x1), x2, Comp(0, x1, x2),
+                                   Comp(0, x0, Comp(0, x1, x0)), Comp(0, x1, x0))
+    return (e, (u, v, ("assoc", p, q, r)), (u, v0, ("assoc", p, q, r0)),
+            [(e.nodes[r0].b, q)])
+
+
+def _interchange_l_and_r_swapped():
+    """comp_0(comp_1(a,b),comp_1(a,b)) = comp_1(comp_0(a,a),comp_0(b,b)) on
+    scalar2, with l and r swapped: v's children and the swapped halves
+    no longer match."""
+    e = free_algebra(scalar2(), Bounds(size=4)).engines[2]
+    u, v, p, l, r = _terms(e, Comp(0, Comp(1, AL, BE), Comp(1, AL, BE)),
+                           Comp(1, Comp(0, AL, AL), Comp(0, BE, BE)), Comp(1, AL, BE),
+                           Comp(0, AL, AL), Comp(0, BE, BE))
+    n = e.nodes
+    return (e, (u, v, ("interchange", p, p, l, r)), (u, v, ("interchange", p, p, r, l)),
+            [(n[v].a, r), (n[v].b, l), (n[r].a, n[p].a), (n[r].b, n[p].a),
+             (n[l].a, n[p].b), (n[l].b, n[p].b)])
+
+
+def _idfun_atoms_compose_elsewhere():
+    """id1(comp_0(f,g)) = comp_0(id1(f),id1(g)), forged with u =
+    id1(comp_0(g,h)): the premises hold, and only the lower composite
+    refuses it."""
+    e = free_algebra(path_computad(2), Bounds(size=3)).engines[2]
+    f, g, h = Gen("f", 1), Gen("g", 1), Gen("h", 1)
+    u, u0, v, p, q = _terms(e, Id(Comp(0, f, g)), Id(Comp(0, g, h)), Comp(0, Id(f), Id(g)),
+                            Id(f), Id(g))
+    return e, (u, v, ("idfun", p, q)), (u0, v, ("idfun", p, q)), []
+
+
+@pytest.mark.parametrize("forge", [
+    _assoc_r_along_another_index, _assoc_r_right_child_elsewhere,
+    _interchange_l_and_r_swapped, _idfun_atoms_compose_elsewhere,
+], ids=["assoc-r-along-another-index", "assoc-r-right-child-elsewhere",
+        "interchange-l-and-r-swapped", "idfun-atoms-compose-elsewhere"])
+def test_a_forged_step_fails_verification(forge):
+    """Each forged step changes one e-node or one side of a genuine step.
+    With every premise that holds explained first, the genuine step
+    verifies and the forged one does not; the forged step's premises that
+    do not hold are exactly the ones listed, none when its check alone
+    refuses it."""
+    e, genuine, forged, unproved = forge()
+    cert, missing = explained(e, genuine)
+    assert missing == [] and verify_certificate(e, cert)
+    cert, missing = explained(e, forged)
+    assert missing == unproved
+    assert not verify_certificate(e, cert)
 
 
 def test_a_unit_step_needs_v_as_its_body():
@@ -718,10 +830,31 @@ def assert_root_list(e):
         assert all(e.find(t) == root for t in ts)
 
 
+def test_a_merge_keeps_the_winners_enode_for_a_shared_key():
+    """Between a merge and the congruence closure at the end of its round,
+    two congruent e-nodes may sit in two classes whose re-keyed tables hold
+    the same key. `make_comp` never builds such a pair, so this one is
+    planted: comp_0(p,alpha) and comp_0(p',alpha) for p = comp_0(alpha,beta)
+    and p' = comp_1(alpha,beta), which Eckmann-Hilton equates. Merging the
+    two classes keeps the winner's e-node, the earlier term."""
+    levels = free_algebra(theta_computad(1), Bounds(size=2)).levels
+    e = Engine(2, levels, [("alpha", 0, 0), ("beta", 0, 0)], Bounds(size=3))
+    al, be = e.gen_atoms["alpha"], e.gen_atoms["beta"]
+    p, p2 = e.make_comp(0, al, be), e.make_comp(1, al, be)
+    x, y = e.make_comp(0, p, al), e.make_comp(0, p2, al)
+    e._merge(p, p2, ("planted",))
+    key = (0, e.find(p), al)
+    assert e.enodes(e.find(x))[key] == x and e.enodes(e.find(y))[key] == y
+    e._merge(y, x, ("planted",))
+    assert e.enodes(e.find(x))[key] == x
+    assert_enode_index(e)
+
+
 @pytest.mark.parametrize("make", [
     lambda: k_terminal_computad(2, ["x0", "x1", "x2"]),
     scalar2,
-], ids=["slice-k2", "scalar2"])
+    congruent,
+], ids=["slice-k2", "scalar2", "congruent"])
 def test_enode_index_after_every_step(make, monkeypatch):
     checked = []
 
@@ -753,8 +886,9 @@ def random_bracketing(rng, word, dim, unit):
 
 
 def test_root_list_exact_after_queries_on_a_reloaded_algebra():
-    """Queries on an unpickled algebra intern new terms and may merge
-    classes; the root list stays exact after each one."""
+    """Queries on an unpickled algebra intern through `make_comp`, which
+    finds every composite within the bound on a saturated engine: they add
+    no term and merge nothing, and the root list stays exact after each."""
     rng = random.Random(11)
     cases = [(free_algebra(scalar2(), Bounds(size=4)), ["alpha", "beta"],
               Id(Id(Gen("p", 0)))),
@@ -764,7 +898,7 @@ def test_root_list_exact_after_queries_on_a_reloaded_algebra():
         fa = pickle.loads(pickle.dumps(fa, pickle.HIGHEST_PROTOCOL))
         e = fa.engines[fa.dim]
         assert_root_list(e)
-        before = len(e.nodes)
+        before = len(e.nodes), e.counters["merges"]
         for _ in range(60):
             word = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
             t1 = random_bracketing(rng, word, fa.dim, unit)
@@ -774,7 +908,7 @@ def test_root_list_exact_after_queries_on_a_reloaded_algebra():
             verdict, cert = equal_cells(e, t1, t2)
             assert verdict == EQUAL and verify_certificate(e, cert)
             assert_root_list(e)
-        assert len(e.nodes) > before
+        assert (len(e.nodes), e.counters["merges"]) == before
 
 
 def engine_work(e):
@@ -794,32 +928,32 @@ def identity_only(size, dim=1):
     every stratum above it one round that finds nothing."""
     terms, merges, instances, digest = {
         1: (2, 1, 5, "ac439a9ecfc3f1534fb927d78a340090a1164a559e2bf6396415b907e36762b5"),
-        2: (3, 2, 14, "539bc18650afa5e9cfa1b8a498aaf16f6bfb7c4b5ecb3f46aa7429a2d76e7893"),
+        2: (3, 2, 14, "f5751aec2d7824af0fa7cd04ac13b54f2f068bcc438811294a0519ff4b7abd8b"),
     }[dim]
     return (terms, 1, merges, instances, size + 2, False, digest)
 
 
 @pytest.mark.parametrize("make,size,work", [
     (lambda: k_terminal_computad(1, ["x0", "x1", "x2"]), 6, [
-        (9869, 1093, 8776, 31451, 14, True,
-         "fd92905449f8d46d8004395833e465d09d564b1866780cd3c496358bbdf275b5")]),
+        (7115, 1093, 6022, 31451, 14, True,
+         "25f00c4cce34ef4447a3ce22b1fe44b7c42efed0a60c6a50ff2f3a0dda73a8fe")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4, [
         identity_only(4),
-        (744, 35, 709, 5406, 10, True,
-         "794c63a97c1b73a5dbe190457e9e1778994a1ae291ff7d657d30825e91af5575")]),
+        (430, 35, 395, 5406, 10, True,
+         "ec6613747398130220165a2cfae41bce4034a1793f297c8212a272ee2d3b363b")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6, [
         identity_only(6),
-        (3481, 84, 3397, 47866, 14, True,
-         "de1a8bdc8c3f94d6212bca6d4355688a9d8e39cf08aa1336c4876e59ee202b8e")]),
+        (1858, 84, 1774, 47866, 14, True,
+         "013452d13a3a1e8a704f47813331ed0eb66d90e4979a534db1596d4d6098be6b")]),
     (lambda: k_terminal_computad(3, ["x0", "x1"]), 4, [
         identity_only(4),
         identity_only(4, dim=2),
-        (361, 15, 346, 3862, 10, True,
-         "bf82887f6e05e2794bb3f8ae70074da15ac1b8c8709a2c0280686f7180937654")]),
+        (219, 15, 204, 3862, 10, True,
+         "9aad139ed52053b54efeb1d40b08a6a3fedf3a07500d096455566ced063ad980")]),
     (scalar2, 5, [
         identity_only(5),
-        (463, 21, 442, 3704, 12, True,
-         "ff5ce78c06a65e04bd488f3acc854c217aa1fe9a5a9023ff5de8a33085426d8b")]),
+        (259, 21, 238, 3704, 12, True,
+         "b3e205e92383377660e2d91f59a612ee1eda3258680eba8d8597f0f2c89073f7")]),
 ], ids=["slice-k1-g3-size6", "slice-k2-g3-size4", "slice-k2-g3-size6", "slice-k3-g2-size4",
         "scalar2-size5"])
 def test_engine_work_is_pinned(make, size, work):
@@ -845,6 +979,44 @@ def test_two_rounds_reach_each_stratum_fixed_point(k, gens, size):
         free_algebra(c, Bounds(size=size, rounds=1))
 
 
+def test_a_round_that_only_merges_does_not_end_its_stratum(monkeypatch):
+    """A stratum ends on a round that adds no term and no merge, not on one
+    that only merges. Here the first round of each stratum that generates
+    terms holds back its associativity and interchange matches, and the
+    next round matches every e-node, so it merges without adding a term;
+    `saturate` must go on to a round that confirms. The levels come out as
+    without the delay."""
+    c = k_terminal_computad(2, ["x0", "x1"])
+    plain = free_algebra(c, Bounds(size=4)).levels
+    rounds = []  # (dimension, stratum, terms added, merges made) per round
+    hold = [False]
+    extend, match, matched = (Engine.extend_composites, Engine.saturation_round,
+                              Engine._matched_instances)
+
+    def counting(self, size=None):
+        rounds.append((self.dim, size, len(self.nodes), self.counters["merges"]))
+        extend(self, size)
+
+    def delayed(self, size=None, mark=0):
+        dim, _, terms, merges = rounds[-1]
+        hold[0] = len(self.nodes) > terms and all(r[:2] != (dim, size) for r in rounds[:-1])
+        next_mark = match(self, size, mark)
+        rounds[-1] = (dim, size, len(self.nodes) - terms, self.counters["merges"] - merges)
+        return mark if hold[0] else next_mark
+
+    def held(self, tid):
+        if not hold[0]:
+            matched(self, tid)
+
+    monkeypatch.setattr(Engine, "extend_composites", counting)
+    monkeypatch.setattr(Engine, "saturation_round", delayed)
+    monkeypatch.setattr(Engine, "_matched_instances", held)
+    assert free_algebra(c, Bounds(size=4)).levels == plain
+    assert any(terms == 0 and merges > 0 for _, _, terms, merges in rounds)
+    last = {(dim, size): (terms, merges) for dim, size, terms, merges in rounds}
+    assert set(last.values()) == {(0, 0)}
+
+
 def _subterms(t, seen):
     """Every subterm object of t once, by identity."""
     if id(t) in seen:
@@ -859,9 +1031,11 @@ def test_engine_shares_immutable_term_data():
     a level's representatives share their subterms. The slice's traced
     peak was 9.47 MiB before that sharing and 6.00 MiB with it. It rose to
     6.35 MiB when associativity came to be matched from one side only,
-    which builds 9,137 terms where matching from both sides built 8,408.
-    Saturating one generator count at a time builds 9,869 terms and peaks
-    at 6.32 MiB; the bound sits about 3% above that."""
+    which built 9,137 terms where matching from both sides built 8,408.
+    Saturating one generator count at a time built 9,869 terms and peaked
+    at 6.32 MiB. Hash-consing composites builds 7,115 and peaks at 4.98
+    MiB; the bound stays, about 30% above that, so a change that adds a
+    few terms does not trip it while the sharing it guards is intact."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

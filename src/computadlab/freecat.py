@@ -31,24 +31,26 @@ Composites are hash-consed up to congruence, as in egg (Willsey et al.,
 looks the canonical key (k, class of left, class of right) up in the
 signature table and returns the e-node it finds, and builds a composite
 only when there is none, so no term is ever a copy of an existing e-node
-and a query within the bounds of a saturated engine adds no term. Axioms
-are matched per e-node. Every class root owns a table from its canonical
-e-nodes to the earliest member term of that shape. A merge folds the
-loser's table into the winner's, keeping the winner's entries, and marks
-stale the classes holding users of the moved terms; a stale table is
-re-keyed through the root list when it is next read. One matcher visits
-each e-node of a round-start snapshot once, not each of the many more
-member terms: associativity from its left-nested side, interchange on pairs
-of child-class e-nodes. An e-node whose two children both hold generators
-is matched only in the first round of its stratum that sees it (`saturate`
-says why). Each instance first looks the e-nodes of its other side up in
-the signature table; one already in the matched class is skipped before
-anything is built. Otherwise the e-nodes found are reused, only the
-missing ones are built, and the matched e-node is merged with the other
-side. An instance's matched side comp(p, q), with p and q in the matched
-e-node's child classes, is never built: it is in the matched class by
-congruence already. The member lists stay for relabelling the root list on
-a merge, and `freeze` walks them to extract each class's least term.
+and a query within the bounds of a saturated engine adds no term. Each
+class root keeps its users, the composites with a child in its class, as
+egg keeps parents per e-class; a merge appends the loser's users to the
+winner's and queues them for the congruence check. Axioms are matched per
+e-node. A class's e-nodes are read from its member list, the first member
+of each canonical key, and the list is cached until a merge drops it: the
+winner's, the loser's and those of the loser's users' classes, whose keys
+named the loser. One matcher visits each e-node of a round-start snapshot
+once, not each of the many more member terms: associativity from its
+left-nested side, interchange on pairs of child-class e-nodes. An e-node
+whose two children both hold generators is matched only in the first round
+of its stratum that sees it (`saturate` says why). Each instance first
+looks the e-nodes of its other side up in the signature table; one already
+in the matched class is skipped before anything is built. Otherwise the
+e-nodes found are reused, only the missing ones are built, and the matched
+e-node is merged with the other side. An instance's matched side comp(p,
+q), with p and q in the matched e-node's child classes, is never built: it
+is in the matched class by congruence already. The member lists relabel
+the root list on a merge and give each class its e-nodes; `freeze` walks
+the users of each class to extract each class's least term.
 
 Immutable term data is shared as well (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006): an engine keeps one tuple per
@@ -56,7 +58,7 @@ distinct generator multiset and, at dimension 1, per generator word, and a
 level's representative trees share their subterms. Values are still
 compared by value, so nothing downstream can tell. Under tracemalloc the
 four benchmark slices (k/gens/size 1/3/6, 2/3/4, 2/3/6, 3/2/4) peak at
-4.98, 0.30, 1.19 and 0.17 MiB, or 734, 742, 674 and 793 bytes per term;
+4.81, 0.28, 1.12 and 0.15 MiB, or 709, 683, 630 and 698 bytes per term;
 before composites were hash-consed they built 9,869, 744, 3,481 and 361
 terms where they now build 7,115, 430, 1,858 and 219, and peaked at 6.32,
 0.44, 1.84 and 0.23 MiB.
@@ -182,12 +184,13 @@ def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
                 raise FreecatError(f"expected ')' at position {k}")
             return Id(body), k + 1
         if head.startswith("comp_"):
-            try:
-                idx = int(head[5:])
-            except ValueError:
-                raise FreecatError(f"bad composition head {head!r}") from None
-            if idx < 0:
+            index = head[5:]
+            digits = index.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):  # not int(): "+0", "1_0"
+                raise FreecatError(f"bad composition head {head!r}")
+            if digits != index:
                 raise FreecatError(f"negative composition index in {head!r}")
+            idx = int(index)
             left, k = parse(j + 1)
             if idx >= term_dim(left):
                 raise FreecatError(f"composition index {idx} in {head!r} is not "
@@ -388,16 +391,15 @@ class Engine:
         # relabels every member of the losing class
         self._root: list[int] = []
         self._class_terms: dict[int, list[int]] = {}
-        # root -> e-node table: (k, class of a, class of b) -> the earliest
-        # composite member with that pattern; keys of a stale root may name
-        # merged-away classes until `enodes` re-keys them
-        self._enodes: dict[int, dict[tuple[int, int, int], int]] = {}
-        self._stale: set[int] = set()
+        # root -> its e-node list as `enodes` last read it from the members;
+        # a merge drops every list it may change
+        self._enodes: dict[int, list[int]] = {}
         # the hashcons: canonical key (k, class of a, class of b) -> the
         # composite registered under it; a key of merged-away classes is
         # never looked up again, since a lookup reads current roots
         self._sig: dict[tuple[int, int, int], int] = {}
-        self._uses: dict[int, list[int]] = {}  # term -> the composites on it
+        # root -> the composites with a child in its class, once per child
+        self._uses: dict[int, list[int]] = {}
         # composites whose child classes a merge moved, to re-check by
         # congruence at the end of the round
         self._pending: list[int] = []
@@ -456,17 +458,18 @@ class Engine:
         lost_terms = self._class_terms.pop(lose)
         for t in lost_terms:
             root[t] = win
-            users = self._uses.get(t)
-            if users:
-                self._pending.extend(users)
-                self._stale.update([root[x] for x in users])
         self._class_terms[win].extend(lost_terms)
-        table = self._enodes[win]
-        for key, t in self._enodes.pop(lose).items():
-            table.setdefault(key, t)  # the winner's members come first
-        if lose in self._stale:
-            self._stale.discard(lose)
-            self._stale.add(win)
+        cached = self._enodes
+        cached.pop(win, None)
+        cached.pop(lose, None)
+        users = self._uses.pop(lose, None)
+        if users:
+            # their keys named the loser, so two e-nodes of a user class
+            # may now share one
+            self._pending.extend(users)
+            for x in users:
+                cached.pop(root[x], None)
+            self._uses.setdefault(win, []).extend(users)
         return True
 
     def _invariant_split(self, na: Node, nb: Node) -> str | None:
@@ -534,8 +537,8 @@ class Engine:
     def _add(self, node: Node, sig: tuple[int, int, int] | None = None) -> int:
         """Append a term as its own class. A composite comes with its
         canonical key sig, which no e-node holds yet (`make_comp` builds
-        only then), and is registered under it and in its class's e-node
-        table."""
+        only then), and is registered under it and as a user of its two
+        child classes."""
         if len(self.nodes) >= self.bounds.max_terms:
             raise EngineLimit(f"term budget {self.bounds.max_terms} exhausted")
         tid = len(self.nodes)
@@ -543,11 +546,10 @@ class Engine:
         self._root.append(tid)
         self._why.append(None)
         self._class_terms[tid] = [tid]
-        self._enodes[tid] = {}
         if sig is not None:
-            self._uses.setdefault(node.a, []).append(tid)
-            self._uses.setdefault(node.b, []).append(tid)
-            self._enodes[tid][sig] = tid
+            _, ra, rb = sig
+            self._uses.setdefault(ra, []).append(tid)
+            self._uses.setdefault(rb, []).append(tid)
             self._sig[sig] = tid
         return tid
 
@@ -641,7 +643,7 @@ class Engine:
         nodes, root = self.nodes, self._root
         partition = list(root)
         next_mark = len(nodes)
-        snapshot = [t for r in self._stratum(size) for t in self.enodes(r).values()
+        snapshot = [t for r in self._stratum(size) for t in self.enodes(r)
                     if t >= mark or not (nodes[nodes[t].a].mset and nodes[nodes[t].b].mset)]
         if not size:  # the full round, or stratum 0
             self._identity_functoriality()
@@ -666,20 +668,21 @@ class Engine:
         nodes = self.nodes
         return [r for r in roots if len(nodes[r].mset) == size]
 
-    def enodes(self, root: int) -> dict[tuple[int, int, int], int]:
-        """The e-node table of a class root, re-keyed through the root list
-        first if a merge since the last read moved a child class of its
-        members."""
-        table = self._enodes[root]
-        if root in self._stale:
-            self._stale.discard(root)
-            roots = self._root
-            fresh: dict[tuple[int, int, int], int] = {}
-            for t in table.values():
-                n = self.nodes[t]
-                fresh.setdefault((n.k, roots[n.a], roots[n.b]), t)
-            self._enodes[root] = table = fresh
-        return table
+    def enodes(self, root: int) -> list[int]:
+        """The e-nodes of a class root: for each canonical key (k, class of
+        a, class of b) of its composite members, the first member in
+        member-list order. Read from the member list, and cached until a
+        merge drops the list."""
+        cached = self._enodes.get(root)
+        if cached is None:
+            nodes, roots = self.nodes, self._root
+            first: dict[tuple[int, int, int], int] = {}
+            for t in self._class_terms[root]:
+                n = nodes[t]
+                if n.kind == CMP:
+                    first.setdefault((n.k, roots[n.a], roots[n.b]), t)
+            self._enodes[root] = cached = list(first.values())
+        return cached
 
     def _matched_instances(self, tid: int):
         """Assoc and interchange on tid = comp_j(a, b), in one pass over the
@@ -706,8 +709,9 @@ class Engine:
         # b's class's e-nodes by index, grouped once when some x has another
         # index (never at dimension 1); what a merge here adds waits a round
         by_index: dict[int, list[int]] | None = None
-        for (k, _, _), x in list(self.enodes(root[a]).items()):
+        for x in self.enodes(root[a]):
             nx = nodes[x]
+            k = nx.k
             if k == j:
                 self.counters["axiom_instances"] += 1
                 inner = sig.get((j, root[nx.b], root[b]))
@@ -723,8 +727,8 @@ class Engine:
                 continue
             if by_index is None:
                 by_index = {}
-                for (ky, _, _), y in self.enodes(root[b]).items():
-                    by_index.setdefault(ky, []).append(y)
+                for y in self.enodes(root[b]):
+                    by_index.setdefault(nodes[y].k, []).append(y)
             members = by_index.get(k, ())
             self.counters["axiom_instances"] += len(members)
             for y in members:
@@ -864,12 +868,12 @@ class Engine:
         in A and y in B. This is e-graph extraction with an additive cost
         (egg, POPL 2021), settled by Knuth's generalization of Dijkstra's
         algorithm ("A generalization of Dijkstra's algorithm", IPL 6, 1977):
-        classes settle in that order, and a settled class offers each
-        composite on its members, once both child classes are settled, as
-        the candidate comp_k(rep A,rep B) for the composite's class. A
-        composite is longer than either child and monotone in each, so the
-        first candidate a class settles with is its least term, whatever
-        order the engine built terms in. Each tree is built from its
+        classes settle in that order, and a settled class offers each of its
+        users, once both child classes are settled, as the candidate
+        comp_k(rep A,rep B) for the user's class. A composite is longer than
+        either child and monotone in each, so the first candidate a class
+        settles with is its least term, whatever order the engine built
+        terms in. Each tree is built from its
         children's trees, so a level's trees share their subterms."""
         nodes, root, uses = self.nodes, self._root, self._uses
         below = self.levels[self.dim - 1]
@@ -902,13 +906,12 @@ class Engine:
                 trees[c] = Gen(nodes[a].name, self.dim)
             else:
                 trees[c] = Id(below.rep_terms[nodes[a].lower])
-            for t in self._class_terms[c]:
-                for u in uses.get(t, ()):
-                    n = nodes[u]
-                    ra, rb, ru = root[n.a], root[n.b], root[u]
-                    if ra in text and rb in text and ru not in text:
-                        s = f"comp_{n.k}({text[ra]},{text[rb]})"
-                        offer((len(s), s, ru, n.k, ra, rb))
+            for u in uses.get(c, ()):
+                n = nodes[u]
+                ra, rb, ru = root[n.a], root[n.b], root[u]
+                if ra in text and rb in text and ru not in text:
+                    s = f"comp_{n.k}({text[ra]},{text[rb]})"
+                    offer((len(s), s, ru, n.k, ra, rb))
         order = sorted(self.classes(),
                        key=lambda r: (len(nodes[r].mset), nodes[r].mset, text[r]))
         canon = {r: i for i, r in enumerate(order)}

@@ -140,14 +140,20 @@ MUTANTS = [
             "tests/test_cli.py::test_malformed_input_exit_one[rounds-slice]",
             "tests/test_cli.py::test_malformed_input_exit_one[rounds-gate]",
             "tests/test_freecat.py::test_two_rounds_reach_each_stratum_fixed_point")),
-    Mutant("merge marks no class stale", FREECAT,
-           "self._stale.update([root[x] for x in users])",
+    Mutant("merge keeps the cached e-node lists of the loser's users", FREECAT,
+           "for x in users:\n                cached.pop(root[x], None)",
            "pass",
-           ("tests/test_freecat.py::test_enode_index_after_every_step",)),
+           ("tests/test_freecat.py::test_a_merge_drops_the_enode_lists_of_the_losers_users",)),
     Mutant("merge lets the loser's e-nodes win", FREECAT,
-           "table.setdefault(key, t)  # the winner's members come first",
-           "table[key] = t",
-           ("tests/test_freecat.py::test_a_merge_keeps_the_winners_enode_for_a_shared_key",)),
+           "self._class_terms[win].extend(lost_terms)",
+           "self._class_terms[win][:0] = lost_terms",
+           ("tests/test_freecat.py::test_a_merge_keeps_the_winners_enode_for_a_shared_key",
+            "tests/test_freecat.py::test_engine_work_is_pinned")),
+    Mutant("users stay with the losing class", FREECAT,
+           "self._uses.setdefault(win, []).extend(users)",
+           "pass",
+           ("tests/test_freecat.py::test_enode_index_after_every_step",
+            "tests/test_freecat.py::test_a_merge_drops_the_enode_lists_of_the_losers_users")),
     Mutant("verifier skips a step's local check", FREECAT,
            "if not _STEPS[name].check(e, u, v, args):",
            "if False:",

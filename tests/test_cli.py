@@ -193,6 +193,15 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "line 4: negative composition index", id="comp-index-negative"),
     pytest.param(["free", "FILE"], COMP_INDEX.format(7), None,
                  "line 4: composition index 7", id="comp-index-too-large"),
+    # int() would read each of these heads as an index
+    pytest.param(["free", "FILE"], COMP_INDEX.format("+0"), None,
+                 "line 4: bad composition head 'comp_+0'", id="comp-index-plus-sign"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format("0_0"), None,
+                 "line 4: bad composition head 'comp_0_0'", id="comp-index-underscore"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format(" 0"), None,
+                 "line 4: bad composition head 'comp_ 0'", id="comp-index-space"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format("\u0660"), None,
+                 "line 4: bad composition head 'comp_\u0660'", id="comp-index-arabic-indic-zero"),
     # attachments, certified by free_algebra
     pytest.param(["free", "FILE"], NONPARALLEL, None,
                  "boundaries gen(f) and gen(h) are not parallel", id="non-parallel"),

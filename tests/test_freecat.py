@@ -806,18 +806,41 @@ def test_a_planted_split_raises_the_round_guard(monkeypatch):
         e.saturation_round()
 
 
+def fresh_enodes(e, root):
+    """A class's e-nodes read from its members with no cache: the first
+    composite member, in member-list order, of each child-class pattern."""
+    first = {}
+    for t in e._class_terms[root]:
+        n = e.nodes[t]
+        if n.kind == CMP:
+            first.setdefault((n.k, e.find(n.a), e.find(n.b)), t)
+    return list(first.values())
+
+
 def assert_enode_index(e):
-    """Each class's re-keyed e-node table holds exactly the child-class
-    patterns of its composite members, each under its earliest member."""
+    """Every e-node list still cached, and then each class's list as
+    `enodes` gives it, equals a fresh read from the members."""
+    cached = dict(e._enodes)
+    assert set(cached) <= set(e._class_terms)
+    for root, listed in cached.items():
+        assert listed == fresh_enodes(e, root)
     for root in e.classes():
-        table = e.enodes(root)
-        first = {}
-        for t in e._class_terms[root]:
-            n = e.nodes[t]
-            if n.kind == CMP:
-                first.setdefault((n.k, e.find(n.a), e.find(n.b)), t)
-        assert table == first
-        assert all(e.find(t) == root for t in table.values())
+        listed = e.enodes(root)
+        assert listed == fresh_enodes(e, root)
+        assert all(e.find(t) == root for t in listed)
+
+
+def assert_users(e):
+    """Each root's user list holds exactly the composites with a child in
+    its class, one entry per child position, and no other key is kept."""
+    users = {r: [] for r in e.classes()}
+    for t, n in enumerate(e.nodes):
+        if n.kind == CMP:
+            users[e.find(n.a)].append(t)
+            users[e.find(n.b)].append(t)
+    assert set(e._uses) <= set(users)
+    for r, expected in users.items():
+        assert sorted(e._uses.get(r, ())) == expected
 
 
 def assert_root_list(e):
@@ -830,24 +853,44 @@ def assert_root_list(e):
         assert all(e.find(t) == root for t in ts)
 
 
-def test_a_merge_keeps_the_winners_enode_for_a_shared_key():
-    """Between a merge and the congruence closure at the end of its round,
-    two congruent e-nodes may sit in two classes whose re-keyed tables hold
-    the same key. `make_comp` never builds such a pair, so this one is
-    planted: comp_0(p,alpha) and comp_0(p',alpha) for p = comp_0(alpha,beta)
-    and p' = comp_1(alpha,beta), which Eckmann-Hilton equates. Merging the
-    two classes keeps the winner's e-node, the earlier term."""
+def planted_eckmann_hilton():
+    """An engine with p = comp_0(alpha,beta), p2 = comp_1(alpha,beta),
+    which Eckmann-Hilton equates, and x = comp_0(p,alpha) and y =
+    comp_0(p2,alpha), each its own class, as (e, p, p2, x, y)."""
     levels = free_algebra(theta_computad(1), Bounds(size=2)).levels
     e = Engine(2, levels, [("alpha", 0, 0), ("beta", 0, 0)], Bounds(size=3))
     al, be = e.gen_atoms["alpha"], e.gen_atoms["beta"]
     p, p2 = e.make_comp(0, al, be), e.make_comp(1, al, be)
-    x, y = e.make_comp(0, p, al), e.make_comp(0, p2, al)
+    return e, p, p2, e.make_comp(0, p, al), e.make_comp(0, p2, al)
+
+
+def test_a_merge_keeps_the_winners_enode_for_a_shared_key():
+    """Between a merge and the congruence closure at the end of its round,
+    two congruent e-nodes may sit in two classes whose e-node lists name
+    the same key. `make_comp` never builds such a pair, so this one is
+    planted by merging p with p2 first. Merging the two classes puts the
+    winner's members first, so its e-node, the earlier term, stands for
+    the key."""
+    e, p, p2, x, y = planted_eckmann_hilton()
     e._merge(p, p2, ("planted",))
-    key = (0, e.find(p), al)
-    assert e.enodes(e.find(x))[key] == x and e.enodes(e.find(y))[key] == y
+    assert e.enodes(e.find(x)) == [x] and e.enodes(e.find(y)) == [y]
     e._merge(y, x, ("planted",))
-    assert e.enodes(e.find(x))[key] == x
+    assert e.enodes(e.find(x)) == [x]
     assert_enode_index(e)
+    assert_users(e)
+
+
+def test_a_merge_drops_the_enode_lists_of_the_losers_users():
+    """x and y hold two keys while p and p2 are apart; merging p with p2
+    gives them one key, so the cached list of their class, a user class
+    of the loser p2, must be read again."""
+    e, p, p2, x, y = planted_eckmann_hilton()
+    e._merge(x, y, ("planted",))
+    assert e.enodes(e.find(x)) == [x, y]
+    e._merge(p, p2, ("planted",))
+    assert e.enodes(e.find(x)) == [x]
+    assert_enode_index(e)
+    assert_users(e)
 
 
 @pytest.mark.parametrize("make", [
@@ -862,6 +905,7 @@ def test_enode_index_after_every_step(make, monkeypatch):
         def run(self, *args):
             out = step(self, *args)
             assert_enode_index(self)
+            assert_users(self)
             assert_root_list(self)
             checked.append(self.dim)
             return out
@@ -1033,9 +1077,11 @@ def test_engine_shares_immutable_term_data():
     6.35 MiB when associativity came to be matched from one side only,
     which built 9,137 terms where matching from both sides built 8,408.
     Saturating one generator count at a time built 9,869 terms and peaked
-    at 6.32 MiB. Hash-consing composites builds 7,115 and peaks at 4.98
-    MiB; the bound stays, about 30% above that, so a change that adds a
-    few terms does not trip it while the sharing it guards is intact."""
+    at 6.32 MiB. Hash-consing composites builds 7,115 and peaked at 4.98
+    MiB. Keeping users per class and reading each class's e-nodes from its
+    members peaks at 4.81 MiB; the bound stays, about 35% above that, so a
+    change that adds a few terms does not trip it while the sharing it
+    guards is intact."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

@@ -195,12 +195,13 @@ def _load_collection(path: str):
     if not isinstance(doc, dict):
         raise InputError("a collection is a JSON object keyed by arity")
     for arity, payload in doc.items():
+        # ASCII digits without a leading zero, so no two keys read as one
+        if not (arity.isascii() and arity.isdigit() and (arity == "0" or arity[0] != "0")):
+            raise InputError(f"arity {arity!r} is not a natural number")
         try:
             n = int(arity)
-        except ValueError:
-            n = -1
-        if n < 0:
-            raise InputError(f"arity {arity!r} is not a natural number")
+        except ValueError:  # more digits than int() converts
+            raise InputError("arity has too many digits") from None
         if isinstance(payload, list):
             sets[n] = list(payload)
             continue

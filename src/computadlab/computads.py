@@ -317,8 +317,9 @@ MAX_DIM = 64
 
 
 def _parse_natural(word: str, what: str, lineno: int) -> int:
-    """A dimension field of the text format: a natural number, else an error."""
-    if not word.isdecimal():
+    """A dimension field of the text format: a natural number in ASCII
+    digits, else an error."""
+    if not (word.isascii() and word.isdigit()):
         raise ComputadError(f"line {lineno}: {what} must be a natural number, got {word!r}")
     try:
         return int(word)

@@ -72,16 +72,18 @@ one forest path. A reason is the name of its family followed by the
 e-nodes the step reuses: the matched pattern (p, q) and the inner e-nodes
 of the other side for assoc and interchange, the two identity atoms for
 idfun, nothing for congruence and the units. Every composition index a
-check needs is read from the nodes. One table, `_STEPS`, says for
+step's shape needs is read from the nodes. One table, `_STEPS`, gives for
 congruence and for each axiom family how many e-nodes its reason names
-and gives a local check; `_premises` gives the equalities of children to
-e-nodes that the step rests on, which is what lets a step cite a reused
-e-node in place of a literal term (the comment above `_STEPS` says why
-this is sound). A certificate is the edges of the forest path, each
-preceded by the explanations of the equalities it rests on, so an Equal
-verdict carries its proof and nothing else; `verify_certificate` replays
-every step along one path: well formed, its row's check, its premises
-already joined.
+and one function: the equalities of children to e-nodes that a step
+rests on, its premises, or None when the step's terms do not have the
+family's shape. The premises are what let a step cite a reused e-node in
+place of a literal term (the comment above `_STEPS` says why this is
+sound). A certificate is the edges of the forest path, each preceded by
+the explanations of its premises, so an Equal verdict carries its proof
+and nothing else. `certificate` and `verify_certificate` read the same
+row: the first raises SoundnessError on an engine edge the row refuses,
+the second replays every step along one path: well formed, not refused
+by its row, its premises already joined.
 Distinct verdicts come only from invariants preserved by every axiom
 family (generator multiset, boundary classes, and at dimension 1 the
 generator word). Everything else is reported Unknown.
@@ -190,7 +192,10 @@ def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
                 raise FreecatError(f"bad composition head {head!r}")
             if digits != index:
                 raise FreecatError(f"negative composition index in {head!r}")
-            idx = int(index)
+            try:
+                idx = int(index)
+            except ValueError:  # more digits than int() converts
+                raise FreecatError("composition index has too many digits") from None
             left, k = parse(j + 1)
             if idx >= term_dim(left):
                 raise FreecatError(f"composition index {idx} in {head!r} is not "
@@ -961,13 +966,13 @@ class Certificate:
 
     The steps are proof-forest edges `(u, v, reason)`: those on the forest
     path between `left` and `right`, and before each edge the edges
-    explaining the equalities it rests on (`_premises`), each edge once. A
-    reason is the name of a row of `_STEPS`, followed by the e-nodes the
-    step reuses: `("cong",)`, `("assoc", p, q, r)`, `("interchange", p, q,
-    l, r)`, `("unit_l",)`, `("unit_r",)` or `("idfun", p, q)`.
-    Verification replays the steps against a fresh union-find, checking
-    each step's reason locally; it never consults the engine's own
-    equivalence.
+    explaining its premises, each edge once. A reason is the name of a row
+    of `_STEPS`, followed by the e-nodes the step reuses: `("cong",)`,
+    `("assoc", p, q, r)`, `("interchange", p, q, l, r)`, `("unit_l",)`,
+    `("unit_r",)` or `("idfun", p, q)`. The row gives the step's premises,
+    or None when its terms do not have the family's shape. Verification
+    replays the steps against a fresh union-find, reading only the rows;
+    it never consults the engine's own equivalence.
     """
 
     left: int
@@ -978,9 +983,10 @@ class Certificate:
 def certificate(e: Engine, u: int, v: int) -> Certificate:
     """Explain the equality of two terms from the engine's proof forest.
 
-    Steps come in replay order: the equalities an edge rests on are
-    explained before the edge itself. Raises FreecatError when u and v are
-    not equal."""
+    Steps come in replay order: an edge's premises, read from its row of
+    `_STEPS`, are explained before the edge itself. Raises FreecatError
+    when u and v are not equal, and SoundnessError when the row refuses
+    one of the engine's own edges."""
     steps: list[tuple[int, int, tuple]] = []
     done: set[int] = set()  # terms whose forest edge is already a step
     todo: list = [(u, v)]  # pairs to explain, and terms whose edge to emit
@@ -995,15 +1001,20 @@ def certificate(e: Engine, u: int, v: int) -> Certificate:
             if t not in done:
                 todo.append(t)
                 a, b, reason = e._why[t]
-                todo.extend(reversed(_premises(e, a, b, reason[0], reason[1:])))
+                premises = _STEPS[reason[0]].premises(e, a, b, reason[1:])
+                if premises is None:
+                    raise SoundnessError(f"the proof-forest edge {e._why[t]} does not "
+                                         f"have the shape of its family")
+                todo.extend(reversed(premises))
     return Certificate(u, v, steps)
 
 
 # --- the proof steps ------------------------------------------------------------
-# A step (u, v, reason) is a local check of its row in `_STEPS` plus the
-# equalities it rests on, its premises (Flatt et al., FMCAD 2022). u is the
-# matched side and v the other side, and the reason names, after the
-# family, the e-nodes the step reuses. Checks and premises read only the
+# A step (u, v, reason) names its family's row in `_STEPS`, whose function
+# gives the equalities the step rests on, its premises (Flatt et al., FMCAD
+# 2022), when the step's terms have the family's shape, and None when they
+# do not. u is the matched side and v the other side, and the reason names,
+# after the family, the e-nodes the step reuses. A row reads only the
 # engine's nodes, frozen levels and identity atoms, so `verify_certificate`
 # never consults the engine's root list.
 #
@@ -1011,118 +1022,99 @@ def certificate(e: Engine, u: int, v: int) -> Certificate:
 # tb)` returns is a composite along k whose children equal ta and tb.
 # When it builds, they are the same terms; when it finds an e-node, they
 # are members of the same classes. So a step may cite that term in place
-# of the literal one, and its premises name the equalities it rests on:
-#
-#   family       reason                         premises
-#   cong         ("cong",)                      u.a~v.a, u.b~v.b
-#   assoc        ("assoc", p, q, r)             u.a~p, u.b~q, v.a~p.a, v.b~r,
-#                                               r.a~p.b, r.b~q
-#   interchange  ("interchange", p, q, l, r)    u.a~p, u.b~q, v.a~l, v.b~r,
-#                                               l.a~p.a, l.b~q.a,
-#                                               r.a~p.b, r.b~q.b
-#   unit_l       ("unit_l",)                    u.a~pad, u.b~v
-#   unit_r       ("unit_r",)                    u.a~v, u.b~pad
-#   idfun        ("idfun", p, q)                v.a~p, v.b~q
-#
-# with pad the identity atom `Engine._unit_pad` gives v on that side along
-# u's index. A premise whose two ends are the same term needs no step.
+# of the literal one, and its premises, which each row's docstring lists,
+# name the equalities it rests on. A premise whose two ends are the same
+# term needs no step.
 
 
 def _along(n: Node, k: int) -> bool:
     return n.kind == CMP and n.k == k
 
 
-def _cong_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """Two composites along one index."""
-    nu = e.nodes[u]
-    return nu.kind == CMP and _along(e.nodes[v], nu.k)
+def _cong(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
+    """Two composites along one index; premises u.a ~ v.a, u.b ~ v.b."""
+    nu, nv = e.nodes[u], e.nodes[v]
+    if not (nu.kind == CMP and _along(nv, nu.k)):
+        return None
+    return (nu.a, nv.a), (nu.b, nv.b)
 
 
-def _assoc_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+def _assoc(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
     """comp(comp(p1, p2), q) = comp(p1, comp(p2, q)), with u standing for
     comp(p, q), v for comp(p1, r) and r for comp(p2, q): u, v, p and r are
-    composites along one index."""
-    p, _, r = args
+    composites along one index. Premises u.a ~ p, u.b ~ q, v.a ~ p.a,
+    v.b ~ r, r.a ~ p.b, r.b ~ q."""
+    p, q, r = args
     nodes = e.nodes
-    nu = nodes[u]
-    return nu.kind == CMP and all(_along(nodes[t], nu.k) for t in (v, p, r))
+    nu, nv, np, nr = nodes[u], nodes[v], nodes[p], nodes[r]
+    if not (nu.kind == CMP and all(_along(n, nu.k) for n in (nv, np, nr))):
+        return None
+    return (nu.a, p), (nu.b, q), (nv.a, np.a), (nv.b, r), (nr.a, np.b), (nr.b, q)
 
 
-def _interchange_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+def _interchange(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
     """comp_j(comp_k(p1, p2), comp_k(q1, q2)) = comp_k(comp_j(p1, q1),
     comp_j(p2, q2)) for j != k, with u standing for comp_j(p, q), v for
     comp_k(l, r), l for comp_j(p1, q1) and r for comp_j(p2, q2): u, l and r
-    are composites along j, and v, p and q along k."""
+    are composites along j, and v, p and q along k. Premises u.a ~ p,
+    u.b ~ q, v.a ~ l, v.b ~ r, l.a ~ p.a, l.b ~ q.a, r.a ~ p.b, r.b ~ q.b."""
     p, q, l, r = args
     nodes = e.nodes
-    nu, nv = nodes[u], nodes[v]
+    nu, nv, np, nq, nl, nr = nodes[u], nodes[v], nodes[p], nodes[q], nodes[l], nodes[r]
     j, k = nu.k, nv.k
-    if not (j != k and nu.kind == nv.kind == CMP):
-        return False
-    return (_along(nodes[l], j) and _along(nodes[r], j)
-            and _along(nodes[p], k) and _along(nodes[q], k))
+    if not (j != k and nu.kind == nv.kind == CMP and _along(nl, j) and _along(nr, j)
+            and _along(np, k) and _along(nq, k)):
+        return None
+    return ((nu.a, p), (nu.b, q), (nv.a, l), (nv.b, r),
+            (nl.a, np.a), (nl.b, nq.a), (nr.a, np.b), (nr.b, nq.b))
 
 
-def _unit_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
-    """u is a composite; its premises put the unit pad and v at its
-    children."""
-    return e.nodes[u].kind == CMP
+def _unit_l(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
+    """u is a composite along k; premises u.a ~ pad, u.b ~ v, with pad the
+    identity atom `Engine._unit_pad` gives v on the left along k."""
+    nu = e.nodes[u]
+    if nu.kind != CMP:
+        return None
+    return (nu.a, e._unit_pad(v, nu.k, True)), (nu.b, v)
 
 
-def _idfun_ok(e: Engine, u: int, v: int, args: tuple) -> bool:
+def _unit_r(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
+    """u is a composite along k; premises u.a ~ v, u.b ~ pad, with pad the
+    identity atom `Engine._unit_pad` gives v on the right along k."""
+    nu = e.nodes[u]
+    if nu.kind != CMP:
+        return None
+    return (nu.a, v), (nu.b, e._unit_pad(v, nu.k, False))
+
+
+def _idfun(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
     """u is id(c), v is a composite along k, and p and q are identity
-    atoms id(a) and id(b) with comp_k(a, b) = c one dimension down."""
+    atoms id(a) and id(b) with comp_k(a, b) = c one dimension down.
+    Premises v.a ~ p, v.b ~ q."""
     p, q = args
     nodes = e.nodes
     nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
-    if not (nu.kind == IDA and nv.kind == CMP):
-        return False
-    return (np.kind == IDA and nq.kind == IDA
-            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower)
+    if not (nu.kind == IDA and nv.kind == CMP and np.kind == IDA and nq.kind == IDA
+            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower):
+        return None
+    return (nv.a, p), (nv.b, q)
 
 
 class _StepRow(NamedTuple):
     arity: int  # how many e-nodes the reason names after the family
-    check: Callable[[Engine, int, int, tuple], bool]
+    # the step's premises as pairs of terms, None when its shape is wrong
+    premises: Callable[[Engine, int, int, tuple], tuple | None]
 
 
 # every family a proof step may name: congruence and the axioms
 _STEPS = {
-    "cong": _StepRow(0, _cong_ok),
-    "assoc": _StepRow(3, _assoc_ok),
-    "unit_l": _StepRow(0, _unit_ok),
-    "unit_r": _StepRow(0, _unit_ok),
-    "interchange": _StepRow(4, _interchange_ok),
-    "idfun": _StepRow(2, _idfun_ok),
+    "cong": _StepRow(0, _cong),
+    "assoc": _StepRow(3, _assoc),
+    "unit_l": _StepRow(0, _unit_l),
+    "unit_r": _StepRow(0, _unit_r),
+    "interchange": _StepRow(4, _interchange),
+    "idfun": _StepRow(2, _idfun),
 }
-
-
-def _premises(e: Engine, u: int, v: int, name: str, args: tuple) -> tuple:
-    """The equalities a step of family `name` rests on, as pairs of terms,
-    by the table above. Read only once the step's check has passed, so
-    every term whose children it reads is a composite."""
-    nodes = e.nodes
-    nu, nv = nodes[u], nodes[v]
-    if name == "cong":
-        return (nu.a, nv.a), (nu.b, nv.b)
-    if name == "idfun":
-        p, q = args
-        return (nv.a, p), (nv.b, q)
-    if name in ("unit_l", "unit_r"):
-        left = name == "unit_l"
-        pad = e._unit_pad(v, nu.k, left)
-        return ((nu.a, pad), (nu.b, v)) if left else ((nu.a, v), (nu.b, pad))
-    p, q, *sides = args
-    np = nodes[p]
-    matched = (nu.a, p), (nu.b, q)
-    if name == "assoc":
-        [r] = sides
-        nr = nodes[r]
-        return (*matched, (nv.a, np.a), (nv.b, r), (nr.a, np.b), (nr.b, q))
-    l, r = sides
-    nq, nl, nr = nodes[q], nodes[l], nodes[r]
-    return (*matched, (nv.a, l), (nv.b, r),
-            (nl.a, np.a), (nl.b, nq.a), (nr.a, np.b), (nr.b, nq.b))
 
 
 def _replay_find(parent: dict[int, int], t: int) -> int:
@@ -1155,11 +1147,10 @@ def _is_term(e: Engine, t) -> bool:
 def verify_certificate(e: Engine, cert: Certificate) -> bool:
     """Replay a certificate step by step against a fresh union-find.
 
-    Every step takes one path: it must be well formed, pass its row's local
-    check, and rest only on equalities (`_premises`) that the steps before
-    it have already joined. Finally `left` and `right` must be joined.
-    Anything else, malformed input included, gives False; this never
-    raises."""
+    Every step takes one path: it must be well formed, have its row's
+    shape, and rest only on premises that the steps before it have already
+    joined. Finally `left` and `right` must be joined. Anything else,
+    malformed input included, gives False; this never raises."""
     if not (_is_term(e, cert.left) and _is_term(e, cert.right)):
         return False
     parent: dict[int, int] = {}
@@ -1168,9 +1159,10 @@ def verify_certificate(e: Engine, cert: Certificate) -> bool:
         if parsed is None:
             return False
         u, v, name, args = parsed
-        if not _STEPS[name].check(e, u, v, args):
+        premises = _STEPS[name].premises(e, u, v, args)
+        if premises is None:
             return False
-        for x, y in _premises(e, u, v, name, args):
+        for x, y in premises:
             if _replay_find(parent, x) != _replay_find(parent, y):
                 return False
         ru, rv = _replay_find(parent, u), _replay_find(parent, v)

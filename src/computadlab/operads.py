@@ -263,11 +263,13 @@ def parse_presentation(text: str) -> Presentation:
             continue
         if line.startswith("op "):
             head, _, arity = line[3:].partition(":")
-            sym = head.strip()
-            if not arity.strip().isdecimal():
+            sym, arity = head.strip(), arity.strip()
+            if sym in ops:
+                raise OperadError(f"line {lineno}: op {sym!r} is declared twice")
+            if not (arity.isascii() and arity.isdigit()):
                 raise OperadError(f"line {lineno}: bad arity")
             try:
-                ops[sym] = int(arity.strip())
+                ops[sym] = int(arity)
             except ValueError:  # more digits than int() converts
                 raise OperadError(f"line {lineno}: arity has too many digits") from None
         elif line.startswith("eq "):

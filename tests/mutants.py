@@ -154,9 +154,9 @@ MUTANTS = [
            "pass",
            ("tests/test_freecat.py::test_enode_index_after_every_step",
             "tests/test_freecat.py::test_a_merge_drops_the_enode_lists_of_the_losers_users")),
-    Mutant("verifier skips a step's local check", FREECAT,
-           "if not _STEPS[name].check(e, u, v, args):",
-           "if False:",
+    Mutant("verifier replays a step its row refuses as if it had no premises", FREECAT,
+           "        if premises is None:\n            return False",
+           "        premises = premises or ()",
            ("tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising",
             "tests/test_freecat.py::test_certificate_tampering_is_caught")),
     Mutant("verifier skips a step's premises", FREECAT,
@@ -166,24 +166,28 @@ MUTANTS = [
             "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
             "[first-step-dropped]")),
     Mutant("interchange step accepts one index twice", FREECAT,
-           "if not (j != k and nu.kind == nv.kind == CMP):",
-           "if not (nu.kind == nv.kind == CMP):",
+           "if not (j != k and nu.kind == nv.kind == CMP",
+           "if not (nu.kind == nv.kind == CMP",
            ("tests/test_freecat.py::test_interchange_step_needs_two_indices",)),
-    Mutant("premises take the matched pattern swapped", FREECAT,
-           "matched = (nu.a, p), (nu.b, q)",
-           "matched = (nu.a, q), (nu.b, p)",
+    Mutant("assoc premises take the matched pattern swapped", FREECAT,
+           "return (nu.a, p), (nu.b, q), (nv.a, np.a)",
+           "return (nu.a, q), (nu.b, p), (nv.a, np.a)",
+           ("tests/test_freecat.py::test_every_forest_edge_replays",
+            "tests/test_freecat.py::test_certificates_hold_exactly_their_proof")),
+    Mutant("interchange premises take the matched pattern swapped", FREECAT,
+           "return ((nu.a, p), (nu.b, q), (nv.a, l)",
+           "return ((nu.a, q), (nu.b, p), (nv.a, l)",
            ("tests/test_freecat.py::test_every_forest_edge_replays",
             "tests/test_freecat.py::test_certificates_hold_exactly_their_proof",
             "tests/test_freecat.py::test_equal_cells_eckmann_hilton_certified",
             "tests/test_freecat.py::test_eckmann_hilton_certificate_size_does_not_grow")),
     Mutant("idfun step skips its lower composite", FREECAT,
-           "return (np.kind == IDA and nq.kind == IDA\n"
-           "            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower)",
-           "return np.kind == IDA and nq.kind == IDA",
+           "\n            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower)",
+           ")",
            ("tests/test_freecat.py::test_an_idfun_step_needs_its_identities_to_compose_to_u",)),
     Mutant("unit step accepts any body", FREECAT,
-           "return ((nu.a, pad), (nu.b, v)) if left else ((nu.a, v), (nu.b, pad))",
-           "return ((nu.a, pad),) if left else ((nu.b, pad),)",
+           "return (nu.a, e._unit_pad(v, nu.k, True)), (nu.b, v)",
+           "return ((nu.a, e._unit_pad(v, nu.k, True)),)",
            ("tests/test_freecat.py::test_a_unit_step_needs_v_as_its_body",)),
     Mutant("identity table keeps engine term ids", FREECAT,
            "ids=[canon[root[t]] for t in self.id_atoms]",
@@ -221,8 +225,8 @@ MUTANTS = [
            ("tests/test_freecat.py::test_engine_work_is_pinned",
             "tests/test_freecat.py::test_root_list_exact_after_queries_on_a_reloaded_algebra")),
     Mutant("the assoc premise r.b ~ q is dropped", FREECAT,
-           "return (*matched, (nv.a, np.a), (nv.b, r), (nr.a, np.b), (nr.b, q))",
-           "return (*matched, (nv.a, np.a), (nv.b, r), (nr.a, np.b))",
+           "(nv.b, r), (nr.a, np.b), (nr.b, q)",
+           "(nv.b, r), (nr.a, np.b)",
            ("tests/test_freecat.py::test_a_forged_step_fails_verification"
             "[assoc-r-right-child-elsewhere]",)),
     Mutant("the stop rule ignores merges", FREECAT,
@@ -255,6 +259,10 @@ MUTANTS = [
            ("tests/test_cli.py::test_malformed_input_exit_one[usage-gate-without-n]",
             "tests/test_cli.py::test_malformed_input_exit_one[usage-unknown-verb]",
             "tests/test_cli.py::test_malformed_input_exit_one[usage-bound-not-a-number]")),
+    Mutant("collection keys accept a leading zero", CLI,
+           'and (arity == "0" or arity[0] != "0")',
+           "",
+           ("tests/test_cli.py::test_malformed_input_exit_one[eval-arity-leading-zero]",)),
     Mutant("trees takes the bound flags it never reads", CLI,
            'sub.add_parser("trees", parents=[output]',
            'sub.add_parser("trees", parents=[bounds, output]',

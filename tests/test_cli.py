@@ -184,6 +184,12 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "line 1: dim has too many digits", id="dim-too-many-digits"),
     pytest.param(["regular", "FILE"], "op m : " + "9" * 5000 + "\n", None,
                  "line 1: arity has too many digits", id="arity-too-many-digits"),
+    # str.isdecimal() would read these as 1 and 2
+    pytest.param(["free", "FILE"], "dim \u0661\n0 a\n", None,
+                 "line 1: dim must be a natural number, got '\u0661'",
+                 id="dim-arabic-indic-one"),
+    pytest.param(["regular", "FILE"], "op m : \u0662\n", None,
+                 "line 1: bad arity", id="arity-arabic-indic-two"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n-1 f : gen(a) => gen(a)\n", None,
                  "line 3: generator dimension must be a natural number",
                  id="generator-dim-negative"),
@@ -202,6 +208,8 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "line 4: bad composition head 'comp_ 0'", id="comp-index-space"),
     pytest.param(["free", "FILE"], COMP_INDEX.format("\u0660"), None,
                  "line 4: bad composition head 'comp_\u0660'", id="comp-index-arabic-indic-zero"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format("9" * 5000), None,
+                 "line 4: composition index has too many digits", id="comp-index-too-many-digits"),
     # attachments, certified by free_algebra
     pytest.param(["free", "FILE"], NONPARALLEL, None,
                  "boundaries gen(f) and gen(h) are not parallel", id="non-parallel"),
@@ -249,6 +257,8 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "line 2: expected ',' or ')'", id="regular-missing-comma"),
     pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y)z = m(x,y)\n", None,
                  "line 2: trailing input", id="regular-trailing-text"),
+    pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y) = m(y,x)\nop m : 0\n", None,
+                 "line 3: op 'm' is declared twice", id="regular-op-declared-twice"),
     # ranges on the command line
     pytest.param(["trees", "--height", "-1", "--width", "2"], None, None,
                  "--height and --width must be >= 0", id="trees-height-negative"),
@@ -287,6 +297,17 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "--arity-bound must be >= 0", id="eval-arity-bound-negative"),
     pytest.param(["eval", "FILE"], '{"-1": ["a"]}', None,
                  "arity '-1' is not a natural number", id="eval-arity-negative"),
+    # int() would read each of these keys as an arity, the first as 1 again
+    pytest.param(["eval", "FILE"], '{"1": ["a"], "01": ["b"]}', None,
+                 "arity '01' is not a natural number", id="eval-arity-leading-zero"),
+    pytest.param(["eval", "FILE"], '{"1_0": ["a"]}', None,
+                 "arity '1_0' is not a natural number", id="eval-arity-underscore"),
+    pytest.param(["eval", "FILE"], '{"+1": ["a"]}', None,
+                 "arity '+1' is not a natural number", id="eval-arity-plus-sign"),
+    pytest.param(["eval", "FILE"], '{" 1": ["a"]}', None,
+                 "arity ' 1' is not a natural number", id="eval-arity-space"),
+    pytest.param(["eval", "FILE"], '{"' + "9" * 5000 + '": ["a"]}', None,
+                 "arity has too many digits", id="eval-arity-too-many-digits"),
     pytest.param(["eval", "FILE"], '{"2": {"elements": 5}}', None,
                  "arity 2: 'elements' is not a list", id="eval-elements-not-a-list"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": ["a"], "action": 3}}', None,
@@ -355,7 +376,7 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
     assert code == 1 and not out
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "usage:" not in err
-    assert phrase in err
+    assert phrase in err and "9" * 100 not in err  # a 5,000-digit number is not echoed
 
 
 def test_help_exits_zero(capsys):

@@ -15,7 +15,7 @@ from computadlab.computads import (
 )
 from computadlab.freecat import (
     CMP, COUNTERS, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
-    FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, _premises, certificate,
+    FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, certificate,
     equal_cells, level_zero, term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
@@ -304,8 +304,8 @@ def test_certificate_tampering_is_caught():
 def test_interchange_step_needs_two_indices():
     # comp_0(comp_0(a,b), comp_0(c,d)) = comp_0(comp_0(a,c), comp_0(b,d))
     # has the literal shape of an interchange step with j = k, but it is
-    # not a law: the two sides spell different words. Every premise of the
-    # step holds, so only its check can refuse it
+    # not a law: the two sides spell different words. Its row refuses its
+    # shape, so it has no premises to prove
     e = free_algebra(k_terminal_computad(1, ["x0", "x1"]), Bounds(size=4)).engines[1]
     x0, x1 = Gen("x0", 1), Gen("x1", 1)
     p, q, lr = _terms(e, Comp(0, x0, x0), Comp(0, x1, x1), Comp(0, x0, x1))
@@ -313,7 +313,7 @@ def test_interchange_step_needs_two_indices():
     v = e.term_node(Comp(0, Comp(0, x0, x1), Comp(0, x0, x1)))
     assert e.verdict(u, v)[0] == DISTINCT
     cert, unproved = explained(e, (u, v, ("interchange", p, q, lr, lr)))
-    assert unproved == [] and not verify_certificate(e, cert)
+    assert unproved is None and not verify_certificate(e, cert)
 
 
 def eckmann_hilton_certificate(size):
@@ -335,7 +335,7 @@ def rests_on_others(e, step):
     """A step with some premise between two different terms, so replay
     must join them first."""
     u, v, reason = step
-    return any(x != y for x, y in _premises(e, u, v, reason[0], reason[1:]))
+    return any(x != y for x, y in _STEPS[reason[0]].premises(e, u, v, reason[1:]))
 
 
 @pytest.mark.parametrize("make,size", [
@@ -563,10 +563,14 @@ def test_an_idfun_step_needs_its_identities_to_compose_to_u():
 
 def explained(e, step):
     """`step` after the engine's own proofs of those of its premises that
-    hold, and the premises that do not hold."""
+    hold, and the premises that do not hold: None when the step's row
+    refuses its shape."""
     u, v, (name, *args) = step
+    premises = _STEPS[name].premises(e, u, v, tuple(args))
+    if premises is None:
+        return Certificate(u, v, [step]), None
     steps, unproved = [], []
-    for x, y in _premises(e, u, v, name, tuple(args)):
+    for x, y in premises:
         if e.find(x) != e.find(y):
             unproved.append((x, y))
             continue
@@ -584,11 +588,12 @@ AL, BE = Gen("alpha", 2), Gen("beta", 2)
 def _assoc_r_along_another_index():
     """comp_1(comp_1(a,b),a) = comp_1(a,comp_1(b,a)) on scalar2, with r =
     comp_0(b,a) in place of comp_1(b,a): Eckmann-Hilton puts them in one
-    class, so every premise holds and only the index check refuses it."""
+    class, so each premise would hold, and only the row's index check
+    refuses the step."""
     e = free_algebra(scalar2(), Bounds(size=3)).engines[2]
     u, v, p, q, r, r0 = _terms(e, Comp(1, Comp(1, AL, BE), AL), Comp(1, AL, Comp(1, BE, AL)),
                                Comp(1, AL, BE), AL, Comp(1, BE, AL), Comp(0, BE, AL))
-    return e, (u, v, ("assoc", p, q, r)), (u, v, ("assoc", p, q, r0)), []
+    return e, (u, v, ("assoc", p, q, r)), (u, v, ("assoc", p, q, r0)), None
 
 
 def _assoc_r_right_child_elsewhere():
@@ -619,13 +624,13 @@ def _interchange_l_and_r_swapped():
 
 def _idfun_atoms_compose_elsewhere():
     """id1(comp_0(f,g)) = comp_0(id1(f),id1(g)), forged with u =
-    id1(comp_0(g,h)): the premises hold, and only the lower composite
-    refuses it."""
+    id1(comp_0(g,h)): the premises would hold, and only the row's lower
+    composite check refuses the step."""
     e = free_algebra(path_computad(2), Bounds(size=3)).engines[2]
     f, g, h = Gen("f", 1), Gen("g", 1), Gen("h", 1)
     u, u0, v, p, q = _terms(e, Id(Comp(0, f, g)), Id(Comp(0, g, h)), Comp(0, Id(f), Id(g)),
                             Id(f), Id(g))
-    return e, (u, v, ("idfun", p, q)), (u0, v, ("idfun", p, q)), []
+    return e, (u, v, ("idfun", p, q)), (u0, v, ("idfun", p, q)), None
 
 
 @pytest.mark.parametrize("forge", [
@@ -637,14 +642,30 @@ def test_a_forged_step_fails_verification(forge):
     """Each forged step changes one e-node or one side of a genuine step.
     With every premise that holds explained first, the genuine step
     verifies and the forged one does not; the forged step's premises that
-    do not hold are exactly the ones listed, none when its check alone
-    refuses it."""
+    do not hold are exactly the ones listed, None when its row refuses its
+    shape."""
     e, genuine, forged, unproved = forge()
     cert, missing = explained(e, genuine)
     assert missing == [] and verify_certificate(e, cert)
     cert, missing = explained(e, forged)
     assert missing == unproved
     assert not verify_certificate(e, cert)
+
+
+def test_certificate_raises_on_an_engine_edge_its_row_refuses():
+    """An assoc edge of the proof forest with r along another index, planted
+    into the engine: `certificate` reads the edge's premises from the row
+    `verify_certificate` reads, so it raises rather than return a
+    certificate that cannot verify."""
+    e = free_algebra(scalar2(), Bounds(size=3)).engines[2]
+    t = next(t for t, label in enumerate(e._why)
+             if label is not None and label[2][0] == "assoc")
+    u, v, (_, p, q, r) = e._why[t]
+    r0 = next(x for x, n in enumerate(e.nodes) if n.kind == CMP and n.k != e.nodes[r].k)
+    assert verify_certificate(e, certificate(e, u, v))
+    e._why[t] = (u, v, ("assoc", p, q, r0))
+    with pytest.raises(SoundnessError, match="shape of its family"):
+        certificate(e, u, v)
 
 
 def test_a_unit_step_needs_v_as_its_body():

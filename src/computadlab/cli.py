@@ -4,7 +4,9 @@ Verbs: free, slice, regular, gate, trees, eval. Exit codes: 0 = ran and
 verdict delivered, 1 = usage error, input error, or exhausted term budget
 or round cap, 2 = internal soundness failure (an oracle mismatch is a
 correctness failure, not a verdict). `main` turns every exit-1 and exit-2
-exception into one line on stderr.
+exception into one line on stderr. Every integer flag and every arity key
+of a collection file is read by `freecat.natural`; a refused number exits
+1 with one line that names the field and its range, never the number.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from . import computads as cpd
 from . import limitlab, operads, pasting
-from .freecat import Bounds, EngineLimit, FreecatError, SoundnessError
+from .freecat import LARGEST, Bounds, EngineLimit, FreecatError, SoundnessError, natural
 
 SCHEMA_VERSION = 2
 
@@ -98,8 +100,8 @@ def cmd_free(args) -> int:
 
 def cmd_slice(args) -> int:
     bounds = _bounds(args)
-    if args.generators < 0:
-        raise InputError("the number of generators must be >= 0")
+    if args.generators > bounds.max_terms:  # each name is a term
+        raise InputError(f"--generators must be at most the term budget {bounds.max_terms:,}")
     gens = [f"x{i}" for i in range(args.generators)]
     result = operads.slice_of_strict(args.k, gens, bounds)
     ok, expected, oracle_name = operads.slice_matches_oracle(result)
@@ -158,8 +160,6 @@ def cmd_gate(args) -> int:
 
 
 def cmd_trees(args) -> int:
-    if args.height < 0 or args.width < 0:
-        raise InputError("--height and --width must be >= 0")
     if pasting.tree_count(args.height, args.width) > pasting.MAX_TREES:
         raise InputError(f"--height {args.height} --width {args.width} asks for more "
                          f"than {pasting.MAX_TREES:,} trees")
@@ -195,13 +195,10 @@ def _load_collection(path: str):
     if not isinstance(doc, dict):
         raise InputError("a collection is a JSON object keyed by arity")
     for arity, payload in doc.items():
-        # ASCII digits without a leading zero, so no two keys read as one
-        if not (arity.isascii() and arity.isdigit() and (arity == "0" or arity[0] != "0")):
-            raise InputError(f"arity {arity!r} is not a natural number")
-        try:
-            n = int(arity)
-        except ValueError:  # more digits than int() converts
-            raise InputError("arity has too many digits") from None
+        n = natural(arity, LARGEST)
+        if n is None or arity != str(n):  # no leading zero: no two keys read as one
+            raise InputError(f"an arity key must be a number from 0 to {LARGEST:,} in "
+                             f"digits 0-9, without a leading zero")
         if isinstance(payload, list):
             sets[n] = list(payload)
             continue
@@ -236,12 +233,12 @@ def _load_collection(path: str):
 
 
 def cmd_eval(args) -> int:
-    if args.arity_bound < 0:
-        raise InputError("--arity-bound must be >= 0")
     coll = _load_collection(args.collection)
     xs = [s for s in args.set.split(",") if s] if args.set else []
     if len(set(xs)) < len(xs):
         raise InputError(f"--set {args.set!r} names an element twice")
+    if operads.eval_count(coll, len(xs), args.arity_bound) > operads.MAX_EVAL:
+        raise InputError(f"eval would visit more than {operads.MAX_EVAL:,} values")
     if isinstance(coll, operads.SymCollection):
         elems = operads.eval_analytic(coll, xs, args.arity_bound)
         kind = "analytic"
@@ -260,6 +257,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _natural(word: str) -> int:
+    """The type of every integer flag."""
+    n = natural(word, LARGEST)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"expected a number from 0 to {LARGEST:,} in digits 0-9")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise InputError, so they exit
     1 with one line like every other input error; its subparsers share it."""
@@ -275,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="tabular")
     output.add_argument("--out", default=None, help="write the report to a file")
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--bound", type=int, default=4,
+    bounds.add_argument("--bound", type=_natural, default=4,
                         help="size bound (generator occurrences per cell)")
-    bounds.add_argument("--rounds", type=int, default=24,
+    bounds.add_argument("--rounds", type=_natural, default=24,
                         help="round cap of each saturation stratum (one "
                              "generator count); reaching it exits 1")
 
@@ -293,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slice", parents=[bounds, output],
                        help="slice of the strict monad on a finite set")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--generators", type=int, default=2)
+    p.add_argument("--k", type=_natural, required=True)
+    p.add_argument("--generators", type=_natural, default=2)
     p.set_defaults(run=cmd_slice)
 
     p = sub.add_parser("regular", parents=[output],
@@ -304,21 +309,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gate", parents=[bounds, output],
                        help="presheaf-topos gate experiments")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--graph-vertices", type=int, default=2)
-    p.add_argument("--graph-edges", type=int, default=2)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--graph-vertices", type=_natural, default=2)
+    p.add_argument("--graph-edges", type=_natural, default=2)
     p.set_defaults(run=cmd_gate)
 
     p = sub.add_parser("trees", parents=[output], help="enumerate pasting shapes")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--height", type=_natural, required=True)
+    p.add_argument("--width", type=_natural, required=True)
     p.set_defaults(run=cmd_trees)
 
     p = sub.add_parser("eval", parents=[output],
                        help="evaluate an analytic functor on a set")
     p.add_argument("collection", help="JSON collection file")
     p.add_argument("--set", default="", help="comma-separated elements")
-    p.add_argument("--arity-bound", type=int, default=3)
+    p.add_argument("--arity-bound", type=_natural, default=3)
     p.set_defaults(run=cmd_eval)
     return parser
 

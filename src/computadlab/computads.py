@@ -10,6 +10,8 @@ and building its free algebra are one walk. A computad carries no bounds:
 they belong to the `FreeAlgebra` computed from it. The pullback of two
 computad maps is built dimension by dimension on that same walk, or refused
 with a `ComputadError` that names the generator pair it could not attach.
+The text format's `dim` and generator dimensions are read by
+`freecat.natural`, within 0..MAX_DIM and 0..dim.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from . import freecat
 from .freecat import (
     Bounds, Engine, Level, Term,
-    class_in_level, level_zero, term_dim, term_to_str,
+    class_in_level, level_zero, natural, term_dim, term_to_str,
 )
 
 
@@ -316,17 +318,6 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
 MAX_DIM = 64
 
 
-def _parse_natural(word: str, what: str, lineno: int) -> int:
-    """A dimension field of the text format: a natural number in ASCII
-    digits, else an error."""
-    if not (word.isascii() and word.isdigit()):
-        raise ComputadError(f"line {lineno}: {what} must be a natural number, got {word!r}")
-    try:
-        return int(word)
-    except ValueError:  # more digits than int() converts
-        raise ComputadError(f"line {lineno}: {what} has too many digits") from None
-
-
 def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
     """Parse the text format. Only syntax, dimensions, names and duplicates
     are checked here; `free_algebra` certifies the attachments. `bounds` is
@@ -341,10 +332,10 @@ def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
         if line.startswith("dim"):
             if dim is not None:
                 raise ComputadError(f"line {lineno}: repeated dim declaration")
-            dim = _parse_natural(line[3:].strip(), "dim", lineno)
-            if dim > MAX_DIM:
-                raise ComputadError(
-                    f"line {lineno}: dim {dim} above the largest supported dim {MAX_DIM}")
+            dim = natural(line[3:].strip(), MAX_DIM)
+            if dim is None:
+                raise ComputadError(f"line {lineno}: dim must be a number from 0 to "
+                                    f"{MAX_DIM} in digits 0-9")
             layers = [[] for _ in range(dim + 1)]
             continue
         if dim is None:
@@ -353,10 +344,10 @@ def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
         parts = head.split()
         if len(parts) != 2:
             raise ComputadError(f"line {lineno}: expected '<dim> <name> [: src => tgt]'")
-        r = _parse_natural(parts[0], "generator dimension", lineno)
-        name = parts[1]
-        if r > dim:
-            raise ComputadError(f"line {lineno}: generator dimension {r} above dim {dim}")
+        r, name = natural(parts[0], dim), parts[1]
+        if r is None:
+            raise ComputadError(f"line {lineno}: a generator's dimension must be a number "
+                                f"from 0 to dim {dim} in digits 0-9")
         gen_dims[name] = r
         if r == 0:
             if sep:

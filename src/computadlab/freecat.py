@@ -87,6 +87,10 @@ by its row, its premises already joined.
 Distinct verdicts come only from invariants preserved by every axiom
 family (generator multiset, boundary classes, and at dimension 1 the
 generator word). Everything else is reported Unknown.
+
+`natural` is the one reader of every number the program reads: the
+composition index of a term here, and through the modules that import
+this one, computad files, presentations, collection keys and flags.
 """
 
 from __future__ import annotations
@@ -154,11 +158,31 @@ def term_to_str(t: Term) -> str:
     raise FreecatError(f"not a term: {t!r}")
 
 
+# the largest number a field with no range of its own accepts: a flag, an
+# op's arity, a collection's arity key; any count a run can reach is smaller
+LARGEST = 10**18
+
+
+def natural(word: str, largest: int) -> int | None:
+    """The number `word` writes in the ASCII digits 0-9, or None when it
+    writes none or one above `largest`. Every number the program reads is
+    read here, and each caller turns None into its own one-line error that
+    names the accepted range. A sign, a space, an underscore or any other
+    digit is refused; leading zeros are read, and a caller that refuses
+    them compares `word` with `str(n)`. A word with more digits than
+    `largest` never reaches `int()`."""
+    digits = word.lstrip("0")
+    if not (word.isascii() and word.isdigit()) or len(digits) > len(str(largest)):
+        return None
+    n = int(digits or "0")
+    return n if n <= largest else None
+
+
 def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
     """Parse the prefix syntax gen(id), id1(t), comp_k(t,u), each generator
     taking its dimension from `gen_dims` (name -> dimension). A name outside
-    it is an error, and so are a negative k, one at or above the dimension
-    of the composed cells, and operands of two dimensions."""
+    it is an error, and so are a k that `natural` does not read below the
+    dimension of the composed cells, and operands of two dimensions."""
     s = s.strip()
 
     def parse(i: int) -> tuple[Term, int]:
@@ -186,25 +210,16 @@ def term_from_str(s: str, gen_dims: dict[str, int]) -> Term:
                 raise FreecatError(f"expected ')' at position {k}")
             return Id(body), k + 1
         if head.startswith("comp_"):
-            index = head[5:]
-            digits = index.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):  # not int(): "+0", "1_0"
-                raise FreecatError(f"bad composition head {head!r}")
-            if digits != index:
-                raise FreecatError(f"negative composition index in {head!r}")
-            try:
-                idx = int(index)
-            except ValueError:  # more digits than int() converts
-                raise FreecatError("composition index has too many digits") from None
             left, k = parse(j + 1)
-            if idx >= term_dim(left):
-                raise FreecatError(f"composition index {idx} in {head!r} is not "
-                                   f"below the operands' dimension {term_dim(left)}")
+            idx = natural(head[5:], term_dim(left) - 1)
+            if idx is None:
+                raise FreecatError(f"a composition index must be a number in digits "
+                                   f"0-9 below the operands' dimension {term_dim(left)}")
             if k >= len(s) or s[k] != ",":
                 raise FreecatError(f"expected ',' at position {k}")
             right, k = parse(k + 1)
             if term_dim(right) != term_dim(left):
-                raise FreecatError(f"the operands of {head!r} have dimensions "
+                raise FreecatError(f"the operands of 'comp_{idx}' have dimensions "
                                    f"{term_dim(left)} and {term_dim(right)}")
             if k >= len(s) or s[k] != ")":
                 raise FreecatError(f"expected ')' at position {k}")
@@ -801,8 +816,17 @@ class Engine:
 
         An e-node with a pure identity child, a unit pad or a whisker by a
         lower identity, has a child class of size s that may still grow, so
-        it is matched every round."""
+        it is matched every round.
+
+        Saturation stops before a stratum s above 2m, where m is the largest
+        generator count of any class. No term of s generators exists before
+        stratum s, so the first one it builds composes two classes of n and
+        s - n generators, both at least 1 (a pad or whisker by an identity
+        needs a class of size s already), and one of them has at least s/2.
+        So a size bound far above the classes climbs no empty strata."""
         for size in range(self.bounds.size + 1):
+            if size > 2 * max((len(self.nodes[r].mset) for r in self._class_terms), default=0):
+                break
             mark = 0
             for _ in range(self.bounds.rounds):
                 n_terms, n_merges = len(self.nodes), self.counters["merges"]

@@ -260,9 +260,26 @@ MUTANTS = [
             "tests/test_cli.py::test_malformed_input_exit_one[usage-unknown-verb]",
             "tests/test_cli.py::test_malformed_input_exit_one[usage-bound-not-a-number]")),
     Mutant("collection keys accept a leading zero", CLI,
-           'and (arity == "0" or arity[0] != "0")',
-           "",
+           "if n is None or arity != str(n):",
+           "if n is None:",
            ("tests/test_cli.py::test_malformed_input_exit_one[eval-arity-leading-zero]",)),
+    Mutant("the reader accepts any Unicode digit", FREECAT,
+           "not (word.isascii() and word.isdigit())",
+           "not word.isdigit()",
+           ("tests/test_cli.py::test_malformed_input_exit_one[slice-k-arabic-indic-two]",
+            "tests/test_cli.py::test_malformed_input_exit_one[dim-arabic-indic-one]",
+            "tests/test_parse_property.py::"
+            "test_natural_reads_exactly_the_ascii_numbers_up_to_largest")),
+    Mutant("the reader ignores largest", FREECAT,
+           "return n if n <= largest else None",
+           "return n",
+           ("tests/test_cli.py::test_malformed_input_exit_one[dim-above-max]",
+            "tests/test_cli.py::test_malformed_input_exit_one[comp-index-too-large]",
+            "tests/test_parse_property.py::test_natural_reads_leading_zeros")),
+    Mutant("saturate stops at stratum 2m, one stratum early", FREECAT,
+           "if size > 2 * max(",
+           "if size >= 2 * max(",
+           ("tests/test_golden.py::test_report_matches_golden[free_loop_bound_2]",)),
     Mutant("trees takes the bound flags it never reads", CLI,
            'sub.add_parser("trees", parents=[output]',
            'sub.add_parser("trees", parents=[bounds, output]',

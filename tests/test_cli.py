@@ -150,14 +150,23 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                 "2 al : comp_0(gen(f),gen(a)) => gen(f)\n")
 
 
+# the one error of each number that `natural` refuses, with its field's range
+FLAG = f"expected a number from 0 to {freecat.LARGEST:,} in digits 0-9"
+DIM = f"line 1: dim must be a number from 0 to {computads.MAX_DIM} in digits 0-9"
+ARITY = f"line 1: an arity must be a number from 0 to {freecat.LARGEST:,} in digits 0-9"
+COMP = "line 4: a composition index must be a number in digits 0-9 below the operands' dimension 1"
+ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in digits 0-9, "
+             f"without a leading zero")
+
+
 # (argv, input text written to FILE, term budget patched into cli._bounds,
 # a phrase the one error line must contain)
 @pytest.mark.parametrize("argv, text, max_terms, phrase", [
     # vacuous gates: a pass over zero cases is no evidence
     pytest.param(["gate", "--n", "1", "--graph-vertices", "-1"], None, None,
-                 "graph bounds (-1, 2) admit no edge", id="gate-no-vertices"),
+                 f"argument --graph-vertices: {FLAG}", id="gate-no-vertices"),
     pytest.param(["gate", "--n", "2", "--graph-edges", "-1"], None, None,
-                 "graph bounds (2, -1) admit no edge", id="gate-no-edges"),
+                 f"argument --graph-edges: {FLAG}", id="gate-no-edges"),
     pytest.param(["gate", "--n", "1", "--bound", "0"], None, None,
                  "path length 0 checks only identities", id="gate-path-length-0"),
     pytest.param(["gate", "--n", "1", "--graph-vertices", "0", "--graph-edges", "0"],
@@ -173,43 +182,47 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  None, None, "graph bounds (1, 6) allow more than 6", id="gate-graph-1-6"),
     # numbers in computad files
     pytest.param(["free", "FILE"], "dim x\n0 a\n", None,
-                 "line 1: dim must be a natural number, got 'x'", id="dim-not-a-number"),
+                 DIM, id="dim-not-a-number"),
     pytest.param(["free", "FILE"], "dim\n0 a\n", None,
-                 "line 1: dim must be a natural number, got ''", id="dim-without-number"),
+                 DIM, id="dim-without-number"),
     pytest.param(["free", "FILE"], "dim -1\n", None,
-                 "line 1: dim must be a natural number, got '-1'", id="dim-negative"),
+                 DIM, id="dim-negative"),
     pytest.param(["free", "FILE"], f"dim {computads.MAX_DIM + 1}\n0 a\n", None,
-                 f"line 1: dim {computads.MAX_DIM + 1} above", id="dim-above-max"),
+                 DIM, id="dim-above-max"),
     pytest.param(["free", "FILE"], "dim " + "9" * 5000 + "\n", None,
-                 "line 1: dim has too many digits", id="dim-too-many-digits"),
+                 DIM, id="dim-too-many-digits"),
+    # 4,000 digits are few enough for int(), and are not echoed either
+    pytest.param(["free", "FILE"], "dim " + "9" * 4000 + "\n", None,
+                 DIM, id="dim-4000-nines"),
     pytest.param(["regular", "FILE"], "op m : " + "9" * 5000 + "\n", None,
-                 "line 1: arity has too many digits", id="arity-too-many-digits"),
+                 ARITY, id="arity-too-many-digits"),
     # str.isdecimal() would read these as 1 and 2
     pytest.param(["free", "FILE"], "dim \u0661\n0 a\n", None,
-                 "line 1: dim must be a natural number, got '\u0661'",
-                 id="dim-arabic-indic-one"),
+                 DIM, id="dim-arabic-indic-one"),
     pytest.param(["regular", "FILE"], "op m : \u0662\n", None,
-                 "line 1: bad arity", id="arity-arabic-indic-two"),
+                 ARITY, id="arity-arabic-indic-two"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n-1 f : gen(a) => gen(a)\n", None,
-                 "line 3: generator dimension must be a natural number",
-                 id="generator-dim-negative"),
+                 "line 3: a generator's dimension must be a number from 0 to dim 1 in "
+                 "digits 0-9", id="generator-dim-negative"),
     pytest.param(["free", "FILE"], "dim 1\n0 a\n1 f : gen(a) => gen(q)\n", None,
                  "line 3: unknown generator 'q'", id="unknown-generator"),
     pytest.param(["free", "FILE"], COMP_INDEX.format(-1), None,
-                 "line 4: negative composition index", id="comp-index-negative"),
+                 COMP, id="comp-index-negative"),
     pytest.param(["free", "FILE"], COMP_INDEX.format(7), None,
-                 "line 4: composition index 7", id="comp-index-too-large"),
+                 COMP, id="comp-index-too-large"),
     # int() would read each of these heads as an index
     pytest.param(["free", "FILE"], COMP_INDEX.format("+0"), None,
-                 "line 4: bad composition head 'comp_+0'", id="comp-index-plus-sign"),
+                 COMP, id="comp-index-plus-sign"),
     pytest.param(["free", "FILE"], COMP_INDEX.format("0_0"), None,
-                 "line 4: bad composition head 'comp_0_0'", id="comp-index-underscore"),
+                 COMP, id="comp-index-underscore"),
     pytest.param(["free", "FILE"], COMP_INDEX.format(" 0"), None,
-                 "line 4: bad composition head 'comp_ 0'", id="comp-index-space"),
+                 COMP, id="comp-index-space"),
     pytest.param(["free", "FILE"], COMP_INDEX.format("\u0660"), None,
-                 "line 4: bad composition head 'comp_\u0660'", id="comp-index-arabic-indic-zero"),
+                 COMP, id="comp-index-arabic-indic-zero"),
     pytest.param(["free", "FILE"], COMP_INDEX.format("9" * 5000), None,
-                 "line 4: composition index has too many digits", id="comp-index-too-many-digits"),
+                 COMP, id="comp-index-too-many-digits"),
+    pytest.param(["free", "FILE"], COMP_INDEX.format("9" * 4000), None,
+                 COMP, id="comp-index-4000-nines"),
     # attachments, certified by free_algebra
     pytest.param(["free", "FILE"], NONPARALLEL, None,
                  "boundaries gen(f) and gen(h) are not parallel", id="non-parallel"),
@@ -236,7 +249,8 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["free", "FILE"], "dim 0\n0 a b\n", None,
                  "line 2: expected '<dim> <name>", id="three-words"),
     pytest.param(["free", "FILE"], "dim 0\n0 a\n1 f : gen(a) => gen(a)\n", None,
-                 "line 3: generator dimension 1 above dim 0", id="generator-above-dim"),
+                 "line 3: a generator's dimension must be a number from 0 to dim 0",
+                 id="generator-above-dim"),
     pytest.param(["free", "FILE"], "dim 1\n0 a : gen(a) => gen(a)\n", None,
                  "line 2: 0-generators take no attachment", id="attached-0-generator"),
     # term syntax in computad files
@@ -261,15 +275,26 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "line 3: op 'm' is declared twice", id="regular-op-declared-twice"),
     # ranges on the command line
     pytest.param(["trees", "--height", "-1", "--width", "2"], None, None,
-                 "--height and --width must be >= 0", id="trees-height-negative"),
+                 f"argument --height: {FLAG}", id="trees-height-negative"),
     pytest.param(["trees", "--height", "2", "--width", "-1"], None, None,
-                 "--height and --width must be >= 0", id="trees-width-negative"),
+                 f"argument --width: {FLAG}", id="trees-width-negative"),
     pytest.param(["trees", "--height", "3", "--width", "4"], None, None,
                  "more than 1,000,000 trees", id="trees-above-max"),
     pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
-                 "the number of generators must be >= 0", id="slice-generators-negative"),
+                 f"argument --generators: {FLAG}", id="slice-generators-negative"),
     pytest.param(["free", "FILE", "--bound", "-1"], "dim 0\n0 a\n", None,
-                 "got size -1", id="free-bound-negative"),
+                 f"argument --bound: {FLAG}", id="free-bound-negative"),
+    # int() would read each of these flags as a number, the first as k = 2
+    pytest.param(["slice", "--k", "\u0662"], None, None,
+                 f"argument --k: {FLAG}", id="slice-k-arabic-indic-two"),
+    pytest.param(["slice", "--k", "1", "--bound", "1_0"], None, None,
+                 f"argument --bound: {FLAG}", id="bound-underscore"),
+    pytest.param(["slice", "--k", "1", "--bound", "+1"], None, None,
+                 f"argument --bound: {FLAG}", id="bound-plus-sign"),
+    pytest.param(["slice", "--k", "1", "--bound", " 4"], None, None,
+                 f"argument --bound: {FLAG}", id="bound-space"),
+    pytest.param(["slice", "--k", "1", "--bound", "9" * 5000], None, None,
+                 f"argument --bound: {FLAG}", id="bound-too-many-digits"),
     pytest.param(["slice", "--k", "1", "--rounds", "0"], None, None,
                  "rounds 0", id="slice-rounds-zero"),
     pytest.param(["slice", "--k", "0"], None, None, "slices start at k = 1", id="slice-k-zero"),
@@ -290,24 +315,24 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
     pytest.param(["eval", "FILE"], '["a"]', None,
                  "a collection is a JSON object keyed by arity", id="eval-not-an-object"),
     pytest.param(["eval", "FILE"], '{"x": ["a"]}', None,
-                 "arity 'x' is not a natural number", id="eval-arity-not-a-number"),
+                 ARITY_KEY, id="eval-arity-not-a-number"),
     pytest.param(["eval", "FILE"], '{"1": "a"}', None,
                  "arity 1: expected an object with key 'elements'", id="eval-payload-string"),
     pytest.param(["eval", "FILE", "--arity-bound", "-1"], '{"1": ["a"]}', None,
-                 "--arity-bound must be >= 0", id="eval-arity-bound-negative"),
+                 f"argument --arity-bound: {FLAG}", id="eval-arity-bound-negative"),
     pytest.param(["eval", "FILE"], '{"-1": ["a"]}', None,
-                 "arity '-1' is not a natural number", id="eval-arity-negative"),
+                 ARITY_KEY, id="eval-arity-negative"),
     # int() would read each of these keys as an arity, the first as 1 again
     pytest.param(["eval", "FILE"], '{"1": ["a"], "01": ["b"]}', None,
-                 "arity '01' is not a natural number", id="eval-arity-leading-zero"),
+                 ARITY_KEY, id="eval-arity-leading-zero"),
     pytest.param(["eval", "FILE"], '{"1_0": ["a"]}', None,
-                 "arity '1_0' is not a natural number", id="eval-arity-underscore"),
+                 ARITY_KEY, id="eval-arity-underscore"),
     pytest.param(["eval", "FILE"], '{"+1": ["a"]}', None,
-                 "arity '+1' is not a natural number", id="eval-arity-plus-sign"),
+                 ARITY_KEY, id="eval-arity-plus-sign"),
     pytest.param(["eval", "FILE"], '{" 1": ["a"]}', None,
-                 "arity ' 1' is not a natural number", id="eval-arity-space"),
+                 ARITY_KEY, id="eval-arity-space"),
     pytest.param(["eval", "FILE"], '{"' + "9" * 5000 + '": ["a"]}', None,
-                 "arity has too many digits", id="eval-arity-too-many-digits"),
+                 ARITY_KEY, id="eval-arity-too-many-digits"),
     pytest.param(["eval", "FILE"], '{"2": {"elements": 5}}', None,
                  "arity 2: 'elements' is not a list", id="eval-elements-not-a-list"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": ["a"], "action": 3}}', None,
@@ -336,7 +361,7 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "unrecognized arguments: --frob", id="usage-unknown-flag"),
     pytest.param(["frob"], None, None, "invalid choice: 'frob'", id="usage-unknown-verb"),
     pytest.param(["slice", "--k", "1", "--bound", "x"], None, None,
-                 "invalid int value: 'x'", id="usage-bound-not-a-number"),
+                 f"argument --bound: {FLAG}", id="usage-bound-not-a-number"),
     pytest.param([], None, None, "required: verb", id="usage-no-verb"),
     # bound flags on a verb that reads no bounds
     pytest.param(["trees", "--height", "2", "--width", "2", "--bound", "2"], None, None,
@@ -345,6 +370,20 @@ OPERAND_DIMS = ("dim 2\n0 a\n1 f : gen(a) => gen(a)\n"
                  "unrecognized arguments: --rounds 3", id="usage-regular-rounds"),
     pytest.param(["eval", data_path("bicategory_slice1.json"), "--bound", "2"], None,
                  None, "unrecognized arguments: --bound 2", id="usage-eval-bound"),
+    # work refused before it starts: unrefused, the first builds a million
+    # names in 3.5 s and 357 MB, and the two evals run for over 15 s
+    pytest.param(["slice", "--k", "1", "--generators", "1000000"], None, None,
+                 "--generators must be at most the term budget 200,000",
+                 id="slice-generators-above-budget"),
+    pytest.param(["eval", "FILE", "--set", "a,b,c,d,e,f,g,h,i,j", "--arity-bound", "12"],
+                 '{"12": ["m"]}', None, f"more than {operads.MAX_EVAL:,} values",
+                 id="eval-above-budget"),
+    pytest.param(["eval", "FILE", "--set", "a,b", "--arity-bound", "8"],
+                 '{"8": {"elements": ["m"], "action": []}}', None,
+                 f"more than {operads.MAX_EVAL:,} values", id="eval-symmetric-above-budget"),
+    # no value, but the 10**8-fold product of the empty set would take 800 MB
+    pytest.param(["eval", "FILE", "--arity-bound", "100000000"], '{"100000000": ["m"]}',
+                 None, f"more than {operads.MAX_EVAL:,} values", id="eval-huge-arity-empty-set"),
     # an exhausted term budget
     pytest.param(["free", data_path("scalar2.cpd")], None, 20,
                  "term budget 20 exhausted", id="budget-free"),
@@ -377,6 +416,7 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "usage:" not in err
     assert phrase in err and "9" * 100 not in err  # a 5,000-digit number is not echoed
+    assert len(err.encode()) <= 200
 
 
 def test_help_exits_zero(capsys):
@@ -386,19 +426,19 @@ def test_help_exits_zero(capsys):
 
 
 def test_bounds_error_states_the_limits(capsys):
-    for flag, value in (("--bound", "-1"), ("--rounds", "0")):
+    for flag, value, phrase in (("--bound", "-1", f"argument --bound: {FLAG}"),
+                                ("--rounds", "0", "size >= 0, rounds >= 1 and max_terms >= 1")):
         code, _, err = run(capsys, "slice", "--k", "1", flag, value)
         assert code == 1
-        assert "size >= 0, rounds >= 1 and max_terms >= 1" in err
+        assert phrase in err
 
 
 def test_comp_index_errors_name_the_index(capsys, tmp_path):
     path = tmp_path / "input.cpd"
-    for index, phrase in ((-1, "negative composition index"),
-                          (7, "composition index 7")):
+    for index in (-1, 7):
         path.write_text(COMP_INDEX.format(index))
         code, _, err = run(capsys, "free", str(path))
-        assert code == 1 and err.startswith("error: line 4: ") and phrase in err
+        assert code == 1 and err == f"error: {COMP}\n"
     path.write_text(COMP_INDEX.format(0))
     code, _, _ = run(capsys, "free", str(path), "--bound", "2")
     assert code == 0

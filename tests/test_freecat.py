@@ -986,16 +986,16 @@ def engine_work(e):
             e.counters["axiom_instances"], e.round, e.saw_size_cut, digest)
 
 
-def identity_only(size, dim=1):
+def identity_only(dim=1):
     """The work of the dimension-1 or dimension-2 engine under a single
-    0-cell and no generators above it, at `size`: stratum 0 takes two
+    0-cell and no generators above it, at any size: stratum 0 takes two
     rounds, one that merges its unit instances and one that confirms, and
-    every stratum above it one round that finds nothing."""
+    no stratum above it runs, since no class holds a generator."""
     terms, merges, instances, digest = {
         1: (2, 1, 5, "ac439a9ecfc3f1534fb927d78a340090a1164a559e2bf6396415b907e36762b5"),
         2: (3, 2, 14, "f5751aec2d7824af0fa7cd04ac13b54f2f068bcc438811294a0519ff4b7abd8b"),
     }[dim]
-    return (terms, 1, merges, instances, size + 2, False, digest)
+    return (terms, 1, merges, instances, 2, False, digest)
 
 
 @pytest.mark.parametrize("make,size,work", [
@@ -1003,20 +1003,20 @@ def identity_only(size, dim=1):
         (7115, 1093, 6022, 31451, 14, True,
          "25f00c4cce34ef4447a3ce22b1fe44b7c42efed0a60c6a50ff2f3a0dda73a8fe")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4, [
-        identity_only(4),
+        identity_only(),
         (430, 35, 395, 5406, 10, True,
          "ec6613747398130220165a2cfae41bce4034a1793f297c8212a272ee2d3b363b")]),
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 6, [
-        identity_only(6),
+        identity_only(),
         (1858, 84, 1774, 47866, 14, True,
          "013452d13a3a1e8a704f47813331ed0eb66d90e4979a534db1596d4d6098be6b")]),
     (lambda: k_terminal_computad(3, ["x0", "x1"]), 4, [
-        identity_only(4),
-        identity_only(4, dim=2),
+        identity_only(),
+        identity_only(dim=2),
         (219, 15, 204, 3862, 10, True,
          "9aad139ed52053b54efeb1d40b08a6a3fedf3a07500d096455566ced063ad980")]),
     (scalar2, 5, [
-        identity_only(5),
+        identity_only(),
         (259, 21, 238, 3704, 12, True,
          "b3e205e92383377660e2d91f59a612ee1eda3258680eba8d8597f0f2c89073f7")]),
 ], ids=["slice-k1-g3-size6", "slice-k2-g3-size4", "slice-k2-g3-size6", "slice-k3-g2-size4",
@@ -1027,6 +1027,17 @@ def test_engine_work_is_pinned(make, size, work):
     cover every slice the `engine` benchmark times."""
     fa = free_algebra(make(), Bounds(size=size))
     assert [engine_work(e) for e in fa.engines[1:]] == work
+
+
+def test_saturation_climbs_no_empty_stratum():
+    """theta2.cpd has no generator above dimension 0, so no class of its
+    engines holds a generator and each stops after the two rounds of
+    stratum 0, whatever the size bound. With one round for each empty
+    stratum, each would take 1,002 rounds here, and `--bound 1000000000`
+    would never finish."""
+    fa = free_algebra(theta2(), Bounds(size=1000))
+    assert fa.fixed_point and [e.round for e in fa.engines[1:]] == [2, 2]
+    assert [lv.n_classes for lv in fa.levels] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("k,gens,size", [(1, 3, 6), (2, 3, 4), (2, 3, 6), (3, 2, 4)],

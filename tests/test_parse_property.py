@@ -1,5 +1,7 @@
-"""Every text parser raises only its declared error type, whatever the input,
-and `eval` turns every malformed collection file into one `error:` line."""
+"""Every text parser raises only its declared error type, whatever the input;
+`eval` turns every malformed collection file into one `error:` line; and
+`natural`, the one reader of every number, reads exactly the numbers written
+in ASCII digits up to its bound."""
 
 import io
 import json
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from computadlab import freecat
 from computadlab.cli import main
 from computadlab.computads import MAX_DIM, ComputadError, loads_computad
-from computadlab.freecat import FreecatError
+from computadlab.freecat import LARGEST, FreecatError, natural
 from computadlab.operads import OperadError, parse_presentation
 from oracles import PastingError, tree_from_str
 
@@ -103,3 +105,42 @@ def test_eval_rejects_malformed_collections_in_one_line(doc):
         assert not lines
     else:
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# words that may or may not write a number: any text, digit strings with
+# leading zeros and beyond `LARGEST`, and what `int()` would read but
+# `natural` must not (a sign, an underscore, spaces, other digits)
+words = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"0{0,30}[0-9]{1,25}", fullmatch=True),
+    st.sampled_from(["", "+1", "-1", "1_0", " 4", "4 ", "\u0662", "\u00b2", "9" * 5000]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word=words, largest=st.one_of(st.integers(-1, 100), st.integers(0, 10**20)))
+def test_natural_reads_exactly_the_ascii_numbers_up_to_largest(word, largest):
+    n = natural(word, largest)  # never raises
+    number = word.isascii() and word.isdigit()
+    assert n is None or (number and n == int(word) <= largest)
+    if number and len(word) < 100 and int(word) <= largest:
+        assert n == int(word)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 10**20), zeros=st.integers(0, 40), slack=st.integers(-1, 10**20))
+def test_natural_reads_leading_zeros(n, zeros, slack):
+    assert natural("0" * zeros + str(n), n + slack) == (n if slack >= 0 else None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(word=words)
+def test_a_flag_runs_exactly_when_natural_reads_it(word):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["trees", "--height", word, "--width", "0"])
+    if natural(word, LARGEST) is not None:
+        assert code == 0 and not err.getvalue()
+    else:
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(err.getvalue().encode()) <= 200

@@ -365,17 +365,20 @@ def check_path_cospan(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     Every path of the pullback is enumerated once by `_path_keys`, keyed
     by its pair of projections; the number of paths it finds is `paths`,
     which the sweep takes as the cospan's path count instead of counting
-    again. Two paths with one key are a `conflated` pair, found again in
-    the enumeration order of `_first_conflation`. Fewer distinct keys than
-    `expected` fail surjectivity, and a `missing` matching pair is then
-    searched for by brute force."""
+    again. Only a failure enumerates the paths again, by `_pullback_paths`,
+    to find its witness: two paths with one key are a `conflated` pair, and
+    fewer distinct keys than `expected` fail surjectivity, a `missing`
+    matching pair then being searched for by brute force among those whose
+    projections no path has."""
     verts, pedges = pullback
     total, seen = _path_keys(verts, pedges, max_len)
     conflated = None
     if len(seen) < total:
         conflated = _first_conflation(verts, pedges, y.nv, max_len)
     ok_surj = len(seen) == expected
-    missing = None if ok_surj else _first_missing(x, y, f, g, max_len, seen)
+    missing = None if ok_surj else _first_missing(
+        x, y, f, g, max_len,
+        {pair for _, pair in _pullback_paths(verts, pedges, y.nv, max_len)})
     return CospanResult(conflated is None and ok_surj, ok_surj, conflated,
                         missing, total)
 
@@ -411,12 +414,9 @@ def _path_keys(verts, pedges, max_len: int) -> tuple[int, set]:
 
 
 def _first_missing(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
-                   max_len: int, seen: set) -> tuple | None:
-    """The first matching pair of paths of x and y, by brute force, whose
-    flat key (as `_path_keys` writes it) is not in `seen`."""
-    yn = y.nv
-    pairs = {((k // yn, ()), (k % yn, ())) if isinstance(k, int)
-             else ((k[0] // yn, k[1::2]), (k[0] % yn, k[2::2])) for k in seen}
+                   max_len: int, pairs: set) -> tuple | None:
+    """The first matching pair of paths of x and y, by brute force, that is
+    not in `pairs`, the projection pairs of the pullback's paths."""
     for px_ in graph_paths(x, max_len):
         for py_ in graph_paths(y, max_len):
             if (path_image(f, px_) == path_image(g, py_)
@@ -425,27 +425,31 @@ def _first_missing(x: GraphData, y: GraphData, f: GraphMap, g: GraphMap,
     return None
 
 
-def _first_conflation(verts, pedges, yn: int, max_len: int) -> tuple:
-    """The first two paths of the pullback, in enumeration order, with the
-    same pair of projections: `(first, second, (px, py))`, a path being
-    `(start, pullback edge indices)` and a projection `(start, edges)`.
-    A vertex or edge listed twice makes a second path object, which
-    `_first_collision` tells apart by identity."""
+def _pullback_paths(verts, pedges, yn: int, max_len: int):
+    """Each path of length <= max_len of the pullback with vertices `verts`
+    and edges `pedges` (flat vertex ids `i * yn + j`), shortest first, as
+    `(path, (px, py))`: the path as `(start, pullback edge indices)`, its
+    projections to x and y as `(start, edges)`. A vertex or edge listed
+    twice makes a second path object."""
     out_of: dict = {}
     for n, (u, w, a, b) in enumerate(pedges):
         out_of.setdefault(u, []).append((n, w, a, b))
+    # (end vertex, path of P, its projection to x, its projection to y)
+    level = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
+    for _ in range(max_len + 1):
+        for _, path, px, py in level:
+            yield path, (px, py)
+        level = [(w, (path[0], path[1] + (n,)), (px[0], px[1] + (a,)),
+                  (py[0], py[1] + (b,)))
+                 for at, path, px, py in level for n, w, a, b in out_of.get(at, ())]
 
-    def paths():
-        # (end vertex, path of P, its projection to x, its projection to y)
-        level = [(v, (v, ()), (v // yn, ()), (v % yn, ())) for v in verts]
-        for _ in range(max_len + 1):
-            for _, path, px, py in level:
-                yield path, (px, py)
-            level = [(w, (path[0], path[1] + (n,)), (px[0], px[1] + (a,)),
-                      (py[0], py[1] + (b,)))
-                     for at, path, px, py in level for n, w, a, b in out_of.get(at, ())]
 
-    found = _first_collision(paths())
+def _first_conflation(verts, pedges, yn: int, max_len: int) -> tuple:
+    """The first two paths of the pullback, in the order `_pullback_paths`
+    yields them, with the same pair of projections: `(first, second, (px,
+    py))`. A vertex or edge listed twice makes a second path object, which
+    `_first_collision` tells apart by identity."""
+    found = _first_collision(_pullback_paths(verts, pedges, yn, max_len))
     if found is None:
         raise LimitError("no two paths of the pullback share their projections")
     return found
@@ -666,9 +670,9 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
       count, under its code, and a checked cospan with that code is
       settled when its own matching-pair count equals the stored one; any
       other gets its own checker call. The checker reads x, y, f, g and
-      `y.nv` only in `_first_missing` and `_first_conflation`, which run
-      only on a failure, and a failing result is never reused: every
-      failing cospan gets its own checker call and its own witness;
+      `y.nv` only to find a failure's witness, and a failing result is
+      never reused: every failing cospan gets its own checker call and its
+      own witness;
     - an unchecked cospan whose code has already been counted reuses the
       DP's count.
 

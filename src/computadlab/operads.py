@@ -9,7 +9,10 @@ k-terminal computad, and the free (commutative) monoid cross-checks it.
 
 Strong regularity is decided for a *presentation*; the property of a
 theory (existence of some strongly regular presentation) is out of reach
-and never claimed.
+and never claimed. The verdict compares only each equation's variable
+sequences, so a presentation is read straight into them: every op line
+first, then each side of each equation in one pass that checks its syntax
+and arities.
 """
 
 from __future__ import annotations
@@ -78,11 +81,13 @@ class NonSymCollection:
 
 
 # the largest arity a symmetric collection may have, since it carries an
-# action table for each of the n! permutations of each arity, and the laws
-# are checked on each: `eval` on one element takes 0.26 s and 20 MB at arity
-# 7 and 1.0 s and 32 MB at arity 8, where the unlisted permutations share
-# one identity table (2-core VM, Python 3.11, process start included), and
-# each further arity multiplies the cost by about n
+# action table for each of the n! permutations of each arity, built before
+# `eval_count` is read, and the laws are checked on each: `eval` on one
+# element takes 0.26 s and 20 MB at arity 7 (2-core VM, Python 3.11, process
+# start included), where the unlisted permutations share one identity table.
+# At arity 8 the laws' check alone reads 8 * 8! table entries per element,
+# more than MAX_EVAL, so `eval` refuses it; each further arity would
+# multiply the cost of building the tables by about n
 MAX_ARITY = 8
 
 
@@ -115,10 +120,11 @@ def collection_violation(a: SymCollection) -> str | None:
         tables = a.action.get(n)
         if tables is None or set(tables) != set(perms):
             return f"arity {n}: action tables missing"
+        members = set(elems)
         for p in perms:
             tab = tables[p]
             for e in elems:
-                if e not in tab or tab[e] not in elems:
+                if e not in tab or tab[e] not in members:
                     return f"arity {n}: action of {p} not a map on the set"
         ident = tables[perm_identity(n)]
         for e in elems:
@@ -195,11 +201,16 @@ def eval_count(a: NonSymCollection | SymCollection, n_x: int, arity_bound: int) 
     tried on each when `a` is symmetric, plus n per element for the n-fold
     product, which is set up even when the set is empty. A huge arity key
     costs one step: n_x^n is counted as n_x^min(n, cap), which equals n_x^n
-    when n_x <= 1 and exceeds MAX_EVAL at n >= cap when n_x >= 2."""
+    when n_x <= 1 and exceeds MAX_EVAL at n >= cap when n_x >= 2. A
+    symmetric `a` also costs the n * n! + 1 table reads per element with
+    which `collection_violation` checks the action laws at every arity n,
+    within the bound or not."""
     cap = (MAX_EVAL + 1).bit_length()
-    perms = math.factorial if isinstance(a, SymCollection) else (lambda n: 1)
-    return sum(len(elems) * (n_x ** min(n, cap) * perms(n) + n)
-               for n, elems in a.sets.items() if n <= arity_bound)
+    sym = isinstance(a, SymCollection)
+    perms = math.factorial if sym else (lambda n: 1)
+    laws = sum(len(elems) * (n * perms(n) + 1) for n, elems in a.sets.items()) if sym else 0
+    return laws + sum(len(elems) * (n_x ** min(n, cap) * perms(n) + n)
+                      for n, elems in a.sets.items() if n <= arity_bound)
 
 
 def strong_analytic_bijection(a: NonSymCollection, x, arity_bound: int):
@@ -217,67 +228,60 @@ def strong_analytic_bijection(a: NonSymCollection, x, arity_bound: int):
 # --- presentations and strong regularity ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PTerm:
-    head: str
-    args: tuple["PTerm", ...] = ()
-
-
 @dataclass
 class Presentation:
     ops: dict[str, int]  # symbol -> arity
-    equations: list[tuple[PTerm, PTerm]]
+    # each equation as its (left, right) variable occurrences, left to right
+    equations: list[tuple[list[str], list[str]]]
 
 
-def _parse_pterm(s: str, ops: dict[str, int]) -> PTerm:
+def _variables(s: str, ops: dict[str, int]) -> list[str]:
+    """Read one side of an equation in a single pass: check its syntax and
+    each symbol's number of arguments, and return its variable occurrences
+    from left to right. A declared symbol is an operation (a constant when
+    nullary) and takes exactly its arity in arguments, none written as a
+    bare symbol; an undeclared one is a variable and takes none."""
     s = s.strip()
+    out: list[str] = []
 
-    def parse(i: int) -> tuple[PTerm, int]:
+    def read(i: int) -> int:
         j = i
         while j < len(s) and (s[j].isalnum() or s[j] == "_"):
             j += 1
         if j == i:
             raise OperadError(f"expected a symbol at position {i} in {s!r}")
-        head = s[i:j]
+        head, n = s[i:j], 0
         if j < len(s) and s[j] == "(":
-            args = []
-            j += 1
             while True:
-                arg, j = parse(j)
-                args.append(arg)
-                if j < len(s) and s[j] == ",":
-                    j += 1
-                    continue
+                j = read(j + 1)
+                n += 1
                 if j < len(s) and s[j] == ")":
-                    return PTerm(head, tuple(args)), j + 1
-                raise OperadError(f"expected ',' or ')' at position {j} in {s!r}")
-        return PTerm(head), j
+                    j += 1
+                    break
+                if j == len(s) or s[j] != ",":
+                    raise OperadError(f"expected ',' or ')' at position {j} in {s!r}")
+        if head in ops:
+            if n != ops[head]:
+                raise OperadError(f"operation {head!r} has arity {ops[head]}, got {n}")
+        elif n:
+            raise OperadError(f"undeclared symbol {head!r} used with arguments")
+        else:
+            out.append(head)
+        return j
 
     try:
-        t, end = parse(0)
-        if end != len(s):
+        if read(0) != len(s):
             raise OperadError(f"trailing input in term {s!r}")
-        _check_pterm(t, ops)
     except RecursionError:
         raise OperadError("term nested too deeply") from None
-    return t
-
-
-def _check_pterm(t: PTerm, ops: dict[str, int]):
-    if t.head in ops:
-        if len(t.args) != ops[t.head]:
-            raise OperadError(
-                f"operation {t.head!r} has arity {ops[t.head]}, got {len(t.args)}")
-    elif t.args:
-        raise OperadError(f"undeclared symbol {t.head!r} used with arguments")
-    for a in t.args:
-        _check_pterm(a, ops)
+    return out
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse lines 'op m : 2' and 'eq m(x,y) = m(y,x)'."""
+    """Parse lines 'op m : 2' and 'eq m(x,y) = m(y,x)'. Every op line is
+    read before any equation, so an op line may come anywhere in the file."""
     ops: dict[str, int] = {}
-    equations = []
+    sides = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -295,23 +299,16 @@ def parse_presentation(text: str) -> Presentation:
             lhs, sep, rhs = line[3:].partition("=")
             if not sep:
                 raise OperadError(f"line {lineno}: equation needs '='")
-            try:
-                equations.append((_parse_pterm(lhs, ops), _parse_pterm(rhs, ops)))
-            except OperadError as exc:
-                raise OperadError(f"line {lineno}: {exc}") from None
+            sides.append((lineno, lhs, rhs))
         else:
             raise OperadError(f"line {lineno}: expected 'op' or 'eq'")
+    equations = []
+    for lineno, lhs, rhs in sides:
+        try:
+            equations.append((_variables(lhs, ops), _variables(rhs, ops)))
+        except OperadError as exc:
+            raise OperadError(f"line {lineno}: {exc}") from None
     return Presentation(ops, equations)
-
-
-def variable_sequence(t: PTerm, ops: dict[str, int]) -> list[str]:
-    """Left-to-right variable occurrences; declared constants do not count."""
-    if t.head not in ops:
-        return [t.head]
-    out = []
-    for a in t.args:
-        out.extend(variable_sequence(a, ops))
-    return out
 
 
 @dataclass
@@ -325,9 +322,7 @@ class RegularityVerdict:
 def is_strongly_regular_presentation(p: Presentation) -> RegularityVerdict:
     """True iff every equation has the same variables on both sides, each
     exactly once, in the same left-to-right order."""
-    for i, (lhs, rhs) in enumerate(p.equations):
-        sl = variable_sequence(lhs, p.ops)
-        sr = variable_sequence(rhs, p.ops)
+    for i, (sl, sr) in enumerate(p.equations):
         for side, seq in (("left", sl), ("right", sr)):
             dup = {v for v in seq if seq.count(v) > 1}
             if dup:
@@ -390,9 +385,10 @@ def slice_of_strict(k: int, generators, bounds: Bounds = Bounds()) -> SliceResul
 
 
 def free_monoid_elements(generators, size: int) -> list[tuple]:
+    """The words of length <= size; with no generator, only the empty one."""
     gens = list(generators)
     out = []
-    for n in range(size + 1):
+    for n in range(size + 1 if gens else 1):
         out.extend(itertools.product(gens, repeat=n))
     return out
 

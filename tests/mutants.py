@@ -52,6 +52,18 @@ ORACLES = "tests/oracles.py"
 OPERADS = "src/computadlab/operads.py"
 CLI = "src/computadlab/cli.py"
 
+# the end of `parse_presentation`'s loop over lines and the start of its loop
+# over equations, where {0} completes each equation's entry and {1} names
+# the op table its sides are read with
+PARSE_TAIL = """\
+        else:
+            raise OperadError(f"line {{lineno}}: expected 'op' or 'eq'")
+    equations = []
+    for lineno, lhs, rhs{0} in sides:
+        try:
+            equations.append((_variables(lhs, {1}), _variables(rhs, {1})))
+"""
+
 MUTANTS = [
     Mutant("fiber column off by one lane", LIMITLAB,
            "counts[p * n + j] += 1",
@@ -253,6 +265,28 @@ MUTANTS = [
            "level.msets)]",
            ("tests/test_operads.py::test_slice_at_size_zero_is_the_unit",
             "tests/test_cli.py::test_slice_at_bound_zero_matches")),
+    Mutant("a bare nullary op reads as a variable", OPERADS,
+           "        if head in ops:\n",
+           "        if head in ops and (n or ops[head]):\n",
+           ("tests/test_operads.py::test_monoid_is_strongly_regular",
+            "tests/test_operads.py::test_op_lines_may_follow_their_use",
+            "tests/test_golden.py::test_report_matches_golden[regular_monoid]",
+            "tests/test_parse_property.py::"
+            "test_a_presentation_reads_the_same_in_any_line_order")),
+    Mutant("an application's arity is not checked", OPERADS,
+           "if n != ops[head]:",
+           "if not n and ops[head]:",
+           ("tests/test_operads.py::test_parser_rejects_bad_input",
+            "tests/test_cli.py::test_regular_term_errors_name_their_line")),
+    Mutant("equations are read in file order with the op lines", OPERADS,
+           "sides.append((lineno, lhs, rhs))\n" + PARSE_TAIL.format("", "ops"),
+           "sides.append((lineno, lhs, rhs, dict(ops)))\n"
+           + PARSE_TAIL.format(", known", "known"),
+           ("tests/test_cli.py::"
+            "test_malformed_input_exit_one[regular-op-declared-late-wrong-arity]",
+            "tests/test_operads.py::test_op_lines_may_follow_their_use",
+            "tests/test_parse_property.py::"
+            "test_a_presentation_reads_the_same_in_any_line_order")),
     Mutant("usage errors fall back to argparse's own exit", CLI,
            'raise InputError(f"{self.prog}: {message}")',
            "super().error(message)",

@@ -273,6 +273,10 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  "line 2: trailing input", id="regular-trailing-text"),
     pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y) = m(y,x)\nop m : 0\n", None,
                  "line 3: op 'm' is declared twice", id="regular-op-declared-twice"),
+    # every op line is read before any equation, so a binary m may not stand bare
+    pytest.param(["regular", "FILE"], "eq m = x\nop m : 2\n", None,
+                 "line 1: operation 'm' has arity 2, got 0",
+                 id="regular-op-declared-late-wrong-arity"),
     # ranges on the command line
     pytest.param(["trees", "--height", "-1", "--width", "2"], None, None,
                  f"argument --height: {FLAG}", id="trees-height-negative"),
@@ -381,6 +385,12 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
     pytest.param(["eval", "FILE", "--set", "a,b", "--arity-bound", "8"],
                  '{"8": {"elements": ["m"], "action": []}}', None,
                  f"more than {operads.MAX_EVAL:,} values", id="eval-symmetric-above-budget"),
+    # no value, but checking the action laws of 1,000 elements at arity 8 ran
+    # past 20 s when eval_count did not count it
+    pytest.param(["eval", "FILE", "--arity-bound", "0"],
+                 json.dumps({"8": {"elements": [f"e{i}" for i in range(1000)], "action": []}}),
+                 None, f"more than {operads.MAX_EVAL:,} values",
+                 id="eval-action-laws-above-budget"),
     # no value, but the 10**8-fold product of the empty set would take 800 MB
     pytest.param(["eval", "FILE", "--arity-bound", "100000000"], '{"100000000": ["m"]}',
                  None, f"more than {operads.MAX_EVAL:,} values", id="eval-huge-arity-empty-set"),

@@ -10,7 +10,7 @@ from computadlab.operads import (
     COMMUTATIVE_MONOID_PRESENTATION, MONOID_PRESENTATION, NonSymCollection,
     OperadError, Presentation, SymCollection, all_perms, collection_violation,
     eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
-    free_sym_collection,
+    free_monoid_elements, free_sym_collection,
     is_strongly_regular_presentation, parse_presentation, perm_compose,
     slice_matches_oracle, slice_of_strict,
     strong_analytic_bijection, transpose_values,
@@ -229,6 +229,12 @@ def test_regularity_invariant_under_renaming_and_reordering():
     assert is_strongly_regular_presentation(commutative).violation == "permutation"
 
 
+def test_op_lines_may_follow_their_use():
+    p = parse_presentation("op m : 2\neq m(x,e) = x\nop e : 0\n")
+    assert p.ops == {"m": 2, "e": 0} and p.equations == [(["x"], ["x"])]
+    assert is_strongly_regular_presentation(p).strongly_regular
+
+
 def test_parser_rejects_bad_input():
     with pytest.raises(OperadError):
         parse_presentation("op m : two\n")
@@ -280,6 +286,10 @@ def _leaves(t):
     if isinstance(t, Id):
         return []
     return _leaves(t.left) + _leaves(t.right)
+
+
+def test_free_monoid_on_no_generators_is_the_empty_word():
+    assert free_monoid_elements([], 10**6) == [()]
 
 
 def test_slice_on_empty_set_is_the_unit():

@@ -1,7 +1,8 @@
 """Every text parser raises only its declared error type, whatever the input;
-`eval` turns every malformed collection file into one `error:` line; and
+`eval` turns every malformed collection file into one `error:` line;
 `natural`, the one reader of every number, reads exactly the numbers written
-in ASCII digits up to its bound."""
+in ASCII digits up to its bound; and a presentation reads the same in any
+order of its lines."""
 
 import io
 import json
@@ -17,7 +18,9 @@ from computadlab import freecat
 from computadlab.cli import main
 from computadlab.computads import MAX_DIM, ComputadError, loads_computad
 from computadlab.freecat import LARGEST, FreecatError, natural
-from computadlab.operads import OperadError, parse_presentation
+from computadlab.operads import (
+    OperadError, is_strongly_regular_presentation, parse_presentation,
+)
 from oracles import PastingError, tree_from_str
 
 
@@ -144,3 +147,40 @@ def test_a_flag_runs_exactly_when_natural_reads_it(word):
         lines = err.getvalue().splitlines()
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
         assert len(err.getvalue().encode()) <= 200
+
+
+@st.composite
+def presentations(draw):
+    """Declared ops of arity 0 to 3, and equations whose sides use only
+    them and the variables x, y, z: the op lines, the equation lines, and
+    each equation's (left, right) variable occurrences."""
+    ops = draw(st.dictionaries(st.sampled_from("mnce"), st.integers(0, 3), min_size=1))
+
+    def side(depth):
+        # a term as (text, its variable occurrences left to right)
+        head = draw(st.sampled_from(
+            ["x", "y", "z"] + [sym for sym, n in ops.items() if depth or not n]))
+        if head not in ops:
+            return head, [head]
+        args = [side(depth - 1) for _ in range(ops[head])]
+        text = f"{head}({','.join(t for t, _ in args)})" if args else head
+        return text, [v for _, vs in args for v in vs]
+
+    equations = [(side(2), side(2)) for _ in range(draw(st.integers(1, 4)))]
+    return ([f"op {sym} : {n}" for sym, n in ops.items()],
+            [f"eq {lt} = {rt}" for (lt, _), (rt, _) in equations],
+            [(lv, rv) for (_, lv), (_, rv) in equations])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=presentations(), data=st.data())
+def test_a_presentation_reads_the_same_in_any_line_order(drawn, data):
+    op_lines, eq_lines, variables = drawn
+    lines = eq_lines + op_lines
+    order = data.draw(st.permutations(range(len(lines))))
+    p = parse_presentation("\n".join(lines[i] for i in order))
+    assert p.ops == {line.split()[1]: int(line.split()[3]) for line in op_lines}
+    assert p.equations == [variables[i] for i in order if i < len(eq_lines)]
+    # strongly regular: both sides the same variables, each once, in order
+    assert is_strongly_regular_presentation(p).strongly_regular == all(
+        lv == rv and len(set(lv)) == len(lv) for lv, rv in variables)

@@ -12,7 +12,8 @@ witness that replays outside the engine.
 
 The graph-cospan sweep sorts every graph map X -> Z into buckets once: the
 vertices of X over each vertex of Z and the edges of X over each edge of Z,
-with the index among the paths of Z of each path's image (`_Leg`). The
+with the index among the paths of Z of each path's image, found by walking
+the path tree of X through the map (`_Leg`, `path_fibers`). The
 cospans of one representative f, over every Y, form a row, whose right legs
 g depend only on Z and the stabilizer of f; each such pair packs its row's
 legs once (`_Row`), a column of 32-bit lanes per path of Z holding each g's
@@ -260,7 +261,8 @@ def graph_automorphisms(g: GraphData) -> list[GraphMap]:
 
 
 def graph_homs(x: GraphData, z: GraphData) -> list[GraphMap]:
-    """All graph maps x -> z (edge instances mapped individually)."""
+    """All graph maps x -> z (edge instances mapped individually), in
+    increasing order of `(vmap, emap)`."""
     by_pair: dict[tuple[int, int], list[int]] = {}
     for j, pair in enumerate(z.edges):
         by_pair.setdefault(pair, []).append(j)
@@ -279,20 +281,6 @@ def graph_homs(x: GraphData, z: GraphData) -> list[GraphMap]:
         for em in itertools.product(*choices):
             out.append(GraphMap(tuple(vm), tuple(em)))
     return out
-
-
-def _hom_buckets(x: GraphData, m: GraphMap, nv: int, ne: int) -> tuple[list, list]:
-    """A graph map x -> z sorted by its image: for each of the `nv` vertices
-    of z the vertices of x over it, for each of the `ne` edges of z the
-    edges `(a, s, t)` of x over it (edge index, source, target)."""
-    verts: list = [[] for _ in range(nv)]
-    for i, k in enumerate(m.vmap):
-        verts[k].append(i)
-    edges: list = [[] for _ in range(ne)]
-    for a, k in enumerate(m.emap):
-        s, t = x.edges[a]
-        edges[k].append((a, s, t))
-    return verts, edges
 
 
 def _pullback_vertices(yn: int, vx, vy) -> list:
@@ -335,13 +323,45 @@ def path_image(m: GraphMap, path):
     return m.vmap[start], tuple(m.emap[e] for e in es)
 
 
-def path_fibers(paths: list, f: GraphMap) -> dict:
-    """The number of `paths` over each image path, `paths` being the paths
-    of f's domain as `graph_paths` lists them."""
-    fibers: dict = {}
-    for path in paths:
-        img = path_image(f, path)
-        fibers[img] = fibers.get(img, 0) + 1
+class PathTree(NamedTuple):
+    """The paths of a graph as `graph_paths` lists them, as a tree: the
+    path of length 0 at vertex v is path v, and each longer path extends
+    an earlier one by its last edge."""
+
+    steps: list  # per path of length >= 1, in order: (parent path, last edge)
+    ext: list  # per path, {edge: the index of the path extended by it}
+
+
+def path_tree(g: GraphData, max_len: int) -> PathTree:
+    """The `PathTree` of the paths of g of length <= max_len."""
+    by_src: dict[int, list[int]] = {}
+    for e, (s, _) in enumerate(g.edges):
+        by_src.setdefault(s, []).append(e)
+    steps: list = []
+    ext: list = [{} for _ in range(g.nv)]
+    frontier = [(v, v) for v in range(g.nv)]  # (path, its end vertex)
+    for _ in range(max_len):
+        nxt = []
+        for p, at in frontier:
+            for e in by_src.get(at, ()):
+                steps.append((p, e))
+                ext[p][e] = len(ext)
+                nxt.append((len(ext), g.edges[e][1]))
+                ext.append({})
+        frontier = nxt
+    return PathTree(steps, ext)
+
+
+def path_fibers(tree_x: PathTree, m: GraphMap, tree_z: PathTree) -> list:
+    """For each path of x, the index of its image under m: x -> z among
+    the paths of z, `tree_x` and `tree_z` being their path trees. The
+    image of a path is the image of its parent extended by the image of
+    its last edge, so the walk reads one extension per path of x, parents
+    first."""
+    ext, emap = tree_z.ext, m.emap
+    fibers = list(m.vmap)
+    for parent, edge in tree_x.steps:
+        fibers.append(ext[fibers[parent]][emap[edge]])
     return fibers
 
 
@@ -455,8 +475,13 @@ def _first_conflation(verts, pedges, yn: int, max_len: int) -> tuple:
     return found
 
 
-def _postcompose_key(a: GraphMap, m: GraphMap) -> tuple:
-    return (tuple(a.vmap[v] for v in m.vmap), tuple(a.emap[e] for e in m.emap))
+def _hom_key(m: GraphMap, nv: int) -> tuple:
+    """A graph map m: x -> z as one tuple, `nv` being the number of
+    vertices of z: the images of the vertices of x, then `nv` plus the
+    images of its edges. The keys of the maps out of one x compare as
+    their `(vmap, emap)` pairs do, and for an automorphism a of z the key
+    of a . m is `key(a)` read at each entry of `key(m)`."""
+    return m.vmap + tuple([nv + e for e in m.emap])
 
 
 # A fiber lane holds one matching-pair count. `_FIBER_TYPE` is an unsigned
@@ -489,8 +514,9 @@ class _Leg(NamedTuple):
     """What the sweep precomputes once per graph map x -> z.
 
     `fibers` lists, for each path of x, the index of its image among the
-    paths of z, so a path of z appears once per path of x over it; summing
-    any per-path-of-z values over `fibers` weighs each by the fiber.
+    paths of z (`path_fibers`), so a path of z appears once per path of x
+    over it; summing any per-path-of-z values over `fibers` weighs each by
+    the fiber.
 
     A cospan's pullback code is laid out from the buckets. With V = max_v,
     E = max_e and S = V * V * E, a vertex pair (i, j) is bit `i * V + j`,
@@ -502,22 +528,32 @@ class _Leg(NamedTuple):
     `i * V`, and an edge a over k by `V * V + code(a) * S`. Two pairs over
     different elements of z never share a bit, so the code is exactly the
     set of the pullback's vertex pairs and of its edge pairs with their
-    endpoints, below bit `V * V + S * S`."""
+    endpoints, below bit `V * V + S * S`. `bits` holds the leg's
+    contribution as g, per vertex, then edge, of z, built once per leg for
+    every row that packs it (`_pack_row`)."""
 
-    verts: list  # per vertex of z, the vertices of x over it (_hom_buckets)
-    edges: list  # per edge of z, the edges (a, s, t) of x over it
+    verts: list  # per vertex of z, the vertices of x over it
+    edges: list  # per edge of z, the edges (a, s, t) of x over it (index, ends)
     fibers: list  # per path of x, the index of its image among z's paths
+    bits: list  # per vertex, then edge, of z, its code bits as the right leg
 
 
-def _leg(x: GraphData, xpaths: list, m: GraphMap, z: GraphData,
-         zindex: dict) -> _Leg:
-    """The leg of m: x -> z, `xpaths` being the paths of x and `zindex`
-    the index of each path of z."""
-    verts, edges = _hom_buckets(x, m, z.nv, len(z.edges))
-    fibers: list = []
-    for img, n in path_fibers(xpaths, m).items():
-        fibers += [zindex[img]] * n
-    return _Leg(verts, edges, fibers)
+def _leg(x: GraphData, tree_x: PathTree, m: GraphMap, z: GraphData,
+         tree_z: PathTree, max_v: int, max_e: int) -> _Leg:
+    """The leg of m: x -> z, `tree_x` and `tree_z` being the path trees
+    of x and z, and (`max_v`, `max_e`) the sweep's graph bounds."""
+    nv = z.nv
+    verts: list = [[] for _ in range(nv)]
+    bits = [0] * (nv + len(z.edges))
+    for j, k in enumerate(m.vmap):
+        verts[k].append(j)
+        bits[k] |= 1 << j
+    edges: list = [[] for _ in z.edges]
+    for b, k in enumerate(m.emap):
+        s, t = x.edges[b]
+        edges[k].append((b, s, t))
+        bits[nv + k] |= 1 << ((s * max_v + t) * max_e + b)
+    return _Leg(verts, edges, path_fibers(tree_x, m, tree_z), bits)
 
 
 class _Row(NamedTuple):
@@ -533,8 +569,7 @@ class _Row(NamedTuple):
     codes: list  # per vertex, then edge, of z, its code column
 
 
-def _pack_row(lanes: list, npaths: int, fiber_bytes: int, code_bytes: int,
-              max_v: int, max_e: int) -> _Row:
+def _pack_row(lanes: list, npaths: int, fiber_bytes: int, code_bytes: int) -> _Row:
     """The `_Row` of the legs in `lanes`, among `npaths` paths of z."""
     legs = [leg for _, _, leg in lanes]
     n = len(legs)
@@ -545,11 +580,8 @@ def _pack_row(lanes: list, npaths: int, fiber_bytes: int, code_bytes: int,
     order = sys.byteorder
     fibers = [int.from_bytes(counts[p * n:(p + 1) * n].tobytes(), order)
               for p in range(npaths)]
-    bits = [[sum(1 << j for j in vs) for vs in leg.verts]
-            + [sum(1 << ((s * max_v + t) * max_e + b) for b, s, t in es)
-               for es in leg.edges] for leg in legs]
     codes = [int.from_bytes(b"".join(c.to_bytes(code_bytes, order) for c in column),
-                            order) for column in zip(*bits)]
+                            order) for column in zip(*(leg.bits for leg in legs))]
     return _Row(lanes, fibers, codes)
 
 
@@ -590,38 +622,47 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
     cospan of f over every Y in order; numbered from 1 in this order, they
     are the sweep's cospans c.
 
-    The paths of each graph are listed once. Once per Z its paths are
-    listed, and once per hom into Z its `_Leg` and the keys of its
-    postcompositions with every automorphism of Z are computed. Within one
-    Z, the representatives g depend on f only through its stabilizer, so
-    each stabilizer packs its row once and every f with that stabilizer
-    shares it; a trivial stabilizer's row lists every hom g into Z."""
+    The path tree of each graph is built once, and once per hom into Z its
+    `_Leg`. A representative f is the least hom of its orbit by
+    `_hom_key`, and `graph_homs` lists the homs out of each X in that
+    order, so the first hom met of each orbit is its representative: only
+    a representative's key is postcomposed with every automorphism of Z,
+    which lists its orbit (the homs met later are skipped) and its
+    stabilizer. Within one Z, the representatives g depend on f only
+    through its stabilizer, so each stabilizer packs its row once and
+    every f with that stabilizer shares it; a trivial stabilizer's row
+    lists every hom g into Z. When the identity is the only automorphism
+    of Z, every stabilizer is trivial and every hom is its own orbit's
+    representative, so no key is built."""
     lane_bytes = _lane_widths(max_v, max_e, path_len)
     graphs = enumerate_graphs(max_v, max_e)
-    paths = [graph_paths(x, path_len) for x in graphs]
-    for z, zpaths in zip(graphs, paths):
-        zindex = {p: n for n, p in enumerate(zpaths)}
-        auts = graph_automorphisms(z)
-        side = []  # per X: its (hom, leg) pairs into z, and their keys
-        for x, xpaths in zip(graphs, paths):
-            homs = graph_homs(x, z)
-            keys = [[_postcompose_key(a, m) for a in auts] for m in homs]
-            side.append((x, [(m, _leg(x, xpaths, m, z, zindex)) for m in homs], keys))
+    trees = [path_tree(x, path_len) for x in graphs]
+    for z, tree_z in zip(graphs, trees):
+        auts = [_hom_key(a, z.nv) for a in graph_automorphisms(z)]  # identity first
+        rigid = len(auts) == 1
+        side = []  # per X: its homs into z as (hom, leg, key)
+        for x, tree_x in zip(graphs, trees):
+            side.append((x, [(m, _leg(x, tree_x, m, z, tree_z, max_v, max_e),
+                              None if rigid else _hom_key(m, z.nv))
+                             for m in graph_homs(x, z)]))
         rows: dict = {}  # stabilizer -> its row
-        for x, members_x, keys_x in side:
-            for (f, leg_f), mapped in zip(members_x, keys_x):
-                kf = (f.vmap, f.emap)
-                if min(mapped) != kf:
-                    continue
-                stab = tuple(n for n, km in enumerate(mapped) if km == kf)[1:]
+        for x, members in side:
+            met: set = set()  # the keys of the orbits met so far
+            for f, leg_f, kf in members:
+                stab = ()
+                if not rigid:
+                    if kf in met:
+                        continue
+                    orbit = [tuple([a[i] for i in kf]) for a in auts]
+                    met.update(orbit)
+                    stab = tuple(n for n, k in enumerate(orbit) if k == kf)[1:]
                 row = rows.get(stab)
                 if row is None:
-                    lanes = [(y, g, leg_g) for y, members_y, keys_y in side
-                             for (g, leg_g), keys_g in zip(members_y, keys_y)
+                    lanes = [(y, g, leg_g) for y, members_y in side
+                             for g, leg_g, kg in members_y
                              if not stab
-                             or not any(keys_g[a] < (g.vmap, g.emap) for a in stab)]
-                    row = rows[stab] = _pack_row(lanes, len(zpaths), *lane_bytes,
-                                                 max_v, max_e)
+                             or all(kg <= tuple([auts[n][i] for i in kg]) for n in stab)]
+                    row = rows[stab] = _pack_row(lanes, len(tree_z.ext), *lane_bytes)
                 yield z, x, f, leg_f, row
 
 

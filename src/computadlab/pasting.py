@@ -9,6 +9,7 @@ a pasting diagram. Enumeration is always bounded by height and width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -17,12 +18,17 @@ class Tree:
 
     children: tuple["Tree", ...] = ()
 
+    @cached_property
+    def text(self) -> str:
+        """The serialization, built once per tree from its children's."""
+        return "(" + "".join(c.text for c in self.children) + ")"
+
 
 LEAF = Tree()  # the unique tree of height 0
 
 
 def tree_to_str(t: Tree) -> str:
-    return "(" + "".join(tree_to_str(c) for c in t.children) + ")"
+    return t.text
 
 
 # the most trees `trees` builds; --height 3 --width 3 has 621,436

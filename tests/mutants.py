@@ -76,6 +76,26 @@ MUTANTS = [
            ("tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit",
             "tests/test_limitlab.py::"
             "test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree")),
+    Mutant("the path tree records a path's first edge in place of its last", LIMITLAB,
+           "                steps.append((p, e))\n",
+           "                first, q = e, p\n"
+           "                while q >= g.nv:\n"
+           "                    q, first = steps[q - g.nv]\n"
+           "                steps.append((p, first))\n",
+           ("tests/test_limitlab.py::test_path_fibers_name_each_path_image",
+            "tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit",
+            "tests/test_limitlab.py::test_reused_counts_match_a_dp_per_cospan")),
+    Mutant("every Z takes the identity-only-automorphism shortcut", LIMITLAB,
+           "rigid = len(auts) == 1",
+           "rigid = True",
+           ("tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit",
+            "tests/test_limitlab.py::test_checker_runs_once_per_distinct_pullback_and_count")),
+    Mutant("a leg's vertex code bits are shifted by the wrong width", LIMITLAB,
+           "bits[k] |= 1 << j",
+           "bits[k] |= 1 << (j * max_v)",
+           ("tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit",
+            "tests/test_limitlab.py::"
+            "test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree")),
     Mutant("collision search compares images' elements by value", LIMITLAB,
            "if other is not elem:",
            "if other != elem:",

@@ -30,6 +30,17 @@ def dfs_paths(vertices, edges, max_len):
     return paths
 
 
+def path_image_counts(paths, m) -> dict:
+    """The number of `paths` over each image path under the graph map m,
+    `paths` being `(start, edges)` pairs of m's domain: each image built
+    as its own tuple, `(m.vmap[start], (m.emap[e], ...))`."""
+    counts: dict = {}
+    for start, es in paths:
+        img = m.vmap[start], tuple(m.emap[e] for e in es)
+        counts[img] = counts.get(img, 0) + 1
+    return counts
+
+
 # --- pasting diagrams -----------------------------------------------------------
 
 

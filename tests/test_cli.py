@@ -435,6 +435,28 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """`main` parses with one parser per process: a usage error leaves
+    nothing behind for the next call, and a wrapper set on a verb's
+    function after the parser was built is the one that runs."""
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run(capsys, "trees", "--height", "x", "--width", "2")
+    assert code == 1 and not out
+    assert err == "error: computadlab trees: argument --height: " + FLAG + "\n"
+    code, out, err = run(capsys, "trees", "--height", "2", "--width", "2",
+                         "--format", "structured")
+    assert code == 0 and not err
+    assert json.loads(out)["count"] == 13
+    code, out, err = run(capsys, "trees", "--height", "1", "--width", "1")
+    assert (code, out, err) == (0, "# trees\ncount: 2\nheight: 1\n"
+                                   "trees: ['(())', '()']\nwidth: 1\n", "")
+    called = []
+    original = cli.cmd_trees
+    monkeypatch.setattr(cli, "cmd_trees", lambda args: called.append(args) or original(args))
+    code, out, _ = run(capsys, "trees", "--height", "0", "--width", "3")
+    assert code == 0 and len(called) == 1 and "count: 1" in out
+
+
 def test_bounds_error_states_the_limits(capsys):
     for flag, value, phrase in (("--bound", "-1", f"argument --bound: {FLAG}"),
                                 ("--rounds", "0", "size >= 0, rounds >= 1 and max_terms >= 1")):

@@ -15,10 +15,11 @@ from computadlab.limitlab import (
     _cospan_orbits, canonical_graph, check_cospan, check_path_cospan, check_square,
     computad_topos_gate, enumerate_graphs, graph_automorphisms,
     graph_homs, graph_paths, list_functor, make_finset_map,
-    multiset_functor, path_fibers, path_image,
+    multiset_functor, path_fibers, path_image, path_tree,
     pullback_sets, run_path_preservation,
     set_cospans,
 )
+from oracles import path_image_counts
 
 # --- pullbacks of finite sets -----------------------------------------------------
 
@@ -241,23 +242,34 @@ def test_graph_paths_loop():
     assert len(graph_paths(loop, 3)) == 4
 
 
+def _buckets(x, m, nv, ne):
+    """The graph map m out of x sorted by its image, as a `_Leg` holds it:
+    for each of the `nv` vertices of its codomain the vertices of x over
+    it, for each of the `ne` edges the edges `(a, s, t)` of x over it."""
+    verts = [[i for i, k in enumerate(m.vmap) if k == v] for v in range(nv)]
+    edges = [[(a, *x.edges[a]) for a, k in enumerate(m.emap) if k == e]
+             for e in range(ne)]
+    return verts, edges
+
+
 def _flat_pullback(f, g, x, y):
     """The pullback of x -> z <- y, given by its two legs, as the sweep
     builds it: the `_pullback_vertices` and `_pullback_edges` of the legs'
     buckets over z."""
     nv = 1 + max(f.vmap + g.vmap, default=-1)
     ne = 1 + max(f.emap + g.emap, default=-1)
-    vx, ex = limitlab._hom_buckets(x, f, nv, ne)
-    vy, ey = limitlab._hom_buckets(y, g, nv, ne)
+    vx, ex = _buckets(x, f, nv, ne)
+    vy, ey = _buckets(y, g, nv, ne)
     return (limitlab._pullback_vertices(y.nv, vx, vy),
             limitlab._pullback_edges(y.nv, ex, ey))
 
 
 def _matching_pairs(x, y, f, g, max_len) -> int:
-    """Pairs of paths of x and y with the same image, from the path fibers:
-    the `expected` count a direct caller of `check_path_cospan` hands it."""
-    fx = path_fibers(graph_paths(x, max_len), f)
-    fy = path_fibers(graph_paths(y, max_len), g)
+    """Pairs of paths of x and y with the same image, from the number of
+    paths over each image: the `expected` count a direct caller of
+    `check_path_cospan` hands it."""
+    fx = path_image_counts(graph_paths(x, max_len), f)
+    fy = path_image_counts(graph_paths(y, max_len), g)
     return sum(n * fy.get(img, 0) for img, n in fx.items())
 
 
@@ -274,8 +286,30 @@ def test_path_fibers_consistency():
     g = GraphData(2, ((0, 1), (1, 0)))
     z = GraphData(1, ((0, 0),))
     f = graph_homs(g, z)[0]
-    fibers = path_fibers(graph_paths(g, 3), f)
-    assert sum(fibers.values()) == len(graph_paths(g, 3))
+    fibers = path_fibers(path_tree(g, 3), f, path_tree(z, 3))
+    # the 2 + 2 + 2 + 2 paths of g all lie over the loop's 4, 2 over each
+    assert len(fibers) == len(graph_paths(g, 3)) == 8
+    assert sorted(fibers) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def test_path_fibers_name_each_path_image():
+    """Element by element, against images built as tuples: for every hom
+    x -> z between the graphs within the bounds, path i of x lies over
+    path `fibers[i]` of z."""
+    compared = 0
+    for bounds in ((3, 2), (2, 3)):
+        graphs = enumerate_graphs(*bounds)
+        for length in (1, 3):
+            paths = [graph_paths(gr, length) for gr in graphs]
+            trees = [path_tree(gr, length) for gr in graphs]
+            for (x, px, tx), (z, pz, tz) in itertools.product(
+                    zip(graphs, paths, trees), repeat=2):
+                for m in graph_homs(x, z):
+                    fibers = path_fibers(tx, m, tz)
+                    assert len(fibers) == len(px)
+                    assert [pz[k] for k in fibers] == [path_image(m, p) for p in px]
+                    compared += 1
+    assert compared == 2 * (1868 + 2090)
 
 
 def test_run_path_preservation_small_family_all_generic():
@@ -303,11 +337,11 @@ def _cospans(max_v, max_e, path_len):
 def _reference_code(z, x, y, f, g, max_v, max_e):
     """The pullback code of x -> z <- y as a dot product: f's bits as the
     left leg (`rows`) against g's as the right leg (`cols`), per vertex,
-    then edge, of z, laid out from `_hom_buckets`."""
+    then edge, of z, laid out from `_buckets`."""
     square, span = max_v * max_v, max_v * max_v * max_e
 
     def bits(dom, m, left):
-        verts, edges = limitlab._hom_buckets(dom, m, z.nv, len(z.edges))
+        verts, edges = _buckets(dom, m, z.nv, len(z.edges))
         codes = [[(s * max_v + t) * max_e + a for a, s, t in es] for es in edges]
         if left:
             return ([sum(1 << (i * max_v) for i in vs) for vs in verts]
@@ -337,6 +371,9 @@ def test_cospan_orbits_one_member_per_orbit():
         for c, z, x, y, f, g, _, _, count, code in _cospans(*bounds, 2):
             yielded.append(orbit_of[(z, x, y, f, g)])
             assert c == len(yielded)
+            # f is the least of its orbit under Aut(Z)
+            assert post(graph_automorphisms(z)[0], f) == (f.vmap, f.emap) == min(
+                post(a, f) for a in graph_automorphisms(z))
             # each lane against values built here: the dot product of two
             # path-fiber dicts, and the rows . cols code
             assert count == _matching_pairs(x, y, f, g, 2)
@@ -722,11 +759,11 @@ def _reference_dp_sweep(max_v, max_e, path_len):
     own edges, and compared with the matching pairs from the path fibers."""
     cospans = pairs = 0
     count_failures = []
-    fibers = {}  # (graph, map) -> its path fibers, as _matching_pairs has them
+    fibers = {}  # (graph, map) -> paths per image, as _matching_pairs has them
 
     def fibers_of(x, f):
         if (x, f) not in fibers:
-            fibers[x, f] = path_fibers(graph_paths(x, path_len), f)
+            fibers[x, f] = path_image_counts(graph_paths(x, path_len), f)
         return fibers[x, f]
 
     for _, z, x, y, f, g, *_ in _cospans(max_v, max_e, path_len):

@@ -278,7 +278,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb, built once per process: `parse_args`
     returns a new namespace on each call and leaves the parser as it was.
-    It names the verb, and `main` picks the verb's function."""
+    A verb's `run` calls its `cmd_` function by name when it runs, so a
+    wrapper set on that function after the parser was built is the one
+    that runs."""
     # every verb writes a report; only the engine and gate verbs read bounds
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("tabular", "structured"),
@@ -299,42 +301,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free", parents=[bounds, output],
                        help="free algebra of a computad file")
     p.add_argument("computad")
+    p.set_defaults(run=lambda args: cmd_free(args))
 
     p = sub.add_parser("slice", parents=[bounds, output],
                        help="slice of the strict monad on a finite set")
     p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--generators", type=_natural, default=2)
+    p.set_defaults(run=lambda args: cmd_slice(args))
 
     p = sub.add_parser("regular", parents=[output],
                        help="strong-regularity check of a presentation")
     p.add_argument("presentation")
+    p.set_defaults(run=lambda args: cmd_regular(args))
 
     p = sub.add_parser("gate", parents=[bounds, output],
                        help="presheaf-topos gate experiments")
     p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--graph-vertices", type=_natural, default=2)
     p.add_argument("--graph-edges", type=_natural, default=2)
+    p.set_defaults(run=lambda args: cmd_gate(args))
 
     p = sub.add_parser("trees", parents=[output], help="enumerate pasting shapes")
     p.add_argument("--height", type=_natural, required=True)
     p.add_argument("--width", type=_natural, required=True)
+    p.set_defaults(run=lambda args: cmd_trees(args))
 
     p = sub.add_parser("eval", parents=[output],
                        help="evaluate an analytic functor on a set")
     p.add_argument("collection", help="JSON collection file")
     p.add_argument("--set", default="", help="comma-separated elements")
     p.add_argument("--arity-bound", type=_natural, default=3)
+    p.set_defaults(run=lambda args: cmd_eval(args))
     return parser
 
 
 def main(argv=None) -> int:
-    # read at each call, so a wrapper set on a verb's function after the
-    # parser was built is the one that runs
-    verbs = {"free": cmd_free, "slice": cmd_slice, "regular": cmd_regular,
-             "gate": cmd_gate, "trees": cmd_trees, "eval": cmd_eval}
     try:
         args = build_parser().parse_args(argv)
-        return verbs[args.verb](args)
+        return args.run(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -298,24 +298,17 @@ def _pullback_edges(yn: int, ex, ey) -> list:
 
 
 def graph_paths(g: GraphData, max_len: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Composable edge sequences with their start vertex, length <= max_len.
+    """Composable edge sequences with their start vertex, length <= max_len,
+    in the order of g's `path_tree`: shortest first, each path after the
+    path it extends.
 
     These are exactly the cells of the free category on g, length 0 paths
     standing for the identities."""
-    by_src: dict[int, list[int]] = {}
-    for i, (s, _) in enumerate(g.edges):
-        by_src.setdefault(s, []).append(i)
-    frontier = [(v, ()) for v in range(g.nv)]
-    out = list(frontier)
-    for _ in range(max_len):
-        nxt = []
-        for start, es in frontier:
-            at = g.edges[es[-1]][1] if es else start
-            for e in by_src.get(at, ()):
-                nxt.append((start, es + (e,)))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    paths = [(v, ()) for v in range(g.nv)]
+    for parent, edge in path_tree(g, max_len).steps:
+        start, es = paths[parent]
+        paths.append((start, es + (edge,)))
+    return paths
 
 
 def path_image(m: GraphMap, path):
@@ -324,9 +317,9 @@ def path_image(m: GraphMap, path):
 
 
 class PathTree(NamedTuple):
-    """The paths of a graph as `graph_paths` lists them, as a tree: the
-    path of length 0 at vertex v is path v, and each longer path extends
-    an earlier one by its last edge."""
+    """The paths of a graph, shortest first, as a tree: the path of
+    length 0 at vertex v is path v, and each longer path extends an
+    earlier one by its last edge. `graph_paths` lists them in this order."""
 
     steps: list  # per path of length >= 1, in order: (parent path, last edge)
     ext: list  # per path, {edge: the index of the path extended by it}
@@ -631,31 +624,26 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
     stabilizer. Within one Z, the representatives g depend on f only
     through its stabilizer, so each stabilizer packs its row once and
     every f with that stabilizer shares it; a trivial stabilizer's row
-    lists every hom g into Z. When the identity is the only automorphism
-    of Z, every stabilizer is trivial and every hom is its own orbit's
-    representative, so no key is built."""
+    lists every hom g into Z."""
     lane_bytes = _lane_widths(max_v, max_e, path_len)
     graphs = enumerate_graphs(max_v, max_e)
     trees = [path_tree(x, path_len) for x in graphs]
     for z, tree_z in zip(graphs, trees):
         auts = [_hom_key(a, z.nv) for a in graph_automorphisms(z)]  # identity first
-        rigid = len(auts) == 1
         side = []  # per X: its homs into z as (hom, leg, key)
         for x, tree_x in zip(graphs, trees):
             side.append((x, [(m, _leg(x, tree_x, m, z, tree_z, max_v, max_e),
-                              None if rigid else _hom_key(m, z.nv))
+                              _hom_key(m, z.nv))
                              for m in graph_homs(x, z)]))
         rows: dict = {}  # stabilizer -> its row
         for x, members in side:
             met: set = set()  # the keys of the orbits met so far
             for f, leg_f, kf in members:
-                stab = ()
-                if not rigid:
-                    if kf in met:
-                        continue
-                    orbit = [tuple([a[i] for i in kf]) for a in auts]
-                    met.update(orbit)
-                    stab = tuple(n for n, k in enumerate(orbit) if k == kf)[1:]
+                if kf in met:
+                    continue
+                orbit = [tuple([a[i] for i in kf]) for a in auts]
+                met.update(orbit)
+                stab = tuple(n for n, k in enumerate(orbit) if k == kf)[1:]
                 row = rows.get(stab)
                 if row is None:
                     lanes = [(y, g, leg_g) for y, members_y in side

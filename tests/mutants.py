@@ -85,11 +85,6 @@ MUTANTS = [
            ("tests/test_limitlab.py::test_path_fibers_name_each_path_image",
             "tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit",
             "tests/test_limitlab.py::test_reused_counts_match_a_dp_per_cospan")),
-    Mutant("every Z takes the identity-only-automorphism shortcut", LIMITLAB,
-           "rigid = len(auts) == 1",
-           "rigid = True",
-           ("tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit",
-            "tests/test_limitlab.py::test_checker_runs_once_per_distinct_pullback_and_count")),
     Mutant("a leg's vertex code bits are shifted by the wrong width", LIMITLAB,
            "bits[k] |= 1 << j",
            "bits[k] |= 1 << (j * max_v)",

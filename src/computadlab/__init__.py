@@ -12,7 +12,7 @@ from .computads import (
 from .operads import (
     NonSymCollection, Presentation, SymCollection,
     eval_analytic, eval_strongly_analytic, is_strongly_regular_presentation,
-    slice_matches_oracle, slice_of_strict,
+    slice_arities, slice_of_strict,
 )
 from .limitlab import (
     FinSetMap, Square,

@@ -123,9 +123,11 @@ def list_functor(max_len: int):
     """Words of length <= max_len: the free-monoid functor, truncated, as
     its action on maps."""
 
+    def words(xs) -> tuple:
+        return tuple(w for n in range(max_len + 1) for w in itertools.product(xs, repeat=n))
+
     def on_map(m: FinSetMap) -> FinSetMap:
-        dom = tuple(operads.free_monoid_elements(m.dom, max_len))
-        cod = tuple(operads.free_monoid_elements(m.cod, max_len))
+        dom, cod = words(m.dom), words(m.cod)
         return FinSetMap(dom, cod, {w: tuple(m.assign[x] for x in w) for w in dom})
 
     return on_map
@@ -135,9 +137,13 @@ def multiset_functor(max_size: int):
     """Multisets of size <= max_size: the free-commutative-monoid functor,
     as its action on maps."""
 
+    def bags(xs) -> tuple:
+        xs = sorted(xs, key=repr)
+        return tuple(w for n in range(max_size + 1)
+                     for w in itertools.combinations_with_replacement(xs, n))
+
     def on_map(m: FinSetMap) -> FinSetMap:
-        dom = tuple(operads.free_commutative_monoid_elements(m.dom, max_size))
-        cod = tuple(operads.free_commutative_monoid_elements(m.cod, max_size))
+        dom, cod = bags(m.dom), bags(m.cod)
         table = {w: tuple(sorted((m.assign[x] for x in w), key=repr)) for w in dom}
         return FinSetMap(dom, cod, table)
 
@@ -811,15 +817,13 @@ _FAIL_WORDING = ("the exhibited square is not a pullback; the witness is a "
                  "complete finite counterexample")
 
 
-def _slice_check(label: str, text: str) -> dict:
-    verdict = operads.is_strongly_regular_presentation(
-        operads.parse_presentation(text))
-    return {
-        "slice": label,
-        "strongly_regular": verdict.strongly_regular,
-        "violation": verdict.violation,
-        "detail": verdict.detail,
-    }
+def _slice_row(k: int) -> dict:
+    """Slice k of the strict monad on three generators at size 3: its
+    arities 0..3 as `operads.slice_arities` reads them, and whether
+    Sigma_n acts freely at every one."""
+    arities = operads.slice_arities(
+        operads.slice_of_strict(k, ["x0", "x1", "x2"], Bounds(size=3)))
+    return {"k": k, "arities": arities, "free": all(a["free"] for a in arities)}
 
 
 def _scalar_cospan_experiment(bounds: Bounds) -> tuple[list[dict], dict | None]:
@@ -964,25 +968,27 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     a pass over zero cases, or over identities only, is not evidence.
     n = 3: the engine's classes of the scalar pullback computad; the
     expected witness has size 2, so the engine runs at `max(bounds.size,
-    2)`, and a larger size shows that it persists."""
-    p0 = ("P0 of the strict monad: trivial monoid", operads.MONOID_PRESENTATION)
-    p1 = ("P1 of the strict monad: free monoid", operads.MONOID_PRESENTATION)
-    p2 = ("P2 of the strict monad: free commutative monoid",
-          operads.COMMUTATIVE_MONOID_PRESENTATION)
+    2)`, and a larger size shows that it persists.
+
+    The slice rows are computed, one per slice k = 1..n-1 of the strict
+    monad, each from one saturation: at each arity, the slice's elements,
+    its Sigma_n-orbits, and whether Sigma_n acts freely, the condition for
+    its analytic functor to preserve pullbacks. The 0-th slice is the
+    identity monad's collection, one element at arity 1, so it needs no
+    row."""
     paths = partial(_path_experiment, graph_bounds, path_len)
-    plans = {1: ([p0], [paths]),
-             2: ([p0, p1], [partial(_list_experiment, path_len), paths]),
-             3: ([p1, p2], [partial(_scalar_cospan_experiment,
-                                    replace(bounds, size=max(bounds.size, 2)))])}
+    plans = {1: [paths],
+             2: [partial(_list_experiment, path_len), paths],
+             3: [partial(_scalar_cospan_experiment,
+                         replace(bounds, size=max(bounds.size, 2)))]}
     if n not in plans:
         raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
-    slices, builders = plans[n]
-    runs = [build() for build in builders]
+    runs = [build() for build in plans[n]]
     experiments = [record for records, _ in runs for record in records]
     witness = next((w for _, w in runs if w is not None), None)
     verdict, wording = (("pass-within-bounds", _PASS_WORDING) if witness is None
                         else ("counterexample", _FAIL_WORDING))
-    return GateReport(verdict, wording, [_slice_check(*s) for s in slices],
+    return GateReport(verdict, wording, [_slice_row(k) for k in range(1, n)],
                       experiments, witness,
                       {"size": bounds.size, "rounds": bounds.rounds,
                        "graph_bounds": list(graph_bounds), "path_len": path_len})

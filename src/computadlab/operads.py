@@ -5,7 +5,9 @@ symmetric-group actions; its analytic functor sends X to the orbits of
 A[n] x X^n under the diagonal action. Dropping the action gives the
 strongly analytic case. `slice_of_strict` computes the slice operads of
 the strict-category monad by running the free-algebra engine on a
-k-terminal computad, and the free (commutative) monoid cross-checks it.
+k-terminal computad, and `slice_arities` reads from that one run each
+arity's size, its number of Sigma_n-orbits, and whether Sigma_n acts
+freely, which for an analytic functor is pullback preservation.
 
 Strong regularity is decided for a *presentation*; the property of a
 theory (existence of some strongly regular presentation) is out of reach
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .computads import (
@@ -384,64 +387,19 @@ def slice_of_strict(k: int, generators, bounds: Bounds = Bounds()) -> SliceResul
     )
 
 
-def free_monoid_elements(generators, size: int) -> list[tuple]:
-    """The words of length <= size; with no generator, only the empty one."""
-    gens = list(generators)
+def slice_arities(result: SliceResult) -> list[dict]:
+    """Each arity n <= min(#generators, size) of the slice's symmetric
+    collection A_k, read from the classes the slice's one saturation made.
+    Multisets never mix, so the classes whose multiset uses each of the
+    first n generators once are A_k[n] itself, and those whose multiset is
+    the first generator n times are its Sigma_n-orbits, as on one generator.
+    The action is free exactly when |A_k[n]| = n! * #orbits."""
+    gens = result.generators
+    count = Counter(result.free.levels[result.k].msets)
     out = []
-    for n in range(size + 1 if gens else 1):
-        out.extend(itertools.product(gens, repeat=n))
+    for n in range(min(len(gens), result.free.bounds.size) + 1):
+        elements = count[tuple(sorted(gens[:n]))]
+        orbits = count[tuple(gens[:1] * n)]
+        out.append({"arity": n, "elements": elements, "orbits": orbits,
+                    "free": elements == math.factorial(n) * orbits})
     return out
-
-
-def free_commutative_monoid_elements(generators, size: int) -> list[tuple]:
-    gens = sorted(generators, key=repr)
-    out = []
-    for n in range(size + 1):
-        out.extend(itertools.combinations_with_replacement(gens, n))
-    return out
-
-
-MONOID_PRESENTATION = """\
-op m : 2
-op e : 0
-eq m(m(x,y),z) = m(x,m(y,z))
-eq m(e,x) = x
-eq m(x,e) = x
-"""
-
-COMMUTATIVE_MONOID_PRESENTATION = MONOID_PRESENTATION + "eq m(x,y) = m(y,x)\n"
-
-def _top_generators(t: Term) -> tuple[str, ...]:
-    """The top-dimensional generator occurrences of a term, left to right;
-    an identity contributes none."""
-    if isinstance(t, Gen):
-        return (t.name,)
-    if isinstance(t, Id):
-        return ()
-    return _top_generators(t.left) + _top_generators(t.right)
-
-
-def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int], str]:
-    """Compare a computed slice against the oracle for its k: the free
-    monoid for k = 1, the free commutative monoid for k >= 2.
-
-    Each class within the size bound, the rows `enumerate_cells` gives, maps
-    its representative to its generator word (k = 1) or its sorted generator
-    multiset (k >= 2). The slice matches when this map is a bijection onto
-    the oracle's elements within the size bound: its image is exactly those
-    elements and no two classes share one. Also returns the number of the
-    oracle's elements of each size 0..bound, and the oracle's name."""
-    first = result.k == 1
-    name, oracle = (("free-monoid", free_monoid_elements) if first else
-                    ("free-commutative-monoid", free_commutative_monoid_elements))
-    size = result.free.bounds.size
-    elements = oracle(result.generators, size)
-    level = result.free.levels[result.k]
-    image = [word if first else tuple(sorted(word, key=repr))
-             for word, mset in zip(map(_top_generators, level.rep_terms), level.msets)
-             if len(mset) <= size]
-    ok = len(set(image)) == len(image) and set(image) == set(elements)
-    counts = dict.fromkeys(range(size + 1), 0)
-    for element in elements:
-        counts[len(element)] += 1
-    return ok, counts, name

@@ -275,11 +275,24 @@ MUTANTS = [
            "if False:",
            ("tests/test_pasting.py::test_pasting_cells_refuse_scalar2",
             "tests/test_pasting.py::test_pasting_cells_refuse_a_two_generator_on_points")),
-    Mutant("slice oracle reads the classes above the size bound", OPERADS,
+    Mutant("slice oracle reads the classes above the size bound", ORACLES,
            "level.msets)\n             if len(mset) <= size]",
            "level.msets)]",
-           ("tests/test_operads.py::test_slice_at_size_zero_is_the_unit",
-            "tests/test_cli.py::test_slice_at_bound_zero_matches")),
+           ("tests/test_operads.py::test_slice_at_size_zero_is_the_unit",)),
+    Mutant("orbits counted on the n-generator multiset", OPERADS,
+           "orbits = count[tuple(gens[:1] * n)]",
+           "orbits = count[tuple(sorted(gens[:n]))]",
+           ("tests/test_operads.py::test_slice_arities_count_elements_and_orbits",
+            "tests/test_operads.py::test_freeness_is_a_monomial_cycle_index",
+            "tests/test_limitlab.py::test_gate_slice_rows_are_read_from_the_engine",
+            "tests/test_golden.py::test_report_matches_golden[slice_k_1]")),
+    Mutant("free compares |A_k[n]| with #orbits", OPERADS,
+           '"free": elements == math.factorial(n) * orbits',
+           '"free": elements == orbits',
+           ("tests/test_operads.py::test_slice_arities_count_elements_and_orbits",
+            "tests/test_operads.py::test_freeness_is_a_monomial_cycle_index",
+            "tests/test_limitlab.py::test_gate_slice_freeness_is_strong_regularity",
+            "tests/test_golden.py::test_report_matches_golden[gate_n_2]")),
     Mutant("a bare nullary op reads as a variable", OPERADS,
            "        if head in ops:\n",
            "        if head in ops and (n or ops[head]):\n",

@@ -1,14 +1,16 @@
 """Independent oracles shared by several test files, and the oracles that
 only tests reach: pasting diagrams, the cells of the free strict
-n-category on a globular set, and the trivial and regular symmetric
-collections. pytest does not collect this module (it is not named
-`test_*.py`)."""
+n-category on a globular set, the trivial and regular symmetric
+collections, and the free (commutative) monoid that a slice of the strict
+monad is, element by element. pytest does not collect this module (it is
+not named `test_*.py`)."""
 
+import itertools
 from dataclasses import dataclass
 
 from computadlab.computads import Computad
-from computadlab.freecat import Gen
-from computadlab.operads import SymCollection, all_perms, perm_compose
+from computadlab.freecat import Gen, Id, Term
+from computadlab.operads import SliceResult, SymCollection, all_perms, perm_compose
 from computadlab.pasting import LEAF, Tree, enumerate_trees
 
 
@@ -172,3 +174,59 @@ def regular_sym_collection(max_arity: int) -> SymCollection:
     action = {n: {p: {e: perm_compose(p, e) for e in sets[n]} for p in all_perms(n)}
               for n in sets}
     return SymCollection(sets, action)
+
+
+# --- slices of the strict monad -------------------------------------------------
+
+
+def free_monoid_elements(generators, size: int) -> list[tuple]:
+    """The words of length <= size; with no generator, only the empty one."""
+    gens = list(generators)
+    out = []
+    for n in range(size + 1 if gens else 1):
+        out.extend(itertools.product(gens, repeat=n))
+    return out
+
+
+def free_commutative_monoid_elements(generators, size: int) -> list[tuple]:
+    gens = sorted(generators, key=repr)
+    out = []
+    for n in range(size + 1):
+        out.extend(itertools.combinations_with_replacement(gens, n))
+    return out
+
+
+def _top_generators(t: Term) -> tuple[str, ...]:
+    """The top-dimensional generator occurrences of a term, left to right;
+    an identity contributes none."""
+    if isinstance(t, Gen):
+        return (t.name,)
+    if isinstance(t, Id):
+        return ()
+    return _top_generators(t.left) + _top_generators(t.right)
+
+
+def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int], str]:
+    """Compare a computed slice against the oracle for its k: the free
+    monoid for k = 1, the free commutative monoid for k >= 2.
+
+    Each class within the size bound, the rows `enumerate_cells` gives, maps
+    its representative to its generator word (k = 1) or its sorted generator
+    multiset (k >= 2). The slice matches when this map is a bijection onto
+    the oracle's elements within the size bound: its image is exactly those
+    elements and no two classes share one. Also returns the number of the
+    oracle's elements of each size 0..bound, and the oracle's name."""
+    first = result.k == 1
+    name, oracle = (("free-monoid", free_monoid_elements) if first else
+                    ("free-commutative-monoid", free_commutative_monoid_elements))
+    size = result.free.bounds.size
+    elements = oracle(result.generators, size)
+    level = result.free.levels[result.k]
+    image = [word if first else tuple(sorted(word, key=repr))
+             for word, mset in zip(map(_top_generators, level.rep_terms), level.msets)
+             if len(mset) <= size]
+    ok = len(set(image)) == len(image) and set(image) == set(elements)
+    counts = dict.fromkeys(range(size + 1), 0)
+    for element in elements:
+        counts[len(element)] += 1
+    return ok, counts, name

@@ -18,8 +18,7 @@ from computadlab.limitlab import (
     run_path_preservation,
 )
 from computadlab.operads import (
-    COMMUTATIVE_MONOID_PRESENTATION, MONOID_PRESENTATION, NonSymCollection,
-    eval_analytic, eval_strongly_analytic, free_sym_collection,
+    NonSymCollection, eval_analytic, eval_strongly_analytic, free_sym_collection,
     is_strongly_regular_presentation, parse_presentation, slice_of_strict,
     strong_analytic_bijection,
 )
@@ -89,18 +88,15 @@ def test_criterion_3_eckmann_hilton():
 
 def test_criterion_4_strong_regularity_catalog():
     def run():
-        monoid = is_strongly_regular_presentation(
-            parse_presentation(MONOID_PRESENTATION))
-        assert monoid.strongly_regular
-        commutative = is_strongly_regular_presentation(
-            parse_presentation(COMMUTATIVE_MONOID_PRESENTATION))
+        def verdict(name):
+            return is_strongly_regular_presentation(parse_presentation(
+                resources.files("computadlab").joinpath("data", name).read_text()))
+        assert verdict("monoid.thy").strongly_regular
+        commutative = verdict("commutative_monoid.thy")
         assert not commutative.strongly_regular
         assert commutative.violation == "permutation"
         assert commutative.detail
-        double = is_strongly_regular_presentation(
-            parse_presentation(resources.files("computadlab")
-                               .joinpath("data", "gray_slice2.thy").read_text()))
-        assert double.strongly_regular
+        assert verdict("gray_slice2.thy").strongly_regular
     _report(4, "strong-regularity catalog", None, run)
 
 

@@ -62,6 +62,7 @@ def test_slice_match(capsys):
                        "--bound", "3", "--format", "structured")
     doc = json.loads(out)
     assert code == 0 and doc["counts_by_size"]["3"]["classes"] == 4
+    assert [a["free"] for a in doc["arities"]] == [True, True, False]
 
 
 def test_slice_no_generators(capsys):
@@ -69,9 +70,9 @@ def test_slice_no_generators(capsys):
                        "--bound", "2", "--format", "structured")
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "MATCH"
-    assert doc["counts_by_size"]["0"] == {"classes": 1, "oracle": 1, "match": True}
-    for size in ("1", "2"):
-        assert doc["counts_by_size"][size] == {"classes": 0, "oracle": 0, "match": True}
+    assert doc["counts_by_size"] == {"0": {"classes": 1}, "1": {"classes": 0},
+                                     "2": {"classes": 0}}
+    assert doc["arities"] == [{"arity": 0, "elements": 1, "orbits": 1, "free": True}]
 
 
 def test_slice_at_the_largest_k_runs(capsys):
@@ -85,12 +86,13 @@ def test_slice_at_the_largest_k_runs(capsys):
 @pytest.mark.parametrize("k,generators", [("1", "3"), ("2", "2")])
 def test_slice_at_bound_zero_matches(capsys, k, generators):
     """Only the identity class fits size 0; the generators' classes lie
-    above the bound and are neither counted nor read by the oracle."""
+    above the bound and are neither counted nor read as arities."""
     code, out, err = run(capsys, "slice", "--k", k, "--generators", generators,
                          "--bound", "0", "--format", "structured")
     doc = json.loads(out)
     assert code == 0 and not err and doc["verdict"] == "MATCH"
-    assert doc["counts_by_size"] == {"0": {"classes": 1, "oracle": 1, "match": True}}
+    assert doc["counts_by_size"] == {"0": {"classes": 1}}
+    assert doc["arities"] == [{"arity": 0, "elements": 1, "orbits": 1, "free": True}]
 
 
 def test_regular_catalog(capsys):
@@ -503,8 +505,13 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
     saturated.clear()
     code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
     # two engines each: the codomain {z} in the map check, the domain {a, b},
-    # and the pullback, whose algebra climbs one dimension at a time
-    assert code == 0 and len(saturated) == 6
+    # and the pullback, whose algebra climbs one dimension at a time; then
+    # one per dimension of the slice rows k = 1 and k = 2
+    assert code == 0 and saturated == [1, 2] * 3 + [1, 1, 2]
+    saturated.clear()
+    # `slice` reads its arities from the run that counts its classes
+    code, _, _ = run(capsys, "slice", "--k", "2", "--generators", "3", "--bound", "3")
+    assert code == 0 and saturated == [1, 2]
 
 
 def test_a_soundness_failure_exits_two_with_one_line(capsys, monkeypatch):
@@ -523,16 +530,21 @@ def test_a_soundness_failure_exits_two_with_one_line(capsys, monkeypatch):
 
 
 def test_an_oracle_mismatch_exits_two_with_one_line(capsys, monkeypatch):
-    original = operads.free_monoid_elements
-    # the oracle gains a word of size 1 that no class of the slice has
-    monkeypatch.setattr(operads, "free_monoid_elements",
-                        lambda gens, size: [*original(gens, size), ("x9",)])
+    original = operads.slice_arities
+
+    def planted(result):
+        # three elements in one orbit of Sigma_2, which has two members
+        arities = original(result)
+        arities[2].update(elements=3, free=False)
+        return arities
+
+    monkeypatch.setattr(operads, "slice_arities", planted)
     code, out, err = run(capsys, "slice", "--k", "1", "--generators", "2",
                          "--bound", "2", "--format", "structured")
     doc = json.loads(out)
     assert code == 2 and doc["verdict"] == "MISMATCH"
-    assert doc["counts_by_size"]["1"] == {"classes": 2, "oracle": 3, "match": False}
-    assert err.splitlines() == ["oracle mismatch: slice computation disagrees with the oracle"]
+    assert doc["arities"][2] == {"arity": 2, "elements": 3, "orbits": 1, "free": False}
+    assert err.splitlines() == ["slice mismatch: arity 2 has 3 elements in 1 orbits"]
 
 
 def test_a_fiber_lane_overflow_exits_one_with_one_line(capsys, monkeypatch):

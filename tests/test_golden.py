@@ -22,6 +22,7 @@ import pytest
 from computadlab import operads
 from computadlab.cli import main
 from computadlab.freecat import Bounds
+from oracles import slice_matches_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("computadlab").joinpath("data")
@@ -44,6 +45,18 @@ VERBS = (
 # (k, number of generators, size bound) -> levels[k].reps and .msets
 SLICES = [(2, 3, 4), (2, 3, 6), (3, 2, 4), (1, 3, 6), (3, 3, 4), (1, 2, 7)]
 SLICE_TABLES = GOLDEN / "slice_tables.json"
+
+
+def slice_configs() -> list[tuple[int, int, int]]:
+    """(k, number of generators, size bound) of every slice report above,
+    at the verb's defaults of 2 generators and bound 4, then of SLICES."""
+    out = []
+    for argv in VERBS:
+        if argv[0] == "slice":
+            opt = dict(zip(argv[1::2], argv[2::2]))
+            out.append((int(opt["--k"]), int(opt.get("--generators", 2)),
+                        int(opt.get("--bound", 4))))
+    return out + SLICES
 
 
 def golden_name(argv) -> str:
@@ -80,6 +93,15 @@ def test_report_matches_golden(argv, tmp_path):
 
 def test_slice_tables_match_golden():
     assert slice_tables() == json.loads(SLICE_TABLES.read_text())
+
+
+@pytest.mark.parametrize("k,n,size", slice_configs())
+def test_slices_are_their_oracles_element_by_element(k, n, size):
+    """Each class maps onto its own element of the free monoid (k = 1) or
+    the free commutative monoid (k >= 2), and every element has a class."""
+    res = operads.slice_of_strict(k, [f"x{i}" for i in range(n)], Bounds(size=size))
+    ok, counts, _ = slice_matches_oracle(res)
+    assert ok and counts == {s: res.counts.get(s, 0) for s in range(size + 1)}
 
 
 if __name__ == "__main__":

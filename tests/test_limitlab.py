@@ -2,8 +2,10 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import random
 import tracemalloc
+from importlib import resources
 from operator import itemgetter, mul
 
 import pytest
@@ -19,6 +21,7 @@ from computadlab.limitlab import (
     pullback_sets, run_path_preservation,
     set_cospans,
 )
+from computadlab.operads import is_strongly_regular_presentation, parse_presentation
 from oracles import path_image_counts
 
 # --- pullbacks of finite sets -----------------------------------------------------
@@ -850,13 +853,38 @@ def test_gate_one_passes():
     report = computad_topos_gate(1, Bounds(size=3))
     assert report.verdict == "pass-within-bounds"
     assert "bounded evidence" in report.wording
-    assert all(c["strongly_regular"] for c in report.slice_checks)
+    # the 0-th slice is the identity monad's collection: no row
+    assert report.slice_checks == []
 
 
 def test_gate_two_passes():
     report = computad_topos_gate(2, Bounds(size=3))
     assert report.verdict == "pass-within-bounds"
     assert all(e["all_pullback"] for e in report.experiments)
+    [first] = report.slice_checks
+    assert first["k"] == 1 and first["free"]
+
+
+def test_gate_slice_rows_are_read_from_the_engine():
+    """Slice 1 acts freely at arities 0..3, with 3! elements at arity 3;
+    slice 2 has one element at every arity, so Sigma_n fixes it from 2 on."""
+    first, second = computad_topos_gate(3, Bounds(size=2)).slice_checks
+    assert first == {"k": 1, "free": True, "arities": [
+        {"arity": n, "elements": math.factorial(n), "orbits": 1, "free": True}
+        for n in range(4)]}
+    assert second == {"k": 2, "free": False, "arities": [
+        {"arity": n, "elements": 1, "orbits": 1, "free": n < 2} for n in range(4)]}
+
+
+def test_gate_slice_freeness_is_strong_regularity():
+    """Slices 1 and 2 are the free monoid and the free commutative monoid,
+    and Sigma_n acts freely on a slice exactly when the presentation of its
+    theory is strongly regular."""
+    rows = computad_topos_gate(3, Bounds(size=2)).slice_checks
+    for row, name in zip(rows, ("monoid.thy", "commutative_monoid.thy")):
+        text = resources.files("computadlab").joinpath("data", name).read_text()
+        verdict = is_strongly_regular_presentation(parse_presentation(text))
+        assert row["free"] == verdict.strongly_regular
 
 
 LOOP = GraphData(1, ((0, 0),))
@@ -934,8 +962,7 @@ def test_gate_three_counterexample_with_replay():
     assert sorted([w["left_multiset"], w["right_multiset"]]) == [
         ["(a|a)", "(b|b)"], ["(a|b)", "(b|a)"]]
     assert w["oracle_replay_conflates"] and w["oracle_replay_weak"]
-    p2 = [c for c in report.slice_checks if "P2" in c["slice"]][0]
-    assert not p2["strongly_regular"] and p2["violation"] == "permutation"
+    assert [c["free"] for c in report.slice_checks] == [True, False]
 
 
 def test_gate_three_failure_persists_at_larger_bounds():

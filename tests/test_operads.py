@@ -1,21 +1,24 @@
 import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from computadlab.freecat import Bounds, Gen, Id
 from computadlab.operads import (
-    COMMUTATIVE_MONOID_PRESENTATION, MONOID_PRESENTATION, NonSymCollection,
-    OperadError, Presentation, SymCollection, all_perms, collection_violation,
-    eval_analytic, eval_strongly_analytic, free_commutative_monoid_elements,
-    free_monoid_elements, free_sym_collection,
-    is_strongly_regular_presentation, parse_presentation, perm_compose,
-    slice_matches_oracle, slice_of_strict,
-    strong_analytic_bijection, transpose_values,
+    NonSymCollection, OperadError, Presentation, SymCollection, all_perms,
+    collection_violation, eval_analytic, eval_strongly_analytic,
+    free_sym_collection, is_strongly_regular_presentation, parse_presentation,
+    perm_compose, slice_arities, slice_of_strict, strong_analytic_bijection,
+    transpose_values,
 )
-from oracles import regular_sym_collection, trivial_sym_collection
+from oracles import (
+    free_commutative_monoid_elements, free_monoid_elements, regular_sym_collection,
+    slice_matches_oracle, trivial_sym_collection,
+)
 
 # --- independent oracles -------------------------------------------------------
 
@@ -188,13 +191,17 @@ def test_eval_monotone_in_bounds():
 # --- strong regularity ------------------------------------------------------------
 
 
+def theory(name: str) -> str:
+    return resources.files("computadlab").joinpath("data", name).read_text()
+
+
 def test_monoid_is_strongly_regular():
-    p = parse_presentation(MONOID_PRESENTATION)
+    p = parse_presentation(theory("monoid.thy"))
     assert is_strongly_regular_presentation(p).strongly_regular
 
 
 def test_commutative_monoid_fails_with_permutation():
-    p = parse_presentation(COMMUTATIVE_MONOID_PRESENTATION)
+    p = parse_presentation(theory("commutative_monoid.thy"))
     verdict = is_strongly_regular_presentation(p)
     assert not verdict.strongly_regular
     assert verdict.violation == "permutation"
@@ -202,8 +209,7 @@ def test_commutative_monoid_fails_with_permutation():
 
 
 def test_double_monoid_shared_unit_is_strongly_regular():
-    p = parse_presentation(resources.files("computadlab")
-                           .joinpath("data", "gray_slice2.thy").read_text())
+    p = parse_presentation(theory("gray_slice2.thy"))
     assert is_strongly_regular_presentation(p).strongly_regular
 
 
@@ -217,15 +223,15 @@ def test_repetition_and_deletion_witnesses():
 
 
 def test_regularity_invariant_under_renaming_and_reordering():
-    base = parse_presentation(MONOID_PRESENTATION)
+    base = parse_presentation(theory("monoid.thy"))
     renamed = parse_presentation(
-        MONOID_PRESENTATION.replace("x", "alpha").replace("y", "beta")
+        theory("monoid.thy").replace("x", "alpha").replace("y", "beta")
         .replace("z", "gamma"))
     reordered = Presentation(base.ops, list(reversed(base.equations)))
     for p in (base, renamed, reordered):
         assert is_strongly_regular_presentation(p).strongly_regular
     commutative = parse_presentation(
-        COMMUTATIVE_MONOID_PRESENTATION.replace("x", "u").replace("y", "w"))
+        theory("commutative_monoid.thy").replace("x", "u").replace("y", "w"))
     assert is_strongly_regular_presentation(commutative).violation == "permutation"
 
 
@@ -331,3 +337,65 @@ def test_slice_three_on_three_generators_is_a_bijection():
     assert res.fixed_point
     assert set(res.free.soundness_report()) == {"axiom_instances", "merges",
                                                 "unknown_verdicts"}
+
+
+# --- the slices' arities ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slice_arities_count_elements_and_orbits(k):
+    """|A_1[n]| = n! in one orbit, so Sigma_n acts freely; for k >= 2,
+    |A_k[n]| = 1, fixed by all of Sigma_n, so it does not from n = 2. Each
+    orbit count is the number of size-n classes on one generator."""
+    top = 4
+    arities = slice_arities(slice_of_strict(k, [f"x{i}" for i in range(top)], Bounds(size=top)))
+    one = slice_of_strict(k, ["x0"], Bounds(size=top)).counts
+    assert [a["arity"] for a in arities] == list(range(top + 1))
+    for a in arities:
+        n = a["arity"]
+        assert a["orbits"] == one[n] == 1
+        assert a["elements"] == (math.factorial(n) if k == 1 else 1)
+        assert a["free"] == (k == 1 or n < 2)
+
+
+def test_slice_arities_stop_at_the_generators_and_the_size():
+    assert [a["arity"] for a in slice_arities(slice_of_strict(1, [], Bounds(size=3)))] == [0]
+    assert [a["arity"] for a in slice_arities(
+        slice_of_strict(2, ["a", "b", "c"], Bounds(size=2)))] == [0, 1, 2]
+
+
+def interpolate(values) -> list[Fraction]:
+    """The coefficients, lowest degree first, of the polynomial of degree
+    below len(values) that takes values[m] at m = 0, 1, ...: Lagrange's
+    formula in exact arithmetic."""
+    coeffs = [Fraction(0)] * len(values)
+    for i, y in enumerate(values):
+        basis, scale = [Fraction(1)], Fraction(y)
+        for j in range(len(values)):
+            if j != i:  # basis * (m - j)
+                basis = [(basis[d - 1] if d else 0) - j * (basis[d] if d < len(basis) else 0)
+                         for d in range(len(basis) + 1)]
+                scale /= i - j
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_freeness_is_a_monomial_cycle_index(k):
+    """On m generators, the size-n classes of slice k are the orbits of
+    A_k[n] x m^n: a polynomial P_n(m), the sum over sigma in Sigma_n of
+    |Fix(sigma)| m^(cycles of sigma) / n!. Every coefficient is at least 0;
+    the identity gives the top one, |A_k[n]| / n!, and any other sigma with
+    a fixed point a lower one. So P_n is a monomial exactly when Sigma_n
+    acts freely. P_n is read from the counts on 0..n generators, and the
+    count on n + 1 generators must fit it."""
+    top = 4
+    runs = [slice_of_strict(k, [f"x{i}" for i in range(m)], Bounds(size=top))
+            for m in range(top + 2)]
+    arities = slice_arities(runs[top])
+    for n in range(top + 1):
+        counts = [run.counts.get(n, 0) for run in runs]
+        poly = interpolate(counts[:n + 1])
+        assert sum(c * (n + 1) ** d for d, c in enumerate(poly)) == counts[n + 1]
+        assert poly[n] == Fraction(arities[n]["elements"], math.factorial(n))
+        assert arities[n]["free"] == (sum(c != 0 for c in poly) == 1)

@@ -121,8 +121,7 @@ def cmd_slice(args) -> int:
         "generators": gens,
         "bounds": {"size": args.bound, "rounds": args.rounds},
         "arities": arities,
-        "counts_by_size": {str(s): {"classes": result.counts.get(s, 0)}
-                           for s in range(args.bound + 1)},
+        "counts_by_size": {str(s): {"classes": n} for s, n in result.counts.items()},
         "verdict": "MISMATCH" if bad else "MATCH",
         "fixed_point": result.fixed_point,
         "unknown_verdicts": unknown,

@@ -10,6 +10,9 @@ and building its free algebra are one walk. A computad carries no bounds:
 they belong to the `FreeAlgebra` computed from it. The pullback of two
 computad maps is built dimension by dimension on that same walk, or refused
 with a `ComputadError` that names the generator pair it could not attach.
+A `ComputadMap` is a generator renaming per dimension, taken as given:
+nothing here checks that it is total or respects attachments, a check
+that only the test oracles run (`tests/oracles.py`).
 The text format's `dim` and generator dimensions are read by
 `freecat.natural`, within 0..MAX_DIM and 0..dim.
 """
@@ -182,45 +185,6 @@ class ComputadMap:
         for m in self.gen_maps:
             table.update(m)
         return table
-
-
-def map_violation(m: ComputadMap, bounds: Bounds = Bounds()) -> str | None:
-    """Check totality and boundary naturality of a computad map."""
-    if m.dom.dim != m.cod.dim:
-        return "dimension mismatch"
-    if len(m.gen_maps) != m.dom.dim + 1:
-        return "missing generator maps"
-    fa_cod = free_algebra(m.cod, bounds)
-    table = m.rename_table()
-    for r in range(m.dom.dim + 1):
-        cod_names = set(m.cod.names(r))
-        for decl in m.dom.layers[r]:
-            img = m.gen_maps[r].get(decl.name)
-            if img is None:
-                return f"dim {r}: map undefined on {decl.name!r}"
-            if img not in cod_names:
-                return f"dim {r}: image of {decl.name!r} is not a {r}-generator"
-        if r == 0:
-            continue
-        for decl in m.dom.layers[r]:
-            img = next(d for d in m.cod.layers[r] if d.name == m.gen_maps[r][decl.name])
-            for side, ours, theirs in (("source", decl.src, img.src),
-                                       ("target", decl.tgt, img.tgt)):
-                pushed = fa_cod.class_of_term(freecat.rename_gens(ours, table))
-                expect = fa_cod.class_of_term(theirs)
-                if pushed is None or pushed != expect:
-                    return (f"dim {r}: attachment of {decl.name!r} does not map to "
-                            f"the {side} of {img.name!r}")
-    return None
-
-
-def make_computad_map(dom: Computad, cod: Computad, gen_maps,
-                      bounds: Bounds = Bounds()) -> ComputadMap:
-    m = ComputadMap(dom, cod, [dict(d) for d in gen_maps])
-    bad = map_violation(m, bounds)
-    if bad is not None:
-        raise ComputadError(bad)
-    return m
 
 
 def induced_class_map(fa_dom: FreeAlgebra, fa_cod: FreeAlgebra,

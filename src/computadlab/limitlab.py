@@ -826,48 +826,62 @@ def _slice_row(k: int) -> dict:
     return {"k": k, "arities": arities, "free": all(a["free"] for a in arities)}
 
 
+def _class_map(fa_dom: cpd.FreeAlgebra, fa_cod: cpd.FreeAlgebra,
+               m: cpd.ComputadMap) -> FinSetMap:
+    """The free functor's action of m on 2-cells, as a set map between the
+    class indices of the two algebras."""
+    return make_finset_map(range(fa_dom.levels[2].n_classes),
+                           range(fa_cod.levels[2].n_classes),
+                           dict(enumerate(cpd.induced_class_map(fa_dom, fa_cod, m, 2))))
+
+
 def _scalar_cospan_experiment(bounds: Bounds) -> tuple[list[dict], dict | None]:
-    """Push the scalar 2-computad cospan {a,b} -> {*} <- {a,b} through the
-    free-algebra engine and search its pullback's classes for two with one
-    image; with the witness of the first such pair, replayed through the
-    multiset functor on plain sets, if there is one."""
+    """Push the pullback square of the scalar 2-computad cospan {a,b} ->
+    {z} <- {a,b} through the free-algebra engine and decide it on
+    2-classes by `check_square`: its first conflated pair of classes of
+    F(P), or its first pair of classes of F(X) over one class of F(Z) that
+    no class of F(P) reaches, is the witness, and the cospan is replayed
+    through the multiset functor on plain sets."""
     cx = operads.k_terminal_computad(2, ["a", "b"])
     cz = operads.k_terminal_computad(2, ["z"])
-    fmap = cpd.make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}],
-                                 bounds)
+    fa_z = cpd.free_algebra(cz, bounds)
+    fmap = cpd.ComputadMap(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}])
     pb = cpd.pullback_computads(fmap, fmap, bounds)
     fa_p, fa_x = pb.free, pb.free_dom
-    ind1 = cpd.induced_class_map(fa_p, fa_x, pb.proj1, 2)
-    ind2 = cpd.induced_class_map(fa_p, fa_x, pb.proj2, 2)
-    lv = fa_p.levels[2]
-    conflated = _first_collision((cls, (ind1[cls], ind2[cls]))
-                                 for cls in range(lv.n_classes))
+    ff = _class_map(fa_x, fa_z, fmap)
+    res = check_square(Square(_class_map(fa_p, fa_x, pb.proj1),
+                              _class_map(fa_p, fa_x, pb.proj2), ff, ff))
+    lv, reps_x = fa_p.levels[2], fa_x.levels[2].reps
     records = [{"experiment": "engine: free 2-category on the scalar pullback computad",
                 "classes_in_F_P": lv.n_classes,
-                "pairs_in_target": len({(ind1[c], ind2[c]) for c in range(lv.n_classes)}),
-                "is_pullback": conflated is None}]
-    if conflated is None:
+                "pairs_in_target": len(pullback_sets(ff, ff)[0]),
+                "is_pullback": res.pullback_ok,
+                "is_weak_pullback": res.weak_ok}]
+    if res.pullback_ok:
         return records, None
-    a, b, key = conflated
     # independent replay through the multiset functor on plain sets
     f = make_finset_map(("a", "b"), ("z",), lambda _: "z")
-    res = check_cospan(multiset_functor(bounds.size), f, f)
+    replay = check_cospan(multiset_functor(bounds.size), f, f)
     records.append(
         {"experiment": "oracle: multiset functor on the set cospan",
          "functor": "multiset",
-         "is_pullback": res.pullback_ok,
-         "is_weak_pullback": res.weak_ok,
-         "conflated": [list(map(list, res.conflated[:2])), list(map(list, res.conflated[2]))]
-         if res.conflated else None})
+         "is_pullback": replay.pullback_ok,
+         "is_weak_pullback": replay.weak_ok,
+         "conflated": [list(map(list, replay.conflated[:2])),
+                       list(map(list, replay.conflated[2]))]
+         if replay.conflated else None})
+    if res.conflated is None:
+        pair = {"missing": [reps_x[c] for c in res.missing]}
+    else:
+        a, b, key = res.conflated
+        pair = {"left_class": lv.reps[a], "left_multiset": list(lv.msets[a]),
+                "right_class": lv.reps[b], "right_multiset": list(lv.msets[b]),
+                "common_image": [reps_x[c] for c in key]}
     return records, {
-        "left_class": lv.reps[a],
-        "left_multiset": list(lv.msets[a]),
-        "right_class": lv.reps[b],
-        "right_multiset": list(lv.msets[b]),
-        "common_image": [fa_x.levels[2].reps[c] for c in key],
+        **pair,
         "pullback_generators": pb.computad.names(2),
-        "oracle_replay_conflates": res.conflated is not None,
-        "oracle_replay_weak": res.weak_ok,
+        "oracle_replay_conflates": replay.conflated is not None,
+        "oracle_replay_weak": replay.weak_ok,
     }
 
 
@@ -966,9 +980,10 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     every cospan; at n = 2 the list functor on set cospans first. Graph
     bounds below 1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`:
     a pass over zero cases, or over identities only, is not evidence.
-    n = 3: the engine's classes of the scalar pullback computad; the
-    expected witness has size 2, so the engine runs at `max(bounds.size,
-    2)`, and a larger size shows that it persists.
+    n = 3: the engine's square on the 2-classes of the scalar pullback
+    computad, decided by `check_square`; the expected witness has size 2,
+    so the engine runs at `max(bounds.size, 2)`, and a larger size shows
+    that it persists.
 
     The slice rows are computed, one per slice k = 1..n-1 of the strict
     monad, each from one saturation: at each arity, the slice's elements,

@@ -356,9 +356,17 @@ MUTANTS = [
            '("pass-within-bounds", _PASS_WORDING) if witness is None and n != 3',
            ("tests/test_limitlab.py::test_gate_three_verdict_is_read_from_the_engine",)),
     Mutant("the engine record's is_pullback is a constant", LIMITLAB,
-           '"is_pullback": conflated is None',
+           '"is_pullback": res.pullback_ok',
            '"is_pullback": False',
            ("tests/test_limitlab.py::test_gate_three_verdict_is_read_from_the_engine",)),
+    Mutant("is_pullback reads injectivity only", LIMITLAB,
+           '"is_pullback": res.pullback_ok',
+           '"is_pullback": res.conflated is None',
+           ("tests/test_limitlab.py::test_gate_three_names_a_missed_pair",)),
+    Mutant("a missed pair yields no witness", LIMITLAB,
+           "    if res.pullback_ok:\n        return records, None",
+           "    if res.conflated is None:\n        return records, None",
+           ("tests/test_limitlab.py::test_gate_three_names_a_missed_pair",)),
     Mutant("a checked lane reuses a passing verdict of another count", LIMITLAB,
            "total = passed.get(code)\n                    if total != expected:",
            "total = passed.get(code)\n                    if total is None:",

@@ -1,15 +1,16 @@
 """Independent oracles shared by several test files, and the oracles that
 only tests reach: pasting diagrams, the cells of the free strict
 n-category on a globular set, the trivial and regular symmetric
-collections, and the free (commutative) monoid that a slice of the strict
-monad is, element by element. pytest does not collect this module (it is
-not named `test_*.py`)."""
+collections, the free (commutative) monoid that a slice of the strict
+monad is, element by element, and the validator of computad maps. pytest
+does not collect this module (it is not named `test_*.py`)."""
 
 import itertools
 from dataclasses import dataclass
 
-from computadlab.computads import Computad
-from computadlab.freecat import Gen, Id, Term
+from computadlab import freecat
+from computadlab.computads import Computad, ComputadError, ComputadMap, free_algebra
+from computadlab.freecat import Bounds, Gen, Id, Term
 from computadlab.operads import SliceResult, SymCollection, all_perms, perm_compose
 from computadlab.pasting import LEAF, Tree, enumerate_trees
 
@@ -230,3 +231,42 @@ def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int], str
     for element in elements:
         counts[len(element)] += 1
     return ok, counts, name
+
+
+def map_violation(m: ComputadMap, bounds: Bounds = Bounds()) -> str | None:
+    """Check totality and boundary naturality of a computad map."""
+    if m.dom.dim != m.cod.dim:
+        return "dimension mismatch"
+    if len(m.gen_maps) != m.dom.dim + 1:
+        return "missing generator maps"
+    fa_cod = free_algebra(m.cod, bounds)
+    table = m.rename_table()
+    for r in range(m.dom.dim + 1):
+        cod_names = set(m.cod.names(r))
+        for decl in m.dom.layers[r]:
+            img = m.gen_maps[r].get(decl.name)
+            if img is None:
+                return f"dim {r}: map undefined on {decl.name!r}"
+            if img not in cod_names:
+                return f"dim {r}: image of {decl.name!r} is not a {r}-generator"
+        if r == 0:
+            continue
+        for decl in m.dom.layers[r]:
+            img = next(d for d in m.cod.layers[r] if d.name == m.gen_maps[r][decl.name])
+            for side, ours, theirs in (("source", decl.src, img.src),
+                                       ("target", decl.tgt, img.tgt)):
+                pushed = fa_cod.class_of_term(freecat.rename_gens(ours, table))
+                expect = fa_cod.class_of_term(theirs)
+                if pushed is None or pushed != expect:
+                    return (f"dim {r}: attachment of {decl.name!r} does not map to "
+                            f"the {side} of {img.name!r}")
+    return None
+
+
+def make_computad_map(dom: Computad, cod: Computad, gen_maps,
+                      bounds: Bounds = Bounds()) -> ComputadMap:
+    m = ComputadMap(dom, cod, [dict(d) for d in gen_maps])
+    bad = map_violation(m, bounds)
+    if bad is not None:
+        raise ComputadError(bad)
+    return m

@@ -70,9 +70,17 @@ def test_slice_no_generators(capsys):
                        "--bound", "2", "--format", "structured")
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "MATCH"
-    assert doc["counts_by_size"] == {"0": {"classes": 1}, "1": {"classes": 0},
-                                     "2": {"classes": 0}}
+    # one row per size the run has classes at: only the empty word
+    assert doc["counts_by_size"] == {"0": {"classes": 1}}
     assert doc["arities"] == [{"arity": 0, "elements": 1, "orbits": 1, "free": True}]
+
+
+def test_slice_report_does_not_grow_with_an_empty_bound(capsys, tmp_path):
+    out = tmp_path / "slice.json"
+    code = main(["slice", "--k", "1", "--generators", "0", "--bound", "1000000000",
+                 "--format", "structured", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0 and out.stat().st_size < 1024
 
 
 def test_slice_at_the_largest_k_runs(capsys):
@@ -504,9 +512,9 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
         assert code == 0 and len(saturated) == dim, path.name
     saturated.clear()
     code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
-    # two engines each: the codomain {z} in the map check, the domain {a, b},
-    # and the pullback, whose algebra climbs one dimension at a time; then
-    # one per dimension of the slice rows k = 1 and k = 2
+    # two engines each: the codomain {z} once, for the square, the domain
+    # {a, b}, and the pullback, whose algebra climbs one dimension at a time;
+    # then one per dimension of the slice rows k = 1 and k = 2
     assert code == 0 and saturated == [1, 2] * 3 + [1, 1, 2]
     saturated.clear()
     # `slice` reads its arities from the run that counts its classes

@@ -6,11 +6,11 @@ from computadlab import computads
 from computadlab.computads import (
     Computad, ComputadError, GeneratorDecl, NonParallelAttachment,
     build_computad, dumps_computad, free_algebra, induced_class_map,
-    loads_computad, make_computad_map, map_violation, pullback_computads,
-    theta_computad,
+    loads_computad, pullback_computads, theta_computad,
 )
 from computadlab.freecat import Bounds, Comp, Gen, Id
 from computadlab.operads import k_terminal_computad
+from oracles import make_computad_map, map_violation
 
 
 def scalar_computad(names):

@@ -22,7 +22,7 @@ from computadlab.limitlab import (
     set_cospans,
 )
 from computadlab.operads import is_strongly_regular_presentation, parse_presentation
-from oracles import path_image_counts
+from oracles import map_violation, path_image_counts
 
 # --- pullbacks of finite sets -----------------------------------------------------
 
@@ -971,20 +971,113 @@ def test_gate_three_failure_persists_at_larger_bounds():
     assert report.witness["oracle_replay_conflates"]
 
 
+def _plant_first_square(monkeypatch, plant):
+    """Hand the gate's first `check_square` call, the class square of the
+    n = 3 experiment, the square `plant` builds from its cospan."""
+    original, calls = limitlab.check_square, []
+
+    def planted(s):
+        calls.append(s)
+        return original(plant(s.f, s.g) if len(calls) == 1 else s)
+
+    monkeypatch.setattr(limitlab, "check_square", planted)
+
+
 def test_gate_three_verdict_is_read_from_the_engine(monkeypatch):
-    # every class of the pullback is its own image, so no two share one:
-    # the engine finds no witness, and there is nothing to replay
-    monkeypatch.setattr(computads, "induced_class_map",
-                        lambda fa_dom, fa_cod, m, r: list(range(fa_dom.levels[r].n_classes)))
+    # the genuine pullback of the class cospan in place of the F-image of
+    # the computad pullback: the check passes, and there is nothing to replay
+    _plant_first_square(monkeypatch, _pullback_square)
     report = computad_topos_gate(3, Bounds(size=2))
     assert report.verdict == "pass-within-bounds"
     assert report.wording == limitlab._PASS_WORDING
     assert report.witness is None
     [engine] = report.experiments
-    assert engine["is_pullback"] is True
-    assert engine["classes_in_F_P"] == engine["pairs_in_target"]
+    assert engine["is_pullback"] is True and engine["is_weak_pullback"] is True
 
 
+def test_gate_three_names_a_missed_pair(monkeypatch):
+    # the pullback of the class cospan without its first pair, the empty
+    # cells: injective, so only surjectivity fails
+    def missing_first(f, g):
+        elems, p1, p2 = pullback_sets(f, g)
+        w = elems[1:]
+        return Square(FinSetMap(w, p1.cod, p1.assign), FinSetMap(w, p2.cod, p2.assign), f, g)
+
+    _plant_first_square(monkeypatch, missing_first)
+    report = computad_topos_gate(3, Bounds(size=2))
+    assert report.verdict == "counterexample"
+    engine, replay = report.experiments
+    assert engine["is_pullback"] is False and engine["is_weak_pullback"] is False
+    assert engine["pairs_in_target"] == 14
+    assert replay["is_weak_pullback"] is True
+    empty = "id1(id1(gen(o)))"
+    assert report.witness["missing"] == [empty, empty]
+    assert "left_class" not in report.witness
+
+
+def _gate_three_squares(monkeypatch, size):
+    """Run the n = 3 experiment at `size`: each square `check_square`
+    decided, with its result, and the free algebras of P, X and Z, keyed
+    by the names of their 2-generators."""
+    squares, algebras = [], {}
+    check, induced = limitlab.check_square, computads.induced_class_map
+
+    def recording_check(s):
+        squares.append((s, check(s)))
+        return squares[-1][1]
+
+    def recording_induced(fa_dom, fa_cod, m, r):
+        if r == 2:  # the pullback's construction reads dimensions 0 and 1
+            for fa in (fa_dom, fa_cod):
+                algebras[tuple(fa.computad.names(2))] = fa
+        return induced(fa_dom, fa_cod, m, r)
+
+    monkeypatch.setattr(limitlab, "check_square", recording_check)
+    monkeypatch.setattr(computads, "induced_class_map", recording_induced)
+    limitlab._scalar_cospan_experiment(Bounds(size=size))
+    return squares, algebras
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_the_class_square_is_the_multiset_square_element_by_element(monkeypatch, size):
+    """The engine's square on 2-classes is the multiset functor's image of
+    the set pullback square, once each class is read as its multiset:
+    the pair (x|y) as the element (x, y) of the set pullback."""
+    [(square, res), (msquare, mres)], algebras = _gate_three_squares(monkeypatch, size)
+
+    def multisets(*names):
+        """Each 2-class of the algebra on `names` as its multiset of
+        elements, sorted as the multiset functor sorts them."""
+        return [tuple(sorted((tuple(g[1:-1].split("|")) if "|" in g else g for g in m),
+                             key=repr))
+                for m in algebras[names].levels[2].msets]
+
+    fp = multisets("(a|a)", "(a|b)", "(b|a)", "(b|b)")
+    fx, fz = multisets("a", "b"), multisets("z")
+    for classes, elements in ((fp, msquare.p.dom), (fx, msquare.f.dom), (fz, msquare.f.cod)):
+        assert sorted(classes, key=repr) == sorted(elements, key=repr)
+    assert square.g == square.f and msquare.g == msquare.f
+    for leg, mleg, dom, cod in ((square.p, msquare.p, fp, fx),
+                                (square.q, msquare.q, fp, fx),
+                                (square.f, msquare.f, fx, fz)):
+        assert {dom[c]: cod[leg.assign[c]] for c in leg.dom} == mleg.assign
+    assert (res.pullback_ok, res.weak_ok) == (mres.pullback_ok, mres.weak_ok) == (False, True)
+    a, b, (x, y) = res.conflated
+    assert (fp[a], fp[b], (fx[x], fx[y])) == mres.conflated
+
+
+def test_the_gate_cospan_is_a_computad_map(monkeypatch):
+    legs = []
+    original = computads.pullback_computads
+
+    def recording(f, g, bounds):
+        legs.append((f, g, bounds))
+        return original(f, g, bounds)
+
+    monkeypatch.setattr(computads, "pullback_computads", recording)
+    limitlab._scalar_cospan_experiment(Bounds(size=2))
+    [(f, g, bounds)] = legs
+    assert f is g and map_violation(f, bounds) is None
 def test_gate_rejects_unsupported_dimension():
     with pytest.raises(LimitError):
         computad_topos_gate(4)

@@ -635,7 +635,7 @@ class Engine:
         sizes left over, each size in increasing id order. A composite is
         built only when no term has its signature yet, so generation merges
         nothing and every root stays a root until the loop ends."""
-        nodes, sig, bound = self.nodes, self._sig, self.bounds.size
+        nodes, bound = self.nodes, self.bounds.size
         roots = self.classes()
         sizes = [len(nodes[r].mset) for r in roots]
         if 2 * max(sizes, default=0) > bound:
@@ -650,8 +650,7 @@ class Engine:
             for m in range(max(lo - n, 0 if n else 1), hi - n + 1):
                 for rb in of_size[m]:
                     for k in range(self.dim):
-                        if (k, ra, rb) not in sig:
-                            self.make_comp(k, ra, rb)
+                        self.make_comp(k, ra, rb)
 
     def saturation_round(self, size: int | None = None, mark: int = 0) -> int:
         """Assert every axiom instance visible on current terms, re-close the

@@ -21,23 +21,24 @@ fiber over it, and a column of code lanes per vertex or edge of Z holding
 each g's bits of the pullback code. For one f, the sum of the fiber columns
 over f's paths holds in lane j the matching-pair count of the cospan (f, g_j),
 the dot product of the two legs' path fibers, and the sum of the code
-columns, each shifted by f's bit, holds in lane j its pullback's code: one
-integer that fixes the pullback's vertex pairs and its edge pairs with their
-endpoints. No lane carries into the next, since `_lane_widths` sizes the
-lanes from the bounds and refuses bounds whose counts could overflow. The
-pullback itself is built only for a cospan that no earlier cospan of the
-sweep settles (below): its vertices from the legs' vertex buckets, its edges
-as the product of their edge buckets. These are the only producers of a
-cospan's pullback and matching-pair count: the path-count DP reads the edges
-on an unchecked cospan, and the generic path checker checks the pullback and
-the count it is handed on a checked one, whose paths it enumerates and counts
-once. A passing check stores its path count under its code, and every
-later checked cospan with that code and that matching-pair count reuses it;
-a failing verdict is never reused. The DP runs once per distinct code in a
-sweep, and every other unchecked cospan with that code reuses its count. A
-row whose every cospan is settled by reuse costs a few operations on big
-integers and one lookup per cospan; the sweep runs the rows in the calling
-process, in cospan order.
+columns, each shifted by f's bit, holds in lane j its pullback's code: the
+lane's bytes, which fix the pullback's vertex pairs and its edge pairs with
+their endpoints. Every code lane has one width, so two codes are equal
+exactly when those pairs are. No lane carries into the next, since
+`_lane_widths` sizes the lanes from the bounds and refuses bounds whose
+counts could overflow. The pullback itself is built only for a cospan that
+no earlier cospan of the sweep settles (below): its vertices from the legs'
+vertex buckets, its edges as the product of their edge buckets. These are
+the only producers of a cospan's pullback and matching-pair count: the
+path-count DP reads the edges on an unchecked cospan, and the generic path
+checker checks the pullback and the count it is handed on a checked one,
+whose paths it enumerates and counts once. A passing check stores its path
+count under its code, and every later checked cospan with that code and that
+matching-pair count reuses it; a failing verdict is never reused. The DP
+runs once per distinct code in a sweep, and every other unchecked cospan
+with that code reuses its count. A row whose every cospan is settled by
+reuse costs a few operations on big integers and one lookup per cospan; the
+sweep runs the rows in the calling process, in cospan order.
 """
 
 from __future__ import annotations
@@ -591,8 +592,9 @@ def _row_lanes(leg_f: _Leg, row: _Row, max_v: int, max_e: int,
     fiber columns over f's `fibers` is the dot product of f's and g_j's
     path fibers; lane j of the sum of the code columns, each shifted by
     f's bit for a vertex or edge over it (see `_Leg`), is g_j's code with
-    f. A lane's terms are nonnegative and their sum fits the lane
-    (`_lane_widths`), so no lane carries into the next."""
+    f, returned as that lane's bytes, `code_bytes` of them, in the
+    machine's byte order. A lane's terms are nonnegative and their sum fits
+    the lane (`_lane_widths`), so no lane carries into the next."""
     fiber_bytes, code_bytes = lane_bytes
     order = sys.byteorder
     n = len(row.lanes)
@@ -605,8 +607,7 @@ def _row_lanes(leg_f: _Leg, row: _Row, max_v: int, max_e: int,
              + sum(row.codes[nv + k] << (square + ((s * max_v + t) * max_e + a) * span)
                    for k, es in enumerate(leg_f.edges) for a, s, t in es))
     raw = codes.to_bytes(code_bytes * n, order)
-    lanes = map(itemgetter(0), iter_unpack(f"{code_bytes}s", raw))
-    return counts, list(map(int.from_bytes, lanes, itertools.repeat(order)))
+    return counts, list(map(itemgetter(0), iter_unpack(f"{code_bytes}s", raw)))
 
 
 def _cospan_orbits(max_v: int, max_e: int, path_len: int):
@@ -654,8 +655,7 @@ def _cospan_orbits(max_v: int, max_e: int, path_len: int):
                 if row is None:
                     lanes = [(y, g, leg_g) for y, members_y in side
                              for g, leg_g, kg in members_y
-                             if not stab
-                             or all(kg <= tuple([auts[n][i] for i in kg]) for n in stab)]
+                             if all(kg <= tuple([auts[n][i] for i in kg]) for n in stab)]
                     row = rows[stab] = _pack_row(lanes, len(tree_z.ext), *lane_bytes)
                 yield z, x, f, leg_f, row
 
@@ -694,9 +694,10 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
     pullback's edges, the product of the legs' edge buckets, per length.
     Either count goes into `count_failures` the same way.
 
-    Each cospan's pullback is named by one integer, its code (see `_Leg`).
-    The code fixes the pullback's vertex pairs and its edge pairs with
-    their endpoints, so it names the flat pullback up to the injective
+    Each cospan's pullback is named by its code (see `_Leg`), the bytes of
+    its code lane, all of one width, which key the reuse dicts. The code
+    fixes the pullback's vertex pairs and its edge pairs with their
+    endpoints, so it names the flat pullback up to the injective
     relabeling (i, j) -> i * |Y| + j. The checker's passing verdict and its
     path count are invariant under such a relabeling, and so is the DP's
     count. Hence:
@@ -740,35 +741,34 @@ def run_path_preservation(max_v: int, max_e: int, path_len: int,
         n = len(counts)
         # the lanes j of the checked cospans c = cospans + 1 + j
         checked = slice((-cospans - 1) % stride, None, stride) if stride else slice(0)
-        totals = [None] * n if stride == 1 else list(map(counted.get, codes))
+        totals = list(map(counted.get, codes))
         totals[checked] = map(passed.get, codes[checked])
-        if totals != counts:
-            # only the lanes that missed or disagree; the others stay settled
-            for j in itertools.compress(range(n), map(ne, totals, counts)):
-                y, g, leg_g = row.lanes[j]
-                expected, code = counts[j], codes[j]
-                if stride and (cospans + 1 + j) % stride == 0:
-                    # the checker enumerates every path of the pullback;
-                    # its count stands in for the DP's
-                    total = passed.get(code)
-                    if total != expected:
-                        res = check_path_cospan(
-                            x, y, f, g, path_len,
-                            (_pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
-                             _pullback_edges(y.nv, leg_f.edges, leg_g.edges)),
-                            expected)
-                        if res.pullback_ok:
-                            passed[code] = res.paths
-                        else:
-                            generic_failures.append((z, x, y, f, g, res))
-                        total = res.paths
-                else:
-                    total = counted.get(code)
-                    if total is None:
-                        total = counted[code] = _dp_paths(x, y, leg_f, leg_g, path_len)
+        # only the lanes that missed or disagree; the others stay settled
+        for j in itertools.compress(range(n), map(ne, totals, counts)):
+            y, g, leg_g = row.lanes[j]
+            expected, code = counts[j], codes[j]
+            if stride and (cospans + 1 + j) % stride == 0:
+                # the checker enumerates every path of the pullback;
+                # its count stands in for the DP's
+                total = passed.get(code)
                 if total != expected:
-                    count_failures.append(
-                        (z, x, y, f, g, {"F_P": total, "pairs": expected}))
+                    res = check_path_cospan(
+                        x, y, f, g, path_len,
+                        (_pullback_vertices(y.nv, leg_f.verts, leg_g.verts),
+                         _pullback_edges(y.nv, leg_f.edges, leg_g.edges)),
+                        expected)
+                    if res.pullback_ok:
+                        passed[code] = res.paths
+                    else:
+                        generic_failures.append((z, x, y, f, g, res))
+                    total = res.paths
+            else:
+                total = counted.get(code)
+                if total is None:
+                    total = counted[code] = _dp_paths(x, y, leg_f, leg_g, path_len)
+            if total != expected:
+                count_failures.append(
+                    (z, x, y, f, g, {"F_P": total, "pairs": expected}))
         cospans += n
         pairs_total += sum(counts)
         generic_checked += len(range(n)[checked])
@@ -817,12 +817,13 @@ _FAIL_WORDING = ("the exhibited square is not a pullback; the witness is a "
                  "complete finite counterexample")
 
 
-def _slice_row(k: int) -> dict:
-    """Slice k of the strict monad on three generators at size 3: its
-    arities 0..3 as `operads.slice_arities` reads them, and whether
-    Sigma_n acts freely at every one."""
+def _slice_row(k: int, bounds: Bounds) -> dict:
+    """Slice k of the strict monad on three generators at size 3, within
+    the rounds and term budget of `bounds`: its arities 0..3 as
+    `operads.slice_arities` reads them, and whether Sigma_n acts freely at
+    every one."""
     arities = operads.slice_arities(
-        operads.slice_of_strict(k, ["x0", "x1", "x2"], Bounds(size=3)))
+        operads.slice_of_strict(k, ["x0", "x1", "x2"], replace(bounds, size=3)))
     return {"k": k, "arities": arities, "free": all(a["free"] for a in arities)}
 
 
@@ -982,20 +983,22 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     a pass over zero cases, or over identities only, is not evidence.
     n = 3: the engine's square on the 2-classes of the scalar pullback
     computad, decided by `check_square`; the expected witness has size 2,
-    so the engine runs at `max(bounds.size, 2)`, and a larger size shows
-    that it persists.
+    so the engine runs at `max(bounds.size, 2)`, the size the report
+    gives, and a larger size shows that it persists.
 
     The slice rows are computed, one per slice k = 1..n-1 of the strict
-    monad, each from one saturation: at each arity, the slice's elements,
-    its Sigma_n-orbits, and whether Sigma_n acts freely, the condition for
-    its analytic functor to preserve pullbacks. The 0-th slice is the
+    monad, each from one saturation at size 3 with the rounds and term
+    budget of `bounds`: at each arity, the slice's elements, its
+    Sigma_n-orbits, and whether Sigma_n acts freely, the condition for its
+    analytic functor to preserve pullbacks. The 0-th slice is the
     identity monad's collection, one element at arity 1, so it needs no
     row."""
+    if n == 3:
+        bounds = replace(bounds, size=max(bounds.size, 2))
     paths = partial(_path_experiment, graph_bounds, path_len)
     plans = {1: [paths],
              2: [partial(_list_experiment, path_len), paths],
-             3: [partial(_scalar_cospan_experiment,
-                         replace(bounds, size=max(bounds.size, 2)))]}
+             3: [partial(_scalar_cospan_experiment, bounds)]}
     if n not in plans:
         raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
     runs = [build() for build in plans[n]]
@@ -1003,7 +1006,7 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     witness = next((w for _, w in runs if w is not None), None)
     verdict, wording = (("pass-within-bounds", _PASS_WORDING) if witness is None
                         else ("counterexample", _FAIL_WORDING))
-    return GateReport(verdict, wording, [_slice_row(k) for k in range(1, n)],
+    return GateReport(verdict, wording, [_slice_row(k, bounds) for k in range(1, n)],
                       experiments, witness,
                       {"size": bounds.size, "rounds": bounds.rounds,
                        "graph_bounds": list(graph_bounds), "path_len": path_len})

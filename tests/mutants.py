@@ -368,10 +368,20 @@ MUTANTS = [
            "    if res.conflated is None:\n        return records, None",
            ("tests/test_limitlab.py::test_gate_three_names_a_missed_pair",)),
     Mutant("a checked lane reuses a passing verdict of another count", LIMITLAB,
-           "total = passed.get(code)\n                    if total != expected:",
-           "total = passed.get(code)\n                    if total is None:",
+           "total = passed.get(code)\n                if total != expected:",
+           "total = passed.get(code)\n                if total is None:",
            ("tests/test_limitlab.py::"
             "test_a_count_unlike_its_codes_passing_count_gets_its_own_check",)),
+    Mutant("every code lane is cut one byte short", LIMITLAB,
+           'map(itemgetter(0), iter_unpack(f"{code_bytes}s", raw))',
+           '(lane[:-1] for lane, in iter_unpack(f"{code_bytes}s", raw))',
+           ("tests/test_limitlab.py::"
+            "test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree",
+            "tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit")),
+    Mutant("slice rows ignore the gate's rounds", LIMITLAB,
+           'operads.slice_of_strict(k, ["x0", "x1", "x2"], replace(bounds, size=3))',
+           'operads.slice_of_strict(k, ["x0", "x1", "x2"], Bounds(size=3))',
+           ("tests/test_cli.py::test_malformed_input_exit_one[rounds-gate-slice-rows]",)),
 ]
 
 

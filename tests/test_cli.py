@@ -134,6 +134,17 @@ def test_gate_verdicts(capsys):
     assert doc["witness"]["oracle_replay_conflates"] is True
 
 
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_gate_three_reports_the_size_the_engine_ran_at(capsys, bound):
+    # the witness has size 2, so the engine runs at size 2 at least
+    code, out, _ = run(capsys, "gate", "--n", "3", "--bound", bound,
+                       "--format", "structured")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "counterexample"
+    assert doc["bounds"]["size"] == 2
+    assert doc["experiments"][0]["pairs_in_target"] == 14  # the size-2 target
+
+
 NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"
                "1 h : gen(b) => gen(c)\n2 m : gen(f) => gen(h)\n")
 
@@ -418,6 +429,9 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  None, None, "round cap 1 reached", id="rounds-slice"),
     pytest.param(["gate", "--n", "3", "--rounds", "1"], None, None,
                  "round cap 1 reached", id="rounds-gate"),
+    # the slice rows run within the gate's rounds, as `slice --rounds 1` does
+    pytest.param(["gate", "--n", "2", "--rounds", "1"], None, None,
+                 "round cap 1 reached", id="rounds-gate-slice-rows"),
 ])
 def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms,
                                   phrase):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from importlib import resources
 from operator import itemgetter, mul
@@ -362,6 +363,7 @@ def test_cospan_orbits_one_member_per_orbit():
         return (tuple(a.vmap[v] for v in m.vmap), tuple(a.emap[e] for e in m.emap))
 
     for bounds in ((2, 1), (2, 2)):
+        code_bytes = limitlab._lane_widths(*bounds, 2)[1]
         graphs = enumerate_graphs(*bounds)
         orbit_of = {}
         for z in graphs:
@@ -378,9 +380,11 @@ def test_cospan_orbits_one_member_per_orbit():
             assert post(graph_automorphisms(z)[0], f) == (f.vmap, f.emap) == min(
                 post(a, f) for a in graph_automorphisms(z))
             # each lane against values built here: the dot product of two
-            # path-fiber dicts, and the rows . cols code
+            # path-fiber dicts, and the rows . cols code in lane form
             assert count == _matching_pairs(x, y, f, g, 2)
-            assert code == _reference_code(z, x, y, f, g, *bounds)
+            assert type(code) is bytes and len(code) == code_bytes
+            assert code == _reference_code(z, x, y, f, g, *bounds).to_bytes(
+                code_bytes, sys.byteorder)
             assert check_path_cospan(x, y, f, g, 2, _flat_pullback(f, g, x, y),
                                      count).pullback_ok
         assert len(yielded) == len(set(yielded)) < len(orbit_of)
@@ -824,7 +828,9 @@ def test_verdict_reuse_memory_is_bounded():
     with each Y's `(g, leg_g)` pairs listed once per Z, it read 1.30 MiB.
     With packed rows and one int per verdict key it reads 1.318, 1.263
     and 1.261 MiB on Python 3.10, 3.11 and 3.12 (1.346, 1.303 and 1.297
-    before), and takes 0.9 to 2.3 s traced, the most on 3.12. The bound
+    before), and takes 0.9 to 2.3 s traced, the most on 3.12. Later on 3.11
+    it read 0.953 MiB with int keys and 1.077 MiB with each key its code
+    lane's bytes, whose leading zero bytes an int drops. The bound
     sits about 12% above 1.21 MiB, so a key or a stored value that grows
     fails."""
     summary, peak = _traced_sweep(3, 2, 3, 1)
@@ -839,8 +845,9 @@ def test_count_reuse_memory_is_bounded():
     Run in one process, with each Y's `(g, leg_g)` pairs listed once per
     Z, it read 2.44 MiB. With packed rows it reads 2.461, 2.426 and 2.423
     MiB on Python 3.10, 3.11 and 3.12 (2.462, 2.438 and 2.428 before), and
-    takes 1.4 to 3.0 s traced, the most on 3.12. The bound sits about 12%
-    above 2.42 MiB, so a DP key that grows fails."""
+    takes 1.4 to 3.0 s traced, the most on 3.12. Later on 3.11 it read
+    1.953 MiB with int keys and 2.113 MiB with lane-byte keys. The bound
+    sits about 12% above 2.42 MiB, so a DP key that grows fails."""
     summary, peak = _traced_sweep(2, 3, 3, 25)
     assert summary.cospans == 129_006 and summary.generic_checked == 5_160
     assert peak < 2.71 * 2**20

@@ -156,7 +156,7 @@ def cmd_gate(args) -> int:
     report = limitlab.computad_topos_gate(
         args.n, _bounds(args),
         graph_bounds=(args.graph_vertices, args.graph_edges),
-        path_len=min(args.bound, 3) if args.n <= 2 else args.bound)
+        path_len=min(args.bound, 3))
     _emit({"command": "gate", "n": args.n, **dataclasses.asdict(report)}, args)
     return 0
 

@@ -36,13 +36,15 @@ class root keeps its users, the composites with a child in its class, as
 egg keeps parents per e-class; a merge appends the loser's users to the
 winner's and queues them for the congruence check. Axioms are matched per
 e-node. A class's e-nodes are read from its member list, the first member
-of each canonical key, and the list is cached until a merge drops it: the
-winner's, the loser's and those of the loser's users' classes, whose keys
-named the loser. One matcher visits each e-node of a round-start snapshot
-once, not each of the many more member terms: associativity from its
-left-nested side, interchange on pairs of child-class e-nodes. An e-node
-whose two children both hold generators is matched only in the first round
-of its stratum that sees it (`saturate` says why). Each instance first
+of each canonical key. Multisets never mix, so once its stratum is done a
+class never changes again, and neither do the classes of its children:
+its list is cached from then on, while the list of a class of the stratum
+in progress is read afresh, and a merge drops nothing. One matcher visits
+each e-node of a round-start snapshot once, not each of the many more
+member terms: associativity from its left-nested side, interchange on
+pairs of child-class e-nodes. An e-node whose two children both hold
+generators is matched only in the first round of its stratum that sees it
+(`saturate` says why). Each instance first
 looks the e-nodes of its other side up in the signature table; one already
 in the matched class is skipped before anything is built. Otherwise the
 e-nodes found are reused, only the missing ones are built, and the matched
@@ -411,9 +413,11 @@ class Engine:
         # relabels every member of the losing class
         self._root: list[int] = []
         self._class_terms: dict[int, list[int]] = {}
-        # root -> its e-node list as `enodes` last read it from the members;
-        # a merge drops every list it may change
+        # root -> its e-node list, read from the members once the class is
+        # final: its multiset is smaller than the stratum `_running`, the one
+        # `saturate` is running (0 before it starts)
         self._enodes: dict[int, list[int]] = {}
+        self._running = 0
         # the hashcons: canonical key (k, class of a, class of b) -> the
         # composite registered under it; a key of merged-away classes is
         # never looked up again, since a lookup reads current roots
@@ -430,7 +434,7 @@ class Engine:
         self.round = 0
         self.fixed_point = False
         self.partial_lower = False  # a boundary composite was out of bounds below
-        self.saw_size_cut = False  # some composite exceeded the size bound
+        self.saw_size_cut = False  # the size bound cut some cell off; set by `saturate`
         self.counters = dict.fromkeys(COUNTERS, 0)
         self.gen_atoms: dict[str, int] = {}
         # a name shared with a lower dimension prints as the same gen(name),
@@ -479,16 +483,10 @@ class Engine:
         for t in lost_terms:
             root[t] = win
         self._class_terms[win].extend(lost_terms)
-        cached = self._enodes
-        cached.pop(win, None)
-        cached.pop(lose, None)
         users = self._uses.pop(lose, None)
         if users:
-            # their keys named the loser, so two e-nodes of a user class
-            # may now share one
+            # their keys named the loser, so two of them may now share one
             self._pending.extend(users)
-            for x in users:
-                cached.pop(root[x], None)
             self._uses.setdefault(win, []).extend(users)
         return True
 
@@ -606,7 +604,6 @@ class Engine:
             return None
         mset = tuple(sorted(na.mset + nb.mset))
         if len(mset) > self.bounds.size:
-            self.saw_size_cut = True
             return None
         if k == d:
             src, tgt = na.src, nb.tgt
@@ -624,47 +621,40 @@ class Engine:
 
     # free-algebra rounds ----------------------------------------------------
 
-    def extend_composites(self, size: int | None = None):
-        """One application of the free-composites layer: compose every pair
-        of current classes along every index, within the size bound. Given
-        a stratum `size`, only the pairs whose multisets hold exactly that
-        many generators together.
+    def extend_composites(self, size: int):
+        """One application of the free-composites layer to the stratum
+        `size`: compose, along every index, every pair of current classes
+        whose multisets hold `size` generators together.
 
-        Generation is size-graded: the round's roots are grouped by multiset
-        size once, and each left root visits only the right roots of the
-        sizes left over, each size in increasing id order. A composite is
-        built only when no term has its signature yet, so generation merges
-        nothing and every root stays a root until the loop ends."""
-        nodes, bound = self.nodes, self.bounds.size
-        roots = self.classes()
-        sizes = [len(nodes[r].mset) for r in roots]
-        if 2 * max(sizes, default=0) > bound:
-            self.saw_size_cut = True  # some pair of roots is too big to compose
-        lo, hi = (0, bound) if size is None else (size, size)
-        of_size: list[list[int]] = [[] for _ in range(hi + 1)]
-        for r, n in zip(roots, sizes):
-            if n <= hi:
-                of_size[n].append(r)
-        for ra, n in zip(roots, sizes):
-            # composites of pure identities add no class
-            for m in range(max(lo - n, 0 if n else 1), hi - n + 1):
-                for rb in of_size[m]:
+        The round's roots are grouped by multiset size once, and each left
+        root visits only the right roots of the size left over, in
+        increasing id order. A composite is built only when no term has its
+        signature yet, so generation merges nothing and every root stays a
+        root until the loop ends."""
+        nodes, roots = self.nodes, self.classes()
+        of_size: dict[int, list[int]] = {}
+        for r in roots:
+            of_size.setdefault(len(nodes[r].mset), []).append(r)
+        for ra in roots:
+            n = len(nodes[ra].mset)
+            if n or size:  # composites of pure identities add no class
+                for rb in of_size.get(size - n, ()):
                     for k in range(self.dim):
                         self.make_comp(k, ra, rb)
 
-    def saturation_round(self, size: int | None = None, mark: int = 0) -> int:
-        """Assert every axiom instance visible on current terms, re-close the
-        congruence, and advance the round counter. Given a stratum `size`,
-        only on the classes of that size, with identity functoriality only
-        at size 0, and an e-node below the watermark `mark` is matched only
-        when one of its children is a pure identity. Returns the term count
-        at the round's snapshot, the watermark of the stratum's next round."""
+    def saturation_round(self, size: int, mark: int) -> int:
+        """Assert every axiom instance visible on the classes of the stratum
+        `size`, re-close the congruence, and advance the round counter.
+        Identity functoriality runs at size 0 only, and an e-node below the
+        watermark `mark` is matched only when one of its children is a pure
+        identity. Returns the term count at the round's snapshot, the
+        watermark of the stratum's next round."""
         nodes, root = self.nodes, self._root
         partition = list(root)
         next_mark = len(nodes)
         snapshot = [t for r in self._stratum(size) for t in self.enodes(r)
                     if t >= mark or not (nodes[nodes[t].a].mset and nodes[nodes[t].b].mset)]
-        if not size:  # the full round, or stratum 0
+        if size == 0:  # its instances hold no generator
             self._identity_functoriality()
         for tid in snapshot:
             self._matched_instances(tid)
@@ -678,20 +668,19 @@ class Engine:
         self.round += 1
         return next_mark
 
-    def _stratum(self, size: int | None) -> list[int]:
-        """The class roots of multiset size `size` in increasing order, or
-        every root when size is None."""
-        roots = self.classes()
-        if size is None:
-            return roots
+    def _stratum(self, size: int) -> list[int]:
+        """The class roots of multiset size `size` in increasing order."""
         nodes = self.nodes
-        return [r for r in roots if len(nodes[r].mset) == size]
+        return [r for r in self.classes() if len(nodes[r].mset) == size]
 
     def enodes(self, root: int) -> list[int]:
         """The e-nodes of a class root: for each canonical key (k, class of
         a, class of b) of its composite members, the first member in
-        member-list order. Read from the member list, and cached until a
-        merge drops the list."""
+        member-list order. Read from the member list, and cached when the
+        class's multiset is smaller than the stratum `saturate` is running.
+        Such a class is final: in stratum s every merge joins two classes
+        of size s, and no smaller term is built, so neither its members nor
+        its children's classes change again."""
         cached = self._enodes.get(root)
         if cached is None:
             nodes, roots = self.nodes, self._root
@@ -700,7 +689,9 @@ class Engine:
                 n = nodes[t]
                 if n.kind == CMP:
                     first.setdefault((n.k, roots[n.a], roots[n.b]), t)
-            self._enodes[root] = cached = list(first.values())
+            cached = list(first.values())
+            if len(nodes[root].mset) < self._running:
+                self._enodes[root] = cached
         return cached
 
     def _matched_instances(self, tid: int):
@@ -767,7 +758,7 @@ class Engine:
                     if t2 is not None:
                         self._merge(tid, t2, ("interchange", x, y, left, right))
 
-    def _unit_instances(self, size: int | None):
+    def _unit_instances(self, size: int):
         for root in self._stratum(size):
             for k in range(self.dim):
                 self.counters["axiom_instances"] += 2
@@ -795,7 +786,8 @@ class Engine:
         the classes of size s. Each stratum alternates generation and axiom
         rounds until a round adds no term and no merge. A stratum that uses
         up `Bounds.rounds` first raises EngineLimit; `round` counts the
-        rounds of all strata.
+        rounds of all strata. The end of saturation sets `saw_size_cut`
+        (`_cuts_a_cell`).
 
         Inside a stratum, an e-node whose two children both hold generators
         is matched only in the first round that sees it: the watermark, the
@@ -813,6 +805,9 @@ class Engine:
             on its first match, and an instance's fate depends only on
             classes.
 
+        The first two facts also make the e-node list of a class below s
+        final in stratum s, so `enodes` caches it from then on.
+
         An e-node with a pure identity child, a unit pad or a whisker by a
         lower identity, has a child class of size s that may still grow, so
         it is matched every round.
@@ -826,7 +821,7 @@ class Engine:
         for size in range(self.bounds.size + 1):
             if size > 2 * max((len(self.nodes[r].mset) for r in self._class_terms), default=0):
                 break
-            mark = 0
+            self._running, mark = size, 0
             for _ in range(self.bounds.rounds):
                 n_terms, n_merges = len(self.nodes), self.counters["merges"]
                 self.extend_composites(size)
@@ -836,7 +831,26 @@ class Engine:
             else:
                 raise EngineLimit(f"round cap {self.bounds.rounds} reached before the "
                                   f"fixed point of the stratum of size {size}")
+        self.saw_size_cut = self._cuts_a_cell()
         self.fixed_point = True
+
+    def _cuts_a_cell(self) -> bool:
+        """Whether two classes compose, along some index k, into a cell of
+        more than `Bounds.size` generators: exactly when the bound cuts a
+        cell off, since a term beyond the bound whose subterms all lie
+        within it is such a composite. Along k, each class is paired with
+        the largest class whose k-source is its k-target; the identity on
+        that target is always one."""
+        nodes, levels, d = self.nodes, self.levels, self.dim - 1
+        for k in range(self.dim):
+            largest: dict[int, int] = {}  # k-source -> most generators on it
+            for r in self._class_terms:
+                s = _descend_src(levels, nodes[r].src, d, k)
+                largest[s] = max(largest.get(s, 0), len(nodes[r].mset))
+            if any(len(nodes[r].mset) + largest[_descend_tgt(levels, nodes[r].tgt, d, k)]
+                   > self.bounds.size for r in self._class_terms):
+                return True
+        return False
 
     # queries ----------------------------------------------------------------
 

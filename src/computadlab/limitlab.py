@@ -992,21 +992,28 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     Sigma_n-orbits, and whether Sigma_n acts freely, the condition for its
     analytic functor to preserve pullbacks. The 0-th slice is the
     identity monad's collection, one element at arity 1, so it needs no
-    row."""
+    row.
+
+    The report's `bounds` names only what some experiment or slice row of
+    this n read: `graph_bounds` and `path_len` at n = 1, 2, `rounds`
+    where slice rows or the engine run (n = 2, 3), and `size` at n = 3."""
     if n == 3:
         bounds = replace(bounds, size=max(bounds.size, 2))
     paths = partial(_path_experiment, graph_bounds, path_len)
-    plans = {1: [paths],
-             2: [partial(_list_experiment, path_len), paths],
-             3: [partial(_scalar_cospan_experiment, bounds)]}
+    # per n: its experiments, and the names of the bounds they read
+    plans = {1: ([paths], ("graph_bounds", "path_len")),
+             2: ([partial(_list_experiment, path_len), paths],
+                 ("graph_bounds", "path_len", "rounds")),
+             3: ([partial(_scalar_cospan_experiment, bounds)], ("rounds", "size"))}
     if n not in plans:
         raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
-    runs = [build() for build in plans[n]]
+    builds, read = plans[n]
+    runs = [build() for build in builds]
     experiments = [record for records, _ in runs for record in records]
     witness = next((w for _, w in runs if w is not None), None)
     verdict, wording = (("pass-within-bounds", _PASS_WORDING) if witness is None
                         else ("counterexample", _FAIL_WORDING))
+    values = {"size": bounds.size, "rounds": bounds.rounds,
+              "graph_bounds": list(graph_bounds), "path_len": path_len}
     return GateReport(verdict, wording, [_slice_row(k, bounds) for k in range(1, n)],
-                      experiments, witness,
-                      {"size": bounds.size, "rounds": bounds.rounds,
-                       "graph_bounds": list(graph_bounds), "path_len": path_len})
+                      experiments, witness, {key: values[key] for key in read})

@@ -146,15 +146,15 @@ MUTANTS = [
             "tests/test_operads.py::test_first_slice_is_free_monoid",
             "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[loop-size3]")),
     Mutant("generation pairs right roots one size short", FREECAT,
-           "for m in range(max(lo - n, 0 if n else 1), hi - n + 1):",
-           "for m in range(max(lo - n, 0 if n else 1), hi - n):",
+           "for rb in of_size.get(size - n, ()):",
+           "for rb in of_size.get(size - n - 1, ()):",
            ("tests/test_relations.py::test_a_full_round_after_saturation_changes_nothing"
             "[scalar2-size5]",
             "tests/test_operads.py::test_second_slice_is_free_commutative_monoid",
             "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[loop-size2]")),
-    Mutant("identity functoriality runs only in the full round", FREECAT,
-           "if not size:  # the full round, or stratum 0",
-           "if size is None:",
+    Mutant("identity functoriality runs in no stratum", FREECAT,
+           "if size == 0:  # its instances hold no generator",
+           "if size < 0:  # its instances hold no generator",
            ("tests/test_relations.py::test_a_full_round_after_saturation_changes_nothing"
             "[two-loops-size2]",
             "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
@@ -167,10 +167,17 @@ MUTANTS = [
             "tests/test_cli.py::test_malformed_input_exit_one[rounds-slice]",
             "tests/test_cli.py::test_malformed_input_exit_one[rounds-gate]",
             "tests/test_freecat.py::test_two_rounds_reach_each_stratum_fixed_point")),
-    Mutant("merge keeps the cached e-node lists of the loser's users", FREECAT,
-           "for x in users:\n                cached.pop(root[x], None)",
-           "pass",
-           ("tests/test_freecat.py::test_a_merge_drops_the_enode_lists_of_the_losers_users",)),
+    Mutant("the e-node cache keeps a list of the stratum in progress", FREECAT,
+           "if len(nodes[root].mset) < self._running:",
+           "if len(nodes[root].mset) <= self._running:",
+           ("tests/test_freecat.py::test_a_list_of_the_stratum_in_progress_is_read_afresh",
+            "tests/test_freecat.py::test_enode_lists_are_kept_once_their_stratum_is_done",
+            "tests/test_freecat.py::test_enode_index_after_every_step",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k1-g3-size6]",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k2-g3-size4]",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k2-g3-size6]",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k3-g2-size4]",
+            "tests/test_freecat.py::test_engine_work_is_pinned[scalar2-size5]")),
     Mutant("merge lets the loser's e-nodes win", FREECAT,
            "self._class_terms[win].extend(lost_terms)",
            "self._class_terms[win][:0] = lost_terms",
@@ -180,7 +187,7 @@ MUTANTS = [
            "self._uses.setdefault(win, []).extend(users)",
            "pass",
            ("tests/test_freecat.py::test_enode_index_after_every_step",
-            "tests/test_freecat.py::test_a_merge_drops_the_enode_lists_of_the_losers_users")),
+            "tests/test_freecat.py::test_a_list_of_the_stratum_in_progress_is_read_afresh")),
     Mutant("verifier replays a step its row refuses as if it had no premises", FREECAT,
            "        if premises is None:\n            return False",
            "        premises = premises or ()",
@@ -378,6 +385,10 @@ MUTANTS = [
            ("tests/test_limitlab.py::"
             "test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree",
             "tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit")),
+    Mutant("the size cut ignores composability", FREECAT,
+           "largest[_descend_tgt(levels, nodes[r].tgt, d, k)]",
+           "max(largest.values())",
+           ("tests/test_freecat.py::test_partiality_marker_reflects_size_cut",)),
     Mutant("slice rows ignore the gate's rounds", LIMITLAB,
            'operads.slice_of_strict(k, ["x0", "x1", "x2"], replace(bounds, size=3))',
            'operads.slice_of_strict(k, ["x0", "x1", "x2"], Bounds(size=3))',

@@ -141,8 +141,15 @@ def test_gate_three_reports_the_size_the_engine_ran_at(capsys, bound):
                        "--format", "structured")
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "counterexample"
-    assert doc["bounds"]["size"] == 2
+    # the n = 3 experiment reads no graph bounds and no path length
+    assert doc["bounds"] == {"rounds": 24, "size": 2}
     assert doc["experiments"][0]["pairs_in_target"] == 14  # the size-2 target
+
+
+def test_gate_one_reports_only_the_bounds_its_sweep_read(capsys):
+    # no slice row and no engine: neither size nor rounds is read
+    code, out, _ = run(capsys, "gate", "--n", "1", "--format", "structured")
+    assert code == 0 and json.loads(out)["bounds"] == {"graph_bounds": [2, 2], "path_len": 3}
 
 
 NONPARALLEL = ("dim 2\n0 a\n0 b\n0 c\n1 f : gen(a) => gen(b)\n"

@@ -157,7 +157,8 @@ def test_saturation_round_fixed_point_when_nothing_applies():
     fa = free_algebra(theta_computad(1), Bounds(size=2))
     e = fa.engines[1]
     before = (len(e.nodes), e.counters["merges"])
-    e.saturation_round()
+    for size in range(3):
+        e.saturation_round(size, 0)
     assert (len(e.nodes), e.counters["merges"]) == before
 
 
@@ -216,9 +217,10 @@ def test_eckmann_hilton_within_two_rounds():
     from computadlab.freecat import Engine
     fa1 = free_algebra(theta_computad(1), Bounds(size=2))
     e = Engine(2, fa1.levels, [("al", 0, 0), ("be", 0, 0)], Bounds(size=2))
-    for _ in range(2):
-        e.extend_composites()
-        e.saturation_round()
+    for size in range(3):
+        for _ in range(2):
+            e.extend_composites(size)
+            e.saturation_round(size, 0)
     a = e.term_node(Comp(0, Gen("al", 2), Gen("be", 2)))
     b = e.term_node(Comp(1, Gen("al", 2), Gen("be", 2)))
     assert e.find(a) == e.find(b)
@@ -278,9 +280,9 @@ def test_term_budget_guard():
     with pytest.raises(EngineLimit):
         e = Engine(1, [lv], [(f"g{i}", 0, 0) for i in range(4)],
                    Bounds(size=4, max_terms=8))
-        for _ in range(6):
-            e.extend_composites()
-            e.saturation_round()
+        for size in range(5):
+            e.extend_composites(size)
+            e.saturation_round(size, 0)
 
 
 def test_certificate_tampering_is_caught():
@@ -824,7 +826,7 @@ def test_a_planted_split_raises_the_round_guard(monkeypatch):
 
     monkeypatch.setattr(Engine, "_process_pending", splitting)
     with pytest.raises(SoundnessError, match="saturation split a congruence class"):
-        e.saturation_round()
+        e.saturation_round(0, 0)
 
 
 def fresh_enodes(e, root):
@@ -901,17 +903,37 @@ def test_a_merge_keeps_the_winners_enode_for_a_shared_key():
     assert_users(e)
 
 
-def test_a_merge_drops_the_enode_lists_of_the_losers_users():
-    """x and y hold two keys while p and p2 are apart; merging p with p2
-    gives them one key, so the cached list of their class, a user class
-    of the loser p2, must be read again."""
+def test_a_list_of_the_stratum_in_progress_is_read_afresh():
+    """x and y hold 3 generators, the stratum in progress here, so the
+    list of their class is never kept: it is read again after each merge.
+    Merging x with y adds y's key; merging p with p2 then gives the two
+    one key, since p2, a child of y, joins p's class."""
     e, p, p2, x, y = planted_eckmann_hilton()
+    e._running = 3
+    assert e.enodes(e.find(x)) == [x]
     e._merge(x, y, ("planted",))
     assert e.enodes(e.find(x)) == [x, y]
     e._merge(p, p2, ("planted",))
     assert e.enodes(e.find(x)) == [x]
     assert_enode_index(e)
     assert_users(e)
+
+
+def test_enode_lists_are_kept_once_their_stratum_is_done(monkeypatch):
+    """Through stratum s, `enodes` keeps the lists it reads of the classes
+    below s, which are final, and no list of a class of s; every stratum
+    above 0 reads and keeps some."""
+    kept = {}  # stratum -> the multiset sizes of the kept lists
+    match = Engine.saturation_round
+
+    def recording(self, size, mark):
+        out = match(self, size, mark)
+        kept.setdefault(size, set()).update(len(self.nodes[r].mset) for r in self._enodes)
+        return out
+
+    monkeypatch.setattr(Engine, "saturation_round", recording)
+    free_algebra(k_terminal_computad(1, ["x0", "x1"]), Bounds(size=4))
+    assert kept == {s: set(range(s)) for s in range(5)}
 
 
 @pytest.mark.parametrize("make", [
@@ -1069,11 +1091,11 @@ def test_a_round_that_only_merges_does_not_end_its_stratum(monkeypatch):
     extend, match, matched = (Engine.extend_composites, Engine.saturation_round,
                               Engine._matched_instances)
 
-    def counting(self, size=None):
+    def counting(self, size):
         rounds.append((self.dim, size, len(self.nodes), self.counters["merges"]))
         extend(self, size)
 
-    def delayed(self, size=None, mark=0):
+    def delayed(self, size, mark):
         dim, _, terms, merges = rounds[-1]
         hold[0] = len(self.nodes) > terms and all(r[:2] != (dim, size) for r in rounds[:-1])
         next_mark = match(self, size, mark)
@@ -1142,9 +1164,9 @@ def test_monotonicity_partition_only_coarsens():
     fa1 = free_algebra(theta_computad(1), Bounds(size=3))
     e = Engine(2, fa1.levels, [("al", 0, 0), ("be", 0, 0)], Bounds(size=3))
     previous = None
-    for _ in range(6):
-        e.extend_composites()
-        e.saturation_round()
+    for size in (0, 0, 1, 1, 2, 2, 3, 3):
+        e.extend_composites(size)
+        e.saturation_round(size, 0)
         part = {t: e.find(t) for t in range(len(e.nodes))}
         if previous is not None:
             merged = {}
@@ -1283,3 +1305,9 @@ def test_partiality_marker_reflects_size_cut():
     assert "partial" in fa.partiality_marker()
     fa_free = free_algebra(theta_computad(2), Bounds(size=2))
     assert not fa_free.partial
+    # one arrow f: a -> b does not compose with itself, so its free category
+    # is its 3 cells from size 1 on; at size 0, f itself is beyond the bound
+    arrow = graph_computad(["a", "b"], [("f", "a", "b")])
+    assert [free_algebra(arrow, Bounds(size=size)).partial
+            for size in (0, 1, 2)] == [True, False, False]
+    assert "complete" in free_algebra(arrow, Bounds(size=1)).partiality_marker()

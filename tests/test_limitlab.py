@@ -10,9 +10,11 @@ from importlib import resources
 from operator import itemgetter, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from computadlab import computads, limitlab
-from computadlab.freecat import Bounds
+from computadlab.freecat import Bounds, Gen
 from computadlab.limitlab import (
     CospanResult, FinSetMap, GraphData, GraphMap, LimitError, Square,
     _cospan_orbits, canonical_graph, check_cospan, check_path_cospan, check_square,
@@ -1088,3 +1090,64 @@ def test_the_gate_cospan_is_a_computad_map(monkeypatch):
 def test_gate_rejects_unsupported_dimension():
     with pytest.raises(LimitError):
         computad_topos_gate(4)
+
+
+# --- the engine against the path sweep --------------------------------------------
+
+
+def _graph_computad(g: GraphData) -> computads.Computad:
+    """g as a 1-computad: vertex i is the 0-generator v{i}, and edge a the
+    1-generator e{a} between the generators of its ends."""
+    return computads.build_computad(
+        [[f"v{i}" for i in range(g.nv)],
+         [(f"e{a}", Gen(f"v{s}", 0), Gen(f"v{t}", 0)) for a, (s, t) in enumerate(g.edges)]])
+
+
+def _computad_map(m: GraphMap, dom: computads.Computad, cod: computads.Computad):
+    return computads.ComputadMap(dom, cod, [{f"v{i}": f"v{j}" for i, j in enumerate(m.vmap)},
+                                            {f"e{a}": f"e{b}" for a, b in enumerate(m.emap)}])
+
+
+def _class_map_on_1_cells(fa_dom, fa_cod, m) -> FinSetMap:
+    return make_finset_map(range(fa_dom.levels[1].n_classes), range(fa_cod.levels[1].n_classes),
+                           dict(enumerate(computads.induced_class_map(fa_dom, fa_cod, m, 1))))
+
+
+GRAPHS_2_2 = enumerate_graphs(2, 2)
+
+
+@st.composite
+def graph_cospans(draw):
+    """A graph cospan x -> z <- y within graph bounds (2, 2), with a path
+    length from 1 to 3."""
+    z = draw(st.sampled_from(GRAPHS_2_2))
+    legs = []
+    for _ in range(2):
+        x = draw(st.sampled_from([g for g in GRAPHS_2_2 if graph_homs(g, z)]))
+        legs.append((x, draw(st.sampled_from(graph_homs(x, z)))))
+    return z, legs, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cospan=graph_cospans())
+def test_the_engine_counts_the_pullback_paths_the_sweep_counts(cospan):
+    """Each graph of the cospan as a 1-computad: the pullback computad's
+    free algebra at size L has as many 1-classes of size <= L as
+    `check_path_cospan` counts paths of length <= L in the graph pullback,
+    and the free functor's square on 1-classes is a pullback."""
+    z, [(x, f), (y, g)], size = cospan
+    bounds = Bounds(size=size)
+    cz = _graph_computad(z)
+    mf = _computad_map(f, _graph_computad(x), cz)
+    mg = _computad_map(g, _graph_computad(y), cz)
+    pb = computads.pullback_computads(mf, mg, bounds)
+    res = check_path_cospan(x, y, f, g, size, _flat_pullback(f, g, x, y),
+                            _matching_pairs(x, y, f, g, size))
+    assert res.pullback_ok
+    assert sum(len(m) <= size for m in pb.free.levels[1].msets) == res.paths
+    fa_y, fa_z = computads.free_algebra(mg.dom, bounds), computads.free_algebra(cz, bounds)
+    square = Square(_class_map_on_1_cells(pb.free, pb.free_dom, pb.proj1),
+                    _class_map_on_1_cells(pb.free, fa_y, pb.proj2),
+                    _class_map_on_1_cells(pb.free_dom, fa_z, mf),
+                    _class_map_on_1_cells(fa_y, fa_z, mg))
+    assert check_square(square).pullback_ok

@@ -29,10 +29,10 @@ without an oracle.
   distinct sources and targets.
 * A full round after saturation changes nothing. Saturation runs one
   generator count at a time and matches an e-node on two non-identity
-  children once per stratum; one unstratified round afterwards, every pair
-  of roots composed and every e-node matched, must add no term and no
-  merge. It is checked on the benchmark's slices, on other fixed computads
-  and on the random ones.
+  children once per stratum; one more round of every stratum afterwards,
+  with no watermark, together every pair of roots composed and every
+  e-node matched, must add no term and no merge. It is checked on the
+  benchmark's slices, on other fixed computads and on the random ones.
 
 Limits: these relations catch faults that depend on generator names, on the
 order of declarations or of terms, or on other components of the computad,
@@ -426,14 +426,16 @@ CONFIRMED = {
 
 
 def assert_a_full_round_changes_nothing(fa):
-    """One unstratified round after saturation, every pair of roots
+    """One more round of every stratum 0..size after saturation, with no
+    watermark, so that together every pair of roots within the bound is
     composed and every e-node of every class matched, adds no term and no
     merge in any dimension: `fixed_point` holds on all the materialized
     terms, not only on each stratum's own."""
     for e in fa.engines[1:]:
         before = len(e.nodes), e.counters["merges"]
-        e.extend_composites()
-        e.saturation_round()
+        for size in range(fa.bounds.size + 1):
+            e.extend_composites(size)
+            e.saturation_round(size, 0)
         assert (len(e.nodes), e.counters["merges"]) == before, e.dim
 
 

@@ -1,8 +1,8 @@
 """Command-line surface: load inputs, run engines and experiments, emit reports.
 
 Verbs: free, slice, regular, gate, trees, eval. Exit codes: 0 = ran and
-verdict delivered, 1 = usage error, input error, or exhausted term budget
-or round cap, 2 = internal soundness failure (a slice arity whose counts
+verdict delivered, 1 = usage error, input error, or exhausted term
+budget, 2 = internal soundness failure (a slice arity whose counts
 no symmetric-group action gives is a correctness failure, not a verdict).
 `main` turns every exit-1 and exit-2 exception into one line on stderr.
 Every integer flag and every arity key of a collection file is read by
@@ -37,7 +37,7 @@ _INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError,
 
 
 def _bounds(args) -> Bounds:
-    return Bounds(size=args.bound, rounds=args.rounds)
+    return Bounds(size=args.bound)
 
 
 def _emit(doc: dict, args) -> None:
@@ -92,7 +92,7 @@ def cmd_free(args) -> int:
     _emit({
         "command": "free",
         "computad": cpd.dumps_computad(c).strip().splitlines(),
-        "bounds": {"size": args.bound, "rounds": args.rounds},
+        "bounds": {"size": args.bound},
         "fixed_point": fa.fixed_point,
         "partial": fa.partial,
         "marker": fa.partiality_marker(),
@@ -119,7 +119,7 @@ def cmd_slice(args) -> int:
         "command": "slice",
         "k": args.k,
         "generators": gens,
-        "bounds": {"size": args.bound, "rounds": args.rounds},
+        "bounds": {"size": args.bound},
         "arities": arities,
         "counts_by_size": {str(s): {"classes": n} for s, n in result.counts.items()},
         "verdict": "MISMATCH" if bad else "MATCH",
@@ -290,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = argparse.ArgumentParser(add_help=False)
     bounds.add_argument("--bound", type=_natural, default=4,
                         help="size bound (generator occurrences per cell)")
-    bounds.add_argument("--rounds", type=_natural, default=24,
-                        help="round cap of each saturation stratum (one "
-                             "generator count); reaching it exits 1")
 
     parser = _Parser(
         prog="computadlab",

@@ -21,7 +21,7 @@ to its own fixed point. A round of stratum s alternates a generation step
 of the free-composites layer) with an axiom step (assert every axiom
 instance visible on the materialized terms of the classes of size s, then
 re-close the congruence). A stratum's rounds repeat until one adds no term
-and no merge; one that reaches the round cap first raises EngineLimit.
+and no merge; the term budget bounds them (`saturate` says why).
 Generation is size-graded: the round's class roots are grouped by generator
 count once, and each left root is paired only with the right roots of the
 size left over, so pairs beyond the stratum are never visited.
@@ -111,8 +111,7 @@ class SoundnessError(Exception):
 
 
 class EngineLimit(Exception):
-    """The term budget or a stratum's round cap was exhausted before
-    saturation finished."""
+    """The term budget was exhausted before saturation finished."""
 
 
 # --- term syntax -------------------------------------------------------------
@@ -361,14 +360,12 @@ def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | No
 @dataclass(frozen=True)
 class Bounds:
     size: int = 4  # max generator occurrences per cell
-    rounds: int = 24  # round cap of each stratum (one generator count)
     max_terms: int = 200_000
 
     def __post_init__(self):
-        if self.size < 0 or self.rounds < 1 or self.max_terms < 1:
-            raise FreecatError(
-                f"bounds need size >= 0, rounds >= 1 and max_terms >= 1 (got size "
-                f"{self.size}, rounds {self.rounds}, max_terms {self.max_terms})")
+        if self.size < 0 or self.max_terms < 1:
+            raise FreecatError(f"bounds need size >= 0 and max_terms >= 1 (got size "
+                               f"{self.size}, max_terms {self.max_terms})")
 
 
 GEN, IDA, CMP = 0, 1, 2
@@ -784,10 +781,13 @@ class Engine:
         stratum s, generation pairs a left root of size n only with right
         roots of size s - n, and matching and the unit instances read only
         the classes of size s. Each stratum alternates generation and axiom
-        rounds until a round adds no term and no merge. A stratum that uses
-        up `Bounds.rounds` first raises EngineLimit; `round` counts the
-        rounds of all strata. The end of saturation sets `saw_size_cut`
-        (`_cuts_a_cell`).
+        rounds until a round adds no term and no merge; `round` counts the
+        rounds of all strata. Every stratum ends: a round that does not end
+        it adds a term or merges two classes, `Bounds.max_terms` caps the
+        terms, and classes never split, so the merges are capped by the
+        number of terms. So each stratum reaches its fixed point or raises
+        EngineLimit on the term budget. The end of saturation sets
+        `saw_size_cut` (`_cuts_a_cell`).
 
         Inside a stratum, an e-node whose two children both hold generators
         is matched only in the first round that sees it: the watermark, the
@@ -822,15 +822,12 @@ class Engine:
             if size > 2 * max((len(self.nodes[r].mset) for r in self._class_terms), default=0):
                 break
             self._running, mark = size, 0
-            for _ in range(self.bounds.rounds):
+            while True:
                 n_terms, n_merges = len(self.nodes), self.counters["merges"]
                 self.extend_composites(size)
                 mark = self.saturation_round(size, mark)
                 if len(self.nodes) == n_terms and self.counters["merges"] == n_merges:
                     break
-            else:
-                raise EngineLimit(f"round cap {self.bounds.rounds} reached before the "
-                                  f"fixed point of the stratum of size {size}")
         self.saw_size_cut = self._cuts_a_cell()
         self.fixed_point = True
 

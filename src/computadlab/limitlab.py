@@ -819,9 +819,8 @@ _FAIL_WORDING = ("the exhibited square is not a pullback; the witness is a "
 
 def _slice_row(k: int, bounds: Bounds) -> dict:
     """Slice k of the strict monad on three generators at size 3, within
-    the rounds and term budget of `bounds`: its arities 0..3 as
-    `operads.slice_arities` reads them, and whether Sigma_n acts freely at
-    every one."""
+    the term budget of `bounds`: its arities 0..3 as `operads.slice_arities`
+    reads them, and whether Sigma_n acts freely at every one."""
     arities = operads.slice_arities(
         operads.slice_of_strict(k, ["x0", "x1", "x2"], replace(bounds, size=3)))
     return {"k": k, "arities": arities, "free": all(a["free"] for a in arities)}
@@ -987,33 +986,28 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     gives, and a larger size shows that it persists.
 
     The slice rows are computed, one per slice k = 1..n-1 of the strict
-    monad, each from one saturation at size 3 with the rounds and term
-    budget of `bounds`: at each arity, the slice's elements, its
-    Sigma_n-orbits, and whether Sigma_n acts freely, the condition for its
-    analytic functor to preserve pullbacks. The 0-th slice is the
-    identity monad's collection, one element at arity 1, so it needs no
-    row.
+    monad, each from one saturation at size 3 within the term budget of
+    `bounds`: at each arity, the slice's elements, its Sigma_n-orbits, and
+    whether Sigma_n acts freely, the condition for its analytic functor to
+    preserve pullbacks. The 0-th slice is the identity monad's collection,
+    one element at arity 1, so it needs no row.
 
-    The report's `bounds` names only what some experiment or slice row of
-    this n read: `graph_bounds` and `path_len` at n = 1, 2, `rounds`
-    where slice rows or the engine run (n = 2, 3), and `size` at n = 3."""
+    The report's `bounds` names only what the experiments of this n read:
+    `graph_bounds` and `path_len` at n = 1, 2, and `size` at n = 3."""
     if n == 3:
         bounds = replace(bounds, size=max(bounds.size, 2))
     paths = partial(_path_experiment, graph_bounds, path_len)
-    # per n: its experiments, and the names of the bounds they read
-    plans = {1: ([paths], ("graph_bounds", "path_len")),
-             2: ([partial(_list_experiment, path_len), paths],
-                 ("graph_bounds", "path_len", "rounds")),
-             3: ([partial(_scalar_cospan_experiment, bounds)], ("rounds", "size"))}
+    plans = {1: [paths],
+             2: [partial(_list_experiment, path_len), paths],
+             3: [partial(_scalar_cospan_experiment, bounds)]}
     if n not in plans:
         raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
-    builds, read = plans[n]
-    runs = [build() for build in builds]
+    runs = [build() for build in plans[n]]
     experiments = [record for records, _ in runs for record in records]
     witness = next((w for _, w in runs if w is not None), None)
     verdict, wording = (("pass-within-bounds", _PASS_WORDING) if witness is None
                         else ("counterexample", _FAIL_WORDING))
-    values = {"size": bounds.size, "rounds": bounds.rounds,
-              "graph_bounds": list(graph_bounds), "path_len": path_len}
+    read = ({"size": bounds.size} if n == 3
+            else {"graph_bounds": list(graph_bounds), "path_len": path_len})
     return GateReport(verdict, wording, [_slice_row(k, bounds) for k in range(1, n)],
-                      experiments, witness, {key: values[key] for key in read})
+                      experiments, witness, read)

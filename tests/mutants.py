@@ -160,13 +160,10 @@ MUTANTS = [
             "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
             "[idfun-relabelled-unit-l]",
             "tests/test_freecat.py::test_engine_work_is_pinned[slice-k2-g3-size4]")),
-    Mutant("each stratum runs one round past its cap", FREECAT,
-           "for _ in range(self.bounds.rounds):",
-           "for _ in range(self.bounds.rounds + 1):",
-           ("tests/test_cli.py::test_malformed_input_exit_one[rounds-free]",
-            "tests/test_cli.py::test_malformed_input_exit_one[rounds-slice]",
-            "tests/test_cli.py::test_malformed_input_exit_one[rounds-gate]",
-            "tests/test_freecat.py::test_two_rounds_reach_each_stratum_fixed_point")),
+    Mutant("the stop rule ignores new terms", FREECAT,
+           'if len(self.nodes) == n_terms and self.counters["merges"] == n_merges:',
+           'if self.counters["merges"] == n_merges:',
+           ("tests/test_freecat.py::test_a_round_that_only_adds_terms_does_not_end_its_stratum",)),
     Mutant("the e-node cache keeps a list of the stratum in progress", FREECAT,
            "if len(nodes[root].mset) < self._running:",
            "if len(nodes[root].mset) <= self._running:",
@@ -253,11 +250,13 @@ MUTANTS = [
            "t2 = None if k == 1 and self.dim == 3 else self.make_comp(k, ids[a], ids[b])",
            ("tests/test_relations.py::test_suspension_on_fixed_computads[whiskers-size2]",
             "tests/test_freecat.py::test_engine_work_is_pinned[slice-k3-g2-size4]")),
+    # stratum 0 never reaches its fixed point: a test at the default term
+    # budget had built 28,230 of its 200,000 terms after 60 s, and this
+    # one's budget ends it at once
     Mutant("make_comp skips its canonical lookup", FREECAT,
            "if hit is not None:\n            return hit",
            "if False:\n            return hit",
-           ("tests/test_freecat.py::test_engine_work_is_pinned",
-            "tests/test_freecat.py::test_root_list_exact_after_queries_on_a_reloaded_algebra")),
+           ("tests/test_freecat.py::test_a_budget_of_the_pinned_terms_saturates",)),
     Mutant("the assoc premise r.b ~ q is dropped", FREECAT,
            "(nv.b, r), (nr.a, np.b), (nr.b, q)",
            "(nv.b, r), (nr.a, np.b)",
@@ -389,10 +388,10 @@ MUTANTS = [
            "largest[_descend_tgt(levels, nodes[r].tgt, d, k)]",
            "max(largest.values())",
            ("tests/test_freecat.py::test_partiality_marker_reflects_size_cut",)),
-    Mutant("slice rows ignore the gate's rounds", LIMITLAB,
+    Mutant("slice rows ignore the gate's term budget", LIMITLAB,
            'operads.slice_of_strict(k, ["x0", "x1", "x2"], replace(bounds, size=3))',
            'operads.slice_of_strict(k, ["x0", "x1", "x2"], Bounds(size=3))',
-           ("tests/test_cli.py::test_malformed_input_exit_one[rounds-gate-slice-rows]",)),
+           ("tests/test_cli.py::test_malformed_input_exit_one[budget-gate-slice-rows]",)),
 ]
 
 

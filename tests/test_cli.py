@@ -142,12 +142,12 @@ def test_gate_three_reports_the_size_the_engine_ran_at(capsys, bound):
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "counterexample"
     # the n = 3 experiment reads no graph bounds and no path length
-    assert doc["bounds"] == {"rounds": 24, "size": 2}
+    assert doc["bounds"] == {"size": 2}
     assert doc["experiments"][0]["pairs_in_target"] == 14  # the size-2 target
 
 
 def test_gate_one_reports_only_the_bounds_its_sweep_read(capsys):
-    # no slice row and no engine: neither size nor rounds is read
+    # no slice row and no engine: size is not read
     code, out, _ = run(capsys, "gate", "--n", "1", "--format", "structured")
     assert code == 0 and json.loads(out)["bounds"] == {"graph_bounds": [2, 2], "path_len": 3}
 
@@ -288,6 +288,11 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  "line 4: expected ','", id="term-missing-comma"),
     pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f),gen(f))x"), None,
                  "line 4: trailing input after position 21", id="term-trailing-text"),
+    pytest.param(["free", "FILE"], TERM_TEXT.format("comp_0(gen(f),gen(f)x"), None,
+                 "line 4: expected ')' at position 20", id="term-comp-missing-paren"),
+    pytest.param(["free", "FILE"],
+                 TERM_TEXT.format("comp_0(" * 3000 + "gen(f)" + ",gen(f))" * 3000), None,
+                 "line 4: term nested too deeply", id="term-nested-too-deeply"),
     # presentations for regular
     pytest.param(["regular", "FILE"], "op m : 2\neq m(x,y)\n", None,
                  "line 2: equation needs '='", id="regular-no-equals"),
@@ -327,8 +332,6 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  f"argument --bound: {FLAG}", id="bound-space"),
     pytest.param(["slice", "--k", "1", "--bound", "9" * 5000], None, None,
                  f"argument --bound: {FLAG}", id="bound-too-many-digits"),
-    pytest.param(["slice", "--k", "1", "--rounds", "0"], None, None,
-                 "rounds 0", id="slice-rounds-zero"),
     pytest.param(["slice", "--k", "0"], None, None, "slices start at k = 1", id="slice-k-zero"),
     pytest.param(["slice", "--k", str(computads.MAX_DIM + 1)], None, None,
                  f"slice k = {computads.MAX_DIM + 1} above", id="slice-k-above-max"),
@@ -339,6 +342,8 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  "can't decode byte 0xff", id="free-undecodable"),
     pytest.param(["regular", "FILE"], b"\xff\xfe", None,
                  "can't decode byte 0xff", id="regular-undecodable"),
+    pytest.param(["regular", "FILE"], "op m : 1\neq " + "m(" * 3000 + "x" + ")" * 3000 + " = x\n",
+                 None, "line 2: term nested too deeply", id="regular-nested-too-deeply"),
     pytest.param(["eval", "FILE"], b"\xff\xfe", None,
                  "can't decode byte 0xff", id="eval-undecodable"),
     pytest.param(["eval", "FILE"], "[" * 100_000 + "]" * 100_000, None,
@@ -400,6 +405,9 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  "unrecognized arguments: --bound 2", id="usage-trees-bound"),
     pytest.param(["regular", data_path("monoid.thy"), "--rounds", "3"], None, None,
                  "unrecognized arguments: --rounds 3", id="usage-regular-rounds"),
+    # saturation has no round cap, only the term budget
+    pytest.param(["free", data_path("loop.cpd"), "--rounds", "3"], None, None,
+                 "unrecognized arguments: --rounds 3", id="usage-free-rounds"),
     pytest.param(["eval", data_path("bicategory_slice1.json"), "--bound", "2"], None,
                  None, "unrecognized arguments: --bound 2", id="usage-eval-bound"),
     # work refused before it starts: unrefused, the first builds a million
@@ -428,17 +436,9 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
     pytest.param(["slice", "--k", "2"], None, 20, "term budget 20 exhausted", id="budget-slice"),
     pytest.param(["gate", "--n", "3", "--bound", "2"], None, 20,
                  "term budget 20 exhausted", id="budget-gate"),
-    # a stratum that uses up its round cap; a run stopped there would pass
-    # for a result: too few classes, an oracle mismatch, a passing gate
-    pytest.param(["free", data_path("scalar2.cpd"), "--bound", "4", "--rounds", "1"], None,
-                 None, "round cap 1 reached", id="rounds-free"),
-    pytest.param(["slice", "--k", "1", "--generators", "3", "--bound", "6", "--rounds", "1"],
-                 None, None, "round cap 1 reached", id="rounds-slice"),
-    pytest.param(["gate", "--n", "3", "--rounds", "1"], None, None,
-                 "round cap 1 reached", id="rounds-gate"),
-    # the slice rows run within the gate's rounds, as `slice --rounds 1` does
-    pytest.param(["gate", "--n", "2", "--rounds", "1"], None, None,
-                 "round cap 1 reached", id="rounds-gate-slice-rows"),
+    # the slice rows run within the gate's term budget, as `slice` does
+    pytest.param(["gate", "--n", "2"], None, 20,
+                 "term budget 20 exhausted", id="budget-gate-slice-rows"),
 ])
 def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max_terms,
                                   phrase):
@@ -451,7 +451,7 @@ def test_malformed_input_exit_one(capsys, monkeypatch, tmp_path, argv, text, max
         argv = [str(path) if a == "FILE" else a for a in argv]
     if max_terms is not None:
         monkeypatch.setattr(cli, "_bounds", lambda args: Bounds(
-            size=args.bound, rounds=args.rounds, max_terms=max_terms))
+            size=args.bound, max_terms=max_terms))
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -489,11 +489,10 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 
 
 def test_bounds_error_states_the_limits(capsys):
-    for flag, value, phrase in (("--bound", "-1", f"argument --bound: {FLAG}"),
-                                ("--rounds", "0", "size >= 0, rounds >= 1 and max_terms >= 1")):
-        code, _, err = run(capsys, "slice", "--k", "1", flag, value)
-        assert code == 1
-        assert phrase in err
+    code, _, err = run(capsys, "slice", "--k", "1", "--bound", "-1")
+    assert code == 1 and f"argument --bound: {FLAG}" in err
+    with pytest.raises(freecat.FreecatError, match="size >= 0 and max_terms >= 1"):
+        Bounds(max_terms=0)
 
 
 def test_comp_index_errors_name_the_index(capsys, tmp_path):
@@ -671,5 +670,5 @@ def test_reports_embed_bounds(capsys):
     code, out, _ = run(capsys, "slice", "--k", "1", "--bound", "2",
                        "--format", "structured")
     doc = json.loads(out)
-    assert doc["bounds"] == {"size": 2, "rounds": 24}
+    assert doc["bounds"] == {"size": 2}
     assert "marker" in doc

@@ -1065,31 +1065,42 @@ def test_saturation_climbs_no_empty_stratum():
 @pytest.mark.parametrize("k,gens,size", [(1, 3, 6), (2, 3, 4), (2, 3, 6), (3, 2, 4)],
                          ids=["k1-g3-size6", "k2-g3-size4", "k2-g3-size6", "k3-g2-size4"])
 def test_two_rounds_reach_each_stratum_fixed_point(k, gens, size):
-    """On the benchmark's slices every stratum needs one round that works
-    and one that confirms, so a cap of 2 rounds saturates them; a cap of 1
-    stops stratum 0 short, which is an exhausted budget, not a result."""
+    """On the benchmark's slices every stratum takes one round that works
+    and one that confirms."""
     c = k_terminal_computad(k, [f"x{i}" for i in range(gens)])
-    fa = free_algebra(c, Bounds(size=size, rounds=2))
+    fa = free_algebra(c, Bounds(size=size))
     assert fa.fixed_point
     assert all(e.round == 2 * (size + 1) for e in fa.engines[1:] if e.gen_atoms)
-    with pytest.raises(EngineLimit, match="round cap 1 reached before the fixed point "
-                                          "of the stratum of size 0"):
-        free_algebra(c, Bounds(size=size, rounds=1))
 
 
-def test_a_round_that_only_merges_does_not_end_its_stratum(monkeypatch):
-    """A stratum ends on a round that adds no term and no merge, not on one
-    that only merges. Here the first round of each stratum that generates
-    terms holds back its associativity and interchange matches, and the
-    next round matches every e-node, so it merges without adding a term;
-    `saturate` must go on to a round that confirms. The levels come out as
-    without the delay."""
+@pytest.mark.parametrize("k,gens,size,terms", [(2, 3, 4, 430), (3, 2, 4, 219)],
+                         ids=["k2-g3-size4", "k3-g2-size4"])
+def test_a_budget_of_the_pinned_terms_saturates(k, gens, size, terms):
+    """The top engine of each slice builds exactly the terms that
+    `test_engine_work_is_pinned` counts, so a term budget of that count
+    saturates the slice and one term less does not. With no round cap, a
+    stratum that never reaches its fixed point ends only at the term
+    budget, one O(terms) round at a time: a lookup that rebuilds existing
+    composites adds two terms a round in stratum 0, and had built 28,230
+    of the default 200,000 after 60 s; this budget ends it at once."""
+    c = k_terminal_computad(k, [f"x{i}" for i in range(gens)])
+    assert free_algebra(c, Bounds(size=size, max_terms=terms)).fixed_point
+    with pytest.raises(EngineLimit, match=f"term budget {terms - 1} exhausted"):
+        free_algebra(c, Bounds(size=size, max_terms=terms - 1))
+
+
+def _saturate_with_a_delayed_round(monkeypatch, held):
+    """Saturate the slice k = 2 on two generators at size 4 with the Engine
+    methods named in `held` held back in the first round of each stratum
+    whose generation adds terms, and the next round matching every e-node
+    again. The levels must come out as without the delay, and the last
+    round of each stratum must add no term and no merge. Returns the
+    (dimension, stratum, terms added, merges made) of each round."""
     c = k_terminal_computad(2, ["x0", "x1"])
     plain = free_algebra(c, Bounds(size=4)).levels
-    rounds = []  # (dimension, stratum, terms added, merges made) per round
+    rounds = []
     hold = [False]
-    extend, match, matched = (Engine.extend_composites, Engine.saturation_round,
-                              Engine._matched_instances)
+    extend, match = Engine.extend_composites, Engine.saturation_round
 
     def counting(self, size):
         rounds.append((self.dim, size, len(self.nodes), self.counters["merges"]))
@@ -1102,17 +1113,40 @@ def test_a_round_that_only_merges_does_not_end_its_stratum(monkeypatch):
         rounds[-1] = (dim, size, len(self.nodes) - terms, self.counters["merges"] - merges)
         return mark if hold[0] else next_mark
 
-    def held(self, tid):
-        if not hold[0]:
-            matched(self, tid)
+    def holding(method):
+        def run(self, *args):
+            if not hold[0]:
+                method(self, *args)
+        return run
 
     monkeypatch.setattr(Engine, "extend_composites", counting)
     monkeypatch.setattr(Engine, "saturation_round", delayed)
-    monkeypatch.setattr(Engine, "_matched_instances", held)
+    for name in held:
+        monkeypatch.setattr(Engine, name, holding(getattr(Engine, name)))
     assert free_algebra(c, Bounds(size=4)).levels == plain
-    assert any(terms == 0 and merges > 0 for _, _, terms, merges in rounds)
     last = {(dim, size): (terms, merges) for dim, size, terms, merges in rounds}
     assert set(last.values()) == {(0, 0)}
+    return rounds
+
+
+def test_a_round_that_only_merges_does_not_end_its_stratum(monkeypatch):
+    """A stratum ends on a round that adds no term and no merge, not on one
+    that only merges. Here the first round of each stratum that generates
+    terms holds back its associativity and interchange matches, and the
+    next round matches every e-node, so it merges without adding a term;
+    `saturate` must go on to a round that confirms."""
+    rounds = _saturate_with_a_delayed_round(monkeypatch, ["_matched_instances"])
+    assert any(terms == 0 and merges > 0 for _, _, terms, merges in rounds)
+
+
+def test_a_round_that_only_adds_terms_does_not_end_its_stratum(monkeypatch):
+    """Nor does a stratum end on a round that adds terms and merges
+    nothing. Here the first round of each stratum that generates terms
+    asserts no axiom instance at all, so it only adds the composites that
+    generation built; `saturate` must go on to the rounds that merge them."""
+    rounds = _saturate_with_a_delayed_round(
+        monkeypatch, ["_matched_instances", "_unit_instances"])
+    assert any(terms > 0 and merges == 0 for _, _, terms, merges in rounds)
 
 
 def _subterms(t, seen):

@@ -324,7 +324,7 @@ def test_slice_oracle_agreement_across_sizes(k, n):
 
 
 def test_slice_three_matches_commutative_oracle():
-    res = slice_of_strict(3, ["a", "b"], Bounds(size=2, rounds=30))
+    res = slice_of_strict(3, ["a", "b"], Bounds(size=2))
     assert res.counts == {0: 1, 1: 2, 2: 3}
 
 

@@ -33,6 +33,8 @@ without an oracle.
   with no watermark, together every pair of roots composed and every
   e-node matched, must add no term and no merge. It is checked on the
   benchmark's slices, on other fixed computads and on the random ones.
+  There, too, no stratum takes more than 4 rounds: saturation has no
+  round cap, so a schedule that needs more rounds shows here.
 
 Limits: these relations catch faults that depend on generator names, on the
 order of declarations or of terms, or on other components of the computad,
@@ -59,6 +61,7 @@ a 2-computad at size 3.
 
 import itertools
 from collections import Counter
+from contextlib import contextmanager
 from importlib import resources
 
 import pytest
@@ -69,7 +72,8 @@ from computadlab.computads import (
     Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    EQUAL, GEN, IDA, Bounds, Comp, Gen, Id, equal_cells, rename_gens, verify_certificate,
+    EQUAL, GEN, IDA, Bounds, Comp, Engine, Gen, Id, equal_cells, rename_gens,
+    verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
 
@@ -439,15 +443,37 @@ def assert_a_full_round_changes_nothing(fa):
         assert (len(e.nodes), e.counters["merges"]) == before, e.dim
 
 
+MAX_ROUNDS = 4  # the most any stratum took, over 400 drawn computads as well
+
+
+@contextmanager
+def counting_rounds():
+    """Count the rounds of each (engine, stratum) that saturation runs."""
+    counts = Counter()
+    original = Engine.saturation_round
+
+    def counted(self, size, mark):
+        counts[self, size] += 1
+        return original(self, size, mark)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "saturation_round", counted)
+        yield counts
+
+
 @pytest.mark.parametrize("case", CONFIRMED)
 def test_a_full_round_after_saturation_changes_nothing(case):
     make, size = CONFIRMED[case]
-    fa = free_algebra(make(), Bounds(size=size))
-    assert fa.fixed_point
+    with counting_rounds() as rounds:
+        fa = free_algebra(make(), Bounds(size=size))
+    assert fa.fixed_point and max(rounds.values()) <= MAX_ROUNDS
     assert_a_full_round_changes_nothing(fa)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(layers=computads())
 def test_a_full_round_after_saturating_a_random_computad_changes_nothing(layers):
-    assert_a_full_round_changes_nothing(saturate(layers))
+    with counting_rounds() as rounds:
+        fa = saturate(layers)
+    assert max(rounds.values()) <= MAX_ROUNDS
+    assert_a_full_round_changes_nothing(fa)

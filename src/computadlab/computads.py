@@ -10,9 +10,10 @@ and building its free algebra are one walk. A computad carries no bounds:
 they belong to the `FreeAlgebra` computed from it. The pullback of two
 computad maps is built dimension by dimension on that same walk, or refused
 with a `ComputadError` that names the generator pair it could not attach.
-A `ComputadMap` is a generator renaming per dimension, taken as given:
-nothing here checks that it is total or respects attachments, a check
-that only the test oracles run (`tests/oracles.py`).
+A `ComputadMap` is one generator renaming, taken as given: generator names
+are distinct across dimensions, so one dict covers every dimension. Nothing
+here checks that it is total, keeps dimensions or respects attachments, a
+check that only the test oracles run (`tests/oracles.py`).
 The text format's `dim` and generator dimensions are read by
 `freecat.natural`, within 0..MAX_DIM and 0..dim.
 """
@@ -83,8 +84,10 @@ class FreeAlgebra:
 
     @property
     def partial(self) -> bool:
-        """True when some bound truncated the cell sets below the free algebra."""
-        return any(e.partial_lower or e.saw_size_cut for e in self.engines[1:])
+        """True when the size bound cut a cell off in some dimension. A
+        composite whose boundary would pass the bound below is not built, and
+        the size cut of that lower dimension is what marks it."""
+        return any(e.saw_size_cut for e in self.engines[1:])
 
     def partiality_marker(self) -> str:
         return f"partial up to size {self.bounds.size}" if self.partial else "complete at this size"
@@ -178,24 +181,15 @@ def theta_computad(k: int) -> Computad:
 class ComputadMap:
     dom: Computad
     cod: Computad
-    gen_maps: list[dict[str, str]]  # per dimension, generator name -> name
-
-    def rename_table(self) -> dict[str, str]:
-        table: dict[str, str] = {}
-        for m in self.gen_maps:
-            table.update(m)
-        return table
+    rename: dict[str, str]  # generator name -> name, over every dimension
 
 
 def induced_class_map(fa_dom: FreeAlgebra, fa_cod: FreeAlgebra,
                       m: ComputadMap, r: int) -> list[int | None]:
     """Action of the free functor on classes: push each representative term
     through the generator renaming and resolve it in the codomain."""
-    table = m.rename_table()
-    out = []
-    for t in fa_dom.levels[r].rep_terms:
-        out.append(fa_cod.class_of_term(freecat.rename_gens(t, table)))
-    return out
+    return [fa_cod.class_of_term(freecat.rename_gens(t, m.rename))
+            for t in fa_dom.levels[r].rep_terms]
 
 
 # --- pullbacks of computads -----------------------------------------------------
@@ -235,10 +229,10 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     fa_y = fa_x if g.dom is f.dom else free_algebra(g.dom, bounds)
     layers: list[list[GeneratorDecl]] = []
     p = Computad(n, layers)  # gains a layer on each pass of the loop
-    proj1, proj2 = ComputadMap(p, f.dom, []), ComputadMap(p, g.dom, [])
+    proj1, proj2 = ComputadMap(p, f.dom, {}), ComputadMap(p, g.dom, {})
     for r in range(n + 1):
         pairs = [(dx, dy) for dx in f.dom.layers[r] for dy in g.dom.layers[r]
-                 if f.gen_maps[r][dx.name] == g.gen_maps[r][dy.name]]
+                 if f.rename[dx.name] == g.rename[dy.name]]
         names = [_pair_name(dx.name, dy.name) for dx, dy in pairs]
         if r == 0:
             decls = [GeneratorDecl(name) for name in names]
@@ -262,8 +256,8 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
                 decls.append(GeneratorDecl(name, *sides))
             _climb(fa, decls)
         layers.append(decls)
-        proj1.gen_maps.append({name: dx.name for name, (dx, _) in zip(names, pairs)})
-        proj2.gen_maps.append({name: dy.name for name, (_, dy) in zip(names, pairs)})
+        proj1.rename.update({name: dx.name for name, (dx, _) in zip(names, pairs)})
+        proj2.rename.update({name: dy.name for name, (_, dy) in zip(names, pairs)})
     return ComputadPullbackReport(p, proj1, proj2, fa, fa_x)
 
 

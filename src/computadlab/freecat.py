@@ -430,7 +430,6 @@ class Engine:
         self._why: list[tuple | None] = []
         self.round = 0
         self.fixed_point = False
-        self.partial_lower = False  # a boundary composite was out of bounds below
         self.saw_size_cut = False  # the size bound cut some cell off; set by `saturate`
         self.counters = dict.fromkeys(COUNTERS, 0)
         self.gen_atoms: dict[str, int] = {}
@@ -609,7 +608,8 @@ class Engine:
             src = lcomp.get((k, na.src, nb.src))
             tgt = lcomp.get((k, na.tgt, nb.tgt))
             if src is None or tgt is None:
-                self.partial_lower = True
+                # a boundary composite beyond the bound below, so the size
+                # cut of some lower dimension already marks the algebra partial
                 return None
         word = self._shared(na.word + nb.word) if self.dim == 1 else None
         return self._add(

@@ -845,7 +845,7 @@ def _scalar_cospan_experiment(bounds: Bounds) -> tuple[list[dict], dict | None]:
     cx = operads.k_terminal_computad(2, ["a", "b"])
     cz = operads.k_terminal_computad(2, ["z"])
     fa_z = cpd.free_algebra(cz, bounds)
-    fmap = cpd.ComputadMap(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}])
+    fmap = cpd.ComputadMap(cx, cz, {"o": "o", "a": "z", "b": "z"})
     pb = cpd.pullback_computads(fmap, fmap, bounds)
     fa_p, fa_x = pb.free, pb.free_dom
     ff = _class_map(fa_x, fa_z, fmap)

@@ -388,6 +388,17 @@ MUTANTS = [
            "largest[_descend_tgt(levels, nodes[r].tgt, d, k)]",
            "max(largest.values())",
            ("tests/test_freecat.py::test_partiality_marker_reflects_size_cut",)),
+    Mutant("dimension 1 never reports its size cut", FREECAT,
+           "self.saw_size_cut = self._cuts_a_cell()",
+           "self.saw_size_cut = self.dim > 1 and self._cuts_a_cell()",
+           ("tests/test_freecat.py::test_partiality_marker_reflects_size_cut",
+            "tests/test_freecat.py::"
+            "test_a_size_cut_one_dimension_down_marks_the_algebra_partial",
+            "tests/test_freecat.py::test_engine_work_is_pinned[slice-k1-g3-size6]",
+            "tests/test_golden.py::test_report_matches_golden[free_loop_bound_2]",
+            "tests/test_golden.py::test_report_matches_golden[slice_k_1]",
+            "tests/test_relations.py::"
+            "test_composition_tables_are_complete_up_to_the_size_cut")),
     Mutant("slice rows ignore the gate's term budget", LIMITLAB,
            'operads.slice_of_strict(k, ["x0", "x1", "x2"], replace(bounds, size=3))',
            'operads.slice_of_strict(k, ["x0", "x1", "x2"], Bounds(size=3))',

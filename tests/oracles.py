@@ -234,17 +234,14 @@ def slice_matches_oracle(result: SliceResult) -> tuple[bool, dict[int, int], str
 
 
 def map_violation(m: ComputadMap, bounds: Bounds = Bounds()) -> str | None:
-    """Check totality and boundary naturality of a computad map."""
+    """Check totality, dimensions and boundary naturality of a computad map."""
     if m.dom.dim != m.cod.dim:
         return "dimension mismatch"
-    if len(m.gen_maps) != m.dom.dim + 1:
-        return "missing generator maps"
     fa_cod = free_algebra(m.cod, bounds)
-    table = m.rename_table()
     for r in range(m.dom.dim + 1):
         cod_names = set(m.cod.names(r))
         for decl in m.dom.layers[r]:
-            img = m.gen_maps[r].get(decl.name)
+            img = m.rename.get(decl.name)
             if img is None:
                 return f"dim {r}: map undefined on {decl.name!r}"
             if img not in cod_names:
@@ -252,10 +249,10 @@ def map_violation(m: ComputadMap, bounds: Bounds = Bounds()) -> str | None:
         if r == 0:
             continue
         for decl in m.dom.layers[r]:
-            img = next(d for d in m.cod.layers[r] if d.name == m.gen_maps[r][decl.name])
+            img = next(d for d in m.cod.layers[r] if d.name == m.rename[decl.name])
             for side, ours, theirs in (("source", decl.src, img.src),
                                        ("target", decl.tgt, img.tgt)):
-                pushed = fa_cod.class_of_term(freecat.rename_gens(ours, table))
+                pushed = fa_cod.class_of_term(freecat.rename_gens(ours, m.rename))
                 expect = fa_cod.class_of_term(theirs)
                 if pushed is None or pushed != expect:
                     return (f"dim {r}: attachment of {decl.name!r} does not map to "
@@ -263,9 +260,9 @@ def map_violation(m: ComputadMap, bounds: Bounds = Bounds()) -> str | None:
     return None
 
 
-def make_computad_map(dom: Computad, cod: Computad, gen_maps,
+def make_computad_map(dom: Computad, cod: Computad, rename: dict[str, str],
                       bounds: Bounds = Bounds()) -> ComputadMap:
-    m = ComputadMap(dom, cod, [dict(d) for d in gen_maps])
+    m = ComputadMap(dom, cod, dict(rename))
     bad = map_violation(m, bounds)
     if bad is not None:
         raise ComputadError(bad)

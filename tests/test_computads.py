@@ -98,7 +98,7 @@ def test_theta_shapes():
 
 def test_identity_map_validates():
     c = scalar_computad(["u", "v"])
-    identity = [{n: n for n in c.names(r)} for r in range(c.dim + 1)]
+    identity = {n: n for r in range(c.dim + 1) for n in c.names(r)}
     assert map_violation(make_computad_map(c, c, identity)) is None
 
 
@@ -107,8 +107,8 @@ def test_map_boundary_naturality_enforced():
         [["a", "b"], [("f", Gen("a", 0), Gen("b", 0)),
                       ("g", Gen("b", 0), Gen("a", 0))]])
     with pytest.raises(ComputadError):
-        make_computad_map(c, c, [{"a": "a", "b": "b"}, {"f": "g", "g": "f"}])
-    flip = make_computad_map(c, c, [{"a": "b", "b": "a"}, {"f": "g", "g": "f"}])
+        make_computad_map(c, c, {"a": "a", "b": "b", "f": "g", "g": "f"})
+    flip = make_computad_map(c, c, {"a": "b", "b": "a", "f": "g", "g": "f"})
     assert map_violation(flip) is None
 
 
@@ -116,20 +116,19 @@ LOOP = build_computad([["a"], [("x", Gen("a", 0), Gen("a", 0))]])
 LOOP_E = build_computad([["o"], [("e", Gen("o", 0), Gen("o", 0))]])
 
 
-@pytest.mark.parametrize("cod, gen_maps, phrase", [
-    (build_computad([["o"]]), [{"a": "o"}], "dimension mismatch"),
-    (LOOP_E, [{"a": "o"}], "missing generator maps"),
-    (LOOP_E, [{"a": "o"}, {}], "dim 1: map undefined on 'x'"),
-    (LOOP_E, [{"a": "o"}, {"x": "o"}], "dim 1: image of 'x' is not a 1-generator"),
-], ids=["dimension", "missing-dimension", "undefined", "wrong-dimension-image"])
-def test_a_malformed_computad_map_is_refused(cod, gen_maps, phrase):
+@pytest.mark.parametrize("cod, rename, phrase", [
+    (build_computad([["o"]]), {"a": "o"}, "dimension mismatch"),
+    (LOOP_E, {"a": "o"}, "dim 1: map undefined on 'x'"),
+    (LOOP_E, {"a": "o", "x": "o"}, "dim 1: image of 'x' is not a 1-generator"),
+], ids=["dimension", "undefined", "wrong-dimension-image"])
+def test_a_malformed_computad_map_is_refused(cod, rename, phrase):
     with pytest.raises(ComputadError, match=phrase):
-        make_computad_map(LOOP, cod, gen_maps)
+        make_computad_map(LOOP, cod, rename)
 
 
 def test_pullback_of_identities_is_diagonal():
     c = scalar_computad(["u", "v"])
-    i = make_computad_map(c, c, [{n: n for n in c.names(r)} for r in range(c.dim + 1)])
+    i = make_computad_map(c, c, {n: n for r in range(c.dim + 1) for n in c.names(r)})
     rep = pullback_computads(i, i, Bounds(size=3))
     assert len(rep.computad.names(2)) == 2  # (u|u) and (v|v)
     assert len(rep.computad.names(0)) == 1
@@ -138,7 +137,7 @@ def test_pullback_of_identities_is_diagonal():
 def test_pullback_of_scalars_is_generator_product():
     cx = scalar_computad(["u", "v"])
     cz = scalar_computad(["w"])
-    f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w", "v": "w"}])
+    f = make_computad_map(cx, cz, {"p": "p", "u": "w", "v": "w"})
     rep = pullback_computads(f, f, Bounds(size=3))
     assert sorted(rep.computad.names(2)) == ["(u|u)", "(u|v)", "(v|u)", "(v|v)"]
 
@@ -146,8 +145,8 @@ def test_pullback_of_scalars_is_generator_product():
 def test_pullback_with_empty_fiber():
     cx = scalar_computad(["u"])
     cz = scalar_computad(["w", "w2"])
-    f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w"}])
-    g = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w2"}])
+    f = make_computad_map(cx, cz, {"p": "p", "u": "w"})
+    g = make_computad_map(cx, cz, {"p": "p", "u": "w2"})
     rep = pullback_computads(f, g, Bounds(size=3))
     assert rep.computad.names(2) == []
 
@@ -155,11 +154,11 @@ def test_pullback_with_empty_fiber():
 def test_pullback_commutes_with_truncation():
     cx = scalar_computad(["u", "v"])
     cz = scalar_computad(["w"])
-    f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w", "v": "w"}])
+    f = make_computad_map(cx, cz, {"p": "p", "u": "w", "v": "w"})
     rep = pullback_computads(f, f, Bounds(size=3))
     # the 1-truncations of cx and cz are both the one point p
     point = build_computad([["p"], []])
-    ft = make_computad_map(point, point, [{"p": "p"}, {}])
+    ft = make_computad_map(point, point, {"p": "p"})
     rep_t = pullback_computads(ft, ft, Bounds(size=3))
     assert (dumps_computad(Computad(1, rep.computad.layers[:2]))
             == dumps_computad(rep_t.computad))
@@ -171,7 +170,7 @@ def test_pullback_without_an_induced_attachment_is_refused(monkeypatch):
                         lambda fa_dom, fa_cod, m, r: [None] * fa_dom.levels[r].n_classes)
     cx = scalar_computad(["u"])
     cz = scalar_computad(["w"])
-    f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w"}])
+    f = make_computad_map(cx, cz, {"p": "p", "u": "w"})
     with pytest.raises(ComputadError, match=r"dim 2: no induced attachment for \(u,u\)"):
         pullback_computads(f, f, Bounds(size=3))
 
@@ -183,21 +182,21 @@ def _arrows_over_loop():
     cx = build_computad([["a", "b"], [("f", a, b), ("g", a, b)],
                          [("alpha", Gen("f", 1), Gen("g", 1))]])
     cz = build_computad([["o"], [("e", o, o)], [("m", Gen("e", 1), Gen("e", 1))]])
-    f = make_computad_map(cx, cz, [{"a": "o", "b": "o"}, {"f": "e", "g": "e"},
-                                   {"alpha": "m"}])
+    f = make_computad_map(cx, cz, {"a": "o", "b": "o", "f": "e", "g": "e",
+                                   "alpha": "m"})
     return f, f
 
 
 def _pullback_cases():
     uv, w = scalar_computad(["u", "v"]), scalar_computad(["w"])
     u, w2 = scalar_computad(["u"]), scalar_computad(["w", "w2"])
-    ident = make_computad_map(uv, uv, [{"p": "p"}, {}, {"u": "u", "v": "v"}])
-    onto = make_computad_map(uv, w, [{"p": "p"}, {}, {"u": "w", "v": "w"}])
+    ident = make_computad_map(uv, uv, {"p": "p", "u": "u", "v": "v"})
+    onto = make_computad_map(uv, w, {"p": "p", "u": "w", "v": "w"})
     return {
         "identities": (ident, ident),
         "scalars": (onto, onto),
-        "empty-fiber": (make_computad_map(u, w2, [{"p": "p"}, {}, {"u": "w"}]),
-                        make_computad_map(u, w2, [{"p": "p"}, {}, {"u": "w2"}])),
+        "empty-fiber": (make_computad_map(u, w2, {"p": "p", "u": "w"}),
+                        make_computad_map(u, w2, {"p": "p", "u": "w2"})),
         "arrows": _arrows_over_loop(),
     }
 
@@ -216,7 +215,7 @@ def test_pullback_algebra_climb_matches_fresh_saturation(case):
 def test_induced_class_map_renames_cells():
     cx = scalar_computad(["u", "v"])
     cz = scalar_computad(["w"])
-    f = make_computad_map(cx, cz, [{"p": "p"}, {}, {"u": "w", "v": "w"}],
+    f = make_computad_map(cx, cz, {"p": "p", "u": "w", "v": "w"},
                           Bounds(size=2))
     fa_x = free_algebra(cx, Bounds(size=2))
     fa_z = free_algebra(cz, Bounds(size=2))
@@ -241,7 +240,7 @@ def test_pair_names_survive_the_text_format():
     """The gate's scalar pullback names its generators (x|y), so its text
     nests parentheses inside gen(...)."""
     cx, cz = k_terminal_computad(2, ["a", "b"]), k_terminal_computad(2, ["z"])
-    f = make_computad_map(cx, cz, [{"o": "o"}, {}, {"a": "z", "b": "z"}])
+    f = make_computad_map(cx, cz, {"o": "o", "a": "z", "b": "z"})
     text = dumps_computad(pullback_computads(f, f, Bounds(size=2)).computad)
     assert "2 (a|b) : id1(gen((o|o))) => id1(gen((o|o)))" in text
     assert dumps_computad(loads_computad(text)) == text

@@ -1345,3 +1345,25 @@ def test_partiality_marker_reflects_size_cut():
     assert [free_algebra(arrow, Bounds(size=size)).partial
             for size in (0, 1, 2)] == [True, False, False]
     assert "complete" in free_algebra(arrow, Bounds(size=1)).partiality_marker()
+
+
+# f => f.f and f.f => f.f.f on one loop f: a 2-cell whose boundary composite
+# passes the bound in dimension 1 is not built, and dimension 1's size cut,
+# not one of dimension 2, marks the algebra partial
+CUT_BELOW = {
+    "whisker": ("dim 2\n0 p\n1 f : gen(p) => gen(p)\n"
+                "2 u : gen(f) => comp_0(gen(f),gen(f))\n", {2: 4}),
+    "longer-whisker": ("dim 2\n0 p\n1 f : gen(p) => gen(p)\n"
+                       "2 u : comp_0(gen(f),gen(f)) => comp_0(gen(f),comp_0(gen(f),gen(f)))\n",
+                       {3: 5, 4: 10}),
+}
+
+
+@pytest.mark.parametrize("case", CUT_BELOW)
+def test_a_size_cut_one_dimension_down_marks_the_algebra_partial(case):
+    text, classes = CUT_BELOW[case]
+    for size, n in classes.items():
+        fa = free_algebra(loads_computad(text), Bounds(size=size))
+        assert fa.partial and fa.partiality_marker() == f"partial up to size {size}"
+        assert fa.levels[2].n_classes == n
+        assert [e.saw_size_cut for e in fa.engines[1:]] == [True, False]

@@ -1104,8 +1104,8 @@ def _graph_computad(g: GraphData) -> computads.Computad:
 
 
 def _computad_map(m: GraphMap, dom: computads.Computad, cod: computads.Computad):
-    return computads.ComputadMap(dom, cod, [{f"v{i}": f"v{j}" for i, j in enumerate(m.vmap)},
-                                            {f"e{a}": f"e{b}" for a, b in enumerate(m.emap)}])
+    return computads.ComputadMap(dom, cod, {f"v{i}": f"v{j}" for i, j in enumerate(m.vmap)}
+                                 | {f"e{a}": f"e{b}" for a, b in enumerate(m.emap)})
 
 
 def _class_map_on_1_cells(fa_dom, fa_cod, m) -> FinSetMap:

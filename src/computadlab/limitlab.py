@@ -47,7 +47,6 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from functools import partial
 from operator import itemgetter, ne
 from struct import iter_unpack
 from typing import NamedTuple
@@ -827,32 +826,32 @@ def _slice_row(k: int, bounds: Bounds) -> dict:
 
 
 def _class_map(fa_dom: cpd.FreeAlgebra, fa_cod: cpd.FreeAlgebra,
-               m: cpd.ComputadMap) -> FinSetMap:
-    """The free functor's action of m on 2-cells, as a set map between the
+               m: cpd.ComputadMap, r: int) -> FinSetMap:
+    """The free functor's action of m on r-cells, as a set map between the
     class indices of the two algebras."""
-    return make_finset_map(range(fa_dom.levels[2].n_classes),
-                           range(fa_cod.levels[2].n_classes),
-                           dict(enumerate(cpd.induced_class_map(fa_dom, fa_cod, m, 2))))
+    return make_finset_map(range(fa_dom.levels[r].n_classes),
+                           range(fa_cod.levels[r].n_classes),
+                           dict(enumerate(cpd.induced_class_map(fa_dom, fa_cod, m, r))))
 
 
-def _scalar_cospan_experiment(bounds: Bounds) -> tuple[list[dict], dict | None]:
-    """Push the pullback square of the scalar 2-computad cospan {a,b} ->
+def _scalar_cospan_experiment(k: int, bounds: Bounds) -> tuple[list[dict], dict | None]:
+    """Push the pullback square of the scalar k-computad cospan {a,b} ->
     {z} <- {a,b} through the free-algebra engine and decide it on
-    2-classes by `check_square`: its first conflated pair of classes of
+    k-classes by `check_square`: its first conflated pair of classes of
     F(P), or its first pair of classes of F(X) over one class of F(Z) that
     no class of F(P) reaches, is the witness, and the cospan is replayed
     through the multiset functor on plain sets."""
-    cx = operads.k_terminal_computad(2, ["a", "b"])
-    cz = operads.k_terminal_computad(2, ["z"])
+    cx = operads.k_terminal_computad(k, ["a", "b"])
+    cz = operads.k_terminal_computad(k, ["z"])
     fa_z = cpd.free_algebra(cz, bounds)
     fmap = cpd.ComputadMap(cx, cz, {"o": "o", "a": "z", "b": "z"})
     pb = cpd.pullback_computads(fmap, fmap, bounds)
     fa_p, fa_x = pb.free, pb.free_dom
-    ff = _class_map(fa_x, fa_z, fmap)
-    res = check_square(Square(_class_map(fa_p, fa_x, pb.proj1),
-                              _class_map(fa_p, fa_x, pb.proj2), ff, ff))
-    lv, reps_x = fa_p.levels[2], fa_x.levels[2].reps
-    records = [{"experiment": "engine: free 2-category on the scalar pullback computad",
+    ff = _class_map(fa_x, fa_z, fmap, k)
+    res = check_square(Square(_class_map(fa_p, fa_x, pb.proj1, k),
+                              _class_map(fa_p, fa_x, pb.proj2, k), ff, ff))
+    lv, reps_x = fa_p.levels[k], fa_x.levels[k].reps
+    records = [{"experiment": f"engine: free {k}-category on the scalar pullback computad",
                 "classes_in_F_P": lv.n_classes,
                 "pairs_in_target": len(pullback_sets(ff, ff)[0]),
                 "is_pullback": res.pullback_ok,
@@ -879,7 +878,7 @@ def _scalar_cospan_experiment(bounds: Bounds) -> tuple[list[dict], dict | None]:
                 "common_image": [reps_x[c] for c in key]}
     return records, {
         **pair,
-        "pullback_generators": pb.computad.names(2),
+        "pullback_generators": pb.computad.names(k),
         "oracle_replay_conflates": replay.conflated is not None,
         "oracle_replay_weak": replay.weak_ok,
     }
@@ -966,6 +965,14 @@ def _path_experiment(graph_bounds: tuple[int, int],
     }], _graph_witness(name, summary) if summary.generic_failures else None
 
 
+# the largest dimension the gate answers: the engine square at k = n - 1
+# saturates k + 1 levels of each algebra, and the report has n - 1 slice
+# rows, so the cost grows with n; at the default size 4, n = 4 took 0.05 s,
+# n = 5 0.13 s, n = 13 0.76 s (0.29 s at size 2) and n = 16 1.6 s (2-core VM,
+# Python 3.11)
+MAX_GATE_N = 13
+
+
 def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
                         graph_bounds: tuple[int, int] = (2, 2),
                         path_len: int = 3) -> GateReport:
@@ -980,10 +987,12 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     every cospan; at n = 2 the list functor on set cospans first. Graph
     bounds below 1 vertex or 1 edge, or `path_len < 1`, raise `LimitError`:
     a pass over zero cases, or over identities only, is not evidence.
-    n = 3: the engine's square on the 2-classes of the scalar pullback
-    computad, decided by `check_square`; the expected witness has size 2,
-    so the engine runs at `max(bounds.size, 2)`, the size the report
-    gives, and a larger size shows that it persists.
+    n >= 3: the engine's square on the k-classes, k = n - 1, of the scalar
+    pullback computad, decided by `check_square`; the map {a, b} -> {z} is
+    the same at every k. The expected witness has size 2, so the engine
+    runs at `max(bounds.size, 2)`, the size the report gives, and a larger
+    size shows that it persists. n outside 1..`MAX_GATE_N` raises
+    `LimitError`.
 
     The slice rows are computed, one per slice k = 1..n-1 of the strict
     monad, each from one saturation at size 3 within the term budget of
@@ -993,21 +1002,20 @@ def computad_topos_gate(n: int, bounds: Bounds = Bounds(),
     one element at arity 1, so it needs no row.
 
     The report's `bounds` names only what the experiments of this n read:
-    `graph_bounds` and `path_len` at n = 1, 2, and `size` at n = 3."""
-    if n == 3:
+    `graph_bounds` and `path_len` at n = 1, 2, and `size` at n >= 3."""
+    if not 1 <= n <= MAX_GATE_N:
+        raise LimitError(f"unsupported gate dimension {n}; supported: 1 to {MAX_GATE_N}")
+    if n >= 3:
         bounds = replace(bounds, size=max(bounds.size, 2))
-    paths = partial(_path_experiment, graph_bounds, path_len)
-    plans = {1: [paths],
-             2: [partial(_list_experiment, path_len), paths],
-             3: [partial(_scalar_cospan_experiment, bounds)]}
-    if n not in plans:
-        raise LimitError(f"unsupported gate dimension {n}; supported: 1, 2, 3")
-    runs = [build() for build in plans[n]]
+        runs = [_scalar_cospan_experiment(n - 1, bounds)]
+    else:
+        runs = ([_list_experiment(path_len)] if n == 2 else []) + [
+            _path_experiment(graph_bounds, path_len)]
     experiments = [record for records, _ in runs for record in records]
     witness = next((w for _, w in runs if w is not None), None)
     verdict, wording = (("pass-within-bounds", _PASS_WORDING) if witness is None
                         else ("counterexample", _FAIL_WORDING))
-    read = ({"size": bounds.size} if n == 3
+    read = ({"size": bounds.size} if n >= 3
             else {"graph_bounds": list(graph_bounds), "path_len": path_len})
     return GateReport(verdict, wording, [_slice_row(k, bounds) for k in range(1, n)],
                       experiments, witness, read)

@@ -361,6 +361,22 @@ MUTANTS = [
            '("pass-within-bounds", _PASS_WORDING) if witness is None',
            '("pass-within-bounds", _PASS_WORDING) if witness is None and n != 3',
            ("tests/test_limitlab.py::test_gate_three_verdict_is_read_from_the_engine",)),
+    Mutant("the class square is taken on 2-cells at every n", LIMITLAB,
+           "    ff = _class_map(fa_x, fa_z, fmap, k)\n"
+           "    res = check_square(Square(_class_map(fa_p, fa_x, pb.proj1, k),\n"
+           "                              _class_map(fa_p, fa_x, pb.proj2, k), ff, ff))",
+           "    ff = _class_map(fa_x, fa_z, fmap, 2)\n"
+           "    res = check_square(Square(_class_map(fa_p, fa_x, pb.proj1, 2),\n"
+           "                              _class_map(fa_p, fa_x, pb.proj2, 2), ff, ff))",
+           ("tests/test_golden.py::test_report_matches_golden[gate_n_4]",
+            "tests/test_golden.py::test_report_matches_golden[gate_n_13]",
+            "tests/test_limitlab.py::test_the_gate_fails_exactly_when_a_slice_is_not_free")),
+    Mutant("the gate's cap is off by one", LIMITLAB,
+           "if not 1 <= n <= MAX_GATE_N:",
+           "if not 1 <= n < MAX_GATE_N:",
+           ("tests/test_limitlab.py::test_gate_rejects_unsupported_dimension",
+            "tests/test_limitlab.py::test_the_gate_fails_exactly_when_a_slice_is_not_free",
+            "tests/test_golden.py::test_report_matches_golden[gate_n_13]")),
     Mutant("the engine record's is_pullback is a constant", LIMITLAB,
            '"is_pullback": res.pullback_ok',
            '"is_pullback": False',

@@ -589,8 +589,9 @@ def test_a_fiber_lane_overflow_exits_one_with_one_line(capsys, monkeypatch):
 
 
 def test_gate_unsupported_dimension(capsys):
-    code, _, err = run(capsys, "gate", "--n", "5")
-    assert code == 1 and err
+    code, out, err = run(capsys, "gate", "--n", "14")
+    assert code == 1 and not out
+    assert err.splitlines() == ["error: unsupported gate dimension 14; supported: 1 to 13"]
 
 
 def test_trees(capsys):

@@ -34,7 +34,7 @@ VERBS = (
     + [["slice", "--k", str(k)] for k in (1, 2, 3)]
     + [["slice", "--k", "2", "--generators", "2", "--bound", "5"],
        ["slice", "--k", "1", "--generators", "3", "--bound", "5"]]
-    + [["gate", "--n", str(n)] for n in (1, 2, 3)]
+    + [["gate", "--n", str(n)] for n in (1, 2, 3, 4, 5, 13)]
     + [["gate", "--n", "3", "--bound", "2"]]
     + [["regular", name] for name in ("monoid.thy", "commutative_monoid.thy",
                                       "gray_slice2.thy")]

@@ -980,6 +980,29 @@ def test_gate_three_failure_persists_at_larger_bounds():
     assert report.witness["oracle_replay_conflates"]
 
 
+def test_the_gate_fails_exactly_when_a_slice_is_not_free():
+    """The strict theory's half of the paper's relation, at every n the
+    gate answers: the verdict is a counterexample exactly when some slice
+    k < n is not free. From n = 3 up the engine square at k = n - 1 fails
+    on the n = 3 pair, with the same counts at every k, and every slice
+    k >= 2 has one element at each arity."""
+    for n in range(1, limitlab.MAX_GATE_N + 1):
+        report = computad_topos_gate(n, Bounds(size=2))
+        assert len(report.slice_checks) == n - 1
+        assert (report.verdict == "counterexample") == any(
+            not row["free"] for row in report.slice_checks), n
+        for row in report.slice_checks[1:]:
+            assert [a["elements"] for a in row["arities"]] == [1, 1, 1, 1], (n, row["k"])
+        if n >= 3:
+            assert (report.witness["left_class"], report.witness["right_class"]) == (
+                "comp_0(gen((a|a)),gen((b|b)))", "comp_0(gen((a|b)),gen((b|a)))"), n
+            engine = report.experiments[0]
+            assert engine["experiment"] == (
+                f"engine: free {n - 1}-category on the scalar pullback computad")
+            assert (engine["classes_in_F_P"], engine["pairs_in_target"]) == (15, 14), n
+            assert engine["is_weak_pullback"] is True, n
+
+
 def _plant_first_square(monkeypatch, plant):
     """Hand the gate's first `check_square` call, the class square of the
     n = 3 experiment, the square `plant` builds from its cospan."""
@@ -1024,10 +1047,10 @@ def test_gate_three_names_a_missed_pair(monkeypatch):
     assert "left_class" not in report.witness
 
 
-def _gate_three_squares(monkeypatch, size):
-    """Run the n = 3 experiment at `size`: each square `check_square`
-    decided, with its result, and the free algebras of P, X and Z, keyed
-    by the names of their 2-generators."""
+def _gate_three_squares(monkeypatch, k, size):
+    """Run the engine experiment at dimension k and `size`: each square
+    `check_square` decided, with its result, and the free algebras of P, X
+    and Z, keyed by the names of their k-generators."""
     squares, algebras = [], {}
     check, induced = limitlab.check_square, computads.induced_class_map
 
@@ -1036,30 +1059,31 @@ def _gate_three_squares(monkeypatch, size):
         return squares[-1][1]
 
     def recording_induced(fa_dom, fa_cod, m, r):
-        if r == 2:  # the pullback's construction reads dimensions 0 and 1
+        if r == k:  # the pullback's construction reads dimensions below k
             for fa in (fa_dom, fa_cod):
-                algebras[tuple(fa.computad.names(2))] = fa
+                algebras[tuple(fa.computad.names(k))] = fa
         return induced(fa_dom, fa_cod, m, r)
 
     monkeypatch.setattr(limitlab, "check_square", recording_check)
     monkeypatch.setattr(computads, "induced_class_map", recording_induced)
-    limitlab._scalar_cospan_experiment(Bounds(size=size))
+    limitlab._scalar_cospan_experiment(k, Bounds(size=size))
     return squares, algebras
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
-def test_the_class_square_is_the_multiset_square_element_by_element(monkeypatch, size):
-    """The engine's square on 2-classes is the multiset functor's image of
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_class_square_is_the_multiset_square_element_by_element(monkeypatch, k, size):
+    """The engine's square on k-classes is the multiset functor's image of
     the set pullback square, once each class is read as its multiset:
     the pair (x|y) as the element (x, y) of the set pullback."""
-    [(square, res), (msquare, mres)], algebras = _gate_three_squares(monkeypatch, size)
+    [(square, res), (msquare, mres)], algebras = _gate_three_squares(monkeypatch, k, size)
 
     def multisets(*names):
-        """Each 2-class of the algebra on `names` as its multiset of
+        """Each k-class of the algebra on `names` as its multiset of
         elements, sorted as the multiset functor sorts them."""
         return [tuple(sorted((tuple(g[1:-1].split("|")) if "|" in g else g for g in m),
                              key=repr))
-                for m in algebras[names].levels[2].msets]
+                for m in algebras[names].levels[k].msets]
 
     fp = multisets("(a|a)", "(a|b)", "(b|a)", "(b|b)")
     fx, fz = multisets("a", "b"), multisets("z")
@@ -1075,7 +1099,8 @@ def test_the_class_square_is_the_multiset_square_element_by_element(monkeypatch,
     assert (fp[a], fp[b], (fx[x], fx[y])) == mres.conflated
 
 
-def test_the_gate_cospan_is_a_computad_map(monkeypatch):
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_gate_cospan_is_a_computad_map(monkeypatch, k):
     legs = []
     original = computads.pullback_computads
 
@@ -1084,12 +1109,17 @@ def test_the_gate_cospan_is_a_computad_map(monkeypatch):
         return original(f, g, bounds)
 
     monkeypatch.setattr(computads, "pullback_computads", recording)
-    limitlab._scalar_cospan_experiment(Bounds(size=2))
+    limitlab._scalar_cospan_experiment(k, Bounds(size=2))
     [(f, g, bounds)] = legs
     assert f is g and map_violation(f, bounds) is None
+
+
 def test_gate_rejects_unsupported_dimension():
-    with pytest.raises(LimitError):
-        computad_topos_gate(4)
+    for n in (0, limitlab.MAX_GATE_N + 1):
+        with pytest.raises(LimitError, match=f"^unsupported gate dimension {n}; "
+                                             "supported: 1 to 13$"):
+            computad_topos_gate(n)
+    assert computad_topos_gate(limitlab.MAX_GATE_N, Bounds(size=2)).verdict == "counterexample"
 
 
 # --- the engine against the path sweep --------------------------------------------
@@ -1106,11 +1136,6 @@ def _graph_computad(g: GraphData) -> computads.Computad:
 def _computad_map(m: GraphMap, dom: computads.Computad, cod: computads.Computad):
     return computads.ComputadMap(dom, cod, {f"v{i}": f"v{j}" for i, j in enumerate(m.vmap)}
                                  | {f"e{a}": f"e{b}" for a, b in enumerate(m.emap)})
-
-
-def _class_map_on_1_cells(fa_dom, fa_cod, m) -> FinSetMap:
-    return make_finset_map(range(fa_dom.levels[1].n_classes), range(fa_cod.levels[1].n_classes),
-                           dict(enumerate(computads.induced_class_map(fa_dom, fa_cod, m, 1))))
 
 
 GRAPHS_2_2 = enumerate_graphs(2, 2)
@@ -1146,8 +1171,8 @@ def test_the_engine_counts_the_pullback_paths_the_sweep_counts(cospan):
     assert res.pullback_ok
     assert sum(len(m) <= size for m in pb.free.levels[1].msets) == res.paths
     fa_y, fa_z = computads.free_algebra(mg.dom, bounds), computads.free_algebra(cz, bounds)
-    square = Square(_class_map_on_1_cells(pb.free, pb.free_dom, pb.proj1),
-                    _class_map_on_1_cells(pb.free, fa_y, pb.proj2),
-                    _class_map_on_1_cells(pb.free_dom, fa_z, mf),
-                    _class_map_on_1_cells(fa_y, fa_z, mg))
+    square = Square(limitlab._class_map(pb.free, pb.free_dom, pb.proj1, 1),
+                    limitlab._class_map(pb.free, fa_y, pb.proj2, 1),
+                    limitlab._class_map(pb.free_dom, fa_z, mf, 1),
+                    limitlab._class_map(fa_y, fa_z, mg, 1))
     assert check_square(square).pullback_ok

@@ -30,29 +30,31 @@ Composites are hash-consed up to congruence, as in egg (Willsey et al.,
 "egg: Fast and Extensible Equality Saturation", POPL 2021): `make_comp`
 looks the canonical key (k, class of left, class of right) up in the
 signature table and returns the e-node it finds, and builds a composite
-only when there is none, so no term is ever a copy of an existing e-node
-and a query within the bounds of a saturated engine adds no term. Each
-class root keeps its users, the composites with a child in its class, as
-egg keeps parents per e-class; a merge appends the loser's users to the
-winner's and queues them for the congruence check. Axioms are matched per
-e-node. A class's e-nodes are read from its member list, the first member
-of each canonical key. Multisets never mix, so once its stratum is done a
-class never changes again, and neither do the classes of its children:
-its list is cached from then on, while the list of a class of the stratum
-in progress is read afresh, and a merge drops nothing. One matcher visits
-each e-node of a round-start snapshot once, not each of the many more
-member terms: associativity from its left-nested side, interchange on
-pairs of child-class e-nodes. An e-node whose two children both hold
-generators is matched only in the first round of its stratum that sees it
-(`saturate` says why). Each instance first
-looks the e-nodes of its other side up in the signature table; one already
-in the matched class is skipped before anything is built. Otherwise the
-e-nodes found are reused, only the missing ones are built, and the matched
-e-node is merged with the other side. An instance's matched side comp(p,
-q), with p and q in the matched e-node's child classes, is never built: it
-is in the matched class by congruence already. The member lists relabel
-the root list on a merge and give each class its e-nodes; `freeze` walks
-the users of each class to extract each class's least term.
+only when there is none, so no term is ever a copy of an existing e-node.
+Saturation alone builds terms: a query (`term_node`) reads the level its
+engine froze and the signature table, as egg's `lookup` does beside its
+`add`, and builds nothing. Each class root keeps its users, the
+composites with a child in its class, as egg keeps parents per e-class; a
+merge appends the loser's users to the winner's and queues them for the
+congruence check. Axioms are matched per e-node. A class's e-nodes are
+read from its member list, the first member of each canonical key.
+Multisets never mix, so once its stratum is done a class never changes
+again, and neither do the classes of its children: its list is cached
+from then on, while the list of a class of the stratum in progress is
+read afresh, and a merge drops nothing. One matcher visits each e-node of
+a round-start snapshot once, not each of the many more member terms:
+associativity from its left-nested side, interchange on pairs of
+child-class e-nodes. An e-node whose two children both hold generators is
+matched only in the first round of its stratum that sees it (`saturate`
+says why). Each instance first looks the e-nodes of its other side up in
+the signature table; one already in the matched class is skipped before
+anything is built. Otherwise the e-nodes found are reused, only the
+missing ones are built, and the matched e-node is merged with the other
+side. An instance's matched side comp(p, q), with p and q in the matched
+e-node's child classes, is never built: it is in the matched class by
+congruence already. The member lists relabel the root list on a merge and
+give each class its e-nodes; `freeze` walks the users of each class to
+extract each class's least term.
 
 Immutable term data is shared as well (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006): an engine keeps one tuple per
@@ -269,7 +271,8 @@ def level_zero(names: list[str]) -> Level:
     """The dimension-0 layer of a free algebra: just the 0-generators, in
     the order every level sorts its classes by, here their names."""
     if len(set(names)) < len(names):
-        raise FreecatError("a generator is named twice in dimension 0")
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise FreecatError(f"generator {twice!r} is named twice in dimension 0")
     names = sorted(names)
     return Level(
         reps=[f"gen({n})" for n in names],
@@ -299,26 +302,6 @@ def _descend_tgt(levels: list[Level], cls: int, d: int, k: int) -> int:
     return cls
 
 
-def _comp_boundary(levels: list[Level], t: Comp, d: int, sa: int | None, ta: int | None,
-                   sb: int | None, tb: int | None) -> tuple[int | None, int | None]:
-    """The source and target classes, one dimension down, of a composite t
-    of dimension d whose left operand has the boundary classes sa and ta
-    and whose right one has sb and tb, None for a class not materialized.
-    Raises FreecatError when t's index is not below d, or when both
-    boundaries that composability reads are known and the operands do not
-    compose."""
-    k = t.k
-    if not 0 <= k < d:
-        raise FreecatError(f"composition index {k} out of range in {term_to_str(t)}")
-    if (ta is not None and sb is not None
-            and _descend_tgt(levels, ta, d - 1, k) != _descend_src(levels, sb, d - 1, k)):
-        raise FreecatError(f"the operands of {term_to_str(t)} do not compose")
-    if k == d - 1:
-        return sa, tb
-    comp = levels[d - 1].comp
-    return comp.get((k, sa, sb)), comp.get((k, ta, tb))
-
-
 def class_in_level(levels: list[Level], t: Term, d: int) -> int | None:
     """Resolve a term of dimension d to its class, using frozen tables only.
 
@@ -332,7 +315,13 @@ def class_in_level(levels: list[Level], t: Term, d: int) -> int | None:
 
 def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | None, int | None]:
     """`class_in_level` of t, with t's source and target classes one
-    dimension down (None at dimension 0, or when not materialized)."""
+    dimension down (None at dimension 0, or when not materialized). The
+    one reader of a term from outside the engines: `class_of_term`,
+    attachments, class maps and engine queries all come here.
+
+    A composite missing from the table is checked here: its index must be
+    below d, and when both boundaries that composability reads are known,
+    its operands must compose."""
     lv = levels[d]
     if isinstance(t, Gen):
         if t.dim != d:
@@ -350,7 +339,15 @@ def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | No
         c = lv.comp.get((t.k, a, b))  # a None child finds no entry
         if c is not None:  # materialized, so well formed
             return c, lv.src[c], lv.tgt[c]
-        return None, *_comp_boundary(levels, t, d, sa, ta, sb, tb)
+        if not 0 <= t.k < d:
+            raise FreecatError(f"composition index {t.k} out of range in {term_to_str(t)}")
+        if (ta is not None and sb is not None
+                and _descend_tgt(levels, ta, d - 1, t.k) != _descend_src(levels, sb, d - 1, t.k)):
+            raise FreecatError(f"the operands of {term_to_str(t)} do not compose")
+        if t.k == d - 1:
+            return None, sa, tb
+        below = levels[d - 1].comp
+        return None, below.get((t.k, sa, sb)), below.get((t.k, ta, tb))
     raise FreecatError(f"not a term: {t!r}")
 
 
@@ -432,6 +429,9 @@ class Engine:
         self.fixed_point = False
         self.saw_size_cut = False  # the size bound cut some cell off; set by `saturate`
         self.counters = dict.fromkeys(COUNTERS, 0)
+        # the level `freeze` returned, and each of its classes' roots here
+        self._frozen: Level | None = None
+        self._order: list[int] = []
         self.gen_atoms: dict[str, int] = {}
         # a name shared with a lower dimension prints as the same gen(name),
         # so no term could be read back
@@ -586,9 +586,9 @@ class Engine:
         """comp_k(ta, tb) up to congruence: the e-node registered under the
         canonical key (k, class of ta, class of tb), as in egg's hashcons
         (Willsey et al., POPL 2021), or a new composite on ta and tb when
-        there is none. None if unbounded or not composable."""
-        if not 0 <= k < self.dim:
-            raise FreecatError(f"composition index {k} out of range")
+        there is none. None if unbounded or not composable. Saturation
+        alone builds terms: every caller passes an index 0 <= k < dim that
+        it enumerates, and a query reads `term_node` instead."""
         root = self._root
         sig = (k, root[ta], root[tb])
         hit = self._sig.get(sig)
@@ -855,34 +855,25 @@ class Engine:
         return sorted(self._class_terms.keys())
 
     def term_node(self, t: Term) -> int | None:
-        """Intern a term of this engine's dimension through `make_comp`, so
-        a composite that has an e-node is not built again. Raises
-        FreecatError and returns None as `class_in_level` does."""
-        return self._intern_term(t)[0]
-
-    def _intern_term(self, t: Term) -> tuple[int | None, int | None, int | None]:
-        """`term_node` of t, with t's source and target classes one
-        dimension down (None when not materialized)."""
-        if isinstance(t, Gen):
-            if t.dim != self.dim:
-                raise FreecatError(f"generator {t.name} has dim {t.dim}, expected {self.dim}")
-            if t.name not in self.gen_atoms:
-                raise FreecatError(f"unknown generator {t.name!r}")
-            tid = self.gen_atoms[t.name]
-            node = self.nodes[tid]
-            return tid, node.src, node.tgt
-        if isinstance(t, Id):
-            below = class_in_level(self.levels, t.body, self.dim - 1)
-            return (None if below is None else self.id_atoms[below]), below, below
+        """The e-node of a term of this engine's dimension, read from the
+        level this engine froze and the signature table; nothing is built.
+        A composite's e-node is the one registered under (k, root of its
+        left class, root of its right class), the one `make_comp` finds.
+        Raises FreecatError when this engine's level in `levels` is missing
+        or is not the one it froze, and raises or returns None as
+        `class_in_level` does."""
+        levels, d = self.levels, self.dim
+        if len(levels) <= d or levels[d] is not self._frozen:
+            raise FreecatError(f"dimension-{d} queries need the level this engine froze")
         if isinstance(t, Comp):
-            a, sa, ta = self._intern_term(t.left)
-            b, sb, tb = self._intern_term(t.right)
-            tid = None if a is None or b is None else self.make_comp(t.k, a, b)
-            if tid is not None:  # built, so well formed
-                node = self.nodes[tid]
-                return tid, node.src, node.tgt
-            return None, *_comp_boundary(self.levels, t, self.dim, sa, ta, sb, tb)
-        raise FreecatError(f"not a term: {t!r}")
+            a, b = class_in_level(levels, t.left, d), class_in_level(levels, t.right, d)
+            if (t.k, a, b) in levels[d].comp:
+                return self._sig[(t.k, self._order[a], self._order[b])]
+        if class_in_level(levels, t, d) is None:  # raises on a malformed term
+            return None
+        if isinstance(t, Gen):
+            return self.gen_atoms[t.name]
+        return self.id_atoms[class_in_level(levels, t.body, d - 1)]
 
     def verdict(self, ta: int | None, tb: int | None) -> tuple[str, object]:
         """Three-valued equality on interned terms (None = out of bounds)."""
@@ -913,7 +904,10 @@ class Engine:
         either child and monotone in each, so the first candidate a class
         settles with is its least term, whatever order the engine built
         terms in. Each tree is built from its
-        children's trees, so a level's trees share their subterms."""
+        children's trees, so a level's trees share their subterms.
+
+        The engine keeps the level it returns and each frozen class's root,
+        which `term_node` reads."""
         nodes, root, uses = self.nodes, self._root, self._uses
         below = self.levels[self.dim - 1]
         # a candidate is (length, text, class, k, class A, class B); an
@@ -951,8 +945,9 @@ class Engine:
                 if ra in text and rb in text and ru not in text:
                     s = f"comp_{n.k}({text[ra]},{text[rb]})"
                     offer((len(s), s, ru, n.k, ra, rb))
-        order = sorted(self.classes(),
-                       key=lambda r: (len(nodes[r].mset), nodes[r].mset, text[r]))
+        # frozen class -> its root here, which `term_node` reads
+        self._order = order = sorted(
+            self.classes(), key=lambda r: (len(nodes[r].mset), nodes[r].mset, text[r]))
         canon = {r: i for i, r in enumerate(order)}
         comp: dict[tuple[int, int, int], int] = {}
         for tid, node in enumerate(nodes):
@@ -962,7 +957,7 @@ class Engine:
             val = canon[root[tid]]
             if comp.setdefault(key, val) != val:
                 raise SoundnessError("composition table is not single-valued")
-        return Level(
+        self._frozen = Level(
             reps=[text[r] for r in order],
             rep_terms=[trees[r] for r in order],
             msets=[nodes[r].mset for r in order],
@@ -972,6 +967,7 @@ class Engine:
             ids=[canon[root[t]] for t in self.id_atoms],
             gen_class={name: canon[root[t]] for name, t in self.gen_atoms.items()},
         )
+        return self._frozen
 
 
 # --- module-level operations ----------------------------------------------------

@@ -4,19 +4,22 @@
 
 Each row of `MUTANTS` plants one fault: in `file`, the exact text `old`
 becomes `new`. The runner first runs every row's tests on an unchanged
-copy of the files the tier-1 suite reads (`COPIED`), where they must pass.
-Then, for each row, it plants the fault in a fresh copy and runs all of
-the row's tests in one `pytest -q` process, which writes a JUnit XML
-report; every one of them must fail or error there. pytest runs with
-`--assert=plain`: a failing `assert` still raises, so a test passes or
-fails as it does under tier-1, and start-up skips rewriting the asserts
-of the test modules, most of its cost. A test id without
-parameters counts as failed when any of its parametrizations failed. A row
-whose old text is missing or not unique fails the runner, and so does a
-pytest exit code other than 0 or 1, as for a test id that pytest cannot
-collect: a refactor that moves guarded code updates the row, or deletes it
-with a CHANGES.md line that says why. A row is never deleted or weakened to
-make the runner pass.
+copy of the files the tier-1 suite reads (`COPIED`), where they must
+pass. Then, for each row, it plants the fault in a fresh copy and runs
+all of the row's tests in one `pytest -q` process, which writes a JUnit
+XML report; every one of them must fail or error there. The rows run on
+`WORKERS` threads, each waiting on its own process, and print in
+catalogue order. A row's process that runs past `ROW_TIMEOUT` seconds is
+killed and the row reported as escaped, so a planted hang cannot hold
+the run. pytest runs with `--assert=plain`: a failing `assert` still
+raises, so a test passes or fails as it does under tier-1, and start-up
+skips rewriting the asserts of the test modules, most of its cost. A
+test id without parameters counts as failed when any of its
+parametrizations failed. A row whose old text is missing or not unique
+fails the runner, and so does a pytest exit code other than 0 or 1, as
+for a test id that pytest cannot collect: a refactor that moves guarded
+code updates the row, or deletes it with a CHANGES.md line that says
+why. A row is never deleted or weakened to make the runner pass.
 
 Exits 1 when any row fails. pytest does not collect this file (it is not
 named `test_*.py`).
@@ -30,12 +33,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", "BENCHMARK.json")
+WORKERS = 2  # rows planted and tested at once
+ROW_TIMEOUT = 60  # seconds a row's pytest may run; the slowest took 7.4 s
 
 
 class Mutant(NamedTuple):
@@ -124,11 +130,20 @@ MUTANTS = [
            "if term_dim(right) != term_dim(left):",
            "if False:",
            ("tests/test_cli.py::test_malformed_input_exit_one[operand-dimensions-differ]",)),
-    Mutant("engine terms skip the generator dimension check", FREECAT,
-           "if t.dim != self.dim:",
+    Mutant("terms skip the generator dimension check", FREECAT,
+           "if t.dim != d:",
            "if False:",
            ("tests/test_freecat.py::"
             "test_a_malformed_composite_is_an_error[right-operand-of-dim-0]",)),
+    Mutant("a query reads the left child's root for both children", FREECAT,
+           "return self._sig[(t.k, self._order[a], self._order[b])]",
+           "return self._sig[(t.k, self._order[a], self._order[a])]",
+           ("tests/test_relations.py::test_queries_read_the_frozen_level_and_build_nothing",
+            "tests/test_freecat.py::test_equal_cells_eckmann_hilton_certified")),
+    Mutant("queries skip the frozen-level check", FREECAT,
+           "if len(levels) <= d or levels[d] is not self._frozen:",
+           "if False:",
+           ("tests/test_freecat.py::test_a_query_needs_the_level_its_engine_froze",)),
     Mutant("associativity merges only along comp_0", FREECAT,
            'self._merge(tid, t2, ("assoc", x, b, inner))',
            'k == 0 and self._merge(tid, t2, ("assoc", x, b, inner))',
@@ -432,12 +447,14 @@ def copy_tree(dest: Path):
             shutil.copy2(src, dest / name)
 
 
-def pytest(where: Path, ids, *flags) -> subprocess.CompletedProcess:
+def pytest(where: Path, ids, *flags, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run pytest on `ids` in the copy at `where`; raises
+    subprocess.TimeoutExpired, with the process killed, past `timeout`."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--assert=plain",
          *flags, *ids],
-        cwd=where, env=env, capture_output=True, text=True)
+        cwd=where, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def failed_cases(report: Path) -> set[tuple[str, str]]:
@@ -481,7 +498,10 @@ def check(m: Mutant) -> list[str]:
         if bad:
             return [bad]
         report = where / "report.xml"
-        run = pytest(where, m.tests, f"--junit-xml={report}")
+        try:
+            run = pytest(where, m.tests, f"--junit-xml={report}", timeout=ROW_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return [f"timed out after {ROW_TIMEOUT} s"]
         if run.returncode not in (0, 1):  # not a test failure: usage, collection
             return [f"pytest exited {run.returncode}\n{tail(run)}"]
         failed = failed_cases(report)
@@ -497,16 +517,20 @@ def main() -> int:
     if run.returncode != 0:
         print(f"the catalogue's tests fail with no fault planted:\n{tail(run)}")
         return 1
-    failed = 0
-    for m in MUTANTS:
+
+    def timed(m: Mutant) -> tuple[list[str], float]:
         t0 = time.perf_counter()
-        problems = check(m)
-        status = "escaped" if problems else "caught"
-        count = f"{len(m.tests)} test{'s' * (len(m.tests) > 1)}"
-        print(f"{status}: {m.name} ({count}, {time.perf_counter() - t0:.1f} s)")
-        for p in problems:
-            print(f"    {p}")
-        failed += bool(problems)
+        return check(m), time.perf_counter() - t0
+
+    failed = 0
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for m, (problems, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            status = "escaped" if problems else "caught"
+            count = f"{len(m.tests)} test{'s' * (len(m.tests) > 1)}"
+            print(f"{status}: {m.name} ({count}, {seconds:.1f} s)", flush=True)
+            for p in problems:
+                print(f"    {p}")
+            failed += bool(problems)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} planted faults caught "
           f"in {time.perf_counter() - started:.1f} s")
     return 1 if failed else 0

@@ -204,8 +204,8 @@ def test_a_repeated_generator_name_is_refused():
                      [GeneratorDecl("f", a, b), GeneratorDecl("f", b, a)]])
     with pytest.raises(FreecatError, match="named twice"):
         free_algebra(c)
-    with pytest.raises(FreecatError, match="named twice"):
-        free_algebra(Computad(0, [[GeneratorDecl("a"), GeneratorDecl("a")]]))
+    with pytest.raises(FreecatError, match="generator 'a' is named twice in dimension 0"):
+        free_algebra(Computad(0, [[GeneratorDecl("b"), GeneratorDecl("a"), GeneratorDecl("a")]]))
     # the same name in two dimensions: both print as gen(a)
     with pytest.raises(FreecatError, match="named twice"):
         free_algebra(Computad(1, [[GeneratorDecl("a")], [GeneratorDecl("a", a, a)]]))
@@ -221,9 +221,9 @@ def test_eckmann_hilton_within_two_rounds():
         for _ in range(2):
             e.extend_composites(size)
             e.saturation_round(size, 0)
-    a = e.term_node(Comp(0, Gen("al", 2), Gen("be", 2)))
-    b = e.term_node(Comp(1, Gen("al", 2), Gen("be", 2)))
-    assert e.find(a) == e.find(b)
+    # the engine is never frozen, so its e-nodes are read by `make_comp`
+    al, be = e.gen_atoms["al"], e.gen_atoms["be"]
+    assert e.find(e.make_comp(0, al, be)) == e.find(e.make_comp(1, al, be))
 
 
 def test_saturate_acyclic_graph_classes_are_paths():
@@ -709,6 +709,24 @@ def test_word_invariant_separates_dim1():
     assert verdict == DISTINCT and "word" in why
 
 
+def test_a_query_needs_the_level_its_engine_froze():
+    """An engine answers a query only from the level it froze. With that
+    level missing from its `levels`, or another algebra's level in its
+    place, `equal_cells` raises one FreecatError line: no IndexError, and
+    no answer read from classes the engine never froze."""
+    al, be = Gen("al", 2), Gen("be", 2)
+    fa = free_algebra(scalar_computad(["al", "be"]), Bounds(size=2))
+    e = fa.engines[2]
+    assert equal_cells(e, Comp(0, al, be), Comp(1, al, be))[0] == EQUAL
+    unfrozen = Engine(2, fa.levels[:2], [("al", 0, 0), ("be", 0, 0)], Bounds(size=2))
+    unfrozen.saturate()
+    e.levels[2] = free_algebra(scalar_computad(["al", "be"]), Bounds(size=3)).levels[2]
+    for engine in (unfrozen, e):
+        with pytest.raises(FreecatError) as err:
+            equal_cells(engine, Comp(0, al, be), Comp(1, al, be))
+        assert str(err.value) == "dimension-2 queries need the level this engine froze"
+
+
 def test_dimension_mismatch_rejected():
     fa = free_algebra(scalar_computad(["al"]), Bounds(size=2))
     with pytest.raises(FreecatError):
@@ -973,9 +991,9 @@ def random_bracketing(rng, word, dim, unit):
 
 
 def test_root_list_exact_after_queries_on_a_reloaded_algebra():
-    """Queries on an unpickled algebra intern through `make_comp`, which
-    finds every composite within the bound on a saturated engine: they add
-    no term and merge nothing, and the root list stays exact after each."""
+    """Queries on an unpickled algebra read the level its engine froze,
+    which unpickles as the same object as the algebra's level: they add no
+    term and merge nothing, and the root list stays exact after each."""
     rng = random.Random(11)
     cases = [(free_algebra(scalar2(), Bounds(size=4)), ["alpha", "beta"],
               Id(Id(Gen("p", 0)))),

@@ -1,8 +1,8 @@
 """Every row of the mutant catalogue (`tests/mutants.py`) still fits the
 code it guards: its old text occurs exactly once in its file, and each test
 it names has its file and a top-level `def` there. Running the catalogue
-plants every row and takes about a minute; this check reads the files
-only, so a refactor that moves guarded text or renames a test fails tier-1
+plants every row and takes about a minute on two workers; this check
+reads the files only, so a refactor that moves guarded text or renames a test fails tier-1
 at once."""
 
 import ast

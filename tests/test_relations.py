@@ -35,6 +35,11 @@ without an oracle.
   benchmark's slices, on other fixed computads and on the random ones.
   There, too, no stratum takes more than 4 rounds: saturation has no
   round cap, so a schedule that needs more rounds shows here.
+* Queries read, saturation writes. For each entry of each frozen
+  composition table, `term_node` of the composite of the two
+  representatives is the e-node `make_comp` finds on theirs, with the
+  entry's class; queries within the bound, beyond it and malformed leave
+  the engine's terms, root list and signature table as they were.
 * The frozen composition tables are complete up to the size cut: two
   r-classes that compose along k < r into at most `size` generators have
   their composite in the table, unless k < r - 1, the k-composite of their
@@ -78,8 +83,8 @@ from computadlab.computads import (
     Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    EQUAL, GEN, IDA, Bounds, Comp, Engine, Gen, Id, _descend_src, _descend_tgt, equal_cells,
-    rename_gens, verify_certificate,
+    EQUAL, GEN, IDA, UNKNOWN, Bounds, Comp, Engine, FreecatError, Gen, Id, _descend_src,
+    _descend_tgt, equal_cells, rename_gens, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
 
@@ -534,3 +539,74 @@ def test_composition_tables_are_complete_up_to_the_size_cut():
 
     check()
     assert counts["cut below"] >= 10_000, counts
+
+
+# --- queries read, saturation writes -------------------------------------------------
+
+
+def engine_state(e):
+    """What a query must leave as it found it: the terms, the root list and
+    the signature table."""
+    return len(e.nodes), list(e._root), len(e._sig)
+
+
+def queries_read_the_frozen_level(fa):
+    """For each entry (k, a, b) -> c of each engine's frozen composition
+    table, the query of comp_k(rep a, rep b) gives the e-node that
+    `make_comp` finds on the queried e-nodes of rep a and rep b, the route
+    queries took before they became lookups, and that e-node's term has
+    class c. A composite of the largest class with each class it composes
+    with beyond the bound is None (Unknown to `equal_cells`), one that does
+    not compose raises, and so does an index out of range. No query
+    changes the engine. Returns how many queries each case took."""
+    counts = Counter()
+    for e in fa.engines[1:]:
+        r, lv = e.dim, fa.levels[e.dim]
+        reps = lv.rep_terms
+        before = engine_state(e)
+        for (k, a, b), c in lv.comp.items():
+            t = e.term_node(Comp(k, reps[a], reps[b]))
+            assert t == e.make_comp(k, e.term_node(reps[a]), e.term_node(reps[b]))
+            assert fa.class_of_term(node_term(e, t)) == c
+            counts["in the table"] += 1
+        a = max(range(lv.n_classes), key=lambda x: len(lv.msets[x]))
+        for k in range(r):
+            for b in range(lv.n_classes):
+                if len(lv.msets[a]) + len(lv.msets[b]) <= fa.bounds.size:
+                    continue
+                query = Comp(k, reps[a], reps[b])
+                if _descend_tgt(fa.levels, a, r, k) == _descend_src(fa.levels, b, r, k):
+                    assert e.term_node(query) is None
+                    assert equal_cells(e, query, query)[0] == UNKNOWN
+                    counts["beyond the bound"] += 1
+                else:
+                    with pytest.raises(FreecatError, match="do not compose"):
+                        e.term_node(query)
+                    counts["malformed"] += 1
+        with pytest.raises(FreecatError, match=f"composition index {r} out of range"):
+            e.term_node(Comp(r, reps[a], reps[a]))
+        assert engine_state(e) == before
+    return counts
+
+
+def test_queries_read_the_frozen_level_and_build_nothing():
+    """On `loop`, `scalar2` and `theta2` at sizes 2-4, the slices k/gens/size
+    1/3/4, 2/3/3 and 3/2/3 and 30 drawn computads, each query agrees with
+    the builder's route element by element and leaves the engine as it was:
+    5,486 table entries, 961 queries beyond the bound and 490 that do not
+    compose. A relation that saw no query of some kind would show nothing."""
+    counts = Counter()
+    for make in (loop, scalar2, theta2):
+        for size in (2, 3, 4):
+            counts += queries_read_the_frozen_level(free_algebra(make(), Bounds(size=size)))
+    for k, gens, size in ((1, 3, 4), (2, 3, 3), (3, 2, 3)):
+        c = k_terminal_computad(k, [f"x{i}" for i in range(gens)])
+        counts += queries_read_the_frozen_level(free_algebra(c, Bounds(size=size)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(layers=computads())
+    def check(layers):
+        counts.update(queries_read_the_frozen_level(saturate(layers)))
+
+    check()
+    assert min(counts[case] for case in ("in the table", "beyond the bound", "malformed")) > 0

@@ -216,6 +216,13 @@ def _load_collection(path: str):
                         and len(perm) == n and sorted(perm) == list(range(n))):
                     raise InputError(f"arity {n}: {list(perm)} is not a permutation")
                 actions[n][perm] = dict(_field(entry, "map", dict, f"arity {n} action"))
+    # elements compare by JSON text, since 1 == True in Python; the message
+    # shows the first 80 characters of it
+    for n, elems in sets.items():
+        keys = sorted(json.dumps(e, sort_keys=True) for e in elems)
+        twice = [k for k, after in zip(keys, keys[1:]) if k == after]
+        if twice:
+            raise InputError(f"arity {n}: the element {twice[0][:80]} is listed twice")
     if not symmetric:
         return operads.NonSymCollection(sets)
     if max(sets) > operads.MAX_ARITY:
@@ -223,9 +230,9 @@ def _load_collection(path: str):
                          f"{operads.MAX_ARITY}")
     full = {}
     for n, elems in sets.items():
-        if any(isinstance(e, (list, dict)) for e in elems):
-            raise InputError(f"arity {n}: elements of a symmetric collection "
-                             f"must be strings, numbers, booleans or null")
+        # a map is a JSON object, whose keys are strings
+        if not all(isinstance(e, str) for e in elems):
+            raise InputError(f"arity {n}: elements of a symmetric collection must be strings")
         # the action is only read, so every unlisted permutation shares one
         # identity table
         tables = dict.fromkeys(operads.all_perms(n), {e: e for e in elems})

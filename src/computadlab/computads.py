@@ -6,10 +6,13 @@ the free algebra on the (r-1)-truncation. Attachments are written as
 terms. `build_computad` and `loads_computad` only check the declarations'
 shape; `free_algebra` certifies every attachment against the congruence
 classes of the dimension below while it climbs, so checking a computad
-and building its free algebra are one walk. A computad carries no bounds:
-they belong to the `FreeAlgebra` computed from it. The pullback of two
-computad maps is built dimension by dimension on that same walk, or refused
-with a `ComputadError` that names the generator pair it could not attach.
+and building its free algebra are one walk. The walk starts at dimension
+0, whose engine holds the 0-generators over no level below, their
+boundaries -1, so every level comes from one step. A computad carries no
+bounds: they belong to the `FreeAlgebra` computed from it. The pullback of
+two computad maps is built dimension by dimension on that same walk, or
+refused with a `ComputadError` that names the generator pair it could not
+attach.
 A `ComputadMap` is one generator renaming, taken as given: generator names
 are distinct across dimensions, so one dict covers every dimension. Nothing
 here checks that it is total, keeps dimensions or respects attachments, a
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from . import freecat
 from .freecat import (
     Bounds, Engine, Level, Term,
-    class_in_level, level_zero, natural, term_dim, term_to_str,
+    class_in_level, natural, term_dim, term_to_str,
 )
 
 
@@ -61,7 +64,7 @@ class FreeAlgebra:
     computad: Computad
     bounds: Bounds
     levels: list[Level]
-    engines: list[Engine | None]  # engines[0] is None
+    engines: list[Engine]  # one per dimension, from 0
 
     @property
     def dim(self) -> int:
@@ -80,24 +83,27 @@ class FreeAlgebra:
 
     @property
     def fixed_point(self) -> bool:
-        return all(e.fixed_point for e in self.engines[1:])
+        return all(e.fixed_point for e in self.engines)
 
     @property
     def partial(self) -> bool:
         """True when the size bound cut a cell off in some dimension. A
         composite whose boundary would pass the bound below is not built, and
         the size cut of that lower dimension is what marks it."""
-        return any(e.saw_size_cut for e in self.engines[1:])
+        return any(e.saw_size_cut for e in self.engines)
 
     def partiality_marker(self) -> str:
         return f"partial up to size {self.bounds.size}" if self.partial else "complete at this size"
 
     def soundness_report(self) -> dict[str, int]:
-        return {k: sum(e.counters[k] for e in self.engines[1:]) for k in freecat.COUNTERS}
+        return {k: sum(e.counters[k] for e in self.engines) for k in freecat.COUNTERS}
 
 
 def _resolve_attachment(levels: list[Level], decl: GeneratorDecl, r: int) -> tuple[int, int]:
-    """Certify a generator's attachment as a parallel pair of (r-1)-classes."""
+    """Certify a generator's attachment as a parallel pair of (r-1)-classes;
+    a 0-generator's boundaries are -1."""
+    if r == 0:
+        return -1, -1
     if decl.src is None or decl.tgt is None:
         raise NonParallelAttachment(decl.name, "missing boundary terms")
     for side, t in (("source", decl.src), ("target", decl.tgt)):
@@ -110,12 +116,10 @@ def _resolve_attachment(levels: list[Level], decl: GeneratorDecl, r: int) -> tup
     if s is None or t is None:
         raise NonParallelAttachment(
             decl.name, "boundary term not materialized within the bounds")
-    if r >= 2:
-        lv = levels[r - 1]
-        if lv.src[s] != lv.src[t] or lv.tgt[s] != lv.tgt[t]:
-            raise NonParallelAttachment(
-                decl.name,
-                f"boundaries {lv.reps[s]} and {lv.reps[t]} are not parallel")
+    lv = levels[r - 1]
+    if lv.src[s] != lv.src[t] or lv.tgt[s] != lv.tgt[t]:
+        raise NonParallelAttachment(
+            decl.name, f"boundaries {lv.reps[s]} and {lv.reps[t]} are not parallel")
     return s, t
 
 
@@ -135,8 +139,8 @@ def free_algebra(c: Computad, bounds: Bounds = Bounds()) -> FreeAlgebra:
     """Free strict n-category on a computad, one saturated engine per
     dimension. The only certifier of attachments: each is resolved to a
     parallel pair of classes one dimension down, else `NonParallelAttachment`."""
-    fa = FreeAlgebra(c, bounds, [level_zero(c.names(0))], [None])
-    for layer in c.layers[1:]:
+    fa = FreeAlgebra(c, bounds, [], [])
+    for layer in c.layers:
         _climb(fa, layer)
     return fa
 
@@ -230,13 +234,13 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
     layers: list[list[GeneratorDecl]] = []
     p = Computad(n, layers)  # gains a layer on each pass of the loop
     proj1, proj2 = ComputadMap(p, f.dom, {}), ComputadMap(p, g.dom, {})
+    fa = FreeAlgebra(p, bounds, [], [])
     for r in range(n + 1):
         pairs = [(dx, dy) for dx in f.dom.layers[r] for dy in g.dom.layers[r]
                  if f.rename[dx.name] == g.rename[dy.name]]
         names = [_pair_name(dx.name, dy.name) for dx, dy in pairs]
         if r == 0:
             decls = [GeneratorDecl(name) for name in names]
-            fa = FreeAlgebra(p, bounds, [level_zero(names)], [None])
         else:
             lv = fa.levels[r - 1]
             # (image in X, image in Y) -> the first class over that pair
@@ -254,7 +258,7 @@ def pullback_computads(f: ComputadMap, g: ComputadMap,
                                             f"({dx.name},{dy.name})")
                     sides.append(lv.rep_terms[c])
                 decls.append(GeneratorDecl(name, *sides))
-            _climb(fa, decls)
+        _climb(fa, decls)
         layers.append(decls)
         proj1.rename.update({name: dx.name for name, (dx, _) in zip(names, pairs)})
         proj2.rename.update({name: dy.name for name, (_, dy) in zip(names, pairs)})

@@ -1,9 +1,11 @@
 """Composite terms in a free strict n-category and the congruence engine.
 
-The free algebra on a computad is built one dimension at a time. The
-engine for dimension r works over a frozen snapshot of the dimensions
-below (`Level`: classes, boundaries, composition and identity tables) and
-closes the r-dimensional terms under the strict-category axioms:
+The free algebra on a computad is built one dimension at a time, from
+dimension 0 up. The engine for dimension r works over a frozen snapshot of
+the dimensions below (`Level`: classes, boundaries, composition and
+identity tables), an empty list at r = 0, where the classes are the
+generators alone, and closes the r-dimensional terms under the
+strict-category axioms:
 
   * associativity of each composition `comp_k`,
   * two-sided units given by iterated identities,
@@ -256,7 +258,7 @@ class Level:
     reps: list[str]
     rep_terms: list[Term]
     msets: list[tuple[str, ...]]
-    src: list[int]  # class -> class one dimension down ([] at dim 0)
+    src: list[int]  # class -> class one dimension down (-1 at dim 0)
     tgt: list[int]
     comp: dict[tuple[int, int, int], int]  # (k, a, b) -> class, partial
     ids: list[int]  # class one dimension down -> its identity's class
@@ -265,25 +267,6 @@ class Level:
     @property
     def n_classes(self) -> int:
         return len(self.reps)
-
-
-def level_zero(names: list[str]) -> Level:
-    """The dimension-0 layer of a free algebra: just the 0-generators, in
-    the order every level sorts its classes by, here their names."""
-    if len(set(names)) < len(names):
-        twice = next(n for i, n in enumerate(names) if n in names[:i])
-        raise FreecatError(f"generator {twice!r} is named twice in dimension 0")
-    names = sorted(names)
-    return Level(
-        reps=[f"gen({n})" for n in names],
-        rep_terms=[Gen(n, 0) for n in names],
-        msets=[(n,) for n in names],
-        src=[],
-        tgt=[],
-        comp={},
-        ids=[],
-        gen_class={n: i for i, n in enumerate(names)},
-    )
 
 
 def _descend_src(levels: list[Level], cls: int, d: int, k: int) -> int:
@@ -315,9 +298,9 @@ def class_in_level(levels: list[Level], t: Term, d: int) -> int | None:
 
 def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | None, int | None]:
     """`class_in_level` of t, with t's source and target classes one
-    dimension down (None at dimension 0, or when not materialized). The
-    one reader of a term from outside the engines: `class_of_term`,
-    attachments, class maps and engine queries all come here.
+    dimension down (None when not materialized). The one reader of a term
+    from outside the engines: `class_of_term`, attachments, class maps and
+    engine queries all come here.
 
     A composite missing from the table is checked here: its index must be
     below d, and when both boundaries that composability reads are known,
@@ -329,7 +312,7 @@ def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | No
         if t.name not in lv.gen_class:
             raise FreecatError(f"unknown generator {t.name!r} in dimension {d}")
         c = lv.gen_class[t.name]
-        return (c, lv.src[c], lv.tgt[c]) if d else (c, None, None)
+        return c, lv.src[c], lv.tgt[c]
     if isinstance(t, Id):
         below = class_in_level(levels, t.body, d - 1)
         return (None if below is None else lv.ids[below]), below, below
@@ -382,10 +365,11 @@ class Node:
     a: int = -1
     b: int = -1
     name: str = ""
-    lower: int = -1
     mset: tuple[str, ...] = ()
     word: tuple[str, ...] | None = None  # dimension-1 engines only
-    src: int = -1  # boundary class one dimension down
+    # boundary classes one dimension down; both of an identity atom's are
+    # the class it is the identity on, and a 0-generator's are -1
+    src: int = -1
     tgt: int = -1
 
 
@@ -393,8 +377,6 @@ class Engine:
     """Congruence closure for the r-cells of a free algebra, r = self.dim."""
 
     def __init__(self, dim: int, levels: list[Level], generators, bounds: Bounds):
-        if dim < 1:
-            raise FreecatError("engines start at dimension 1")
         if len(levels) < dim:
             raise FreecatError("missing lower levels")
         self.dim = dim
@@ -447,10 +429,9 @@ class Engine:
                 Node(GEN, name=name, mset=mset, word=mset if dim == 1 else None,
                      src=s, tgt=t))
         self.id_atoms: list[int] = []
-        for c in range(levels[dim - 1].n_classes):
+        for c in range(levels[dim - 1].n_classes if dim else 0):
             self.id_atoms.append(
-                self._add(Node(IDA, lower=c, mset=(),
-                               word=() if dim == 1 else None, src=c, tgt=c)))
+                self._add(Node(IDA, mset=(), word=() if dim == 1 else None, src=c, tgt=c)))
 
     # class roots and member lists, with a proof forest ----------------------
     # Equality is kept as an exact class-root list beside the class member
@@ -642,16 +623,17 @@ class Engine:
     def saturation_round(self, size: int, mark: int) -> int:
         """Assert every axiom instance visible on the classes of the stratum
         `size`, re-close the congruence, and advance the round counter.
-        Identity functoriality runs at size 0 only, and an e-node below the
-        watermark `mark` is matched only when one of its children is a pure
-        identity. Returns the term count at the round's snapshot, the
-        watermark of the stratum's next round."""
+        Identity functoriality runs at size 0 only, and not at dimension 0,
+        which has no identities; an e-node below the watermark `mark` is
+        matched only when one of its children is a pure identity. Returns
+        the term count at the round's snapshot, the watermark of the
+        stratum's next round."""
         nodes, root = self.nodes, self._root
         partition = list(root)
         next_mark = len(nodes)
         snapshot = [t for r in self._stratum(size) for t in self.enodes(r)
                     if t >= mark or not (nodes[nodes[t].a].mset and nodes[nodes[t].b].mset)]
-        if size == 0:  # its instances hold no generator
+        if size == 0 and self.dim:  # its instances hold no generator
             self._identity_functoriality()
         for tid in snapshot:
             self._matched_instances(tid)
@@ -909,7 +891,7 @@ class Engine:
         The engine keeps the level it returns and each frozen class's root,
         which `term_node` reads."""
         nodes, root, uses = self.nodes, self._root, self._uses
-        below = self.levels[self.dim - 1]
+        below = self.levels[self.dim - 1] if self.dim else None
         # a candidate is (length, text, class, k, class A, class B); an
         # atom's has k = -1 and its own term in place of class A
         best: dict[int, tuple] = {}  # class -> its least candidate so far
@@ -923,7 +905,7 @@ class Engine:
 
         for t in [*self.gen_atoms.values(), *self.id_atoms]:
             node = nodes[t]
-            s = f"gen({node.name})" if node.kind == GEN else f"id1({below.reps[node.lower]})"
+            s = f"gen({node.name})" if node.kind == GEN else f"id1({below.reps[node.src]})"
             offer((len(s), s, root[t], -1, t, -1))
         text: dict[int, str] = {}
         trees: dict[int, Term] = {}
@@ -938,7 +920,7 @@ class Engine:
             elif nodes[a].kind == GEN:
                 trees[c] = Gen(nodes[a].name, self.dim)
             else:
-                trees[c] = Id(below.rep_terms[nodes[a].lower])
+                trees[c] = Id(below.rep_terms[nodes[a].src])
             for u in uses.get(c, ()):
                 n = nodes[u]
                 ra, rb, ru = root[n.a], root[n.b], root[u]
@@ -1125,7 +1107,7 @@ def _idfun(e: Engine, u: int, v: int, args: tuple) -> tuple | None:
     nodes = e.nodes
     nu, nv, np, nq = nodes[u], nodes[v], nodes[p], nodes[q]
     if not (nu.kind == IDA and nv.kind == CMP and np.kind == IDA and nq.kind == IDA
-            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower):
+            and e.levels[e.dim - 1].comp.get((nv.k, np.src, nq.src)) == nu.src):
         return None
     return (nv.a, p), (nv.b, q)
 

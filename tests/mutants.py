@@ -112,6 +112,10 @@ MUTANTS = [
            "offer((len(s) + 9 * (node.kind != GEN), s, root[t], -1, t, -1))",
            ("tests/test_freecat.py::"
             "test_each_representative_is_its_class_least_term[whiskers-size2]",)),
+    Mutant("dimension 0 accepts a repeated generator name", FREECAT,
+           "if name in self.gen_atoms:",
+           "if dim and name in self.gen_atoms:",
+           ("tests/test_freecat.py::test_a_repeated_generator_name_is_refused",)),
     Mutant("merge skips the invariant guard", FREECAT,
            "split = self._invariant_split(self.nodes[ru], self.nodes[rv])",
            "split = None",
@@ -168,8 +172,8 @@ MUTANTS = [
             "tests/test_operads.py::test_second_slice_is_free_commutative_monoid",
             "tests/test_freecat.py::test_classes_match_pasting_diagram_oracle[loop-size2]")),
     Mutant("identity functoriality runs in no stratum", FREECAT,
-           "if size == 0:  # its instances hold no generator",
-           "if size < 0:  # its instances hold no generator",
+           "if size == 0 and self.dim:  # its instances hold no generator",
+           "if size < 0 and self.dim:  # its instances hold no generator",
            ("tests/test_relations.py::test_a_full_round_after_saturation_changes_nothing"
             "[two-loops-size2]",
             "tests/test_freecat.py::test_malformed_certificate_is_rejected_without_raising"
@@ -228,7 +232,7 @@ MUTANTS = [
             "tests/test_freecat.py::test_equal_cells_eckmann_hilton_certified",
             "tests/test_freecat.py::test_eckmann_hilton_certificate_size_does_not_grow")),
     Mutant("idfun step skips its lower composite", FREECAT,
-           "\n            and e.levels[e.dim - 1].comp.get((nv.k, np.lower, nq.lower)) == nu.lower)",
+           "\n            and e.levels[e.dim - 1].comp.get((nv.k, np.src, nq.src)) == nu.src)",
            ")",
            ("tests/test_freecat.py::test_an_idfun_step_needs_its_identities_to_compose_to_u",)),
     Mutant("unit step accepts any body", FREECAT,
@@ -346,6 +350,16 @@ MUTANTS = [
            "if n is None or arity != str(n):",
            "if n is None:",
            ("tests/test_cli.py::test_malformed_input_exit_one[eval-arity-leading-zero]",)),
+    Mutant("a collection element listed twice is accepted", CLI,
+           "        if twice:\n",
+           "        if False:\n",
+           ("tests/test_cli.py::test_malformed_input_exit_one[eval-element-repeated]",
+            "tests/test_cli.py::test_malformed_input_exit_one[eval-symmetric-element-repeated]")),
+    Mutant("a symmetric collection accepts a number", CLI,
+           "if not all(isinstance(e, str) for e in elems):",
+           "if any(isinstance(e, (list, dict)) for e in elems):",
+           ("tests/test_cli.py::"
+            "test_malformed_input_exit_one[eval-symmetric-number-and-boolean]",)),
     Mutant("the reader accepts any Unicode digit", FREECAT,
            "not (word.isascii() and word.isdigit())",
            "not word.isdigit()",

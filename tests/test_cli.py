@@ -383,7 +383,23 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  '{"1": {"elements": ["a"], "action": [{"perm": [0], "map": [1]}]}}',
                  None, "'map' is not a dict", id="eval-map-not-an-object"),
     pytest.param(["eval", "FILE"], '{"1": {"elements": [["a"]], "action": []}}', None,
-                 "must be strings, numbers, booleans or null", id="eval-unhashable-element"),
+                 "arity 1: elements of a symmetric collection must be strings",
+                 id="eval-unhashable-element"),
+    # an action's map is a JSON object, so only a string can be moved; and
+    # Python reads 1 == True, so the element 1 was lost
+    pytest.param(["eval", "FILE"], '{"1": {"elements": [1, true], "action": []}}', None,
+                 "arity 1: elements of a symmetric collection must be strings",
+                 id="eval-symmetric-number-and-boolean"),
+    # a listed element counts once: unrefused, the first printed every value
+    # twice and the second quietly counted it once
+    pytest.param(["eval", "FILE", "--set", "x,y"], '{"1": ["a", "a"]}', None,
+                 'arity 1: the element "a" is listed twice', id="eval-element-repeated"),
+    pytest.param(["eval", "FILE", "--set", "x,y"],
+                 '{"1": {"elements": ["a", "b", "a"], "action": []}}', None,
+                 'arity 1: the element "a" is listed twice',
+                 id="eval-symmetric-element-repeated"),
+    pytest.param(["eval", "FILE"], json.dumps({"1": ["a" * 5000] * 2}), None,
+                 'arity 1: the element "aaaa', id="eval-long-element-repeated"),
     pytest.param(["eval", "FILE"],
                  '{"2": {"elements": ["a"], "action": [{"perm": [0, 0], "map": {}}]}}',
                  None, "[0, 0] is not a permutation", id="eval-perm-repeats-a-value"),
@@ -529,17 +545,17 @@ def test_free_algebra_saturated_once_per_computad(capsys, monkeypatch):
         saturated.clear()
         code, _, _ = run(capsys, "free", str(path), "--bound", "4")
         dim = computads.loads_computad(path.read_text()).dim
-        assert code == 0 and len(saturated) == dim, path.name
+        assert code == 0 and saturated == list(range(dim + 1)), path.name
     saturated.clear()
     code, _, _ = run(capsys, "gate", "--n", "3", "--bound", "2")
-    # two engines each: the codomain {z} once, for the square, the domain
-    # {a, b}, and the pullback, whose algebra climbs one dimension at a time;
-    # then one per dimension of the slice rows k = 1 and k = 2
-    assert code == 0 and saturated == [1, 2] * 3 + [1, 1, 2]
+    # one engine per dimension from 0, three each: the codomain {z} once,
+    # for the square, the domain {a, b}, and the pullback, whose algebra
+    # climbs one dimension at a time; then the slice rows k = 1 and k = 2
+    assert code == 0 and saturated == [0, 1, 2] * 3 + [0, 1, 0, 1, 2]
     saturated.clear()
     # `slice` reads its arities from the run that counts its classes
     code, _, _ = run(capsys, "slice", "--k", "2", "--generators", "3", "--bound", "3")
-    assert code == 0 and saturated == [1, 2]
+    assert code == 0 and saturated == [0, 1, 2]
 
 
 def test_a_soundness_failure_exits_two_with_one_line(capsys, monkeypatch):

@@ -14,9 +14,9 @@ from computadlab.computads import (
     Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    CMP, COUNTERS, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
+    CMP, COUNTERS, IDA, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
     FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, certificate,
-    equal_cells, level_zero, term_dim, term_from_str, term_to_str, verify_certificate,
+    equal_cells, term_dim, term_from_str, term_to_str, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad, slice_of_strict
 from oracles import dfs_paths, pasting_cells
@@ -25,6 +25,14 @@ from oracles import dfs_paths, pasting_cells
 def scalar2():
     return loads_computad(resources.files("computadlab")
                           .joinpath("data", "scalar2.cpd").read_text())
+
+
+def points(*names):
+    """Level 0 on the 0-generators `names`, from a saturated and frozen
+    dimension-0 engine, as `free_algebra` builds it."""
+    e = Engine(0, [], [(n, -1, -1) for n in names], Bounds())
+    e.saturate()
+    return e.freeze()
 
 # --- independent oracles ---------------------------------------------------------
 
@@ -177,7 +185,7 @@ def test_pending_users_merge_by_congruence():
     """An axiom merge moves the users of the losing class; `_process_pending`
     merges each with the user of the same shape on the winning class, by a
     congruence step that rests on the axiom step."""
-    e = Engine(1, [level_zero(["o"])], [(n, 0, 0) for n in "abc"], Bounds(size=4))
+    e = Engine(1, [points("o")], [(n, 0, 0) for n in "abc"], Bounds(size=4))
     a, b, c = (e.gen_atoms[n] for n in "abc")
     left = e.make_comp(0, e.make_comp(0, a, b), c)
     right = e.make_comp(0, a, e.make_comp(0, b, c))
@@ -275,8 +283,7 @@ def test_equal_cells_eckmann_hilton_certified():
 
 
 def test_term_budget_guard():
-    from computadlab.freecat import Engine, EngineLimit, level_zero
-    lv = level_zero(["p"])
+    lv = points("p")
     with pytest.raises(EngineLimit):
         e = Engine(1, [lv], [(f"g{i}", 0, 0) for i in range(4)],
                    Bounds(size=4, max_terms=8))
@@ -808,9 +815,9 @@ def _planted_pair(invariant: str):
     two loops f and g, the identities on two points, and comp_0(f,g)
     against comp_0(g,f)."""
     if invariant == "boundary":
-        e = Engine(1, [level_zero(["a", "b"])], [], Bounds(size=2))
+        e = Engine(1, [points("a", "b")], [], Bounds(size=2))
         return e, *e.id_atoms
-    e = Engine(1, [level_zero(["o"])], [("f", 0, 0), ("g", 0, 0)], Bounds(size=2))
+    e = Engine(1, [points("o")], [("f", 0, 0), ("g", 0, 0)], Bounds(size=2))
     f, g = e.gen_atoms["f"], e.gen_atoms["g"]
     if invariant == "multiset":
         return e, f, g
@@ -833,7 +840,7 @@ def test_a_planted_bad_merge_raises_its_own_guard(invariant):
 def test_a_planted_split_raises_the_round_guard(monkeypatch):
     """A round whose congruence closure moves one member of a class out of
     it raises, because classes may only coarsen."""
-    e = Engine(1, [level_zero(["o"])], [("f", 0, 0)], Bounds(size=3))
+    e = Engine(1, [points("o")], [("f", 0, 0)], Bounds(size=3))
     e.saturate()
     process = Engine._process_pending
 
@@ -1019,8 +1026,10 @@ def test_root_list_exact_after_queries_on_a_reloaded_algebra():
 def engine_work(e):
     """What an engine did: terms, classes, merges, axiom instances, rounds,
     the size-cut flag, and a digest of its proof forest and term DAG."""
-    nodes = [(n.kind, n.k, n.a, n.b, n.name, n.lower, n.mset, n.word, n.src, n.tgt)
-             for n in e.nodes]
+    # the sixth entry is an identity atom's lower class, its src, -1 for
+    # every other node: the pinned digests hash this tuple
+    nodes = [(n.kind, n.k, n.a, n.b, n.name, n.src if n.kind == IDA else -1, n.mset,
+              n.word, n.src, n.tgt) for n in e.nodes]
     digest = hashlib.sha256(repr((e._why, nodes)).encode()).hexdigest()
     return (len(e.nodes), len(e.classes()), e.counters["merges"],
             e.counters["axiom_instances"], e.round, e.saw_size_cut, digest)

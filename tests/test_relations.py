@@ -11,6 +11,11 @@ without an oracle.
   random computads and on every declaration order of the benchmark's
   slices and of `scalar2.cpd`.
 * The histograms of a disjoint union are the sums of its parts'.
+* Level 0 is the generators alone, in name order: it equals, field by
+  field, the level built from the sorted 0-generator names, with no
+  composite, no identity and boundaries -1. It is checked on fixed
+  computads, on two pullbacks, whose generators are named (x|y), and on
+  random computads whose 0-generators are declared out of name order.
 * `equal_cells` is symmetric, and every `equal` verdict's certificate
   verifies. The pairs are, in each dimension, each class root with the last
   term of its member list, and each class root with the next one.
@@ -80,7 +85,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from computadlab.computads import (
-    Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
+    Computad, ComputadMap, GeneratorDecl, build_computad, free_algebra, loads_computad,
+    pullback_computads, theta_computad,
 )
 from computadlab.freecat import (
     EQUAL, GEN, IDA, UNKNOWN, Bounds, Comp, Engine, FreecatError, Gen, Id, _descend_src,
@@ -133,7 +139,7 @@ def node_term(e, t):
     if n.kind == GEN:
         return Gen(n.name, e.dim)
     if n.kind == IDA:
-        return Id(e.levels[e.dim - 1].rep_terms[n.lower])
+        return Id(e.levels[e.dim - 1].rep_terms[n.src])
     return Comp(n.k, node_term(e, n.a), node_term(e, n.b))
 
 
@@ -245,6 +251,59 @@ def test_every_declaration_order_gives_the_same_levels(make, size):
         other = Computad(c.dim, [[layer[i] for i in order]
                                  for layer, order in zip(c.layers, orders)])
         assert frozen_levels(free_algebra(other, Bounds(size=size))) == want, orders
+
+
+# --- level 0 ----------------------------------------------------------------------
+
+
+def assert_level_zero(fa):
+    """Level 0 of `fa` is the level of its sorted 0-generator names."""
+    names = sorted(fa.computad.names(0))
+    lv = fa.levels[0]
+    assert lv.reps == [f"gen({n})" for n in names]
+    assert lv.rep_terms == [Gen(n, 0) for n in names]
+    assert lv.msets == [(n,) for n in names]
+    assert lv.gen_class == {n: i for i, n in enumerate(names)}
+    assert lv.comp == {} and lv.ids == []
+    assert lv.src == lv.tgt == [-1] * len(names)
+
+
+def scalar_pullback():
+    """The gate's pullback computad at k = 2, of {a, b} -> {z} <- {a, b}."""
+    cx, cz = k_terminal_computad(2, ["a", "b"]), k_terminal_computad(2, ["z"])
+    f = ComputadMap(cx, cz, {"o": "o", "a": "z", "b": "z"})
+    return pullback_computads(f, f, Bounds(size=2)).free
+
+
+def point_pullback():
+    """The pullback of the 0-computads {b, a} -> {z} <- {b, a}: its four
+    0-generators are declared (b|b), (b|a), (a|b), (a|a)."""
+    cx, cz = Computad(0, [[GeneratorDecl("b"), GeneratorDecl("a")]]), theta_computad(0)
+    f = ComputadMap(cx, cz, {"a": "o", "b": "o"})
+    return pullback_computads(f, f, Bounds(size=2)).free
+
+
+@pytest.mark.parametrize("make", [
+    lambda: free_algebra(loop(), Bounds(size=2)),
+    lambda: free_algebra(scalar2(), Bounds(size=2)),
+    lambda: free_algebra(theta2(), Bounds(size=2)),
+    scalar_pullback,
+    point_pullback,
+], ids=["loop", "scalar2", "theta2", "gate-pullback", "point-pullback"])
+def test_level_zero_is_the_sorted_generators(make):
+    fa = make()
+    assert_level_zero(fa)
+    assert fa.levels[0] is fa.engines[0]._frozen  # frozen by the dimension-0 engine
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(layers=computads(), names=st.lists(st.sampled_from("zyxw"), min_size=1,
+                                          max_size=4, unique=True))
+def test_level_zero_of_random_computads(layers, names):
+    """The drawn vertices, and extra 0-generators declared in reverse name
+    order ahead of them."""
+    layers = [sorted(names, reverse=True) + layers[0][::-1], *layers[1:]]
+    assert_level_zero(saturate(layers))
 
 
 # --- duality and suspension ----------------------------------------------------

@@ -194,6 +194,7 @@ def _load_collection(path: str):
     sets: dict[int, list] = {}
     actions: dict[int, dict] = {}
     symmetric = False
+    above_max = f"above the largest symmetric arity {operads.MAX_ARITY}"
     if not isinstance(doc, dict):
         raise InputError("a collection is a JSON object keyed by arity")
     for arity, payload in doc.items():
@@ -206,6 +207,9 @@ def _load_collection(path: str):
             continue
         sets[n] = list(_field(payload, "elements", list, f"arity {n}"))
         if "action" in payload:
+            # refused before its entries are read, so no entry is echoed
+            if n > operads.MAX_ARITY:
+                raise InputError(f"arity {n} {above_max}")
             symmetric = True
             actions[n] = {}
             for entry in _field(payload, "action", list, f"arity {n}"):
@@ -214,7 +218,7 @@ def _load_collection(path: str):
                 # the length goes first, so a huge n never builds range(n)
                 if not (all(isinstance(i, (int, float)) for i in perm)
                         and len(perm) == n and sorted(perm) == list(range(n))):
-                    raise InputError(f"arity {n}: {list(perm)} is not a permutation")
+                    raise InputError(f"arity {n}: {str(list(perm))[:80]} is not a permutation")
                 actions[n][perm] = dict(_field(entry, "map", dict, f"arity {n} action"))
     # elements compare by JSON text, since 1 == True in Python; the message
     # shows the first 80 characters of it
@@ -226,8 +230,7 @@ def _load_collection(path: str):
     if not symmetric:
         return operads.NonSymCollection(sets)
     if max(sets) > operads.MAX_ARITY:
-        raise InputError(f"arity {max(sets)} above the largest symmetric arity "
-                         f"{operads.MAX_ARITY}")
+        raise InputError(f"arity {max(sets)} {above_max}")
     full = {}
     for n, elems in sets.items():
         # a map is a JSON object, whose keys are strings

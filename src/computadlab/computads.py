@@ -294,6 +294,8 @@ def loads_computad(text: str, bounds: Bounds | None = None) -> Computad:
         if line.startswith("dim"):
             if dim is not None:
                 raise ComputadError(f"line {lineno}: repeated dim declaration")
+            if line[3:4] and not line[3].isspace():  # "dim2" is not "dim 2"
+                raise ComputadError(f"line {lineno}: expected a space after dim")
             dim = natural(line[3:].strip(), MAX_DIM)
             if dim is None:
                 raise ComputadError(f"line {lineno}: dim must be a number from 0 to "

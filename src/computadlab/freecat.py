@@ -48,13 +48,18 @@ a round-start snapshot once, not each of the many more member terms:
 associativity from its left-nested side, interchange on pairs of
 child-class e-nodes. An e-node whose two children both hold generators is
 matched only in the first round of its stratum that sees it (`saturate`
-says why). Each instance first looks the e-nodes of its other side up in
-the signature table; one already in the matched class is skipped before
-anything is built. Otherwise the e-nodes found are reused, only the
-missing ones are built, and the matched e-node is merged with the other
-side. An instance's matched side comp(p, q), with p and q in the matched
-e-node's child classes, is never built: it is in the matched class by
-congruence already. The member lists relabel the root list on a merge and
+says why). Each instance looks the inner e-nodes of its other side up in
+the signature table and never builds one: an instance with one missing is
+skipped, and matched again in a later round of its stratum
+(`_matched_instances` says why nothing is lost). Only the other side's
+outer composite is built, by `make_comp` when no e-node holds its key,
+and the matched e-node is merged with it unless it is in the matched
+class already. An instance's matched side comp(p, q), with p and q in the
+matched e-node's child classes, is never built: it is in the matched class
+by congruence already. An inner e-node built mid-round, before
+`_process_pending` has re-keyed the classes, may duplicate one that the
+re-keying then merges with it: on 3-computads such duplicates multiplied
+the terms (README). The member lists relabel the root list on a merge and
 give each class its e-nodes; `freeze` walks the users of each class to
 extract each class's least term.
 
@@ -364,7 +369,6 @@ class Node:
     k: int = -1
     a: int = -1
     b: int = -1
-    name: str = ""
     mset: tuple[str, ...] = ()
     word: tuple[str, ...] | None = None  # dimension-1 engines only
     # boundary classes one dimension down; both of an identity atom's are
@@ -426,8 +430,7 @@ class Engine:
                                    f"{below[name]} and {dim}")
             mset = self._shared((name,))
             self.gen_atoms[name] = self._add(
-                Node(GEN, name=name, mset=mset, word=mset if dim == 1 else None,
-                     src=s, tgt=t))
+                Node(GEN, mset=mset, word=mset if dim == 1 else None, src=s, tgt=t))
         self.id_atoms: list[int] = []
         for c in range(levels[dim - 1].n_classes if dim else 0):
             self.id_atoms.append(
@@ -680,12 +683,32 @@ class Engine:
         e-node y along k of b's class give comp_j(comp_k(x1, x2), comp_k(y1, y2))
         = comp_k(comp_j(x1, y1), comp_j(x2, y2)), pattern (x, y).
 
-        Each instance looks the e-nodes of its other side up in the
-        signature table first, and one already in tid's class is skipped.
-        Otherwise the e-nodes found are reused, only the missing ones are
-        built by `make_comp`, and tid is merged with the other side; the
-        reason names the pattern and the inner e-nodes the other side is
-        made of.
+        Each instance looks the inner e-nodes of its other side up in the
+        signature table, comp_j(x2, b) for assoc and both composites along j
+        for interchange, and is skipped when one is missing. `make_comp`
+        builds at most the outer composite, when no e-node holds its key,
+        and tid is merged with the other side unless it is in tid's class
+        already; the reason names the pattern and the inner e-nodes the
+        other side is made of.
+
+        A skip loses nothing. An inner e-node composes two classes.
+        Generation composes every pair of class roots of the stratum in
+        each round, and every finished stratum ended with such a round;
+        identity functoriality and the stratum-0 unit instances build the
+        composites of two identities. So a lookup misses only when the pair
+        does not compose within the bound, and then `make_comp` would
+        return None too, or when the round made its composite or one of
+        its classes after the round's generation, or merged one of them
+        before `_process_pending` re-keyed it. That round added a term or a
+        merge, so the stratum runs another round. An e-node whose two
+        children both hold generators has only classes of finished strata
+        below it, so its lookups never miss on the one round that matches
+        it. An e-node with a pure-identity child is matched in every round
+        (`saturate`), so a skipped instance runs again after generation has
+        composed the new class. The last round of a stratum adds no term
+        and no merge, so every lookup hits there and the fixed point is the
+        same as if the missing e-nodes had been built; extraction reads
+        canonical keys, so the representatives are the same too.
 
         Left-nested associativity alone is complete: generation composes every
         pair of class roots within the bound, so for each e-node comp_k(a,
@@ -704,15 +727,13 @@ class Engine:
             if k == j:
                 self.counters["axiom_instances"] += 1
                 inner = sig.get((j, root[nx.b], root[b]))
-                hit = None if inner is None else sig.get((j, root[nx.a], root[inner]))
-                if hit is not None and root[hit] == root[tid]:
-                    continue
                 if inner is None:
-                    inner = make(j, nx.b, b)
-                if inner is not None:
-                    t2 = make(j, nx.a, inner) if hit is None else hit
-                    if t2 is not None:
-                        self._merge(tid, t2, ("assoc", x, b, inner))
+                    continue
+                t2 = sig.get((j, root[nx.a], root[inner]))
+                if t2 is None:
+                    t2 = make(j, nx.a, inner)
+                if t2 is not None and root[t2] != root[tid]:
+                    self._merge(tid, t2, ("assoc", x, b, inner))
                 continue
             if by_index is None:
                 by_index = {}
@@ -724,18 +745,13 @@ class Engine:
                 ny = nodes[y]
                 left = sig.get((j, root[nx.a], root[ny.a]))
                 right = sig.get((j, root[nx.b], root[ny.b]))
-                hit = (None if left is None or right is None
-                       else sig.get((k, root[left], root[right])))
-                if hit is not None and root[hit] == root[tid]:
+                if left is None or right is None:
                     continue
-                if left is None:
-                    left = make(j, nx.a, ny.a)
-                if right is None:
-                    right = make(j, nx.b, ny.b)
-                if left is not None and right is not None:
-                    t2 = make(k, left, right) if hit is None else hit
-                    if t2 is not None:
-                        self._merge(tid, t2, ("interchange", x, y, left, right))
+                t2 = sig.get((k, root[left], root[right]))
+                if t2 is None:
+                    t2 = make(k, left, right)
+                if t2 is not None and root[t2] != root[tid]:
+                    self._merge(tid, t2, ("interchange", x, y, left, right))
 
     def _unit_instances(self, size: int):
         for root in self._stratum(size):
@@ -778,9 +794,9 @@ class Engine:
 
           * `_merge` refuses to mix multisets, so in stratum s no class of
             size below s changes;
-          * a smaller composite that matching asks for is found by
-            `make_comp` in the finished stratum of its size, so nothing is
-            built there and no e-node key is added;
+          * matching only looks a smaller composite up, in the finished
+            stratum of its size, and builds only an instance's outer
+            composite, of size s, so no e-node key below s is added;
           * so an e-node whose children both hold generators, each of them
             fewer than s, sees fixed child classes and fixed child tables.
             Each of its instances was settled, merged or found impossible
@@ -792,7 +808,9 @@ class Engine:
 
         An e-node with a pure identity child, a unit pad or a whisker by a
         lower identity, has a child class of size s that may still grow, so
-        it is matched every round.
+        it is matched every round. That also retries each of its instances
+        that `_matched_instances` skipped for a missing inner e-node, once
+        generation has composed the class the round before made.
 
         Saturation stops before a stratum s above 2m, where m is the largest
         generator count of any class. No term of s generators exists before
@@ -905,7 +923,7 @@ class Engine:
 
         for t in [*self.gen_atoms.values(), *self.id_atoms]:
             node = nodes[t]
-            s = f"gen({node.name})" if node.kind == GEN else f"id1({below.reps[node.src]})"
+            s = f"gen({node.mset[0]})" if node.kind == GEN else f"id1({below.reps[node.src]})"
             offer((len(s), s, root[t], -1, t, -1))
         text: dict[int, str] = {}
         trees: dict[int, Term] = {}
@@ -918,7 +936,7 @@ class Engine:
             if k >= 0:
                 trees[c] = Comp(k, trees[a], trees[b])
             elif nodes[a].kind == GEN:
-                trees[c] = Gen(nodes[a].name, self.dim)
+                trees[c] = Gen(nodes[a].mset[0], self.dim)
             else:
                 trees[c] = Id(below.rep_terms[nodes[a].src])
             for u in uses.get(c, ()):

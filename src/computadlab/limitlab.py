@@ -489,8 +489,7 @@ _FIBER_BITS = 32
 _FIBER_TYPE = next(t for t in "IL" if array(t).itemsize * 8 == _FIBER_BITS)
 
 
-def _lane_widths(max_v: int, max_e: int, path_len: int,
-                 fiber_bits: int = _FIBER_BITS) -> tuple[int, int]:
+def _lane_widths(max_v: int, max_e: int, path_len: int) -> tuple[int, int]:
     """The widths in bytes of a fiber lane and of a code lane of the sweep
     within these bounds.
 
@@ -498,15 +497,15 @@ def _lane_widths(max_v: int, max_e: int, path_len: int,
     max_e ** path_len` paths, reached by `max_e` loops at one vertex, so
     a matching-pair count, at most the product of two legs' path counts,
     stays below that bound squared. `LimitError` when the square does not
-    fit `fiber_bits`. A code sets bits below `V * V + S * S` (see `_Leg`)."""
+    fit `_FIBER_BITS`. A code sets bits below `V * V + S * S` (see `_Leg`)."""
     most = max_v + sum(max_e ** k for k in range(1, path_len + 1)) if max_v else 0
-    if most * most >> fiber_bits:
+    if most * most >> _FIBER_BITS:
         raise LimitError(f"graph bounds ({max_v}, {max_e}) at path length "
                          f"{path_len} allow {most} paths in one graph, so up to "
                          f"{most * most} matching pairs, which do not fit in "
-                         f"{fiber_bits} bits")
+                         f"{_FIBER_BITS} bits")
     span = max_v * max_v * max_e
-    return fiber_bits // 8, (max_v * max_v + span * span + 7) // 8 or 1
+    return _FIBER_BITS // 8, (max_v * max_v + span * span + 7) // 8 or 1
 
 
 class _Leg(NamedTuple):

@@ -265,12 +265,20 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
     pytest.param(["free", "FILE", "--bound", "1"], LOOP_SQUARE, None,
                  "generator 'al': boundary term not materialized within the bounds",
                  id="attachment-beyond-the-bound"),
+    # comp_0(f, f) lies beyond --bound 1 and gen(f) within it
+    pytest.param(["free", "FILE", "--bound", "1"],
+                 "dim 2\n0 a\n1 f : gen(a) => gen(a)\n2 c : comp_0(gen(f),gen(f)) => gen(f)\n",
+                 None, "error: generator 'c': boundary term not materialized within the bounds",
+                 id="attachment-one-side-beyond-the-bound"),
     pytest.param(["free", "FILE"], OPERAND_DIMS, None,
                  "line 4: the operands of 'comp_0' have dimensions 1 and 0",
                  id="operand-dimensions-differ"),
     # the shape of computad files
     pytest.param(["free", "FILE"], "dim 1\n0 a\ndim 1\n", None,
                  "line 3: repeated dim declaration", id="dim-repeated"),
+    # unrefused, this read as dim 2
+    pytest.param(["free", "FILE"], "dim2\n0 a\n", None,
+                 "line 1: expected a space after dim", id="dim-glued-to-its-number"),
     pytest.param(["free", "FILE"], "0 a\ndim 0\n", None,
                  "line 1: missing dim declaration", id="generator-before-dim"),
     pytest.param(["free", "FILE"], "# no dim\n", None, "missing dim declaration", id="no-dim"),
@@ -403,6 +411,16 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
     pytest.param(["eval", "FILE"],
                  '{"2": {"elements": ["a"], "action": [{"perm": [0, 0], "map": {}}]}}',
                  None, "[0, 0] is not a permutation", id="eval-perm-repeats-a-value"),
+    # unrefused, the first echoed all 3,000 entries in one 9 KB line, and the
+    # second read them before refusing the arity
+    pytest.param(["eval", "FILE"],
+                 json.dumps({"3": {"elements": [], "action": [{"perm": [0] * 3000, "map": {}}]}}),
+                 None, "arity 3: [0, 0, 0", id="eval-long-perm-cut-at-80"),
+    pytest.param(["eval", "FILE"],
+                 json.dumps({"3000": {"elements": [],
+                                      "action": [{"perm": [0] * 3000, "map": {}}]}}),
+                 None, f"arity 3000 above the largest symmetric arity {operads.MAX_ARITY}",
+                 id="eval-action-arity-above-max-refused-first"),
     pytest.param(["eval", "FILE"],
                  f'{{"{operads.MAX_ARITY + 1}": {{"elements": ["a"], "action": []}}}}', None,
                  f"arity {operads.MAX_ARITY + 1} above", id="eval-symmetric-arity-above-max"),
@@ -594,9 +612,7 @@ def test_an_oracle_mismatch_exits_two_with_one_line(capsys, monkeypatch):
 def test_a_fiber_lane_overflow_exits_one_with_one_line(capsys, monkeypatch):
     # 8-bit fiber lanes: the 16 paths of two loops at path length 3 could
     # give 256 matching pairs, which do not fit
-    original = limitlab._lane_widths
-    monkeypatch.setattr(limitlab, "_lane_widths",
-                        lambda *bounds: original(*bounds, fiber_bits=8))
+    monkeypatch.setattr(limitlab, "_FIBER_BITS", 8)
     code, out, err = run(capsys, "gate", "--n", "1", "--bound", "3")
     assert code == 1 and not out
     assert err.splitlines() == [

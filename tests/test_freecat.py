@@ -14,7 +14,7 @@ from computadlab.computads import (
     Computad, GeneratorDecl, build_computad, free_algebra, loads_computad, theta_computad,
 )
 from computadlab.freecat import (
-    CMP, COUNTERS, IDA, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
+    CMP, COUNTERS, GEN, IDA, Bounds, Certificate, Comp, DISTINCT, EQUAL, Engine, EngineLimit,
     FreecatError, Gen, Id, SoundnessError, UNKNOWN, _STEPS, certificate,
     equal_cells, term_dim, term_from_str, term_to_str, verify_certificate,
 )
@@ -25,6 +25,19 @@ from oracles import dfs_paths, pasting_cells
 def scalar2():
     return loads_computad(resources.files("computadlab")
                           .joinpath("data", "scalar2.cpd").read_text())
+
+
+def contract3():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "contract3.cpd").read_text())
+
+
+def vert3():
+    """{v; e: v -> v; a, b: e => e; d: a => a}. At size 4 it runs for minutes
+    before the term budget stops it, so it is no data file: every data file
+    is saturated at --bound 4 in tier-1."""
+    return loads_computad("dim 3\n0 v\n1 e : gen(v) => gen(v)\n2 a : gen(e) => gen(e)\n"
+                          "2 b : gen(e) => gen(e)\n3 d : gen(a) => gen(a)\n")
 
 
 def points(*names):
@@ -400,17 +413,23 @@ def congruent():
     (lambda: k_terminal_computad(2, ["x0", "x1", "x2"]), 4),
     (scalar2, 5),
     (congruent, 3),
-], ids=["slice-k2-g3-size4", "scalar2-size5", "congruent-size3"])
+    *((contract3, size) for size in range(4)),
+    *((vert3, size) for size in range(3)),
+], ids=["slice-k2-g3-size4", "scalar2-size5", "congruent-size3",
+        *(f"contract3-size{size}" for size in range(4)),
+        *(f"vert3-size{size}" for size in range(3))])
 def test_every_forest_edge_replays(make, size):
     """The certificate between the two ends of each proof-forest edge
-    verifies, whatever the edge's reason, and every row of the step table
-    has edges on the last input; the others merge nothing by congruence."""
+    verifies, whatever the edge's reason. Every row of the step table has
+    edges on `congruent`; the other inputs merge nothing by congruence, and
+    from size 2 on have edges of every other family."""
     fa = free_algebra(make(), Bounds(size=size))
     e = fa.engines[fa.dim]
     edges = [label for label in e._why if label is not None]
     assert len(edges) == e.counters["merges"]
     expected = set(_STEPS) if make is congruent else set(_STEPS) - {"cong"}
-    assert {reason[0] for _, _, reason in edges} == expected
+    families = {reason[0] for _, _, reason in edges}
+    assert families == expected if size >= 2 else families <= expected
     for u, v, reason in edges:
         cert = certificate(e, u, v)
         assert (u, v, reason) in cert.steps and verify_certificate(e, cert)
@@ -1026,10 +1045,11 @@ def test_root_list_exact_after_queries_on_a_reloaded_algebra():
 def engine_work(e):
     """What an engine did: terms, classes, merges, axiom instances, rounds,
     the size-cut flag, and a digest of its proof forest and term DAG."""
-    # the sixth entry is an identity atom's lower class, its src, -1 for
-    # every other node: the pinned digests hash this tuple
-    nodes = [(n.kind, n.k, n.a, n.b, n.name, n.src if n.kind == IDA else -1, n.mset,
-              n.word, n.src, n.tgt) for n in e.nodes]
+    # the fifth entry is a generator's name, "" for every other node, and
+    # the sixth an identity atom's lower class, its src, -1 for every other
+    # node: the pinned digests hash this tuple
+    nodes = [(n.kind, n.k, n.a, n.b, n.mset[0] if n.kind == GEN else "",
+              n.src if n.kind == IDA else -1, n.mset, n.word, n.src, n.tgt) for n in e.nodes]
     digest = hashlib.sha256(repr((e._why, nodes)).encode()).hexdigest()
     return (len(e.nodes), len(e.classes()), e.counters["merges"],
             e.counters["axiom_instances"], e.round, e.saw_size_cut, digest)
@@ -1068,12 +1088,30 @@ def identity_only(dim=1):
         identity_only(),
         (259, 21, 238, 3704, 12, True,
          "b3e205e92383377660e2d91f59a612ee1eda3258680eba8d8597f0f2c89073f7")]),
+    (contract3, 2, [
+        (9, 3, 6, 27, 6, True,
+         "f4ff9941005d86dd48babb4ac31a214bc5e52a259a4992d53b05c46bebbf74d0"),
+        (37, 7, 30, 248, 6, True,
+         "ffa68e2c724a6ed744fddf76db252d25047e55994f89af048b1e54588940970a"),
+        (508, 37, 471, 10326, 7, True,
+         "72392c1dea923bd08d07ca87dae24124fea67bcc11441128a4a506ec742e27f7")]),
+    (contract3, 3, [
+        (13, 4, 9, 41, 8, True,
+         "25bc0debac84624b06ff4814dfea63dd9d20b2e99442c4731a8946da33dea050"),
+        (98, 15, 83, 1094, 9, True,
+         "be93d44278222f2afd42e3444d143ff23e9faaa8d0a9730a20c525a372c8f4c8"),
+        (4591, 191, 4400, 179715, 10, True,
+         "f258c036d726521a24ae0acb3223dd9372dc2f9fd6aa8c014b802041988c7b75")]),
 ], ids=["slice-k1-g3-size6", "slice-k2-g3-size4", "slice-k2-g3-size6", "slice-k3-g2-size4",
-        "scalar2-size5"])
+        "scalar2-size5", "contract3-size2", "contract3-size3"])
 def test_engine_work_is_pinned(make, size, work):
     """Speed-ups to generation and matching must build the same terms in
     the same order, with the same merges and proof-forest labels. The rows
-    cover every slice the `engine` benchmark times."""
+    cover every slice the `engine` benchmark times. The `contract3` rows
+    pin the matcher's lookup-only rule in dimension 3: building the missing
+    interchange e-nodes mid-round gave 2,064 terms and 2,027 merges at
+    size 2, not 508 and 471, and building the missing assoc ones gave 4,623
+    terms at size 3, not 4,591."""
     fa = free_algebra(make(), Bounds(size=size))
     assert [engine_work(e) for e in fa.engines[1:]] == work
 

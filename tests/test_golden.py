@@ -31,6 +31,7 @@ VERBS = (
     [["free", f"{name}.cpd", "--bound", str(b)]
      for name in ("loop", "scalar2", "theta2") for b in range(2, 6)]
     + [["free", "loop.cpd", "--bound", "12"]]
+    + [["free", "contract3.cpd", "--bound", str(b)] for b in (2, 3)]
     + [["slice", "--k", str(k)] for k in (1, 2, 3)]
     + [["slice", "--k", "2", "--generators", "2", "--bound", "5"],
        ["slice", "--k", "1", "--generators", "3", "--bound", "5"]]

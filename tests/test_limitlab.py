@@ -393,16 +393,18 @@ def test_cospan_orbits_one_member_per_orbit():
         assert set(yielded) == set(orbit_of.values())
 
 
-def test_lane_widths_guard_the_fiber_lane():
+def test_lane_widths_guard_the_fiber_lane(monkeypatch):
     # the largest path count within the bounds is max_v + max_e + ... +
     # max_e ** path_len, reached by max_e loops at one vertex
     for v, e, length in ((1, 1, 3), (2, 2, 3), (3, 2, 2), (2, 3, 1)):
         most = max(len(graph_paths(gr, length)) for gr in enumerate_graphs(v, e))
         assert most == v + sum(e ** k for k in range(1, length + 1))
     # a count fits an 8-bit lane while 15 * 15 < 2**8, and 16 * 16 does not
-    assert limitlab._lane_widths(1, 1, 14, fiber_bits=8) == (1, 1)
-    with pytest.raises(LimitError, match="16 paths"):
-        limitlab._lane_widths(1, 1, 15, fiber_bits=8)
+    with monkeypatch.context() as m:
+        m.setattr(limitlab, "_FIBER_BITS", 8)
+        assert limitlab._lane_widths(1, 1, 14) == (1, 1)
+        with pytest.raises(LimitError, match="16 paths"):
+            limitlab._lane_widths(1, 1, 15)
     # the real lane: 60,880 paths fit 32 bits, and 65,641 overflow them
     assert limitlab._lane_widths(1, 39, 3)[0] == 4
     with pytest.raises(LimitError, match="65641 paths"):

@@ -137,7 +137,7 @@ def node_term(e, t):
     """The term that an engine's term id t stands for."""
     n = e.nodes[t]
     if n.kind == GEN:
-        return Gen(n.name, e.dim)
+        return Gen(n.mset[0], e.dim)
     if n.kind == IDA:
         return Id(e.levels[e.dim - 1].rep_terms[n.src])
     return Comp(n.k, node_term(e, n.a), node_term(e, n.b))
@@ -231,6 +231,18 @@ def scalar2():
 def loop():
     return loads_computad(resources.files("computadlab")
                           .joinpath("data", "loop.cpd").read_text())
+
+
+def contract3():
+    return loads_computad(resources.files("computadlab")
+                          .joinpath("data", "contract3.cpd").read_text())
+
+
+def vert3():
+    """{v; e: v -> v; a, b: e => e; d: a => a}, no data file: at size 4 it
+    runs for minutes before the term budget stops it."""
+    return loads_computad("dim 3\n0 v\n1 e : gen(v) => gen(v)\n2 a : gen(e) => gen(e)\n"
+                          "2 b : gen(e) => gen(e)\n3 d : gen(a) => gen(a)\n")
 
 
 @pytest.mark.parametrize("make,size", [
@@ -583,9 +595,16 @@ def complete_up_to_the_cut(fa):
 
 def test_composition_tables_are_complete_up_to_the_size_cut():
     """`loop`, `scalar2` and `theta2` at sizes 0-5 have 584 composable pairs
-    within the bound, all in the table. The 100 drawn computads, saturated
-    as `saturate` does, have 8,022 in the table and 15,151 explained by a
-    cut below; a relation that held over no such pair would show nothing."""
+    within the bound, all in the table. The 3-computads `contract3` at sizes
+    0-3 and `vert3` at sizes 0-2 have 5,459 in the table and 14,154
+    explained by a cut below. The 100 drawn computads, saturated as
+    `saturate` does, have 8,022 in the table and 15,151 explained by a cut
+    below; a relation that held over no such pair would show nothing."""
+    three = Counter()
+    for make, sizes in ((contract3, range(4)), (vert3, range(3))):
+        for size in sizes:
+            three += complete_up_to_the_cut(free_algebra(make(), Bounds(size=size)))
+    assert min(three["in the table"], three["cut below"]) >= 5_000, three
     counts = Counter()
     for make in (loop, scalar2, theta2):
         for size in range(6):

@@ -162,6 +162,11 @@ def cmd_gate(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    # a tree of height h is the shape of an h-cell; above MAX_DIM no computad
+    # has such cells, and enumeration recurses once per height
+    if args.height > cpd.MAX_DIM:
+        raise InputError(f"--height must be at most {cpd.MAX_DIM}, the largest dimension "
+                         f"of a computad: a tree of height h is the shape of an h-cell")
     if pasting.tree_count(args.height, args.width) > pasting.MAX_TREES:
         raise InputError(f"--height {args.height} --width {args.width} asks for more "
                          f"than {pasting.MAX_TREES:,} trees")

@@ -33,6 +33,12 @@ Composites are hash-consed up to congruence, as in egg (Willsey et al.,
 looks the canonical key (k, class of left, class of right) up in the
 signature table and returns the e-node it finds, and builds a composite
 only when there is none, so no term is ever a copy of an existing e-node.
+The k-composite rule is written once, in `_comp_boundary`: two cells
+compose along k when the k-target of the first is the k-source of the
+second, and the composite's boundaries are read one dimension down.
+`make_comp` builds by it and `_resolve`, the one reader of a term from
+outside the engines, reads by it, so a query cannot disagree with
+saturation about what composes.
 Saturation alone builds terms: a query (`term_node`) reads the level its
 engine froze and the signature table, as egg's `lookup` does beside its
 `add`, and builds nothing. Each class root keeps its users, the
@@ -274,20 +280,32 @@ class Level:
         return len(self.reps)
 
 
-def _descend_src(levels: list[Level], cls: int, d: int, k: int) -> int:
-    """The k-source of a class of dimension d >= k."""
+def _descend(levels: list[Level], cls: int, d: int, k: int, target: bool = False) -> int:
+    """The k-source of a class of dimension d >= k, or its k-target."""
     while d > k:
-        cls = levels[d].src[cls]
+        cls = (levels[d].tgt if target else levels[d].src)[cls]
         d -= 1
     return cls
 
 
-def _descend_tgt(levels: list[Level], cls: int, d: int, k: int) -> int:
-    """The k-target of a class of dimension d >= k."""
-    while d > k:
-        cls = levels[d].tgt[cls]
-        d -= 1
-    return cls
+def _comp_boundary(levels: list[Level], d: int, k: int, sa, ta, sb, tb) -> tuple | None:
+    """The one rule for a k-composite, which `make_comp` builds by and
+    `_resolve` reads by. Two (d+1)-cells whose source and target classes in
+    dimension d are sa, ta and sb, tb compose along k exactly when the
+    k-target of the first is the k-source of the second (Batanin, arXiv
+    math/0209035). A boundary given as None is not materialized, and
+    composability is read only when ta and sb are both known. Returns None
+    when the cells do not compose, and otherwise the composite's source and
+    target classes, read one dimension down (Leinster, "Higher Operads,
+    Higher Categories", 2004): sa and tb along k = d, and below it the
+    k-composites of the two sources and of the two targets, each None when
+    the table holds no such composite."""
+    if None not in (ta, sb) and _descend(levels, ta, d, k, True) != _descend(levels, sb, d, k):
+        return None
+    if k == d:
+        return sa, tb
+    below = levels[d].comp
+    return below.get((k, sa, sb)), below.get((k, ta, tb))
 
 
 def class_in_level(levels: list[Level], t: Term, d: int) -> int | None:
@@ -308,8 +326,8 @@ def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | No
     engine queries all come here.
 
     A composite missing from the table is checked here: its index must be
-    below d, and when both boundaries that composability reads are known,
-    its operands must compose."""
+    below d, and its operands must compose by `_comp_boundary`, the rule
+    `make_comp` builds by, which also gives its boundaries."""
     lv = levels[d]
     if isinstance(t, Gen):
         if t.dim != d:
@@ -329,13 +347,10 @@ def _resolve(levels: list[Level], t: Term, d: int) -> tuple[int | None, int | No
             return c, lv.src[c], lv.tgt[c]
         if not 0 <= t.k < d:
             raise FreecatError(f"composition index {t.k} out of range in {term_to_str(t)}")
-        if (ta is not None and sb is not None
-                and _descend_tgt(levels, ta, d - 1, t.k) != _descend_src(levels, sb, d - 1, t.k)):
+        boundary = _comp_boundary(levels, d - 1, t.k, sa, ta, sb, tb)
+        if boundary is None:
             raise FreecatError(f"the operands of {term_to_str(t)} do not compose")
-        if t.k == d - 1:
-            return None, sa, tb
-        below = levels[d - 1].comp
-        return None, below.get((t.k, sa, sb)), below.get((t.k, ta, tb))
+        return None, *boundary
     raise FreecatError(f"not a term: {t!r}")
 
 
@@ -559,10 +574,9 @@ class Engine:
         """The identity atom that is a unit for term t along comp_k: the
         iterated identity on t's k-source on the left, on its k-target on
         the right. Reads only the nodes, the frozen levels and the atoms."""
-        node, d = self.nodes[t], self.dim - 1
-        cls = (_descend_src(self.levels, node.src, d, k) if left
-               else _descend_tgt(self.levels, node.tgt, d, k))
-        for lv in self.levels[k + 1 : d + 1]:
+        node, d, levels = self.nodes[t], self.dim - 1, self.levels
+        cls = _descend(levels, node.src, d, k) if left else _descend(levels, node.tgt, d, k, True)
+        for lv in levels[k + 1 : d + 1]:
             cls = lv.ids[cls]
         return self.id_atoms[cls]
 
@@ -570,31 +584,24 @@ class Engine:
         """comp_k(ta, tb) up to congruence: the e-node registered under the
         canonical key (k, class of ta, class of tb), as in egg's hashcons
         (Willsey et al., POPL 2021), or a new composite on ta and tb when
-        there is none. None if unbounded or not composable. Saturation
-        alone builds terms: every caller passes an index 0 <= k < dim that
-        it enumerates, and a query reads `term_node` instead."""
+        there is none, with the boundaries `_comp_boundary` gives. None if
+        that rule says ta and tb do not compose, or if the composite is
+        beyond the bound. Saturation alone builds terms: every caller passes
+        an index 0 <= k < dim that it enumerates, and a query reads
+        `term_node` instead."""
         root = self._root
         sig = (k, root[ta], root[tb])
         hit = self._sig.get(sig)
         if hit is not None:
             return hit
         na, nb = self.nodes[ta], self.nodes[tb]
-        d = self.dim - 1
-        if _descend_tgt(self.levels, na.tgt, d, k) != _descend_src(self.levels, nb.src, d, k):
-            return None
+        boundary = _comp_boundary(self.levels, self.dim - 1, k, na.src, na.tgt, nb.src, nb.tgt)
         mset = tuple(sorted(na.mset + nb.mset))
-        if len(mset) > self.bounds.size:
+        # a None boundary is a composite beyond the bound below, so the size
+        # cut of some lower dimension already marks the algebra partial
+        if boundary is None or None in boundary or len(mset) > self.bounds.size:
             return None
-        if k == d:
-            src, tgt = na.src, nb.tgt
-        else:
-            lcomp = self.levels[d].comp
-            src = lcomp.get((k, na.src, nb.src))
-            tgt = lcomp.get((k, na.tgt, nb.tgt))
-            if src is None or tgt is None:
-                # a boundary composite beyond the bound below, so the size
-                # cut of some lower dimension already marks the algebra partial
-                return None
+        src, tgt = boundary
         word = self._shared(na.word + nb.word) if self.dim == 1 else None
         return self._add(
             Node(CMP, k=k, a=ta, b=tb, mset=self._shared(mset), word=word, src=src, tgt=tgt),
@@ -842,9 +849,9 @@ class Engine:
         for k in range(self.dim):
             largest: dict[int, int] = {}  # k-source -> most generators on it
             for r in self._class_terms:
-                s = _descend_src(levels, nodes[r].src, d, k)
+                s = _descend(levels, nodes[r].src, d, k)
                 largest[s] = max(largest.get(s, 0), len(nodes[r].mset))
-            if any(len(nodes[r].mset) + largest[_descend_tgt(levels, nodes[r].tgt, d, k)]
+            if any(len(nodes[r].mset) + largest[_descend(levels, nodes[r].tgt, d, k, True)]
                    > self.bounds.size for r in self._class_terms):
                 return True
         return False

@@ -126,8 +126,8 @@ MUTANTS = [
            "if False:",
            ("tests/test_freecat.py::test_a_planted_split_raises_the_round_guard",)),
     Mutant("terms skip their composability check", FREECAT,
-           "if (ta is not None and sb is not None\n",
-           "if (False and ta is not None and sb is not None\n",
+           'raise FreecatError(f"the operands of {term_to_str(t)} do not compose")',
+           "boundary = None, None",
            ("tests/test_freecat.py::test_a_malformed_composite_is_an_error",
             "tests/test_freecat.py::test_boundary_checks_on_terms",
             "tests/test_cli.py::test_malformed_input_exit_one[not-composable]")),
@@ -247,22 +247,22 @@ MUTANTS = [
             "tests/test_freecat.py::"
             "test_each_representative_is_its_class_least_term[scalar2-size4]")),
     Mutant("right unit pad reads the source along comp_1 in dimension 3", FREECAT,
-           "if left\n               else _descend_tgt(self.levels, node.tgt, d, k))",
-           "if (left or (k == 1 and self.dim == 3))\n"
-           "               else _descend_tgt(self.levels, node.tgt, d, k))",
+           "if left else _descend(levels, node.tgt, d, k, True)",
+           "if (left or (k == 1 and self.dim == 3)) else _descend(levels, node.tgt, d, k, True)",
            ("tests/test_relations.py::test_duality_on_fixed_computads[three-cell3-size3]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[three-cell2-size3]")),
     Mutant("left unit pad reads the target in dimension 3", FREECAT,
-           "cls = (_descend_src(self.levels, node.src, d, k) if left\n",
-           "cls = (_descend_src(self.levels, node.src, d, k) if (left and self.dim != 3)\n",
+           "cls = _descend(levels, node.src, d, k) if left else",
+           "cls = _descend(levels, node.src, d, k) if (left and self.dim != 3) else",
            ("tests/test_relations.py::test_duality_on_fixed_computads[three-cell3-size3]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[scalar2-size4]",
             "tests/test_relations.py::test_suspension_on_fixed_computads[whiskers-size2]")),
+    # `_comp_boundary`'s d is the dimension of the boundaries, one below the
+    # composed cells, so dimension 3 is d == 2
     Mutant("composability reads the left source along comp_1 in dimension 3", FREECAT,
-           "if _descend_tgt(self.levels, na.tgt, d, k) != _descend_src(self.levels, nb.src, d, k):",
-           "if (_descend_src(self.levels, na.src, d, k) if (k == 1 and self.dim == 3)\n"
-           "                else _descend_tgt(self.levels, na.tgt, d, k))"
-           " != _descend_src(self.levels, nb.src, d, k):",
+           "_descend(levels, ta, d, k, True) != _descend(levels, sb, d, k)",
+           "(_descend(levels, sa, d, k) if (k == 1 and d == 2)"
+           " else _descend(levels, ta, d, k, True)) != _descend(levels, sb, d, k)",
            ("tests/test_relations.py::test_suspension_on_fixed_computads[chain-size2]",)),
     Mutant("identity functoriality skips comp_1 in dimension 3", FREECAT,
            "t2 = self.make_comp(k, ids[a], ids[b])",
@@ -430,7 +430,7 @@ MUTANTS = [
             "test_two_cospans_share_a_code_exactly_when_their_pullbacks_agree",
             "tests/test_limitlab.py::test_cospan_orbits_one_member_per_orbit")),
     Mutant("the size cut ignores composability", FREECAT,
-           "largest[_descend_tgt(levels, nodes[r].tgt, d, k)]",
+           "largest[_descend(levels, nodes[r].tgt, d, k, True)]",
            "max(largest.values())",
            ("tests/test_freecat.py::test_partiality_marker_reflects_size_cut",)),
     Mutant("dimension 1 never reports its size cut", FREECAT,
@@ -480,6 +480,26 @@ MUTANTS = [
            "if line[3:4] and not line[3].isspace():",
            "if False:",
            ("tests/test_cli.py::test_malformed_input_exit_one[dim-glued-to-its-number]",)),
+    # saturation and queries read the one rule, so both fail
+    Mutant("the composite rule gives a composite along k = d the left target", FREECAT,
+           "if k == d:\n        return sa, tb",
+           "if k == d:\n        return sa, ta",
+           ("tests/test_freecat.py::test_saturate_acyclic_graph_classes_are_paths",
+            "tests/test_freecat.py::"
+            "test_a_composite_beyond_the_bound_has_its_operands_boundaries")),
+    Mutant("trees takes any height the tree count allows", CLI,
+           "    if args.height > cpd.MAX_DIM:\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_malformed_input_exit_one[trees-height-above-max-dim]",
+            "tests/test_cli.py::test_malformed_input_exit_one[trees-height-65-width-0]")),
+    Mutant("the term reader takes a '(' at position 0 for a missing one", FREECAT,
+           "if j < 0:",
+           "if j < 1:",
+           ("tests/test_freecat.py::test_a_term_opening_with_a_parenthesis_has_an_empty_head",)),
+    Mutant("a generator with one boundary missing is read as a term", COMPUTADS,
+           "if decl.src is None or decl.tgt is None:",
+           "if decl.src is None and decl.tgt is None:",
+           ("tests/test_computads.py::test_a_generator_with_one_boundary_missing_is_refused",)),
 ]
 
 

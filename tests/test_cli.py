@@ -325,6 +325,12 @@ ARITY_KEY = (f"an arity key must be a number from 0 to {freecat.LARGEST:,} in di
                  f"argument --width: {FLAG}", id="trees-width-negative"),
     pytest.param(["trees", "--height", "3", "--width", "4"], None, None,
                  "more than 1,000,000 trees", id="trees-above-max"),
+    # within the tree-count guard, but recursing once per height: a RecursionError
+    # at height 1000, and a run that grows with the cube of the height below it
+    pytest.param(["trees", "--height", "1000", "--width", "1"], None, None,
+                 f"--height must be at most {computads.MAX_DIM}", id="trees-height-above-max-dim"),
+    pytest.param(["trees", "--height", str(computads.MAX_DIM + 1), "--width", "0"], None, None,
+                 f"--height must be at most {computads.MAX_DIM}", id="trees-height-65-width-0"),
     pytest.param(["slice", "--k", "1", "--generators", "-1"], None, None,
                  f"argument --generators: {FLAG}", id="slice-generators-negative"),
     pytest.param(["free", "FILE", "--bound", "-1"], "dim 0\n0 a\n", None,

@@ -41,6 +41,16 @@ def test_nonparallel_attachment_rejected():
     assert "m" in str(err.value)
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_a_generator_with_one_boundary_missing_is_refused(side):
+    """A declaration with exactly one boundary None is refused by name, before
+    either boundary is read."""
+    a = Gen("a", 0)
+    s, t = (None, a) if side == "source" else (a, None)
+    with pytest.raises(NonParallelAttachment, match="^generator 'f': missing boundary terms$"):
+        free_algebra(build_computad([["a"], [("f", s, t)]]))
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ComputadError):
         build_computad([["a", "a"]])

@@ -127,6 +127,15 @@ def test_term_syntax_rejects_garbage():
             term_from_str(bad, {"a": 0, "b": 0})
 
 
+def test_a_term_opening_with_a_parenthesis_has_an_empty_head():
+    """The '(' at position 0 ends an empty head; it is not a missing '('."""
+    for text in ("(gen(a))", "(", "  (gen(a))"):
+        with pytest.raises(FreecatError, match="^unknown term head ''$"):
+            term_from_str(text, {"a": 0})
+    with pytest.raises(FreecatError, match=r"^expected '\(' after position 0$"):
+        term_from_str("gen", {"a": 0})
+
+
 # --- generation ------------------------------------------------------------------
 
 
@@ -795,6 +804,20 @@ def test_a_well_formed_composite_beyond_the_bound_has_no_class():
     assert fa.class_of_term(Comp(0, G3, F)) is None
     assert fa.class_of_term(Comp(0, G, F)) is not None
     assert equal_cells(fa.engines[1], Comp(0, G3, F), Comp(0, G, F))[0] == UNKNOWN
+
+
+def test_a_composite_beyond_the_bound_has_its_operands_boundaries():
+    """At size 0 saturation composes identities alone, so comp_0(f, g) on
+    w -> x -> y lies beyond the bound. A query reads its source w and its
+    target y from its operands, by the rule saturation builds by, so it
+    composes with id1(w) on the left and with h: y -> z on the right, and
+    not with g."""
+    fa = free_algebra(path_computad(1), Bounds(size=0))
+    fg = Comp(0, F, G)
+    for term in (fg, Comp(0, fg, Gen("h", 1)), Comp(0, Id(Gen("w", 0)), fg)):
+        assert fa.class_of_term(term) is None
+    with pytest.raises(FreecatError, match="do not compose"):
+        fa.class_of_term(Comp(0, fg, G))
 
 
 # --- enumeration ------------------------------------------------------------------

@@ -138,9 +138,10 @@ def test_natural_reads_leading_zeros(n, zeros, slack):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(word=words)
 def test_a_flag_runs_exactly_when_natural_reads_it(word):
+    # `trees --height 0` is one leaf at any width; --height itself stops at MAX_DIM
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["trees", "--height", word, "--width", "0"])
+        code = main(["trees", "--height", "0", "--width", word])
     if natural(word, LARGEST) is not None:
         assert code == 0 and not err.getvalue()
     else:

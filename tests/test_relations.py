@@ -89,8 +89,8 @@ from computadlab.computads import (
     pullback_computads, theta_computad,
 )
 from computadlab.freecat import (
-    EQUAL, GEN, IDA, UNKNOWN, Bounds, Comp, Engine, FreecatError, Gen, Id, _descend_src,
-    _descend_tgt, equal_cells, rename_gens, verify_certificate,
+    EQUAL, GEN, IDA, UNKNOWN, Bounds, Comp, Engine, FreecatError, Gen, Id, _descend,
+    equal_cells, rename_gens, verify_certificate,
 )
 from computadlab.operads import k_terminal_computad
 
@@ -577,10 +577,10 @@ def complete_up_to_the_cut(fa):
         for k in range(r):
             on_source: dict[int, list[int]] = {}
             for b in range(lv.n_classes):
-                on_source.setdefault(_descend_src(levels, b, r, k), []).append(b)
+                on_source.setdefault(_descend(levels, b, r, k), []).append(b)
             for a in range(lv.n_classes):
                 room = size - len(lv.msets[a])
-                for b in on_source.get(_descend_tgt(levels, a, r, k), ()):
+                for b in on_source.get(_descend(levels, a, r, k, True), ()):
                     if len(lv.msets[b]) > room:
                         continue
                     if (k, a, b) in lv.comp:
@@ -633,10 +633,15 @@ def queries_read_the_frozen_level(fa):
     table, the query of comp_k(rep a, rep b) gives the e-node that
     `make_comp` finds on the queried e-nodes of rep a and rep b, the route
     queries took before they became lookups, and that e-node's term has
-    class c. A composite of the largest class with each class it composes
-    with beyond the bound is None (Unknown to `equal_cells`), one that does
-    not compose raises, and so does an index out of range. No query
-    changes the engine. Returns how many queries each case took."""
+    class c. For each pair of classes within the bound and each index whose
+    entry the table lacks, `make_comp` on the queried e-nodes returns None,
+    and the query raises exactly when the k-target of the first class is
+    not the k-source of the second, and is None otherwise: queries and
+    saturation read one composite rule. A composite of the largest class
+    with each class it composes with beyond the bound is None (Unknown to
+    `equal_cells`), one that does not compose raises, and so does an index
+    out of range. No query changes the engine. Returns how many queries
+    each case took."""
     counts = Counter()
     for e in fa.engines[1:]:
         r, lv = e.dim, fa.levels[e.dim]
@@ -647,13 +652,31 @@ def queries_read_the_frozen_level(fa):
             assert t == e.make_comp(k, e.term_node(reps[a]), e.term_node(reps[b]))
             assert fa.class_of_term(node_term(e, t)) == c
             counts["in the table"] += 1
+        by_size = sorted(range(lv.n_classes), key=lambda x: len(lv.msets[x]))
+        for a in range(lv.n_classes):
+            room = fa.bounds.size - len(lv.msets[a])
+            for b in by_size:
+                if len(lv.msets[b]) > room:
+                    break
+                for k in range(r):
+                    if (k, a, b) in lv.comp:
+                        continue
+                    assert e.make_comp(k, e.term_node(reps[a]), e.term_node(reps[b])) is None
+                    query = Comp(k, reps[a], reps[b])
+                    if _descend(fa.levels, a, r, k, True) == _descend(fa.levels, b, r, k):
+                        assert e.term_node(query) is None
+                        counts["missing within the bound"] += 1
+                    else:
+                        with pytest.raises(FreecatError, match="do not compose"):
+                            e.term_node(query)
+                        counts["malformed within the bound"] += 1
         a = max(range(lv.n_classes), key=lambda x: len(lv.msets[x]))
         for k in range(r):
             for b in range(lv.n_classes):
                 if len(lv.msets[a]) + len(lv.msets[b]) <= fa.bounds.size:
                     continue
                 query = Comp(k, reps[a], reps[b])
-                if _descend_tgt(fa.levels, a, r, k) == _descend_src(fa.levels, b, r, k):
+                if _descend(fa.levels, a, r, k, True) == _descend(fa.levels, b, r, k):
                     assert e.term_node(query) is None
                     assert equal_cells(e, query, query)[0] == UNKNOWN
                     counts["beyond the bound"] += 1
@@ -672,7 +695,10 @@ def test_queries_read_the_frozen_level_and_build_nothing():
     1/3/4, 2/3/3 and 3/2/3 and 30 drawn computads, each query agrees with
     the builder's route element by element and leaves the engine as it was:
     5,486 table entries, 961 queries beyond the bound and 490 that do not
-    compose. A relation that saw no query of some kind would show nothing."""
+    compose. Within the bound, 15,773 composable pairs missing from the
+    table and 17,654 pairs that do not compose agree with `make_comp`, all
+    of them on the drawn computads. A relation that saw no query of some
+    kind would show nothing."""
     counts = Counter()
     for make in (loop, scalar2, theta2):
         for size in (2, 3, 4):
@@ -687,4 +713,6 @@ def test_queries_read_the_frozen_level_and_build_nothing():
         counts.update(queries_read_the_frozen_level(saturate(layers)))
 
     check()
-    assert min(counts[case] for case in ("in the table", "beyond the bound", "malformed")) > 0
+    assert min(counts[case] for case in (
+        "in the table", "beyond the bound", "malformed", "missing within the bound",
+        "malformed within the bound")) > 0, counts
